@@ -186,7 +186,7 @@ def suite_young(direct_profile=None) -> dict:
     if direct_profile is None:
         direct_profile = reduced.minimize_direct(
             tension, -0.5, 1.0,
-            opts=reduced.MinimizeOptions(raise_on_failure=False),
+            opts=reduced.MinimizeOptions(raise_on_failure=False), body=body,
         )
     p = direct_profile
     grid_res = abs(reduced.young_residual(p))
@@ -229,7 +229,7 @@ def suite_cross_solver() -> dict:
         sol = od.shoot(tension, omega, 1.0, body=body)
         prof = reduced.minimize_direct(
             tension, omega, 1.0,
-            opts=reduced.MinimizeOptions(raise_on_failure=False),
+            opts=reduced.MinimizeOptions(raise_on_failure=False), body=body,
         )
         r_shoot = np.interp(prof.knots, sol.profile.knots, sol.profile.r)
         linf = float(np.max(np.abs(prof.r - r_shoot)) / np.max(sol.profile.r))
@@ -320,7 +320,7 @@ def suite_barycenter(seed: int = DEFAULT_SEED, perturbations: int = 20,
     if direct_profile is None:
         direct_profile = reduced.minimize_direct(
             tension, omega, 1.0,
-            opts=reduced.MinimizeOptions(raise_on_failure=False),
+            opts=reduced.MinimizeOptions(raise_on_failure=False), body=body,
         )
     p = direct_profile
     # Lift to a SlicedSet on the Wulff base with centered slices.

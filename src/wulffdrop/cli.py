@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import checks, competitor, odesolve, reduced, sets
-from .errors import NonConvergence, WulffDropError
+from .errors import InvalidTension, NonConvergence, WulffDropError
 from .tension import SurfaceTension, tension_from_config, tension_to_config
 from .wulff import build_wulff_body
 
@@ -110,7 +110,11 @@ def profile_report(profile: reduced.Profile, omega: float) -> dict:
 
 def _load_tension(path: str) -> SurfaceTension:
     with open(path) as handle:
-        return tension_from_config(json.load(handle))
+        try:
+            cfg = json.load(handle)
+        except ValueError as exc:
+            raise InvalidTension(f"{path} is not a JSON document: {exc}") from exc
+    return tension_from_config(cfg)
 
 
 def _out_path(args, name: str) -> str:
@@ -169,7 +173,8 @@ def cmd_solve(args) -> int:
         if args.method in ("direct", "both"):
             opts = reduced.MinimizeOptions(max_iter=args.max_iter)
             prof = reduced.minimize_direct(tension, args.omega, args.mass,
-                                           grid_size=args.grid_size, opts=opts)
+                                           grid_size=args.grid_size, opts=opts,
+                                           body=body)
             profiles["direct"] = prof
             report["direct"] = {
                 "iterations": prof.meta["iterations"],
@@ -375,8 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("shoot", "direct", "both"),
                    default="shoot")
     p.add_argument("--grid-size", type=int, default=161)
-    p.add_argument("--max-iter", type=int, default=24000,
-                   help="direct-minimizer iteration budget")
+    p.add_argument("--max-iter", type=int,
+                   default=reduced.MinimizeOptions().max_iter,
+                   help="direct-minimizer Newton step budget")
     p.add_argument("--out", default=None, help="profile CSV path")
     p.add_argument("--plot", default=None, help="SVG output path")
     p.add_argument("--report", default=None, help="report JSON path")

@@ -105,11 +105,6 @@ def lateral_energy_between(p: Profile, ta: float, tb: float) -> float:
     return float(p.body.area * np.sum(dt * s0 * phi))
 
 
-def _slice_measure(p: Profile, t: float) -> float:
-    n = p.tension.dim - 1
-    return float(p.body.area * p.interp(t) ** n)
-
-
 # ---------------------------------------------------------------------------
 # Cap profiles
 # ---------------------------------------------------------------------------

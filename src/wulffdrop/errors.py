@@ -22,6 +22,10 @@ class DimensionUnsupported(WulffDropError, ValueError):
     """Slice dimension outside the supported range {1, 2}."""
 
 
+class InvalidTension(WulffDropError, ValueError):
+    """Tension document or family parameter outside its valid range."""
+
+
 class OmegaOutOfRange(WulffDropError, ValueError):
     """Contact coefficient outside (-phi(0,1), phi(0,-1))."""
 

@@ -13,7 +13,7 @@ N-1 exactly for the polytopal bodies built by :mod:`wulffdrop.wulff`.
 
 The module provides the profile type, exact volume, energy with analytic
 gradients, Euler-Lagrange and contact-slope (Young) residuals, and a
-volume-constrained first-order minimizer with competitor repair.
+volume-constrained Newton minimizer on the slice measure r^(N-1).
 """
 
 from __future__ import annotations
@@ -313,16 +313,15 @@ def lambda_estimate(p: Profile, interior_frac: float = 0.9) -> float:
 
 @dataclass
 class MinimizeOptions:
-    max_iter: int = 24000
-    tol_energy: float = 1e-10
-    tol_grad: float = 1e-4
-    sweep: int = 80
-    repair_every: int = 500
-    polish_every: int = 200
-    armijo: float = 1e-4
-    max_backtracks: int = 50
-    step_min: float = 1e-7
-    step_max: float = 1e3
+    """Newton step budget and stopping rule of :func:`minimize_direct`.
+
+    The iteration has converged when the largest entry of the gradient
+    projected onto the volume constraint is at most ``tol_grad`` times the
+    largest entry of the gradient itself.
+    """
+
+    max_iter: int = 100
+    tol_grad: float = 1e-10
     raise_on_failure: bool = True
 
 
@@ -342,10 +341,9 @@ def _winterbottom_init(tension: SurfaceTension, body: WulffBody, omega: float,
     cap = table.above(sigma0)
     bscale = (m / (body.area * cap)) ** (1.0 / tension.dim)
     t_top = bscale * (hi - sigma0)
-    knots = xi * t_top
-    r = bscale * wulff_alpha(tension, sigma0 + knots / bscale)
+    r = bscale * wulff_alpha(tension, sigma0 + xi * t_top / bscale)
     r[-1] = 0.0
-    return knots, np.maximum(r, 0.0), t_top
+    return np.maximum(r, 0.0), t_top
 
 
 class _SliceMeasureFunctional:
@@ -353,10 +351,12 @@ class _SliceMeasureFunctional:
 
     For admissible tensions the lateral integrand phi(Lambda rho^kappa,
     -rho') with kappa = (N-2)/(N-1) is smooth through the apex (the pole
-    flatness d1phi(0, +-1) = 0 removes the sqrt term), the constraint and
-    the potential are linear in rho, and the profile meets its top at a
-    simple root of rho.  This removes the vertical-tangent stiffness of the
-    radial parametrization.
+    flatness d1phi(0, +-1) = 0 removes the sqrt term), and the constraint
+    and the potential are linear in rho.  This removes the vertical-tangent
+    stiffness of the radial parametrization.  rho need not vanish like a
+    simple root at the top: for the p = 3 p-norm weight in N = 3 the
+    minimizer's radius falls like (T - t)^(2/3) (measured), so rho falls
+    like (T - t)^(4/3).
     """
 
     def __init__(self, tension, body, omega, xi):
@@ -365,10 +365,8 @@ class _SliceMeasureFunctional:
         self.omega = omega
         self.xi = xi
         self.dxi = np.diff(xi)
-        self.nm1 = tension.dim - 1
         self.kappa = (tension.dim - 2) / (tension.dim - 1)
         self.lam = body.lam
-        self.d22_zero = _d22_at_zero(tension, self.lam)
 
     def pieces(self, rho, t_top):
         dt = self.dxi * t_top
@@ -397,7 +395,7 @@ class _SliceMeasureFunctional:
                      * np.sum(self.dxi * 0.5 * (rho[:-1] + rho[1:])))
 
     def grads(self, rho, t_top):
-        """(E, g_rho, dE_dT, vol, gv_rho, dV_dT, h_rho, h_T)."""
+        """(E, g_rho, dE_dT, vol, gv_rho, dV_dT)."""
         dt, slope, rho_g, dead, a_g, b_g = self.pieces(rho, t_top)
         area = self.body.area
         n_cells = len(dt)
@@ -406,9 +404,8 @@ class _SliceMeasureFunctional:
         phi_g = self.tension.phi.value(a_g, b_g)
         d1_g = np.zeros_like(a_g)
         d2_g = np.zeros_like(a_g)
-        d11_g = np.zeros_like(a_g)
         if live.any():
-            d1_g[live], d2_g[live], d11_g[live] = phi_partials(
+            d1_g[live], d2_g[live], _ = phi_partials(
                 self.tension, a_g[live], b_g[live]
             )
         phi_g[dead] = 0.0
@@ -453,209 +450,141 @@ class _SliceMeasureFunctional:
         half = area * t_top * 0.5 * self.dxi
         np.add.at(gv, np.arange(n_cells), half)
         np.add.at(gv, np.arange(1, n_cells + 1), half)
+        return e_total, g, de_dT, vol, gv, dv_dT
 
-        # Diagonal curvature estimate (slope channel dominates).
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d22_g = np.where(np.abs(b_g) > 0, (a_g / b_g) ** 2 * d11_g, self.d22_zero)
-        d22_g[dead] = 0.0
-        stiff = area * (GAUSS_W[None, :] * d22_g).sum(axis=1) / dt
-        stiff[dead] = 0.0
-        h = np.zeros_like(rho)
-        np.add.at(h, np.arange(n_cells), stiff)
-        np.add.at(h, np.arange(1, n_cells + 1), stiff)
-        h += 1e-4 * max(float(np.max(h)), 1e-30) + 1e-30
-        h_T = float(np.sum(stiff * (slope * dt) ** 2) / t_top**2) + 2.0 * fp / t_top**2
-        h_T = max(h_T, 1e-12)
-        return e_total, g, de_dT, vol, gv, dv_dT, h, h_T
+
+def _lagrangian_hessian(fn: _SliceMeasureFunctional, rho, t_top, lam_mult):
+    """Hessian of E + lam_mult V in z = (rho_0..rho_{M-1}, T).
+
+    Each cell couples only its two nodes, so the rho-block is tridiagonal:
+    three interleaved colour groups of central differences of the gradient
+    recover it.  T couples to every node, so its row and column come from
+    one separate T perturbation.
+    """
+    n = len(rho) - 1
+
+    def lag_grad(rho_p, t_p):
+        _, g, de_dT, _, gv, dv_dT = fn.grads(rho_p, t_p)
+        return np.append(g[:-1] + lam_mult * gv[:-1], de_dT + lam_mult * dv_dT)
+
+    hess = np.zeros((n + 1, n + 1))
+    h = 1e-6 * rho[:-1]  # relative steps; every free slice measure is positive
+    for colour in range(3):
+        cols = np.arange(colour, n, 3)
+        step = np.zeros_like(rho)
+        step[cols] = h[cols]
+        dg = lag_grad(rho + step, t_top) - lag_grad(rho - step, t_top)
+        for off in (-1, 0, 1):
+            rows = cols + off
+            ok = (rows >= 0) & (rows < n)
+            hess[rows[ok], cols[ok]] = dg[rows[ok]] / (2.0 * h[cols[ok]])
+    hess[:n, :n] = 0.5 * (hess[:n, :n] + hess[:n, :n].T)
+    h_t = 1e-6 * t_top
+    col = (lag_grad(rho, t_top + h_t) - lag_grad(rho, t_top - h_t)) / (2.0 * h_t)
+    hess[:, n] = col
+    hess[n, :] = col
+    return hess
 
 
 def minimize_direct(tension: SurfaceTension, omega: float, m: float,
                     grid_size: int = 161,
-                    opts: Optional[MinimizeOptions] = None) -> Profile:
-    """Volume-constrained first-order descent for the minimizing profile.
+                    opts: Optional[MinimizeOptions] = None,
+                    body: Optional[WulffBody] = None) -> Profile:
+    """Volume-constrained Newton iteration for the minimizing profile.
 
-    The unknowns are the slice measures rho_i = r_i^(N-1) on a uniform grid
-    of knots xi * T plus the movable top height T; rho is clamped at 0 from
-    below and the iterate stays feasible (after every accepted step rho is
-    rescaled onto the volume constraint, which is linear in rho).  Steps are
-    diagonally preconditioned Barzilai-Borwein trials with Armijo
-    backtracking; every ``repair_every`` iterations a competitor repair is
-    attempted at the worst concavity violation.  The returned profile
-    carries solver diagnostics in ``meta``.
+    The unknowns are the slice measures rho_i = r_i^(N-1) on knots xi * T
+    plus the top height T, with rho = 0 at the top knot.  The knots are
+    graded toward the apex, xi = 1 - (1 - u)^1.5 for uniform u, because
+    rho need not vanish like a simple root there.  Each step solves the
+    KKT system of the Lagrangian Hessian bordered by the volume gradient,
+    then backtracks (Armijo) on the energy of a feasible trial point: rho
+    clipped at 0, the top moved down to the first empty knot or to a
+    pinched knot near the apex (an apex cell's energy falls like sqrt(rho),
+    so Newton would otherwise halve it towards zero one step at a time),
+    and rho rescaled onto the volume constraint, which is linear in rho.
+    ``body`` defaults to the 1024-normal Wulff body of ``tension``.  The
+    returned profile carries solver diagnostics in ``meta``.
     """
-    from . import competitor as comp
-
     check_omega(tension, omega)
     if m <= 0:
         raise ValueError("volume must be positive")
     if opts is None:
         opts = MinimizeOptions()
-    body = build_wulff_body(tension, 1024)
+    if body is None:
+        body = build_wulff_body(tension, 1024)
     nm1 = tension.dim - 1
 
-    xi = np.linspace(0.0, 1.0, grid_size)
-    knots, r0, t_top = _winterbottom_init(tension, body, omega, m, xi)
-    rho = r0**nm1
+    xi = 1.0 - (1.0 - np.linspace(0.0, 1.0, grid_size)) ** 1.5
+    r0, t_top = _winterbottom_init(tension, body, omega, m, xi)
     fn = _SliceMeasureFunctional(tension, body, omega, xi)
-    rho *= m / fn.volume(rho, t_top)
+    n = grid_size - 1
+    # Chord weights at the interior knots, for the pinch test.
+    w = (xi[2:] - xi[1:-1]) / (xi[2:] - xi[:-2])
 
+    def feasible(rho_try, t_try):
+        """Clipped, top-moved, volume-rescaled trial point (None if empty)."""
+        rho_try = np.maximum(rho_try, 0.0)
+        rho_try[-1] = 0.0
+        if t_try <= 0.0 or rho_try[0] == 0.0:
+            return None
+        r = rho_try ** (1.0 / nm1)
+        cut = (rho_try[1:-1] == 0.0)
+        cut[-3:] |= (r[1:-1] < 0.5 * (w * r[:-2] + (1.0 - w) * r[2:]))[-3:]
+        if cut.any():
+            t_new = float(xi[np.argmax(cut) + 1] * t_try)
+            rho_try = np.interp(xi * t_new, xi * t_try, rho_try)
+            rho_try[-1] = 0.0
+            t_try = t_new
+        return rho_try * (m / fn.volume(rho_try, t_try)), t_try
+
+    rho, t_top = feasible(r0**nm1, t_top)
     iterations = 0
-    repairs = 0
     proj_norm = math.inf
     converged = False
-    n_rho = len(rho)
-    rho[-1] = 0.0
-
-    def to_profile(rho_now, t_now):
-        return Profile(knots=xi * t_now, r=rho_now ** (1.0 / nm1),
-                       tension=tension, body=body, omega=omega)
-
-    def rescaled(rho_try, t_try):
-        v = fn.volume(rho_try, t_try)
-        if v <= 0:
-            return None, math.inf
-        rho_new = rho_try * (m / v)
-        return (rho_new, t_try), fn.energy(rho_new, t_try)[0]
-
-    def snapped(rho_now, t_now):
-        """Shrink T so that only the final knot carries a zero radius.
-
-        Extending the support by lifting a zero knot inside a fixed grid
-        costs surface area like sqrt(height), so trailing zeros freeze; the
-        support boundary is moved by rescaling the grid instead.
-        """
-        pos = np.nonzero(rho_now > 0.0)[0]
-        if len(pos) == 0 or pos[-1] >= n_rho - 2:
-            return rho_now, t_now
-        t_eff = float(xi[pos[-1] + 1] * t_now)
-        rho_new = np.interp(xi * t_eff, xi * t_now, rho_now)
-        rho_new[-1] = 0.0
-        state, _ = rescaled(rho_new, t_eff)
-        if state is None:
-            return rho_now, t_now
-        return state
-
-    def t_polish(rho_now, t_now, e_now):
-        """Golden-section line search along the volume-preserving stretch
-        family (the slowly converging global aspect-ratio mode)."""
-        inv = (math.sqrt(5.0) - 1.0) / 2.0
-
-        def psi(t_new):
-            state, e_new = rescaled(rho_now, t_new)
-            return e_new, state
-
-        a, b = 0.95 * t_now, 1.05 * t_now
-        c = b - inv * (b - a)
-        dpt = a + inv * (b - a)
-        fc, _ = psi(c)
-        fd, _ = psi(dpt)
-        while b - a > 1e-12 * t_now:
-            if fc < fd:
-                b, dpt, fd = dpt, c, fc
-                c = b - inv * (b - a)
-                fc, _ = psi(c)
-            else:
-                a, c, fc = c, dpt, fd
-                dpt = a + inv * (b - a)
-                fd, _ = psi(dpt)
-        t_best = 0.5 * (a + b)
-        e_best, state = psi(t_best)
-        if state is not None and e_best < e_now:
-            return state
-        return rho_now, t_now
-
-    rho, t_top = snapped(rho, t_top)
-    energy_hist = []
-    prev_x = prev_d = None
-    bb_step = 1.0
-    failures = 0
     for _ in range(opts.max_iter):
-        iterations += 1
-        e_now, g, de_dT, vol, gv, dv_dT, h, h_T = fn.grads(rho, t_top)
-        energy_hist.append(e_now)
-
-        gg = np.concatenate([g, [de_dT]])
-        gvv = np.concatenate([gv, [dv_dT]])
-        proj = gg - (gg @ gvv) / (gvv @ gvv) * gvv
-        # The top knot is structurally pinned at zero (admissible Wulff tops
-        # are flat, so minimizers meet the apex with r = 0), and interior
-        # zero radii with outward gradients stay pinned.
-        pinned = (rho == 0.0) & (proj[:-1] > 0.0)
-        pinned[-1] = True
-        proj[:-1][pinned] = 0.0
+        e_now, g, de_dT, _, gv, dv_dT = fn.grads(rho, t_top)
+        grad = np.append(g[:-1], de_dT)
+        a = np.append(gv[:-1], dv_dT)
+        lam_mult = -float(grad @ a) / float(a @ a)
+        proj = grad + lam_mult * a
         proj_norm = float(np.max(np.abs(proj)))
-
-        d = np.concatenate([proj[:-1] / h, [proj[-1] / h_T]])
-        d[:-1][pinned] = 0.0
-
-        x = np.concatenate([rho, [t_top]])
-        if prev_x is not None:
-            dx = x - prev_x
-            dd = d - prev_d
-            denom = dx @ dd
-            if denom > 0:
-                bb_step = float(np.clip((dx @ dx) / denom,
-                                        opts.step_min, opts.step_max))
-            else:
-                bb_step = 1.0
-        prev_x, prev_d = x, d
-
-        slope = float(proj @ d)
-        step = bb_step
-        accepted = False
-        for _ in range(opts.max_backtracks):
-            rho_try = np.maximum(rho - step * d[:-1], 0.0)
-            rho_try[-1] = 0.0
-            t_try = max(t_top - step * d[-1], 1e-8)
-            state, e_try = rescaled(rho_try, t_try)
-            if state is not None and e_try <= e_now - opts.armijo * step * max(slope, 0.0):
-                rho, t_top = state
-                rho, t_top = snapped(rho, t_top)
-                accepted = True
-                failures = 0
-                break
-            step *= 0.5
-        if not accepted:
-            failures += 1
-
-        if iterations % opts.repair_every == 0 or (not accepted and failures == 1):
-            prof = to_profile(rho, t_top)
-            witness = comp.find_nonconvexity(prof, epsilon=0.5 * t_top)
-            if witness is not None:
-                try:
-                    repaired = comp.apply_competitor(
-                        prof, witness[0], witness[1], tension, omega
-                    )
-                    t_new = repaired.t_max
-                    rho_new = np.interp(xi * t_new, repaired.knots,
-                                        repaired.r) ** nm1
-                    rho_new[-1] = 0.0
-                    state, e_try = rescaled(rho_new, t_new)
-                    if state is not None and e_try < e_now:
-                        rho, t_top = state
-                        repairs += 1
-                        accepted = True
-                        failures = 0
-                except comp.CompetitorFailure:
-                    pass
-
-        if iterations % opts.polish_every == 0 or not accepted:
-            rho, t_top = t_polish(rho, t_top, fn.energy(rho, t_top)[0])
-            rho, t_top = snapped(rho, t_top)
-
-        if len(energy_hist) > opts.sweep:
-            drop = energy_hist[-opts.sweep - 1] - energy_hist[-1]
-            scale = 1.0 + abs(energy_hist[-1])
-            if drop < opts.tol_energy * scale and proj_norm < opts.tol_grad:
-                converged = True
-                break
-        if not accepted and proj_norm < opts.tol_grad:
+        if proj_norm <= opts.tol_grad * float(np.max(np.abs(grad))):
             converged = True
             break
-        if failures >= 4:
+        iterations += 1
+
+        hess = _lagrangian_hessian(fn, rho, t_top, lam_mult)
+        kkt = np.zeros((n + 2, n + 2))
+        kkt[:n + 1, n + 1] = a
+        kkt[n + 1, :n + 1] = a
+        # Where the Hessian is indefinite on the constraint tangent (puddles
+        # at large m), shift its diagonal until the KKT step descends.
+        for shift in (0.0, 1e-6, 1e-4, 1e-2, 1.0):
+            kkt[:n + 1, :n + 1] = hess + shift * np.diag(np.abs(np.diag(hess)))
+            d = np.linalg.solve(kkt, np.append(-grad, 0.0))[:n + 1]
+            slope = float(grad @ d)
+            if slope < 0.0:
+                break
+        else:
             break
 
-    final = to_profile(rho, t_top)
+        # The slack lets the last Newton steps through when the energy
+        # change they predict is below the rounding of the energy itself.
+        step = 1.0
+        for _ in range(30):
+            state = feasible(rho + step * np.append(d[:n], 0.0),
+                             t_top + step * d[n])
+            if state is not None and (fn.energy(*state)[0]
+                                      <= e_now + 1e-4 * step * slope
+                                      + 1e-14 * abs(e_now)):
+                rho, t_top = state
+                break
+            step *= 0.5
+        else:
+            break
+
+    final = Profile(knots=xi * t_top, r=rho ** (1.0 / nm1),
+                    tension=tension, body=body, omega=omega)
     # The iterate satisfies the constraint exactly in the slice-measure
     # representation; rescale once so the returned radial profile does too.
     vol_r = reduced_volume(final)
@@ -667,7 +596,9 @@ def minimize_direct(tension: SurfaceTension, omega: float, m: float,
         "energy": reduced_energy(final).total,
         "volume": reduced_volume(final),
         "projected_grad": proj_norm,
-        "repairs": repairs,
+        # No competitor repair runs inside the Newton iteration; the key
+        # stays so that readers of the diagnostics keep one schema.
+        "repairs": 0,
         "lambda_est": lambda_estimate(final),
         "young_residual": young_residual(final),
     }
@@ -675,15 +606,8 @@ def minimize_direct(tension: SurfaceTension, omega: float, m: float,
                     omega=omega, meta=diag)
     if not converged and opts.raise_on_failure:
         raise NonConvergence(
-            f"descent did not converge in {opts.max_iter} iterations "
+            f"Newton iteration did not converge in {iterations} steps "
             f"(projected gradient {proj_norm:.3e})",
             state=final,
         )
     return final
-
-
-def _d22_at_zero(tension, lam: float) -> float:
-    """Finite-difference d22phi(lam, 0) for the flat-slope cells."""
-    d = 1e-5
-    v = tension.phi.value
-    return float((v(lam, d) - 2.0 * v(lam, 0.0) + v(lam, -d)) / (d * d))

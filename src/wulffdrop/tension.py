@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePoint, ZeroDirection
+from .errors import DegeneratePoint, InvalidTension, ZeroDirection
 
 # Central finite-difference step for derivative_mode="central-difference".
 # Balances truncation against double-precision rounding.
@@ -75,6 +75,10 @@ class PNormPhi:
     p: float
     family: str = "pnorm"
 
+    def __post_init__(self):
+        if not self.p >= 1.0:
+            raise InvalidTension(f"pnorm needs p >= 1, got p={self.p}")
+
     def value(self, s, t):
         p = self.p
         return (np.abs(s) ** p + np.abs(t) ** p) ** (1.0 / p)
@@ -116,6 +120,10 @@ class WeightedPhi:
     c: float
     family: str = "weighted"
 
+    def __post_init__(self):
+        if not self.c > 0.0:
+            raise InvalidTension(f"weighted needs c > 0, got c={self.c}")
+
     def value(self, s, t):
         return np.sqrt(s * s + self.c * t * t)
 
@@ -140,6 +148,10 @@ class LpSliceNorm:
 
     p: float
     family: str = "lp"
+
+    def __post_init__(self):
+        if not self.p >= 1.0:
+            raise InvalidTension(f"lp slice norm needs p >= 1, got p={self.p}")
 
     @property
     def q(self) -> float:
@@ -218,9 +230,9 @@ class SurfaceTension:
 
     def __post_init__(self):
         if self.dim < 2:
-            raise ValueError(f"ambient dimension must be >= 2, got {self.dim}")
+            raise InvalidTension(f"ambient dimension must be >= 2, got {self.dim}")
         if self.derivative_mode not in ("closed", "central-difference"):
-            raise ValueError(f"unknown derivative_mode {self.derivative_mode!r}")
+            raise InvalidTension(f"unknown derivative_mode {self.derivative_mode!r}")
 
     # -- basic evaluations --------------------------------------------------
 
@@ -251,23 +263,35 @@ class SurfaceTension:
 
 
 def tension_from_config(cfg: dict) -> SurfaceTension:
-    """Build a tension from its JSON document (see README for the schema)."""
-    n = int(cfg["N"])
-    phi_cfg = dict(cfg["phi"])
-    h_cfg = dict(cfg["h"])
-    phi_family = phi_cfg.pop("family")
-    h_family = h_cfg.pop("family")
-    if phi_family not in _PHI_FAMILIES:
-        raise ValueError(f"unknown phi family {phi_family!r}")
-    if h_family not in _H_FAMILIES:
-        raise ValueError(f"unknown h family {h_family!r}")
-    phi = _PHI_FAMILIES[phi_family](**phi_cfg)
-    if h_family == "euclid":
-        h_cfg.setdefault("p", 2.0)
-    h = _H_FAMILIES[h_family](**h_cfg)
-    mode = cfg.get("derivative_mode", "closed")
-    fd = float(cfg.get("fd_step", FD_STEP))
-    return SurfaceTension(dim=n, phi=phi, h=h, derivative_mode=mode, fd_step=fd)
+    """Build a tension from its JSON document (see README for the schema).
+
+    Raises :class:`InvalidTension` for a missing key, an unknown family or
+    a parameter outside its family's range.
+    """
+    try:
+        n = int(cfg["N"])
+        phi_cfg = dict(cfg["phi"])
+        h_cfg = dict(cfg["h"])
+        phi_family = phi_cfg.pop("family")
+        h_family = h_cfg.pop("family")
+        if phi_family not in _PHI_FAMILIES:
+            raise InvalidTension(f"unknown phi family {phi_family!r}")
+        if h_family not in _H_FAMILIES:
+            raise InvalidTension(f"unknown h family {h_family!r}")
+        phi = _PHI_FAMILIES[phi_family](**phi_cfg)
+        if h_family == "euclid":
+            h_cfg.setdefault("p", 2.0)
+        h = _H_FAMILIES[h_family](**h_cfg)
+        mode = cfg.get("derivative_mode", "closed")
+        fd = float(cfg.get("fd_step", FD_STEP))
+        return SurfaceTension(dim=n, phi=phi, h=h, derivative_mode=mode,
+                              fd_step=fd)
+    except InvalidTension:
+        raise
+    except KeyError as exc:
+        raise InvalidTension(f"tension document lacks the key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidTension(f"malformed tension document: {exc}") from exc
 
 
 def tension_to_config(tension: SurfaceTension) -> dict:

@@ -149,3 +149,43 @@ def test_sweep_subcommand(tension_file, tmp_path):
     assert len(summary["points"]) == 2
     # Less wetting energy gain: the drop beads up, so it gets taller.
     assert summary["points"][1]["T_max"] > summary["points"][0]["T_max"]
+
+
+def test_solve_method_both_deterministic_outputs(tension_file, tmp_path):
+    outs = []
+    for tag in ("a", "b"):
+        out = tmp_path / f"p{tag}.csv"
+        rep = tmp_path / f"r{tag}.json"
+        assert run(["solve", "--tension", tension_file, "--omega", "-0.5",
+                    "--mass", "1.0", "--method", "both",
+                    "--out", str(out), "--report", str(rep)]) == 0
+        report = json.loads(rep.read_text())
+        assert report["direct"]["converged"]
+        report.pop("wall_time_s")
+        outs.append((out.read_bytes(), (tmp_path / f"p{tag}-direct.csv").read_bytes(),
+                     json.dumps(report, sort_keys=True)))
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("doc,names", [
+    ('{"N": 3, "phi": {"family": "bogus"}, "h": {"family": "lp", "p": 2.0}}',
+     "'bogus'"),
+    ('{"N": 3, "phi": {"family": "eucl', "not a JSON document"),
+    ('{"phi": {"family": "euclid"}, "h": {"family": "lp", "p": 2.0}}', "'N'"),
+    ('{"N": 3, "phi": {"family": "weighted", "c": -1}, '
+     '"h": {"family": "lp", "p": 2.0}}', "c > 0"),
+    ('{"N": 3, "phi": {"family": "pnorm", "p": 0.5}, '
+     '"h": {"family": "lp", "p": 2.0}}', "p >= 1"),
+], ids=["unknown-family", "truncated", "no-N", "weighted-c-negative",
+        "pnorm-p-below-1"])
+def test_malformed_tension_document_is_a_validation_error(doc, names, tmp_path,
+                                                          capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    code = run(["solve", "--tension", str(path), "--omega", "-0.5",
+                "--mass", "1.0", "--out", str(tmp_path / "p.csv")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert names in err[0]
+    assert not (tmp_path / "p.csv").exists()

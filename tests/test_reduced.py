@@ -196,3 +196,100 @@ def test_minimize_direct_positive_omega_beats_random_sets(euclid):
         scaled = sets.sliced_set(s.base_vertices, s.knots,
                                  s.scales * (1.0 / v) ** 0.5, s.centers, euclid)
         assert sets.energy(scaled, euclid, 0.4).total > e_min
+
+
+def _random_slice_state(tension, seed, n_knots=33):
+    """Seeded random (functional, rho, T) on apex-graded knots, rho_M = 0."""
+    rng = np.random.default_rng(seed)
+    body = build_wulff_body(tension, 256)
+    xi = 1.0 - (1.0 - np.linspace(0.0, 1.0, n_knots)) ** 1.5
+    fn = reduced._SliceMeasureFunctional(tension, body, -0.5 * tension.f_eN, xi)
+    rho = np.append(rng.uniform(0.2, 1.5, n_knots - 1), 0.0)
+    return fn, rho, float(rng.uniform(0.5, 1.5)), rng
+
+
+SLICE_CASES = [("euclid", 3, {}), ("pnorm", 3, {"p": 3.0}),
+               ("weighted", 3, {"c": 2.0}), ("euclid", 2, {})]
+
+
+@pytest.mark.parametrize("name,dim,kw", SLICE_CASES)
+def test_slice_measure_grads_match_central_differences(name, dim, kw):
+    # The gradient the direct solver runs on: dE/drho, dE/dT, dV/drho, dV/dT
+    # at every free knot (rho_M = 0 is held fixed by the solver).
+    tension = make_tension(name, dim=dim, **kw)
+    for seed in range(3):
+        fn, rho, t_top, _ = _random_slice_state(tension, seed)
+        e, g, de_dT, vol, gv, dv_dT = fn.grads(rho, t_top)
+        assert e == fn.energy(rho, t_top)[0] and vol == fn.volume(rho, t_top)
+
+        def fd(f, i=None):
+            h = 1e-5 * (rho[i] if i is not None else t_top)
+            if i is None:
+                return (f(rho, t_top + h) - f(rho, t_top - h)) / (2 * h)
+            rp, rm = rho.copy(), rho.copy()
+            rp[i] += h
+            rm[i] -= h
+            return (f(rp, t_top) - f(rm, t_top)) / (2 * h)
+
+        def energy(r, t):
+            return fn.energy(r, t)[0]
+
+        for i in range(len(rho) - 1):
+            assert g[i] == pytest.approx(fd(energy, i), rel=1e-6, abs=1e-8)
+            assert gv[i] == pytest.approx(fd(fn.volume, i), rel=1e-6, abs=1e-10)
+        assert de_dT == pytest.approx(fd(energy), rel=1e-6, abs=1e-8)
+        assert dv_dT == pytest.approx(fd(fn.volume), rel=1e-6, abs=1e-10)
+
+
+@pytest.mark.parametrize("name,dim,kw", SLICE_CASES)
+def test_lagrangian_hessian_matches_gradient_differences(name, dim, kw):
+    # Hessian-vector products against a directional difference of the
+    # Lagrangian gradient; checks the colour-group assembly and the T row.
+    tension = make_tension(name, dim=dim, **kw)
+    fn, rho, t_top, rng = _random_slice_state(tension, 7)
+    lam_mult = -1.3
+    hess = reduced._lagrangian_hessian(fn, rho, t_top, lam_mult)
+    assert np.array_equal(hess, hess.T)
+    n = len(rho) - 1
+    assert not np.any(np.triu(hess[:n, :n], 2))
+
+    def lag_grad(z):
+        _, g, de_dT, _, gv, dv_dT = fn.grads(np.append(z[:n], 0.0), z[n])
+        return np.append(g[:-1] + lam_mult * gv[:-1], de_dT + lam_mult * dv_dT)
+
+    z = np.append(rho[:-1], t_top)
+    for _ in range(3):
+        v = rng.normal(size=n + 1) * z
+        eps = 1e-6
+        fd = (lag_grad(z + eps * v) - lag_grad(z - eps * v)) / (2 * eps)
+        hv = hess @ v
+        assert np.max(np.abs(hv - fd)) <= 1e-5 * np.max(np.abs(fd))
+
+
+def test_minimize_direct_uses_given_body(euclid):
+    body = build_wulff_body(euclid, 256)
+    prof = reduced.minimize_direct(euclid, -0.5, 1.0, grid_size=41, body=body)
+    assert prof.body is body
+    assert prof.meta["volume"] == pytest.approx(1.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("name,kw,m", [
+    ("euclid", {}, 1.0),
+    ("euclid", {}, 10.0),
+    ("pnorm", {"p": 3.0}, 0.1),
+    ("pnorm", {"p": 3.0}, 10.0),
+    ("weighted", {"c": 2.0}, 0.3),
+    ("weighted", {"c": 2.0}, 3.0),
+])
+def test_minimize_direct_converges(name, kw, m):
+    # Default options: a non-converged solve raises, and meta says so.
+    tension = make_tension(name, **kw)
+    body = build_wulff_body(tension, 1024)
+    omega = -0.5 * tension.f_eN
+    prof = reduced.minimize_direct(tension, omega, m, body=body)
+    assert prof.meta["converged"]
+    assert prof.meta["iterations"] <= 20
+    assert reduced.reduced_volume(prof) == pytest.approx(m, rel=1e-10)
+    sol = odesolve.shoot(tension, omega, m, body=body)
+    r_shoot = np.interp(prof.knots, sol.profile.knots, sol.profile.r)
+    assert np.max(np.abs(prof.r - r_shoot)) <= 0.01 * np.max(sol.profile.r)

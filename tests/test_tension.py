@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wulffdrop.errors import DegeneratePoint, ZeroDirection
+from wulffdrop.errors import DegeneratePoint, InvalidTension, ZeroDirection
 from wulffdrop.tension import (
     SurfaceTension,
     check_admissible,
@@ -180,3 +180,15 @@ def test_homogeneity_thousand_samples(pnorm3):
     fx = eval_f(pnorm3, x)
     flx = eval_f(pnorm3, lam[:, None] * x)
     assert np.all(np.abs(flx - lam * fx) <= 1e-10 * np.maximum(np.abs(lam * fx), 1e-30))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_tension("pnorm", p=0.5),
+    lambda: make_tension("weighted", c=-1.0),
+    lambda: make_tension("weighted", c=0.0),
+    lambda: make_tension("euclid", h_family="lp", h_p=0.5),
+    lambda: make_tension("pnorm", p=float("nan")),
+])
+def test_family_parameters_validated_on_construction(build):
+    with pytest.raises(InvalidTension):
+        build()
