@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import checks, competitor, odesolve, reduced, sets
-from .errors import InvalidTension, NonConvergence, WulffDropError
+from .errors import InvalidInput, InvalidTension, NonConvergence, WulffDropError
 from .tension import SurfaceTension, tension_from_config, tension_to_config
 from .wulff import build_wulff_body
 
@@ -115,6 +115,14 @@ def _load_tension(path: str) -> SurfaceTension:
         except ValueError as exc:
             raise InvalidTension(f"{path} is not a JSON document: {exc}") from exc
     return tension_from_config(cfg)
+
+
+def _parse_input(path: str, what: str, parse):
+    """parse(path); a malformed file raises InvalidInput naming it."""
+    try:
+        return parse(path)
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        raise InvalidInput(f"{path} is not a valid {what}: {exc}") from exc
 
 
 def _out_path(args, name: str) -> str:
@@ -250,8 +258,12 @@ def cmd_symmetrize(args) -> int:
     if not (lo < args.omega < hi):
         print(f"error: omega={args.omega} outside ({lo}, {hi})", file=sys.stderr)
         return 2
-    with open(args.set) as handle:
-        sliced = sets.sliced_set_from_dict(json.load(handle), tension)
+
+    def parse_set(path):
+        with open(path) as handle:
+            return sets.sliced_set_from_dict(json.load(handle), tension)
+
+    sliced = _parse_input(args.set, "sliced-set document", parse_set)
     body = build_wulff_body(tension, args.m_normals)
     before = sets.energy(sliced, tension, args.omega)
     prof = sets.symmetrize(sliced, body, omega=args.omega)
@@ -271,7 +283,9 @@ def cmd_symmetrize(args) -> int:
 def cmd_repair(args) -> int:
     tension = _load_tension(args.tension)
     body = build_wulff_body(tension, args.m_normals)
-    profile = read_profile_csv(args.profile, tension, body, omega=args.omega)
+    profile = _parse_input(
+        args.profile, "profile CSV",
+        lambda path: read_profile_csv(path, tension, body, omega=args.omega))
     log = []
     current = profile
     for _ in range(args.max_repairs):
@@ -432,7 +446,7 @@ def main(argv=None) -> int:
     except WulffDropError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

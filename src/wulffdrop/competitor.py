@@ -20,13 +20,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import (
     HypothesisViolated,
     NoBracket,
     SigmaOutOfRange,
 )
-from ._quad import GAUSS_W, GAUSS_X
+from ._quad import GAUSS_W, GAUSS_X, slab_volume
 from .reduced import Profile, reduced_energy, reduced_volume
 from .tension import SurfaceTension
 from .wulff import (
@@ -41,7 +42,7 @@ from .wulff import (
 # Exceptions that make a repair attempt unusable (callers may skip and retry).
 CompetitorFailure = (HypothesisViolated, NoBracket, SigmaOutOfRange)
 
-# Bisections shrink the parameter interval below this width (64-iteration cap).
+# Absolute tolerance (brentq xtol) of the sigma root solve.
 BISECT_TOL = 1e-12
 SCAN_POINTS = 64
 
@@ -81,14 +82,8 @@ class CompetitorParams:
 
 def section_volume(p: Profile, ta: float, tb: float) -> float:
     """|E cap {ta < x_N < tb}| for the piecewise-linear profile (exact)."""
-    n = p.tension.dim - 1
     ts = np.unique(np.concatenate([[ta, tb], p.knots[(p.knots > ta) & (p.knots < tb)]]))
-    rs = p.interp(ts)
-    a, b = rs[:-1], rs[1:]
-    acc = np.zeros_like(a)
-    for k in range(n + 1):
-        acc += a ** (n - k) * b**k
-    return float(p.body.area * np.sum(np.diff(ts) * acc / (n + 1)))
+    return slab_volume(p.body.area, ts, p.interp(ts), p.tension.dim - 1)
 
 
 def lateral_energy_between(p: Profile, ta: float, tb: float) -> float:
@@ -166,25 +161,15 @@ def cap_section_volume(tension: SurfaceTension, area: float, b: float,
 # Parameter solves
 # ---------------------------------------------------------------------------
 
-def _bisect(fn, lo: float, hi: float, f_lo: float) -> float:
-    for _ in range(64):
-        if hi - lo < BISECT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if (fn(mid) > 0.0) == (f_lo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _scan_bracket(fn, grid: np.ndarray):
+    """Root of fn in the last grid cell where it changes sign, or None;
+    returns (root, scanned values)."""
     vals = np.array([fn(s) for s in grid])
     idx = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
     if len(idx) == 0:
         return None, vals
     k = idx[-1]
-    return _bisect(fn, grid[k], grid[k + 1], vals[k]), vals
+    return brentq(fn, grid[k], grid[k + 1], xtol=BISECT_TOL), vals
 
 
 def _sample_cap(tension: SurfaceTension, b: float, t_anchor: float,
@@ -202,26 +187,18 @@ def _sample_cap(tension: SurfaceTension, b: float, t_anchor: float,
     return ts, b * fa(z)
 
 
-def _pl_volume(area: float, nm1: int, ts: np.ndarray, rs: np.ndarray) -> float:
-    a, b = rs[:-1], rs[1:]
-    acc = np.zeros_like(a)
-    for k in range(nm1 + 1):
-        acc += a ** (nm1 - k) * b**k
-    return float(area * np.sum(np.diff(ts) * acc / (nm1 + 1)))
-
-
 def solve_params(e: Profile, t1: float, t2: float, side: str) -> CompetitorParams:
     """Solve the cut height sigma and truncation height tau of the cap.
 
     The cap is anchored at t1 (side "+") or t2 (side "-") with its cut slice
     matching E there.  The far slice match is enforced exactly by inverting
-    alpha on the appropriate monotone branch; a single bisection in sigma
-    then drives the enclosed cap volume to the middle volume of E.  Both the
-    middle volume and the cap volume are evaluated on the same
+    alpha on the appropriate monotone branch; a single Brent root solve in
+    sigma then drives the enclosed cap volume to the middle volume of E.
+    Both the middle volume and the cap volume are evaluated on the same
     piecewise-linear discretization used for splicing, so the matches hold
-    to bisection accuracy.  Candidate branches are scanned with 64-sample
-    endpoint tables (the residual runs from the whole rescaled shape down to
-    a vanishing cap, so a bracket exists).
+    to the root solve's accuracy.  Candidate branches are scanned with
+    64-sample endpoint tables (the residual runs from the whole rescaled
+    shape down to a vanishing cap, so a bracket exists).
     """
     if not (0.0 < t1 < t2):
         raise ValueError("need 0 < t1 < t2")
@@ -283,7 +260,7 @@ def solve_params(e: Profile, t1: float, t2: float, side: str) -> CompetitorParam
             z = z_of(sig)
             b = r_anchor / fa(sig)
             ts, rs = _sample_cap(tension, b, t_anchor, sig, z, side)
-            return _pl_volume(area, nm1, ts, rs) - v_mid
+            return slab_volume(area, ts, rs, nm1) - v_mid
         return residual
 
     grid = np.linspace(sig_lo, sig_hi, SCAN_POINTS + 1)
@@ -304,7 +281,7 @@ def solve_params(e: Profile, t1: float, t2: float, side: str) -> CompetitorParam
     tau = t_anchor + b * (z - sigma)
     ts, rs = _sample_cap(tension, b, t_anchor, sigma, z, side)
     v_far = area * (b * fa(z)) ** nm1
-    vol_err = abs(_pl_volume(area, nm1, ts, rs) - v_mid) / (1.0 + v_mid)
+    vol_err = abs(slab_volume(area, ts, rs, nm1) - v_mid) / (1.0 + v_mid)
     slice_err = abs(v_far - area * r_far**nm1) / (1.0 + area * r_far**nm1)
     return CompetitorParams(side=side, sigma=float(sigma), tau=float(tau), b=float(b),
                             t1=t1, t2=t2, z_cut=float(z),

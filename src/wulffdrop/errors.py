@@ -26,6 +26,10 @@ class InvalidTension(WulffDropError, ValueError):
     """Tension document or family parameter outside its valid range."""
 
 
+class InvalidInput(WulffDropError, ValueError):
+    """Input file (sliced-set document, profile CSV) is malformed."""
+
+
 class OmegaOutOfRange(WulffDropError, ValueError):
     """Contact coefficient outside (-phi(0,1), phi(0,-1))."""
 

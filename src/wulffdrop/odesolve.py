@@ -10,7 +10,7 @@ Euler-Lagrange equation into the initial value problem
 parametrized by the apex value v0 = v(0) > 0.  The solver advances the
 integral form of the equation: it maintains W(r) = int_0^r (N-1) rho^(N-2) v
 and recovers the slope s = v' by inverting the monotone map
-s -> d1phi(s, N-1) (closed form for the built-in families, bisection
+s -> d1phi(s, N-1) (closed form for the built-in families, Brent's method
 otherwise).  This stays robust when d11phi(0, N-1) = 0 (p-norm weights with
 p > 2), where a series start based on the second-derivative form would be
 invalid.
@@ -29,6 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 from .errors import (
     NoBracket,
@@ -45,6 +46,11 @@ from .reduced import (
 )
 from .tension import SurfaceTension, phi_partials
 from .wulff import WulffBody, build_wulff_body
+
+
+# Absolute brentq tolerance of the generic slope inversions: negligible, so
+# the relative tolerance alone sets the accuracy, also for slopes near 0.
+_INVERSION_XTOL = 1e-300
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -94,7 +100,8 @@ class ShootingSolution:
 # ---------------------------------------------------------------------------
 
 def _d1_inverse(tension: SurfaceTension, t: float) -> Callable[[float], float]:
-    """Closed-form inverse of s -> d1phi(s, t) when available, else bisection.
+    """Closed-form inverse of s -> d1phi(s, t) when available, else Brent's
+    method on a doubling bracket.
 
     The map increases from 0 to phi(1, 0) (never attained); targets at or
     beyond the asymptote raise StalledInversion.
@@ -145,13 +152,8 @@ def _d1_inverse(tension: SurfaceTension, t: float) -> Callable[[float], float]:
             hi *= 2.0
         else:
             raise StalledInversion("failed to bracket the slope inversion", target=w)
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if float(phi.d1(mid, t)) < aw:
-                lo = mid
-            else:
-                hi = mid
-        return math.copysign(0.5 * (lo + hi), w)
+        s = brentq(lambda x: float(phi.d1(x, t)) - aw, lo, hi, xtol=_INVERSION_XTOL)
+        return math.copysign(s, w)
     return inv
 
 
@@ -159,7 +161,7 @@ def s_star(tension: SurfaceTension, omega: float) -> float:
     """Contact slope parameter: the unique s > 0 with -d2phi(s, N-1) = omega.
 
     Defined for the graph regime omega in (-phi(0,1), 0); d2phi(., N-1)
-    decreases strictly from phi(0,1) to 0, so bisection on an expanding
+    decreases strictly from phi(0,1) to 0, so Brent's method on an expanding
     bracket always succeeds.  Closed forms are used for the built-in
     families.
     """
@@ -185,13 +187,7 @@ def s_star(tension: SurfaceTension, omega: float) -> float:
         hi *= 2.0
     else:
         raise NoBracket(f"d2phi never drops to {v}; omega too close to 0")
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if float(phi.d2(mid, t)) > v:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(lambda x: float(phi.d2(x, t)) - v, lo, hi, xtol=_INVERSION_XTOL)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .errors import (
     NonConvergence,
     OmegaOutOfRange,
 )
-from ._quad import GAUSS_W, GAUSS_X
+from ._quad import GAUSS_W, GAUSS_X, slab_volume
 from .tension import SurfaceTension, phi_partials
 from .wulff import WulffBody, build_wulff_body
 
@@ -130,13 +130,7 @@ def _resolve_omega(p: Profile, omega):
 
 def reduced_volume(p: Profile) -> float:
     """|E| = |K_h| * int r(t)^(N-1) dt, slab-exact for piecewise-linear r."""
-    n = p.tension.dim - 1
-    a, b = p.r[:-1], p.r[1:]
-    dt = np.diff(p.knots)
-    acc = np.zeros_like(a)
-    for k in range(n + 1):
-        acc += a ** (n - k) * b**k
-    return float(p.body.area * np.sum(dt * acc / (n + 1)))
+    return slab_volume(p.body.area, p.knots, p.r, p.tension.dim - 1)
 
 
 def _lateral_pieces(p: Profile, with_d2: bool = False):

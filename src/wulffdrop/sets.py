@@ -23,9 +23,17 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionUnsupported, EmptySlice, IndexOutOfRange
+from ._quad import slab_volume
 from .reduced import EnergyBreakdown, GAUSS_W, GAUSS_X, Profile, check_omega
 from .tension import SurfaceTension
-from .wulff import WulffBody, build_wulff_body, halfplane_polygon, polygon_edges
+from .wulff import (
+    WulffBody,
+    build_wulff_body,
+    halfplane_polygon,
+    polygon_area,
+    polygon_edges,
+    slice_centroid,
+)
 
 
 @lru_cache(maxsize=32)
@@ -64,12 +72,7 @@ class SlicedSet:
 
     @property
     def base_centroid(self) -> np.ndarray:
-        if self.d == 1:
-            return np.array([0.5 * (self.base_vertices[0] + self.base_vertices[1])])
-        v = self.base_vertices
-        w = np.roll(v, -1, axis=0)
-        cr = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
-        return (v + w).T @ cr / (6.0 * self.base_area)
+        return slice_centroid(self.base_vertices)
 
 
 def sliced_set(base_vertices, knots, scales, centers,
@@ -88,12 +91,7 @@ def sliced_set(base_vertices, knots, scales, centers,
         area = hi - lo
     elif d == 2:
         lengths, normals, supports = polygon_edges(base_vertices)
-        area = 0.5 * float(
-            np.sum(
-                base_vertices[:, 0] * np.roll(base_vertices[:, 1], -1)
-                - np.roll(base_vertices[:, 0], -1) * base_vertices[:, 1]
-            )
-        )
+        area = polygon_area(base_vertices)
         if area <= 0:
             raise ValueError("base polygon must be CCW with positive area")
     else:
@@ -117,19 +115,9 @@ def sliced_set(base_vertices, knots, scales, centers,
 # Volume and energy
 # ---------------------------------------------------------------------------
 
-def _slab_powers(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Exact slab means of a(t)^n for linear a: int_0^1 ((1-x)a + xb)^n dx."""
-    acc = np.zeros_like(a)
-    for k in range(n + 1):
-        acc += a ** (n - k) * b**k
-    return acc / (n + 1)
-
-
 def volume(s: SlicedSet) -> float:
     """Exact integral of the slice measure a(t)^(N-1) |S|."""
-    n = s.d
-    dt = np.diff(s.knots)
-    return float(s.base_area * np.sum(dt * _slab_powers(s.scales[:-1], s.scales[1:], n)))
+    return slab_volume(s.base_area, s.knots, s.scales, s.d)
 
 
 def _edge_speeds(s: SlicedSet) -> np.ndarray:

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .errors import DegeneratePoint, InvalidTension, ZeroDirection
 
@@ -38,10 +39,8 @@ from .errors import DegeneratePoint, InvalidTension, ZeroDirection
 FD_STEP = 1e-5
 
 # Number of unit directions sampled when a slice norm registers no closed-form
-# dual.  Error is O(1/M^2) in 2-D after the local golden refinement.
+# dual.  Error is O(1/M^2) in 2-D after the local bounded refinement.
 M_DUAL = 4096
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -384,24 +383,6 @@ def _sample_directions(dim_slice: int, m: int) -> np.ndarray:
     return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Golden-section maximizer of a unimodal fn on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
 def _dual_by_sampling(tension: SurfaceTension, xp: np.ndarray):
     """Maximize y -> xp . y / h(y) over unit directions; returns (value, y0)."""
     d = tension.dim - 1
@@ -418,7 +399,9 @@ def _dual_by_sampling(tension: SurfaceTension, xp: np.ndarray):
         y = np.array([math.cos(theta), math.sin(theta)])
         return float(xp @ y / tension.h.value(y))
 
-    theta = _golden_max(score, theta0 - dtheta, theta0 + dtheta)
+    theta = minimize_scalar(lambda th: -score(th),
+                            bounds=(theta0 - dtheta, theta0 + dtheta),
+                            method="bounded", options={"xatol": 1e-12}).x
     y0 = np.array([math.cos(theta), math.sin(theta)])
     return score(theta), y0
 

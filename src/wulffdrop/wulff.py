@@ -27,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 from ._quad import GAUSS_W, GAUSS_X
 from .errors import DimensionUnsupported
@@ -64,12 +65,7 @@ class WulffBody:
 
     @property
     def centroid(self) -> np.ndarray:
-        if self.d == 1:
-            return np.array([0.5 * (self.geometry[0] + self.geometry[1])])
-        v = self.geometry
-        w = np.roll(v, -1, axis=0)
-        cr = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
-        return (v + w).T @ cr / (6.0 * self.area)
+        return slice_centroid(self.geometry)
 
 
 def _clip_halfplane(poly: np.ndarray, nu: np.ndarray, c: float) -> np.ndarray:
@@ -97,9 +93,24 @@ def _dedup(poly: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
     return poly[keep]
 
 
-def _polygon_area(poly: np.ndarray) -> float:
+def _shoelace(poly: np.ndarray):
+    """Next-vertex array and per-edge cross products of a polygon."""
     w = np.roll(poly, -1, axis=0)
-    return 0.5 * float(np.sum(poly[:, 0] * w[:, 1] - w[:, 0] * poly[:, 1]))
+    return w, poly[:, 0] * w[:, 1] - w[:, 0] * poly[:, 1]
+
+
+def polygon_area(poly: np.ndarray) -> float:
+    """Signed area of a polygon; positive for CCW vertices."""
+    return 0.5 * float(np.sum(_shoelace(poly)[1]))
+
+
+def slice_centroid(geometry: np.ndarray) -> np.ndarray:
+    """Centroid of a slice shape: interval endpoints (lo, hi) for d = 1,
+    or the CCW vertex array of a polygon for d = 2."""
+    if geometry.ndim == 1:
+        return np.array([0.5 * (geometry[0] + geometry[1])])
+    w, cr = _shoelace(geometry)
+    return (geometry + w).T @ cr / (3.0 * np.sum(cr))
 
 
 def polygon_edges(poly: np.ndarray):
@@ -154,7 +165,7 @@ def build_wulff_body(tension: SurfaceTension, m_normals: int = 1024) -> WulffBod
     good = lengths > DEDUP_TOL
     lengths, edge_normals, supports = lengths[good], edge_normals[good], supports[good]
     edge_h = tension.h.value(edge_normals)
-    area = _polygon_area(poly)
+    area = polygon_area(poly)
     perim = float(np.sum(lengths * edge_h))
     return WulffBody(
         d=2,
@@ -285,7 +296,7 @@ class AlphaVolumeTable:
 
     Sampled on a grid clustered quadratically at both poles so the sqrt-type
     vanishing of alpha never meets the quadrature.  ``above(z)`` returns
-    |K cap {x_N > z}| / |K_h| and ``below(z)`` its complement.
+    |K cap {x_N > z}| / |K_h|.
     """
 
     t_bot: float
@@ -303,22 +314,6 @@ class AlphaVolumeTable:
 
     def above(self, z):
         return self.total - self.cumulative(z)
-
-    def below(self, z):
-        return self.cumulative(z)
-
-    def invert_cumulative(self, target: float) -> float:
-        """z with C(z) = target, by bisection on the monotone spline."""
-        lo_xi, hi_xi = 0.0, 1.0
-        for _ in range(100):
-            mid = 0.5 * (lo_xi + hi_xi)
-            if self._spline(mid) < target:
-                lo_xi = mid
-            else:
-                hi_xi = mid
-        xi = 0.5 * (lo_xi + hi_xi)
-        span = self.t_top - self.t_bot
-        return self.t_bot + span * 0.5 * (1.0 - math.cos(math.pi * xi))
 
 
 @lru_cache(maxsize=32)
@@ -358,17 +353,16 @@ class AlphaSpline:
         return float(out) if np.ndim(z) == 0 else out
 
     def solve_on_branch(self, target: float, z_lo: float, z_hi: float) -> float:
-        """z in [z_lo, z_hi] with alpha(z) = target, assuming monotonicity."""
-        f_lo = self(z_lo) - target
-        for _ in range(200):
-            if z_hi - z_lo < 1e-14 * max(1.0, abs(z_hi)):
-                break
-            mid = 0.5 * (z_lo + z_hi)
-            if ((self(mid) - target) > 0.0) == (f_lo > 0.0):
-                z_lo = mid
-            else:
-                z_hi = mid
-        return 0.5 * (z_lo + z_hi)
+        """z in [z_lo, z_hi] with alpha(z) = target, assuming monotonicity.
+
+        Returns z_hi when alpha - target keeps one sign on the branch.
+        """
+        def resid(z):
+            return self(z) - target
+
+        if resid(z_lo) * resid(z_hi) > 0.0:
+            return z_hi
+        return brentq(resid, z_lo, z_hi, xtol=1e-14 * max(1.0, abs(z_hi)))
 
 
 @lru_cache(maxsize=32)

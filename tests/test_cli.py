@@ -189,3 +189,29 @@ def test_malformed_tension_document_is_a_validation_error(doc, names, tmp_path,
     assert len(err) == 1 and err[0].startswith("error: ")
     assert names in err[0]
     assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["truncated-set", "non-numeric-csv",
+                                  "tension-is-directory"])
+def test_malformed_input_file_is_a_validation_error(case, tension_file, tmp_path,
+                                                    capsys):
+    bad = tmp_path / "bad"
+    if case == "truncated-set":
+        bad.write_text('{"base_vertices": [[0, 0], [1, 0]')
+        argv = ["symmetrize", "--tension", tension_file, "--omega", "-0.3",
+                "--set", str(bad)]
+    elif case == "non-numeric-csv":
+        bad.write_text("t,r\n0.0,1.0\n0.5,oops\n1.0,0.0\n")
+        argv = ["repair", "--tension", tension_file, "--omega", "-0.5",
+                "--profile", str(bad)]
+    else:
+        bad.mkdir()
+        argv = ["solve", "--tension", str(bad), "--omega", "-0.5",
+                "--mass", "1.0"]
+    out = tmp_path / "out"
+    code = run(argv + ["--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(bad) in err[0]
+    assert not out.exists()

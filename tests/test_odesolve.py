@@ -7,7 +7,7 @@ from scipy.interpolate import CubicSpline
 from wulffdrop import odesolve as od
 from wulffdrop import reduced
 from wulffdrop.errors import NoBracket, OmegaOutOfGraphRange, OutOfRange, StalledInversion
-from wulffdrop.tension import make_tension, phi_partials
+from wulffdrop.tension import SurfaceTension, make_tension, phi_partials
 from wulffdrop.wulff import build_wulff_body
 
 
@@ -198,3 +198,54 @@ def test_scaling_sanity_zero_gravity_bound(euclid, euclid_body, euclid_shoot):
                                                        body=euclid_body))):
         b = (m / (euclid_body.area * cap)) ** (1.0 / 3.0)
         assert sol.t_max <= b * (hi - sigma0) + 1e-9
+
+
+class _AnonPhi:
+    """pnorm p=3 under an unregistered family name: no closed forms apply."""
+
+    family = "anon"
+
+    def __init__(self, base):
+        self._base = base
+
+    def __getattr__(self, name):
+        return getattr(self._base, name)
+
+
+@pytest.fixture(scope="module")
+def anon_pnorm3(pnorm3):
+    return SurfaceTension(dim=3, phi=_AnonPhi(pnorm3.phi), h=pnorm3.h)
+
+
+def test_generic_s_star_matches_closed_form(pnorm3, anon_pnorm3):
+    for frac in (0.05, 0.3, 0.5, 0.9, 0.999):
+        omega = -frac * pnorm3.f_eN
+        assert od.s_star(anon_pnorm3, omega) == pytest.approx(
+            od.s_star(pnorm3, omega), rel=1e-12)
+
+
+def test_generic_d1_inverse_matches_closed_form(pnorm3, anon_pnorm3):
+    closed = od._d1_inverse(pnorm3, 2.0)
+    generic = od._d1_inverse(anon_pnorm3, 2.0)
+    # Beyond about 0.99 the map flattens toward its asymptote and the inverse
+    # is ill-conditioned for either form.
+    for w in (1e-9, 1e-4, 0.1, -0.5, 0.9, 0.99):
+        assert generic(w) == pytest.approx(closed(w), rel=1e-12)
+    assert generic(0.0) == 0.0
+    with pytest.raises(StalledInversion):
+        generic(1.0)
+
+
+@pytest.mark.parametrize("v0", [0.3, 0.8, 2.0])
+def test_generic_integrate_v_matches_closed_form(pnorm3, anon_pnorm3, v0):
+    # Rounding-level slope differences may shift the adaptive nodes, so the
+    # comparison is at the stop slope, where shooting reads the trajectory.
+    s_stop = od.s_star(pnorm3, -0.5 * pnorm3.f_eN)
+    closed = od.integrate_v(pnorm3, v0, s_stop=s_stop)
+    generic = od.integrate_v(anon_pnorm3, v0, s_stop=s_stop)
+    assert generic.terminated == closed.terminated == "s_stop"
+    for a, b in ((generic.rs, closed.rs), (generic.vs, closed.vs),
+                 (generic.ws, closed.ws)):
+        assert a[-1] == pytest.approx(b[-1], rel=1e-12)
+    assert od.V_of(generic, s_stop) == pytest.approx(od.V_of(closed, s_stop),
+                                                     rel=1e-12)

@@ -7,6 +7,7 @@ from scipy.special import gamma
 from wulffdrop.errors import DimensionUnsupported
 from wulffdrop.tension import make_tension
 from wulffdrop.wulff import (
+    alpha_spline,
     alpha_volume_table,
     build_wulff_body,
     vertical_extent,
@@ -127,5 +128,16 @@ def test_alpha_volume_table_euclid(euclid):
     assert table.total == pytest.approx(4.0 / 3.0, rel=1e-10)
     exact_above = 4.0 / 3.0 - (0.6 - 0.6**3 / 3.0 + 2.0 / 3.0)
     assert table.above(0.6) == pytest.approx(exact_above, abs=1e-9)
-    z = table.invert_cumulative(table.cumulative(0.37))
-    assert z == pytest.approx(0.37, abs=1e-9)
+
+
+def test_solve_on_branch_in_and_off_branch(pnorm3):
+    fa = alpha_spline(pnorm3)
+    for lo, hi in ((fa.t_bot, fa.peak), (fa.peak, fa.t_top)):
+        for frac in (1e-3, 0.3, 0.9, 0.999):
+            target = frac * fa(fa.peak)
+            z = fa.solve_on_branch(target, lo, hi)
+            assert lo <= z <= hi
+            assert abs(fa(z) - target) <= 1e-12
+        # No sign change on the branch: the upper end comes back.
+        assert fa.solve_on_branch(2.0 * fa(fa.peak), lo, hi) == hi
+        assert fa.solve_on_branch(-1.0, lo, hi) == hi
