@@ -30,14 +30,7 @@ from .errors import (
 from ._quad import GAUSS_W, GAUSS_X, slab_volume
 from .reduced import Profile, reduced_energy, reduced_volume
 from .tension import SurfaceTension
-from .wulff import (
-    alpha_power_integral,
-    alpha_spline,
-    alpha_volume_table,
-    build_wulff_body,
-    vertical_extent,
-    wulff_alpha,
-)
+from .wulff import alpha_table, build_wulff_body, vertical_extent, wulff_alpha
 
 # Exceptions that make a repair attempt unusable (callers may skip and retry).
 CompetitorFailure = (HypothesisViolated, NoBracket, SigmaOutOfRange)
@@ -139,22 +132,8 @@ def cap_profile(tension: SurfaceTension, side: str, sigma: float,
         ts = t_anchor + b * (z - sigma)
     else:
         raise ValueError("side must be '+' or '-'")
-    rs = b * alpha_spline(tension)(z)
+    rs = b * alpha_table(tension)(z)
     return CapSegment(ts=ts, rs=rs, side=side, sigma=sigma, b=b)
-
-
-def cap_section_volume(tension: SurfaceTension, area: float, b: float,
-                       z_lo: float, z_hi: float) -> float:
-    """Volume of the b-dilated cap between the heights z_lo..z_hi on K."""
-    if z_hi <= z_lo:
-        return 0.0
-    table = alpha_volume_table(tension)
-    if (z_hi - z_lo) > 0.05 * (table.t_top - table.t_bot):
-        raw = float(table.cumulative(z_hi) - table.cumulative(z_lo))
-    else:
-        # Short spans would cancel in the cumulative table; integrate locally.
-        raw = alpha_power_integral(tension, z_lo, z_hi)
-    return area * b**tension.dim * raw
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +156,7 @@ def _sample_cap(tension: SurfaceTension, b: float, t_anchor: float,
                 n_samples: int = CAP_SAMPLES):
     """Piecewise-linear sampling of the truncated cap, clustered at the far
     cut (which may sit at a pole of alpha).  Heights increase."""
-    fa = alpha_spline(tension)
+    fa = alpha_table(tension)
     xi = np.linspace(0.0, 1.0, n_samples)
     if side == "+":
         z = sigma + (z_cut - sigma) * np.sin(0.5 * math.pi * xi)
@@ -206,7 +185,7 @@ def solve_params(e: Profile, t1: float, t2: float, side: str) -> CompetitorParam
         raise ValueError("side must be '+' or '-'")
     tension = e.tension
     nm1 = tension.dim - 1
-    fa = alpha_spline(tension)
+    fa = alpha_table(tension)
     lo, hi, peak = fa.t_bot, fa.t_top, fa.peak
     span = hi - lo
     eps = 1e-9 * span

@@ -16,9 +16,11 @@ p > 2), where a series start based on the second-derivative form would be
 invalid.
 
 Shooting: the trajectory is stopped at the contact slope s* defined by
-Young's condition -d2phi(s*, N-1) = omega, the physical profile is
-reconstructed, and v0 is bisected until the directly integrated volume hits
-the target (the enclosed volume V_{v0}(s*) is strictly decreasing in v0).
+Young's condition -d2phi(s*, N-1) = omega (Brent's method on the last step
+length lands on it), and the physical profile is reconstructed.  The
+enclosed volume V_{v0}(s*) is strictly decreasing in v0, so matching the
+directly integrated volume to the target is a bracketed monotone root,
+solved by Brent's method in log2(v0).
 """
 
 from __future__ import annotations
@@ -204,8 +206,9 @@ def integrate_v(tension: SurfaceTension, v0: float,
     recovered as s = (d1phi(., N-1))^-1 (W / r^(N-2)) at every stage, so the
     integral-form identity holds exactly at the accepted nodes.  Starts from
     epsilon_0 with the exact small-r integral W ~ v0 r^(N-1).  Stops when
-    s >= s_stop (the final step is bisected to land on s_stop within 1e-12),
-    when r >= r_stop, or when the step budget runs out.
+    s >= s_stop (Brent's method on the final step length lands on s_stop to
+    about 1e-12 relative), when r >= r_stop, or when the step budget runs
+    out.
     """
     if v0 == 0.0:
         raise ValueError("v0 must be nonzero")
@@ -273,25 +276,21 @@ def integrate_v(tension: SurfaceTension, v0: float,
                 h *= 0.5  # keep the slope grid dense for interpolation
                 continue
             if s_stop is not None and s_new > s_stop:
-                # Bisect the step length to land exactly on the stop slope.
-                h_lo, h_hi = 0.0, h
-                y_mid, s_mid = y_half, s_new
-                for _ in range(200):
-                    h_mid = 0.5 * (h_lo + h_hi)
-                    y_mid = rk4(r, y, h_mid)
-                    s_mid = slope(r + h_mid, y_mid[1])
-                    if abs(s_mid - s_stop) < 1e-12:
-                        break
-                    if s_mid < s_stop:
-                        h_lo = h_mid
-                    else:
-                        h_hi = h_mid
-                r += h_mid
-                y = y_mid
+                # Land on the stop slope: Brent's method on the step length,
+                # advancing with the same two half steps as an accepted step.
+                # The step raises s by at most max_ds, so a step-length
+                # tolerance of 1e-12 h moves s by far less than 1e-11.
+                def advance(hh: float) -> tuple[float, float]:
+                    return rk4(r + 0.5 * hh, rk4(r, y, 0.5 * hh), 0.5 * hh)
+
+                h = brentq(lambda hh: slope(r + hh, advance(hh)[1]) - s_stop,
+                           0.0, h, xtol=1e-12 * h)
+                y = advance(h)
+                r += h
                 rs.append(r)
                 vs.append(y[0])
                 ws.append(y[1])
-                ss.append(s_mid)
+                ss.append(slope(r, y[1]))
                 terminated = "s_stop"
                 break
             r += h
@@ -443,9 +442,13 @@ def reconstruct_profile(traj: Trajectory, tension: SurfaceTension,
 @dataclass
 class ShootOptions:
     volume_rtol: float = 1e-6
-    max_bisect: int = 200
     n_knots: int = 801
     step: StepOptions = field(default_factory=StepOptions)
+
+
+# Brent tolerance of the volume match in log2(v0): a relative v0 error of
+# about 1e-8, two decades inside the default volume_rtol.
+_LOG_V0_XTOL = 1e-8
 
 
 def shoot(tension: SurfaceTension, omega: float, m: float,
@@ -456,8 +459,10 @@ def shoot(tension: SurfaceTension, omega: float, m: float,
     The achieved volume is recomputed from the reconstructed profile by
     exact slab integration; the proportionality between it and the enclosed
     volume V_{v0}(s*) is reported in the diagnostics rather than assumed.
-    Volume decreases strictly in v0, so the geometric scan 2^-20..2^20
-    brackets any attainable target.
+    Volume decreases strictly in v0, so doubling or halving v0 from 1 over
+    2^-21..2^21 brackets any attainable target, and Brent's method on
+    log2(v0) solves the bracketed monotone root.  Every probe is memoized,
+    so ``v0_history`` lists each probed v0 once.
     """
     if m <= 0:
         raise ValueError("volume must be positive")
@@ -466,51 +471,39 @@ def shoot(tension: SurfaceTension, omega: float, m: float,
     if body is None:
         body = build_wulff_body(tension, 1024)
 
-    def run(v0: float):
-        traj = integrate_v(tension, v0, s_stop=s_st, step_opts=opts.step)
-        prof, lam_mult, r_max, t_max = reconstruct_profile(
-            traj, tension, body, omega=omega, n_knots=opts.n_knots
-        )
-        return reduced_volume(prof), (traj, prof, lam_mult, r_max, t_max)
+    memo: dict = {}
+    history = []
+
+    def resid(log_v0: float) -> float:
+        if log_v0 not in memo:
+            v0 = 2.0**log_v0
+            traj = integrate_v(tension, v0, s_stop=s_st, step_opts=opts.step)
+            prof, lam_mult, r_max, t_max = reconstruct_profile(
+                traj, tension, body, omega=omega, n_knots=opts.n_knots
+            )
+            vol = reduced_volume(prof)
+            memo[log_v0] = vol, (traj, prof, lam_mult, r_max, t_max)
+            history.append((v0, vol))
+        return memo[log_v0][0] - m
 
     # Geometric bracket: volume is strictly decreasing in v0.
-    v_lo = v_hi = 1.0
-    vol, state = run(1.0)
-    history = [(1.0, vol)]
-    if vol > m:
-        for _ in range(21):
-            v_lo = v_hi
-            v_hi *= 2.0
-            vol, state = run(v_hi)
-            history.append((v_hi, vol))
-            if vol <= m:
-                break
-        else:
-            raise NoBracket("volume target below the v0-scan range", table=history)
-    else:
-        for _ in range(21):
-            v_hi = v_lo
-            v_lo *= 0.5
-            vol, state = run(v_lo)
-            history.append((v_lo, vol))
-            if vol >= m:
-                break
-        else:
-            raise NoBracket("volume target above the v0-scan range", table=history)
-
-    v0 = v_lo
-    for _ in range(opts.max_bisect):
-        v0 = 0.5 * (v_lo + v_hi)
-        vol, state = run(v0)
-        history.append((v0, vol))
-        if abs(vol - m) <= opts.volume_rtol * m:
+    x_a, f_a = 0.0, resid(0.0)
+    step = 1.0 if f_a > 0.0 else -1.0
+    for _ in range(21):
+        x_b = x_a + step
+        f_b = resid(x_b)
+        if f_a * f_b <= 0.0:
             break
-        if vol > m:
-            v_lo = v0
-        else:
-            v_hi = v0
+        x_a, f_a = x_b, f_b
     else:
-        raise NoBracket("volume bisection failed to converge", table=history)
+        raise NoBracket("volume target outside the v0-scan range", table=history)
+
+    log_v0 = brentq(resid, min(x_a, x_b), max(x_a, x_b), xtol=_LOG_V0_XTOL)
+    resid(log_v0)
+    vol, state = memo[log_v0]
+    if abs(vol - m) > opts.volume_rtol * m:
+        raise NoBracket("volume solve failed to converge", table=history)
+    v0 = 2.0**log_v0
 
     traj, prof, lam_mult, r_max, t_max = state
     contact_slope = -body.lam / s_st

@@ -327,12 +327,11 @@ def _winterbottom_init(tension: SurfaceTension, body: WulffBody, omega: float,
     where its contact slope satisfies Young's condition; for Lambda = N-1
     that height is simply -omega (clipped into the vertical extent).
     """
-    from .wulff import alpha_volume_table, vertical_extent, wulff_alpha
+    from .wulff import alpha_table, vertical_extent, wulff_alpha
 
     lo, hi = vertical_extent(tension)
     sigma0 = min(max(-omega, lo + 0.02 * (hi - lo)), hi - 0.05 * (hi - lo))
-    table = alpha_volume_table(tension)
-    cap = table.above(sigma0)
+    cap = alpha_table(tension).above(sigma0)
     bscale = (m / (body.area * cap)) ** (1.0 / tension.dim)
     t_top = bscale * (hi - sigma0)
     r = bscale * wulff_alpha(tension, sigma0 + xi * t_top / bscale)

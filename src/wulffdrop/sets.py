@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -28,17 +27,11 @@ from .reduced import EnergyBreakdown, GAUSS_W, GAUSS_X, Profile, check_omega
 from .tension import SurfaceTension
 from .wulff import (
     WulffBody,
-    build_wulff_body,
     halfplane_polygon,
     polygon_area,
     polygon_edges,
     slice_centroid,
 )
-
-
-@lru_cache(maxsize=32)
-def default_body(tension: SurfaceTension, m_normals: int = 1024) -> WulffBody:
-    return build_wulff_body(tension, m_normals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,7 +195,7 @@ def symmetrized_lateral_integrand(s: SlicedSet, body: WulffBody) -> np.ndarray:
 
 
 def jensen_gap(s: SlicedSet, slab_index: int, tension: SurfaceTension,
-               body: Optional[WulffBody] = None) -> float:
+               body: WulffBody) -> float:
     """Per-slab surface-energy drop under symmetrization (>= 0).
 
     Integrates the difference between the per-edge lateral integrand and the
@@ -212,8 +205,6 @@ def jensen_gap(s: SlicedSet, slab_index: int, tension: SurfaceTension,
     """
     if not (0 <= slab_index < len(s.knots) - 1):
         raise IndexOutOfRange(f"slab index {slab_index} out of range")
-    if body is None:
-        body = default_body(tension)
     dt = np.diff(s.knots)[slab_index]
     orig = lateral_integrand(s, tension)[slab_index]
     symm = symmetrized_lateral_integrand(s, body)[slab_index]

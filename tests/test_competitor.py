@@ -7,7 +7,8 @@ from wulffdrop import competitor as comp
 from wulffdrop import reduced
 from wulffdrop.errors import HypothesisViolated, SigmaOutOfRange
 from wulffdrop.tension import make_tension
-from wulffdrop.wulff import alpha_spline, build_wulff_body, wulff_alpha
+from wulffdrop._quad import slab_volume
+from wulffdrop.wulff import build_wulff_body, wulff_alpha
 
 from conftest import hemisphere_profile
 
@@ -54,7 +55,7 @@ def test_cap_profile_sigma06(euclid, euclid_body):
 def test_cap_profile_vanishes_at_top(euclid, euclid_body):
     v = euclid_body.area * wulff_alpha(euclid, 0.999) ** 2
     seg = comp.cap_profile(euclid, "+", 0.999, 0.0, v, body=euclid_body)
-    vol = comp.cap_section_volume(euclid, euclid_body.area, seg.b, 0.999, 1.0)
+    vol = slab_volume(euclid_body.area, seg.ts, seg.rs, 2)
     assert vol < 1e-4
 
 

@@ -145,6 +145,25 @@ def test_shoot_volume_monotone_in_v0(euclid_shoot):
     assert len(v0s) >= 3
 
 
+def test_shoot_probes_are_few_and_distinct(euclid_shoot):
+    # Each history entry is one integrate_v + reconstruct_profile probe.
+    v0s = [h[0] for h in euclid_shoot.diagnostics["v0_history"]]
+    assert len(v0s) <= 10
+    assert len(set(v0s)) == len(v0s)
+
+
+@pytest.mark.parametrize("m", [0.1, 10.0])
+@pytest.mark.parametrize("family", ["euclid", "pnorm3", "weighted2"])
+def test_shoot_volume_and_young_across_families(request, family, m):
+    tension = request.getfixturevalue(family)
+    sol = od.shoot(tension, -0.5 * tension.f_eN, m,
+                   body=build_wulff_body(tension, 1024))
+    d = sol.diagnostics
+    assert d["achieved_volume"] == pytest.approx(m, rel=1e-6)
+    assert abs(d["young_residual"]) < 1e-8
+    assert sol.trajectory.ss[-1] == pytest.approx(sol.s_star, abs=1e-11)
+
+
 def test_shoot_bridge_constant(euclid_shoot):
     d = euclid_shoot.diagnostics
     assert d["bridge_constant"] == pytest.approx(d["bridge_predicted"], rel=1e-4)
@@ -189,11 +208,11 @@ def test_shoot_n2_planar():
 def test_scaling_sanity_zero_gravity_bound(euclid, euclid_body, euclid_shoot):
     # Doubling the volume cannot raise the drop above the height of the
     # volume-matched zero-gravity (truncated Wulff) shape.  Plumbing test.
-    from wulffdrop.wulff import alpha_volume_table, vertical_extent
+    from wulffdrop.wulff import alpha_table, vertical_extent
 
     lo, hi = vertical_extent(euclid)
     sigma0 = 0.5  # Winterbottom truncation height for omega = -0.5
-    cap = alpha_volume_table(euclid).above(sigma0)
+    cap = alpha_table(euclid).above(sigma0)
     for m, sol in ((1.0, euclid_shoot), (2.0, od.shoot(euclid, -0.5, 2.0,
                                                        body=euclid_body))):
         b = (m / (euclid_body.area * cap)) ** (1.0 / 3.0)

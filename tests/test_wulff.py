@@ -7,8 +7,7 @@ from scipy.special import gamma
 from wulffdrop.errors import DimensionUnsupported
 from wulffdrop.tension import make_tension
 from wulffdrop.wulff import (
-    alpha_spline,
-    alpha_volume_table,
+    alpha_table,
     build_wulff_body,
     vertical_extent,
     wulff_alpha,
@@ -123,15 +122,24 @@ def test_vertical_extent_weighted():
 
 
 def test_alpha_volume_table_euclid(euclid):
-    table = alpha_volume_table(euclid)
+    table = alpha_table(euclid)
     # int_{-1}^{1} (1 - t^2) dt = 4/3 for the unit-ball profile, N = 3.
     assert table.total == pytest.approx(4.0 / 3.0, rel=1e-10)
     exact_above = 4.0 / 3.0 - (0.6 - 0.6**3 / 3.0 + 2.0 / 3.0)
     assert table.above(0.6) == pytest.approx(exact_above, abs=1e-9)
 
 
+def test_one_alpha_table_serves_both_names(euclid):
+    from wulffdrop import wulff
+
+    assert wulff.alpha_spline is wulff.alpha_volume_table is alpha_table
+    table = alpha_table(euclid)
+    assert table(0.6) == pytest.approx(0.8, abs=1e-12)
+    assert table.peak == pytest.approx(0.0, abs=1e-9)
+
+
 def test_solve_on_branch_in_and_off_branch(pnorm3):
-    fa = alpha_spline(pnorm3)
+    fa = alpha_table(pnorm3)
     for lo, hi in ((fa.t_bot, fa.peak), (fa.peak, fa.t_top)):
         for frac in (1e-3, 0.3, 0.9, 0.999):
             target = frac * fa(fa.peak)
