@@ -22,9 +22,20 @@ import time
 import numpy as np
 
 from . import checks, competitor, odesolve, reduced, sets
-from .errors import InvalidInput, InvalidTension, NonConvergence, WulffDropError
+from .errors import (
+    InvalidInput,
+    InvalidTension,
+    NoBracket,
+    NonConvergence,
+    OutOfRange,
+    StalledInversion,
+    WulffDropError,
+)
 from .tension import SurfaceTension, tension_from_config, tension_to_config
 from .wulff import build_wulff_body
+
+# Raised by a solver on validated inputs: exit 3, not a validation error.
+SOLVER_FAILURES = (NonConvergence, NoBracket, StalledInversion, OutOfRange)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +201,8 @@ def cmd_solve(args) -> int:
                 "T_max": prof.t_max,
                 "energy": profile_report(prof, args.omega),
             }
-    except NonConvergence as exc:
-        print(f"error: solver failed to converge: {exc}", file=sys.stderr)
+    except SOLVER_FAILURES as exc:
+        print(f"error: solver failed: {exc}", file=sys.stderr)
         return 3
     except WulffDropError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -338,11 +349,27 @@ def cmd_check(args) -> int:
 
 def cmd_sweep(args) -> int:
     tension = _load_tension(args.tension)
+    try:
+        omegas = [float(x) for x in args.omegas.split(",")]
+    except ValueError as exc:
+        raise InvalidInput(f"--omegas must be comma-separated numbers: {exc}") from exc
+    lo = tension.omega_range[0]
+    outside = [omega for omega in omegas if not lo < omega < 0]
+    if outside:
+        print(f"error: omega={outside[0]} outside the graph regime ({lo}, 0)",
+              file=sys.stderr)
+        return 2
+    if args.mass <= 0:
+        print("error: mass must be positive", file=sys.stderr)
+        return 2
     body = build_wulff_body(tension, args.m_normals)
-    omegas = [float(x) for x in args.omegas.split(",")]
     rows = []
     for k, omega in enumerate(omegas):
-        sol = odesolve.shoot(tension, omega, args.mass, body=body)
+        try:
+            sol = odesolve.shoot(tension, omega, args.mass, body=body)
+        except SOLVER_FAILURES as exc:
+            print(f"error: solver failed at omega={omega}: {exc}", file=sys.stderr)
+            return 3
         name = _out_path(args, f"sweep-{k:03d}.csv")
         write_profile_csv(name, sol.profile)
         rows.append({

@@ -142,8 +142,8 @@ def cap_profile(tension: SurfaceTension, side: str, sigma: float,
 
 def _scan_bracket(fn, grid: np.ndarray):
     """Root of fn in the last grid cell where it changes sign, or None;
-    returns (root, scanned values)."""
-    vals = np.array([fn(s) for s in grid])
+    returns (root, scanned values).  fn takes the whole grid at once."""
+    vals = fn(grid)
     idx = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
     if len(idx) == 0:
         return None, vals
@@ -155,9 +155,11 @@ def _sample_cap(tension: SurfaceTension, b: float, t_anchor: float,
                 sigma: float, z_cut: float, side: str,
                 n_samples: int = CAP_SAMPLES):
     """Piecewise-linear sampling of the truncated cap, clustered at the far
-    cut (which may sit at a pole of alpha).  Heights increase."""
+    cut (which may sit at a pole of alpha).  Heights increase along the last
+    axis; arrays b, sigma and z_cut sample one cap per entry."""
     fa = alpha_table(tension)
     xi = np.linspace(0.0, 1.0, n_samples)
+    b, sigma, z_cut = (np.asarray(v, dtype=float)[..., None] for v in (b, sigma, z_cut))
     if side == "+":
         z = sigma + (z_cut - sigma) * np.sin(0.5 * math.pi * xi)
     else:
@@ -175,9 +177,9 @@ def solve_params(e: Profile, t1: float, t2: float, side: str) -> CompetitorParam
     sigma then drives the enclosed cap volume to the middle volume of E.
     Both the middle volume and the cap volume are evaluated on the same
     piecewise-linear discretization used for splicing, so the matches hold
-    to the root solve's accuracy.  Candidate branches are scanned with
-    64-sample endpoint tables (the residual runs from the whole rescaled
-    shape down to a vanishing cap, so a bracket exists).
+    to the root solve's accuracy.  Each candidate branch is scanned on a
+    65-point sigma grid in one array evaluation (the residual runs from the
+    whole rescaled shape down to a vanishing cap, so a bracket exists).
     """
     if not (0.0 < t1 < t2):
         raise ValueError("need 0 < t1 < t2")
@@ -214,8 +216,8 @@ def solve_params(e: Profile, t1: float, t2: float, side: str) -> CompetitorParam
     def near_branch(sig):
         # The monotone piece between sigma and the peak, on sigma's side.
         if side == "+":
-            return fa.solve_on_branch(fa(sig) * ratio, min(sig, peak), peak)
-        return fa.solve_on_branch(fa(sig) * ratio, peak, max(sig, peak))
+            return fa.solve_on_branch(fa(sig) * ratio, np.minimum(sig, peak), peak)
+        return fa.solve_on_branch(fa(sig) * ratio, peak, np.maximum(sig, peak))
 
     if ratio <= 1.0:
         # Far slice no wider than the cut: z lies past the peak on the far

@@ -32,7 +32,7 @@ from .errors import (
 )
 from ._quad import GAUSS_W, GAUSS_X, slab_volume
 from .tension import SurfaceTension, phi_partials
-from .wulff import WulffBody, build_wulff_body
+from .wulff import WulffBody, build_wulff_body, concavity_defect
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,18 +86,7 @@ class Profile:
         return np.interp(t, self.knots, self.r)
 
     def concavity_defect(self) -> float:
-        """Largest dip of r below a local chord on its support (<= 0: concave)."""
-        t, a = self.knots, self.r
-        if len(t) < 3:
-            return 0.0
-        pos = a > 0
-        w = (t[2:] - t[1:-1]) / (t[2:] - t[:-2])
-        chord = w * a[:-2] + (1 - w) * a[2:]
-        # Knots in the support, plus zero knots pinched between positive ones.
-        interior = pos[1:-1] | (pos[:-2] & pos[2:])
-        if not interior.any():
-            return 0.0
-        return float(np.max((chord - a[1:-1])[interior]))
+        return concavity_defect(self.knots, self.r)
 
     def support_is_interval(self) -> bool:
         """True when {r > 0} is a single run of knots starting at 0."""

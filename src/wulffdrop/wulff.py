@@ -10,13 +10,22 @@ support lines, so the triangle fan from the origin gives the exact identity
 for the polygon itself (the polygon approximates K_h from outside at rate
 O(1/M^2) for smooth h).
 
+The polygon {x : nu_j.x <= c_j} with all c_j > 0 is the polar of the
+convex hull of the points nu_j / c_j.  One qhull call returns the hull's
+vertices in CCW order, which are the active constraints; consecutive pairs
+meet at the polygon's vertices, found by one batched 2x2 solve.  Each edge's
+support is then its own vertex . normal, so a body costs O(M log M).
+``build_wulff_body`` is cached on (tension, M), so every caller of one
+tension shares one body, and a body's arrays are read-only.
+
 The full Wulff shape K of f = phi(h(.), x_N) is axially symmetric with
 horizontal sections alpha(t) * K_h, where
 
     alpha(t) = inf_y max{ phi(1, y) - t y, 0 },
 
 the infimum running over the whole real line (the clamp handles heights
-outside the vertical extent).
+outside the vertical extent).  ``alpha_table`` interpolates it once per
+tension and inverts it on either monotone side of its peak.
 """
 
 from __future__ import annotations
@@ -27,12 +36,13 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
+from scipy.spatial import ConvexHull, QhullError
 
-from .errors import DimensionUnsupported
+from .errors import DimensionUnsupported, InvalidInput
 from .tension import SurfaceTension
 
-# Vertices closer than this are merged and shorter edges dropped.
+# Edges shorter than this are dropped.  The origin must also sit this far
+# inside the polar hull, which bounds the polygon within radius 1e12.
 DEDUP_TOL = 1e-12
 
 # Golden-section width for the alpha(t) minimization.
@@ -47,7 +57,8 @@ class WulffBody:
 
     ``geometry`` is the CCW vertex array of shape (k, 2) for d = 2, or the
     interval endpoints (lo, hi) for d = 1.  Edge arrays are aligned: edge i
-    runs from vertex i to vertex i+1.
+    runs from vertex i to vertex i+1.  Bodies are cached and shared, so
+    every array is read-only.
     """
 
     d: int
@@ -62,34 +73,14 @@ class WulffBody:
     m_normals: int
     tension: SurfaceTension
 
+    def __post_init__(self):
+        for arr in (self.geometry, self.edge_lengths, self.edge_normals,
+                    self.edge_h, self.edge_supports):
+            arr.flags.writeable = False
+
     @property
     def centroid(self) -> np.ndarray:
         return slice_centroid(self.geometry)
-
-
-def _clip_halfplane(poly: np.ndarray, nu: np.ndarray, c: float) -> np.ndarray:
-    """Clip a convex CCW polygon against {x . nu <= c} (vectorized)."""
-    dist = poly @ nu - c
-    inside = dist <= 0.0
-    if inside.all():
-        return poly
-    if not inside.any():
-        return poly[:0]
-    nxt = np.roll(poly, -1, axis=0)
-    dist_n = np.roll(dist, -1)
-    cross = np.nonzero(inside != np.roll(inside, -1))[0]
-    t = dist[cross] / (dist[cross] - dist_n[cross])
-    pts_cross = poly[cross] + t[:, None] * (nxt[cross] - poly[cross])
-    pos = np.concatenate([2 * np.nonzero(inside)[0], 2 * cross + 1])
-    pts = np.concatenate([poly[inside], pts_cross])
-    return pts[np.argsort(pos, kind="stable")]
-
-
-def _dedup(poly: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
-    if len(poly) == 0:
-        return poly
-    keep = np.linalg.norm(poly - np.roll(poly, 1, axis=0), axis=1) > tol
-    return poly[keep]
 
 
 def _shoelace(poly: np.ndarray):
@@ -113,25 +104,44 @@ def slice_centroid(geometry: np.ndarray) -> np.ndarray:
 
 
 def polygon_edges(poly: np.ndarray):
-    """Edge lengths, unit outward normals and supports of a CCW polygon."""
+    """Edge lengths, unit outward normals and supports of a convex CCW
+    polygon; each edge's support is its own start vertex . normal."""
     e = np.roll(poly, -1, axis=0) - poly
     lengths = np.linalg.norm(e, axis=1)
     normals = np.stack([e[:, 1], -e[:, 0]], axis=-1) / lengths[:, None]
-    supports = np.max(poly @ normals.T, axis=0)
+    supports = np.einsum("ij,ij->i", poly, normals)
     return lengths, normals, supports
 
 
 def halfplane_polygon(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Intersection of {x . nu_j <= c_j}; the c_j must admit a bounded body."""
-    big = 4.0 * float(np.max(offsets)) + 1.0
-    poly = np.array([[-big, -big], [big, -big], [big, big], [-big, big]])
-    for nu, c in zip(normals, offsets):
-        poly = _clip_halfplane(poly, nu, c)
-        if len(poly) < 3:
-            raise ValueError("half-plane intersection degenerated")
-    return _dedup(poly)
+    """CCW vertices of {x : nu_j . x <= c_j} for offsets c_j > 0.
+
+    The set is the polar of conv{nu_j / c_j}: the hull's vertices, in CCW
+    order, are the active constraints, and consecutive pairs meet at the
+    polygon's vertices.  Vertex i starts the edge on the i-th active
+    constraint, counted from the lowest constraint index.  Raises ValueError
+    when the constraints do not bound a polygon around the origin.
+    """
+    if not np.all(offsets > 0.0):
+        raise ValueError("half-plane offsets must be positive")
+    try:
+        hull = ConvexHull(normals / offsets[:, None])
+    except QhullError as exc:
+        raise ValueError(f"half-plane intersection degenerated: {exc}") from exc
+    # Facet equations read n . p + e <= 0 inside; e < 0 keeps 0 strictly inside.
+    if np.max(hull.equations[:, -1]) >= -DEDUP_TOL:
+        raise ValueError("half-planes do not bound a polygon around the origin")
+    active = np.roll(hull.vertices, -int(np.argmin(hull.vertices)))
+    prev = np.roll(active, 1)
+    lhs = np.stack([normals[prev], normals[active]], axis=1)
+    rhs = np.stack([offsets[prev], offsets[active]], axis=1)
+    poly = np.linalg.solve(lhs, rhs[..., None])[..., 0]
+    # Constraints through a common vertex leave zero-length edges; drop them.
+    lengths = np.linalg.norm(np.roll(poly, -1, axis=0) - poly, axis=1)
+    return poly[lengths > DEDUP_TOL]
 
 
+@lru_cache(maxsize=32)
 def build_wulff_body(tension: SurfaceTension, m_normals: int = 1024) -> WulffBody:
     """Construct K_h from m_normals evenly spread support planes."""
     d = tension.dim - 1
@@ -155,14 +165,12 @@ def build_wulff_body(tension: SurfaceTension, m_normals: int = 1024) -> WulffBod
     if d != 2:
         raise DimensionUnsupported(f"slice dimension {d} unsupported (need 1 or 2)")
     if m_normals < 8:
-        raise ValueError("need at least 8 normals for a 2-D body")
+        raise InvalidInput(f"need at least 8 normals for a 2-D body, got {m_normals}")
     theta = 2.0 * math.pi * np.arange(m_normals) / m_normals
     normals = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     offsets = tension.h.value(normals)
     poly = halfplane_polygon(normals, offsets)
     lengths, edge_normals, supports = polygon_edges(poly)
-    good = lengths > DEDUP_TOL
-    lengths, edge_normals, supports = lengths[good], edge_normals[good], supports[good]
     edge_h = tension.h.value(edge_normals)
     area = polygon_area(poly)
     perim = float(np.sum(lengths * edge_h))
@@ -259,6 +267,21 @@ def wulff_alpha_slope(tension: SurfaceTension, t):
     return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
+def concavity_defect(t: np.ndarray, a: np.ndarray) -> float:
+    """Largest dip of the samples a(t) below a local chord on their support;
+    concavity means the value is <= 0 (up to rounding)."""
+    if len(t) < 3:
+        return 0.0
+    pos = a > 0
+    w = (t[2:] - t[1:-1]) / (t[2:] - t[:-2])
+    chord = w * a[:-2] + (1 - w) * a[2:]
+    # Knots in the support, plus zero knots pinched between positive ones.
+    interior = pos[1:-1] | (pos[:-2] & pos[2:])
+    if not interior.any():
+        return 0.0
+    return float(np.max((chord - a[1:-1])[interior]))
+
+
 @dataclass(frozen=True)
 class WulffProfile:
     """Sampled vertical profile t -> alpha(t) on the support of the shape."""
@@ -267,16 +290,7 @@ class WulffProfile:
     alphas: np.ndarray
 
     def concavity_defect(self) -> float:
-        """Largest amount by which alpha dips below a local chord on its
-        support; concavity means the value is <= 0 (up to rounding)."""
-        t, a = self.ts, self.alphas
-        pos = a > 0
-        w = (t[2:] - t[1:-1]) / (t[2:] - t[:-2])
-        chord = w * a[:-2] + (1 - w) * a[2:]
-        interior = pos[:-2] & pos[1:-1] & pos[2:]
-        if not interior.any():
-            return 0.0
-        return float(np.max((chord - a[1:-1])[interior]))
+        return concavity_defect(self.ts, self.alphas)
 
 
 def wulff_profile(tension: SurfaceTension, n: int = 512) -> WulffProfile:
@@ -302,7 +316,8 @@ class AlphaTable:
     golden-section samples, clustered quadratically at both poles so the
     sqrt-type vanishing of alpha never meets the interpolation or the
     quadrature (alpha error ~1e-13).  ``peak`` is the height of the widest
-    section and ``above(z)`` returns |K cap {x_N > z}| / |K_h|.
+    section and ``above(z)`` returns |K cap {x_N > z}| / |K_h|.  The samples
+    rise up to index ``_k_peak`` and fall after it.
     """
 
     t_bot: float
@@ -311,6 +326,8 @@ class AlphaTable:
     total: float
     _alpha: CubicSpline
     _cumulative: CubicSpline
+    _samples: np.ndarray
+    _k_peak: int
 
     def _u_xi(self, z):
         u = (np.asarray(z, dtype=float) - self.t_bot) / (self.t_top - self.t_bot)
@@ -327,17 +344,57 @@ class AlphaTable:
     def above(self, z):
         return self.total - self.cumulative(z)
 
-    def solve_on_branch(self, target: float, z_lo: float, z_hi: float) -> float:
+    def solve_on_branch(self, target, z_lo, z_hi):
         """z in [z_lo, z_hi] with alpha(z) = target, assuming monotonicity.
 
-        Returns z_hi when alpha - target keeps one sign on the branch.
+        The arguments broadcast against each other.  An entry returns z_lo
+        when alpha(z_lo) = target, and z_hi when alpha - target keeps one sign
+        on its branch.
         """
-        def resid(z):
-            return self(z) - target
+        target, z_lo, z_hi = np.broadcast_arrays(
+            *(np.asarray(v, dtype=float) for v in (target, z_lo, z_hi)))
+        f_lo = self(z_lo) - target
+        f_hi = self(z_hi) - target
+        z = np.where(f_lo == 0.0, z_lo, z_hi)
+        todo = f_lo * f_hi < 0.0
+        if todo.any():
+            z[todo] = self._invert(target[todo], z_lo[todo], z_hi[todo],
+                                   f_hi[todo] > 0.0)
+        return float(z) if z.ndim == 0 else z
 
-        if resid(z_lo) * resid(z_hi) > 0.0:
-            return z_hi
-        return brentq(resid, z_lo, z_hi, xtol=1e-14 * max(1.0, abs(z_hi)))
+    def _invert(self, target, z_lo, z_hi, rising):
+        """Roots bracketed by [z_lo, z_hi], to 1e-15 in xi.
+
+        A search of the samples on alpha's rising or falling side gives the
+        spline cell holding each root; Newton steps on the cell's cubic,
+        kept inside the shrinking bracket by bisection, then converge to it.
+        """
+        x, c, vals, kp = self._alpha.x, self._alpha.c, self._samples, self._k_peak
+        xi_lo, xi_hi = self._u_xi(z_lo)[1], self._u_xi(z_hi)[1]
+        first = np.where(rising, np.searchsorted(vals[:kp + 1], target),
+                         kp + np.searchsorted(-vals[kp:], -target))
+        cell = np.clip(first - 1,
+                       np.minimum(np.searchsorted(x, xi_lo, "right") - 1, len(x) - 2),
+                       np.maximum(np.searchsorted(x, xi_hi) - 1, 0))
+        a = np.maximum(x[cell], xi_lo)
+        b = np.minimum(x[cell + 1], xi_hi)
+        x0, (c0, c1, c2, c3) = x[cell], c[:, cell]
+        xi = 0.5 * (a + b)
+        moving = np.ones(xi.shape, dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(64):
+                d = xi - x0
+                g = ((c0 * d + c1) * d + c2) * d + c3 - target
+                below = (g < 0.0) == rising
+                a, b = np.where(below, xi, a), np.where(below, b, xi)
+                step = xi - g / ((3.0 * c0 * d + 2.0 * c1) * d + c2)
+                step = np.where((step >= a) & (step <= b), step, 0.5 * (a + b))
+                # A converged entry stops moving, so batching never changes it.
+                xi, moving = np.where(moving, step, xi), moving & (np.abs(step - xi) > 1e-15)
+                if not moving.any():
+                    break
+        z = self.t_bot + (self.t_top - self.t_bot) * 0.5 * (1.0 - np.cos(math.pi * xi))
+        return np.clip(z, z_lo, z_hi)
 
 
 @lru_cache(maxsize=32)
@@ -347,7 +404,8 @@ def alpha_table(tension: SurfaceTension) -> AlphaTable:
     xi = np.linspace(0.0, 1.0, 2 * ALPHA_CELLS + 1)
     ts = lo + span * 0.5 * (1.0 - np.cos(math.pi * xi))
     vals = wulff_alpha(tension, ts)
-    peak = float(ts[int(np.argmax(vals))])
+    k_peak = int(np.argmax(vals))
+    peak = float(ts[k_peak])
     # Refine the peak in the original coordinate (alpha is concave there).
     grid = np.linspace(max(lo, peak - 0.01 * span), min(hi, peak + 0.01 * span), 201)
     peak = float(grid[int(np.argmax(wulff_alpha(tension, grid)))])
@@ -356,9 +414,11 @@ def alpha_table(tension: SurfaceTension) -> AlphaTable:
     h = xi[1] - xi[0]
     cells = (integrand[0:-2:2] + 4.0 * integrand[1::2] + integrand[2::2]) * (2 * h) / 6.0
     cum = np.concatenate([[0.0], np.cumsum(cells)])
+    vals.flags.writeable = False
     return AlphaTable(t_bot=lo, t_top=hi, peak=peak, total=float(cum[-1]),
                       _alpha=CubicSpline(xi, vals),
-                      _cumulative=CubicSpline(xi[::2], cum))
+                      _cumulative=CubicSpline(xi[::2], cum),
+                      _samples=vals, _k_peak=k_peak)
 
 
 # The benchmark harness calls the two tables of earlier versions by these

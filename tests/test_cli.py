@@ -215,3 +215,39 @@ def test_malformed_input_file_is_a_validation_error(case, tension_file, tmp_path
     assert len(err) == 1 and err[0].startswith("error: ")
     assert str(bad) in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["sweep", "--omegas=-0.5,abc", "--mass", "1.0"], "'abc'"),
+    (["sweep", "--omegas=-0.5", "--mass", "-1"], "mass must be positive"),
+    (["wulff", "--m-normals", "4"], "at least 8 normals"),
+    (["symmetrize", "--omega", "-0.3", "--set", "unused.json",
+      "--m-normals", "4"], "at least 8 normals"),
+], ids=["non-numeric-omega", "negative-mass", "wulff-few-normals",
+        "symmetrize-few-normals"])
+def test_bad_flags_are_validation_errors(argv, names, tension_file, tmp_path,
+                                         capsys):
+    if "--set" in argv:
+        set_path = tmp_path / "unused.json"
+        set_path.write_text(json.dumps(sets.sliced_set_to_dict(
+            sets.random_sliced_set(np.random.default_rng(0), make_tension("euclid")))))
+        argv = [str(set_path) if a == "unused.json" else a for a in argv]
+    out = tmp_path / "out"
+    code = run(argv[:1] + ["--tension", tension_file] + argv[1:]
+               + ["--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert names in err[0]
+    assert not out.exists()
+
+
+def test_shoot_failure_exits_3(tension_file, tmp_path, capsys):
+    # The v0 scan cannot reach this volume: a solver failure, not bad input.
+    out = tmp_path / "out"
+    code = run(["solve", "--tension", tension_file, "--method", "shoot",
+                "--omega=-0.9", "--mass", "1000", "--out-dir", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: solver failed")
+    assert not out.exists()

@@ -8,7 +8,7 @@ from wulffdrop import reduced
 from wulffdrop.errors import HypothesisViolated, SigmaOutOfRange
 from wulffdrop.tension import make_tension
 from wulffdrop._quad import slab_volume
-from wulffdrop.wulff import build_wulff_body, wulff_alpha
+from wulffdrop.wulff import alpha_table, build_wulff_body, wulff_alpha
 
 from conftest import hemisphere_profile
 
@@ -57,6 +57,23 @@ def test_cap_profile_vanishes_at_top(euclid, euclid_body):
     seg = comp.cap_profile(euclid, "+", 0.999, 0.0, v, body=euclid_body)
     vol = slab_volume(euclid_body.area, seg.ts, seg.rs, 2)
     assert vol < 1e-4
+
+
+@pytest.mark.parametrize("side", ["+", "-"])
+def test_stacked_caps_match_single_caps(pnorm3, side):
+    # The sigma scan samples every cap of its grid in one array; each row
+    # must be the cap and the volume that the root solve sees for it.
+    fa = alpha_table(pnorm3)
+    sigma = np.linspace(fa.t_bot + 0.1, fa.peak, 9)
+    z_cut = np.full(9, fa.t_top - 0.05 if side == "+" else fa.t_bot + 0.01)
+    b = 0.7 / fa(sigma)
+    ts, rs = comp._sample_cap(pnorm3, b, 0.2, sigma, z_cut, side)
+    vols = slab_volume(3.0, ts, rs, 2)
+    assert ts.shape == rs.shape == (9, comp.CAP_SAMPLES)
+    for k in range(9):
+        ts1, rs1 = comp._sample_cap(pnorm3, b[k], 0.2, sigma[k], z_cut[k], side)
+        assert np.array_equal(ts1, ts[k]) and np.array_equal(rs1, rs[k])
+        assert slab_volume(3.0, ts1, rs1, 2) == vols[k]
 
 
 def test_cap_profile_sigma_validation(euclid, euclid_body):

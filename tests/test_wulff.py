@@ -5,10 +5,13 @@ import pytest
 from scipy.special import gamma
 
 from wulffdrop.errors import DimensionUnsupported
+from wulffdrop.sets import random_convex_polygon
 from wulffdrop.tension import make_tension
 from wulffdrop.wulff import (
     alpha_table,
     build_wulff_body,
+    halfplane_polygon,
+    polygon_edges,
     vertical_extent,
     wulff_alpha,
     wulff_alpha_slope,
@@ -71,6 +74,48 @@ def test_lambda_identity_at_4096(h_family, kw):
     t = make_tension("euclid", h_family=h_family, **kw)
     body = build_wulff_body(t, 4096)
     assert abs(body.lam - 2.0) <= 5e-3
+
+
+@pytest.mark.parametrize("m", [8, 1024, 4096])
+def test_lp2_body_is_the_regular_polygon(euclid, m):
+    body = build_wulff_body(euclid, m)
+    assert len(body.geometry) == m
+    radii = np.linalg.norm(body.geometry, axis=1)
+    assert np.max(np.abs(radii * math.cos(math.pi / m) - 1.0)) <= 1e-12
+    assert body.area == pytest.approx(m * math.tan(math.pi / m), rel=1e-14)
+    # Edge 0 lies on the first normal, theta = 0.
+    assert np.max(np.abs(body.edge_normals[0] - [1.0, 0.0])) <= 1e-12
+
+
+def test_halfplane_polygon_drops_redundant_and_rejects_unbounded():
+    normals = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0],
+                        [math.sqrt(0.5), math.sqrt(0.5)]])
+    poly = halfplane_polygon(normals, np.array([1.0, 1.0, 1.0, 1.0, 3.0]))
+    assert poly.tolist() == [[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]]
+    # Normals confined to a half circle leave the set unbounded.
+    theta = np.linspace(0.0, 0.9 * math.pi, 7)
+    normals = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    with pytest.raises(ValueError):
+        halfplane_polygon(normals, np.ones(7))
+
+
+def test_edge_supports_match_the_vertex_maximum():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        poly = random_convex_polygon(rng, int(rng.integers(3, 13)))
+        _, normals, supports = polygon_edges(poly)
+        oracle = np.max(poly @ normals.T, axis=0)
+        assert np.max(np.abs(supports - oracle)) <= 1e-14 * np.max(np.abs(poly))
+
+
+def test_bodies_are_cached_and_read_only(euclid):
+    body = build_wulff_body(euclid, 1024)
+    assert build_wulff_body(euclid, 1024) is body
+    assert build_wulff_body(make_tension("euclid"), 1024) is body
+    with pytest.raises(ValueError):
+        body.geometry[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        body.edge_h[0] = 0.0
 
 
 def test_dimension_guards(euclid):
@@ -149,3 +194,18 @@ def test_solve_on_branch_in_and_off_branch(pnorm3):
         # No sign change on the branch: the upper end comes back.
         assert fa.solve_on_branch(2.0 * fa(fa.peak), lo, hi) == hi
         assert fa.solve_on_branch(-1.0, lo, hi) == hi
+        # Array targets give the scalar answers, off-branch entries too.
+        fracs = np.array([1e-3, 0.3, 0.9, 0.999, 2.0, -1.0])
+        z = fa.solve_on_branch(fracs * fa(fa.peak), lo, hi)
+        assert np.all(z[:4] == [fa.solve_on_branch(f * fa(fa.peak), lo, hi)
+                                for f in fracs[:4]])
+        assert np.all(z[4:] == hi)
+    # Per-entry bounds: one branch per entry, with off-branch entries.
+    top = fa(fa.peak)
+    z_lo = np.array([fa.t_bot, fa.peak, fa.t_bot, fa.peak])
+    z_hi = np.array([fa.peak, fa.t_top, 0.5 * (fa.t_bot + fa.peak), fa.t_top])
+    targets = np.array([0.5, 0.5, 0.99, 1.5]) * top
+    z = fa.solve_on_branch(targets, z_lo, z_hi)
+    assert np.max(np.abs(fa(z[:2]) - targets[:2])) <= 1e-12
+    assert z[0] < fa.peak < z[1]
+    assert z[2] == z_hi[2] and z[3] == z_hi[3]
