@@ -155,8 +155,8 @@ def cmd_solve(args) -> int:
         print(f"error: omega={args.omega} outside the admissible interval "
               f"({lo}, {hi}) = (-f(e_N), f(-e_N))", file=sys.stderr)
         return 2
-    if args.mass <= 0:
-        print("error: mass must be positive", file=sys.stderr)
+    if not 0 < args.mass < math.inf:
+        print("error: mass must be positive and finite", file=sys.stderr)
         return 2
     body = build_wulff_body(tension, args.m_normals)
 
@@ -327,6 +327,10 @@ def cmd_repair(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.trials is not None and args.trials < 1:
+        print(f"error: --trials must be at least 1, got {args.trials}",
+              file=sys.stderr)
+        return 2
     names = [args.suite] if args.suite else None
     results = checks.run_suites(names=names, seed=args.seed, trials=args.trials)
     summary = {"seed": args.seed, "suites": {}}
@@ -359,8 +363,8 @@ def cmd_sweep(args) -> int:
         print(f"error: omega={outside[0]} outside the graph regime ({lo}, 0)",
               file=sys.stderr)
         return 2
-    if args.mass <= 0:
-        print("error: mass must be positive", file=sys.stderr)
+    if not 0 < args.mass < math.inf:
+        print("error: mass must be positive and finite", file=sys.stderr)
         return 2
     body = build_wulff_body(tension, args.m_normals)
     rows = []

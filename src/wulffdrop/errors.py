@@ -27,7 +27,7 @@ class InvalidTension(WulffDropError, ValueError):
 
 
 class InvalidInput(WulffDropError, ValueError):
-    """Input file (sliced-set document, profile CSV) is malformed."""
+    """Malformed input file (sliced-set document, profile CSV) or size argument."""
 
 
 class OmegaOutOfRange(WulffDropError, ValueError):

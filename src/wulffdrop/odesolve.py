@@ -226,8 +226,10 @@ def integrate_v(tension: SurfaceTension, v0: float,
         v, w = y
         return slope(r, w), t * r ** (nm1 - 1) * v
 
-    def rk4(r: float, y: tuple[float, float], h: float) -> tuple[float, float]:
-        k1 = rhs(r, y)
+    def rk4(r: float, y: tuple[float, float], h: float,
+            k1: Optional[tuple[float, float]] = None) -> tuple[float, float]:
+        if k1 is None:
+            k1 = rhs(r, y)
         k2 = rhs(r + 0.5 * h, (y[0] + 0.5 * h * k1[0], y[1] + 0.5 * h * k1[1]))
         k3 = rhs(r + 0.5 * h, (y[0] + 0.5 * h * k2[0], y[1] + 0.5 * h * k2[1]))
         k4 = rhs(r + h, (y[0] + h * k3[0], y[1] + h * k3[1]))
@@ -250,9 +252,11 @@ def integrate_v(tension: SurfaceTension, v0: float,
             break
         if r_stop is not None:
             h = min(h, r_stop - r)
+        # The first RK4 stage at the node: its slope is already ss[-1].
+        k1 = (ss[-1], t * r ** (nm1 - 1) * y[0])
         try:
-            y_full = rk4(r, y, h)
-            y_half = rk4(r + 0.5 * h, rk4(r, y, 0.5 * h), 0.5 * h)
+            y_full = rk4(r, y, h, k1)
+            y_half = rk4(r + 0.5 * h, rk4(r, y, 0.5 * h, k1), 0.5 * h)
         except StalledInversion as stall:
             # Either the trial step overshot a region where the solution
             # still exists, or the slope genuinely blows up here.
@@ -281,7 +285,7 @@ def integrate_v(tension: SurfaceTension, v0: float,
                 # The step raises s by at most max_ds, so a step-length
                 # tolerance of 1e-12 h moves s by far less than 1e-11.
                 def advance(hh: float) -> tuple[float, float]:
-                    return rk4(r + 0.5 * hh, rk4(r, y, 0.5 * hh), 0.5 * hh)
+                    return rk4(r + 0.5 * hh, rk4(r, y, 0.5 * hh, k1), 0.5 * hh)
 
                 h = brentq(lambda hh: slope(r + hh, advance(hh)[1]) - s_stop,
                            0.0, h, xtol=1e-12 * h)
@@ -464,8 +468,8 @@ def shoot(tension: SurfaceTension, omega: float, m: float,
     log2(v0) solves the bracketed monotone root.  Every probe is memoized,
     so ``v0_history`` lists each probed v0 once.
     """
-    if m <= 0:
-        raise ValueError("volume must be positive")
+    if not 0 < m < math.inf:
+        raise ValueError("volume must be positive and finite")
     opts = opts or ShootOptions()
     s_st = s_star(tension, omega)
     if body is None:

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     DegenerateRadius,
     EmptyBase,
+    InvalidInput,
     NonConvergence,
     OmegaOutOfRange,
 )
@@ -37,12 +38,16 @@ from .wulff import WulffBody, build_wulff_body, concavity_defect
 
 @dataclass(frozen=True, eq=False)
 class EnergyBreakdown:
-    """Surface, contact and potential contributions plus their sum."""
+    """Surface, contact and potential contributions plus their sum.
+
+    When the energy is evaluated at a 1-D array of contact coefficients,
+    ``Fc`` and ``total`` are arrays with one entry per coefficient.
+    """
 
     Fs: float
-    Fc: float
+    Fc: float | np.ndarray
     Fp: float
-    total: float
+    total: float | np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,12 +101,14 @@ class Profile:
         return pos[-1] - pos[0] + 1 == len(pos) and pos[0] == 0
 
 
-def check_omega(tension: SurfaceTension, omega: float) -> None:
+def check_omega(tension: SurfaceTension, omega) -> None:
+    """Raise unless omega (a scalar, or every entry of an array) is admissible."""
     lo, hi = tension.omega_range
-    if not (lo < omega < hi):
-        raise OmegaOutOfRange(
-            f"omega={omega} outside the admissible interval ({lo}, {hi})"
-        )
+    for om in np.ravel(omega):
+        if not (lo < om < hi):
+            raise OmegaOutOfRange(
+                f"omega={om} outside the admissible interval ({lo}, {hi})"
+            )
 
 
 def _resolve_omega(p: Profile, omega):
@@ -110,6 +117,8 @@ def _resolve_omega(p: Profile, omega):
     if omega is None:
         raise OmegaOutOfRange("no contact coefficient attached to this profile")
     check_omega(p.tension, omega)
+    if np.ndim(omega):
+        return np.asarray(omega, dtype=float)
     return float(omega)
 
 
@@ -142,8 +151,11 @@ def reduced_energy(p: Profile, omega: Optional[float] = None,
                    gravity: float = 1.0) -> EnergyBreakdown:
     """Energy of the symmetric candidate (absolute, i.e. times |K_h|).
 
-    ``gravity`` rescales the potential term only (plumbing; defaults to the
-    model value 1 and is excluded from acceptance).
+    ``omega`` may be a 1-D array: the surface and potential terms are then
+    computed once, and ``Fc`` and ``total`` are arrays equal entry for entry
+    to the scalar calls.  ``gravity`` rescales the potential term only
+    (plumbing; defaults to the model value 1 and is excluded from
+    acceptance).
     """
     om = _resolve_omega(p, omega)
     nm1, lam, a, b, dt, slope, r_g, phi, _ = _lateral_pieces(p)
@@ -488,8 +500,10 @@ def minimize_direct(tension: SurfaceTension, omega: float, m: float,
     returned profile carries solver diagnostics in ``meta``.
     """
     check_omega(tension, omega)
-    if m <= 0:
-        raise ValueError("volume must be positive")
+    if not 0 < m < math.inf:
+        raise ValueError("volume must be positive and finite")
+    if grid_size < 3:
+        raise InvalidInput(f"grid_size must be at least 3, got {grid_size}")
     if opts is None:
         opts = MinimizeOptions()
     if body is None:

@@ -131,14 +131,19 @@ def lateral_integrand(s: SlicedSet, tension: SurfaceTension) -> np.ndarray:
     return coef[:, None] * a_g ** (n - 1)
 
 
-def energy(s: SlicedSet, tension: SurfaceTension, omega: float,
+def energy(s: SlicedSet, tension: SurfaceTension, omega,
            gravity: float = 1.0) -> EnergyBreakdown:
     """Exact energy F_s + F_c + gravity * F_p of the sliced set.
 
-    ``gravity`` rescales the potential term only; it is plumbing (the model
-    fixes the coefficient to 1) and is excluded from the acceptance suites.
+    ``omega`` may be a 1-D array: F_s and F_p are then computed once, and
+    ``Fc`` and ``total`` are arrays equal entry for entry to the scalar
+    calls.  ``gravity`` rescales the potential term only; it is plumbing
+    (the model fixes the coefficient to 1) and is excluded from the
+    acceptance suites.
     """
     check_omega(tension, omega)
+    if np.ndim(omega):
+        omega = np.asarray(omega, dtype=float)
     n = s.d
     dt = np.diff(s.knots)
     fs = float(np.sum(dt * (lateral_integrand(s, tension) * GAUSS_W[None, :]).sum(axis=1)))

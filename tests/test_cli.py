@@ -242,6 +242,38 @@ def test_bad_flags_are_validation_errors(argv, names, tension_file, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,names", [
+    (["solve", "--omega=-0.5", "--mass", "inf", "--method", "direct"],
+     "mass must be positive and finite"),
+    (["solve", "--omega=-0.5", "--mass", "nan"], "mass must be positive and finite"),
+    (["sweep", "--omegas=-0.5", "--mass", "nan"], "mass must be positive and finite"),
+    (["sweep", "--omegas=-0.5", "--mass", "inf"], "mass must be positive and finite"),
+    (["solve", "--omega=-0.5", "--mass", "1", "--method", "direct",
+      "--grid-size", "0"], "grid_size must be at least 3"),
+    (["solve", "--omega=-0.5", "--mass", "1", "--method", "direct",
+      "--grid-size", "1"], "grid_size must be at least 3"),
+    (["check", "--suite", "symmetrization", "--trials", "0"],
+     "--trials must be at least 1"),
+    (["check", "--suite", "symmetrization", "--trials", "-1"],
+     "--trials must be at least 1"),
+], ids=["solve-direct-infinite-mass", "solve-nan-mass", "sweep-nan-mass",
+        "sweep-infinite-mass", "direct-grid-size-0", "direct-grid-size-1",
+        "check-zero-trials", "check-negative-trials"])
+def test_out_of_range_numbers_are_validation_errors(argv, names, tension_file,
+                                                    tmp_path, capsys):
+    out = tmp_path / "out"
+    if argv[0] == "check":
+        argv = argv + ["--report", str(out)]
+    else:
+        argv = argv[:1] + ["--tension", tension_file] + argv[1:] + [
+            "--out-dir", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert names in err[0]
+    assert not out.exists()
+
+
 def test_shoot_failure_exits_3(tension_file, tmp_path, capsys):
     # The v0 scan cannot reach this volume: a solver failure, not bad input.
     out = tmp_path / "out"

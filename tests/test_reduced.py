@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wulffdrop import odesolve, reduced
+from wulffdrop import checks, odesolve, reduced
 from wulffdrop.errors import EmptyBase, OmegaOutOfRange
 from wulffdrop.tension import make_tension
 from wulffdrop.wulff import build_wulff_body
@@ -33,8 +33,33 @@ def test_reduced_energy_omega_range(euclid, euclid_body):
     with pytest.raises(OmegaOutOfRange):
         reduced.reduced_energy(p, omega=2.0)
     with pytest.raises(OmegaOutOfRange):
+        reduced.reduced_energy(p, omega=np.array([-0.5, 2.0]))
+    with pytest.raises(OmegaOutOfRange):
         reduced.reduced_energy(reduced.Profile(knots=p.knots, r=p.r,
                                                tension=p.tension, body=p.body))
+
+
+@pytest.mark.parametrize("tension", checks.builtin_tensions(),
+                         ids=lambda t: t.tension_id)
+def test_reduced_energy_omega_array_matches_scalar_calls(tension):
+    body = build_wulff_body(tension, 1024)
+    omegas = np.array(checks.omega_samples(tension))
+    for p in (hemisphere_profile(body),
+              reduced.Profile(knots=np.array([0.0, 0.4, 1.1]),
+                              r=np.array([1.2, 0.9, 0.5]), tension=tension,
+                              body=body)):
+        br = reduced.reduced_energy(p, omegas)
+        for j, omega in enumerate(omegas):
+            one = reduced.reduced_energy(p, float(omega))
+            assert (br.Fs, br.Fp) == (one.Fs, one.Fp)
+            assert br.Fc[j] == one.Fc and br.total[j] == one.total
+
+
+def test_check_omega_rejects_one_bad_array_entry(euclid):
+    reduced.check_omega(euclid, np.array([-0.9, 0.0, 0.9]))
+    for bad in (1.0, -1.0, np.nan):
+        with pytest.raises(OmegaOutOfRange):
+            reduced.check_omega(euclid, np.array([-0.5, bad, 0.5]))
 
 
 def test_reduced_volume_examples(euclid, euclid_body):

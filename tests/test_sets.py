@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wulffdrop import reduced, sets
+from wulffdrop import checks, reduced, sets
 from wulffdrop.errors import EmptySlice, IndexOutOfRange, OmegaOutOfRange
 from wulffdrop.tension import make_tension
 from wulffdrop.wulff import build_wulff_body
@@ -47,6 +47,53 @@ def test_energy_omega_validation(euclid, euclid_body):
     s = cylinder(euclid_body, euclid, 1.0, 1.0)
     with pytest.raises(OmegaOutOfRange):
         sets.energy(s, euclid, 1.5)
+    with pytest.raises(OmegaOutOfRange):
+        sets.energy(s, euclid, np.array([-0.5, 0.0, 1.5, 0.2]))
+
+
+@pytest.mark.parametrize("tension", checks.builtin_tensions(),
+                         ids=lambda t: t.tension_id)
+def test_energy_omega_array_matches_scalar_calls(tension):
+    rng = np.random.default_rng(3)
+    omegas = np.array(checks.omega_samples(tension))
+    for _ in range(20):
+        s = sets.random_sliced_set(rng, tension)
+        br = sets.energy(s, tension, omegas)
+        for j, omega in enumerate(omegas):
+            one = sets.energy(s, tension, float(omega))
+            assert (br.Fs, br.Fp) == (one.Fs, one.Fp)
+            assert br.Fc[j] == one.Fc and br.total[j] == one.total
+
+
+def _symmetrization_reference(seed, trials):
+    """The suite as a scalar loop: one set per tension, one call per omega."""
+    tensions = checks.builtin_tensions()
+    bodies = {t.tension_id: build_wulff_body(t, 1024) for t in tensions}
+    rng = np.random.default_rng(seed)
+    failures, min_total, checked = [], math.inf, 0
+    for k in range(trials):
+        geometry = sets.random_sliced_set(rng, tensions[0])
+        for tension in tensions:
+            s = sets.sliced_set(geometry.base_vertices, geometry.knots,
+                                geometry.scales, geometry.centers, tension)
+            for omega in checks.omega_samples(tension):
+                e_orig = sets.energy(s, tension, omega).total
+                prof = sets.symmetrize(s, bodies[tension.tension_id], omega=omega)
+                e_symm = reduced.reduced_energy(prof).total
+                min_total = min(min_total, e_symm, e_orig)
+                checked += 1
+                if e_symm > e_orig + 1e-9 * (1.0 + abs(e_orig)):
+                    failures.append((k, tension.tension_id, omega, e_orig, e_symm))
+    return checked, min_total, failures[:10]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_suite_symmetrization_matches_scalar_reference(seed):
+    details = checks.suite_symmetrization(seed, trials=30)["details"]
+    checked, min_total, failures = _symmetrization_reference(seed, 30)
+    assert details["checked"] == checked == 360
+    assert details["min_energy_seen"] == min_total
+    assert details["failures"] == failures
 
 
 def test_energy_matches_reduced_parametrization(euclid, euclid_body):
