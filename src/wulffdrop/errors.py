@@ -76,9 +76,8 @@ class DegenerateRadius(WulffDropError, ValueError):
 class StalledInversion(WulffDropError, RuntimeError):
     """Slope recovery could not bracket the monotone inversion."""
 
-    def __init__(self, message, r=None, target=None):
+    def __init__(self, message, target=None):
         super().__init__(message)
-        self.r = r
         self.target = target
 
 

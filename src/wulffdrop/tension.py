@@ -82,30 +82,26 @@ class PNormPhi:
         p = self.p
         return (np.abs(s) ** p + np.abs(t) ** p) ** (1.0 / p)
 
-    def _rho(self, s, t):
-        p = self.p
-        return (np.abs(s) ** p + np.abs(t) ** p) ** (1.0 / p)
-
     def d1(self, s, t):
         p = self.p
         if p == 1.0:
             # Right derivative on the natural domain s >= 0.
             return np.ones_like(np.asarray(s, dtype=float) + np.asarray(t, dtype=float) * 0.0)
-        rho = self._rho(s, t)
+        rho = self.value(s, t)
         return np.sign(s) * np.abs(s) ** (p - 1.0) * rho ** (1.0 - p)
 
     def d2(self, s, t):
         p = self.p
         if p == 1.0:
             return np.sign(t) * np.ones_like(np.asarray(s, dtype=float))
-        rho = self._rho(s, t)
+        rho = self.value(s, t)
         return np.sign(t) * np.abs(t) ** (p - 1.0) * rho ** (1.0 - p)
 
     def d11(self, s, t):
         p = self.p
         if p == 1.0:
             return np.zeros_like(np.asarray(s, dtype=float))
-        rho = self._rho(s, t)
+        rho = self.value(s, t)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = (p - 1.0) * np.abs(s) ** (p - 2.0) * np.abs(t) ** p * rho ** (1.0 - 2.0 * p)
         # |s|^(p-2) at s=0: 0 for p>2, finite for p=2, +inf for p<2.
@@ -234,12 +230,6 @@ class SurfaceTension:
             raise InvalidTension(f"unknown derivative_mode {self.derivative_mode!r}")
 
     # -- basic evaluations --------------------------------------------------
-
-    def phi_value(self, s, t):
-        return self.phi.value(s, t)
-
-    def h_value(self, xp):
-        return self.h.value(xp)
 
     @property
     def f_eN(self) -> float:
