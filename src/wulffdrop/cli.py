@@ -44,6 +44,7 @@ SOLVER_FAILURES = (NonConvergence, NoBracket, StalledInversion, OutOfRange)
 
 def _atomic_write(path: str, data: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-wulffdrop-")
     try:
         with os.fdopen(fd, "w") as handle:
@@ -138,7 +139,6 @@ def _parse_input(path: str, what: str, parse):
 
 def _out_path(args, name: str) -> str:
     if getattr(args, "out_dir", None):
-        os.makedirs(args.out_dir, exist_ok=True)
         return os.path.join(args.out_dir, name)
     return name
 
@@ -148,7 +148,7 @@ def _out_path(args, name: str) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    t_start = time.time()
+    t_start = time.perf_counter()
     tension = _load_tension(args.tension)
     lo, hi = tension.omega_range
     if not (lo < args.omega < hi):
@@ -209,10 +209,10 @@ def cmd_solve(args) -> int:
         return 2
 
     if args.method == "both":
-        ds, dd = profiles["shoot"], profiles["direct"]
-        r_shoot = np.interp(dd.knots, ds.knots, ds.r)
-        linf = float(np.max(np.abs(dd.r - r_shoot)) / np.max(ds.r))
+        linf, hausdorff = checks.cross_difference(profiles["shoot"],
+                                                  profiles["direct"])
         report["cross_difference_linf"] = linf
+        report["cross_difference_hausdorff"] = hausdorff
 
     primary = profiles.get("shoot", profiles.get("direct"))
     out_csv = args.out or _out_path(args, "profile.csv")
@@ -222,7 +222,7 @@ def cmd_solve(args) -> int:
         write_profile_csv(stem + "-direct" + ext, profiles["direct"])
     if args.plot:
         _atomic_write(args.plot, profile_svg(primary))
-    report["wall_time_s"] = time.time() - t_start
+    report["wall_time_s"] = time.perf_counter() - t_start
     write_json(args.report or _out_path(args, "report.json"), report)
     return 0
 

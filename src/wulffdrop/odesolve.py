@@ -21,9 +21,13 @@ with p > 2).
 Shooting: Young's condition -d2phi(s*, N-1) = omega fixes the contact slope
 s*, so each trajectory is one adaptive solve over the fixed interval
 [0, w*] with w* = d1phi(s*, N-1), and the physical profile is reconstructed
-from its dense output.  The enclosed volume V_{v0}(s*) is strictly
-decreasing in v0, so matching the directly integrated volume to the target
-is a bracketed monotone root, solved by Brent's method in log2(v0).
+from its dense output.  Reconstruction works in array form: the DOP853
+segment polynomials are stacked once into a ``DenseOutput`` that evaluates
+all knots in one expression, and the slope inverse has an array form, so
+each Newton pass of the inversion of v is a few numpy calls.  The enclosed
+volume V_{v0}(s*) is strictly decreasing in v0, so matching the directly
+integrated volume to the target is a bracketed monotone root, solved by
+Brent's method in log2(v0).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import OdeSolution, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import (
@@ -72,6 +76,41 @@ def unit_ball_volume(dim: int) -> float:
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
+class DenseOutput:
+    """Array-form evaluator of a DOP853 dense output.
+
+    Stacks the per-step interpolants of scipy's ``OdeSolution`` (the
+    ``t_old``, ``h``, ``F`` and ``y_old`` fields of ``Dop853DenseOutput``)
+    and evaluates all targets in one array expression.  Segment choice
+    (``searchsorted`` on the left, clipped) and the polynomial's operation
+    order are scipy's, so values are bit-identical to ``OdeSolution``'s.
+    Called on a scalar it returns shape (n_states,), on an array
+    (n_states, n_points).
+    """
+
+    def __init__(self, ts: np.ndarray, interpolants) -> None:
+        self.ts = ts
+        self.t_max = ts[-1]
+        self.t_old = np.array([ip.t_old for ip in interpolants])
+        self.h = np.array([ip.h for ip in interpolants])
+        # Segment index last, so each step below runs along the targets.
+        self.y_old = np.array([ip.y_old for ip in interpolants]).T
+        # coeffs[i, :, k] is F[-1 - i] of segment k: the order of evaluation.
+        self.coeffs = np.stack([ip.F[::-1] for ip in interpolants], axis=2)
+
+    def __call__(self, w) -> np.ndarray:
+        w = np.asarray(w, dtype=float)
+        k = np.clip(np.searchsorted(self.ts, w, side="left") - 1,
+                    0, len(self.h) - 1)
+        x = (w - self.t_old[k]) / self.h[k]
+        y = np.zeros((len(self.y_old),) + w.shape)
+        for i, f in enumerate(self.coeffs.take(k, axis=2)):
+            y += f
+            y *= x if i % 2 == 0 else 1 - x
+        y += self.y_old.take(k, axis=1)
+        return y
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Transformed ODE solved over w in [0, w*].
@@ -87,7 +126,7 @@ class Trajectory:
     ws: np.ndarray
     v0: float
     tension: SurfaceTension
-    dense: OdeSolution
+    dense: DenseOutput
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +144,14 @@ class ShootingSolution:
 
 
 # ---------------------------------------------------------------------------
-# Scalar kernels for the built-in families
+# Slope inverses for the built-in families
 # ---------------------------------------------------------------------------
+
+def _asymptote(tension: SurfaceTension) -> tuple[float, float]:
+    """sup of s -> d1phi(s, t), phi(1, 0), and the largest admissible |w|."""
+    sup = float(tension.phi.value(1.0, 0.0))
+    return sup, sup * (1.0 - 1e-14)
+
 
 def _d1_inverse(tension: SurfaceTension, t: float) -> Callable[[float], float]:
     """Closed-form inverse of s -> d1phi(s, t) when available, else Brent's
@@ -116,27 +161,22 @@ def _d1_inverse(tension: SurfaceTension, t: float) -> Callable[[float], float]:
     beyond the asymptote raise StalledInversion.
     """
     phi = tension.phi
-    sup = float(phi.value(1.0, 0.0))
+    sup, limit = _asymptote(tension)
 
     def guard(w: float) -> float:
         aw = abs(w)
-        if aw >= sup * (1.0 - 1e-14):
+        if aw >= limit:
             raise StalledInversion(
                 f"slope target {w} at or beyond the asymptote {sup}", target=w
             )
         return aw
 
-    if phi.family == "euclid":
-        def inv(w: float) -> float:
-            aw = guard(w)
-            return math.copysign(t * aw / math.sqrt(1.0 - aw * aw), w)
-        return inv
-    if phi.family == "weighted":
-        rc = math.sqrt(phi.c)
+    if phi.family in ("euclid", "weighted"):
+        scale = math.sqrt(phi.c) * t if phi.family == "weighted" else t
 
         def inv(w: float) -> float:
             aw = guard(w)
-            return math.copysign(rc * t * aw / math.sqrt(1.0 - aw * aw), w)
+            return math.copysign(scale * aw / math.sqrt(1.0 - aw * aw), w)
         return inv
     if phi.family == "pnorm" and phi.p > 1.0:
         p = phi.p
@@ -164,6 +204,54 @@ def _d1_inverse(tension: SurfaceTension, t: float) -> Callable[[float], float]:
         s = brentq(lambda x: float(phi.d1(x, t)) - aw, lo, hi, xtol=_INVERSION_XTOL)
         return math.copysign(s, w)
     return inv
+
+
+def _pow(x: np.ndarray, y: float) -> np.ndarray:
+    """x**y through C pow, as Python floats compute it.  numpy's float64
+    power may dispatch to SIMD kernels that differ from it in the last bit."""
+    return np.power(x.astype(object), y).astype(float)
+
+
+def _d1_inverse_array(tension: SurfaceTension,
+                      t: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Array form of ``_d1_inverse``, equal to it bit for bit: the same
+    closed forms with correctly rounded ``np.sqrt`` and C ``pow``; the
+    scalar Brent inverse mapped over the targets otherwise."""
+    phi = tension.phi
+    sup, limit = _asymptote(tension)
+
+    def guard(w: np.ndarray) -> np.ndarray:
+        aw = np.abs(w)
+        bad = aw >= limit
+        if bad.any():
+            target = float(w[bad][0])
+            raise StalledInversion(
+                f"slope target {target} at or beyond the asymptote {sup}",
+                target=target,
+            )
+        return aw
+
+    if phi.family in ("euclid", "weighted"):
+        scale = math.sqrt(phi.c) * t if phi.family == "weighted" else t
+
+        def inv(w: np.ndarray) -> np.ndarray:
+            aw = guard(w)
+            return np.copysign(scale * aw / np.sqrt(1.0 - aw * aw), w)
+        return inv
+    if phi.family == "pnorm" and phi.p > 1.0:
+        p = phi.p
+        q = p / (p - 1.0)
+
+        def inv(w: np.ndarray) -> np.ndarray:
+            aw = guard(w)
+            u = _pow(aw, q)
+            s = np.copysign(t * _pow(u / (1.0 - u), 1.0 / p), w)
+            return np.where(aw == 0.0, 0.0, s)
+        return inv
+
+    scalar = _d1_inverse(tension, t)
+    return lambda w: np.array([scalar(x) for x in np.asarray(w).tolist()],
+                              dtype=float)
 
 
 def s_star(tension: SurfaceTension, omega: float) -> float:
@@ -230,8 +318,9 @@ def integrate_v(tension: SurfaceTension, v0: float,
         raise NonConvergence(f"capillary ODE solve failed: {sol.message}")
     rs, vs = sol.y
     return Trajectory(
-        rs=rs, vs=vs, ss=np.array([inv(w) for w in sol.t]),
-        ws=rs ** (nm1 - 1) * sol.t, v0=v0, tension=tension, dense=sol.sol,
+        rs=rs, vs=vs, ss=_d1_inverse_array(tension, t)(sol.t),
+        ws=rs ** (nm1 - 1) * sol.t, v0=v0, tension=tension,
+        dense=DenseOutput(sol.t, sol.sol.interpolants),
     )
 
 
@@ -271,16 +360,19 @@ def dV_dv0(tension: SurfaceTension, v0: float, s_star_val: float,
 # Reconstruction and shooting
 # ---------------------------------------------------------------------------
 
-def _invert_v(traj: Trajectory, v_targets: np.ndarray) -> np.ndarray:
-    """rho with v(rho) = target for targets strictly inside (v0, v(w*)).
+def _invert_v(traj: Trajectory,
+              v_targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, rho) with v(rho) = target for targets strictly inside
+    (v0, v(w*)), rho = r(w).
 
     Each target is bracketed between nodes; safeguarded Newton steps in w
     with dv/dw = s(w) / den on the dense output then solve v(w) = target to
     rounding level, which keeps interpolation noise out of the divided
-    differences of downstream residual stencils.
+    differences of downstream residual stencils.  The dense output and the
+    slopes are evaluated for all targets at once.
     """
     nm1 = traj.tension.dim - 1
-    inv = _d1_inverse(traj.tension, float(nm1))
+    inv = _d1_inverse_array(traj.tension, float(nm1))
     nodes = traj.dense.ts
     j = np.clip(np.searchsorted(traj.vs, v_targets) - 1, 0, len(nodes) - 2)
     lo, hi = nodes[j], nodes[j + 1]
@@ -292,7 +384,7 @@ def _invert_v(traj: Trajectory, v_targets: np.ndarray) -> np.ndarray:
         f = v - v_targets
         lo = np.where(f < 0.0, w, lo)
         hi = np.where(f > 0.0, w, hi)
-        s = np.array([inv(x) for x in w])
+        s = inv(w)
         with np.errstate(divide="ignore", invalid="ignore"):
             w_new = w - f * (nm1 * v - (nm1 - 1) * w / r) / s
         # Done once each v(w) is exact to rounding, or w cannot resolve it
@@ -301,7 +393,7 @@ def _invert_v(traj: Trajectory, v_targets: np.ndarray) -> np.ndarray:
             break
         # Bisect wherever the Newton step leaves the bracket (or is NaN).
         w = np.where((w_new >= lo) & (w_new <= hi), w_new, 0.5 * (lo + hi))
-    return r
+    return w, r
 
 
 def reconstruct_profile(traj: Trajectory, tension: SurfaceTension,
@@ -330,7 +422,7 @@ def reconstruct_profile(traj: Trajectory, tension: SurfaceTension,
     # Invert v along the trajectory: r_E(t) = Lambda rho, v(rho) = v_end - t.
     r_prof = np.empty(n_knots)
     r_prof[0] = r_max
-    r_prof[1:-1] = lam * _invert_v(traj, v_end - t_grid[1:-1])
+    r_prof[1:-1] = lam * _invert_v(traj, v_end - t_grid[1:-1])[1]
     r_prof[-1] = 0.0
     prof = Profile(knots=t_grid, r=r_prof, tension=tension, body=body, omega=omega)
     return prof, lam_mult, r_max, t_max

@@ -83,7 +83,22 @@ def test_solve_method_both_cross_difference(tension_file, tmp_path):
     assert code == 0
     report = json.loads(rep.read_text())
     assert report["cross_difference_linf"] <= 0.01
+    assert 0.0 < report["cross_difference_hausdorff"] <= 0.01
     assert (tmp_path / "prof-direct.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--report"])
+def test_solve_writes_into_missing_directories(tension_file, tmp_path, flag):
+    # Each output path names its own fresh nested directory.
+    paths = {"--out": tmp_path / "p.csv", "--report": tmp_path / "r.json"}
+    paths[flag] = tmp_path / "fresh" / "nested" / paths[flag].name
+    argv = ["solve", "--tension", tension_file, "--omega", "-0.5",
+            "--mass", "1.0", "--method", "shoot"]
+    for name, path in paths.items():
+        argv += [name, str(path)]
+    assert run(argv) == 0
+    assert paths[flag].is_file()
+    assert [p.name for p in paths[flag].parent.iterdir()] == [paths[flag].name]
 
 
 def test_wulff_subcommand(tension_file, tmp_path):

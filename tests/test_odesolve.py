@@ -323,3 +323,79 @@ def test_shoot_near_zero_contact_coefficient(family, params, frac):
     d = sol.diagnostics
     assert d["achieved_volume"] == pytest.approx(1.0, rel=1e-6)
     assert abs(d["young_residual"]) < 1e-8
+
+
+@pytest.mark.parametrize("family", ["euclid", "pnorm3", "weighted2",
+                                    "anon_pnorm3"])
+def test_dense_output_matches_ode_solution(request, monkeypatch, family):
+    # DenseOutput stacks the t_old, h, F and y_old fields of scipy's
+    # Dop853DenseOutput; it must reproduce the OdeSolution of the same
+    # solve_ivp call bit for bit.
+    tension = request.getfixturevalue(family)
+    solutions = []
+
+    def capture(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        solutions.append(sol.sol)
+        return sol
+
+    monkeypatch.setattr(od, "solve_ivp", capture)
+    s_stop = od.s_star(tension, -0.5 * tension.f_eN)
+    traj = od.integrate_v(tension, 1.0, s_stop=s_stop)
+    (ref,) = solutions
+    ts = ref.ts
+    assert np.array_equal(traj.dense.ts, ts)
+    assert traj.dense.t_max == ref.t_max
+    rng = np.random.default_rng(0)
+    for w in (ts, 0.5 * (ts[:-1] + ts[1:]), rng.uniform(0.0, ts[-1], 1000)):
+        got = traj.dense(w)
+        assert got.shape == (2, len(w))
+        assert np.array_equal(got, ref(w))
+    for w in (0.0, ts[1], 0.5 * (ts[1] + ts[2]), 0.3 * ts[-1], ts[-1]):
+        got = traj.dense(w)
+        assert got.shape == (2,)
+        assert np.array_equal(got, ref(w))
+
+
+@pytest.mark.parametrize("family, params", [
+    ("euclid", {}),
+    ("weighted", {"c": 2.0}),
+    ("pnorm", {"p": 3.0}),
+    ("pnorm", {"p": 1.5}),
+    ("anon", {}),
+])
+def test_array_d1_inverse_is_the_scalar_one_bit_for_bit(anon_pnorm3, family,
+                                                        params):
+    tension = (anon_pnorm3 if family == "anon"
+               else make_tension(family, **params))
+    scalar = od._d1_inverse(tension, 2.0)
+    array = od._d1_inverse_array(tension, 2.0)
+    sup = float(tension.phi.value(1.0, 0.0))
+    rng = np.random.default_rng(1)
+    w = np.concatenate(([0.0, -0.0, 1e-30, 0.999 * sup, -0.999 * sup],
+                        0.999 * rng.uniform(-sup, sup, 500)))
+    got = array(w)
+    want = np.array([scalar(x) for x in w.tolist()])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    with pytest.raises(StalledInversion):
+        array(np.array([0.5 * sup, -sup]))
+
+
+@pytest.mark.parametrize("family", ["euclid", "pnorm3", "weighted2"])
+def test_invert_v_meets_its_stopping_rule(request, family):
+    # Every interior knot of reconstruct_profile ends with v(w) exact to
+    # rounding, or with a Newton step below 4 ulp of w.
+    tension = request.getfixturevalue(family)
+    traj = od.integrate_v(tension, 1.0,
+                          s_stop=od.s_star(tension, -0.5 * tension.f_eN))
+    v_end = traj.vs[-1]
+    targets = v_end - (v_end - traj.v0) * np.sin(
+        0.5 * math.pi * np.linspace(0.0, 1.0, 801))[1:-1]
+    w, rho = od._invert_v(traj, targets)
+    r, v = traj.dense(w)
+    assert np.array_equal(r, rho)
+    f = v - targets
+    step = f * (2.0 * v - w / r) / od._d1_inverse_array(tension, 2.0)(w)
+    eps = np.finfo(float).eps
+    assert np.all((np.abs(f) <= 4.0 * eps * v_end)
+                  | (np.abs((w - step) - w) <= 4.0 * eps * w))

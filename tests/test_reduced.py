@@ -318,3 +318,21 @@ def test_minimize_direct_converges(name, kw, m):
     sol = odesolve.shoot(tension, omega, m, body=body)
     r_shoot = np.interp(prof.knots, sol.profile.knots, sol.profile.r)
     assert np.max(np.abs(prof.r - r_shoot)) <= 0.01 * np.max(sol.profile.r)
+
+
+def _puddle(body, top, radius=2.0, n=101, eps=1e-3):
+    """Vertical side r = radius up to top - eps, then a flat top to r = 0."""
+    t = np.append(np.linspace(0.0, top - eps, n), top)
+    r = np.append(np.full(n, radius), 0.0)
+    return reduced.Profile(knots=t, r=r, tension=body.tension, body=body)
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-1])
+def test_cross_difference_puddle_pair(euclid_body, delta):
+    # Tops at 0.5 and 0.5 + delta: at equal t the radii differ by the whole
+    # radius near the top, while the curves lie within delta of each other.
+    shoot, direct = _puddle(euclid_body, 0.5), _puddle(euclid_body, 0.5 + delta)
+    linf, hausdorff = checks.cross_difference(shoot, direct)
+    assert linf >= 0.5
+    assert 0.0 < hausdorff <= delta / 2.0 * (1.0 + 1e-12)
+    assert checks.cross_difference(shoot, shoot) == (0.0, 0.0)
