@@ -332,7 +332,7 @@ def suite_convexity(seed: int = DEFAULT_SEED, cases: int = 100) -> dict:
         if repaired is None:
             failures.append((k, "no witness"))
             continue
-        if not (repaired.meta["energy_drop"] > 1e-10):
+        if not (repaired.meta["energy_drop"] > comp.MIN_ENERGY_DROP):
             failures.append((k, "no strict decrease", repaired.meta["energy_drop"]))
         if repaired.meta["volume_error"] > 1e-8 * (1 + 1.0):
             failures.append((k, "volume drift", repaired.meta["volume_error"]))

@@ -308,7 +308,7 @@ def cmd_repair(args) -> int:
             break
         if repaired is None:
             break
-        if repaired.meta["energy_drop"] <= 0:
+        if repaired.meta["energy_drop"] <= competitor.MIN_ENERGY_DROP:
             break  # remaining violations are at rounding level
         params = repaired.meta["params"]
         log.append({

@@ -42,6 +42,10 @@ SCAN_POINTS = 64
 # Default sampling density of cap profile segments.
 CAP_SAMPLES = 513
 
+# Smallest energy drop of a repair that counts as a strict decrease; below
+# it the violation repaired is at rounding level.
+MIN_ENERGY_DROP = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class CapSegment:

@@ -9,8 +9,8 @@ Euler-Lagrange equation into the initial value problem
 
 parametrized by the apex value v0 = v(0) > 0.  The solver takes
 w = d1phi(v', N-1) as the independent variable.  The slope s(w) is then the
-inverse of the monotone map s -> d1phi(s, N-1) (closed form for the built-in
-families, Brent's method otherwise), and the state (r, v) obeys
+inverse of the monotone map s -> d1phi(s, N-1), the closed form
+``tension.phi.d1_inverse``, and the state (r, v) obeys
 
     dr/dw = 1 / den,   dv/dw = s(w) / den,   den = (N-1) v - (N-2) w / r,
 
@@ -19,22 +19,22 @@ phi enters, so this stays regular when d11phi(0, N-1) = 0 (p-norm weights
 with p > 2).
 
 Shooting: Young's condition -d2phi(s*, N-1) = omega fixes the contact slope
-s*, so each trajectory is one adaptive solve over the fixed interval
-[0, w*] with w* = d1phi(s*, N-1), and the physical profile is reconstructed
-from its dense output.  Reconstruction works in array form: the DOP853
-segment polynomials are stacked once into a ``DenseOutput`` that evaluates
-all knots in one expression, and the slope inverse has an array form, so
-each Newton pass of the inversion of v is a few numpy calls.  The enclosed
-volume V_{v0}(s*) is strictly decreasing in v0, so matching the directly
-integrated volume to the target is a bracketed monotone root, solved by
-Brent's method in log2(v0).
+s* (``tension.phi.d2_inverse``), so each trajectory is one adaptive solve
+over the fixed interval [0, w*] with w* = d1phi(s*, N-1), and the physical
+profile is reconstructed from its dense output.  Reconstruction works in
+array form: the DOP853 segment polynomials are stacked once into a
+``DenseOutput`` that evaluates all knots in one expression, and the slope
+inverse takes arrays, so each Newton pass of the inversion of v is a few
+numpy calls.  The enclosed volume V_{v0}(s*) is strictly decreasing in v0,
+so matching the directly integrated volume to the target is a bracketed
+monotone root, solved by Brent's method in log2(v0).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -57,10 +57,6 @@ from .reduced import (
 from .tension import SurfaceTension
 from .wulff import WulffBody, build_wulff_body
 
-
-# Absolute brentq tolerance of the generic slope inversions: negligible, so
-# the relative tolerance alone sets the accuracy, also for slopes near 0.
-_INVERSION_XTOL = 1e-300
 
 # solve_ivp tolerances of integrate_v.  The end state lies within about
 # 4e-12 relative of an rtol-1e-13 solve (tests/test_odesolve.py).
@@ -144,147 +140,20 @@ class ShootingSolution:
 
 
 # ---------------------------------------------------------------------------
-# Slope inverses for the built-in families
+# Contact slope
 # ---------------------------------------------------------------------------
-
-def _asymptote(tension: SurfaceTension) -> tuple[float, float]:
-    """sup of s -> d1phi(s, t), phi(1, 0), and the largest admissible |w|."""
-    sup = float(tension.phi.value(1.0, 0.0))
-    return sup, sup * (1.0 - 1e-14)
-
-
-def _d1_inverse(tension: SurfaceTension, t: float) -> Callable[[float], float]:
-    """Closed-form inverse of s -> d1phi(s, t) when available, else Brent's
-    method on a doubling bracket.
-
-    The map increases from 0 to phi(1, 0) (never attained); targets at or
-    beyond the asymptote raise StalledInversion.
-    """
-    phi = tension.phi
-    sup, limit = _asymptote(tension)
-
-    def guard(w: float) -> float:
-        aw = abs(w)
-        if aw >= limit:
-            raise StalledInversion(
-                f"slope target {w} at or beyond the asymptote {sup}", target=w
-            )
-        return aw
-
-    if phi.family in ("euclid", "weighted"):
-        scale = math.sqrt(phi.c) * t if phi.family == "weighted" else t
-
-        def inv(w: float) -> float:
-            aw = guard(w)
-            return math.copysign(scale * aw / math.sqrt(1.0 - aw * aw), w)
-        return inv
-    if phi.family == "pnorm" and phi.p > 1.0:
-        p = phi.p
-        q = p / (p - 1.0)
-
-        def inv(w: float) -> float:
-            aw = guard(w)
-            if aw == 0.0:
-                return 0.0
-            u = aw**q
-            return math.copysign(t * (u / (1.0 - u)) ** (1.0 / p), w)
-        return inv
-
-    def inv(w: float) -> float:
-        aw = guard(w)
-        if aw == 0.0:
-            return 0.0
-        lo, hi = 0.0, 1.0
-        for _ in range(200):
-            if float(phi.d1(hi, t)) >= aw:
-                break
-            hi *= 2.0
-        else:
-            raise StalledInversion("failed to bracket the slope inversion", target=w)
-        s = brentq(lambda x: float(phi.d1(x, t)) - aw, lo, hi, xtol=_INVERSION_XTOL)
-        return math.copysign(s, w)
-    return inv
-
-
-def _pow(x: np.ndarray, y: float) -> np.ndarray:
-    """x**y through C pow, as Python floats compute it.  numpy's float64
-    power may dispatch to SIMD kernels that differ from it in the last bit."""
-    return np.power(x.astype(object), y).astype(float)
-
-
-def _d1_inverse_array(tension: SurfaceTension,
-                      t: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Array form of ``_d1_inverse``, equal to it bit for bit: the same
-    closed forms with correctly rounded ``np.sqrt`` and C ``pow``; the
-    scalar Brent inverse mapped over the targets otherwise."""
-    phi = tension.phi
-    sup, limit = _asymptote(tension)
-
-    def guard(w: np.ndarray) -> np.ndarray:
-        aw = np.abs(w)
-        bad = aw >= limit
-        if bad.any():
-            target = float(w[bad][0])
-            raise StalledInversion(
-                f"slope target {target} at or beyond the asymptote {sup}",
-                target=target,
-            )
-        return aw
-
-    if phi.family in ("euclid", "weighted"):
-        scale = math.sqrt(phi.c) * t if phi.family == "weighted" else t
-
-        def inv(w: np.ndarray) -> np.ndarray:
-            aw = guard(w)
-            return np.copysign(scale * aw / np.sqrt(1.0 - aw * aw), w)
-        return inv
-    if phi.family == "pnorm" and phi.p > 1.0:
-        p = phi.p
-        q = p / (p - 1.0)
-
-        def inv(w: np.ndarray) -> np.ndarray:
-            aw = guard(w)
-            u = _pow(aw, q)
-            s = np.copysign(t * _pow(u / (1.0 - u), 1.0 / p), w)
-            return np.where(aw == 0.0, 0.0, s)
-        return inv
-
-    scalar = _d1_inverse(tension, t)
-    return lambda w: np.array([scalar(x) for x in np.asarray(w).tolist()],
-                              dtype=float)
-
 
 def s_star(tension: SurfaceTension, omega: float) -> float:
     """Contact slope parameter: the unique s > 0 with -d2phi(s, N-1) = omega.
 
-    Defined for the graph regime omega in (-phi(0,1), 0); d2phi(., N-1)
-    decreases strictly from phi(0,1) to 0, so Brent's method on an expanding
-    bracket always succeeds.  Closed forms are used for the built-in
-    families.
+    Defined for the graph regime omega in (-phi(0,1), 0), where
+    d2phi(., N-1) decreases strictly from phi(0,1) to 0.
     """
     if not (-tension.f_eN < omega < 0.0):
         raise OmegaOutOfGraphRange(
             f"omega={omega} outside the graph regime (-{tension.f_eN}, 0)"
         )
-    t = float(tension.dim - 1)
-    v = -omega
-    phi = tension.phi
-    if phi.family == "euclid":
-        return t * math.sqrt(1.0 - v * v) / v
-    if phi.family == "weighted":
-        c = phi.c
-        return t * math.sqrt(c * c / (v * v) - c)
-    if phi.family == "pnorm" and phi.p > 1.0:
-        q = phi.p / (phi.p - 1.0)
-        return t * (v**-q - 1.0) ** (1.0 / phi.p)
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if float(phi.d2(hi, t)) <= v:
-            break
-        hi *= 2.0
-    else:
-        raise NoBracket(f"d2phi never drops to {v}; omega too close to 0")
-    return brentq(lambda x: float(phi.d2(x, t)) - v, lo, hi, xtol=_INVERSION_XTOL)
+    return float(tension.phi.d2_inverse(-omega, float(tension.dim - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +165,9 @@ def integrate_v(tension: SurfaceTension, v0: float,
     """Solve the capillary ODE in w from the apex to the stop slope.
 
     One DOP853 solve over [0, w*], w* = d1phi(s_stop, N-1), starting from
-    (r, v) = (0, v0); the last node lies at s = s_stop.
+    (r, v) = (0, v0); the last node lies at s = s_stop.  The slope inverse
+    s(w) is only evaluated inside [0, w*], so w* within rounding of the
+    asymptote phi(1, 0) of d1phi raises StalledInversion.
     """
     if not v0 > 0.0:
         raise ValueError("v0 must be positive")
@@ -304,21 +175,27 @@ def integrate_v(tension: SurfaceTension, v0: float,
         raise ValueError("need a positive, finite stop slope s_stop")
     nm1 = tension.dim - 1
     t = float(nm1)
-    inv = _d1_inverse(tension, t)
+    phi = tension.phi
+    w_end = float(phi.d1(s_stop, t))
+    sup = float(phi.value(1.0, 0.0))
+    if w_end >= sup * (1.0 - 1e-14):
+        raise StalledInversion(
+            f"slope target {w_end} at or beyond the asymptote {sup}",
+            target=w_end,
+        )
 
     def rhs(w: float, y: np.ndarray) -> tuple[float, float]:
         r, v = y.tolist()
         den = nm1 * v - (nm1 - 1) * w / r if r > 0.0 else v
-        return 1.0 / den, inv(w) / den
+        return 1.0 / den, phi.d1_inverse(w, t) / den
 
-    w_end = float(tension.phi.d1(s_stop, t))
     sol = solve_ivp(rhs, (0.0, w_end), (0.0, v0), method="DOP853",
                     rtol=_RTOL, atol=_ATOL, dense_output=True)
     if not sol.success:
         raise NonConvergence(f"capillary ODE solve failed: {sol.message}")
     rs, vs = sol.y
     return Trajectory(
-        rs=rs, vs=vs, ss=_d1_inverse_array(tension, t)(sol.t),
+        rs=rs, vs=vs, ss=phi.d1_inverse(sol.t, t),
         ws=rs ** (nm1 - 1) * sol.t, v0=v0, tension=tension,
         dense=DenseOutput(sol.t, sol.sol.interpolants),
     )
@@ -372,7 +249,7 @@ def _invert_v(traj: Trajectory,
     slopes are evaluated for all targets at once.
     """
     nm1 = traj.tension.dim - 1
-    inv = _d1_inverse_array(traj.tension, float(nm1))
+    phi = traj.tension.phi
     nodes = traj.dense.ts
     j = np.clip(np.searchsorted(traj.vs, v_targets) - 1, 0, len(nodes) - 2)
     lo, hi = nodes[j], nodes[j + 1]
@@ -384,7 +261,7 @@ def _invert_v(traj: Trajectory,
         f = v - v_targets
         lo = np.where(f < 0.0, w, lo)
         hi = np.where(f > 0.0, w, hi)
-        s = inv(w)
+        s = phi.d1_inverse(w, float(nm1))
         with np.errstate(divide="ignore", invalid="ignore"):
             w_new = w - f * (nm1 * v - (nm1 - 1) * w / r) / s
         # Done once each v(w) is exact to rounding, or w cannot resolve it

@@ -20,23 +20,22 @@ Built-in h families
 ``l1reg``       smoothed l_1: sum_i sqrt(x_i^2 + eps^2 |x|_2^2)
 
 All evaluation functions accept scalars or numpy arrays and broadcast.
-phi families are evaluated through |s|, i.e. via the even extension in the
-first argument, so central finite differences are well defined at s = 0.
+Each phi family carries its partials ``d1``, ``d2``, ``d11`` in closed form,
+and the two slope inverses the ODE solver needs: ``d1_inverse(w, t)``, the
+s >= 0 with d1phi(s, t) = w for 0 <= w < phi(1, 0), and ``d2_inverse(v, t)``,
+the s > 0 with d2phi(s, t) = v for 0 < v < phi(0, 1).  Each inverse is one
+formula, so the same code takes a float and an array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import DegeneratePoint, InvalidTension, ZeroDirection
-
-# Central finite-difference step for derivative_mode="central-difference".
-# Balances truncation against double-precision rounding.
-FD_STEP = 1e-5
+from .errors import DegeneratePoint, InvalidTension, NoBracket, ZeroDirection
 
 # Number of unit directions sampled when a slice norm registers no closed-form
 # dual.  Error is O(1/M^2) in 2-D after the local bounded refinement.
@@ -65,6 +64,12 @@ class EuclidPhi:
     def d11(self, s, t):
         rho = np.hypot(s, t)
         return t * t / rho**3
+
+    def d1_inverse(self, w, t):
+        return t * w / np.sqrt(1.0 - w * w)
+
+    def d2_inverse(self, v, t):
+        return t * np.sqrt(1.0 - v * v) / v
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,20 @@ class PNormPhi:
         # |s|^(p-2) at s=0: 0 for p>2, finite for p=2, +inf for p<2.
         return out
 
+    def _conjugate(self) -> float:
+        """q = p / (p - 1); p = 1 has constant partials and no inverses."""
+        if self.p == 1.0:
+            raise NoBracket("pnorm with p = 1 has constant partials "
+                            "d1phi = 1 and d2phi = sign(t): no slope inverse")
+        return self.p / (self.p - 1.0)
+
+    def d1_inverse(self, w, t):
+        u = w ** self._conjugate()
+        return t * (u / (1.0 - u)) ** (1.0 / self.p)
+
+    def d2_inverse(self, v, t):
+        return t * (v ** -self._conjugate() - 1.0) ** (1.0 / self.p)
+
 
 @dataclass(frozen=True)
 class WeightedPhi:
@@ -131,6 +150,13 @@ class WeightedPhi:
     def d11(self, s, t):
         rho = self.value(s, t)
         return self.c * t * t / rho**3
+
+    def d1_inverse(self, w, t):
+        return math.sqrt(self.c) * t * w / np.sqrt(1.0 - w * w)
+
+    def d2_inverse(self, v, t):
+        c = self.c
+        return t * np.sqrt(c * c / (v * v) - c)
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +246,10 @@ class SurfaceTension:
     dim: int
     phi: object
     h: object
-    derivative_mode: str = "closed"
-    fd_step: float = FD_STEP
 
     def __post_init__(self):
         if self.dim < 2:
             raise InvalidTension(f"ambient dimension must be >= 2, got {self.dim}")
-        if self.derivative_mode not in ("closed", "central-difference"):
-            raise InvalidTension(f"unknown derivative_mode {self.derivative_mode!r}")
 
     # -- basic evaluations --------------------------------------------------
 
@@ -254,8 +276,9 @@ class SurfaceTension:
 def tension_from_config(cfg: dict) -> SurfaceTension:
     """Build a tension from its JSON document (see README for the schema).
 
-    Raises :class:`InvalidTension` for a missing key, an unknown family or
-    a parameter outside its family's range.
+    Raises :class:`InvalidTension` for a missing key, an unknown family, a
+    parameter outside its family's range, or a derivative mode other than
+    "closed" (the only one; older documents still name it).
     """
     try:
         n = int(cfg["N"])
@@ -271,10 +294,10 @@ def tension_from_config(cfg: dict) -> SurfaceTension:
         if h_family == "euclid":
             h_cfg.setdefault("p", 2.0)
         h = _H_FAMILIES[h_family](**h_cfg)
-        mode = cfg.get("derivative_mode", "closed")
-        fd = float(cfg.get("fd_step", FD_STEP))
-        return SurfaceTension(dim=n, phi=phi, h=h, derivative_mode=mode,
-                              fd_step=fd)
+        if cfg.get("derivative_mode", "closed") != "closed":
+            raise InvalidTension("derivative_mode must be \"closed\", got "
+                                 f"{cfg['derivative_mode']!r}")
+        return SurfaceTension(dim=n, phi=phi, h=h)
     except InvalidTension:
         raise
     except KeyError as exc:
@@ -284,24 +307,10 @@ def tension_from_config(cfg: dict) -> SurfaceTension:
 
 
 def tension_to_config(tension: SurfaceTension) -> dict:
-    phi = tension.phi
-    h = tension.h
-    phi_cfg = {"family": phi.family}
-    if hasattr(phi, "p"):
-        phi_cfg["p"] = phi.p
-    if hasattr(phi, "c"):
-        phi_cfg["c"] = phi.c
-    h_cfg = {"family": h.family}
-    if hasattr(h, "p"):
-        h_cfg["p"] = h.p
-    if hasattr(h, "eps"):
-        h_cfg["eps"] = h.eps
     return {
         "N": tension.dim,
-        "phi": phi_cfg,
-        "h": h_cfg,
-        "derivative_mode": tension.derivative_mode,
-        "fd_step": tension.fd_step,
+        "phi": asdict(tension.phi),
+        "h": asdict(tension.h),
     }
 
 
@@ -337,30 +346,15 @@ def eval_f(tension: SurfaceTension, x) -> float:
 
 
 def phi_partials(tension: SurfaceTension, s, t):
-    """Return (d1 phi, d2 phi, d11 phi) at (s, t), s >= 0, (s, t) != (0, 0).
-
-    Closed forms are used when the family registers them and
-    ``derivative_mode`` is "closed"; otherwise central differences with step
-    ``fd_step`` on the even extension of phi.
-    """
+    """Return (d1 phi, d2 phi, d11 phi) at (s, t), s >= 0, (s, t) != (0, 0)."""
     s_arr = np.asarray(s, dtype=float)
     t_arr = np.asarray(t, dtype=float)
     if np.any((s_arr == 0.0) & (t_arr == 0.0)):
         raise DegeneratePoint("phi partials are undefined at (0, 0)")
     phi = tension.phi
-    if tension.derivative_mode == "closed" and hasattr(phi, "d1"):
-        d1 = phi.d1(s_arr, t_arr)
-        d2 = phi.d2(s_arr, t_arr)
-        d11 = phi.d11(s_arr, t_arr)
-    else:
-        d = tension.fd_step
-        d1 = (phi.value(s_arr + d, t_arr) - phi.value(s_arr - d, t_arr)) / (2 * d)
-        d2 = (phi.value(s_arr, t_arr + d) - phi.value(s_arr, t_arr - d)) / (2 * d)
-        d11 = (
-            phi.value(s_arr + d, t_arr)
-            - 2 * phi.value(s_arr, t_arr)
-            + phi.value(s_arr - d, t_arr)
-        ) / (d * d)
+    d1 = phi.d1(s_arr, t_arr)
+    d2 = phi.d2(s_arr, t_arr)
+    d11 = phi.d11(s_arr, t_arr)
     if np.isscalar(s) and np.isscalar(t):
         return float(d1), float(d2), float(d11)
     return d1, d2, d11
@@ -434,15 +428,6 @@ class AdmissibilityReport:
     tol: float
 
 
-def _d1_at_pole(tension: SurfaceTension, b: float) -> float:
-    """One-sided d/ds phi(s, b) at s = 0+ (second-order stencil)."""
-    phi = tension.phi
-    if tension.derivative_mode == "closed" and hasattr(phi, "d1"):
-        return float(phi.d1(0.0, b))
-    d = tension.fd_step
-    return float((-3 * phi.value(0.0, b) + 4 * phi.value(d, b) - phi.value(2 * d, b)) / (2 * d))
-
-
 def check_admissible(tension: SurfaceTension, tol: float = 1e-8) -> AdmissibilityReport:
     """Populate an AdmissibilityReport; failures are reported, never raised.
 
@@ -451,20 +436,19 @@ def check_admissible(tension: SurfaceTension, tol: float = 1e-8) -> Admissibilit
     function cannot be strictly convex jointly.
     """
     phi = tension.phi
-    d1_poles = (_d1_at_pole(tension, 1.0), _d1_at_pole(tension, -1.0))
+    d1_poles = (float(phi.d1(0.0, 1.0)), float(phi.d1(0.0, -1.0)))
 
-    # Continuity of the gradient approaching (0, +-1): the finite-difference
-    # gradient mismatch must shrink when the probe scale shrinks.  A slowly
-    # vanishing Hoelder modulus (p-norms with p near 1) still counts as
-    # continuous; a jump keeps the ratio at 1.
+    # Continuity of the gradient approaching (0, +-1): the gradient mismatch
+    # must shrink when the probe scale shrinks.  A slowly vanishing Hoelder
+    # modulus (p-norms with p near 1) still counts as continuous; a jump
+    # keeps the ratio at 1.
     smooth = True
     for b in (1.0, -1.0):
         gaps = []
         for delta in (1e-3, 1e-4):
             d1, d2, _ = phi_partials(tension, delta, b)
             d1t, d2t, _ = phi_partials(tension, delta, b + np.sign(b) * delta)
-            pole_d1 = _d1_at_pole(tension, b)
-            _, pole_d2, _ = phi_partials(tension, 0.0, b)
+            pole_d1, pole_d2, _ = phi_partials(tension, 0.0, b)
             gap = max(abs(d1 - pole_d1), abs(d2 - pole_d2), abs(d1t - pole_d1))
             gaps.append(gap)
         if not (gaps[1] <= 0.95 * gaps[0] + 100.0 * tol):
@@ -474,13 +458,7 @@ def check_admissible(tension: SurfaceTension, tol: float = 1e-8) -> Admissibilit
     s_grid = np.logspace(-2, 1, 40)
     curv_min = math.inf
     for b in (1.0, -1.0):
-        if tension.derivative_mode == "closed" and hasattr(phi, "d11"):
-            curv = phi.d11(s_grid, b * np.ones_like(s_grid))
-        else:
-            ds = np.maximum(1e-4, 1e-3 * s_grid)
-            curv = (
-                phi.value(s_grid + ds, b) - 2 * phi.value(s_grid, b) + phi.value(s_grid - ds, b)
-            ) / (ds * ds)
+        curv = phi.d11(s_grid, b * np.ones_like(s_grid))
         curv_min = min(curv_min, float(np.min(curv)))
 
     admissible = (

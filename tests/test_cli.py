@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from wulffdrop import cli, reduced, sets
+from wulffdrop import cli, competitor, reduced, sets
 from wulffdrop.tension import make_tension, tension_to_config
+from wulffdrop.wulff import build_wulff_body
 
 
 @pytest.fixture()
@@ -149,6 +150,30 @@ def test_repair_subcommand(tension_file, tmp_path, euclid, euclid_body):
     assert log["concavity_defect"] <= 1e-6
 
 
+@pytest.mark.parametrize("family", ["euclid", "pnorm3", "weighted2"])
+def test_repair_stops_at_rounding_level(request, family, tmp_path):
+    # Without a floor on the energy drop, all 32 default repairs run and the
+    # last of them drop the energy by as little as 1e-13.
+    tension = request.getfixturevalue(family)
+    tension_path = tmp_path / "tension.json"
+    tension_path.write_text(json.dumps(tension_to_config(tension)))
+    t = np.linspace(0.0, 1.0, 41)
+    r = np.sqrt(np.maximum(1 - t**2, 0.0))
+    r[12:20] *= 0.75
+    prof_path = tmp_path / "dent.csv"
+    cli.write_profile_csv(str(prof_path), reduced.Profile(
+        knots=t, r=r, tension=tension, body=build_wulff_body(tension, 1024),
+        omega=-0.5))
+    rep = tmp_path / "log.json"
+    assert run(["repair", "--tension", str(tension_path), "--omega", "-0.5",
+                "--profile", str(prof_path), "--out", str(tmp_path / "fixed.csv"),
+                "--report", str(rep)]) == 0
+    repairs = json.loads(rep.read_text())["repairs"]
+    assert 0 < len(repairs) < 32
+    assert all(entry["energy_drop"] > competitor.MIN_ENERGY_DROP
+               for entry in repairs)
+
+
 def test_check_subcommand(tmp_path):
     rep = tmp_path / "summary.json"
     assert run(["check", "--suite", "wulff-identity",
@@ -191,8 +216,10 @@ def test_solve_method_both_deterministic_outputs(tension_file, tmp_path):
      '"h": {"family": "lp", "p": 2.0}}', "c > 0"),
     ('{"N": 3, "phi": {"family": "pnorm", "p": 0.5}, '
      '"h": {"family": "lp", "p": 2.0}}', "p >= 1"),
+    ('{"N": 3, "phi": {"family": "euclid"}, "h": {"family": "lp", "p": 2.0}, '
+     '"derivative_mode": "central-difference"}', "'central-difference'"),
 ], ids=["unknown-family", "truncated", "no-N", "weighted-c-negative",
-        "pnorm-p-below-1"])
+        "pnorm-p-below-1", "central-difference"])
 def test_malformed_tension_document_is_a_validation_error(doc, names, tmp_path,
                                                           capsys):
     path = tmp_path / "bad.json"
@@ -286,6 +313,33 @@ def test_out_of_range_numbers_are_validation_errors(argv, names, tension_file,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert names in err[0]
+    assert not out.exists()
+
+
+def test_closed_derivative_mode_document_solves(tmp_path):
+    # Older documents name the one derivative mode explicitly.
+    path = tmp_path / "closed.json"
+    path.write_text('{"N": 3, "phi": {"family": "euclid"}, '
+                    '"h": {"family": "lp", "p": 2.0}, "derivative_mode": "closed"}')
+    assert run(["solve", "--tension", str(path), "--omega", "-0.5",
+                "--mass", "1.0", "--method", "shoot",
+                "--out-dir", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "profile.csv").exists()
+
+
+def test_manhattan_weight_shoot_exits_3(tmp_path, capsys):
+    # pnorm p = 1 builds (it is inadmissible by design) but has no slope
+    # inverse for the shooting solver.
+    path = tmp_path / "p1.json"
+    path.write_text('{"N": 3, "phi": {"family": "pnorm", "p": 1.0}, '
+                    '"h": {"family": "lp", "p": 2.0}}')
+    out = tmp_path / "out"
+    code = run(["solve", "--tension", str(path), "--method", "shoot",
+                "--omega=-0.5", "--mass", "1", "--out-dir", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: solver failed")
+    assert "p = 1" in err[0]
     assert not out.exists()
 
 
