@@ -83,6 +83,7 @@ def suite_symmetrization(seed: int = DEFAULT_SEED, trials: int = 1000) -> dict:
 
 def suite_jensen(seed: int = DEFAULT_SEED, cases: int = 200) -> dict:
     """Per-slab gap vanishes iff the slab is a drifting-free Wulff dilate."""
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     tension = make_tension("euclid")
     body = build_wulff_body(tension, 1024)
@@ -126,7 +127,8 @@ def suite_jensen(seed: int = DEFAULT_SEED, cases: int = 200) -> dict:
     return {
         "name": "jensen",
         "passed": not bad,
-        "details": {"cases": cases, "failures": bad[:10]},
+        "details": {"cases": cases, "failures": bad[:10],
+                    "seconds": time.perf_counter() - t0},
     }
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .errors import (
     DegenerateRadius,
@@ -343,14 +344,20 @@ def _winterbottom_init(tension: SurfaceTension, body: WulffBody, omega: float,
 class _SliceMeasureFunctional:
     """Reduced energy in the slice-measure unknown rho = r^(N-1).
 
-    For admissible tensions the lateral integrand phi(Lambda rho^kappa,
-    -rho') with kappa = (N-2)/(N-1) is smooth through the apex (the pole
+    For admissible tensions the lateral integrand phi(Lambda rho^beta,
+    -rho') with beta = (N-2)/(N-1) is smooth through the apex (the pole
     flatness d1phi(0, +-1) = 0 removes the sqrt term), and the constraint
     and the potential are linear in rho.  This removes the vertical-tangent
     stiffness of the radial parametrization.  rho need not vanish like a
     simple root at the top: for the p = 3 p-norm weight in N = 3 the
     minimizer's radius falls like (T - t)^(2/3) (measured), so rho falls
     like (T - t)^(4/3).
+
+    :meth:`grads` returns the exact second derivatives with the first ones.
+    Each cell couples only its two nodes, so the rho-block of the Hessian is
+    tridiagonal; phi is 1-homogeneous, so at each Gauss node its Hessian is
+    kappa * q q^T with q = (B, -A) and the energy's second derivative in two
+    nodes is a sum of products of the chain factors q . (dA, dB).
     """
 
     def __init__(self, tension, body, omega, xi):
@@ -359,7 +366,7 @@ class _SliceMeasureFunctional:
         self.omega = omega
         self.xi = xi
         self.dxi = np.diff(xi)
-        self.kappa = (tension.dim - 2) / (tension.dim - 1)
+        self.beta = (tension.dim - 2) / (tension.dim - 1)
         self.lam = body.lam
 
     def pieces(self, rho, t_top):
@@ -367,15 +374,12 @@ class _SliceMeasureFunctional:
         slope = np.diff(rho) / dt
         rho_g = rho[:-1, None] + np.diff(rho)[:, None] * GAUSS_X[None, :]
         dead = (rho[:-1] == 0.0) & (rho[1:] == 0.0)
-        a_g = self.lam * rho_g**self.kappa
+        a_g = self.lam * rho_g**self.beta
         b_g = np.broadcast_to((-slope)[:, None], a_g.shape)
         return dt, slope, rho_g, dead, a_g, b_g
 
-    def energy(self, rho, t_top):
-        dt, slope, rho_g, dead, a_g, b_g = self.pieces(rho, t_top)
+    def _energy(self, rho, t_top, dt, rho_g, phi_g):
         area = self.body.area
-        phi_g = self.tension.phi.value(a_g, b_g)
-        phi_g[dead] = 0.0
         fs = float(area * np.sum(dt * (GAUSS_W[None, :] * phi_g).sum(axis=1)))
         # Flat-top term, linear in rho (vanishes with the top slice).
         fs += self.tension.f_eN * area * float(rho[-1])
@@ -384,35 +388,54 @@ class _SliceMeasureFunctional:
         fp = float(area * np.sum(dt * (GAUSS_W[None, :] * t_g * rho_g).sum(axis=1)))
         return fs + fc + fp, fs, fc, fp
 
+    def energy(self, rho, t_top):
+        dt, slope, rho_g, dead, a_g, b_g = self.pieces(rho, t_top)
+        phi_g = self.tension.phi.value(a_g, b_g)
+        phi_g[dead] = 0.0
+        return self._energy(rho, t_top, dt, rho_g, phi_g)
+
     def volume(self, rho, t_top):
         return float(self.body.area * t_top
                      * np.sum(self.dxi * 0.5 * (rho[:-1] + rho[1:])))
 
     def grads(self, rho, t_top):
-        """(E, g_rho, dE_dT, vol, gv_rho, dV_dT)."""
+        """(E, g_rho, dE_dT, vol, gv_rho, dV_dT, hess).
+
+        ``hess`` = (diag, off, col, tt) is the energy's Hessian in
+        (rho_0..rho_M, T): the tridiagonal rho-block's diagonal and its
+        first off-diagonal, the T column and the T-T entry.  The volume is
+        bilinear in (rho, T), so its only second derivative is
+        d2V/drho dT = gv_rho / T.
+        """
         dt, slope, rho_g, dead, a_g, b_g = self.pieces(rho, t_top)
         area = self.body.area
-        n_cells = len(dt)
+        phi = self.tension.phi
         live = ~dead
 
-        phi_g = self.tension.phi.value(a_g, b_g)
+        phi_g = phi.value(a_g, b_g)
         d1_g = np.zeros_like(a_g)
         d2_g = np.zeros_like(a_g)
+        k_g = np.zeros_like(a_g)
         if live.any():
             d1_g[live], d2_g[live], _ = phi_partials(
                 self.tension, a_g[live], b_g[live]
             )
+            k_g[live] = phi.kappa(a_g[live], b_g[live])
         phi_g[dead] = 0.0
 
-        # Value channel d1 * Lambda * kappa * rho^(kappa-1); stays bounded
-        # through the apex because d1 vanishes with its first argument, and
-        # Gauss nodes of live cells have rho_g > 0 strictly.
-        if self.kappa > 0:
+        # Value channel dA/drho_g = Lambda beta rho^(beta-1) and its
+        # derivative; d1 * dA stays bounded through the apex because d1
+        # vanishes with its first argument, and Gauss nodes of live cells
+        # have rho_g > 0 strictly.
+        if self.beta > 0:
             with np.errstate(divide="ignore", invalid="ignore"):
-                vchan = d1_g * self.lam * self.kappa * rho_g ** (self.kappa - 1.0)
-            vchan[dead] = 0.0
+                u_g = self.lam * self.beta * rho_g ** (self.beta - 1.0)
+                du_g = (self.beta - 1.0) * u_g / rho_g
+            u_g[dead] = 0.0
+            du_g[dead] = 0.0
         else:
-            vchan = np.zeros_like(a_g)
+            u_g = du_g = np.zeros_like(a_g)
+        vchan = d1_g * u_g
 
         wx = GAUSS_W[None, :] * (1.0 - GAUSS_X[None, :])
         wy = GAUSS_W[None, :] * GAUSS_X[None, :]
@@ -420,20 +443,25 @@ class _SliceMeasureFunctional:
         # Lateral: value channel plus the slope channel through -rho'.
         ga = (dt[:, None] * wx * vchan).sum(axis=1) + (GAUSS_W[None, :] * d2_g).sum(axis=1)
         gb = (dt[:, None] * wy * vchan).sum(axis=1) - (GAUSS_W[None, :] * d2_g).sum(axis=1)
-        np.add.at(g, np.arange(n_cells), area * ga)
-        np.add.at(g, np.arange(1, n_cells + 1), area * gb)
+        g[:-1] += area * ga
+        g[1:] += area * gb
         # Gravity (linear in rho).
         t_g = self.xi[:-1, None] * t_top + dt[:, None] * GAUSS_X[None, :]
-        np.add.at(g, np.arange(n_cells), area * dt * (wx * t_g).sum(axis=1))
-        np.add.at(g, np.arange(1, n_cells + 1), area * dt * (wy * t_g).sum(axis=1))
+        grav_a = area * dt * (wx * t_g).sum(axis=1)
+        grav_b = area * dt * (wy * t_g).sum(axis=1)
+        g[:-1] += grav_a
+        g[1:] += grav_b
         # Contact and flat top (one-sided derivative at rho_M = 0 included).
         g[0] += self.omega * area
         g[-1] += self.tension.f_eN * area
 
-        e_total, fs, fc, fp = self.energy(rho, t_top)
+        e_total, fs, fc, fp = self._energy(rho, t_top, dt, rho_g, phi_g)
         vol = self.volume(rho, t_top)
 
-        # T-derivatives on knots = xi * T (nodal rho fixed).
+        # T-derivatives on knots = xi * T (nodal rho fixed).  By Euler's
+        # identity phi = A d1 + B d2 the lateral one equals dxi * sum W A d1,
+        # the form the T column below differentiates; gravity is quadratic
+        # in T.
         de_lat = area * float(np.sum(
             self.dxi * (GAUSS_W[None, :] * (phi_g + slope[:, None] * d2_g)).sum(axis=1)
         ))
@@ -442,42 +470,70 @@ class _SliceMeasureFunctional:
 
         gv = np.zeros_like(rho)
         half = area * t_top * 0.5 * self.dxi
-        np.add.at(gv, np.arange(n_cells), half)
-        np.add.at(gv, np.arange(1, n_cells + 1), half)
-        return e_total, g, de_dT, vol, gv, dv_dT
+        gv[:-1] += half
+        gv[1:] += half
+
+        # Second derivatives.  Node a (b) moves A_g by u_g (1-x) (u_g x) and
+        # B by +1/dt (-1/dt); the Hessian kappa q q^T of phi contracts them
+        # to q_a = B u_g (1-x) - A/dt and q_b = B u_g x + A/dt.
+        kw = GAUSS_W[None, :] * k_g
+        q_a = b_g * u_g * (1.0 - GAUSS_X[None, :]) - a_g / dt[:, None]
+        q_b = b_g * u_g * GAUSS_X[None, :] + a_g / dt[:, None]
+        dw = d1_g * du_g
+        h_aa = area * dt * (kw * q_a * q_a + wx * (1.0 - GAUSS_X[None, :]) * dw).sum(axis=1)
+        h_bb = area * dt * (kw * q_b * q_b + wy * GAUSS_X[None, :] * dw).sum(axis=1)
+        off = area * dt * (kw * q_a * q_b + wx * GAUSS_X[None, :] * dw).sum(axis=1)
+        diag = np.zeros_like(rho)
+        diag[:-1] += h_aa
+        diag[1:] += h_bb
+        # dE_lat/dT = dxi sum W A d1, differentiated in the nodes and in T
+        # (dB/dT = -B/T); gravity's T column is 2 g_grav / T.
+        kab = kw * a_g * b_g
+        col = np.zeros_like(rho)
+        col[:-1] += area * self.dxi * (wx * vchan + kab * q_a).sum(axis=1)
+        col[1:] += area * self.dxi * (wy * vchan + kab * q_b).sum(axis=1)
+        col[:-1] += 2.0 * grav_a / t_top
+        col[1:] += 2.0 * grav_b / t_top
+        tt = (area * float(np.sum(self.dxi * (kab * a_g * b_g).sum(axis=1))) / t_top
+              + 2.0 * fp / t_top**2)
+        return e_total, g, de_dT, vol, gv, dv_dT, (diag, off, col, tt)
 
 
-def _lagrangian_hessian(fn: _SliceMeasureFunctional, rho, t_top, lam_mult):
-    """Hessian of E + lam_mult V in z = (rho_0..rho_{M-1}, T).
+def _kkt_step(diag, off, col, tt, grad, a):
+    """Newton direction d of the bordered system [[H, a], [a^T, 0]] (d, mu) = (-grad, 0).
 
-    Each cell couples only its two nodes, so the rho-block is tridiagonal:
-    three interleaved colour groups of central differences of the gradient
-    recover it.  T couples to every node, so its row and column come from
-    one separate T perturbation.
+    H is the Lagrangian Hessian in (rho_0..rho_{n-1}, T): a tridiagonal
+    rho-block (``diag``, ``off``) bordered by the T column ``col`` and the
+    T-T entry ``tt``.  The rho-block is solved against three right-hand
+    sides (-grad, the T column, the volume gradient), then (dT, mu) come
+    from their 2x2 Schur complement.  The rho-block is far worse conditioned
+    than the bordered system (its smooth modes change the volume), so one
+    step of iterative refinement restores the accuracy of a dense solve.
+    Raises ``LinAlgError`` when the band or the Schur complement is
+    singular.
     """
-    n = len(rho) - 1
+    n = len(diag)
+    ab = np.zeros((3, n))
+    ab[0, 1:] = off
+    ab[1] = diag
+    ab[2, :-1] = off
+    a_rho, a_t = a[:n], a[n]
+    x = solve_banded((1, 1), ab, np.column_stack([-grad[:n], col, a_rho]))
+    hx, ax = col @ x[:, 1:], a_rho @ x[:, 1:]
+    schur = np.array([[tt - hx[0], a_t - hx[1]], [a_t - ax[0], -ax[1]]])
 
-    def lag_grad(rho_p, t_p):
-        _, g, de_dT, _, gv, dv_dT = fn.grads(rho_p, t_p)
-        return np.append(g[:-1] + lam_mult * gv[:-1], de_dT + lam_mult * dv_dT)
+    def eliminate(x0, r_t, r_mu):
+        d_t, mu = np.linalg.solve(schur, [r_t - col @ x0, r_mu - a_rho @ x0])
+        return x0 - d_t * x[:, 1] - mu * x[:, 2], d_t, mu
 
-    hess = np.zeros((n + 1, n + 1))
-    h = 1e-6 * rho[:-1]  # relative steps; every free slice measure is positive
-    for colour in range(3):
-        cols = np.arange(colour, n, 3)
-        step = np.zeros_like(rho)
-        step[cols] = h[cols]
-        dg = lag_grad(rho + step, t_top) - lag_grad(rho - step, t_top)
-        for off in (-1, 0, 1):
-            rows = cols + off
-            ok = (rows >= 0) & (rows < n)
-            hess[rows[ok], cols[ok]] = dg[rows[ok]] / (2.0 * h[cols[ok]])
-    hess[:n, :n] = 0.5 * (hess[:n, :n] + hess[:n, :n].T)
-    h_t = 1e-6 * t_top
-    col = (lag_grad(rho, t_top + h_t) - lag_grad(rho, t_top - h_t)) / (2.0 * h_t)
-    hess[:, n] = col
-    hess[n, :] = col
-    return hess
+    d_rho, d_t, mu = eliminate(x[:, 0], -grad[n], 0.0)
+    res = -grad[:n] - diag * d_rho - col * d_t - mu * a_rho
+    res[1:] -= off * d_rho[:-1]
+    res[:-1] -= off * d_rho[1:]
+    e_rho, e_t, _ = eliminate(solve_banded((1, 1), ab, res),
+                              -grad[n] - col @ d_rho - tt * d_t - mu * a_t,
+                              -(a_rho @ d_rho) - a_t * d_t)
+    return np.append(d_rho + e_rho, d_t + e_t)
 
 
 def minimize_direct(tension: SurfaceTension, omega: float, m: float,
@@ -496,8 +552,13 @@ def minimize_direct(tension: SurfaceTension, omega: float, m: float,
     pinched knot near the apex (an apex cell's energy falls like sqrt(rho),
     so Newton would otherwise halve it towards zero one step at a time),
     and rho rescaled onto the volume constraint, which is linear in rho.
-    ``body`` defaults to the 1024-normal Wulff body of ``tension``.  The
-    returned profile carries solver diagnostics in ``meta``.
+    The Hessian is exact and comes with the gradient from one
+    :meth:`_SliceMeasureFunctional.grads` call; its tridiagonal rho-block
+    makes each KKT solve O(n) (:func:`_kkt_step`).  Where it is indefinite
+    on the constraint tangent, its diagonal is shifted up a fixed ladder
+    until the step descends.  ``body`` defaults to the 1024-normal Wulff
+    body of ``tension``.  The returned profile carries solver diagnostics
+    in ``meta``, with one record per Newton step in ``meta["steps"]``.
     """
     check_omega(tension, omega)
     if not 0 < m < math.inf:
@@ -537,29 +598,37 @@ def minimize_direct(tension: SurfaceTension, omega: float, m: float,
     iterations = 0
     proj_norm = math.inf
     converged = False
+    steps = []
     for _ in range(opts.max_iter):
-        e_now, g, de_dT, _, gv, dv_dT = fn.grads(rho, t_top)
+        e_now, g, de_dT, _, gv, dv_dT, (diag, off, col, tt) = fn.grads(rho, t_top)
         grad = np.append(g[:-1], de_dT)
         a = np.append(gv[:-1], dv_dT)
         lam_mult = -float(grad @ a) / float(a @ a)
         proj = grad + lam_mult * a
         proj_norm = float(np.max(np.abs(proj)))
-        if proj_norm <= opts.tol_grad * float(np.max(np.abs(grad))):
+        grad_norm = float(np.max(np.abs(grad)))
+        if proj_norm <= opts.tol_grad * grad_norm:
             converged = True
             break
         iterations += 1
+        record = {"energy": e_now, "rel_projected_grad": proj_norm / grad_norm,
+                  "step": None, "shift": None}
+        steps.append(record)
 
-        hess = _lagrangian_hessian(fn, rho, t_top, lam_mult)
-        kkt = np.zeros((n + 2, n + 2))
-        kkt[:n + 1, n + 1] = a
-        kkt[n + 1, :n + 1] = a
+        # Lagrangian Hessian on the free unknowns (rho_M = 0 is fixed).
+        diag, off = diag[:n], off[:n - 1]
+        col = col[:n] + lam_mult * gv[:n] / t_top
         # Where the Hessian is indefinite on the constraint tangent (puddles
         # at large m), shift its diagonal until the KKT step descends.
         for shift in (0.0, 1e-6, 1e-4, 1e-2, 1.0):
-            kkt[:n + 1, :n + 1] = hess + shift * np.diag(np.abs(np.diag(hess)))
-            d = np.linalg.solve(kkt, np.append(-grad, 0.0))[:n + 1]
+            try:
+                d = _kkt_step(diag + shift * np.abs(diag), off, col,
+                              tt + shift * abs(tt), grad, a)
+            except np.linalg.LinAlgError:
+                continue
             slope = float(grad @ d)
             if slope < 0.0:
+                record["shift"] = shift
                 break
         else:
             break
@@ -574,6 +643,7 @@ def minimize_direct(tension: SurfaceTension, omega: float, m: float,
                                       <= e_now + 1e-4 * step * slope
                                       + 1e-14 * abs(e_now)):
                 rho, t_top = state
+                record["step"] = step
                 break
             step *= 0.5
         else:
@@ -586,12 +656,17 @@ def minimize_direct(tension: SurfaceTension, omega: float, m: float,
     vol_r = reduced_volume(final)
     final = Profile(knots=final.knots, r=final.r * (m / vol_r) ** (1.0 / nm1),
                     tension=tension, body=body, omega=omega)
-    diag = {
+    meta = {
         "iterations": iterations,
         "converged": converged,
         "energy": reduced_energy(final).total,
         "volume": reduced_volume(final),
         "projected_grad": proj_norm,
+        # One record per Newton step: the energy and the relative projected
+        # gradient it started from, the diagonal shift that made the KKT
+        # step descend and the accepted step length (None where the shift
+        # ladder or the line search gave up).
+        "steps": steps,
         # No competitor repair runs inside the Newton iteration; the key
         # stays so that readers of the diagnostics keep one schema.
         "repairs": 0,
@@ -599,7 +674,7 @@ def minimize_direct(tension: SurfaceTension, omega: float, m: float,
         "young_residual": young_residual(final),
     }
     final = Profile(knots=final.knots, r=final.r, tension=tension, body=body,
-                    omega=omega, meta=diag)
+                    omega=omega, meta=meta)
     if not converged and opts.raise_on_failure:
         raise NonConvergence(
             f"Newton iteration did not converge in {iterations} steps "

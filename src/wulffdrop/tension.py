@@ -21,10 +21,13 @@ Built-in h families
 
 All evaluation functions accept scalars or numpy arrays and broadcast.
 Each phi family carries its partials ``d1``, ``d2``, ``d11`` in closed form,
-and the two slope inverses the ODE solver needs: ``d1_inverse(w, t)``, the
-s >= 0 with d1phi(s, t) = w for 0 <= w < phi(1, 0), and ``d2_inverse(v, t)``,
-the s > 0 with d2phi(s, t) = v for 0 < v < phi(0, 1).  Each inverse is one
-formula, so the same code takes a float and an array.
+the scalar ``kappa(s, t)`` = d11/t^2 of its Hessian (phi is 1-homogeneous,
+so the Hessian is kappa * [[t^2, -s t], [-s t, s^2]], and kappa stays finite
+at t = 0), and the two slope inverses the ODE solver needs:
+``d1_inverse(w, t)``, the s >= 0 with d1phi(s, t) = w for
+0 <= w < phi(1, 0), and ``d2_inverse(v, t)``, the s > 0 with
+d2phi(s, t) = v for 0 < v < phi(0, 1).  Each inverse is one formula, so the
+same code takes a float and an array.
 """
 
 from __future__ import annotations
@@ -64,6 +67,9 @@ class EuclidPhi:
     def d11(self, s, t):
         rho = np.hypot(s, t)
         return t * t / rho**3
+
+    def kappa(self, s, t):
+        return 1.0 / np.hypot(s, t) ** 3
 
     def d1_inverse(self, w, t):
         return t * w / np.sqrt(1.0 - w * w)
@@ -112,6 +118,13 @@ class PNormPhi:
         # |s|^(p-2) at s=0: 0 for p>2, finite for p=2, +inf for p<2.
         return out
 
+    def kappa(self, s, t):
+        p = self.p
+        if p == 1.0:
+            return np.zeros_like(np.asarray(s, dtype=float) + np.asarray(t, dtype=float) * 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (p - 1.0) * np.abs(s * t) ** (p - 2.0) * self.value(s, t) ** (1.0 - 2.0 * p)
+
     def _conjugate(self) -> float:
         """q = p / (p - 1); p = 1 has constant partials and no inverses."""
         if self.p == 1.0:
@@ -150,6 +163,9 @@ class WeightedPhi:
     def d11(self, s, t):
         rho = self.value(s, t)
         return self.c * t * t / rho**3
+
+    def kappa(self, s, t):
+        return self.c / self.value(s, t) ** 3
 
     def d1_inverse(self, w, t):
         return math.sqrt(self.c) * t * w / np.sqrt(1.0 - w * w)

@@ -233,13 +233,20 @@ def _alpha_minimize(tension: SurfaceTension, ts: np.ndarray):
     c = b - _INV_GOLDEN * (b - a)
     dpt = a + _INV_GOLDEN * (b - a)
     fc, fd = g(c), g(dpt)
-    while np.max(b - a) > ALPHA_TOL:
+    # Near the poles y_star is so large that one ulp of it exceeds
+    # ALPHA_TOL; such a bracket stops shrinking, and so does the widest
+    # one (every width is non-increasing), which ends the loop there.
+    width = np.max(b - a)
+    while width > ALPHA_TOL:
         take = fc > fd
         a = np.where(take, c, a)
         b = np.where(take, b, dpt)
         c = b - _INV_GOLDEN * (b - a)
         dpt = a + _INV_GOLDEN * (b - a)
         fc, fd = g(c), g(dpt)
+        width, last = np.max(b - a), width
+        if width >= last:
+            break
     y_star = 0.5 * (a + b)
     return np.maximum(g(y_star), 0.0), y_star
 

@@ -1,9 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wulffdrop
 from wulffdrop import cli, competitor, reduced, sets
 from wulffdrop.tension import make_tension, tension_to_config
 from wulffdrop.wulff import build_wulff_body
@@ -352,3 +356,22 @@ def test_shoot_failure_exits_3(tension_file, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: solver failed")
     assert not out.exists()
+
+
+def test_direct_solve_near_the_pole_returns(tmp_path):
+    # pnorm p = 1.5 at omega = -0.01: the initial guess asks for alpha one
+    # ulp below the pole, where the golden-section bracket stops shrinking.
+    # A subprocess with a wall-clock bound turns a hang into a failure.
+    path = tmp_path / "p15.json"
+    path.write_text('{"N": 3, "phi": {"family": "pnorm", "p": 1.5}, '
+                    '"h": {"family": "lp", "p": 2.0}}')
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(wulffdrop.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from wulffdrop.cli import main; "
+         "sys.exit(main(sys.argv[1:]))",
+         "solve", "--tension", str(path), "--method", "direct",
+         "--omega=-0.01", "--mass", "1", "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode in (0, 3), proc.stderr

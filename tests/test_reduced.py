@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wulffdrop import checks, odesolve, reduced
-from wulffdrop.errors import EmptyBase, OmegaOutOfRange
+from wulffdrop.errors import EmptyBase, NonConvergence, OmegaOutOfRange
 from wulffdrop.tension import make_tension
 from wulffdrop.wulff import build_wulff_body
 
@@ -244,7 +244,7 @@ def test_slice_measure_grads_match_central_differences(name, dim, kw):
     tension = make_tension(name, dim=dim, **kw)
     for seed in range(3):
         fn, rho, t_top, _ = _random_slice_state(tension, seed)
-        e, g, de_dT, vol, gv, dv_dT = fn.grads(rho, t_top)
+        e, g, de_dT, vol, gv, dv_dT, _ = fn.grads(rho, t_top)
         assert e == fn.energy(rho, t_top)[0] and vol == fn.volume(rho, t_top)
 
         def fd(f, i=None):
@@ -266,29 +266,69 @@ def test_slice_measure_grads_match_central_differences(name, dim, kw):
         assert dv_dT == pytest.approx(fd(fn.volume), rel=1e-6, abs=1e-10)
 
 
+def _dense_hessian(diag, off, col, tt):
+    """The bordered-tridiagonal Hessian of grads as one dense matrix."""
+    n = len(diag)
+    hess = np.diag(np.append(diag, tt))
+    hess[np.arange(n - 1), np.arange(1, n)] = off
+    hess[np.arange(1, n), np.arange(n - 1)] = off
+    hess[:n, n] = hess[n, :n] = col
+    return hess
+
+
 @pytest.mark.parametrize("name,dim,kw", SLICE_CASES)
 def test_lagrangian_hessian_matches_gradient_differences(name, dim, kw):
-    # Hessian-vector products against a directional difference of the
-    # Lagrangian gradient; checks the colour-group assembly and the T row.
+    # Exact Hessian-vector products of the Lagrangian E + lam_mult V in the
+    # free unknowns (rho_0..rho_{M-1}, T) against a fourth-order central
+    # difference of its gradient along random directions.
     tension = make_tension(name, dim=dim, **kw)
     fn, rho, t_top, rng = _random_slice_state(tension, 7)
     lam_mult = -1.3
-    hess = reduced._lagrangian_hessian(fn, rho, t_top, lam_mult)
-    assert np.array_equal(hess, hess.T)
     n = len(rho) - 1
-    assert not np.any(np.triu(hess[:n, :n], 2))
+    *_, gv, _, (diag, off, col, tt) = fn.grads(rho, t_top)
+    hess = _dense_hessian(diag[:n], off[:n - 1],
+                          col[:n] + lam_mult * gv[:n] / t_top, tt)
 
     def lag_grad(z):
-        _, g, de_dT, _, gv, dv_dT = fn.grads(np.append(z[:n], 0.0), z[n])
+        _, g, de_dT, _, gv, dv_dT, _ = fn.grads(np.append(z[:n], 0.0), z[n])
         return np.append(g[:-1] + lam_mult * gv[:-1], de_dT + lam_mult * dv_dT)
 
     z = np.append(rho[:-1], t_top)
     for _ in range(3):
         v = rng.normal(size=n + 1) * z
-        eps = 1e-6
-        fd = (lag_grad(z + eps * v) - lag_grad(z - eps * v)) / (2 * eps)
+        eps = 3e-5
+        fd = (8.0 * (lag_grad(z + eps * v) - lag_grad(z - eps * v))
+              - (lag_grad(z + 2 * eps * v) - lag_grad(z - 2 * eps * v))) / (12 * eps)
         hv = hess @ v
-        assert np.max(np.abs(hv - fd)) <= 1e-5 * np.max(np.abs(fd))
+        assert np.max(np.abs(hv - fd)) <= 1e-7 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-2])
+@pytest.mark.parametrize("name,dim,kw", SLICE_CASES)
+def test_banded_kkt_step_matches_dense_solve(name, dim, kw, shift):
+    # The banded solve with its 2x2 Schur complement is the dense solve of
+    # the same bordered KKT matrix, also with a diagonal shift applied.  The
+    # system is the solver's first one on 33 knots (condition number below
+    # 1e5): a dense solve itself is only good to about cond * 1e-16.
+    tension = make_tension(name, dim=dim, **kw)
+    body = build_wulff_body(tension, 256)
+    omega = -0.5 * tension.f_eN
+    xi = 1.0 - (1.0 - np.linspace(0.0, 1.0, 33)) ** 1.5
+    r0, t_top = reduced._winterbottom_init(tension, body, omega, 1.0, xi)
+    fn = reduced._SliceMeasureFunctional(tension, body, omega, xi)
+    n = len(xi) - 1
+    _, g, de_dT, _, gv, dv_dT, (diag, off, col, tt) = fn.grads(r0 ** (dim - 1), t_top)
+    grad, a = np.append(g[:-1], de_dT), np.append(gv[:-1], dv_dT)
+    lam_mult = -float(grad @ a) / float(a @ a)
+    col = col[:n] + lam_mult * gv[:n] / t_top
+    diag = diag[:n] + shift * np.abs(diag[:n])
+    tt = tt + shift * abs(tt)
+    d = reduced._kkt_step(diag, off[:n - 1], col, tt, grad, a)
+    kkt = np.zeros((n + 2, n + 2))
+    kkt[:n + 1, :n + 1] = _dense_hessian(diag, off[:n - 1], col, tt)
+    kkt[:n + 1, n + 1] = kkt[n + 1, :n + 1] = a
+    dense = np.linalg.solve(kkt, np.append(-grad, 0.0))[:n + 1]
+    assert np.max(np.abs(d - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_minimize_direct_uses_given_body(euclid):
@@ -318,6 +358,36 @@ def test_minimize_direct_converges(name, kw, m):
     sol = odesolve.shoot(tension, omega, m, body=body)
     r_shoot = np.interp(prof.knots, sol.profile.knots, sol.profile.r)
     assert np.max(np.abs(prof.r - r_shoot)) <= 0.01 * np.max(sol.profile.r)
+
+
+def test_minimize_direct_step_records(pnorm3):
+    # One deterministic record per Newton step: energies never rise, every
+    # step started above the stopping tolerance and was accepted with a
+    # shift from the ladder.
+    body = build_wulff_body(pnorm3, 1024)
+    runs = [reduced.minimize_direct(pnorm3, -0.5, 1.0, body=body).meta
+            for _ in range(2)]
+    assert runs[0]["steps"] == runs[1]["steps"]
+    steps = runs[0]["steps"]
+    assert len(steps) == runs[0]["iterations"] > 0
+    energies = [s["energy"] for s in steps]
+    assert all(e1 <= e0 * (1 + 1e-14) for e0, e1 in zip(energies, energies[1:]))
+    for s in steps:
+        assert s["rel_projected_grad"] > reduced.MinimizeOptions().tol_grad
+        assert 0.0 < s["step"] <= 1.0
+        assert s["shift"] in (0.0, 1e-6, 1e-4, 1e-2, 1.0)
+
+
+@pytest.mark.xfail(strict=True, raises=NonConvergence,
+                   reason="large drops: shifted Newton steps shrink towards "
+                          "zero near the flat top (see meta['steps'])")
+@pytest.mark.parametrize("frac", [-0.05, -0.01])
+@pytest.mark.parametrize("name,kw", [("euclid", {}), ("weighted", {"c": 2.0})])
+def test_minimize_direct_converges_at_large_mass(name, kw, frac):
+    tension = make_tension(name, **kw)
+    prof = reduced.minimize_direct(tension, frac * tension.f_eN, 1e3,
+                                   body=build_wulff_body(tension, 1024))
+    assert prof.meta["converged"]
 
 
 def _puddle(body, top, radius=2.0, n=101, eps=1e-3):

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -148,6 +149,28 @@ def test_alpha_slope_is_envelope_derivative(euclid):
     for t in (0.2, 0.6, -0.4):
         assert wulff_alpha_slope(euclid, t) == pytest.approx(
             -t / math.sqrt(1 - t * t), abs=1e-6)
+
+
+def test_alpha_returns_within_one_ulp_of_the_pole():
+    # At t = 1 - 2^-53 the minimizer y* of phi(1, y) - t y is so large that
+    # one ulp of it exceeds the golden-section width, so the bracket stops
+    # shrinking before it reaches that width.  The alarm turns a search that
+    # never ends into a failure.
+    tension = make_tension("pnorm", p=1.5)
+
+    def expire(signum, frame):
+        raise TimeoutError("wulff_alpha did not return within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        alpha = wulff_alpha(tension, 1.0 - 2.0**-53)
+        slope = wulff_alpha_slope(tension, 1.0 - 2.0**-53)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert 0.0 <= alpha < 1e-3
+    assert slope < -1e6
 
 
 @pytest.mark.parametrize("name,kw", [
