@@ -307,9 +307,7 @@ def cmd_repair(args) -> int:
             log.append({"failed": type(exc).__name__})
             break
         if repaired is None:
-            break
-        if repaired.meta["energy_drop"] <= competitor.MIN_ENERGY_DROP:
-            break  # remaining violations are at rounding level
+            break  # concave, or every violation left is at rounding level
         params = repaired.meta["params"]
         log.append({
             "t1": params.t1, "t2": params.t2,

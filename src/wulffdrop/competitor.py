@@ -46,6 +46,10 @@ CAP_SAMPLES = 513
 # it the violation repaired is at rounding level.
 MIN_ENERGY_DROP = 1e-10
 
+# Chord deficit, relative to max(1, max r), at or below which a concavity
+# violation is at rounding level.
+MIN_DEFICIT = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class CapSegment:
@@ -239,6 +243,10 @@ def solve_params(e: Profile, t1: float, t2: float, side: str) -> CompetitorParam
             sig_min = fa.solve_on_branch(peak_val / ratio, peak, hi)
             sig_lo, sig_hi = sig_min + eps, hi - eps
             candidates = [near_branch, inc_branch]
+        if not sig_lo < sig_hi:
+            # alpha(sigma) * ratio exceeds the peak width for every sigma,
+            # as for the box-shaped K of pnorm p = 1 (alpha = 1).
+            raise NoBracket(f"no sigma fits the far slice (side {side})")
 
     def make_residual(z_of):
         def residual(sig):
@@ -304,29 +312,40 @@ def compare_surface_energy(e: Profile, params: CompetitorParams):
     return cap_energy, original
 
 
-def find_nonconvexity(e: Profile, epsilon: float):
-    """Witness (t1', t2') of failed discrete concavity with gap < epsilon.
-
-    Returns None when the profile is concave on its support.  Otherwise the
-    worst chord violation seeds the sweep: the chord-deficit function is
-    maximized, its superlevel interval at (1 - delta) of the maximum is
-    mapped back to heights, and delta shrinks until the gap is below epsilon.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+def _violations(e: Profile):
+    """Knots where discrete concavity fails, by decreasing chord deficit,
+    and those deficits relative to max(1, max r)."""
     t, r = e.knots, e.r
     slopes = np.diff(r) / np.diff(t)
     kink = np.diff(slopes)
     scale = max(1.0, float(np.max(r)))
-    cand = np.nonzero(kink > 1e-11 * scale)[0] + 1
+    ic = np.nonzero(kink > 1e-11 * scale)[0] + 1
     support = r > 0
-    cand = [i for i in cand if support[i - 1] or support[i] or support[i + 1]]
-    if not cand:
-        return None
-    ic = np.array(cand)
+    ic = ic[support[ic - 1] | support[ic] | support[ic + 1]]
     w = (t[ic + 1] - t[ic]) / (t[ic + 1] - t[ic - 1])
     deficit = w * r[ic - 1] + (1 - w) * r[ic + 1] - r[ic]
-    i = cand[int(np.argmax(deficit))]
+    order = np.argsort(-deficit, kind="stable")
+    return ic[order], deficit[order] / scale
+
+
+def find_nonconvexity(e: Profile, epsilon: float):
+    """Witness (t1', t2') of failed discrete concavity with gap < epsilon.
+
+    Returns None when the profile is concave on its support.  Otherwise the
+    worst chord violation seeds the sweep of ``_sweep``.
+    """
+    seeds, _ = _violations(e)
+    return _sweep(e, int(seeds[0]), epsilon) if len(seeds) else None
+
+
+def _sweep(e: Profile, i: int, epsilon: float):
+    """Witness of the violation at knot i: the chord-deficit function is
+    maximized, its superlevel interval at (1 - delta) of the maximum is
+    mapped back to heights, and delta shrinks until the gap is below
+    epsilon.  None when the deficit vanishes."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    t, r = e.knots, e.r
     t1, t2 = float(t[i - 1]), float(t[i + 1])
 
     ta, tb = t1, t2
@@ -375,19 +394,42 @@ def find_nonconvexity(e: Profile, epsilon: float):
 def repair_profile(e: Profile, tension: SurfaceTension, omega: float,
                    epsilon: Optional[float] = None,
                    max_shrinks: int = 12) -> Optional[Profile]:
-    """One competitor repair at the worst concavity violation.
+    """One competitor repair that lowers the energy by more than
+    MIN_ENERGY_DROP, or None when no violation yields one.
 
-    Returns None when the profile is already concave.  When the construction
-    hypotheses fail for the witness interval (typically the case-2 mass
-    condition near the apex), the witness gap is shrunk geometrically: the
-    sweep guarantees arbitrarily small violating intervals, on which the
-    hypotheses eventually hold.
+    Violations are tried by decreasing chord deficit.  A repair at rounding
+    level is passed over for the next violation while that one's relative
+    deficit exceeds MIN_DEFICIT: the worst kink can sit on a span so short
+    that its repair gains nothing, while a shallower one still gains much.
+    When the construction hypotheses fail for the witness interval
+    (typically the case-2 mass condition near the apex), the witness gap is
+    shrunk geometrically: the sweep guarantees arbitrarily small violating
+    intervals, on which the hypotheses eventually hold.  A failure at the
+    worst violation is raised; one further down is passed over.
     """
     if epsilon is None:
         epsilon = 0.5 * e.t_max
+    seeds, deficits = _violations(e)
+    for k in range(len(seeds)):
+        if k > 0 and deficits[k] <= MIN_DEFICIT:
+            break
+        try:
+            repaired = _repair_at(e, int(seeds[k]), tension, omega, epsilon,
+                                  max_shrinks)
+        except CompetitorFailure:
+            if k == 0:
+                raise
+            continue
+        if repaired is not None and repaired.meta["energy_drop"] > MIN_ENERGY_DROP:
+            return repaired
+    return None
+
+
+def _repair_at(e: Profile, i: int, tension: SurfaceTension, omega: float,
+               epsilon: float, max_shrinks: int) -> Optional[Profile]:
     last: Exception | None = None
     for _ in range(max_shrinks):
-        witness = find_nonconvexity(e, epsilon=epsilon)
+        witness = _sweep(e, i, epsilon)
         if witness is None:
             return None
         try:

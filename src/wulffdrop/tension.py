@@ -28,6 +28,13 @@ at t = 0), and the two slope inverses the ODE solver needs:
 0 <= w < phi(1, 0), and ``d2_inverse(v, t)``, the s > 0 with
 d2phi(s, t) = v for 0 < v < phi(0, 1).  Each inverse is one formula, so the
 same code takes a float and an array.
+
+Each family is phi(a, b) = |(a, tau b)|_p with tau = phi(0, 1) (p = 2,
+tau = sqrt(c) for ``weighted``), so its Wulff shape is the unit ball of
+|(x, z / tau)|_q.  ``polar_exponent`` states q = p / (p - 1): 2 for
+``euclid`` and ``weighted``, inf for ``pnorm`` p = 1.  The Wulff sections
+of the full tension are then alpha(t) K_h with
+alpha(t) = (1 - |t / tau|^q)^(1/q) (see ``wulff.alpha_table``).
 """
 
 from __future__ import annotations
@@ -70,6 +77,8 @@ class EuclidPhi:
 
     def kappa(self, s, t):
         return 1.0 / np.hypot(s, t) ** 3
+
+    polar_exponent = 2.0
 
     def d1_inverse(self, w, t):
         return t * w / np.sqrt(1.0 - w * w)
@@ -125,6 +134,11 @@ class PNormPhi:
         with np.errstate(divide="ignore", invalid="ignore"):
             return (p - 1.0) * np.abs(s * t) ** (p - 2.0) * self.value(s, t) ** (1.0 - 2.0 * p)
 
+    @property
+    def polar_exponent(self) -> float:
+        """q = p / (p - 1); inf for p = 1, whose Wulff shape is a box."""
+        return math.inf if self.p == 1.0 else self._conjugate()
+
     def _conjugate(self) -> float:
         """q = p / (p - 1); p = 1 has constant partials and no inverses."""
         if self.p == 1.0:
@@ -166,6 +180,8 @@ class WeightedPhi:
 
     def kappa(self, s, t):
         return self.c / self.value(s, t) ** 3
+
+    polar_exponent = 2.0
 
     def d1_inverse(self, w, t):
         return math.sqrt(self.c) * t * w / np.sqrt(1.0 - w * w)

@@ -21,11 +21,18 @@ tension shares one body, and a body's arrays are read-only.
 The full Wulff shape K of f = phi(h(.), x_N) is axially symmetric with
 horizontal sections alpha(t) * K_h, where
 
-    alpha(t) = inf_y max{ phi(1, y) - t y, 0 },
+    alpha(t) = inf_y max{ phi(1, y) - t y, 0 }.
 
-the infimum running over the whole real line (the clamp handles heights
-outside the vertical extent).  ``alpha_table`` interpolates it once per
-tension and inverts it on either monotone side of its peak.
+Every phi family has the form phi(a, b) = |(a, tau b)|_p, so K is the unit
+ball of |(x, z / tau)|_q for the polar exponent q = p / (p - 1) and
+
+    alpha(t) = (1 - |t / tau|^q)^(1/q)  on (-tau, tau),  0 outside,
+
+with tau = phi(0, 1): euclid q = 2, tau = 1; weighted q = 2, tau = sqrt(c);
+pnorm q = p / (p - 1), tau = 1.  The limit p = 1 has q = inf: K is a box,
+alpha = 1 on (-1, 1).  ``alpha_table`` evaluates alpha, its slope, its
+inverse on either side of the peak at t = 0, and the cap volumes
+integral alpha^(N-1) from the same formula.
 """
 
 from __future__ import annotations
@@ -35,8 +42,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.spatial import ConvexHull, QhullError
+from scipy.special import beta, betainc, betaincc
 
 from .errors import DimensionUnsupported, InvalidInput
 from .tension import SurfaceTension
@@ -44,11 +51,6 @@ from .tension import SurfaceTension
 # Edges shorter than this are dropped.  The origin must also sit this far
 # inside the polar hull, which bounds the polygon within radius 1e12.
 DEDUP_TOL = 1e-12
-
-# Golden-section width for the alpha(t) minimization.
-ALPHA_TOL = 1e-10
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -198,80 +200,109 @@ def vertical_extent(tension: SurfaceTension) -> tuple[float, float]:
     return (-tension.f_neg_eN, tension.f_eN)
 
 
-def _alpha_minimize(tension: SurfaceTension, ts: np.ndarray):
-    """Vectorized minimization of y -> phi(1, y) - t y for t inside the extent.
+def _one_minus_pow(x, q):
+    """1 - x^q for 0 <= x < 1, accurate where x^q is close to 1; 1 at
+    x = 0 and for q = inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.expm1(q * np.log(x))
 
-    Returns (alpha, y_star); by the envelope theorem alpha'(t) = -y_star(t).
-    The bracket starts at the documented range [-2 phi(0,-1), 2 phi(0,1)] and
-    is expanded geometrically whenever the objective still decreases at an
-    endpoint (the minimizer escapes to infinity as t approaches the poles).
+
+@dataclass(frozen=True)
+class AlphaTable:
+    """alpha(z) = (1 - |z/tau|^q)^(1/q) on (-tau, tau), 0 outside, and the
+    cap volume above(z) = |K cap {x_N > z}| / |K_h|.
+
+    tau = t_top = phi(0, 1) and q is the polar exponent of phi.  alpha is
+    even, so ``peak`` is 0 and alpha(peak) = 1.  With u = |z/tau|^q the half
+    volume is (tau/q) B(1/q, (N-1)/q + 1); the part above z >= 0 is that
+    times the upper regularized incomplete beta at u, which equals the
+    lower one of the swapped parameters at 1 - u.  For q = inf (a box)
+    alpha is 1 and above(z) = tau - z.
     """
-    phi = tension.phi
 
-    def g(y):
-        return phi.value(1.0, y) - ts * y
+    t_bot: float
+    t_top: float
+    peak: float
+    total: float
+    q: float
+    nm1: int
 
-    lo = np.full(ts.shape, -2.0 * tension.f_neg_eN - 1.0)
-    hi = np.full(ts.shape, 2.0 * tension.f_eN + 1.0)
-    for _ in range(80):
-        width = hi - lo
-        probe = 1e-6 * width
-        grow_hi = g(hi) < g(hi - probe)
-        grow_lo = g(lo) < g(lo + probe)
-        if not (grow_hi.any() or grow_lo.any()):
-            break
-        hi = np.where(grow_hi, hi + 2.0 * width, hi)
-        lo = np.where(grow_lo, lo - 2.0 * width, lo)
+    # Scalars are evaluated as one-element arrays: numpy's scalar power
+    # rounds differently from its array loop, and a batched call must give
+    # the scalar answers bit for bit.
 
-    # 256-point localization, then golden section inside the bracketing cell.
-    grid = lo[None, :] + (hi - lo)[None, :] * np.linspace(0.0, 1.0, 257)[:, None]
-    vals = phi.value(1.0, grid) - ts[None, :] * grid
-    k = np.argmin(vals, axis=0)
-    cell = (hi - lo) / 256.0
-    a = lo + cell * np.maximum(k - 1, 0)
-    b = lo + cell * np.minimum(k + 1, 256)
-    c = b - _INV_GOLDEN * (b - a)
-    dpt = a + _INV_GOLDEN * (b - a)
-    fc, fd = g(c), g(dpt)
-    # Near the poles y_star is so large that one ulp of it exceeds
-    # ALPHA_TOL; such a bracket stops shrinking, and so does the widest
-    # one (every width is non-increasing), which ends the loop there.
-    width = np.max(b - a)
-    while width > ALPHA_TOL:
-        take = fc > fd
-        a = np.where(take, c, a)
-        b = np.where(take, b, dpt)
-        c = b - _INV_GOLDEN * (b - a)
-        dpt = a + _INV_GOLDEN * (b - a)
-        fc, fd = g(c), g(dpt)
-        width, last = np.max(b - a), width
-        if width >= last:
-            break
-    y_star = 0.5 * (a + b)
-    return np.maximum(g(y_star), 0.0), y_star
+    def _eval(self, z, formula):
+        zs = np.atleast_1d(np.asarray(z, dtype=float))
+        x = np.abs(zs) / self.t_top
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(x < 1.0, formula(zs, x, _one_minus_pow(x, self.q)), 0.0)
+        return float(out[0]) if np.ndim(z) == 0 else out
+
+    def __call__(self, z):
+        return self._eval(z, lambda z, x, w: w ** (1.0 / self.q))
+
+    def slope(self, z):
+        """alpha'(z); 0 outside (-tau, tau)."""
+        q = self.q
+        return self._eval(z, lambda z, x, w: (-np.sign(z) * x ** (q - 1.0)
+                                              * w ** (1.0 / q - 1.0) / self.t_top))
+
+    def above(self, z):
+        q, tau = self.q, self.t_top
+        zs = np.clip(np.atleast_1d(np.asarray(z, dtype=float)), self.t_bot, tau)
+        if math.isinf(q):
+            out = tau - zs
+        else:
+            a, b = 1.0 / q, self.nm1 / q + 1.0
+            x = np.abs(zs) / tau
+            u, w = x ** q, _one_minus_pow(x, q)
+            # Each beta function takes the smaller of u and 1 - u: near 1 it
+            # would form the complement itself, losing the digits of the tail.
+            tail = 0.5 * self.total * np.where(u < w, betaincc(a, b, u), betainc(b, a, w))
+            out = np.where(zs >= 0.0, tail, self.total - tail)
+        return float(out[0]) if np.ndim(z) == 0 else out
+
+    def solve_on_branch(self, target, z_lo, z_hi):
+        """z in [z_lo, z_hi] with alpha(z) = target, assuming monotonicity.
+
+        The arguments broadcast against each other.  An entry returns z_lo
+        when alpha(z_lo) = target, and z_hi when alpha - target keeps one sign
+        on its branch.  A root is -tau (1 - target^q)^(1/q) where alpha
+        rises towards z_hi and its mirror image where it falls.
+        """
+        scalar = max(np.ndim(v) for v in (target, z_lo, z_hi)) == 0
+        target, z_lo, z_hi = np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (target, z_lo, z_hi)))
+        f_lo = self(z_lo) - target
+        f_hi = self(z_hi) - target
+        with np.errstate(invalid="ignore"):
+            root = self.t_top * _one_minus_pow(target, self.q) ** (1.0 / self.q)
+            root = np.clip(np.where(f_hi > 0.0, -root, root), z_lo, z_hi)
+        z = np.where(f_lo * f_hi < 0.0, root, np.where(f_lo == 0.0, z_lo, z_hi))
+        return float(z[0]) if scalar else z
+
+
+@lru_cache(maxsize=32)
+def alpha_table(tension: SurfaceTension) -> AlphaTable:
+    lo, hi = vertical_extent(tension)
+    q, nm1 = tension.phi.polar_exponent, tension.dim - 1
+    total = 2.0 * hi if math.isinf(q) else 2.0 * hi / q * beta(1.0 / q, nm1 / q + 1.0)
+    return AlphaTable(t_bot=lo, t_top=hi, peak=0.0, total=float(total), q=q, nm1=nm1)
+
+
+# The benchmark harness calls the two tables of earlier versions by these
+# names and reads their cache_info(); both are the one cached builder.
+alpha_spline = alpha_volume_table = alpha_table
 
 
 def wulff_alpha(tension: SurfaceTension, t):
     """Section scale alpha(t) of the full Wulff shape; 0 outside its extent."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    lo, hi = vertical_extent(tension)
-    out = np.zeros_like(t_arr)
-    inside = (t_arr > lo) & (t_arr < hi)
-    if inside.any():
-        out[inside], _ = _alpha_minimize(tension, t_arr[inside])
-    return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
+    return alpha_table(tension)(t)
 
 
 def wulff_alpha_slope(tension: SurfaceTension, t):
-    """alpha'(t) = -y_star(t) from the envelope of the defining infimum."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    lo, hi = vertical_extent(tension)
-    out = np.zeros_like(t_arr)
-    inside = (t_arr > lo) & (t_arr < hi)
-    if inside.any():
-        _, ystar = _alpha_minimize(tension, t_arr[inside])
-        out[inside] = -ystar
-    return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
+    """alpha'(t); 0 outside the extent."""
+    return alpha_table(tension).slope(t)
 
 
 def concavity_defect(t: np.ndarray, a: np.ndarray) -> float:
@@ -304,130 +335,3 @@ def wulff_profile(tension: SurfaceTension, n: int = 512) -> WulffProfile:
     lo, hi = vertical_extent(tension)
     ts = np.linspace(lo, hi, n)
     return WulffProfile(ts=ts, alphas=wulff_alpha(tension, ts))
-
-
-# ---------------------------------------------------------------------------
-# Interpolated alpha and its cumulative section volume
-# ---------------------------------------------------------------------------
-
-# The alpha table samples 2 * ALPHA_CELLS + 1 heights; the cumulative volume
-# applies Simpson's rule to each pair of cells.
-ALPHA_CELLS = 2048
-
-
-@dataclass(frozen=True)
-class AlphaTable:
-    """Interpolated alpha and C(z) = integral_{t_bot}^{z} alpha(u)^(N-1) du.
-
-    Both splines run in the grading coordinate xi of one set of exact
-    golden-section samples, clustered quadratically at both poles so the
-    sqrt-type vanishing of alpha never meets the interpolation or the
-    quadrature (alpha error ~1e-13).  ``peak`` is the height of the widest
-    section and ``above(z)`` returns |K cap {x_N > z}| / |K_h|.  The samples
-    rise up to index ``_k_peak`` and fall after it.
-    """
-
-    t_bot: float
-    t_top: float
-    peak: float
-    total: float
-    _alpha: CubicSpline
-    _cumulative: CubicSpline
-    _samples: np.ndarray
-    _k_peak: int
-
-    def _u_xi(self, z):
-        u = (np.asarray(z, dtype=float) - self.t_bot) / (self.t_top - self.t_bot)
-        return u, np.arccos(1.0 - 2.0 * np.clip(u, 0.0, 1.0)) / math.pi
-
-    def __call__(self, z):
-        u, xi = self._u_xi(z)
-        out = np.where((u > 0.0) & (u < 1.0), self._alpha(xi), 0.0)
-        return float(out) if np.ndim(z) == 0 else out
-
-    def cumulative(self, z):
-        return self._cumulative(self._u_xi(z)[1])
-
-    def above(self, z):
-        return self.total - self.cumulative(z)
-
-    def solve_on_branch(self, target, z_lo, z_hi):
-        """z in [z_lo, z_hi] with alpha(z) = target, assuming monotonicity.
-
-        The arguments broadcast against each other.  An entry returns z_lo
-        when alpha(z_lo) = target, and z_hi when alpha - target keeps one sign
-        on its branch.
-        """
-        target, z_lo, z_hi = np.broadcast_arrays(
-            *(np.asarray(v, dtype=float) for v in (target, z_lo, z_hi)))
-        f_lo = self(z_lo) - target
-        f_hi = self(z_hi) - target
-        z = np.where(f_lo == 0.0, z_lo, z_hi)
-        todo = f_lo * f_hi < 0.0
-        if todo.any():
-            z[todo] = self._invert(target[todo], z_lo[todo], z_hi[todo],
-                                   f_hi[todo] > 0.0)
-        return float(z) if z.ndim == 0 else z
-
-    def _invert(self, target, z_lo, z_hi, rising):
-        """Roots bracketed by [z_lo, z_hi], to 1e-15 in xi.
-
-        A search of the samples on alpha's rising or falling side gives the
-        spline cell holding each root; Newton steps on the cell's cubic,
-        kept inside the shrinking bracket by bisection, then converge to it.
-        """
-        x, c, vals, kp = self._alpha.x, self._alpha.c, self._samples, self._k_peak
-        xi_lo, xi_hi = self._u_xi(z_lo)[1], self._u_xi(z_hi)[1]
-        first = np.where(rising, np.searchsorted(vals[:kp + 1], target),
-                         kp + np.searchsorted(-vals[kp:], -target))
-        cell = np.clip(first - 1,
-                       np.minimum(np.searchsorted(x, xi_lo, "right") - 1, len(x) - 2),
-                       np.maximum(np.searchsorted(x, xi_hi) - 1, 0))
-        a = np.maximum(x[cell], xi_lo)
-        b = np.minimum(x[cell + 1], xi_hi)
-        x0, (c0, c1, c2, c3) = x[cell], c[:, cell]
-        xi = 0.5 * (a + b)
-        moving = np.ones(xi.shape, dtype=bool)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(64):
-                d = xi - x0
-                g = ((c0 * d + c1) * d + c2) * d + c3 - target
-                below = (g < 0.0) == rising
-                a, b = np.where(below, xi, a), np.where(below, b, xi)
-                step = xi - g / ((3.0 * c0 * d + 2.0 * c1) * d + c2)
-                step = np.where((step >= a) & (step <= b), step, 0.5 * (a + b))
-                # A converged entry stops moving, so batching never changes it.
-                xi, moving = np.where(moving, step, xi), moving & (np.abs(step - xi) > 1e-15)
-                if not moving.any():
-                    break
-        z = self.t_bot + (self.t_top - self.t_bot) * 0.5 * (1.0 - np.cos(math.pi * xi))
-        return np.clip(z, z_lo, z_hi)
-
-
-@lru_cache(maxsize=32)
-def alpha_table(tension: SurfaceTension) -> AlphaTable:
-    lo, hi = vertical_extent(tension)
-    span = hi - lo
-    xi = np.linspace(0.0, 1.0, 2 * ALPHA_CELLS + 1)
-    ts = lo + span * 0.5 * (1.0 - np.cos(math.pi * xi))
-    vals = wulff_alpha(tension, ts)
-    k_peak = int(np.argmax(vals))
-    peak = float(ts[k_peak])
-    # Refine the peak in the original coordinate (alpha is concave there).
-    grid = np.linspace(max(lo, peak - 0.01 * span), min(hi, peak + 0.01 * span), 201)
-    peak = float(grid[int(np.argmax(wulff_alpha(tension, grid)))])
-    dt_dxi = span * 0.5 * math.pi * np.sin(math.pi * xi)
-    integrand = vals ** (tension.dim - 1) * dt_dxi
-    h = xi[1] - xi[0]
-    cells = (integrand[0:-2:2] + 4.0 * integrand[1::2] + integrand[2::2]) * (2 * h) / 6.0
-    cum = np.concatenate([[0.0], np.cumsum(cells)])
-    vals.flags.writeable = False
-    return AlphaTable(t_bot=lo, t_top=hi, peak=peak, total=float(cum[-1]),
-                      _alpha=CubicSpline(xi, vals),
-                      _cumulative=CubicSpline(xi[::2], cum),
-                      _samples=vals, _k_peak=k_peak)
-
-
-# The benchmark harness calls the two tables of earlier versions by these
-# names and reads their cache_info(); both are the one cached builder.
-alpha_spline = alpha_volume_table = alpha_table

@@ -154,11 +154,9 @@ def test_repair_subcommand(tension_file, tmp_path, euclid, euclid_body):
     assert log["concavity_defect"] <= 1e-6
 
 
-@pytest.mark.parametrize("family", ["euclid", "pnorm3", "weighted2"])
-def test_repair_stops_at_rounding_level(request, family, tmp_path):
-    # Without a floor on the energy drop, all 32 default repairs run and the
-    # last of them drop the energy by as little as 1e-13.
-    tension = request.getfixturevalue(family)
+def repair_dented_quarter_circle(tension, tmp_path):
+    """Run ``repair`` on the 41-knot quarter circle with r[12:20] *= 0.75;
+    returns the exit code and the report path."""
     tension_path = tmp_path / "tension.json"
     tension_path.write_text(json.dumps(tension_to_config(tension)))
     t = np.linspace(0.0, 1.0, 41)
@@ -169,13 +167,53 @@ def test_repair_stops_at_rounding_level(request, family, tmp_path):
         knots=t, r=r, tension=tension, body=build_wulff_body(tension, 1024),
         omega=-0.5))
     rep = tmp_path / "log.json"
-    assert run(["repair", "--tension", str(tension_path), "--omega", "-0.5",
+    code = run(["repair", "--tension", str(tension_path), "--omega", "-0.5",
                 "--profile", str(prof_path), "--out", str(tmp_path / "fixed.csv"),
-                "--report", str(rep)]) == 0
+                "--report", str(rep)])
+    return code, rep
+
+
+@pytest.mark.parametrize("family", ["euclid", "pnorm3", "weighted2"])
+def test_repair_stops_at_rounding_level(request, family, tmp_path):
+    # Without a floor on the energy drop, all 32 default repairs run and the
+    # last of them drop the energy by as little as 1e-13.
+    code, rep = repair_dented_quarter_circle(request.getfixturevalue(family),
+                                             tmp_path)
+    assert code == 0
     repairs = json.loads(rep.read_text())["repairs"]
     assert 0 < len(repairs) < 32
     assert all(entry["energy_drop"] > competitor.MIN_ENERGY_DROP
                for entry in repairs)
+
+
+def test_repair_passes_over_rounding_level_violations(weighted2, tmp_path):
+    # The deepest kink left after 14 repairs sits on a span of 1e-4 and gains
+    # 9e-11; a shallower kink on a span of 0.025 still gains 6e-6.  Stopping
+    # at the first repair at rounding level ends at 8.628976249862; all 32
+    # repairs, taken blindly, reach 8.628970219160.
+    code, rep = repair_dented_quarter_circle(weighted2, tmp_path)
+    assert code == 0
+    assert json.loads(rep.read_text())["final_energy"] <= 8.628970219160 + 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+def test_manhattan_weight_repair_and_direct_solve(tmp_path, capsys):
+    # pnorm p = 1 has the box Wulff shape, alpha = 1 on (-1, 1): no cap can
+    # make a far slice wider than its cut, so the repair logs one NoBracket
+    # and exits 0, and the direct solver fails from the box start (exit 3).
+    tension = make_tension("pnorm", p=1.0)
+    code, rep = repair_dented_quarter_circle(tension, tmp_path)
+    assert code == 0
+    assert json.loads(rep.read_text())["repairs"] == [{"failed": "NoBracket"}]
+    assert capsys.readouterr().err == ""
+    out = tmp_path / "out"
+    code = run(["solve", "--tension", str(tmp_path / "tension.json"),
+                "--method", "direct", "--omega=-0.5", "--mass", "1",
+                "--out-dir", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: solver failed")
+    assert not out.exists()
 
 
 def test_check_subcommand(tmp_path):
@@ -360,8 +398,8 @@ def test_shoot_failure_exits_3(tension_file, tmp_path, capsys):
 
 def test_direct_solve_near_the_pole_returns(tmp_path):
     # pnorm p = 1.5 at omega = -0.01: the initial guess asks for alpha one
-    # ulp below the pole, where the golden-section bracket stops shrinking.
-    # A subprocess with a wall-clock bound turns a hang into a failure.
+    # ulp below the pole.  A subprocess with a wall-clock bound turns a hang
+    # into a failure.
     path = tmp_path / "p15.json"
     path.write_text('{"N": 3, "phi": {"family": "pnorm", "p": 1.5}, '
                     '"h": {"family": "lp", "p": 2.0}}')

@@ -1,8 +1,11 @@
 import math
-import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 from scipy.special import gamma
 
 from wulffdrop.errors import DimensionUnsupported
@@ -152,25 +155,16 @@ def test_alpha_slope_is_envelope_derivative(euclid):
 
 
 def test_alpha_returns_within_one_ulp_of_the_pole():
-    # At t = 1 - 2^-53 the minimizer y* of phi(1, y) - t y is so large that
-    # one ulp of it exceeds the golden-section width, so the bracket stops
-    # shrinking before it reaches that width.  The alarm turns a search that
-    # never ends into a failure.
+    # pnorm p = 1.5 has q = 3: alpha(t) = (1 - t^3)^(1/3).  At t = 1 - d,
+    # d = 2^-53, the minimizer of phi(1, y) - t y is near 1e10 and a search
+    # for it loses alpha to cancellation; the reference expands 1 - t^3.
     tension = make_tension("pnorm", p=1.5)
-
-    def expire(signum, frame):
-        raise TimeoutError("wulff_alpha did not return within 10 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(10)
-    try:
-        alpha = wulff_alpha(tension, 1.0 - 2.0**-53)
-        slope = wulff_alpha_slope(tension, 1.0 - 2.0**-53)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert 0.0 <= alpha < 1e-3
-    assert slope < -1e6
+    d = 2.0**-53
+    t = 1.0 - d
+    w = 3.0 * d - 3.0 * d * d + d**3
+    assert wulff_alpha(tension, t) == pytest.approx(w ** (1.0 / 3.0), rel=1e-12)
+    assert wulff_alpha_slope(tension, t) == pytest.approx(
+        -t * t * w ** (-2.0 / 3.0), rel=1e-8)
 
 
 @pytest.mark.parametrize("name,kw", [
@@ -232,3 +226,59 @@ def test_solve_on_branch_in_and_off_branch(pnorm3):
     assert np.max(np.abs(fa(z[:2]) - targets[:2])) <= 1e-12
     assert z[0] < fa.peak < z[1]
     assert z[2] == z_hi[2] and z[3] == z_hi[3]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(["euclid", "pnorm", "weighted"]),
+    param=st.floats(1.2, 4.0),
+    dim=st.sampled_from([2, 3]),
+    frac=st.floats(-0.98, 0.98),
+)
+def test_alpha_closed_form_properties(family, param, dim, frac):
+    kw = {"pnorm": {"p": param}, "weighted": {"c": param}}.get(family, {})
+    tension = make_tension(family, dim=dim, **kw)
+    fa = alpha_table(tension)
+    tau = fa.t_top
+    t = frac * tau
+    a = fa(t)
+    # alpha is the infimum of phi(1, y) - t y (convex in y).
+    ref = minimize_scalar(lambda y: tension.phi.value(1.0, y) - t * y,
+                          bracket=(-1.0, 1.0)).fun
+    assert a == pytest.approx(ref, abs=1e-10)
+    # Each branch inverse lands on its side of the peak with alpha = a.
+    lo_z = fa.solve_on_branch(a, fa.t_bot, fa.peak)
+    hi_z = fa.solve_on_branch(a, fa.peak, fa.t_top)
+    assert fa.t_bot <= lo_z <= fa.peak <= hi_z <= fa.t_top
+    assert fa(lo_z) == pytest.approx(a, abs=1e-12)
+    assert fa(hi_z) == pytest.approx(a, abs=1e-12)
+    # The slope against a central difference inside the smooth piece.
+    h = 1e-4 * min(abs(t), tau - abs(t))
+    if h > 1e-7 * tau:
+        fd = (fa(t + h) - fa(t - h)) / (2.0 * h)
+        assert fa.slope(t) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+    # Cap volume against adaptive quadrature of alpha^(N-1).
+    cap = quad(lambda u: fa(u) ** (dim - 1), t, tau,
+               points=[0.0] if t < 0.0 else None, epsabs=1e-13, limit=200)[0]
+    assert fa.above(t) == pytest.approx(cap, abs=1e-9)
+    # Batched calls give the scalar answers bit for bit.
+    ts = np.array([t, -t, 0.5 * t, tau, -2.0 * tau])
+    for fn in (fa, fa.slope, fa.above):
+        assert np.array_equal(fn(ts), [fn(x) for x in ts])
+    targets = np.array([a, 0.5 * a, 2.0, -1.0])
+    assert np.array_equal(fa.solve_on_branch(targets, fa.peak, fa.t_top),
+                          [fa.solve_on_branch(x, fa.peak, fa.t_top) for x in targets])
+
+
+def test_alpha_box_limit_of_pnorm_p1():
+    # q = inf: K is the box [-1, 1]^2 in (|x'|, x_N), so alpha = 1 inside,
+    # the cap volume above z is 1 - z, and a width below 1 is reached only
+    # at the edges of the extent.
+    fa = alpha_table(make_tension("pnorm", p=1.0))
+    z = np.array([-0.999, -0.5, 0.0, 0.7, 0.999])
+    assert np.array_equal(fa(z), np.ones(5))
+    assert np.array_equal(fa.slope(z), np.zeros(5))
+    assert np.allclose(fa.above(z), 1.0 - z, rtol=0.0, atol=1e-15)
+    assert fa.total == 2.0 and fa.above(-1.0) == 2.0 and fa.above(1.0) == 0.0
+    assert fa.solve_on_branch(0.5, fa.t_bot, fa.peak) == -1.0
+    assert fa.solve_on_branch(0.5, fa.peak, fa.t_top) == 1.0
