@@ -292,6 +292,13 @@ def cmd_symmetrize(args) -> int:
 
 
 def cmd_repair(args) -> int:
+    if not args.epsilon > 0:
+        print(f"error: --epsilon must be positive, got {args.epsilon}", file=sys.stderr)
+        return 2
+    if args.max_repairs < 0:
+        print(f"error: --max-repairs must be at least 0, got {args.max_repairs}",
+              file=sys.stderr)
+        return 2
     tension = _load_tension(args.tension)
     body = build_wulff_body(tension, args.m_normals)
     profile = _parse_input(

@@ -27,8 +27,8 @@ from .errors import (
     NoBracket,
     SigmaOutOfRange,
 )
-from ._quad import GAUSS_W, GAUSS_X, slab_volume
-from .reduced import Profile, reduced_energy, reduced_volume
+from ._quad import slab_volume
+from .reduced import Profile, lateral_slab_energy, reduced_energy, reduced_volume
 from .tension import SurfaceTension
 from .wulff import alpha_table, build_wulff_body, vertical_extent, wulff_alpha
 
@@ -89,16 +89,9 @@ def section_volume(p: Profile, ta: float, tb: float) -> float:
 
 def lateral_energy_between(p: Profile, ta: float, tb: float) -> float:
     """Lateral surface energy of the profile restricted to [ta, tb]."""
-    nm1 = p.tension.dim - 1
-    lam = p.body.lam
     ts = np.unique(np.concatenate([[ta, tb], p.knots[(p.knots > ta) & (p.knots < tb)]]))
-    rs = p.interp(ts)
-    dt = np.diff(ts)
-    slope = np.diff(rs) / dt
-    r_g = rs[:-1, None] + np.diff(rs)[:, None] * GAUSS_X[None, :]
-    phi = p.tension.phi.value(lam, -nm1 * slope)
-    s0 = (GAUSS_W[None, :] * r_g ** (nm1 - 1)).sum(axis=1)
-    return float(p.body.area * np.sum(dt * s0 * phi))
+    slabs = lateral_slab_energy(p.tension, p.body.lam, ts, p.interp(ts))
+    return float(p.body.area * np.sum(slabs))
 
 
 # ---------------------------------------------------------------------------
@@ -122,25 +115,17 @@ def cap_profile(tension: SurfaceTension, side: str, sigma: float,
 
     side "+": the part of K above sigma, dilated by b and anchored so the cut
     lies at height t_anchor; side "-": the part below sigma, anchored from
-    above.  The sampling grid clusters quadratically at the far pole where
-    alpha has a vertical tangent.
+    above.  It is ``_sample_cap``'s cap with the far cut at the pole.
     """
     lo, hi = _check_sigma(tension, sigma)
+    if side not in ("+", "-"):
+        raise ValueError("side must be '+' or '-'")
     if body is None:
         body = build_wulff_body(tension, 1024)
     nm1 = tension.dim - 1
-    v_k_sigma = body.area * wulff_alpha(tension, sigma) ** nm1
-    b = (v_anchor / v_k_sigma) ** (1.0 / nm1)
-    xi = np.linspace(0.0, 1.0, n_samples)
-    if side == "+":
-        z = sigma + (hi - sigma) * np.sin(0.5 * math.pi * xi)
-        ts = t_anchor + b * (z - sigma)
-    elif side == "-":
-        z = sigma - (sigma - lo) * np.sin(0.5 * math.pi * (1.0 - xi))
-        ts = t_anchor + b * (z - sigma)
-    else:
-        raise ValueError("side must be '+' or '-'")
-    rs = b * alpha_table(tension)(z)
+    b = (v_anchor / (body.area * wulff_alpha(tension, sigma) ** nm1)) ** (1.0 / nm1)
+    ts, rs = _sample_cap(tension, b, t_anchor, sigma, hi if side == "+" else lo,
+                         side, n_samples)
     return CapSegment(ts=ts, rs=rs, side=side, sigma=sigma, b=b)
 
 
@@ -180,14 +165,17 @@ def solve_params(e: Profile, t1: float, t2: float, side: str) -> CompetitorParam
     """Solve the cut height sigma and truncation height tau of the cap.
 
     The cap is anchored at t1 (side "+") or t2 (side "-") with its cut slice
-    matching E there.  The far slice match is enforced exactly by inverting
-    alpha on the appropriate monotone branch; a single Brent root solve in
-    sigma then drives the enclosed cap volume to the middle volume of E.
-    Both the middle volume and the cap volume are evaluated on the same
-    piecewise-linear discretization used for splicing, so the matches hold
-    to the root solve's accuracy.  Each candidate branch is scanned on a
-    65-point sigma grid in one array evaluation (the residual runs from the
-    whole rescaled shape down to a vanishing cap, so a bracket exists).
+    matching E there.  The far slice match alpha(z_cut) = alpha(sigma) *
+    ratio, ratio = r_far / r_anchor, is enforced exactly by the signed
+    inverse z_cut = +-inverse(alpha(sigma) * ratio): the sign puts z_cut
+    past the peak (+ for side "+", - for side "-"), or, when ratio > 1, first
+    on sigma's own side.  A single Brent root solve in sigma then drives the
+    enclosed cap volume to the middle volume of E.  Both the middle volume
+    and the cap volume are evaluated on the same piecewise-linear
+    discretization used for splicing, so the matches hold to the root
+    solve's accuracy.  Each sign is scanned on a 65-point sigma grid in one
+    array evaluation (the residual runs from the whole rescaled shape down
+    to a vanishing cap, so a bracket exists).
     """
     if not (0.0 < t1 < t2):
         raise ValueError("need 0 < t1 < t2")
@@ -196,7 +184,7 @@ def solve_params(e: Profile, t1: float, t2: float, side: str) -> CompetitorParam
     tension = e.tension
     nm1 = tension.dim - 1
     fa = alpha_table(tension)
-    lo, hi, peak = fa.t_bot, fa.t_top, fa.peak
+    lo, hi = fa.t_bot, fa.t_top
     span = hi - lo
     eps = 1e-9 * span
     area = e.body.area
@@ -213,63 +201,45 @@ def solve_params(e: Profile, t1: float, t2: float, side: str) -> CompetitorParam
     if r_anchor <= 0:
         raise HypothesisViolated(f"empty anchor slice at t={t_anchor}")
     ratio = r_far / r_anchor
-    peak_val = fa(peak)
-
-    def inc_branch(sig):
-        return fa.solve_on_branch(fa(sig) * ratio, lo, peak)
-
-    def dec_branch(sig):
-        return fa.solve_on_branch(fa(sig) * ratio, peak, hi)
-
-    def near_branch(sig):
-        # The monotone piece between sigma and the peak, on sigma's side.
-        if side == "+":
-            return fa.solve_on_branch(fa(sig) * ratio, np.minimum(sig, peak), peak)
-        return fa.solve_on_branch(fa(sig) * ratio, peak, np.maximum(sig, peak))
-
+    past = 1.0 if side == "+" else -1.0
     if ratio <= 1.0:
-        # Far slice no wider than the cut: z lies past the peak on the far
-        # side, for every admissible sigma.
-        candidates = [dec_branch] if side == "+" else [inc_branch]
+        # Far slice no wider than the cut: z lies past the peak, for every
+        # admissible sigma.
+        signs = (past,)
         sig_lo, sig_hi = lo + eps, hi - eps
     else:
         # Far slice wider than the cut: alpha(sigma) * ratio must stay below
-        # the peak width, and z may sit before or past the peak.
+        # the peak width, which keeps sigma beyond inverse(1 / ratio) on its
+        # own side, and z may sit on sigma's side of the peak or past it.
+        bound = fa.inverse(1.0 / ratio)
         if side == "+":
-            sig_max = fa.solve_on_branch(peak_val / ratio, lo, peak)
-            sig_lo, sig_hi = lo + eps, sig_max - eps
-            candidates = [near_branch, dec_branch]
+            sig_lo, sig_hi = lo + eps, -bound - eps
         else:
-            sig_min = fa.solve_on_branch(peak_val / ratio, peak, hi)
-            sig_lo, sig_hi = sig_min + eps, hi - eps
-            candidates = [near_branch, inc_branch]
+            sig_lo, sig_hi = bound + eps, hi - eps
+        signs = (-past, past)
         if not sig_lo < sig_hi:
             # alpha(sigma) * ratio exceeds the peak width for every sigma,
             # as for the box-shaped K of pnorm p = 1 (alpha = 1).
             raise NoBracket(f"no sigma fits the far slice (side {side})")
 
-    def make_residual(z_of):
-        def residual(sig):
-            z = z_of(sig)
-            b = r_anchor / fa(sig)
-            ts, rs = _sample_cap(tension, b, t_anchor, sig, z, side)
-            return slab_volume(area, ts, rs, nm1) - v_mid
-        return residual
+    def far_cut(sig, sign):
+        return sign * fa.inverse(fa(sig) * ratio)
+
+    def residual(sig, sign):
+        b = r_anchor / fa(sig)
+        ts, rs = _sample_cap(tension, b, t_anchor, sig, far_cut(sig, sign), side)
+        return slab_volume(area, ts, rs, nm1) - v_mid
 
     grid = np.linspace(sig_lo, sig_hi, SCAN_POINTS + 1)
-    sigma = None
-    last_table = None
-    for z_of in candidates:
-        resid = make_residual(z_of)
-        sigma, vals = _scan_bracket(resid, grid)
-        last_table = np.stack([grid, vals])
+    for sign in signs:
+        sigma, vals = _scan_bracket(lambda sig: residual(sig, sign), grid)
         if sigma is not None:
-            z = z_of(sigma)
             break
-    if sigma is None:
+    else:
         raise NoBracket(f"cap volume residual (side {side}) never crosses zero",
-                        table=last_table)
+                        table=np.stack([grid, vals]))
 
+    z = far_cut(sigma, sign)
     b = r_anchor / fa(sigma)
     tau = t_anchor + b * (z - sigma)
     ts, rs = _sample_cap(tension, b, t_anchor, sigma, z, side)
@@ -285,31 +255,18 @@ def solve_params(e: Profile, t1: float, t2: float, side: str) -> CompetitorParam
 # Surface-energy comparison and the competitor itself
 # ---------------------------------------------------------------------------
 
-def _cap_as_knots(e: Profile, params: CompetitorParams,
-                  n_samples: int = CAP_SAMPLES):
-    """Sample the solved truncated cap as piecewise-linear knot data.
-
-    Returns (ts, rs) spanning [t1, tau] for side "+" and [tau, t2] for
-    side "-", on exactly the grid the parameter solve used.
-    """
-    t_anchor = params.t1 if params.side == "+" else params.t2
-    return _sample_cap(e.tension, params.b, t_anchor, params.sigma,
-                       params.z_cut, params.side, n_samples)
-
-
 def compare_surface_energy(e: Profile, params: CompetitorParams):
     """(cap_energy, original_energy) of the lateral surfaces being swapped.
 
     Both sides are evaluated with the same piecewise-linear reduced-energy
     quadrature, so the fixed-point case (E itself a cap) compares equal to
-    rounding.
+    rounding.  The cap is sampled on the grid of the parameter solve.
     """
-    ts, rs = _cap_as_knots(e, params)
-    shift = ts[0]
-    cap = Profile(knots=ts - shift, r=rs, tension=e.tension, body=e.body)
-    cap_energy = lateral_energy_between(cap, cap.knots[0], cap.knots[-1])
-    original = lateral_energy_between(e, params.t1, params.t2)
-    return cap_energy, original
+    t_anchor = params.t1 if params.side == "+" else params.t2
+    ts, rs = _sample_cap(e.tension, params.b, t_anchor, params.sigma,
+                         params.z_cut, params.side)
+    cap = lateral_slab_energy(e.tension, e.body.lam, ts, rs)
+    return float(e.body.area * np.sum(cap)), lateral_energy_between(e, params.t1, params.t2)
 
 
 def _violations(e: Profile):
@@ -343,7 +300,7 @@ def _sweep(e: Profile, i: int, epsilon: float):
     maximized, its superlevel interval at (1 - delta) of the maximum is
     mapped back to heights, and delta shrinks until the gap is below
     epsilon.  None when the deficit vanishes."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     t, r = e.knots, e.r
     t1, t2 = float(t[i - 1]), float(t[i + 1])
@@ -467,30 +424,28 @@ def apply_competitor(e: Profile, t1: float, t2: float,
     _check_hyp1(e, t1, t2)
     nm1 = tension.dim - 1
     r1, r2 = float(e.interp(t1)), float(e.interp(t2))
-
-    if r1 <= r2:
-        params = solve_params(e, t1, t2, "+")
-        tau = params.tau
-        ts_cap, rs_cap = _cap_as_knots(e, params)
-        low = e.knots < t1 - 1e-13
-        high = e.knots > t2 + 1e-13
-        new_t = np.concatenate([e.knots[low], ts_cap, e.knots[high] - (t2 - tau)])
-        new_r = np.concatenate([e.r[low], rs_cap, e.r[high]])
-    else:
+    side = "+" if r1 <= r2 else "-"
+    if side == "-":
         v_above = section_volume(e, t2, e.t_max)
         v_sup = e.body.area * float(np.max(e.r)) ** nm1
         if not (t2 - t1 < v_above / v_sup):
             raise HypothesisViolated(
                 "case-2 mass hypothesis fails: not enough volume above t2"
             )
-        params = solve_params(e, t1, t2, "-")
-        tau = params.tau
-        ts_cap, rs_cap = _cap_as_knots(e, params)
+    params = solve_params(e, t1, t2, side)
+    tau = params.tau
+    # The cap on exactly the grid of the parameter solve, spanning [t1, tau]
+    # for side "+" and [tau, t2] for side "-".
+    ts_cap, rs_cap = _sample_cap(e.tension, params.b, t1 if side == "+" else t2,
+                                 params.sigma, params.z_cut, side)
+    low = e.knots < t1 - 1e-13
+    high = e.knots > t2 + 1e-13
+    if side == "+":
+        new_t = np.concatenate([e.knots[low], ts_cap, e.knots[high] - (t2 - tau)])
+    else:
         shift = tau - t1
-        low = e.knots < t1 - 1e-13
-        high = e.knots > t2 + 1e-13
         new_t = np.concatenate([e.knots[low], ts_cap - shift, e.knots[high] - shift])
-        new_r = np.concatenate([e.r[low], rs_cap, e.r[high]])
+    new_r = np.concatenate([e.r[low], rs_cap, e.r[high]])
 
     order = np.argsort(new_t, kind="stable")
     new_t, new_r = new_t[order], new_r[order]

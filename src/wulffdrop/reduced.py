@@ -132,20 +132,22 @@ def reduced_volume(p: Profile) -> float:
     return slab_volume(p.body.area, p.knots, p.r, p.tension.dim - 1)
 
 
-def _lateral_pieces(p: Profile, with_d2: bool = False):
-    """Per-slab quantities of the lateral integrand (vectorized)."""
-    nm1 = p.tension.dim - 1
-    lam = p.body.lam
-    a, b = p.r[:-1], p.r[1:]
-    dt = np.diff(p.knots)
-    slope = (b - a) / dt
-    r_g = a[:, None] + (b - a)[:, None] * GAUSS_X[None, :]
-    s_arg = -nm1 * slope
-    phi = p.tension.phi.value(lam, s_arg)
-    d2 = None
-    if with_d2:
-        _, d2, _ = phi_partials(p.tension, np.full_like(slope, lam), s_arg)
-    return nm1, lam, a, b, dt, slope, r_g, phi, d2
+def _gauss_radii(knots: np.ndarray, r: np.ndarray):
+    """Slab widths and the radii at each slab's Gauss nodes."""
+    return np.diff(knots), r[:-1, None] + np.diff(r)[:, None] * GAUSS_X[None, :]
+
+
+def lateral_slab_energy(tension: SurfaceTension, lam: float,
+                        knots: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per-slab lateral energy dt * int r^(N-2) phi(Lambda, -(N-1) r') of
+    the piecewise-linear profile r on knots (Gauss rule); times |K_h| it is
+    the lateral surface energy.  It takes the arrays, not a Profile, so
+    that a cap keeps its own knots (shifting them to start at 0 can move a
+    slab width by an ulp)."""
+    nm1 = tension.dim - 1
+    dt, r_g = _gauss_radii(knots, r)
+    phi = tension.phi.value(lam, -nm1 * (np.diff(r) / dt))
+    return dt * (GAUSS_W[None, :] * r_g ** (nm1 - 1)).sum(axis=1) * phi
 
 
 def reduced_energy(p: Profile, omega: Optional[float] = None,
@@ -159,13 +161,12 @@ def reduced_energy(p: Profile, omega: Optional[float] = None,
     acceptance).
     """
     om = _resolve_omega(p, omega)
-    nm1, lam, a, b, dt, slope, r_g, phi, _ = _lateral_pieces(p)
-    area = p.body.area
-    s0 = (GAUSS_W[None, :] * r_g ** (nm1 - 1)).sum(axis=1)
-    fs = float(area * np.sum(dt * s0 * phi))
+    nm1, area = p.tension.dim - 1, p.body.area
+    fs = float(area * np.sum(lateral_slab_energy(p.tension, p.body.lam, p.knots, p.r)))
     if p.r[-1] > 0:
         fs += p.tension.f_eN * area * p.r[-1] ** nm1
     fc = om * area * float(p.r[0] ** nm1)
+    dt, r_g = _gauss_radii(p.knots, p.r)
     t_g = p.knots[:-1, None] + dt[:, None] * GAUSS_X[None, :]
     fp = gravity * float(
         area * np.sum(dt * (GAUSS_W[None, :] * t_g * r_g**nm1).sum(axis=1)))
@@ -175,8 +176,11 @@ def reduced_energy(p: Profile, omega: Optional[float] = None,
 def reduced_energy_gradient(p: Profile, omega: Optional[float] = None) -> np.ndarray:
     """Analytic gradient of the total reduced energy w.r.t. the nodal radii."""
     om = _resolve_omega(p, omega)
-    nm1, lam, a, b, dt, slope, r_g, phi, d2 = _lateral_pieces(p, with_d2=True)
-    area = p.body.area
+    nm1, lam, area = p.tension.dim - 1, p.body.lam, p.body.area
+    dt, r_g = _gauss_radii(p.knots, p.r)
+    s_arg = -nm1 * (np.diff(p.r) / dt)
+    phi = p.tension.phi.value(lam, s_arg)
+    _, d2, _ = phi_partials(p.tension, np.full_like(s_arg, lam), s_arg)
     grad = np.zeros_like(p.r)
     wx = GAUSS_W * (1.0 - GAUSS_X)
     wy = GAUSS_W * GAUSS_X
@@ -209,9 +213,7 @@ def reduced_energy_gradient(p: Profile, omega: Optional[float] = None) -> np.nda
 
 def volume_gradient(p: Profile) -> np.ndarray:
     nm1 = p.tension.dim - 1
-    a, b = p.r[:-1], p.r[1:]
-    dt = np.diff(p.knots)
-    r_g = a[:, None] + (b - a)[:, None] * GAUSS_X[None, :]
+    dt, r_g = _gauss_radii(p.knots, p.r)
     rp = nm1 * r_g ** (nm1 - 1)
     wx = GAUSS_W * (1.0 - GAUSS_X)
     wy = GAUSS_W * GAUSS_X
@@ -567,6 +569,8 @@ def minimize_direct(tension: SurfaceTension, omega: float, m: float,
         raise InvalidInput(f"grid_size must be at least 3, got {grid_size}")
     if opts is None:
         opts = MinimizeOptions()
+    if opts.max_iter < 1:
+        raise InvalidInput(f"max_iter must be at least 1, got {opts.max_iter}")
     if body is None:
         body = build_wulff_body(tension, 1024)
     nm1 = tension.dim - 1

@@ -23,7 +23,14 @@ import numpy as np
 
 from .errors import DimensionUnsupported, EmptySlice, IndexOutOfRange
 from ._quad import slab_volume
-from .reduced import EnergyBreakdown, GAUSS_W, GAUSS_X, Profile, check_omega
+from .reduced import (
+    EnergyBreakdown,
+    GAUSS_W,
+    GAUSS_X,
+    Profile,
+    check_omega,
+    lateral_slab_energy,
+)
 from .tension import SurfaceTension
 from .wulff import (
     WulffBody,
@@ -187,18 +194,6 @@ def symmetrize(s: SlicedSet, body: WulffBody,
     )
 
 
-def symmetrized_lateral_integrand(s: SlicedSet, body: WulffBody) -> np.ndarray:
-    """Lateral integrand of the symmetrized set on the same Gauss nodes."""
-    n = s.d
-    ratio = (s.base_area / body.area) ** (1.0 / n)
-    r0, r1 = s.scales[:-1] * ratio, s.scales[1:] * ratio
-    dt = np.diff(s.knots)
-    slope = (r1 - r0) / dt
-    r_g = r0[:, None] + (r1 - r0)[:, None] * GAUSS_X[None, :]
-    phi = body.tension.phi.value(body.lam, -n * slope)
-    return body.area * phi[:, None] * r_g ** (n - 1)
-
-
 def jensen_gap(s: SlicedSet, slab_index: int, tension: SurfaceTension,
                body: WulffBody) -> float:
     """Per-slab surface-energy drop under symmetrization (>= 0).
@@ -211,9 +206,10 @@ def jensen_gap(s: SlicedSet, slab_index: int, tension: SurfaceTension,
     if not (0 <= slab_index < len(s.knots) - 1):
         raise IndexOutOfRange(f"slab index {slab_index} out of range")
     dt = np.diff(s.knots)[slab_index]
-    orig = lateral_integrand(s, tension)[slab_index]
-    symm = symmetrized_lateral_integrand(s, body)[slab_index]
-    return float(dt * np.sum(GAUSS_W * (orig - symm)))
+    orig = dt * np.sum(GAUSS_W * lateral_integrand(s, tension)[slab_index])
+    p, slab = symmetrize(s, body), slice(slab_index, slab_index + 2)
+    symm = lateral_slab_energy(body.tension, body.lam, p.knots[slab], p.r[slab])[0]
+    return float(orig - body.area * symm)
 
 
 # ---------------------------------------------------------------------------

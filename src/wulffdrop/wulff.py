@@ -31,8 +31,10 @@ ball of |(x, z / tau)|_q for the polar exponent q = p / (p - 1) and
 with tau = phi(0, 1): euclid q = 2, tau = 1; weighted q = 2, tau = sqrt(c);
 pnorm q = p / (p - 1), tau = 1.  The limit p = 1 has q = inf: K is a box,
 alpha = 1 on (-1, 1).  ``alpha_table`` evaluates alpha, its slope, its
-inverse on either side of the peak at t = 0, and the cap volumes
-integral alpha^(N-1) from the same formula.
+inverse and the cap volumes integral alpha^(N-1) from the same formula.
+alpha is even with its peak at t = 0, so one signed inverse serves both
+sides: z = tau (1 - a^q)^(1/q) solves alpha(z) = a where alpha falls, and
+-z where it rises.
 """
 
 from __future__ import annotations
@@ -209,11 +211,12 @@ def _one_minus_pow(x, q):
 
 @dataclass(frozen=True)
 class AlphaTable:
-    """alpha(z) = (1 - |z/tau|^q)^(1/q) on (-tau, tau), 0 outside, and the
-    cap volume above(z) = |K cap {x_N > z}| / |K_h|.
+    """alpha(z) = (1 - |z/tau|^q)^(1/q) on (-tau, tau), 0 outside, its
+    inverse, and the cap volume above(z) = |K cap {x_N > z}| / |K_h|.
 
     tau = t_top = phi(0, 1) and q is the polar exponent of phi.  alpha is
-    even, so ``peak`` is 0 and alpha(peak) = 1.  With u = |z/tau|^q the half
+    even with alpha(0) = 1, so ``inverse`` gives the root z >= 0 where alpha
+    falls and -inverse the root where it rises.  With u = |z/tau|^q the half
     volume is (tau/q) B(1/q, (N-1)/q + 1); the part above z >= 0 is that
     times the upper regularized incomplete beta at u, which equals the
     lower one of the swapped parameters at 1 - u.  For q = inf (a box)
@@ -222,7 +225,6 @@ class AlphaTable:
 
     t_bot: float
     t_top: float
-    peak: float
     total: float
     q: float
     nm1: int
@@ -262,24 +264,16 @@ class AlphaTable:
             out = np.where(zs >= 0.0, tail, self.total - tail)
         return float(out[0]) if np.ndim(z) == 0 else out
 
-    def solve_on_branch(self, target, z_lo, z_hi):
-        """z in [z_lo, z_hi] with alpha(z) = target, assuming monotonicity.
+    def inverse(self, target):
+        """The z >= 0 with alpha(z) = target, for 0 <= target <= 1.
 
-        The arguments broadcast against each other.  An entry returns z_lo
-        when alpha(z_lo) = target, and z_hi when alpha - target keeps one sign
-        on its branch.  A root is -tau (1 - target^q)^(1/q) where alpha
-        rises towards z_hi and its mirror image where it falls.
+        inverse(0) = tau and inverse(1) = 0, also for the box (q = inf),
+        where every target below 1 gives tau.  Targets are clipped to
+        [0, 1].  -inverse(target) is the root where alpha rises.
         """
-        scalar = max(np.ndim(v) for v in (target, z_lo, z_hi)) == 0
-        target, z_lo, z_hi = np.broadcast_arrays(
-            *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (target, z_lo, z_hi)))
-        f_lo = self(z_lo) - target
-        f_hi = self(z_hi) - target
-        with np.errstate(invalid="ignore"):
-            root = self.t_top * _one_minus_pow(target, self.q) ** (1.0 / self.q)
-            root = np.clip(np.where(f_hi > 0.0, -root, root), z_lo, z_hi)
-        z = np.where(f_lo * f_hi < 0.0, root, np.where(f_lo == 0.0, z_lo, z_hi))
-        return float(z[0]) if scalar else z
+        a = np.clip(np.atleast_1d(np.asarray(target, dtype=float)), 0.0, 1.0)
+        z = np.where(a < 1.0, self.t_top * _one_minus_pow(a, self.q) ** (1.0 / self.q), 0.0)
+        return float(z[0]) if np.ndim(target) == 0 else z
 
 
 @lru_cache(maxsize=32)
@@ -287,7 +281,7 @@ def alpha_table(tension: SurfaceTension) -> AlphaTable:
     lo, hi = vertical_extent(tension)
     q, nm1 = tension.phi.polar_exponent, tension.dim - 1
     total = 2.0 * hi if math.isinf(q) else 2.0 * hi / q * beta(1.0 / q, nm1 / q + 1.0)
-    return AlphaTable(t_bot=lo, t_top=hi, peak=0.0, total=float(total), q=q, nm1=nm1)
+    return AlphaTable(t_bot=lo, t_top=hi, total=float(total), q=q, nm1=nm1)
 
 
 # The benchmark harness calls the two tables of earlier versions by these

@@ -133,14 +133,21 @@ def test_symmetrize_subcommand(tension_file, tmp_path, euclid):
     assert rows.shape[0] == len(s.knots)
 
 
-def test_repair_subcommand(tension_file, tmp_path, euclid, euclid_body):
+def write_dented_quarter_circle(tension, tmp_path):
+    """The 41-knot quarter circle with r[12:20] *= 0.75 as a profile CSV;
+    returns its path."""
     t = np.linspace(0.0, 1.0, 41)
     r = np.sqrt(np.maximum(1 - t**2, 0.0))
     r[12:20] *= 0.75
     prof_path = tmp_path / "dent.csv"
-    prof = reduced.Profile(knots=t, r=r, tension=euclid, body=euclid_body,
-                           omega=-0.5)
-    cli.write_profile_csv(str(prof_path), prof)
+    cli.write_profile_csv(str(prof_path), reduced.Profile(
+        knots=t, r=r, tension=tension, body=build_wulff_body(tension, 1024),
+        omega=-0.5))
+    return prof_path
+
+
+def test_repair_subcommand(tension_file, tmp_path, euclid):
+    prof_path = write_dented_quarter_circle(euclid, tmp_path)
     out = tmp_path / "fixed.csv"
     rep = tmp_path / "log.json"
     assert run(["repair", "--tension", tension_file, "--omega", "-0.5",
@@ -159,13 +166,7 @@ def repair_dented_quarter_circle(tension, tmp_path):
     returns the exit code and the report path."""
     tension_path = tmp_path / "tension.json"
     tension_path.write_text(json.dumps(tension_to_config(tension)))
-    t = np.linspace(0.0, 1.0, 41)
-    r = np.sqrt(np.maximum(1 - t**2, 0.0))
-    r[12:20] *= 0.75
-    prof_path = tmp_path / "dent.csv"
-    cli.write_profile_csv(str(prof_path), reduced.Profile(
-        knots=t, r=r, tension=tension, body=build_wulff_body(tension, 1024),
-        omega=-0.5))
+    prof_path = write_dented_quarter_circle(tension, tmp_path)
     rep = tmp_path / "log.json"
     code = run(["repair", "--tension", str(tension_path), "--omega", "-0.5",
                 "--profile", str(prof_path), "--out", str(tmp_path / "fixed.csv"),
@@ -340,12 +341,24 @@ def test_bad_flags_are_validation_errors(argv, names, tension_file, tmp_path,
      "--trials must be at least 1"),
     (["check", "--suite", "symmetrization", "--trials", "-1"],
      "--trials must be at least 1"),
+    (["solve", "--omega=-0.5", "--mass", "1", "--method", "direct",
+      "--max-iter", "0"], "max_iter must be at least 1"),
+    (["repair", "--omega=-0.5", "--epsilon", "0"], "--epsilon must be positive"),
+    (["repair", "--omega=-0.5", "--epsilon", "-1"], "--epsilon must be positive"),
+    (["repair", "--omega=-0.5", "--epsilon", "nan"], "--epsilon must be positive"),
+    (["repair", "--omega=-0.5", "--max-repairs", "-1"],
+     "--max-repairs must be at least 0"),
 ], ids=["solve-direct-infinite-mass", "solve-nan-mass", "sweep-nan-mass",
         "sweep-infinite-mass", "direct-grid-size-0", "direct-grid-size-1",
-        "check-zero-trials", "check-negative-trials"])
+        "check-zero-trials", "check-negative-trials", "direct-max-iter-0",
+        "repair-zero-epsilon", "repair-negative-epsilon", "repair-nan-epsilon",
+        "repair-negative-max-repairs"])
 def test_out_of_range_numbers_are_validation_errors(argv, names, tension_file,
-                                                    tmp_path, capsys):
+                                                    tmp_path, capsys, euclid):
     out = tmp_path / "out"
+    if argv[0] == "repair":
+        # A dented profile that a valid repair would change.
+        argv = argv + ["--profile", str(write_dented_quarter_circle(euclid, tmp_path))]
     if argv[0] == "check":
         argv = argv + ["--report", str(out)]
     else:

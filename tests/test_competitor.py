@@ -59,12 +59,30 @@ def test_cap_profile_vanishes_at_top(euclid, euclid_body):
     assert vol < 1e-4
 
 
+def test_cap_profile_lower_side(pnorm3, pnorm3_body):
+    sigma, t_anchor = 0.3, 1.5
+    v_anchor = 0.5 * pnorm3_body.area
+    seg = comp.cap_profile(pnorm3, "-", sigma, t_anchor, v_anchor,
+                           body=pnorm3_body)
+    fa = alpha_table(pnorm3)
+    # Anchored from above: the heights rise to the cut at t_anchor.
+    assert np.all(np.diff(seg.ts) > 0)
+    assert seg.ts[-1] == pytest.approx(t_anchor, abs=1e-12)
+    assert seg.ts[0] == pytest.approx(t_anchor - seg.b * (sigma - fa.t_bot), abs=1e-12)
+    # The cut slice has measure v_anchor; the cap vanishes at the bottom pole.
+    assert pnorm3_body.area * seg.rs[-1] ** 2 == pytest.approx(v_anchor, rel=1e-12)
+    assert seg.rs[0] == 0.0
+    # The one cap sampler, with the far cut at the pole.
+    ts, rs = comp._sample_cap(pnorm3, seg.b, t_anchor, sigma, fa.t_bot, "-")
+    assert np.array_equal(ts, seg.ts) and np.array_equal(rs, seg.rs)
+
+
 @pytest.mark.parametrize("side", ["+", "-"])
 def test_stacked_caps_match_single_caps(pnorm3, side):
     # The sigma scan samples every cap of its grid in one array; each row
     # must be the cap and the volume that the root solve sees for it.
     fa = alpha_table(pnorm3)
-    sigma = np.linspace(fa.t_bot + 0.1, fa.peak, 9)
+    sigma = np.linspace(fa.t_bot + 0.1, 0.0, 9)
     z_cut = np.full(9, fa.t_top - 0.05 if side == "+" else fa.t_bot + 0.01)
     b = 0.7 / fa(sigma)
     ts, rs = comp._sample_cap(pnorm3, b, 0.2, sigma, z_cut, side)
@@ -264,6 +282,16 @@ def test_repeated_repair_restores_concavity(euclid, euclid_body):
     assert reduced.reduced_energy(current).total < e0
     assert reduced.reduced_volume(current) == pytest.approx(
         reduced.reduced_volume(prof), rel=1e-7)
+
+
+@pytest.mark.parametrize("family,kw", [("euclid", {}), ("pnorm", {"p": 3.0}),
+                                       ("weighted", {"c": 2.0})])
+def test_lateral_energy_of_a_closed_profile_is_its_surface_energy(family, kw):
+    # One lateral quadrature: with no flat top, F_s is the lateral energy.
+    prof = dented_profile(build_wulff_body(make_tension(family, **kw), 1024))
+    assert prof.r[-1] == 0.0
+    assert comp.lateral_energy_between(prof, 0.0, prof.t_max) == \
+        reduced.reduced_energy(prof).Fs
 
 
 def test_section_volume_and_lateral_energy(euclid, euclid_body):

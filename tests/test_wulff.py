@@ -197,35 +197,25 @@ def test_one_alpha_table_serves_both_names(euclid):
     assert wulff.alpha_spline is wulff.alpha_volume_table is alpha_table
     table = alpha_table(euclid)
     assert table(0.6) == pytest.approx(0.8, abs=1e-12)
-    assert table.peak == pytest.approx(0.0, abs=1e-9)
+    assert table.inverse(1.0) == 0.0  # the peak
 
 
-def test_solve_on_branch_in_and_off_branch(pnorm3):
+def test_inverse_on_both_sides_of_the_peak(pnorm3):
     fa = alpha_table(pnorm3)
-    for lo, hi in ((fa.t_bot, fa.peak), (fa.peak, fa.t_top)):
-        for frac in (1e-3, 0.3, 0.9, 0.999):
-            target = frac * fa(fa.peak)
-            z = fa.solve_on_branch(target, lo, hi)
-            assert lo <= z <= hi
-            assert abs(fa(z) - target) <= 1e-12
-        # No sign change on the branch: the upper end comes back.
-        assert fa.solve_on_branch(2.0 * fa(fa.peak), lo, hi) == hi
-        assert fa.solve_on_branch(-1.0, lo, hi) == hi
-        # Array targets give the scalar answers, off-branch entries too.
-        fracs = np.array([1e-3, 0.3, 0.9, 0.999, 2.0, -1.0])
-        z = fa.solve_on_branch(fracs * fa(fa.peak), lo, hi)
-        assert np.all(z[:4] == [fa.solve_on_branch(f * fa(fa.peak), lo, hi)
-                                for f in fracs[:4]])
-        assert np.all(z[4:] == hi)
-    # Per-entry bounds: one branch per entry, with off-branch entries.
-    top = fa(fa.peak)
-    z_lo = np.array([fa.t_bot, fa.peak, fa.t_bot, fa.peak])
-    z_hi = np.array([fa.peak, fa.t_top, 0.5 * (fa.t_bot + fa.peak), fa.t_top])
-    targets = np.array([0.5, 0.5, 0.99, 1.5]) * top
-    z = fa.solve_on_branch(targets, z_lo, z_hi)
-    assert np.max(np.abs(fa(z[:2]) - targets[:2])) <= 1e-12
-    assert z[0] < fa.peak < z[1]
-    assert z[2] == z_hi[2] and z[3] == z_hi[3]
+    for frac in (1e-3, 0.3, 0.9, 0.999):
+        z = fa.inverse(frac)
+        assert 0.0 <= z <= fa.t_top
+        # alpha is even: +z is the root where alpha falls, -z where it rises.
+        assert abs(fa(z) - frac) <= 1e-12 and abs(fa(-z) - frac) <= 1e-12
+    # The peak and the poles; targets outside [0, 1] are clipped.
+    assert fa.inverse(1.0) == 0.0 and fa.inverse(0.0) == fa.t_top
+    assert fa.inverse(2.0) == 0.0 and fa.inverse(-1.0) == fa.t_top
+    # Array targets give the scalar answers bit for bit, clipped ones too.
+    fracs = np.array([1e-3, 0.3, 0.9, 0.999, 0.0, 1.0, 2.0, -1.0])
+    z = fa.inverse(fracs)
+    assert np.array_equal(z, [fa.inverse(f) for f in fracs])
+    assert np.max(np.abs(fa(-z[:4]) - fracs[:4])) <= 1e-12
+    assert -z[1] < 0.0 < z[1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -246,28 +236,36 @@ def test_alpha_closed_form_properties(family, param, dim, frac):
     ref = minimize_scalar(lambda y: tension.phi.value(1.0, y) - t * y,
                           bracket=(-1.0, 1.0)).fun
     assert a == pytest.approx(ref, abs=1e-10)
-    # Each branch inverse lands on its side of the peak with alpha = a.
-    lo_z = fa.solve_on_branch(a, fa.t_bot, fa.peak)
-    hi_z = fa.solve_on_branch(a, fa.peak, fa.t_top)
-    assert fa.t_bot <= lo_z <= fa.peak <= hi_z <= fa.t_top
-    assert fa(lo_z) == pytest.approx(a, abs=1e-12)
-    assert fa(hi_z) == pytest.approx(a, abs=1e-12)
+    # The signed inverse lands on either side of the peak with alpha = a.
+    z = fa.inverse(a)
+    assert fa.t_bot <= -z <= 0.0 <= z <= fa.t_top
+    assert fa(-z) == pytest.approx(a, abs=1e-12)
+    assert fa(z) == pytest.approx(a, abs=1e-12)
+    assert fa.inverse(1.0) == 0.0 and fa.inverse(0.0) == tau
     # The slope against a central difference inside the smooth piece.
     h = 1e-4 * min(abs(t), tau - abs(t))
     if h > 1e-7 * tau:
         fd = (fa(t + h) - fa(t - h)) / (2.0 * h)
         assert fa.slope(t) == pytest.approx(fd, rel=1e-6, abs=1e-8)
-    # Cap volume against adaptive quadrature of alpha^(N-1).
-    cap = quad(lambda u: fa(u) ** (dim - 1), t, tau,
-               points=[0.0] if t < 0.0 else None, epsabs=1e-13, limit=200)[0]
+    # Cap volume against adaptive quadrature of alpha^(N-1).  At the pole
+    # alpha^(N-1) = (tau - u)^b g(u) with b = (N-1)/q: the algebraic weight
+    # takes the vertical tangent, which plain quadrature resolves only to
+    # about 1e-9 (pnorm p = 3.22, N = 2, t = -0.795 tau).
+    q = fa.q
+    b = (dim - 1) / q
+
+    def g(u):
+        return (fa(u) ** q / (tau - u)) ** b if u < tau else q ** b / tau ** b
+    cap = quad(g, max(t, 0.0), tau, weight="alg", wvar=(0.0, b), epsabs=1e-13)[0]
+    if t < 0.0:
+        cap += quad(lambda u: fa(u) ** (dim - 1), t, 0.0, epsabs=1e-13, limit=200)[0]
     assert fa.above(t) == pytest.approx(cap, abs=1e-9)
     # Batched calls give the scalar answers bit for bit.
     ts = np.array([t, -t, 0.5 * t, tau, -2.0 * tau])
     for fn in (fa, fa.slope, fa.above):
         assert np.array_equal(fn(ts), [fn(x) for x in ts])
     targets = np.array([a, 0.5 * a, 2.0, -1.0])
-    assert np.array_equal(fa.solve_on_branch(targets, fa.peak, fa.t_top),
-                          [fa.solve_on_branch(x, fa.peak, fa.t_top) for x in targets])
+    assert np.array_equal(fa.inverse(targets), [fa.inverse(x) for x in targets])
 
 
 def test_alpha_box_limit_of_pnorm_p1():
@@ -280,5 +278,6 @@ def test_alpha_box_limit_of_pnorm_p1():
     assert np.array_equal(fa.slope(z), np.zeros(5))
     assert np.allclose(fa.above(z), 1.0 - z, rtol=0.0, atol=1e-15)
     assert fa.total == 2.0 and fa.above(-1.0) == 2.0 and fa.above(1.0) == 0.0
-    assert fa.solve_on_branch(0.5, fa.t_bot, fa.peak) == -1.0
-    assert fa.solve_on_branch(0.5, fa.peak, fa.t_top) == 1.0
+    assert -fa.inverse(0.5) == -1.0
+    assert fa.inverse(0.5) == 1.0
+    assert fa.inverse(1.0) == 0.0 and fa.inverse(0.0) == 1.0
