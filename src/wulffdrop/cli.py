@@ -107,7 +107,8 @@ def profile_svg(profile: reduced.Profile) -> str:
 
 def profile_report(profile: reduced.Profile, omega: float) -> dict:
     breakdown = reduced.reduced_energy(profile, omega)
-    res = reduced.el_residual(profile, reduced.lambda_estimate(profile))
+    lam = reduced.lambda_estimate(profile)
+    res = reduced.el_residual(profile, lam)
     return {
         "Fs": breakdown.Fs,
         "Fc": breakdown.Fc,
@@ -116,7 +117,7 @@ def profile_report(profile: reduced.Profile, omega: float) -> dict:
         "volume": reduced.reduced_volume(profile),
         "young_residual": reduced.young_residual(profile, omega),
         "max_el_residual": res.max_abs(0.9 * profile.t_max),
-        "lambda_est": reduced.lambda_estimate(profile),
+        "lambda_est": lam,
     }
 
 

@@ -39,8 +39,11 @@ CompetitorFailure = (HypothesisViolated, NoBracket, SigmaOutOfRange)
 BISECT_TOL = 1e-12
 SCAN_POINTS = 64
 
-# Default sampling density of cap profile segments.
+# Sampling density of cap profile segments.
 CAP_SAMPLES = 513
+
+# Witness-gap shrinks (by 1/4 each) that a repair tries before giving up.
+MAX_SHRINKS = 12
 
 # Smallest energy drop of a repair that counts as a strict decrease; below
 # it the violation repaired is at rounding level.
@@ -108,9 +111,7 @@ def _check_sigma(tension: SurfaceTension, sigma: float) -> tuple[float, float]:
 
 
 def cap_profile(tension: SurfaceTension, side: str, sigma: float,
-                t_anchor: float, v_anchor: float,
-                n_samples: int = CAP_SAMPLES,
-                body=None) -> CapSegment:
+                t_anchor: float, v_anchor: float, body=None) -> CapSegment:
     """Radial profile of K_+/K_- rescaled so the cut slice has measure v_anchor.
 
     side "+": the part of K above sigma, dilated by b and anchored so the cut
@@ -124,8 +125,7 @@ def cap_profile(tension: SurfaceTension, side: str, sigma: float,
         body = build_wulff_body(tension, 1024)
     nm1 = tension.dim - 1
     b = (v_anchor / (body.area * wulff_alpha(tension, sigma) ** nm1)) ** (1.0 / nm1)
-    ts, rs = _sample_cap(tension, b, t_anchor, sigma, hi if side == "+" else lo,
-                         side, n_samples)
+    ts, rs = _sample_cap(tension, b, t_anchor, sigma, hi if side == "+" else lo, side)
     return CapSegment(ts=ts, rs=rs, side=side, sigma=sigma, b=b)
 
 
@@ -145,13 +145,12 @@ def _scan_bracket(fn, grid: np.ndarray):
 
 
 def _sample_cap(tension: SurfaceTension, b: float, t_anchor: float,
-                sigma: float, z_cut: float, side: str,
-                n_samples: int = CAP_SAMPLES):
+                sigma: float, z_cut: float, side: str):
     """Piecewise-linear sampling of the truncated cap, clustered at the far
     cut (which may sit at a pole of alpha).  Heights increase along the last
     axis; arrays b, sigma and z_cut sample one cap per entry."""
     fa = alpha_table(tension)
-    xi = np.linspace(0.0, 1.0, n_samples)
+    xi = np.linspace(0.0, 1.0, CAP_SAMPLES)
     b, sigma, z_cut = (np.asarray(v, dtype=float)[..., None] for v in (b, sigma, z_cut))
     if side == "+":
         z = sigma + (z_cut - sigma) * np.sin(0.5 * math.pi * xi)
@@ -349,8 +348,7 @@ def _sweep(e: Profile, i: int, epsilon: float):
 
 
 def repair_profile(e: Profile, tension: SurfaceTension, omega: float,
-                   epsilon: Optional[float] = None,
-                   max_shrinks: int = 12) -> Optional[Profile]:
+                   epsilon: Optional[float] = None) -> Optional[Profile]:
     """One competitor repair that lowers the energy by more than
     MIN_ENERGY_DROP, or None when no violation yields one.
 
@@ -371,8 +369,7 @@ def repair_profile(e: Profile, tension: SurfaceTension, omega: float,
         if k > 0 and deficits[k] <= MIN_DEFICIT:
             break
         try:
-            repaired = _repair_at(e, int(seeds[k]), tension, omega, epsilon,
-                                  max_shrinks)
+            repaired = _repair_at(e, int(seeds[k]), tension, omega, epsilon)
         except CompetitorFailure:
             if k == 0:
                 raise
@@ -383,9 +380,9 @@ def repair_profile(e: Profile, tension: SurfaceTension, omega: float,
 
 
 def _repair_at(e: Profile, i: int, tension: SurfaceTension, omega: float,
-               epsilon: float, max_shrinks: int) -> Optional[Profile]:
+               epsilon: float) -> Optional[Profile]:
     last: Exception | None = None
-    for _ in range(max_shrinks):
+    for _ in range(MAX_SHRINKS):
         witness = _sweep(e, i, epsilon)
         if witness is None:
             return None

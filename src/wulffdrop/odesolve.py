@@ -147,13 +147,20 @@ def s_star(tension: SurfaceTension, omega: float) -> float:
     """Contact slope parameter: the unique s > 0 with -d2phi(s, N-1) = omega.
 
     Defined for the graph regime omega in (-phi(0,1), 0), where
-    d2phi(., N-1) decreases strictly from phi(0,1) to 0.
+    d2phi(., N-1) decreases strictly from phi(0,1) to 0.  The inverse is
+    taken in numpy floats, so that it overflows to inf instead of raising;
+    an s* that is not positive and finite raises StalledInversion.
     """
     if not (-tension.f_eN < omega < 0.0):
         raise OmegaOutOfGraphRange(
             f"omega={omega} outside the graph regime (-{tension.f_eN}, 0)"
         )
-    return float(tension.phi.d2_inverse(-omega, float(tension.dim - 1)))
+    with np.errstate(all="ignore"):
+        s = float(tension.phi.d2_inverse(np.float64(-omega), float(tension.dim - 1)))
+    if not 0.0 < s < math.inf:
+        raise StalledInversion(f"contact slope s*={s} of omega={omega} is not "
+                               "a positive finite number", target=-omega)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +174,8 @@ def integrate_v(tension: SurfaceTension, v0: float,
     One DOP853 solve over [0, w*], w* = d1phi(s_stop, N-1), starting from
     (r, v) = (0, v0); the last node lies at s = s_stop.  The slope inverse
     s(w) is only evaluated inside [0, w*], so w* within rounding of the
-    asymptote phi(1, 0) of d1phi raises StalledInversion.
+    asymptote phi(1, 0) of d1phi raises StalledInversion, and so does a w*
+    that is not positive (d1phi underflowed or is NaN).
     """
     if not v0 > 0.0:
         raise ValueError("v0 must be positive")
@@ -178,9 +186,9 @@ def integrate_v(tension: SurfaceTension, v0: float,
     phi = tension.phi
     w_end = float(phi.d1(s_stop, t))
     sup = float(phi.value(1.0, 0.0))
-    if w_end >= sup * (1.0 - 1e-14):
+    if not 0.0 < w_end < sup * (1.0 - 1e-14):
         raise StalledInversion(
-            f"slope target {w_end} at or beyond the asymptote {sup}",
+            f"slope target {w_end} outside (0, {sup}), the open range of d1phi",
             target=w_end,
         )
 

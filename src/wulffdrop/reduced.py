@@ -150,15 +150,12 @@ def lateral_slab_energy(tension: SurfaceTension, lam: float,
     return dt * (GAUSS_W[None, :] * r_g ** (nm1 - 1)).sum(axis=1) * phi
 
 
-def reduced_energy(p: Profile, omega: Optional[float] = None,
-                   gravity: float = 1.0) -> EnergyBreakdown:
+def reduced_energy(p: Profile, omega: Optional[float] = None) -> EnergyBreakdown:
     """Energy of the symmetric candidate (absolute, i.e. times |K_h|).
 
     ``omega`` may be a 1-D array: the surface and potential terms are then
     computed once, and ``Fc`` and ``total`` are arrays equal entry for entry
-    to the scalar calls.  ``gravity`` rescales the potential term only
-    (plumbing; defaults to the model value 1 and is excluded from
-    acceptance).
+    to the scalar calls.
     """
     om = _resolve_omega(p, omega)
     nm1, area = p.tension.dim - 1, p.body.area
@@ -168,8 +165,7 @@ def reduced_energy(p: Profile, omega: Optional[float] = None,
     fc = om * area * float(p.r[0] ** nm1)
     dt, r_g = _gauss_radii(p.knots, p.r)
     t_g = p.knots[:-1, None] + dt[:, None] * GAUSS_X[None, :]
-    fp = gravity * float(
-        area * np.sum(dt * (GAUSS_W[None, :] * t_g * r_g**nm1).sum(axis=1)))
+    fp = float(area * np.sum(dt * (GAUSS_W[None, :] * t_g * r_g**nm1).sum(axis=1)))
     return EnergyBreakdown(Fs=fs, Fc=fc, Fp=fp, total=fs + fc + fp)
 
 
@@ -292,10 +288,11 @@ def young_residual(p: Profile, omega: Optional[float] = None,
     return float(-d2 - om)
 
 
-def lambda_estimate(p: Profile, interior_frac: float = 0.9) -> float:
-    """Least-squares multiplier from the interior Euler-Lagrange residuals."""
+def lambda_estimate(p: Profile) -> float:
+    """Least-squares multiplier from the Euler-Lagrange residuals at the
+    knots below 0.9 t_max."""
     res0 = el_residual(p, 0.0)
-    cut = interior_frac * p.t_max
+    cut = 0.9 * p.t_max
     mask = res0.ts <= cut
     if not mask.any():
         raise DegenerateRadius("no usable interior knots for the multiplier fit")
@@ -309,17 +306,17 @@ def lambda_estimate(p: Profile, interior_frac: float = 0.9) -> float:
 # Direct minimization
 # ---------------------------------------------------------------------------
 
+# Stopping rule of minimize_direct: the iteration has converged when the
+# largest entry of the gradient projected onto the volume constraint is at
+# most TOL_GRAD times the largest entry of the gradient itself.
+TOL_GRAD = 1e-10
+
+
 @dataclass
 class MinimizeOptions:
-    """Newton step budget and stopping rule of :func:`minimize_direct`.
-
-    The iteration has converged when the largest entry of the gradient
-    projected onto the volume constraint is at most ``tol_grad`` times the
-    largest entry of the gradient itself.
-    """
+    """Newton step budget of :func:`minimize_direct`."""
 
     max_iter: int = 100
-    tol_grad: float = 1e-10
     raise_on_failure: bool = True
 
 
@@ -419,10 +416,10 @@ class _SliceMeasureFunctional:
         d2_g = np.zeros_like(a_g)
         k_g = np.zeros_like(a_g)
         if live.any():
-            d1_g[live], d2_g[live], _ = phi_partials(
-                self.tension, a_g[live], b_g[live]
-            )
-            k_g[live] = phi.kappa(a_g[live], b_g[live])
+            a_live, b_live = a_g[live], b_g[live]
+            d1_g[live] = phi.d1(a_live, b_live)
+            d2_g[live] = phi.d2(a_live, b_live)
+            k_g[live] = phi.kappa(a_live, b_live)
         phi_g[dead] = 0.0
 
         # Value channel dA/drho_g = Lambda beta rho^(beta-1) and its
@@ -512,7 +509,7 @@ def _kkt_step(diag, off, col, tt, grad, a):
     than the bordered system (its smooth modes change the volume), so one
     step of iterative refinement restores the accuracy of a dense solve.
     Raises ``LinAlgError`` when the band or the Schur complement is
-    singular.
+    singular or not finite.
     """
     n = len(diag)
     ab = np.zeros((3, n))
@@ -520,7 +517,10 @@ def _kkt_step(diag, off, col, tt, grad, a):
     ab[1] = diag
     ab[2, :-1] = off
     a_rho, a_t = a[:n], a[n]
-    x = solve_banded((1, 1), ab, np.column_stack([-grad[:n], col, a_rho]))
+    rhs = np.column_stack([-grad[:n], col, a_rho])
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all() and np.isfinite(tt)):
+        raise np.linalg.LinAlgError("non-finite Hessian band")
+    x = solve_banded((1, 1), ab, rhs)
     hx, ax = col @ x[:, 1:], a_rho @ x[:, 1:]
     schur = np.array([[tt - hx[0], a_t - hx[1]], [a_t - ax[0], -ax[1]]])
 
@@ -598,7 +598,10 @@ def minimize_direct(tension: SurfaceTension, omega: float, m: float,
             t_try = t_new
         return rho_try * (m / fn.volume(rho_try, t_try)), t_try
 
-    rho, t_top = feasible(r0**nm1, t_top)
+    start = feasible(r0**nm1, t_top)
+    if start is None:
+        raise NonConvergence("the initial guess has no volume")
+    rho, t_top = start
     iterations = 0
     proj_norm = math.inf
     converged = False
@@ -611,7 +614,7 @@ def minimize_direct(tension: SurfaceTension, omega: float, m: float,
         proj = grad + lam_mult * a
         proj_norm = float(np.max(np.abs(proj)))
         grad_norm = float(np.max(np.abs(grad)))
-        if proj_norm <= opts.tol_grad * grad_norm:
+        if proj_norm <= TOL_GRAD * grad_norm:
             converged = True
             break
         iterations += 1

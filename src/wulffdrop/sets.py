@@ -138,15 +138,12 @@ def lateral_integrand(s: SlicedSet, tension: SurfaceTension) -> np.ndarray:
     return coef[:, None] * a_g ** (n - 1)
 
 
-def energy(s: SlicedSet, tension: SurfaceTension, omega,
-           gravity: float = 1.0) -> EnergyBreakdown:
-    """Exact energy F_s + F_c + gravity * F_p of the sliced set.
+def energy(s: SlicedSet, tension: SurfaceTension, omega) -> EnergyBreakdown:
+    """Exact energy F_s + F_c + F_p of the sliced set.
 
     ``omega`` may be a 1-D array: F_s and F_p are then computed once, and
     ``Fc`` and ``total`` are arrays equal entry for entry to the scalar
-    calls.  ``gravity`` rescales the potential term only; it is plumbing
-    (the model fixes the coefficient to 1) and is excluded from the
-    acceptance suites.
+    calls.
     """
     check_omega(tension, omega)
     if np.ndim(omega):
@@ -168,7 +165,7 @@ def energy(s: SlicedSet, tension: SurfaceTension, omega,
         grav = t0 * dt * q + dt**2 * g2
     else:
         raise DimensionUnsupported(f"slice dimension {n} unsupported")
-    fp = gravity * float(s.base_area * np.sum(grav))
+    fp = float(s.base_area * np.sum(grav))
     return EnergyBreakdown(Fs=fs, Fc=fc, Fp=fp, total=fs + fc + fp)
 
 
@@ -255,15 +252,15 @@ def random_convex_polygon(rng: np.random.Generator, n_edges: int) -> np.ndarray:
     raise RuntimeError("polygon sampling failed to converge")
 
 
-def random_sliced_set(rng: np.random.Generator, tension: SurfaceTension,
-                      max_edges: int = 12, max_knots: int = 32) -> SlicedSet:
-    """Seeded random SlicedSet: random convex base, clamped nonnegative
-    random-walk scale path, random-walk center path."""
+def random_sliced_set(rng: np.random.Generator, tension: SurfaceTension) -> SlicedSet:
+    """Seeded random SlicedSet: random convex base of 3 to 12 edges, clamped
+    nonnegative random-walk scale path and random-walk center path on 4 to
+    32 knots."""
     if tension.dim != 3:
         raise DimensionUnsupported("random sets are generated for N = 3 only")
-    n_edges = int(rng.integers(3, max_edges + 1))
+    n_edges = int(rng.integers(3, 13))
     poly = random_convex_polygon(rng, n_edges)
-    n_knots = int(rng.integers(4, max_knots + 1))
+    n_knots = int(rng.integers(4, 33))
     dts = rng.uniform(0.05, 0.5, n_knots - 1)
     knots = np.concatenate([[0.0], np.cumsum(dts)])
     a0 = rng.uniform(0.3, 1.2)

@@ -8,33 +8,45 @@ slice Wulff body of ``h``.
 
 Built-in phi families
 ---------------------
-``euclid``      phi(a, b) = sqrt(a^2 + b^2)        (isotropic)
-``pnorm``       phi(a, b) = (|a|^p + |b|^p)^(1/p)  (p >= 1; p = 1 is the
-                degenerate Manhattan weight, inadmissible by design)
-``weighted``    phi(a, b) = sqrt(a^2 + c b^2), c > 0
+Every phi family is a scaled p-norm, written once in :class:`ScaledPNorm`:
+
+    phi(a, b) = |(a, tau b)|_p = (|a|^p + tau^p |b|^p)^(1/p),
+
+``euclid``      p = 2, tau = 1                      (isotropic)
+``pnorm``       finite p >= 1, tau = 1 (p = 1 is the degenerate Manhattan
+                weight, inadmissible by design)
+``weighted``    p = 2, tau^p = c for finite c > 0
+
+With phi = phi(s, t) and q = p / (p - 1) the closed forms are
+
+    d1 = sign(s) |s|^(p-1) phi^(1-p),   d2 = tau^p sign(t) |t|^(p-1) phi^(1-p),
+    kappa = (p-1) tau^p |s t|^(p-2) phi^(1-2p),
+
+where the Hessian of the 1-homogeneous phi is kappa [[t^2, -s t], [-s t, s^2]]
+(d11 = t^2 kappa), and the slope inverses the ODE solver needs,
+``d1_inverse(w, t)`` = tau t (u / (1 - u))^(1/p) with u = w^q (the s >= 0
+with d1phi(s, t) = w < 1) and ``d2_inverse(v, t)`` =
+tau t ((v / tau)^(-q) - 1)^(1/p) (the s > 0 with d2phi(s, t) = v in
+(0, tau)); p = 2 takes phi and both inverses in np.sqrt form.  Each
+inverse is one formula for floats and arrays.  p = 1 has d1 = 1,
+d2 = tau sign(t), kappa = 0 and no slope inverse (``NoBracket``).
+tau = phi(0, 1), and the Wulff shape is the unit ball of |(x, z / tau)|_q,
+so its sections are alpha(t) K_h with alpha(t) = (1 - |t / tau|^q)^(1/q)
+(``polar_exponent`` is q; see ``wulff.alpha_table``).
 
 Built-in h families
 -------------------
 ``lp``          l_p norm, 1 <= p <= inf (closed-form dual l_q)
 ``euclid``      alias for lp with p = 2
-``l1reg``       smoothed l_1: sum_i sqrt(x_i^2 + eps^2 |x|_2^2)
+``l1reg``       smoothed l_1: sum_i sqrt(x_i^2 + eps^2 |x|_2^2), finite
+                eps >= 0 with a finite eps^2
 
-All evaluation functions accept scalars or numpy arrays and broadcast.
-Each phi family carries its partials ``d1``, ``d2``, ``d11`` in closed form,
-the scalar ``kappa(s, t)`` = d11/t^2 of its Hessian (phi is 1-homogeneous,
-so the Hessian is kappa * [[t^2, -s t], [-s t, s^2]], and kappa stays finite
-at t = 0), and the two slope inverses the ODE solver needs:
-``d1_inverse(w, t)``, the s >= 0 with d1phi(s, t) = w for
-0 <= w < phi(1, 0), and ``d2_inverse(v, t)``, the s > 0 with
-d2phi(s, t) = v for 0 < v < phi(0, 1).  Each inverse is one formula, so the
-same code takes a float and an array.
-
-Each family is phi(a, b) = |(a, tau b)|_p with tau = phi(0, 1) (p = 2,
-tau = sqrt(c) for ``weighted``), so its Wulff shape is the unit ball of
-|(x, z / tau)|_q.  ``polar_exponent`` states q = p / (p - 1): 2 for
-``euclid`` and ``weighted``, inf for ``pnorm`` p = 1.  The Wulff sections
-of the full tension are then alpha(t) K_h with
-alpha(t) = (1 - |t / tau|^q)^(1/q) (see ``wulff.alpha_table``).
+All evaluation functions accept scalars or numpy arrays and broadcast.  A
+parameter outside its range, or a slice norm with no Wulff polygon (see
+``wulff.build_wulff_body``), raises :class:`InvalidTension` when built: the
+CLI exits 2.  Closed forms that overflow in floating point inside the
+ranges (pnorm p near 1 or large, weighted c near 1e300) end as
+solver errors instead: the CLI exits 3.
 """
 
 from __future__ import annotations
@@ -56,139 +68,99 @@ M_DUAL = 4096
 # phi families
 # ---------------------------------------------------------------------------
 
+class ScaledPNorm:
+    """The closed forms of the module docstring, shared by every phi family.
+
+    A family supplies p and tau^p (the weight c of ``weighted``, kept exact)
+    through ``_norm()`` and names its parameter range in ``_needs``.  They
+    are checked once, when the family is built, and kept with tau and q.
+    """
+
+    def __post_init__(self):
+        p, tau_p = self._norm()
+        if not (1.0 <= p < math.inf and 0.0 < tau_p < math.inf):
+            raise InvalidTension(f"{self.family} needs {self._needs}, got {self}")
+        self.__dict__.update(exponent=p, tau_p=tau_p, tau=tau_p ** (1.0 / p),
+                             polar_exponent=math.inf if p == 1.0 else p / (p - 1.0))
+
+    def value(self, s, t):
+        p = self.exponent
+        if p == 2.0:
+            return np.sqrt(s * s + self.tau_p * t * t)
+        return (np.abs(s) ** p + self.tau_p * np.abs(t) ** p) ** (1.0 / p)
+
+    def d1(self, s, t):
+        p = self.exponent
+        if p == 1.0:
+            # Right derivative on the natural domain s >= 0.
+            return np.ones(np.broadcast(s, t).shape)
+        return np.sign(s) * np.abs(s) ** (p - 1.0) * self.value(s, t) ** (1.0 - p)
+
+    def d2(self, s, t):
+        # p = 1 gives tau sign(t): both powers are 0.
+        p = self.exponent
+        return (self.tau_p * np.sign(t) * np.abs(t) ** (p - 1.0)
+                * self.value(s, t) ** (1.0 - p))
+
+    def kappa(self, s, t):
+        p = self.exponent
+        if p == 1.0:
+            return np.zeros(np.broadcast(s, t).shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return ((p - 1.0) * self.tau_p * np.abs(s * t) ** (p - 2.0)
+                    * self.value(s, t) ** (1.0 - 2.0 * p))
+
+    def _q(self):
+        if self.exponent == 1.0:
+            raise NoBracket(f"{self.family} with p = 1 has constant partials "
+                            "d1phi = 1 and d2phi = tau sign(t): no slope inverse")
+        return self.polar_exponent
+
+    def d1_inverse(self, w, t):
+        if self.exponent == 2.0:
+            return self.tau * t * w / np.sqrt(1.0 - w * w)
+        u = w ** self._q()
+        return self.tau * t * (u / (1.0 - u)) ** (1.0 / self.exponent)
+
+    def d2_inverse(self, v, t):
+        x = v / self.tau
+        if self.exponent == 2.0:
+            return self.tau * t * np.sqrt(1.0 - x * x) / x
+        return self.tau * t * (x ** -self._q() - 1.0) ** (1.0 / self.exponent)
+
+
 @dataclass(frozen=True)
-class EuclidPhi:
-    """phi(a, b) = sqrt(a^2 + b^2)."""
+class EuclidPhi(ScaledPNorm):
+    """phi(a, b) = sqrt(a^2 + b^2): p = 2, tau = 1."""
 
     family: str = "euclid"
 
-    def value(self, s, t):
-        return np.hypot(s, t)
-
-    def d1(self, s, t):
-        return s / np.hypot(s, t)
-
-    def d2(self, s, t):
-        return t / np.hypot(s, t)
-
-    def d11(self, s, t):
-        rho = np.hypot(s, t)
-        return t * t / rho**3
-
-    def kappa(self, s, t):
-        return 1.0 / np.hypot(s, t) ** 3
-
-    polar_exponent = 2.0
-
-    def d1_inverse(self, w, t):
-        return t * w / np.sqrt(1.0 - w * w)
-
-    def d2_inverse(self, v, t):
-        return t * np.sqrt(1.0 - v * v) / v
+    def _norm(self):
+        return 2.0, 1.0
 
 
 @dataclass(frozen=True)
-class PNormPhi:
-    """phi(a, b) = (|a|^p + |b|^p)^(1/p), p >= 1."""
+class PNormPhi(ScaledPNorm):
+    """phi(a, b) = (|a|^p + |b|^p)^(1/p): tau = 1."""
 
     p: float
     family: str = "pnorm"
+    _needs = "finite p >= 1"
 
-    def __post_init__(self):
-        if not self.p >= 1.0:
-            raise InvalidTension(f"pnorm needs p >= 1, got p={self.p}")
-
-    def value(self, s, t):
-        p = self.p
-        return (np.abs(s) ** p + np.abs(t) ** p) ** (1.0 / p)
-
-    def d1(self, s, t):
-        p = self.p
-        if p == 1.0:
-            # Right derivative on the natural domain s >= 0.
-            return np.ones_like(np.asarray(s, dtype=float) + np.asarray(t, dtype=float) * 0.0)
-        rho = self.value(s, t)
-        return np.sign(s) * np.abs(s) ** (p - 1.0) * rho ** (1.0 - p)
-
-    def d2(self, s, t):
-        p = self.p
-        if p == 1.0:
-            return np.sign(t) * np.ones_like(np.asarray(s, dtype=float))
-        rho = self.value(s, t)
-        return np.sign(t) * np.abs(t) ** (p - 1.0) * rho ** (1.0 - p)
-
-    def d11(self, s, t):
-        p = self.p
-        if p == 1.0:
-            return np.zeros_like(np.asarray(s, dtype=float))
-        rho = self.value(s, t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (p - 1.0) * np.abs(s) ** (p - 2.0) * np.abs(t) ** p * rho ** (1.0 - 2.0 * p)
-        # |s|^(p-2) at s=0: 0 for p>2, finite for p=2, +inf for p<2.
-        return out
-
-    def kappa(self, s, t):
-        p = self.p
-        if p == 1.0:
-            return np.zeros_like(np.asarray(s, dtype=float) + np.asarray(t, dtype=float) * 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (p - 1.0) * np.abs(s * t) ** (p - 2.0) * self.value(s, t) ** (1.0 - 2.0 * p)
-
-    @property
-    def polar_exponent(self) -> float:
-        """q = p / (p - 1); inf for p = 1, whose Wulff shape is a box."""
-        return math.inf if self.p == 1.0 else self._conjugate()
-
-    def _conjugate(self) -> float:
-        """q = p / (p - 1); p = 1 has constant partials and no inverses."""
-        if self.p == 1.0:
-            raise NoBracket("pnorm with p = 1 has constant partials "
-                            "d1phi = 1 and d2phi = sign(t): no slope inverse")
-        return self.p / (self.p - 1.0)
-
-    def d1_inverse(self, w, t):
-        u = w ** self._conjugate()
-        return t * (u / (1.0 - u)) ** (1.0 / self.p)
-
-    def d2_inverse(self, v, t):
-        return t * (v ** -self._conjugate() - 1.0) ** (1.0 / self.p)
+    def _norm(self):
+        return self.p, 1.0
 
 
 @dataclass(frozen=True)
-class WeightedPhi:
-    """phi(a, b) = sqrt(a^2 + c b^2), c > 0."""
+class WeightedPhi(ScaledPNorm):
+    """phi(a, b) = sqrt(a^2 + c b^2): p = 2, tau = sqrt(c)."""
 
     c: float
     family: str = "weighted"
+    _needs = "finite c > 0"
 
-    def __post_init__(self):
-        if not self.c > 0.0:
-            raise InvalidTension(f"weighted needs c > 0, got c={self.c}")
-
-    def value(self, s, t):
-        return np.sqrt(s * s + self.c * t * t)
-
-    def d1(self, s, t):
-        return s / self.value(s, t)
-
-    def d2(self, s, t):
-        return self.c * t / self.value(s, t)
-
-    def d11(self, s, t):
-        rho = self.value(s, t)
-        return self.c * t * t / rho**3
-
-    def kappa(self, s, t):
-        return self.c / self.value(s, t) ** 3
-
-    polar_exponent = 2.0
-
-    def d1_inverse(self, w, t):
-        return math.sqrt(self.c) * t * w / np.sqrt(1.0 - w * w)
-
-    def d2_inverse(self, v, t):
-        c = self.c
-        return t * np.sqrt(c * c / (v * v) - c)
+    def _norm(self):
+        return 2.0, self.c
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +225,12 @@ class L1RegSliceNorm:
 
     eps: float = 0.05
     family: str = "l1reg"
+
+    def __post_init__(self):
+        # eps^2 enters value(); it must not overflow.
+        if not (self.eps >= 0.0 and self.eps * self.eps < math.inf):
+            raise InvalidTension("l1reg slice norm needs finite eps >= 0 with a "
+                                 f"finite eps^2, got eps={self.eps}")
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -386,7 +364,9 @@ def phi_partials(tension: SurfaceTension, s, t):
     phi = tension.phi
     d1 = phi.d1(s_arr, t_arr)
     d2 = phi.d2(s_arr, t_arr)
-    d11 = phi.d11(s_arr, t_arr)
+    # kappa is infinite at t = 0 for p < 2; d11 = t^2 kappa tends to 0 there.
+    with np.errstate(invalid="ignore"):
+        d11 = np.where(t_arr == 0.0, 0.0, t_arr * t_arr * phi.kappa(s_arr, t_arr))
     if np.isscalar(s) and np.isscalar(t):
         return float(d1), float(d2), float(d11)
     return d1, d2, d11
@@ -486,11 +466,11 @@ def check_admissible(tension: SurfaceTension, tol: float = 1e-8) -> Admissibilit
         if not (gaps[1] <= 0.95 * gaps[0] + 100.0 * tol):
             smooth = False
 
-    # Curvature of s -> phi(s, b) sampled over s > 0.
+    # Curvature d11 = t^2 kappa = kappa of s -> phi(s, +-1), sampled over s > 0.
     s_grid = np.logspace(-2, 1, 40)
     curv_min = math.inf
     for b in (1.0, -1.0):
-        curv = phi.d11(s_grid, b * np.ones_like(s_grid))
+        curv = phi.kappa(s_grid, b * np.ones_like(s_grid))
         curv_min = min(curv_min, float(np.min(curv)))
 
     admissible = (

@@ -23,14 +23,14 @@ horizontal sections alpha(t) * K_h, where
 
     alpha(t) = inf_y max{ phi(1, y) - t y, 0 }.
 
-Every phi family has the form phi(a, b) = |(a, tau b)|_p, so K is the unit
-ball of |(x, z / tau)|_q for the polar exponent q = p / (p - 1) and
+Every phi family is a scaled p-norm |(a, tau b)|_p (each family's p and
+tau are listed in :mod:`wulffdrop.tension`), so K is the unit ball of
+|(x, z / tau)|_q for the polar exponent q = p / (p - 1) and
 
     alpha(t) = (1 - |t / tau|^q)^(1/q)  on (-tau, tau),  0 outside,
 
-with tau = phi(0, 1): euclid q = 2, tau = 1; weighted q = 2, tau = sqrt(c);
-pnorm q = p / (p - 1), tau = 1.  The limit p = 1 has q = inf: K is a box,
-alpha = 1 on (-1, 1).  ``alpha_table`` evaluates alpha, its slope, its
+with tau = phi(0, 1).  The limit p = 1 has q = inf: K is a box, alpha = 1
+on (-tau, tau).  ``alpha_table`` evaluates alpha, its slope, its
 inverse and the cap volumes integral alpha^(N-1) from the same formula.
 alpha is even with its peak at t = 0, so one signed inverse serves both
 sides: z = tau (1 - a^q)^(1/q) solves alpha(z) = a where alpha falls, and
@@ -47,7 +47,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 from scipy.special import beta, betainc, betaincc
 
-from .errors import DimensionUnsupported, InvalidInput
+from .errors import DimensionUnsupported, InvalidInput, InvalidTension
 from .tension import SurfaceTension
 
 # Edges shorter than this are dropped.  The origin must also sit this far
@@ -173,7 +173,11 @@ def build_wulff_body(tension: SurfaceTension, m_normals: int = 1024) -> WulffBod
     theta = 2.0 * math.pi * np.arange(m_normals) / m_normals
     normals = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     offsets = tension.h.value(normals)
-    poly = halfplane_polygon(normals, offsets)
+    try:
+        poly = halfplane_polygon(normals, offsets)
+    except ValueError as exc:
+        raise InvalidTension(f"slice norm {tension.h} has no Wulff polygon: "
+                             f"{exc}") from exc
     lengths, edge_normals, supports = polygon_edges(poly)
     edge_h = tension.h.value(edge_normals)
     area = polygon_area(poly)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -261,8 +262,19 @@ def test_solve_method_both_deterministic_outputs(tension_file, tmp_path):
      '"h": {"family": "lp", "p": 2.0}}', "p >= 1"),
     ('{"N": 3, "phi": {"family": "euclid"}, "h": {"family": "lp", "p": 2.0}, '
      '"derivative_mode": "central-difference"}', "'central-difference'"),
+    ('{"N": 3, "phi": {"family": "euclid"}, "h": {"family": "l1reg", "eps": NaN}}',
+     "eps=nan"),
+    ('{"N": 3, "phi": {"family": "euclid"}, "h": {"family": "l1reg", "eps": 1e200}}',
+     "eps=1e+200"),
+    ('{"N": 3, "phi": {"family": "euclid"}, "h": {"family": "lp", "p": 1e300}}',
+     "LpSliceNorm(p=1e+300"),
+    ('{"N": 3, "phi": {"family": "pnorm", "p": Infinity}, '
+     '"h": {"family": "lp", "p": 2.0}}', "finite p >= 1"),
+    ('{"N": 3, "phi": {"family": "weighted", "c": Infinity}, '
+     '"h": {"family": "lp", "p": 2.0}}', "finite c > 0"),
 ], ids=["unknown-family", "truncated", "no-N", "weighted-c-negative",
-        "pnorm-p-below-1", "central-difference"])
+        "pnorm-p-below-1", "central-difference", "l1reg-eps-nan",
+        "l1reg-eps-1e200", "lp-p-1e300", "pnorm-p-inf", "weighted-c-inf"])
 def test_malformed_tension_document_is_a_validation_error(doc, names, tmp_path,
                                                           capsys):
     path = tmp_path / "bad.json"
@@ -409,20 +421,86 @@ def test_shoot_failure_exits_3(tension_file, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_direct_solve_near_the_pole_returns(tmp_path):
-    # pnorm p = 1.5 at omega = -0.01: the initial guess asks for alpha one
-    # ulp below the pole.  A subprocess with a wall-clock bound turns a hang
-    # into a failure.
-    path = tmp_path / "p15.json"
-    path.write_text('{"N": 3, "phi": {"family": "pnorm", "p": 1.5}, '
-                    '"h": {"family": "lp", "p": 2.0}}')
+def run_cli_process(argv, timeout):
+    """The CLI run in a fresh interpreter under a wall-clock bound, so that
+    a hang fails the test (subprocess.TimeoutExpired) instead of stalling
+    the suite."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(wulffdrop.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", "import sys; from wulffdrop.cli import main; "
-         "sys.exit(main(sys.argv[1:]))",
-         "solve", "--tension", str(path), "--method", "direct",
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def test_direct_solve_near_the_pole_returns(tmp_path):
+    # pnorm p = 1.5 at omega = -0.01: the initial guess asks for alpha one
+    # ulp below the pole.
+    path = tmp_path / "p15.json"
+    path.write_text('{"N": 3, "phi": {"family": "pnorm", "p": 1.5}, '
+                    '"h": {"family": "lp", "p": 2.0}}')
+    proc = run_cli_process(
+        ["solve", "--tension", str(path), "--method", "direct",
          "--omega=-0.01", "--mass", "1", "--out-dir", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=30)
+        timeout=30)
     assert proc.returncode in (0, 3), proc.stderr
+
+
+# phi documents at the edges of the parameter ranges, and where the closed
+# forms overflow, with their contact coefficient (m = 1, slice norm l_2).
+_FUZZ_PHI = [
+    ("pnorm-p-inf", '{"family": "pnorm", "p": Infinity}', "-0.5"),
+    ("weighted-c-inf", '{"family": "weighted", "c": Infinity}', "-0.5"),
+    ("weighted-c-1e300", '{"family": "weighted", "c": 1e300}', "-0.5"),
+    ("pnorm-p-1.0001", '{"family": "pnorm", "p": 1.0001}', "-0.5"),
+    ("pnorm-p-1.01", '{"family": "pnorm", "p": 1.01}', "-0.5"),
+    ("pnorm-p-1.05-omega-1e-7", '{"family": "pnorm", "p": 1.05}', "-1e-7"),
+    ("pnorm-p-1.2", '{"family": "pnorm", "p": 1.2}', "-0.5"),
+    ("pnorm-p-3", '{"family": "pnorm", "p": 3}', "-0.5"),
+    ("pnorm-p-60", '{"family": "pnorm", "p": 60}', "-0.5"),
+    ("pnorm-p-100", '{"family": "pnorm", "p": 100}', "-0.5"),
+    ("pnorm-p-1000", '{"family": "pnorm", "p": 1000}', "-0.5"),
+    ("pnorm-p-1e6", '{"family": "pnorm", "p": 1e6}', "-0.5"),
+]
+_FUZZ_CASES = [(name, method) for name, _, _ in _FUZZ_PHI
+               for method in ("shoot", "direct")]
+
+
+@pytest.fixture(scope="module")
+def fuzz_runs(tmp_path_factory):
+    """Every fuzz case solved in its own interpreter, two at a time; None
+    marks a run that outlived its 20 s bound."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    omegas = {}
+    for name, phi, omega in _FUZZ_PHI:
+        (tmp / f"{name}.json").write_text(
+            '{"N": 3, "phi": %s, "h": {"family": "lp", "p": 2.0}}' % phi)
+        omegas[name] = omega
+
+    def solve(case):
+        name, method = case
+        try:
+            return run_cli_process(
+                ["solve", "--tension", str(tmp / f"{name}.json"),
+                 "--method", method, f"--omega={omegas[name]}", "--mass", "1",
+                 "--out-dir", str(tmp / f"{name}-{method}")], timeout=20)
+        except subprocess.TimeoutExpired:
+            return None
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return dict(zip(_FUZZ_CASES, pool.map(solve, _FUZZ_CASES)))
+
+
+@pytest.mark.parametrize("case", _FUZZ_CASES, ids="-".join)
+def test_solve_fuzz_over_phi_documents_never_tracebacks(case, fuzz_runs):
+    # A document is rejected when built (exit 2), fails in a solver
+    # (exit 3, overflow included) or solves (exit 0): never a traceback.
+    proc = fuzz_runs[case]
+    assert proc is not None, "no exit within 20 s"
+    assert proc.returncode in (0, 2, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if proc.returncode:
+        errors = [line for line in proc.stderr.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1, proc.stderr
