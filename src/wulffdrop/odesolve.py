@@ -19,25 +19,29 @@ phi enters, so this stays regular when d11phi(0, N-1) = 0 (p-norm weights
 with p > 2).
 
 Shooting: Young's condition -d2phi(s*, N-1) = omega fixes the contact slope
-s* (``tension.phi.d2_inverse``), so each trajectory is one adaptive solve
-over the fixed interval [0, w*] with w* = d1phi(s*, N-1), and the physical
-profile is reconstructed from its dense output.  Reconstruction works in
-array form: the DOP853 segment polynomials are stacked once into a
-``DenseOutput`` that evaluates all knots in one expression, and the slope
-inverse takes arrays, so each Newton pass of the inversion of v is a few
-numpy calls.  The enclosed volume V_{v0}(s*) is strictly decreasing in v0,
-so matching the directly integrated volume to the target is a bracketed
-monotone root, solved by Brent's method in log2(v0).
+s* (``tension.phi.d2_inverse``), so each trajectory is one adaptive DOP853
+solve over the fixed interval [0, w*] with w* = d1phi(s*, N-1), and the
+physical profile is reconstructed from its dense output.  The module steps
+the DOP853 pair itself on two Python floats, with scipy's tableau and step
+control: s depends on w alone, so each step attempt makes one slope call, a
+``d1_inverse`` array call at all 16 stage abscissae.  Each accepted step
+writes its interpolant rows into one array, the ``DenseOutput`` that
+evaluates all knots in one expression; the slope inverse takes arrays too,
+so each Newton pass of the inversion of v is a few numpy calls.  The
+enclosed volume V_{v0}(s*) is strictly decreasing in v0, so matching the
+directly integrated volume to the target is a bracketed monotone root,
+solved by Brent's method in log2(v0).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 from .errors import (
@@ -58,8 +62,8 @@ from .tension import SurfaceTension
 from .wulff import WulffBody, build_wulff_body
 
 
-# solve_ivp tolerances of integrate_v.  The end state lies within about
-# 4e-12 relative of an rtol-1e-13 solve (tests/test_odesolve.py).
+# Tolerances of the DOP853 stepper of integrate_v.  The end state lies within
+# about 4e-12 relative of an rtol-1e-13 solve (tests/test_odesolve.py).
 _RTOL = 1e-12
 _ATOL = 1e-14
 
@@ -73,26 +77,25 @@ def unit_ball_volume(dim: int) -> float:
 
 
 class DenseOutput:
-    """Array-form evaluator of a DOP853 dense output.
+    """Array-form evaluator of the DOP853 dense output.
 
-    Stacks the per-step interpolants of scipy's ``OdeSolution`` (the
-    ``t_old``, ``h``, ``F`` and ``y_old`` fields of ``Dop853DenseOutput``)
-    and evaluates all targets in one array expression.  Segment choice
-    (``searchsorted`` on the left, clipped) and the polynomial's operation
-    order are scipy's, so values are bit-identical to ``OdeSolution``'s.
-    Called on a scalar it returns shape (n_states,), on an array
-    (n_states, n_points).
+    Segment k spans [ts[k], ts[k + 1]] and holds the seven interpolant rows
+    of its step in evaluation order: ``coeffs[i, :, k]`` is row 6 - i of
+    Hairer, Norsett & Wanner's degree-7 interpolant, as ``integrate_v``
+    writes it.  All targets are evaluated in one array expression; a target
+    on a node takes the segment to its left, and targets outside [ts[0],
+    ts[-1]] take the end segments.  Called on a scalar it returns shape
+    (n_states,), on an array (n_states, n_points).
     """
 
-    def __init__(self, ts: np.ndarray, interpolants) -> None:
+    def __init__(self, ts: np.ndarray, ys: np.ndarray, coeffs: np.ndarray) -> None:
         self.ts = ts
         self.t_max = ts[-1]
-        self.t_old = np.array([ip.t_old for ip in interpolants])
-        self.h = np.array([ip.h for ip in interpolants])
+        self.t_old = ts[:-1]
+        self.h = np.diff(ts)
         # Segment index last, so each step below runs along the targets.
-        self.y_old = np.array([ip.y_old for ip in interpolants]).T
-        # coeffs[i, :, k] is F[-1 - i] of segment k: the order of evaluation.
-        self.coeffs = np.stack([ip.F[::-1] for ip in interpolants], axis=2)
+        self.y_old = ys[:, :-1]
+        self.coeffs = coeffs
 
     def __call__(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=float)
@@ -171,14 +174,16 @@ def integrate_v(tension: SurfaceTension, v0: float,
                 s_stop: Optional[float] = None) -> Trajectory:
     """Solve the capillary ODE in w from the apex to the stop slope.
 
-    One DOP853 solve over [0, w*], w* = d1phi(s_stop, N-1), starting from
-    (r, v) = (0, v0); the last node lies at s = s_stop.  The slope inverse
-    s(w) is only evaluated inside [0, w*], so w* within rounding of the
-    asymptote phi(1, 0) of d1phi raises StalledInversion, and so does a w*
-    that is not positive (d1phi underflowed or is NaN).
+    One DOP853 solve (``_dop853``) over [0, w*], w* = d1phi(s_stop, N-1),
+    starting from (r, v) = (0, v0); the last node lies at s = s_stop.  The
+    slope inverse s(w) is only evaluated inside [0, w*], so w* within
+    rounding of the asymptote phi(1, 0) of d1phi raises StalledInversion,
+    and so does a w* that is not positive (d1phi underflowed or is NaN).  A
+    zero denominator, a NaN slope or a step below the minimum raises
+    NonConvergence.
     """
-    if not v0 > 0.0:
-        raise ValueError("v0 must be positive")
+    if not 0.0 < v0 < math.inf:
+        raise ValueError("v0 must be positive and finite")
     if s_stop is None or not 0.0 < s_stop < math.inf:
         raise ValueError("need a positive, finite stop slope s_stop")
     nm1 = tension.dim - 1
@@ -191,22 +196,135 @@ def integrate_v(tension: SurfaceTension, v0: float,
             f"slope target {w_end} outside (0, {sup}), the open range of d1phi",
             target=w_end,
         )
-
-    def rhs(w: float, y: np.ndarray) -> tuple[float, float]:
-        r, v = y.tolist()
-        den = nm1 * v - (nm1 - 1) * w / r if r > 0.0 else v
-        return 1.0 / den, phi.d1_inverse(w, t) / den
-
-    sol = solve_ivp(rhs, (0.0, w_end), (0.0, v0), method="DOP853",
-                    rtol=_RTOL, atol=_ATOL, dense_output=True)
-    if not sol.success:
-        raise NonConvergence(f"capillary ODE solve failed: {sol.message}")
-    rs, vs = sol.y
+    try:
+        ts, rs, vs, rows = _dop853(phi, nm1, float(v0), w_end)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise NonConvergence(f"capillary ODE solve failed: {exc}") from exc
+    ts = np.array(ts)
+    ys = np.array([rs, vs])
     return Trajectory(
-        rs=rs, vs=vs, ss=phi.d1_inverse(sol.t, t),
-        ws=rs ** (nm1 - 1) * sol.t, v0=v0, tension=tension,
-        dense=DenseOutput(sol.t, sol.sol.interpolants),
+        rs=ys[0], vs=ys[1], ss=phi.d1_inverse(ts, t),
+        ws=ys[0] ** (nm1 - 1) * ts, v0=v0, tension=tension,
+        # rows[k] lists segment k's interpolant rows 6..0, each as (r, v).
+        dense=DenseOutput(ts, ys, np.array(rows).T.reshape(7, 2, -1)),
     )
+
+
+# The DOP853 tableau (Dormand & Prince 1980; Hairer, Norsett & Wanner,
+# Solving ODEs I, II.5-II.6) as scipy states it.  Row i of _A combines the
+# first i stage slopes into stage i: rows 1-11 are the pair's stages, row 12
+# is the 8th-order weights B (stage 12 is the step's end point, whose slope
+# the next step reuses) and rows 13-15 are the dense output's extra stages.
+# _C holds the 16 matching abscissae.
+_A = tuple(tuple(row[:i].tolist()) for i, row in
+           enumerate([*DOP853.A, DOP853.B, *DOP853.A_EXTRA]))
+_C = np.concatenate((DOP853.C, [1.0], DOP853.C_EXTRA))
+_E3 = tuple(DOP853.E3.tolist())
+_E5 = tuple(DOP853.E5.tolist())
+_D = tuple(tuple(row.tolist()) for row in DOP853.D)
+_END = DOP853.n_stages
+
+# scipy's step control: safety factor, step-factor limits and the exponent
+# -1/(q + 1) of the 7th-order error estimate.
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_EXPONENT = -1.0 / 8.0
+
+
+def _add_stages(stop: int, nm1: int, r: float, v: float, h: float,
+                ws: list, ss: list, kr: list, kv: list) -> tuple[float, float]:
+    """Append the slopes of stages len(kr)..stop-1 of the step h from (r, v)
+    to kr, kv; ws and ss hold the abscissae and their s.  Returns the last
+    stage's state."""
+    for i in range(len(kr), stop):
+        a = _A[i]
+        ri = r + sum(map(mul, a, kr)) * h
+        vi = v + sum(map(mul, a, kv)) * h
+        den = nm1 * vi - (nm1 - 1) * ws[i] / ri if ri > 0.0 else vi
+        kr.append(1.0 / den)
+        kv.append(ss[i] / den)
+    return ri, vi
+
+
+def _dop853(phi, nm1: int, v0: float, w_end: float):
+    """DOP853 on dr/dw = 1 / den, dv/dw = s(w) / den from (0, v0) to w_end.
+
+    The step control is that of scipy's DOP853 solver class, at _RTOL and
+    _ATOL on Python floats: its initial step, the E5/E3 RMS error norm, the
+    safety and factor limits, a minimum step of 10 ulp of w and the last
+    step clamped onto w_end.  s depends on w alone, so each attempt takes s
+    at all 16 abscissae in one ``d1_inverse`` array call.  Returns the nodes
+    (ts, rs, vs) and, per accepted step, its interpolant rows 6..0 as one
+    flat list of (r, v) pairs.  Python floats raise ZeroDivisionError
+    where numpy would warn.
+    """
+    t = float(nm1)
+
+    def rms(a, b):
+        return math.hypot(a, b) / math.sqrt(2.0)
+
+    # Initial step: the apex slope is v'(0) = 0, so f(0) = (1/v0, 0).
+    w, r, v, fr, fv = 0.0, 0.0, v0, 1.0 / v0, 0.0
+    sr, sv = _ATOL, _ATOL + v0 * _RTOL
+    d0, d1 = rms(0.0, v / sv), rms(fr / sr, fv / sv)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, w_end)
+    r1, v1 = h0 * fr, v + h0 * fv
+    (s1,) = phi.d1_inverse(np.array([h0]), t).tolist()
+    den = nm1 * v1 - (nm1 - 1) * h0 / r1
+    d2 = rms((1.0 / den - fr) / sr, (s1 / den - fv) / sv) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    h_abs = min(100.0 * h0, h1, w_end)
+
+    ts, rs, vs, rows = [w], [r], [v], []
+    while w < w_end:
+        min_step = 10.0 * (math.nextafter(w, math.inf) - w)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            # Also ends a NaN step, which no comparison would stop.
+            if not h_abs >= min_step:
+                raise NonConvergence("capillary ODE solve failed: required "
+                                     "step size is less than spacing between "
+                                     f"numbers at w={w}")
+            w_new = min(w + h_abs, w_end)
+            h = h_abs = w_new - w
+            wk = w + _C * h
+            sk = phi.d1_inverse(wk, t).tolist()
+            wk = wk.tolist()
+            kr, kv = [fr], [fv]
+            r_new, v_new = _add_stages(_END + 1, nm1, r, v, h, wk, sk, kr, kv)
+            sr = _ATOL + max(abs(r), abs(r_new)) * _RTOL
+            sv = _ATOL + max(abs(v), abs(v_new)) * _RTOL
+            e5r, e5v = sum(map(mul, _E5, kr)) / sr, sum(map(mul, _E5, kv)) / sv
+            e3r, e3v = sum(map(mul, _E3, kr)) / sr, sum(map(mul, _E3, kv)) / sv
+            e5, e3 = e5r * e5r + e5v * e5v, e3r * e3r + e3v * e3v
+            if e5 == 0.0 and e3 == 0.0:
+                err = 0.0
+            else:
+                err = h * e5 / math.sqrt(2.0 * (e5 + 0.01 * e3))
+            if err < 1.0:
+                factor = (_MAX_FACTOR if err == 0.0
+                          else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT))
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
+            rejected = True
+
+        _add_stages(len(_A), nm1, r, v, h, wk, sk, kr, kv)
+        dr, dv = r_new - r, v_new - v
+        row = [h * sum(map(mul, d, k)) for d in reversed(_D) for k in (kr, kv)]
+        row += (2.0 * dr - h * (kr[_END] + fr), 2.0 * dv - h * (kv[_END] + fv),
+                h * fr - dr, h * fv - dv, dr, dv)
+        rows.append(row)
+        w, r, v, fr, fv = w_new, r_new, v_new, kr[_END], kv[_END]
+        ts.append(w)
+        rs.append(r)
+        vs.append(v)
+    return ts, rs, vs, rows
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .errors import (
     OmegaOutOfRange,
 )
 from ._quad import GAUSS_W, GAUSS_X, slab_volume
-from .tension import SurfaceTension, phi_partials
+from .tension import SurfaceTension
 from .wulff import WulffBody, build_wulff_body, concavity_defect
 
 
@@ -176,7 +176,7 @@ def reduced_energy_gradient(p: Profile, omega: Optional[float] = None) -> np.nda
     dt, r_g = _gauss_radii(p.knots, p.r)
     s_arg = -nm1 * (np.diff(p.r) / dt)
     phi = p.tension.phi.value(lam, s_arg)
-    _, d2, _ = phi_partials(p.tension, np.full_like(s_arg, lam), s_arg)
+    d2 = p.tension.phi.d2(np.full_like(s_arg, lam), s_arg)
     grad = np.zeros_like(p.r)
     wx = GAUSS_W * (1.0 - GAUSS_X)
     wy = GAUSS_W * GAUSS_X
@@ -252,7 +252,7 @@ def el_residual(p: Profile, lam_mult: float) -> ElResidual:
     dt = np.diff(t)
     slope = np.diff(r) / dt
     r_mid = 0.5 * (r[:-1] + r[1:])
-    _, d2_mid, _ = phi_partials(p.tension, np.full_like(slope, lam), -nm1 * slope)
+    d2_mid = p.tension.phi.d2(np.full_like(slope, lam), -nm1 * slope)
     flux = nm1 * r_mid ** (nm1 - 1) * d2_mid
 
     i = np.arange(1, len(t) - 1)
@@ -284,8 +284,7 @@ def young_residual(p: Profile, omega: Optional[float] = None,
     nm1 = p.tension.dim - 1
     if contact_slope is None:
         contact_slope = (p.r[1] - p.r[0]) / (p.knots[1] - p.knots[0])
-    _, d2, _ = phi_partials(p.tension, p.body.lam, -nm1 * contact_slope)
-    return float(-d2 - om)
+    return float(-p.tension.phi.d2(p.body.lam, -nm1 * contact_slope) - om)
 
 
 def lambda_estimate(p: Profile) -> float:

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -263,12 +264,13 @@ class SurfaceTension:
 
     # -- basic evaluations --------------------------------------------------
 
-    @property
+    # Cached: every energy evaluation checks omega against these two.
+    @cached_property
     def f_eN(self) -> float:
         """f(e_N) = phi(0, 1); top of the admissible omega interval is f(-e_N)."""
         return float(self.phi.value(0.0, 1.0))
 
-    @property
+    @cached_property
     def f_neg_eN(self) -> float:
         return float(self.phi.value(0.0, -1.0))
 

@@ -10,7 +10,7 @@ import pytest
 
 import wulffdrop
 from wulffdrop import cli, competitor, reduced, sets
-from wulffdrop.tension import make_tension, tension_to_config
+from wulffdrop.tension import ScaledPNorm, make_tension, tension_to_config
 from wulffdrop.wulff import build_wulff_body
 
 
@@ -418,6 +418,23 @@ def test_shoot_failure_exits_3(tension_file, tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: solver failed")
+    assert not out.exists()
+
+
+def test_nan_slope_shoot_exits_3(tension_file, tmp_path, capsys, monkeypatch):
+    # A NaN slope inverse stalls the capillary ODE stepper: a solver
+    # failure with one error line, not a traceback.
+    monkeypatch.setattr(ScaledPNorm, "d1_inverse",
+                        lambda self, w, t: np.full(np.shape(w), np.nan))
+    out = tmp_path / "out"
+    code = run(["solve", "--tension", tension_file, "--method", "shoot",
+                "--omega=-0.5", "--mass", "1", "--out-dir", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: solver failed: capillary ODE solve failed")
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -6,8 +6,9 @@ from scipy.integrate import solve_ivp
 
 from wulffdrop import odesolve as od
 from wulffdrop import reduced
-from wulffdrop.errors import NoBracket, OmegaOutOfGraphRange, OutOfRange, StalledInversion
-from wulffdrop.tension import make_tension, phi_partials
+from wulffdrop.errors import (NoBracket, NonConvergence, OmegaOutOfGraphRange,
+                              OutOfRange, StalledInversion)
+from wulffdrop.tension import ScaledPNorm, make_tension, phi_partials
 from wulffdrop.wulff import build_wulff_body
 
 
@@ -274,35 +275,53 @@ def test_shoot_near_zero_contact_coefficient(family, params, frac):
     assert abs(d["young_residual"]) < 1e-8
 
 
+def test_tableau_is_scipys_dop853():
+    # The stepper reads its tableau from scipy's DOP853 class; a change of
+    # its layout there must fail here, not inside a solve.
+    from scipy.integrate import DOP853
+
+    assert DOP853.n_stages == 12
+    assert DOP853.A.shape == (12, 12) and DOP853.B.shape == (12,)
+    assert DOP853.A_EXTRA.shape == (3, 16) and DOP853.C_EXTRA.shape == (3,)
+    assert DOP853.D.shape == (4, 16)
+    assert DOP853.E3.shape == DOP853.E5.shape == (13,)
+    assert [len(row) for row in od._A] == list(range(16))
+    assert od._C.shape == (16,)
+
+
 @pytest.mark.parametrize("family", ["euclid", "pnorm3", "weighted2"])
-def test_dense_output_matches_ode_solution(request, monkeypatch, family):
-    # DenseOutput stacks the t_old, h, F and y_old fields of scipy's
-    # Dop853DenseOutput; it must reproduce the OdeSolution of the same
-    # solve_ivp call bit for bit.
+def test_stepper_matches_solve_ivp_dop853(request, family):
+    # integrate_v runs scipy's DOP853 step control itself.  Against
+    # solve_ivp at the module tolerances it takes as many steps, and its
+    # end state and dense output agree to rounding level; the nodes are not
+    # bit-identical, because the error estimate is a cancelling sum whose
+    # summation order differs.
     tension = request.getfixturevalue(family)
-    solutions = []
+    nm1 = tension.dim - 1
+    phi = tension.phi
 
-    def capture(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        solutions.append(sol.sol)
-        return sol
+    def rhs(w, y):
+        r, v = y.tolist()
+        den = nm1 * v - (nm1 - 1) * w / r if r > 0.0 else v
+        return 1.0 / den, phi.d1_inverse(w, float(nm1)) / den
 
-    monkeypatch.setattr(od, "solve_ivp", capture)
-    s_stop = od.s_star(tension, -0.5 * tension.f_eN)
-    traj = od.integrate_v(tension, 1.0, s_stop=s_stop)
-    (ref,) = solutions
-    ts = ref.ts
-    assert np.array_equal(traj.dense.ts, ts)
-    assert traj.dense.t_max == ref.t_max
-    rng = np.random.default_rng(0)
-    for w in (ts, 0.5 * (ts[:-1] + ts[1:]), rng.uniform(0.0, ts[-1], 1000)):
-        got = traj.dense(w)
-        assert got.shape == (2, len(w))
-        assert np.array_equal(got, ref(w))
-    for w in (0.0, ts[1], 0.5 * (ts[1] + ts[2]), 0.3 * ts[-1], ts[-1]):
-        got = traj.dense(w)
-        assert got.shape == (2,)
-        assert np.array_equal(got, ref(w))
+    for frac in (-0.99, -0.5, -0.05):
+        s_stop = od.s_star(tension, frac * tension.f_eN)
+        w_end = float(phi.d1(s_stop, float(nm1)))
+        for v0 in (1e-5, 3e-3, 1.0, 1e3):
+            traj = od.integrate_v(tension, v0, s_stop=s_stop)
+            ref = solve_ivp(rhs, (0.0, w_end), (0.0, v0), method="DOP853",
+                            rtol=od._RTOL, atol=od._ATOL, dense_output=True)
+            assert ref.success
+            assert len(traj.dense.ts) == len(ref.t)
+            assert traj.dense.ts[-1] == ref.t[-1] == w_end
+            end = np.array([traj.rs[-1], traj.vs[-1]])
+            assert np.all(np.abs(end - ref.y[:, -1]) <= 1e-12 * ref.y[:, -1])
+            w = np.linspace(0.0, w_end, 200)
+            got, want = traj.dense(w), ref.sol(w)
+            assert got.shape == (2, len(w))
+            assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+            assert traj.dense(0.5 * w_end).shape == (2,)
 
 
 _FAMILIES = [("euclid", {}), ("weighted", {"c": 2.0}), ("pnorm", {"p": 3.0}),
@@ -364,6 +383,29 @@ def test_integrate_v_stalls_at_the_asymptote(euclid):
     # w* = 1e8 / hypot(1e8, 2) rounds to the asymptote phi(1, 0) = 1.
     with pytest.raises(StalledInversion):
         od.integrate_v(euclid, 1.0, s_stop=1e8)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_slope_is_a_nonconvergence(euclid, monkeypatch, value):
+    # Python floats raise or propagate where numpy arrays warned: a NaN
+    # slope fails every error test down to the minimum step, an infinite one
+    # zeroes the initial step; both end in NonConvergence, not in an
+    # arithmetic exception or a hang.
+    monkeypatch.setattr(ScaledPNorm, "d1_inverse",
+                        lambda self, w, t: np.full(np.shape(w), value))
+    with pytest.raises(NonConvergence, match="capillary ODE solve failed"):
+        od.integrate_v(euclid, 1.0, s_stop=1.5)
+
+
+def test_shoot_pnorm_1000_is_warning_free():
+    # The residuals read d2phi alone; the d11 that phi_partials also forms
+    # overflows for p = 1000, which the RuntimeWarning filter turns into an
+    # error.
+    sol = od.shoot(make_tension("pnorm", p=1000.0), -0.5, 1.0)
+    d = sol.diagnostics
+    assert sol.v0 == pytest.approx(0.36155, rel=1e-4)
+    assert d["achieved_volume"] == pytest.approx(1.0, rel=1e-6)
+    assert abs(d["young_residual"]) < 1e-8
 
 
 @pytest.mark.xfail(strict=True, raises=NoBracket,
