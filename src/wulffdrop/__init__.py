@@ -4,7 +4,7 @@ The package computes, verifies and cross-validates minimizers of the drop
 energy (anisotropic surface tension + contact energy + gravity) for
 symmetrizable tensions f(x) = phi(h(x'), x_N):
 
-- :mod:`wulffdrop.tension`    tension families, duals, admissibility
+- :mod:`wulffdrop.tension`    tension families, admissibility
 - :mod:`wulffdrop.wulff`      slice Wulff bodies and the vertical profile
 - :mod:`wulffdrop.sets`       discrete sliced sets, energy, symmetrization
 - :mod:`wulffdrop.reduced`    radial reduction and the direct minimizer
@@ -60,8 +60,6 @@ from .tension import (
     SurfaceTension,
     check_admissible,
     eval_f,
-    h_star,
-    h_star_grad,
     make_tension,
     phi_partials,
     tension_from_config,
@@ -69,10 +67,8 @@ from .tension import (
 )
 from .wulff import (
     WulffBody,
-    WulffProfile,
     build_wulff_body,
     wulff_alpha,
-    wulff_profile,
 )
 
 __version__ = "0.1.0"

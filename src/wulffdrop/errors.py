@@ -14,10 +14,6 @@ class DegeneratePoint(WulffDropError, ValueError):
     """Partial derivatives requested at the degenerate point (0, 0)."""
 
 
-class ZeroDirection(WulffDropError, ValueError):
-    """Dual gradient requested at the zero vector."""
-
-
 class DimensionUnsupported(WulffDropError, ValueError):
     """Slice dimension outside the supported range {1, 2}."""
 

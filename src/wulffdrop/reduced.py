@@ -42,13 +42,23 @@ class EnergyBreakdown:
     """Surface, contact and potential contributions plus their sum.
 
     When the energy is evaluated at a 1-D array of contact coefficients,
-    ``Fc`` and ``total`` are arrays with one entry per coefficient.
+    ``Fc`` and ``total`` are arrays with one entry per coefficient.  The
+    energies of a stack of profiles or a block of sets hold arrays with one
+    leading entry per member; :meth:`at` picks one member.
     """
 
     Fs: float
     Fc: float | np.ndarray
     Fp: float
     total: float | np.ndarray
+
+    def at(self, index) -> "EnergyBreakdown":
+        """Entry ``index`` of a stacked breakdown, 0-d values as floats."""
+        def pick(x):
+            x = np.asarray(x)[index]
+            return float(x) if x.ndim == 0 else x
+        return EnergyBreakdown(Fs=pick(self.Fs), Fc=pick(self.Fc),
+                               Fp=pick(self.Fp), total=pick(self.total))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +143,10 @@ def reduced_volume(p: Profile) -> float:
 
 
 def _gauss_radii(knots: np.ndarray, r: np.ndarray):
-    """Slab widths and the radii at each slab's Gauss nodes."""
-    return np.diff(knots), r[:-1, None] + np.diff(r)[:, None] * GAUSS_X[None, :]
+    """Slab widths and the radii at each slab's Gauss nodes (knots on the
+    last axis, stacked profiles on any leading axes)."""
+    dt = np.diff(knots, axis=-1)
+    return dt, r[..., :-1, None] + np.diff(r, axis=-1)[..., None] * GAUSS_X
 
 
 def lateral_slab_energy(tension: SurfaceTension, lam: float,
@@ -143,11 +155,40 @@ def lateral_slab_energy(tension: SurfaceTension, lam: float,
     the piecewise-linear profile r on knots (Gauss rule); times |K_h| it is
     the lateral surface energy.  It takes the arrays, not a Profile, so
     that a cap keeps its own knots (shifting them to start at 0 can move a
-    slab width by an ulp)."""
+    slab width by an ulp), and profiles stacked on leading axes."""
     nm1 = tension.dim - 1
     dt, r_g = _gauss_radii(knots, r)
-    phi = tension.phi.value(lam, -nm1 * (np.diff(r) / dt))
-    return dt * (GAUSS_W[None, :] * r_g ** (nm1 - 1)).sum(axis=1) * phi
+    phi = tension.phi.value(lam, -nm1 * (np.diff(r, axis=-1) / dt))
+    return dt * (GAUSS_W * r_g ** (nm1 - 1)).sum(axis=-1) * phi
+
+
+def _scalar_power(x, n: int) -> np.ndarray:
+    """x ** n entry by entry in scalar (libm pow) arithmetic, as the end
+    radii of a single profile have always been raised; an array ** 2
+    squares instead, which differs in the last bit for about 1 value in
+    1000."""
+    return np.reshape([float(v) ** n for v in np.ravel(x)], np.shape(x))
+
+
+def stacked_energy(tension: SurfaceTension, body: WulffBody, knots: np.ndarray,
+                   r: np.ndarray, omega) -> EnergyBreakdown:
+    """Energies of the profiles r on knots, stacked on the leading axes.
+
+    ``Fs`` and ``Fp`` have the stack's shape; ``Fc`` and ``total`` too for
+    a scalar ``omega``, with one more axis for a 1-D array of them.  Rows
+    reduce alone, so each entry equals :func:`reduced_energy` of its row.
+    """
+    nm1, area = tension.dim - 1, body.area
+    fs = area * np.sum(lateral_slab_energy(tension, body.lam, knots, r), axis=-1)
+    top = r[..., -1]
+    fs = np.where(top > 0, fs + tension.f_eN * area * _scalar_power(top, nm1), fs)
+    dt, r_g = _gauss_radii(knots, r)
+    t_g = knots[..., :-1, None] + dt[..., None] * GAUSS_X
+    fp = area * np.sum(dt * (GAUSS_W * t_g * r_g**nm1).sum(axis=-1), axis=-1)
+    # One column per contact coefficient when omega is an array.
+    col = (lambda x: x[..., None]) if np.ndim(omega) else (lambda x: x)
+    fc = omega * area * col(_scalar_power(r[..., 0], nm1))
+    return EnergyBreakdown(Fs=fs, Fc=fc, Fp=fp, total=col(fs) + fc + col(fp))
 
 
 def reduced_energy(p: Profile, omega: Optional[float] = None) -> EnergyBreakdown:
@@ -158,15 +199,7 @@ def reduced_energy(p: Profile, omega: Optional[float] = None) -> EnergyBreakdown
     to the scalar calls.
     """
     om = _resolve_omega(p, omega)
-    nm1, area = p.tension.dim - 1, p.body.area
-    fs = float(area * np.sum(lateral_slab_energy(p.tension, p.body.lam, p.knots, p.r)))
-    if p.r[-1] > 0:
-        fs += p.tension.f_eN * area * p.r[-1] ** nm1
-    fc = om * area * float(p.r[0] ** nm1)
-    dt, r_g = _gauss_radii(p.knots, p.r)
-    t_g = p.knots[:-1, None] + dt[:, None] * GAUSS_X[None, :]
-    fp = float(area * np.sum(dt * (GAUSS_W[None, :] * t_g * r_g**nm1).sum(axis=1)))
-    return EnergyBreakdown(Fs=fs, Fc=fc, Fp=fp, total=fs + fc + fp)
+    return stacked_energy(p.tension, p.body, p.knots, p.r, om).at(())
 
 
 def reduced_energy_gradient(p: Profile, omega: Optional[float] = None) -> np.ndarray:

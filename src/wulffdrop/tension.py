@@ -36,7 +36,7 @@ so its sections are alpha(t) K_h with alpha(t) = (1 - |t / tau|^q)^(1/q)
 
 Built-in h families
 -------------------
-``lp``          l_p norm, 1 <= p <= inf (closed-form dual l_q)
+``lp``          l_p norm, 1 <= p <= inf
 ``euclid``      alias for lp with p = 2
 ``l1reg``       smoothed l_1: sum_i sqrt(x_i^2 + eps^2 |x|_2^2), finite
                 eps >= 0 with a finite eps^2
@@ -56,13 +56,8 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .errors import DegeneratePoint, InvalidTension, NoBracket, ZeroDirection
-
-# Number of unit directions sampled when a slice norm registers no closed-form
-# dual.  Error is O(1/M^2) in 2-D after the local bounded refinement.
-M_DUAL = 4096
+from .errors import DegeneratePoint, InvalidTension, NoBracket
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +165,7 @@ class WeightedPhi(ScaledPNorm):
 
 @dataclass(frozen=True)
 class LpSliceNorm:
-    """l_p norm on the slice, with closed-form dual l_q, 1/p + 1/q = 1."""
+    """l_p norm on the slice."""
 
     p: float
     family: str = "lp"
@@ -179,40 +174,11 @@ class LpSliceNorm:
         if not self.p >= 1.0:
             raise InvalidTension(f"lp slice norm needs p >= 1, got p={self.p}")
 
-    @property
-    def q(self) -> float:
-        if self.p == 1.0:
-            return math.inf
-        if math.isinf(self.p):
-            return 1.0
-        return self.p / (self.p - 1.0)
-
     def value(self, x):
         x = np.asarray(x, dtype=float)
         if math.isinf(self.p):
             return np.max(np.abs(x), axis=-1)
         return (np.abs(x) ** self.p).sum(axis=-1) ** (1.0 / self.p)
-
-    def dual_value(self, x):
-        x = np.asarray(x, dtype=float)
-        q = self.q
-        if math.isinf(q):
-            return np.max(np.abs(x), axis=-1)
-        return (np.abs(x) ** q).sum(axis=-1) ** (1.0 / q)
-
-    def dual_grad(self, x):
-        x = np.asarray(x, dtype=float)
-        q = self.q
-        if math.isinf(q):
-            # Gradient of the max norm: unit coordinate at the max entry.
-            g = np.zeros_like(x)
-            j = int(np.argmax(np.abs(x)))
-            g[j] = np.sign(x[j])
-            return g
-        if q == 1.0:
-            return np.sign(x)
-        nq = self.dual_value(x)
-        return np.sign(x) * np.abs(x) ** (q - 1.0) / nq ** (q - 1.0)
 
 
 @dataclass(frozen=True)
@@ -220,8 +186,7 @@ class L1RegSliceNorm:
     """Smoothed l_1 norm: sum_i sqrt(x_i^2 + eps^2 |x|_2^2).
 
     Convex and 1-homogeneous (each term is the Euclidean norm of a linear
-    image of x); smooth away from the origin.  No closed-form dual is
-    registered, so the dual is evaluated by direction sampling.
+    image of x); smooth away from the origin.
     """
 
     eps: float = 0.05
@@ -237,9 +202,6 @@ class L1RegSliceNorm:
         x = np.asarray(x, dtype=float)
         n2sq = (x * x).sum(axis=-1, keepdims=True)
         return np.sqrt(x * x + self.eps**2 * n2sq).sum(axis=-1)
-
-    dual_value = None
-    dual_grad = None
 
 
 _PHI_FAMILIES = {"euclid": EuclidPhi, "pnorm": PNormPhi, "weighted": WeightedPhi}
@@ -372,58 +334,6 @@ def phi_partials(tension: SurfaceTension, s, t):
     if np.isscalar(s) and np.isscalar(t):
         return float(d1), float(d2), float(d11)
     return d1, d2, d11
-
-
-def _sample_directions(dim_slice: int, m: int) -> np.ndarray:
-    if dim_slice == 1:
-        return np.array([[1.0], [-1.0]])
-    theta = 2.0 * math.pi * np.arange(m) / m
-    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-
-
-def _dual_by_sampling(tension: SurfaceTension, xp: np.ndarray):
-    """Maximize y -> xp . y / h(y) over unit directions; returns (value, y0)."""
-    d = tension.dim - 1
-    ys = _sample_directions(d, M_DUAL)
-    scores = ys @ xp / tension.h.value(ys)
-    k = int(np.argmax(scores))
-    if d == 1:
-        y0 = ys[k]
-        return float(scores[k]), y0
-    theta0 = 2.0 * math.pi * k / M_DUAL
-    dtheta = 2.0 * math.pi / M_DUAL
-
-    def score(theta):
-        y = np.array([math.cos(theta), math.sin(theta)])
-        return float(xp @ y / tension.h.value(y))
-
-    theta = minimize_scalar(lambda th: -score(th),
-                            bounds=(theta0 - dtheta, theta0 + dtheta),
-                            method="bounded", options={"xatol": 1e-12}).x
-    y0 = np.array([math.cos(theta), math.sin(theta)])
-    return score(theta), y0
-
-
-def h_star(tension: SurfaceTension, xp) -> float:
-    """Dual slice norm h_*(x') = sup { x'.y : h(y) = 1 }."""
-    xp = np.asarray(xp, dtype=float)
-    if np.all(xp == 0.0):
-        return 0.0
-    if getattr(tension.h, "dual_value", None) is not None:
-        return float(tension.h.dual_value(xp))
-    value, _ = _dual_by_sampling(tension, xp)
-    return value
-
-
-def h_star_grad(tension: SurfaceTension, xp) -> np.ndarray:
-    """Gradient of h_* at x' != 0; satisfies h(grad) = 1 at smooth points."""
-    xp = np.asarray(xp, dtype=float)
-    if np.all(xp == 0.0):
-        raise ZeroDirection("h_* gradient is undefined at the origin")
-    if getattr(tension.h, "dual_grad", None) is not None:
-        return tension.h.dual_grad(xp)
-    _, y0 = _dual_by_sampling(tension, xp)
-    return y0 / float(tension.h.value(y0))
 
 
 # ---------------------------------------------------------------------------

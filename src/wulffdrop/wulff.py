@@ -316,20 +316,3 @@ def concavity_defect(t: np.ndarray, a: np.ndarray) -> float:
     if not interior.any():
         return 0.0
     return float(np.max((chord - a[1:-1])[interior]))
-
-
-@dataclass(frozen=True)
-class WulffProfile:
-    """Sampled vertical profile t -> alpha(t) on the support of the shape."""
-
-    ts: np.ndarray
-    alphas: np.ndarray
-
-    def concavity_defect(self) -> float:
-        return concavity_defect(self.ts, self.alphas)
-
-
-def wulff_profile(tension: SurfaceTension, n: int = 512) -> WulffProfile:
-    lo, hi = vertical_extent(tension)
-    ts = np.linspace(lo, hi, n)
-    return WulffProfile(ts=ts, alphas=wulff_alpha(tension, ts))

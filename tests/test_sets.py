@@ -96,6 +96,129 @@ def test_suite_symmetrization_matches_scalar_reference(seed):
     assert details["failures"] == failures
 
 
+def _convex_ngon(rng, n_edges):
+    """A convex polygon with exactly n_edges edges: jittered angles on a circle."""
+    theta = 2.0 * math.pi * (np.arange(n_edges) + rng.uniform(0.0, 0.5, n_edges)) / n_edges
+    return rng.uniform(0.5, 1.5) * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+
+
+def _block_members(tension):
+    """Sets over every edge count 3..12 and knot count 4..32, with positive
+    tops, interior empty slices and an empty top among them."""
+    rng = np.random.default_rng(17)
+    members = []
+    for n_knots in range(4, 33):
+        n_edges = 3 + (n_knots - 4) % 10
+        knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.5, n_knots - 1))])
+        scales = rng.uniform(0.2, 1.2, n_knots)
+        if n_knots % 3 == 0:
+            scales[1:-1:2] = 0.0
+        if n_knots % 4 == 0:
+            scales[-1] = 0.0
+        centers = np.cumsum(rng.normal(0.0, 0.15, (n_knots, 2)), axis=0)
+        members.append(sets.sliced_set(_convex_ngon(rng, n_edges), knots, scales,
+                                       centers, tension))
+    return members
+
+
+def _assert_block_matches_single_calls(members, tension, body):
+    omegas = np.array(checks.omega_samples(tension))
+    for order in (members, members[::-1]):
+        blk = sets.set_block(order)
+        got = sets.block_energy(blk, tension, omegas)
+        symm = sets.symmetrized_energy(blk, body, omegas)
+        for i, s in enumerate(order):
+            one = sets.energy(s, tension, omegas)
+            assert (got.Fs[i], got.Fp[i]) == (one.Fs, one.Fp)
+            assert np.array_equal(got.total[i], one.total)
+            assert np.array_equal(got.Fc[i], one.Fc)
+            ref = reduced.reduced_energy(sets.symmetrize(s, body), omegas)
+            assert (symm.Fs[i], symm.Fp[i]) == (ref.Fs, ref.Fp)
+            assert np.array_equal(symm.total[i], ref.total)
+
+
+@pytest.mark.parametrize("tension", checks.builtin_tensions(),
+                         ids=lambda t: t.tension_id)
+def test_block_energies_equal_single_set_calls(tension):
+    members = _block_members(tension)
+    assert {len(s.edge_lengths) for s in members} == set(range(3, 13))
+    assert {len(s.knots) for s in members} == set(range(4, 33))
+    assert any(s.scales[-1] > 0 for s in members)
+    assert any(np.any(s.scales[1:-1] == 0.0) for s in members)
+    _assert_block_matches_single_calls(members, tension,
+                                       build_wulff_body(tension, 1024))
+
+
+def test_one_knot_set_in_a_block(euclid, euclid_body):
+    # A set of one knot has no slabs: its energy is its flat top and its
+    # contact term, alone or between other sets.
+    flat = sets.sliced_set(euclid_body.geometry, [0.0], [0.8], np.zeros((1, 2)), euclid)
+    e = sets.energy(flat, euclid, -0.3)
+    area = 0.64 * euclid_body.area
+    assert e.Fs == pytest.approx(euclid.f_eN * area, rel=1e-15)
+    assert e.Fp == 0.0 and e.Fc == pytest.approx(-0.3 * area, rel=1e-15)
+    members = _block_members(euclid)[:3]
+    _assert_block_matches_single_calls([flat] + members + [flat], euclid, euclid_body)
+
+
+def test_block_energies_equal_single_set_calls_for_intervals():
+    t2 = make_tension("euclid", dim=2)
+    rng = np.random.default_rng(19)
+    members = []
+    for n_knots in (2, 5, 5, 11):
+        knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 0.4, n_knots - 1))])
+        lo = rng.uniform(-1.5, -0.5)
+        members.append(sets.sliced_set(np.array([lo, lo + rng.uniform(0.5, 2.0)]), knots,
+                                       rng.uniform(0.0, 1.0, n_knots),
+                                       rng.normal(0.0, 0.2, (n_knots, 1)), t2))
+    _assert_block_matches_single_calls(members, t2, build_wulff_body(t2))
+
+
+@pytest.mark.parametrize("trials", [1, 257])
+def test_suite_symmetrization_matches_reference_across_blocks(trials):
+    # 257 trials leave a partial block after a full one.
+    details = checks.suite_symmetrization(2, trials=trials)["details"]
+    checked, min_total, failures = _symmetrization_reference(2, trials)
+    assert details["checked"] == checked == 12 * trials
+    assert details["min_energy_seen"] == min_total
+    assert details["failures"] == failures
+
+
+def test_suite_symmetrization_reports_violations_in_trial_order(monkeypatch):
+    # Raise chosen symmetrized energies past the bound, on both sides of a
+    # block boundary and out of order, and read back where the suite found
+    # them.
+    tensions = [t.tension_id for t in checks.builtin_tensions()]
+    injected = [(299, tensions[2], 0), (3, tensions[1], 2), (256, tensions[0], 3),
+                (3, tensions[0], 1), (255, tensions[2], 3), (3, tensions[1], 0)]
+    drawn = []
+    draw, evaluate = sets.random_sliced_set, sets.symmetrized_energy
+
+    def counted_draw(rng, tension):
+        drawn.append(draw(rng, tension))
+        return drawn[-1]
+
+    def raised(blk, body, omega):
+        e = evaluate(blk, body, omega)
+        trial = {id(s): k for k, s in enumerate(drawn)}
+        for i, s in enumerate(blk.sets):
+            for k, tid, j in injected:
+                if trial[id(s)] == k and tid == body.tension.tension_id:
+                    e.total[i, j] += 1e6
+        return e
+
+    monkeypatch.setattr(sets, "random_sliced_set", counted_draw)
+    monkeypatch.setattr(sets, "symmetrized_energy", raised)
+    result = checks.suite_symmetrization(0, trials=300)
+    assert not result["passed"]
+    found = result["details"]["failures"]
+    expected = sorted(injected, key=lambda f: (f[0], tensions.index(f[1]), f[2]))
+    assert [(k, tid) for k, tid, *_ in found] == [(k, tid) for k, tid, _ in expected]
+    omegas = {t.tension_id: checks.omega_samples(t) for t in checks.builtin_tensions()}
+    assert [om for _, _, om, _, _ in found] == [omegas[tid][j] for _, tid, j in expected]
+    assert all(e_symm > e_orig for *_, e_orig, e_symm in found)
+
+
 def test_energy_matches_reduced_parametrization(euclid, euclid_body):
     # A symmetric set and its radial profile are two parametrizations of
     # the same drop; for bases on the support planes the energies coincide.
@@ -216,8 +339,10 @@ def test_lateral_quadrature_convergence(euclid, euclid_body):
     w16 = 0.5 * w16
     n = s.d
     dt = np.diff(s.knots)
-    wsp = sets._edge_speeds(s)
-    phi_edges = euclid.phi.value(s.edge_h[None, :], -wsp)
+    # Support-plane velocities w[slab, edge] = beta'.n_e + a' sigma_e.
+    wsp = (np.diff(s.centers, axis=0) / dt[:, None] @ s.edge_normals.T
+           + (np.diff(s.scales) / dt)[:, None] * s.edge_supports[None, :])
+    phi_edges = euclid.phi.value(euclid.h.value(s.edge_normals)[None, :], -wsp)
     a_g = s.scales[:-1, None] + np.diff(s.scales)[:, None] * x16[None, :]
     coef = (s.edge_lengths[None, :] ** (n - 1) * phi_edges).sum(axis=1)
     fs16 = float(np.sum(dt * (coef[:, None] * a_g ** (n - 1) * w16[None, :]).sum(axis=1)))

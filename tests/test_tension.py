@@ -5,13 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wulffdrop.errors import DegeneratePoint, InvalidTension, ZeroDirection
+from wulffdrop.errors import DegeneratePoint, InvalidTension
 from wulffdrop.tension import (
-    SurfaceTension,
     check_admissible,
     eval_f,
-    h_star,
-    h_star_grad,
     make_tension,
     phi_partials,
     tension_from_config,
@@ -90,55 +87,6 @@ def test_closed_partials_match_central_differences(family, kwargs):
         # Second differences at step 1e-5 carry a rounding floor of about
         # 4 eps |phi| / delta^2 ~ 2e-5 for phi values of a few units.
         assert a[2] == pytest.approx(d11, rel=1e-6, abs=3e-5)
-
-
-def test_h_star_closed_form_duals():
-    l1 = make_tension("euclid", h_family="lp", h_p=1.0)
-    assert h_star(l1, [1.0, 0.0]) == pytest.approx(1.0)
-    l2 = make_tension("euclid")
-    for theta in (0.0, 0.7, 2.1):
-        x = [math.cos(theta), math.sin(theta)]
-        assert h_star(l2, x) == pytest.approx(1.0, rel=1e-12)
-    # l_p dual is l_q with 1/p + 1/q = 1.
-    l3 = make_tension("euclid", h_family="lp", h_p=3.0)
-    x = np.array([0.4, -1.1])
-    q = 1.5
-    assert h_star(l3, x) == pytest.approx(
-        (abs(x[0]) ** q + abs(x[1]) ** q) ** (1 / q), rel=1e-12)
-
-
-def test_h_star_sampling_matches_closed_form():
-    # The l1reg family has no registered dual; check the sampled dual of a
-    # family that does have one by removing its closed form.
-    base = make_tension("euclid", h_family="lp", h_p=3.0)
-
-    class NoDual:
-        family = "anon"
-
-        def value(self, x):
-            return base.h.value(x)
-
-        dual_value = None
-        dual_grad = None
-
-    anon = SurfaceTension(dim=3, phi=base.phi, h=NoDual())
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        x = rng.normal(size=2)
-        assert h_star(anon, x) == pytest.approx(h_star(base, x), rel=1e-6)
-
-
-def test_h_star_grad_identity():
-    l3 = make_tension("euclid", h_family="lp", h_p=3.0)
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        x = rng.normal(size=2)
-        if np.linalg.norm(x) < 1e-6:
-            continue
-        g = h_star_grad(l3, x)
-        assert l3.h.value(g) == pytest.approx(1.0, abs=1e-6)
-    with pytest.raises(ZeroDirection):
-        h_star_grad(l3, [0.0, 0.0])
 
 
 def test_admissibility_pnorm_small_p():
