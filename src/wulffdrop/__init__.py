@@ -16,13 +16,11 @@ symmetrizable tensions f(x) = phi(h(x'), x_N):
 from .errors import WulffDropError
 from .reduced import (
     EnergyBreakdown,
-    MinimizeOptions,
     Profile,
     el_residual,
     lambda_estimate,
     minimize_direct,
     reduced_energy,
-    reduced_energy_gradient,
     reduced_volume,
     young_residual,
 )

@@ -191,10 +191,9 @@ def cmd_solve(args) -> int:
                 "young_residual": sol.diagnostics["young_residual"],
             }
         if args.method in ("direct", "both"):
-            opts = reduced.MinimizeOptions(max_iter=args.max_iter)
             prof = reduced.minimize_direct(tension, args.omega, args.mass,
-                                           grid_size=args.grid_size, opts=opts,
-                                           body=body)
+                                           grid_size=args.grid_size,
+                                           max_iter=args.max_iter, body=body)
             profiles["direct"] = prof
             report["direct"] = {
                 "iterations": prof.meta["iterations"],
@@ -432,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="shoot")
     p.add_argument("--grid-size", type=int, default=161)
     p.add_argument("--max-iter", type=int,
-                   default=reduced.MinimizeOptions().max_iter,
+                   default=reduced.MAX_NEWTON_STEPS,
                    help="direct-minimizer Newton step budget")
     p.add_argument("--out", default=None, help="profile CSV path")
     p.add_argument("--plot", default=None, help="SVG output path")

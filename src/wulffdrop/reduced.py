@@ -11,15 +11,16 @@ plus a flat-top contribution phi(0,1) r(T)^(N-1) when the profile is
 truncated at positive radius.  Here Lambda = P_h(K_h)/|K_h|, which equals
 N-1 exactly for the polytopal bodies built by :mod:`wulffdrop.wulff`.
 
-The module provides the profile type, exact volume, energy with analytic
-gradients, Euler-Lagrange and contact-slope (Young) residuals, and a
-volume-constrained Newton minimizer on the slice measure r^(N-1).
+The module provides the profile type, exact volume and energy,
+Euler-Lagrange and contact-slope (Young) residuals, and a
+volume-constrained Newton minimizer on the slice measure r^(N-1), whose
+energy carries its analytic gradient and Hessian.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -202,56 +203,6 @@ def reduced_energy(p: Profile, omega: Optional[float] = None) -> EnergyBreakdown
     return stacked_energy(p.tension, p.body, p.knots, p.r, om).at(())
 
 
-def reduced_energy_gradient(p: Profile, omega: Optional[float] = None) -> np.ndarray:
-    """Analytic gradient of the total reduced energy w.r.t. the nodal radii."""
-    om = _resolve_omega(p, omega)
-    nm1, lam, area = p.tension.dim - 1, p.body.lam, p.body.area
-    dt, r_g = _gauss_radii(p.knots, p.r)
-    s_arg = -nm1 * (np.diff(p.r) / dt)
-    phi = p.tension.phi.value(lam, s_arg)
-    d2 = p.tension.phi.d2(np.full_like(s_arg, lam), s_arg)
-    grad = np.zeros_like(p.r)
-    wx = GAUSS_W * (1.0 - GAUSS_X)
-    wy = GAUSS_W * GAUSS_X
-
-    # Lateral: d/da [dt * S0 * phi] and the slope channel through phi.
-    if nm1 >= 2:
-        rp = (nm1 - 1) * r_g ** (nm1 - 2)
-        sa = (wx[None, :] * rp).sum(axis=1)
-        sb = (wy[None, :] * rp).sum(axis=1)
-    else:
-        sa = sb = np.zeros_like(dt)
-    s0 = (GAUSS_W[None, :] * r_g ** (nm1 - 1)).sum(axis=1)
-    grad_a = area * (dt * sa * phi + s0 * nm1 * d2)
-    grad_b = area * (dt * sb * phi - s0 * nm1 * d2)
-    np.add.at(grad, np.arange(len(dt)), grad_a)
-    np.add.at(grad, np.arange(1, len(dt) + 1), grad_b)
-
-    # Gravity.
-    t_g = p.knots[:-1, None] + dt[:, None] * GAUSS_X[None, :]
-    gg = nm1 * r_g ** (nm1 - 1) * t_g
-    np.add.at(grad, np.arange(len(dt)), area * dt * (wx[None, :] * gg).sum(axis=1))
-    np.add.at(grad, np.arange(1, len(dt) + 1), area * dt * (wy[None, :] * gg).sum(axis=1))
-
-    # Contact and flat top.
-    grad[0] += om * area * nm1 * p.r[0] ** (nm1 - 1)
-    if p.r[-1] > 0:
-        grad[-1] += p.tension.f_eN * area * nm1 * p.r[-1] ** (nm1 - 1)
-    return grad
-
-
-def volume_gradient(p: Profile) -> np.ndarray:
-    nm1 = p.tension.dim - 1
-    dt, r_g = _gauss_radii(p.knots, p.r)
-    rp = nm1 * r_g ** (nm1 - 1)
-    wx = GAUSS_W * (1.0 - GAUSS_X)
-    wy = GAUSS_W * GAUSS_X
-    grad = np.zeros_like(p.r)
-    np.add.at(grad, np.arange(len(dt)), p.body.area * dt * (wx[None, :] * rp).sum(axis=1))
-    np.add.at(grad, np.arange(1, len(dt) + 1), p.body.area * dt * (wy[None, :] * rp).sum(axis=1))
-    return grad
-
-
 # ---------------------------------------------------------------------------
 # Residuals
 # ---------------------------------------------------------------------------
@@ -344,12 +295,13 @@ def lambda_estimate(p: Profile) -> float:
 TOL_GRAD = 1e-10
 
 
-@dataclass
-class MinimizeOptions:
-    """Newton step budget of :func:`minimize_direct`."""
+# Default Newton step budget of minimize_direct.
+MAX_NEWTON_STEPS = 100
 
-    max_iter: int = 100
-    raise_on_failure: bool = True
+
+def apex_graded(n: int) -> np.ndarray:
+    """n knots on [0, 1] graded toward the apex: 1 - (1 - u)^1.5, u uniform."""
+    return 1.0 - (1.0 - np.linspace(0.0, 1.0, n)) ** 1.5
 
 
 def _winterbottom_init(tension: SurfaceTension, body: WulffBody, omega: float,
@@ -571,8 +523,7 @@ def _kkt_step(diag, off, col, tt, grad, a):
 
 
 def minimize_direct(tension: SurfaceTension, omega: float, m: float,
-                    grid_size: int = 161,
-                    opts: Optional[MinimizeOptions] = None,
+                    grid_size: int = 161, max_iter: int = MAX_NEWTON_STEPS,
                     body: Optional[WulffBody] = None) -> Profile:
     """Volume-constrained Newton iteration for the minimizing profile.
 
@@ -582,10 +533,8 @@ def minimize_direct(tension: SurfaceTension, omega: float, m: float,
     rho need not vanish like a simple root there.  Each step solves the
     KKT system of the Lagrangian Hessian bordered by the volume gradient,
     then backtracks (Armijo) on the energy of a feasible trial point: rho
-    clipped at 0, the top moved down to the first empty knot or to a
-    pinched knot near the apex (an apex cell's energy falls like sqrt(rho),
-    so Newton would otherwise halve it towards zero one step at a time),
-    and rho rescaled onto the volume constraint, which is linear in rho.
+    clipped at 0, the top moved down to the first empty knot, and rho
+    rescaled onto the volume constraint, which is linear in rho.
     The Hessian is exact and comes with the gradient from one
     :meth:`_SliceMeasureFunctional.grads` call; its tridiagonal rho-block
     makes each KKT solve O(n) (:func:`_kkt_step`).  Where it is indefinite
@@ -593,26 +542,24 @@ def minimize_direct(tension: SurfaceTension, omega: float, m: float,
     until the step descends.  ``body`` defaults to the 1024-normal Wulff
     body of ``tension``.  The returned profile carries solver diagnostics
     in ``meta``, with one record per Newton step in ``meta["steps"]``.
+    When ``max_iter`` steps do not converge, :class:`NonConvergence` is
+    raised with the last iterate, ``meta`` included, as its ``state``.
     """
     check_omega(tension, omega)
     if not 0 < m < math.inf:
         raise ValueError("volume must be positive and finite")
     if grid_size < 3:
         raise InvalidInput(f"grid_size must be at least 3, got {grid_size}")
-    if opts is None:
-        opts = MinimizeOptions()
-    if opts.max_iter < 1:
-        raise InvalidInput(f"max_iter must be at least 1, got {opts.max_iter}")
+    if max_iter < 1:
+        raise InvalidInput(f"max_iter must be at least 1, got {max_iter}")
     if body is None:
         body = build_wulff_body(tension, 1024)
     nm1 = tension.dim - 1
 
-    xi = 1.0 - (1.0 - np.linspace(0.0, 1.0, grid_size)) ** 1.5
+    xi = apex_graded(grid_size)
     r0, t_top = _winterbottom_init(tension, body, omega, m, xi)
     fn = _SliceMeasureFunctional(tension, body, omega, xi)
     n = grid_size - 1
-    # Chord weights at the interior knots, for the pinch test.
-    w = (xi[2:] - xi[1:-1]) / (xi[2:] - xi[:-2])
 
     def feasible(rho_try, t_try):
         """Clipped, top-moved, volume-rescaled trial point (None if empty)."""
@@ -620,9 +567,7 @@ def minimize_direct(tension: SurfaceTension, omega: float, m: float,
         rho_try[-1] = 0.0
         if t_try <= 0.0 or rho_try[0] == 0.0:
             return None
-        r = rho_try ** (1.0 / nm1)
-        cut = (rho_try[1:-1] == 0.0)
-        cut[-3:] |= (r[1:-1] < 0.5 * (w * r[:-2] + (1.0 - w) * r[2:]))[-3:]
+        cut = rho_try[1:-1] == 0.0
         if cut.any():
             t_new = float(xi[np.argmax(cut) + 1] * t_try)
             rho_try = np.interp(xi * t_new, xi * t_try, rho_try)
@@ -638,7 +583,7 @@ def minimize_direct(tension: SurfaceTension, omega: float, m: float,
     proj_norm = math.inf
     converged = False
     steps = []
-    for _ in range(opts.max_iter):
+    for _ in range(max_iter):
         e_now, g, de_dT, _, gv, dv_dT, (diag, off, col, tt) = fn.grads(rho, t_top)
         grad = np.append(g[:-1], de_dT)
         a = np.append(gv[:-1], dv_dT)
@@ -688,13 +633,11 @@ def minimize_direct(tension: SurfaceTension, omega: float, m: float,
         else:
             break
 
-    final = Profile(knots=xi * t_top, r=rho ** (1.0 / nm1),
-                    tension=tension, body=body, omega=omega)
+    knots, r = xi * t_top, rho ** (1.0 / nm1)
     # The iterate satisfies the constraint exactly in the slice-measure
     # representation; rescale once so the returned radial profile does too.
-    vol_r = reduced_volume(final)
-    final = Profile(knots=final.knots, r=final.r * (m / vol_r) ** (1.0 / nm1),
-                    tension=tension, body=body, omega=omega)
+    r = r * (m / slab_volume(body.area, knots, r, nm1)) ** (1.0 / nm1)
+    final = Profile(knots=knots, r=r, tension=tension, body=body, omega=omega)
     meta = {
         "iterations": iterations,
         "converged": converged,
@@ -712,9 +655,8 @@ def minimize_direct(tension: SurfaceTension, omega: float, m: float,
         "lambda_est": lambda_estimate(final),
         "young_residual": young_residual(final),
     }
-    final = Profile(knots=final.knots, r=final.r, tension=tension, body=body,
-                    omega=omega, meta=meta)
-    if not converged and opts.raise_on_failure:
+    final = replace(final, meta=meta)
+    if not converged:
         raise NonConvergence(
             f"Newton iteration did not converge in {iterations} steps "
             f"(projected gradient {proj_norm:.3e})",

@@ -30,8 +30,8 @@ tau are listed in :mod:`wulffdrop.tension`), so K is the unit ball of
     alpha(t) = (1 - |t / tau|^q)^(1/q)  on (-tau, tau),  0 outside,
 
 with tau = phi(0, 1).  The limit p = 1 has q = inf: K is a box, alpha = 1
-on (-tau, tau).  ``alpha_table`` evaluates alpha, its slope, its
-inverse and the cap volumes integral alpha^(N-1) from the same formula.
+on (-tau, tau).  ``alpha_table`` evaluates alpha, its inverse and the
+cap volumes integral alpha^(N-1) from the same formula.
 alpha is even with its peak at t = 0, so one signed inverse serves both
 sides: z = tau (1 - a^q)^(1/q) solves alpha(z) = a where alpha falls, and
 -z where it rises.
@@ -237,21 +237,11 @@ class AlphaTable:
     # rounds differently from its array loop, and a batched call must give
     # the scalar answers bit for bit.
 
-    def _eval(self, z, formula):
-        zs = np.atleast_1d(np.asarray(z, dtype=float))
-        x = np.abs(zs) / self.t_top
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(x < 1.0, formula(zs, x, _one_minus_pow(x, self.q)), 0.0)
-        return float(out[0]) if np.ndim(z) == 0 else out
-
     def __call__(self, z):
-        return self._eval(z, lambda z, x, w: w ** (1.0 / self.q))
-
-    def slope(self, z):
-        """alpha'(z); 0 outside (-tau, tau)."""
-        q = self.q
-        return self._eval(z, lambda z, x, w: (-np.sign(z) * x ** (q - 1.0)
-                                              * w ** (1.0 / q - 1.0) / self.t_top))
+        x = np.abs(np.atleast_1d(np.asarray(z, dtype=float))) / self.t_top
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(x < 1.0, _one_minus_pow(x, self.q) ** (1.0 / self.q), 0.0)
+        return float(out[0]) if np.ndim(z) == 0 else out
 
     def above(self, z):
         q, tau = self.q, self.t_top
@@ -296,11 +286,6 @@ alpha_spline = alpha_volume_table = alpha_table
 def wulff_alpha(tension: SurfaceTension, t):
     """Section scale alpha(t) of the full Wulff shape; 0 outside its extent."""
     return alpha_table(tension)(t)
-
-
-def wulff_alpha_slope(tension: SurfaceTension, t):
-    """alpha'(t); 0 outside the extent."""
-    return alpha_table(tension).slope(t)
 
 
 def concavity_defect(t: np.ndarray, a: np.ndarray) -> float:

@@ -40,10 +40,7 @@ def euclid_shoot(euclid, euclid_body):
 @pytest.fixture(scope="session")
 def euclid_direct(euclid):
     """Direct minimizer for the workhorse case (shared across tests)."""
-    return reduced.minimize_direct(
-        euclid, -0.5, 1.0,
-        opts=reduced.MinimizeOptions(raise_on_failure=False),
-    )
+    return reduced.minimize_direct(euclid, -0.5, 1.0)
 
 
 def hemisphere_profile(body, n=201, radius=1.0, omega=-0.5):

@@ -55,8 +55,8 @@ def test_05_euler_lagrange_consistency():
                   f"orders {rates}"), res
 
 
-def test_06_youngs_law(euclid_direct):
-    res = checks.suite_young(direct_profile=euclid_direct)
+def test_06_youngs_law():
+    res = checks.suite_young()
     d = res["details"]
     assert report(6, "Young's law", res["passed"],
                   f"shoot {d['shoot_residual']:.1e}, "
@@ -90,9 +90,8 @@ def test_09_convexity_of_minimizers(euclid_direct, euclid_shoot):
                   f"repairs on {res['details']['cases']} seeded dents"), res
 
 
-def test_10_barycenter_constancy(euclid_direct):
-    res = checks.suite_barycenter(seed=0, perturbations=20,
-                                  direct_profile=euclid_direct)
+def test_10_barycenter_constancy():
+    res = checks.suite_barycenter(seed=0, perturbations=20)
     d = res["details"]
     assert report(10, "barycenter constancy", res["passed"],
                   f"drift {d['unperturbed_drift']:.2e}, "
@@ -101,8 +100,10 @@ def test_10_barycenter_constancy(euclid_direct):
 
 def test_11_gradient_check():
     res = checks.suite_gradient(seed=0, cases=50)
+    d = res["details"]
     assert report(11, "gradient check", res["passed"],
-                  f"worst rel err {res['details']['worst_rel_error']:.2e}"), res
+                  f"worst rel err {d['worst_rel_error']:.2e}, N=2 energy "
+                  f"identity {d['worst_n2_energy_rel_diff']:.1e}"), res
 
 
 def test_12_volume_bridge():

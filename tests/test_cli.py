@@ -10,6 +10,7 @@ import pytest
 
 import wulffdrop
 from wulffdrop import cli, competitor, reduced, sets
+from wulffdrop.errors import NonConvergence
 from wulffdrop.tension import ScaledPNorm, make_tension, tension_to_config
 from wulffdrop.wulff import build_wulff_body
 
@@ -419,6 +420,29 @@ def test_shoot_failure_exits_3(tension_file, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: solver failed")
     assert not out.exists()
+
+
+def test_direct_step_budget_exhausted_exits_3(tension_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run(["solve", "--tension", tension_file, "--method", "direct",
+                "--omega=-0.5", "--mass", "10", "--max-iter", "1",
+                "--out-dir", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: solver failed")
+    assert not out.exists()
+
+
+def test_check_young_passes_on_a_stalled_solve_with_a_good_iterate(
+        monkeypatch, capsys, euclid_direct):
+    # The suite judges the iterate a NonConvergence carries, so a stalled
+    # solve ends as PASS or FAIL of the suite, never as a crashed run.
+    def stalled(*args, **kwargs):
+        raise NonConvergence("stalled", state=euclid_direct)
+
+    monkeypatch.setattr(reduced, "minimize_direct", stalled)
+    assert run(["check", "--suite", "young"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["PASS  young"]
 
 
 def test_nan_slope_shoot_exits_3(tension_file, tmp_path, capsys, monkeypatch):

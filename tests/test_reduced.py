@@ -123,51 +123,6 @@ def test_young_residual_empty_base(euclid, euclid_body):
         reduced.young_residual(p)
 
 
-def test_gradient_matches_finite_differences(euclid, euclid_body):
-    rng = np.random.default_rng(3)
-    knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.02, 0.1, 31))])
-    r = rng.uniform(0.2, 1.5, 32)
-    p = reduced.Profile(knots=knots, r=r, tension=euclid, body=euclid_body,
-                        omega=-0.5)
-    g = reduced.reduced_energy_gradient(p)
-    gv = reduced.volume_gradient(p)
-    h = 1e-6
-    for i in range(0, 32, 3):
-        rp, rm = r.copy(), r.copy()
-        rp[i] += h
-        rm[i] -= h
-        ep = reduced.reduced_energy(reduced.Profile(
-            knots=knots, r=rp, tension=euclid, body=euclid_body, omega=-0.5)).total
-        em = reduced.reduced_energy(reduced.Profile(
-            knots=knots, r=rm, tension=euclid, body=euclid_body, omega=-0.5)).total
-        assert g[i] == pytest.approx((ep - em) / (2 * h), rel=1e-6, abs=1e-7)
-        vp = reduced.reduced_volume(reduced.Profile(
-            knots=knots, r=rp, tension=euclid, body=euclid_body))
-        vm = reduced.reduced_volume(reduced.Profile(
-            knots=knots, r=rm, tension=euclid, body=euclid_body))
-        assert gv[i] == pytest.approx((vp - vm) / (2 * h), rel=1e-6, abs=1e-9)
-
-
-def test_gradient_consistent_with_el_residual(euclid, euclid_body):
-    # The mass-lumped discrete gradient of E + lambda * vol reproduces the
-    # negated EL residual pattern, converging at second order in the grid.
-    lam_mult = -1.5
-    deviations = []
-    for n in (33, 65, 129):
-        t = np.linspace(0.0, 0.8, n)
-        r = 1.1 - 0.3 * t - 0.4 * t**2
-        p = reduced.Profile(knots=t, r=r, tension=euclid, body=euclid_body,
-                            omega=-0.5)
-        g = reduced.reduced_energy_gradient(p) + lam_mult * reduced.volume_gradient(p)
-        dt = np.diff(t)
-        w = 0.5 * (dt[:-1] + dt[1:])
-        lumped = -g[1:-1] / (euclid_body.area * w)
-        res = reduced.el_residual(p, lam_mult)
-        deviations.append(float(np.max(np.abs(lumped - res.values))))
-    assert deviations[2] < deviations[0] / 8.0  # ~O(dt^2)
-    assert deviations[2] < 1e-2
-
-
 def test_minimize_direct_invariants(euclid_direct):
     p = euclid_direct
     assert p.meta["volume"] == pytest.approx(1.0, rel=1e-10)
@@ -178,11 +133,24 @@ def test_minimize_direct_invariants(euclid_direct):
 
 
 def test_minimize_direct_descent_monotone(euclid):
-    # The energy along the iteration never increases: check via a short run
-    # with the repair machinery exercised from a dented start.
-    opts = reduced.MinimizeOptions(max_iter=400, raise_on_failure=False)
-    prof = reduced.minimize_direct(euclid, -0.3, 0.7, grid_size=81, opts=opts)
+    # The energy each Newton step starts from never increases, up to the
+    # line search's slack of 1e-14 of the energy.
+    prof = reduced.minimize_direct(euclid, -0.3, 0.7, grid_size=81)
+    energies = [step["energy"] for step in prof.meta["steps"]]
+    assert len(energies) > 1
+    assert all(b <= a + 1e-14 * abs(a) for a, b in zip(energies, energies[1:]))
     assert prof.meta["energy"] <= reduced.reduced_energy(prof).total + 1e-9
+
+
+def test_minimize_direct_stall_raises_with_its_last_iterate(euclid):
+    # The one failure path: an unconverged solve raises, and the exception
+    # carries the iterate with the diagnostics the bench tracer reads.
+    with pytest.raises(NonConvergence) as info:
+        reduced.minimize_direct(euclid, -0.5, 10.0, max_iter=1)
+    meta = info.value.state.meta
+    assert meta["iterations"] == 1
+    assert meta["converged"] is False
+    assert len(meta["steps"]) == 1
 
 
 def test_minimize_direct_validations(euclid):
@@ -197,8 +165,7 @@ def test_minimize_direct_positive_omega_beats_random_sets(euclid):
     # symmetrized energies of random same-volume sets.
     from wulffdrop import sets
 
-    opts = reduced.MinimizeOptions(max_iter=8000, raise_on_failure=False)
-    prof = reduced.minimize_direct(euclid, 0.4, 1.0, grid_size=121, opts=opts)
+    prof = reduced.minimize_direct(euclid, 0.4, 1.0, grid_size=121)
     slope0 = (prof.r[1] - prof.r[0]) / (prof.knots[1] - prof.knots[0])
     assert slope0 > 0
     assert prof.concavity_defect() <= 1e-6
@@ -216,7 +183,7 @@ def _random_slice_state(tension, seed, n_knots=33):
     """Seeded random (functional, rho, T) on apex-graded knots, rho_M = 0."""
     rng = np.random.default_rng(seed)
     body = build_wulff_body(tension, 256)
-    xi = 1.0 - (1.0 - np.linspace(0.0, 1.0, n_knots)) ** 1.5
+    xi = reduced.apex_graded(n_knots)
     fn = reduced._SliceMeasureFunctional(tension, body, -0.5 * tension.f_eN, xi)
     rho = np.append(rng.uniform(0.2, 1.5, n_knots - 1), 0.0)
     return fn, rho, float(rng.uniform(0.5, 1.5)), rng
@@ -386,11 +353,18 @@ def test_minimize_direct_step_records(pnorm3):
         assert s["shift"] in (0.0, 1e-6, 1e-4, 1e-2, 1.0)
 
 
-@pytest.mark.xfail(strict=True, raises=NonConvergence,
-                   reason="large drops: shifted Newton steps shrink towards "
-                          "zero near the flat top (see meta['steps'])")
-@pytest.mark.parametrize("frac", [-0.05, -0.01])
-@pytest.mark.parametrize("name,kw", [("euclid", {}), ("weighted", {"c": 2.0})])
+STALLS = pytest.mark.xfail(
+    strict=True, raises=NonConvergence,
+    reason="large drops: shifted Newton steps shrink towards zero near the "
+           "flat top (see meta['steps'])")
+
+
+@pytest.mark.parametrize("name,kw,frac", [
+    pytest.param("euclid", {}, -0.05, marks=STALLS),
+    pytest.param("euclid", {}, -0.01, marks=STALLS),
+    pytest.param("weighted", {"c": 2.0}, -0.05, marks=STALLS),
+    ("weighted", {"c": 2.0}, -0.01),
+])
 def test_minimize_direct_converges_at_large_mass(name, kw, frac):
     tension = make_tension(name, **kw)
     prof = reduced.minimize_direct(tension, frac * tension.f_eN, 1e3,

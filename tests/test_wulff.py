@@ -19,7 +19,6 @@ from wulffdrop.wulff import (
     polygon_edges,
     vertical_extent,
     wulff_alpha,
-    wulff_alpha_slope,
 )
 
 
@@ -148,12 +147,6 @@ def test_alpha_euclid_closed_form(euclid):
             math.sqrt(1 - t * t), abs=1e-8)
 
 
-def test_alpha_slope_is_envelope_derivative(euclid):
-    for t in (0.2, 0.6, -0.4):
-        assert wulff_alpha_slope(euclid, t) == pytest.approx(
-            -t / math.sqrt(1 - t * t), abs=1e-6)
-
-
 def test_alpha_returns_within_one_ulp_of_the_pole():
     # pnorm p = 1.5 has q = 3: alpha(t) = (1 - t^3)^(1/3).  At t = 1 - d,
     # d = 2^-53, the minimizer of phi(1, y) - t y is near 1e10 and a search
@@ -163,8 +156,6 @@ def test_alpha_returns_within_one_ulp_of_the_pole():
     t = 1.0 - d
     w = 3.0 * d - 3.0 * d * d + d**3
     assert wulff_alpha(tension, t) == pytest.approx(w ** (1.0 / 3.0), rel=1e-12)
-    assert wulff_alpha_slope(tension, t) == pytest.approx(
-        -t * t * w ** (-2.0 / 3.0), rel=1e-8)
 
 
 @pytest.mark.parametrize("name,kw", [
@@ -242,11 +233,6 @@ def test_alpha_closed_form_properties(family, param, dim, frac):
     assert fa(-z) == pytest.approx(a, abs=1e-12)
     assert fa(z) == pytest.approx(a, abs=1e-12)
     assert fa.inverse(1.0) == 0.0 and fa.inverse(0.0) == tau
-    # The slope against a central difference inside the smooth piece.
-    h = 1e-4 * min(abs(t), tau - abs(t))
-    if h > 1e-7 * tau:
-        fd = (fa(t + h) - fa(t - h)) / (2.0 * h)
-        assert fa.slope(t) == pytest.approx(fd, rel=1e-6, abs=1e-8)
     # Cap volume against adaptive quadrature of alpha^(N-1).  At the pole
     # alpha^(N-1) = (tau - u)^b g(u) with b = (N-1)/q: the algebraic weight
     # takes the vertical tangent, which plain quadrature resolves only to
@@ -262,7 +248,7 @@ def test_alpha_closed_form_properties(family, param, dim, frac):
     assert fa.above(t) == pytest.approx(cap, abs=1e-9)
     # Batched calls give the scalar answers bit for bit.
     ts = np.array([t, -t, 0.5 * t, tau, -2.0 * tau])
-    for fn in (fa, fa.slope, fa.above):
+    for fn in (fa, fa.above):
         assert np.array_equal(fn(ts), [fn(x) for x in ts])
     targets = np.array([a, 0.5 * a, 2.0, -1.0])
     assert np.array_equal(fa.inverse(targets), [fa.inverse(x) for x in targets])
@@ -275,7 +261,6 @@ def test_alpha_box_limit_of_pnorm_p1():
     fa = alpha_table(make_tension("pnorm", p=1.0))
     z = np.array([-0.999, -0.5, 0.0, 0.7, 0.999])
     assert np.array_equal(fa(z), np.ones(5))
-    assert np.array_equal(fa.slope(z), np.zeros(5))
     assert np.allclose(fa.above(z), 1.0 - z, rtol=0.0, atol=1e-15)
     assert fa.total == 2.0 and fa.above(-1.0) == 2.0 and fa.above(1.0) == 0.0
     assert -fa.inverse(0.5) == -1.0
