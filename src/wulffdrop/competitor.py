@@ -39,8 +39,12 @@ CompetitorFailure = (HypothesisViolated, NoBracket, SigmaOutOfRange)
 BISECT_TOL = 1e-12
 SCAN_POINTS = 64
 
-# Sampling density of cap profile segments.
+# Sampling density of cap profile segments, and the cap's fixed grid: its
+# parameter xi and the weights clustering the samples at the far cut.
 CAP_SAMPLES = 513
+_CAP_XI = np.linspace(0.0, 1.0, CAP_SAMPLES)
+_CAP_RISE = np.sin(0.5 * math.pi * _CAP_XI)
+_CAP_FALL = 1.0 - np.cos(0.5 * math.pi * _CAP_XI)
 
 # Witness-gap shrinks (by 1/4 each) that a repair tries before giving up.
 MAX_SHRINKS = 12
@@ -150,12 +154,11 @@ def _sample_cap(tension: SurfaceTension, b: float, t_anchor: float,
     cut (which may sit at a pole of alpha).  Heights increase along the last
     axis; arrays b, sigma and z_cut sample one cap per entry."""
     fa = alpha_table(tension)
-    xi = np.linspace(0.0, 1.0, CAP_SAMPLES)
     b, sigma, z_cut = (np.asarray(v, dtype=float)[..., None] for v in (b, sigma, z_cut))
     if side == "+":
-        z = sigma + (z_cut - sigma) * np.sin(0.5 * math.pi * xi)
+        z = sigma + (z_cut - sigma) * _CAP_RISE
     else:
-        z = z_cut + (sigma - z_cut) * (1.0 - np.cos(0.5 * math.pi * xi))
+        z = z_cut + (sigma - z_cut) * _CAP_FALL
     ts = t_anchor + b * (z - sigma)
     return ts, b * fa(z)
 

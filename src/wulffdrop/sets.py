@@ -14,9 +14,12 @@ symmetrization.
 
 Energies are evaluated over a :class:`SetBlock`, many sets laid end to end
 in one array pass per tension; :func:`energy` is that pass on a block of
-one, and a set's energy is the same in any block.  The symmetrization
-suite (``checks.suite_symmetrization``) still draws its random sets one
-by one, in the same order, and evaluates them in blocks.
+one, and a set's energy is the same in any block.  Random sets are drawn
+as a block too (:func:`random_set_block`): only the generator calls, the
+polygon rejection test and one qhull call per polygon run set by set, in
+the order of as many :func:`random_sliced_set` calls, which is the draw of
+a block of one.  The symmetrization suite (``checks.suite_symmetrization``)
+draws and evaluates its sets in blocks.
 """
 
 from __future__ import annotations
@@ -42,9 +45,12 @@ from .reduced import (
 from .tension import SurfaceTension
 from .wulff import (
     WulffBody,
-    halfplane_polygon,
+    active_constraints,
     polygon_area,
+    polygon_areas,
+    polygon_block,
     polygon_edges,
+    segment_starts,
     slice_centroid,
 )
 
@@ -131,18 +137,27 @@ def volume(s: SlicedSet) -> float:
 class SetBlock:
     """Sliced sets of one slice dimension laid end to end for one array pass.
 
-    The slabs of all sets run set by set, and the (slab, edge) pairs slab by
-    slab.  A slab's edges are summed as one ``np.add.reduceat`` segment
-    (``pair_starts``), and a set's slabs by ``np.bincount`` over
-    ``slab_set``, which also gives a one-knot set, with no slabs, its empty
-    sum 0.  Each sum runs over its own terms in their own order, so a set's
-    energy does not depend on the rest of the block.  Nothing here depends
-    on the tension.
+    The sets' own arrays are concatenated, set by set: ``n_edges`` and
+    ``n_knots`` give each set's share.  The slabs of all sets run set by
+    set, and the (slab, edge) pairs slab by slab.  A slab's edges are summed
+    as one ``np.add.reduceat`` segment (``pair_starts``), and a set's slabs
+    by ``np.bincount`` over ``slab_set``, which also gives a one-knot set,
+    with no slabs, its empty sum 0.  Each sum runs over its own terms in
+    their own order, so a set's energy does not depend on the rest of the
+    block.  Nothing here depends on the tension.
     """
 
-    sets: tuple
     d: int
-    edge_normals: np.ndarray  # (edges, d), the sets' edges in order
+    n_edges: np.ndarray  # edges of each set
+    base_vertices: np.ndarray  # the sets' base vertices (d = 2) or (lo, hi) pairs
+    edge_lengths: np.ndarray
+    edge_normals: np.ndarray  # (edges, d)
+    edge_supports: np.ndarray
+    area: np.ndarray  # |S| of each set
+    n_knots: np.ndarray  # knots of each set
+    knots: np.ndarray
+    scales: np.ndarray
+    centers: np.ndarray  # (knots, d)
     pair_edge: np.ndarray  # edge of each pair
     pair_length: np.ndarray  # its edge length ** (d - 1)
     pair_slope: np.ndarray  # minus its support-plane velocity beta'.n_e + a' sigma_e
@@ -150,23 +165,91 @@ class SetBlock:
     slab_set: np.ndarray  # set of each slab
     dt: np.ndarray  # slab widths
     gauss_scales: np.ndarray  # a ** (d - 1) at each slab's Gauss nodes
-    area: np.ndarray  # |S| of each set
     bottom: np.ndarray  # a(0) ** d of each set
     top: np.ndarray  # a(T) of each set
     Fp: np.ndarray  # potential energy of each set
 
+    def __len__(self) -> int:
+        return len(self.area)
+
+    @cached_property
+    def sets(self) -> tuple:
+        """The block's sets as SlicedSets; their arrays are views of the block's."""
+        def split(arr, counts):
+            return np.split(arr, np.cumsum(counts)[:-1])
+
+        return tuple(
+            SlicedSet(d=self.d, base_vertices=v, edge_lengths=l, edge_normals=n,
+                      edge_supports=h, base_area=a, knots=t, scales=r, centers=c)
+            for v, l, n, h, a, t, r, c in zip(
+                split(self.base_vertices, self.n_edges),
+                split(self.edge_lengths, self.n_edges),
+                split(self.edge_normals, self.n_edges),
+                split(self.edge_supports, self.n_edges), self.area.tolist(),
+                split(self.knots, self.n_knots), split(self.scales, self.n_knots),
+                split(self.centers, self.n_knots)))
+
     @cached_property
     def profiles(self) -> tuple:
         """(members, knots, scales) for each knot count, the paths stacked."""
-        n_knots = np.array([len(s.knots) for s in self.sets])
-        return tuple(
-            (idx, np.stack([self.sets[i].knots for i in idx]),
-             np.stack([self.sets[i].scales for i in idx]))
-            for idx in (np.flatnonzero(n_knots == k) for k in np.unique(n_knots)))
+        first = segment_starts(self.n_knots)
+        stacks = []
+        for k in np.unique(self.n_knots):
+            idx = np.flatnonzero(self.n_knots == k)
+            rows = first[idx, None] + np.arange(k)
+            stacks.append((idx, self.knots[rows], self.scales[rows]))
+        return tuple(stacks)
 
 
-def _starts(counts: np.ndarray) -> np.ndarray:
-    return np.cumsum(counts) - counts
+def _layout(d, n_edges, base_vertices, edge_lengths, edge_normals,
+            edge_supports, area, n_knots, knots, scales, centers) -> SetBlock:
+    """Lay out sets given as concatenated arrays for :func:`block_energy`."""
+    if d not in (1, 2):
+        raise DimensionUnsupported(f"slice dimension {d} unsupported")
+    n_slabs, knot0 = n_knots - 1, segment_starts(n_knots)
+    # A slab runs from each knot but a set's last to the next one.
+    lo = np.delete(np.arange(len(knots)), knot0 + n_slabs)
+    t0, dt = knots[lo], knots[lo + 1] - knots[lo]
+    a, b = scales[lo], scales[lo + 1]
+    da = b - a
+    slab_set = np.repeat(np.arange(len(n_knots)), n_slabs)
+
+    # Slab k of set i meets each of set i's edges, edge by edge.
+    slab_edges = n_edges[slab_set]
+    pair_starts = segment_starts(slab_edges)
+    pair_slab = np.repeat(np.arange(len(lo)), slab_edges)
+    pair_edge = ((segment_starts(n_edges)[slab_set] - pair_starts)[pair_slab]
+                 + np.arange(len(pair_slab)))
+    # -w[pair] = -(beta'.n_e + a' sigma_e), in products rather than @, so
+    # that no fused multiply-add depends on the shapes.
+    dbeta = (centers[lo + 1] - centers[lo]) / dt[:, None]
+    w = dbeta[pair_slab, 0] * edge_normals[pair_edge, 0]
+    for k in range(1, d):
+        w += dbeta[pair_slab, k] * edge_normals[pair_edge, k]
+    w += (da / dt)[pair_slab] * edge_supports[pair_edge]
+
+    if d == 1:
+        grav = t0 * dt * (a + b) / 2.0 + dt**2 * (a + 2.0 * b) / 6.0
+    else:
+        q = (a * a + a * b + b * b) / 3.0
+        g2 = a * a / 2.0 + 2.0 * a * (b - a) / 3.0 + (b - a) ** 2 / 4.0
+        grav = t0 * dt * q + dt**2 * g2
+    return SetBlock(
+        d=d, n_edges=n_edges, base_vertices=base_vertices,
+        edge_lengths=edge_lengths, edge_normals=edge_normals,
+        edge_supports=edge_supports, area=area, n_knots=n_knots, knots=knots,
+        scales=scales, centers=centers,
+        pair_edge=pair_edge,
+        pair_length=(edge_lengths ** (d - 1))[pair_edge],
+        pair_slope=np.negative(w, out=w),
+        pair_starts=pair_starts,
+        slab_set=slab_set,
+        dt=dt,
+        gauss_scales=(a[:, None] + da[:, None] * GAUSS_X) ** (d - 1),
+        bottom=scales[knot0] ** d,
+        top=scales[knot0 + n_slabs],
+        Fp=area * np.bincount(slab_set, grav, len(n_knots)),
+    )
 
 
 def set_block(sets) -> SetBlock:
@@ -176,55 +259,15 @@ def set_block(sets) -> SetBlock:
     if any(s.d != d for s in sets):
         raise ValueError("a block holds sets of one slice dimension")
 
-    def cat(f):
-        return np.concatenate([f(s) for s in sets])
+    def cat(name):
+        return np.concatenate([getattr(s, name) for s in sets])
 
-    def slopes(s):
-        # -w[slab, edge] = -(beta'.n_e + a' sigma_e), in products rather
-        # than @, so that no fused multiply-add depends on the shapes.
-        dt = np.diff(s.knots)[:, None]
-        dbeta = np.diff(s.centers, axis=0) / dt
-        w = dbeta[:, :1] * s.edge_normals[:, 0]
-        for k in range(1, d):
-            w += dbeta[:, k:k + 1] * s.edge_normals[:, k]
-        w += np.diff(s.scales)[:, None] / dt * s.edge_supports
-        return np.negative(w, out=w).ravel()
-
-    # Slab k of set i meets each of set i's edges, edge by edge.
-    n_slabs = np.array([len(s.knots) - 1 for s in sets])
-    n_edges = np.array([len(s.edge_lengths) for s in sets])
-    pair_edge = np.concatenate([np.tile(np.arange(e) + first, k) for e, first, k
-                                in zip(n_edges, _starts(n_edges), n_slabs)])
-    slab_set = np.repeat(np.arange(len(sets)), n_slabs)
-
-    t0, dt = cat(lambda s: s.knots[:-1]), cat(lambda s: np.diff(s.knots))
-    a, b = cat(lambda s: s.scales[:-1]), cat(lambda s: s.scales[1:])
-    da = cat(lambda s: np.diff(s.scales))
-    if d == 1:
-        grav = t0 * dt * (a + b) / 2.0 + dt**2 * (a + 2.0 * b) / 6.0
-    elif d == 2:
-        q = (a * a + a * b + b * b) / 3.0
-        g2 = a * a / 2.0 + 2.0 * a * (b - a) / 3.0 + (b - a) ** 2 / 4.0
-        grav = t0 * dt * q + dt**2 * g2
-    else:
-        raise DimensionUnsupported(f"slice dimension {d} unsupported")
-    area = np.array([s.base_area for s in sets])
-    return SetBlock(
-        sets=sets,
-        d=d,
-        edge_normals=cat(lambda s: s.edge_normals),
-        pair_edge=pair_edge,
-        pair_length=cat(lambda s: s.edge_lengths ** (d - 1))[pair_edge],
-        pair_slope=cat(slopes),
-        pair_starts=_starts(np.repeat(n_edges, n_slabs)),
-        slab_set=slab_set,
-        dt=dt,
-        gauss_scales=(a[:, None] + da[:, None] * GAUSS_X) ** (d - 1),
-        area=area,
-        bottom=np.array([s.scales[0] for s in sets]) ** d,
-        top=np.array([s.scales[-1] for s in sets]),
-        Fp=area * np.bincount(slab_set, grav, len(sets)),
-    )
+    return _layout(
+        d, np.array([len(s.edge_lengths) for s in sets]), cat("base_vertices"),
+        cat("edge_lengths"), cat("edge_normals"), cat("edge_supports"),
+        np.array([s.base_area for s in sets], dtype=float),
+        np.array([len(s.knots) for s in sets]), cat("knots"), cat("scales"),
+        cat("centers"))
 
 
 def _slab_lateral(blk: SetBlock, tension: SurfaceTension) -> np.ndarray:
@@ -242,7 +285,7 @@ def block_energy(blk: SetBlock, tension: SurfaceTension, omega) -> EnergyBreakdo
     a scalar ``omega``, and one row per set for a 1-D array of them.
     """
     check_omega(tension, omega)
-    fs = np.bincount(blk.slab_set, _slab_lateral(blk, tension), len(blk.sets))
+    fs = np.bincount(blk.slab_set, _slab_lateral(blk, tension), len(blk))
     fs = np.where(blk.top > 0, fs + tension.f_eN * blk.top ** blk.d * blk.area, fs)
     omega = np.asarray(omega, dtype=float)
     col = (lambda x: x[:, None]) if omega.ndim else (lambda x: x)
@@ -266,9 +309,9 @@ def energy(s: SlicedSet, tension: SurfaceTension, omega) -> EnergyBreakdown:
 # Symmetrization
 # ---------------------------------------------------------------------------
 
-def _wulff_ratio(s: SlicedSet, body: WulffBody) -> float:
+def _wulff_ratio(base_area: float, d: int, body: WulffBody) -> float:
     """r / a of the rearrangement: (|S| / |K_h|)^(1/(N-1))."""
-    return (s.base_area / body.area) ** (1.0 / s.d)
+    return (base_area / body.area) ** (1.0 / d)
 
 
 def symmetrize(s: SlicedSet, body: WulffBody,
@@ -281,7 +324,7 @@ def symmetrize(s: SlicedSet, body: WulffBody,
     """
     return Profile(
         knots=s.knots.copy(),
-        r=s.scales * _wulff_ratio(s, body),
+        r=s.scales * _wulff_ratio(s.base_area, s.d, body),
         tension=body.tension,
         body=body,
         omega=omega,
@@ -294,10 +337,10 @@ def symmetrized_energy(blk: SetBlock, body: WulffBody, omega) -> EnergyBreakdown
     knot counts are evaluated as one stack."""
     check_omega(body.tension, omega)
     omega = np.asarray(omega, dtype=float)
-    n_sets, cols = len(blk.sets), omega.shape
+    n_sets, cols = len(blk), omega.shape
     out = {"Fs": np.empty(n_sets), "Fc": np.empty((n_sets,) + cols),
            "Fp": np.empty(n_sets), "total": np.empty((n_sets,) + cols)}
-    ratio = np.array([_wulff_ratio(s, body) for s in blk.sets])
+    ratio = np.array([_wulff_ratio(a, blk.d, body) for a in blk.area.tolist()])
     for idx, knots, scales in blk.profiles:
         e = stacked_energy(body.tension, body, knots, scales * ratio[idx, None], omega)
         for name, arr in out.items():
@@ -347,44 +390,87 @@ def barycenter_path(s: SlicedSet, body: WulffBody):
 # Seeded random sets (property-test driver)
 # ---------------------------------------------------------------------------
 
-def random_convex_polygon(rng: np.random.Generator, n_edges: int) -> np.ndarray:
-    """Rejection-sample a bounded convex polygon from sorted random normals."""
+def _draw_constraints(rng: np.random.Generator, n_edges: int):
+    """Rejection-sample the half planes of a bounded convex polygon: sorted
+    random normals with no angular gap of 0.9 pi or more, then random
+    offsets, until qhull finds them bounding a polygon around the origin.
+    Returns the active constraints' normals and offsets in CCW order."""
     for _ in range(256):
         theta = np.sort(rng.uniform(0.0, 2.0 * math.pi, n_edges))
-        gaps = np.diff(np.concatenate([theta, [theta[0] + 2.0 * math.pi]]))
-        if np.max(gaps) >= 0.9 * math.pi:
+        t = theta.tolist()
+        gap = max([t[0] + 2.0 * math.pi - t[-1]] + [b - a for a, b in zip(t, t[1:])])
+        if gap >= 0.9 * math.pi:
             continue
-        normals = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        normals = np.array((np.cos(theta), np.sin(theta))).T
         offsets = rng.uniform(0.5, 1.5, n_edges)
         try:
-            poly = halfplane_polygon(normals, offsets)
+            active = active_constraints(normals, offsets)
         except ValueError:
             continue
-        if len(poly) >= 3:
-            return poly
+        return normals[active], offsets[active]
     raise RuntimeError("polygon sampling failed to converge")
 
 
-def random_sliced_set(rng: np.random.Generator, tension: SurfaceTension) -> SlicedSet:
-    """Seeded random SlicedSet: random convex base of 3 to 12 edges, clamped
-    nonnegative random-walk scale path and random-walk center path on 4 to
-    32 knots."""
+def random_convex_polygon(rng: np.random.Generator, n_edges: int) -> np.ndarray:
+    """Rejection-sample a bounded convex polygon from sorted random normals."""
+    normals, offsets = _draw_constraints(rng, n_edges)
+    return polygon_block(normals, offsets, [len(offsets)])[0]
+
+
+def _walks(steps: list, n_knots: np.ndarray, start=None) -> np.ndarray:
+    """Random walks of ``n_knots`` points from ``start`` (0 by default) with
+    the given steps, concatenated.  The steps are padded into rows and
+    summed by one row-wise cumsum, so each walk's prefix sums are those of
+    ``np.cumsum`` on its own steps."""
+    width, tail = int(n_knots.max()), steps[0].shape[1:]
+    padded = np.zeros((len(n_knots), width - 1) + tail)
+    padded[np.arange(width - 1) < n_knots[:, None] - 1] = np.concatenate(steps)
+    walks = np.zeros((len(n_knots), width) + tail)
+    walks[:, 1:] = np.cumsum(padded, axis=1)
+    if start is not None:
+        walks[:, 1:] = start[:, None] + walks[:, 1:]
+        walks[:, 0] = start
+    return walks[np.arange(width) < n_knots[:, None]]
+
+
+def random_set_block(rng: np.random.Generator, count: int,
+                     tension: SurfaceTension) -> SetBlock:
+    """``count`` seeded random sliced sets as one block, each with a random
+    convex base of 3 to 12 edges, a clamped nonnegative random-walk scale
+    path and a random-walk center path on 4 to 32 knots.
+
+    The generator is read set by set, in one loop that also runs each
+    polygon's rejection test and qhull call; the vertices, edges, areas and
+    paths are then computed once for the whole block.
+    """
     if tension.dim != 3:
         raise DimensionUnsupported("random sets are generated for N = 3 only")
-    n_edges = int(rng.integers(3, 13))
-    poly = random_convex_polygon(rng, n_edges)
-    n_knots = int(rng.integers(4, 33))
-    dts = rng.uniform(0.05, 0.5, n_knots - 1)
-    knots = np.concatenate([[0.0], np.cumsum(dts)])
-    a0 = rng.uniform(0.3, 1.2)
-    steps = rng.normal(0.0, 0.25, n_knots - 1)
-    scales = np.maximum(np.concatenate([[a0], a0 + np.cumsum(steps)]), 0.0)
-    if np.all(scales == 0.0):
-        scales[0] = a0
-    centers = np.concatenate(
-        [np.zeros((1, 2)), np.cumsum(rng.normal(0.0, 0.15, (n_knots - 1, 2)), axis=0)]
-    )
-    return sliced_set(poly, knots, scales, centers, tension)
+    normals, offsets, n_edges, n_knots = [], [], [], []
+    dts, a0, steps, moves = [], [], [], []
+    for _ in range(count):
+        nu, c = _draw_constraints(rng, int(rng.integers(3, 13)))
+        normals.append(nu)
+        offsets.append(c)
+        n_edges.append(len(c))
+        n = int(rng.integers(4, 33))
+        n_knots.append(n)
+        dts.append(rng.uniform(0.05, 0.5, n - 1))
+        a0.append(rng.uniform(0.3, 1.2))
+        steps.append(rng.normal(0.0, 0.25, n - 1))
+        moves.append(rng.normal(0.0, 0.15, (n - 1, 2)))
+    poly, n_edges = polygon_block(np.concatenate(normals), np.concatenate(offsets),
+                                  n_edges)
+    n_knots = np.array(n_knots)
+    # a0 >= 0.3, so the clamp leaves the first slice nonempty.
+    scales = np.maximum(_walks(steps, n_knots, np.array(a0)), 0.0)
+    return _layout(2, n_edges, poly, *polygon_edges(poly, n_edges),
+                   polygon_areas(poly, n_edges), n_knots, _walks(dts, n_knots),
+                   scales, _walks(moves, n_knots))
+
+
+def random_sliced_set(rng: np.random.Generator, tension: SurfaceTension) -> SlicedSet:
+    """One seeded random SlicedSet: :func:`random_set_block` of one set."""
+    return random_set_block(rng, 1, tension).sets[0]
 
 
 # ---------------------------------------------------------------------------

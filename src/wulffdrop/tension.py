@@ -345,6 +345,9 @@ class AdmissibilityReport:
     """Outcome of the admissibility checks for a tension."""
 
     d1phi_at_poles: tuple[float, float]
+    # kappa(0, +-1): the curvature of s -> phi(s, +-1) at the poles.  It is 0
+    # for p > 2, where the ODE admits a flat facet, and inf for p < 2.
+    pole_kappa: tuple[float, float]
     smooth_near_poles: bool
     strict_convexity_samples: float
     omega_range: tuple[float, float]
@@ -370,11 +373,11 @@ def check_admissible(tension: SurfaceTension, tol: float = 1e-8) -> Admissibilit
     for b in (1.0, -1.0):
         gaps = []
         for delta in (1e-3, 1e-4):
-            d1, d2, _ = phi_partials(tension, delta, b)
-            d1t, d2t, _ = phi_partials(tension, delta, b + np.sign(b) * delta)
-            pole_d1, pole_d2, _ = phi_partials(tension, 0.0, b)
-            gap = max(abs(d1 - pole_d1), abs(d2 - pole_d2), abs(d1t - pole_d1))
-            gaps.append(gap)
+            # (delta, b), the tilted (delta, b + sign(b) delta), and the pole.
+            s = np.array([delta, delta, 0.0])
+            t = np.array([b, b + np.sign(b) * delta, b])
+            d1, d2 = phi.d1(s, t), phi.d2(s, t)
+            gaps.append(max(abs(d1[0] - d1[2]), abs(d2[0] - d2[2]), abs(d1[1] - d1[2])))
         if not (gaps[1] <= 0.95 * gaps[0] + 100.0 * tol):
             smooth = False
 
@@ -393,6 +396,9 @@ def check_admissible(tension: SurfaceTension, tol: float = 1e-8) -> Admissibilit
     )
     return AdmissibilityReport(
         d1phi_at_poles=d1_poles,
+        # kappa evaluates its closed form under np.errstate: 0 ** (p - 2)
+        # is a silent inf for p < 2.
+        pole_kappa=(float(phi.kappa(0.0, 1.0)), float(phi.kappa(0.0, -1.0))),
         smooth_near_poles=smooth,
         strict_convexity_samples=curv_min,
         omega_range=tension.omega_range,

@@ -13,7 +13,8 @@ O(1/M^2) for smooth h).
 The polygon {x : nu_j.x <= c_j} with all c_j > 0 is the polar of the
 convex hull of the points nu_j / c_j.  One qhull call returns the hull's
 vertices in CCW order, which are the active constraints; consecutive pairs
-meet at the polygon's vertices, found by one batched 2x2 solve.  Each edge's
+meet at the polygon's vertices, found by one batched 2x2 solve, which also
+serves many polygons laid end to end (``polygon_block``).  Each edge's
 support is then its own vertex . normal, so a body costs O(M log M).
 ``build_wulff_body`` is cached on (tension, M), so every caller of one
 tension shares one body, and a body's arrays are read-only.
@@ -87,15 +88,44 @@ class WulffBody:
         return slice_centroid(self.geometry)
 
 
-def _shoelace(poly: np.ndarray):
-    """Next-vertex array and per-edge cross products of a polygon."""
-    w = np.roll(poly, -1, axis=0)
+def segment_starts(counts) -> np.ndarray:
+    """First index of each segment, for segments of ``counts`` laid end to end."""
+    counts = np.asarray(counts)
+    return np.cumsum(counts) - counts
+
+
+def _successors(poly: np.ndarray, counts) -> np.ndarray:
+    """Each vertex's successor in its own polygon, for polygons of
+    ``counts`` vertices laid end to end."""
+    ends = np.cumsum(counts)
+    nxt = np.empty_like(poly)
+    nxt[:-1] = poly[1:]
+    nxt[ends - 1] = poly[ends - counts]
+    return nxt
+
+
+def _shoelace(poly: np.ndarray, counts):
+    """Next-vertex array and per-edge cross products of polygons."""
+    w = _successors(poly, counts)
     return w, poly[:, 0] * w[:, 1] - w[:, 0] * poly[:, 1]
+
+
+def polygon_areas(poly: np.ndarray, counts) -> np.ndarray:
+    """Signed areas of polygons of ``counts`` vertices laid end to end;
+    positive for CCW vertices.  The polygons of one vertex count are summed
+    as the rows of one array, which ``np.sum`` adds as it adds a lone
+    polygon's cross products."""
+    cross, counts = _shoelace(poly, counts)[1], np.asarray(counts)
+    first, area = segment_starts(counts), np.empty(len(counts))
+    for k in set(counts.tolist()):
+        idx = np.flatnonzero(counts == k)
+        area[idx] = np.sum(cross[first[idx, None] + np.arange(k)], axis=1)
+    return 0.5 * area
 
 
 def polygon_area(poly: np.ndarray) -> float:
     """Signed area of a polygon; positive for CCW vertices."""
-    return 0.5 * float(np.sum(_shoelace(poly)[1]))
+    return float(polygon_areas(poly, [len(poly)])[0])
 
 
 def slice_centroid(geometry: np.ndarray) -> np.ndarray:
@@ -103,28 +133,28 @@ def slice_centroid(geometry: np.ndarray) -> np.ndarray:
     or the CCW vertex array of a polygon for d = 2."""
     if geometry.ndim == 1:
         return np.array([0.5 * (geometry[0] + geometry[1])])
-    w, cr = _shoelace(geometry)
+    w, cr = _shoelace(geometry, [len(geometry)])
     return (geometry + w).T @ cr / (3.0 * np.sum(cr))
 
 
-def polygon_edges(poly: np.ndarray):
-    """Edge lengths, unit outward normals and supports of a convex CCW
-    polygon; each edge's support is its own start vertex . normal."""
-    e = np.roll(poly, -1, axis=0) - poly
+def polygon_edges(poly: np.ndarray, counts=None):
+    """Edge lengths, unit outward normals and supports of convex CCW
+    polygons of ``counts`` vertices laid end to end (one polygon by
+    default); each edge's support is its own start vertex . normal."""
+    e = _successors(poly, [len(poly)] if counts is None else counts) - poly
     lengths = np.linalg.norm(e, axis=1)
     normals = np.stack([e[:, 1], -e[:, 0]], axis=-1) / lengths[:, None]
     supports = np.einsum("ij,ij->i", poly, normals)
     return lengths, normals, supports
 
 
-def halfplane_polygon(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """CCW vertices of {x : nu_j . x <= c_j} for offsets c_j > 0.
+def active_constraints(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Indices of the constraints active on {x : nu_j . x <= c_j}, offsets
+    c_j > 0, in CCW order from the lowest index.
 
     The set is the polar of conv{nu_j / c_j}: the hull's vertices, in CCW
-    order, are the active constraints, and consecutive pairs meet at the
-    polygon's vertices.  Vertex i starts the edge on the i-th active
-    constraint, counted from the lowest constraint index.  Raises ValueError
-    when the constraints do not bound a polygon around the origin.
+    order, are the active constraints.  Raises ValueError when the
+    constraints do not bound a polygon around the origin.
     """
     if not np.all(offsets > 0.0):
         raise ValueError("half-plane offsets must be positive")
@@ -135,14 +165,48 @@ def halfplane_polygon(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     # Facet equations read n . p + e <= 0 inside; e < 0 keeps 0 strictly inside.
     if np.max(hull.equations[:, -1]) >= -DEDUP_TOL:
         raise ValueError("half-planes do not bound a polygon around the origin")
-    active = np.roll(hull.vertices, -int(np.argmin(hull.vertices)))
-    prev = np.roll(active, 1)
-    lhs = np.stack([normals[prev], normals[active]], axis=1)
-    rhs = np.stack([offsets[prev], offsets[active]], axis=1)
+    vertices = hull.vertices
+    first = int(np.argmin(vertices))
+    return np.concatenate((vertices[first:], vertices[:first]))
+
+
+def polygon_block(normals: np.ndarray, offsets: np.ndarray, counts):
+    """CCW vertices of polygons given by their active constraints.
+
+    Polygon i's constraints are the next ``counts[i]`` rows of ``normals``
+    and ``offsets``, in CCW order; consecutive pairs meet at its vertices,
+    all found by one batched 2x2 solve, and vertex j starts the edge on
+    constraint j.  Returns the vertices, laid end to end, and each
+    polygon's vertex count.  Raises ValueError when a polygon keeps fewer
+    than three vertices; qhull merges nearly collinear hull vertices, so
+    active constraints are not expected to.
+    """
+    counts = np.asarray(counts)
+    first = segment_starts(counts)
+    prev = np.arange(-1, len(offsets) - 1)
+    prev[first] = first + counts - 1
+    lhs = np.stack([normals[prev], normals], axis=1)
+    rhs = np.stack([offsets[prev], offsets], axis=1)
     poly = np.linalg.solve(lhs, rhs[..., None])[..., 0]
     # Constraints through a common vertex leave zero-length edges; drop them.
-    lengths = np.linalg.norm(np.roll(poly, -1, axis=0) - poly, axis=1)
-    return poly[lengths > DEDUP_TOL]
+    keep = np.linalg.norm(_successors(poly, counts) - poly, axis=1) > DEDUP_TOL
+    polygon = np.repeat(np.arange(len(counts)), counts)
+    kept = np.bincount(polygon[keep], minlength=len(counts))
+    if np.any(kept < 3):
+        raise ValueError("a polygon degenerated below three vertices")
+    return poly[keep], kept
+
+
+def halfplane_polygon(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """CCW vertices of {x : nu_j . x <= c_j} for offsets c_j > 0: the
+    vertex solve of :func:`polygon_block` on the active constraints of
+    :func:`active_constraints`.  Vertex i starts the edge on the i-th
+    active constraint, counted from the lowest constraint index.  Raises
+    ValueError when the constraints do not bound a polygon around the
+    origin.
+    """
+    active = active_constraints(normals, offsets)
+    return polygon_block(normals[active], offsets[active], [len(active)])[0]
 
 
 @lru_cache(maxsize=32)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -191,23 +192,23 @@ def test_suite_symmetrization_reports_violations_in_trial_order(monkeypatch):
     tensions = [t.tension_id for t in checks.builtin_tensions()]
     injected = [(299, tensions[2], 0), (3, tensions[1], 2), (256, tensions[0], 3),
                 (3, tensions[0], 1), (255, tensions[2], 3), (3, tensions[1], 0)]
-    drawn = []
-    draw, evaluate = sets.random_sliced_set, sets.symmetrized_energy
+    blocks = []
+    draw, evaluate = sets.random_set_block, sets.symmetrized_energy
 
-    def counted_draw(rng, tension):
-        drawn.append(draw(rng, tension))
-        return drawn[-1]
+    def counted_draw(rng, count, tension):
+        blocks.append(draw(rng, count, tension))
+        return blocks[-1]
 
     def raised(blk, body, omega):
         e = evaluate(blk, body, omega)
-        trial = {id(s): k for k, s in enumerate(drawn)}
-        for i, s in enumerate(blk.sets):
+        first = sum(len(b) for b in blocks[:blocks.index(blk)])
+        for i in range(len(blk)):
             for k, tid, j in injected:
-                if trial[id(s)] == k and tid == body.tension.tension_id:
+                if first + i == k and tid == body.tension.tension_id:
                     e.total[i, j] += 1e6
         return e
 
-    monkeypatch.setattr(sets, "random_sliced_set", counted_draw)
+    monkeypatch.setattr(sets, "random_set_block", counted_draw)
     monkeypatch.setattr(sets, "symmetrized_energy", raised)
     result = checks.suite_symmetrization(0, trials=300)
     assert not result["passed"]
@@ -217,6 +218,62 @@ def test_suite_symmetrization_reports_violations_in_trial_order(monkeypatch):
     omegas = {t.tension_id: checks.omega_samples(t) for t in checks.builtin_tensions()}
     assert [om for _, _, om, _, _ in found] == [omegas[tid][j] for _, tid, j in expected]
     assert all(e_symm > e_orig for *_, e_orig, e_symm in found)
+
+
+SET_FIELDS = ("base_vertices", "edge_lengths", "edge_normals", "edge_supports",
+              "knots", "scales", "centers")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 13])
+def test_random_set_block_equals_successive_draws(seed, euclid):
+    blk = sets.random_set_block(np.random.default_rng(seed), 300, euclid)
+    rng = np.random.default_rng(seed)
+    for s in blk.sets:
+        one = sets.random_sliced_set(rng, euclid)
+        assert s.d == one.d == 2 and s.base_area == one.base_area
+        for name in SET_FIELDS:
+            assert np.array_equal(getattr(s, name), getattr(one, name)), name
+    # Both leave the generator at the same place.
+    after = np.random.default_rng(seed)
+    sets.random_set_block(after, 300, euclid)
+    assert after.random() == rng.random()
+    # The drawn block lays its sets out as set_block does.
+    again = sets.set_block(blk.sets)
+    for name, value in vars(blk).items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, getattr(again, name)), name
+
+
+# SHA-256 of the first 1,000 random sets' arrays (SET_FIELDS, then the base
+# area, set by set) and the generator's next double after them, taken from
+# the set-by-set sampler that random_set_block replaced.  A change to the
+# random stream fails here even if the suite and its reference drift
+# together.
+DRAW_DIGESTS = {
+    0: ("1e0a5154f052ea820212169b556b797d815e180f1460fe4fa60688a96d0cd7b9",
+        0.2855482765585149),
+    1: ("d9e7b217138b50522a992504c43d5ef546a7f56492269c8360d3068cff6ee976",
+        0.907247174885173),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DRAW_DIGESTS))
+def test_random_sets_match_the_golden_digest(seed, euclid):
+    rng = np.random.default_rng(seed)
+    digest = hashlib.sha256()
+    for first in range(0, 1000, checks.SYMMETRIZATION_BLOCK):
+        count = min(checks.SYMMETRIZATION_BLOCK, 1000 - first)
+        for s in sets.random_set_block(rng, count, euclid).sets:
+            for name in SET_FIELDS:
+                digest.update(getattr(s, name).tobytes())
+            digest.update(np.float64(s.base_area).tobytes())
+    assert (digest.hexdigest(), rng.random()) == DRAW_DIGESTS[seed]
+
+
+def test_suite_symmetrization_golden_values():
+    details = checks.suite_symmetrization(0)["details"]
+    assert details["checked"] == 12000 and details["failures"] == []
+    assert details["min_energy_seen"] == 0.0699325708107391
 
 
 def test_energy_matches_reduced_parametrization(euclid, euclid_body):

@@ -102,6 +102,20 @@ def test_admissibility_manhattan_fails():
     assert rep.d1phi_at_poles[1] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("family, params, kappa", [
+    ("euclid", {}, 1.0),
+    ("pnorm", {"p": 3.0}, 0.0),
+    ("pnorm", {"p": 1.5}, math.inf),
+    ("weighted", {"c": 2.0}, 2.0 ** -0.5),
+])
+def test_admissibility_reports_the_pole_ellipticity(family, params, kappa):
+    # kappa(0, +-1) = (p - 1) tau^p 0^(p - 2) phi(0, 1)^(1 - 2p); an inf
+    # must come without a RuntimeWarning, which pytest turns into an error.
+    rep = check_admissible(make_tension(family, **params))
+    assert rep.pole_kappa == pytest.approx((kappa, kappa), rel=1e-15)
+    assert rep.admissible
+
+
 def test_omega_range_euclid(euclid):
     rep = check_admissible(euclid)
     assert rep.omega_range == (-1.0, 1.0)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,14 +9,19 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import gamma
 
+from wulffdrop import checks
 from wulffdrop.errors import DimensionUnsupported
 from wulffdrop.sets import random_convex_polygon
 from wulffdrop.tension import make_tension
 from wulffdrop.wulff import (
+    active_constraints,
     alpha_table,
     build_wulff_body,
     concavity_defect,
     halfplane_polygon,
+    polygon_area,
+    polygon_areas,
+    polygon_block,
     polygon_edges,
     vertical_extent,
     wulff_alpha,
@@ -100,6 +106,56 @@ def test_halfplane_polygon_drops_redundant_and_rejects_unbounded():
     normals = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     with pytest.raises(ValueError):
         halfplane_polygon(normals, np.ones(7))
+
+
+# SHA-256 of the three built-in tensions' bodies (vertices, edge lengths,
+# normals, h and supports, then area, anisotropic perimeter and Lambda),
+# taken from the per-polygon vertex solve that the block solve replaced.
+BODY_DIGESTS = {
+    1024: "f7ea1f98663eb0c8286495f479ada5af98183c716a6ca49ca23dc6e76c1427f6",
+    4096: "190ea94f453e030bf462474f0ad5e01a4fe3561d77a0d86372995cc97bcfe12b",
+}
+
+
+@pytest.mark.parametrize("m", sorted(BODY_DIGESTS))
+def test_wulff_bodies_are_bit_identical_to_the_golden_digest(m):
+    digest = hashlib.sha256()
+    for tension in checks.builtin_tensions():
+        b = build_wulff_body(tension, m)
+        for arr in (b.geometry, b.edge_lengths, b.edge_normals, b.edge_h,
+                    b.edge_supports):
+            digest.update(arr.tobytes())
+        digest.update(np.float64([b.area, b.aniso_perimeter, b.lam]).tobytes())
+    assert digest.hexdigest() == BODY_DIGESTS[m]
+
+
+def test_polygon_block_solves_each_polygon_as_alone():
+    rng = np.random.default_rng(23)
+    normals, offsets, counts, alone = [], [], [], []
+    for _ in range(40):
+        # Jittered angles leave no gap of pi or more; random offsets leave
+        # some constraints inactive.
+        n = int(rng.integers(5, 13))
+        theta = 2.0 * math.pi * (np.arange(n) + rng.uniform(0.0, 0.5, n)) / n
+        nu = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        c = rng.uniform(0.5, 1.5, len(theta))
+        active = active_constraints(nu, c)
+        normals.append(nu[active])
+        offsets.append(c[active])
+        counts.append(len(active))
+        alone.append(halfplane_polygon(nu, c))
+    poly, n_vertices = polygon_block(np.concatenate(normals), np.concatenate(offsets),
+                                     counts)
+    assert n_vertices.tolist() == [len(a) for a in alone]
+    assert np.array_equal(poly, np.concatenate(alone))
+    areas = polygon_areas(poly, n_vertices)
+    assert areas.tolist() == [polygon_area(a) for a in alone]
+    for got, one in zip(polygon_edges(poly, n_vertices), zip(*map(polygon_edges, alone))):
+        assert np.array_equal(got, np.concatenate(one))
+    # Three lines through one point leave no edge of positive length.
+    through_one_point = np.array([[1.0, 0.0], [math.sqrt(0.5), math.sqrt(0.5)], [0.0, 1.0]])
+    with pytest.raises(ValueError):
+        polygon_block(through_one_point, np.array([1.0, math.sqrt(2.0), 1.0]), [3])
 
 
 def test_edge_supports_match_the_vertex_maximum():
