@@ -128,7 +128,7 @@ def suite_jensen(seed: int = DEFAULT_SEED, cases: int = 200) -> dict:
             s = sets.sliced_set(poly, [0.0, dt], [scale0, scale1],
                                 np.zeros((2, 2)), tension)
             expect_zero = False
-        gap = sets.jensen_gap(s, 0, tension, body)
+        gap = sets.jensen_gap(s, 0, body)
         if gap < -1e-10:
             bad.append((k, "negative", gap))
         elif expect_zero and abs(gap) > 1e-10 * (1 + scale0):
@@ -174,10 +174,9 @@ def suite_el_consistency() -> dict:
         sol = od.shoot(tension, -0.5, 1.0, body=body)
         residuals = []
         for n in (101, 201, 401):
-            prof, lam_mult, _, t_max = od.reconstruct_profile(
-                sol.trajectory, tension, body, omega=-0.5, n_knots=n
-            )
-            residuals.append(reduced.el_residual(prof, lam_mult).max_abs(0.9 * t_max))
+            prof, lam_mult = od.reconstruct_profile(sol.trajectory, body,
+                                                    omega=-0.5, n_knots=n)
+            residuals.append(reduced.el_residual(prof, lam_mult).max_abs(0.9 * prof.t_max))
         rates = [math.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
         rows.append((tension.tension_id, residuals, rates))
         ok = ok and all(rate >= 1.8 for rate in rates)
@@ -339,10 +338,9 @@ def suite_convexity(seed: int = DEFAULT_SEED, cases: int = 100) -> dict:
         depth = float(rng.uniform(0.5, 0.92))
         rr = base.copy()
         rr[i0:i0 + width] *= depth
-        prof = reduced.Profile(knots=tt, r=rr, tension=tension, body=body,
-                               omega=-0.5)
+        prof = reduced.Profile(knots=tt, r=rr, body=body, omega=-0.5)
         try:
-            repaired = comp.repair_profile(prof, tension, -0.5, epsilon=2.0)
+            repaired = comp.repair_profile(prof, epsilon=2.0)
         except comp.CompetitorFailure as exc:
             failures.append((k, type(exc).__name__))
             continue
@@ -407,9 +405,8 @@ def suite_gradient(seed: int = DEFAULT_SEED, cases: int = 50) -> dict:
     h = 1e-6
     worst = worst_identity = 0.0
     for name, kw in (("euclid", {}), ("pnorm", {"p": 3.0})):
-        fn, fn2 = (reduced._SliceMeasureFunctional(
-            t, build_wulff_body(t, 1024), -0.5, xi)
-            for t in (make_tension(name, **kw), make_tension(name, dim=2, **kw)))
+        fn, fn2 = (reduced._SliceMeasureFunctional(build_wulff_body(t, 1024), -0.5, xi)
+                   for t in (make_tension(name, **kw), make_tension(name, dim=2, **kw)))
         for _ in range(cases // 2):
             rho = np.append(rng.uniform(0.2, 1.5, 31), 0.0)
             t_top = float(rng.uniform(0.5, 1.5))
@@ -424,8 +421,7 @@ def suite_gradient(seed: int = DEFAULT_SEED, cases: int = 50) -> dict:
             worst = max(worst, abs(de_dT - fd) / (1.0 + abs(fd)))
             e_slice = fn2.energy(rho, t_top)[0]
             e_radial = reduced.reduced_energy(reduced.Profile(
-                knots=xi * t_top, r=rho, tension=fn2.tension, body=fn2.body,
-                omega=-0.5)).total
+                knots=xi * t_top, r=rho, body=fn2.body, omega=-0.5)).total
             worst_identity = max(worst_identity, abs(e_slice - e_radial) / abs(e_radial))
     return {
         "name": "gradient",
@@ -446,8 +442,7 @@ def suite_volume_bridge() -> dict:
         ratios = []
         for v0 in np.geomspace(0.3, 3.0, 6):
             traj = od.integrate_v(tension, float(v0), s_stop=s_st)
-            prof, _, _, _ = od.reconstruct_profile(traj, tension, body,
-                                                   omega=omega)
+            prof, _ = od.reconstruct_profile(traj, body, omega=omega)
             ratios.append(reduced.reduced_volume(prof) / od.V_of(traj, s_st))
         spread = (max(ratios) - min(ratios)) / np.mean(ratios)
         predicted = body.area * body.lam ** (tension.dim - 1) / od.unit_ball_volume(

@@ -2,8 +2,8 @@
 
 Subcommands: solve, wulff, symmetrize, repair, check, sweep.  All file
 outputs are written atomically (temp file + rename) and are byte-identical
-for identical inputs and seed, except for the wall-time field of run
-reports.
+for identical inputs (and, for check, seed), except for the wall-time field
+of run reports.
 
 Exit codes: 0 success, 1 failed property suites, 2 validation error,
 3 solver non-convergence.
@@ -71,11 +71,9 @@ def write_profile_csv(path: str, profile: reduced.Profile) -> None:
     _atomic_write(path, profile_to_csv(profile))
 
 
-def read_profile_csv(path: str, tension: SurfaceTension, body,
-                     omega=None) -> reduced.Profile:
+def read_profile_csv(path: str, body, omega=None) -> reduced.Profile:
     rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return reduced.Profile(knots=rows[:, 0], r=rows[:, 1], tension=tension,
-                           body=body, omega=omega)
+    return reduced.Profile(knots=rows[:, 0], r=rows[:, 1], body=body, omega=omega)
 
 
 def profile_svg(profile: reduced.Profile) -> str:
@@ -168,7 +166,6 @@ def cmd_solve(args) -> int:
             "mass": args.mass,
             "method": args.method,
             "grid_size": args.grid_size,
-            "seed": args.seed,
         },
     }
     profiles = {}
@@ -303,13 +300,12 @@ def cmd_repair(args) -> int:
     body = build_wulff_body(tension, args.m_normals)
     profile = _parse_input(
         args.profile, "profile CSV",
-        lambda path: read_profile_csv(path, tension, body, omega=args.omega))
+        lambda path: read_profile_csv(path, body, omega=args.omega))
     log = []
     current = profile
     for _ in range(args.max_repairs):
         try:
-            repaired = competitor.repair_profile(current, tension, args.omega,
-                                                 epsilon=args.epsilon)
+            repaired = competitor.repair_profile(current, epsilon=args.epsilon)
         except competitor.CompetitorFailure as exc:
             log.append({"failed": type(exc).__name__})
             break
@@ -421,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--omega", type=float, required=True,
                            help="contact energy coefficient")
         p.add_argument("--m-normals", type=int, default=1024)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out-dir", default=None)
 
     p = sub.add_parser("solve", help="solve for the minimizing profile")

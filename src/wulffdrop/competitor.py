@@ -10,13 +10,14 @@ Given a symmetric candidate E with a concavity violation on (t1, t2), the
 construction replaces the middle section with a rescaled, truncated copy of
 K whose cut slices match E's, translates the remainder, and strictly
 decreases the energy (surface energy via the Wulff inequality, potential
-energy because mass moves downward).
+energy because mass moves downward).  Every step reads the tension and the
+contact coefficient from E itself: its Wulff body's tension and ``E.omega``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -298,62 +299,39 @@ def find_nonconvexity(e: Profile, epsilon: float):
 
 
 def _sweep(e: Profile, i: int, epsilon: float):
-    """Witness of the violation at knot i: the chord-deficit function is
-    maximized, its superlevel interval at (1 - delta) of the maximum is
-    mapped back to heights, and delta shrinks until the gap is below
-    epsilon.  None when the deficit vanishes."""
+    """Witness of the violation at knot i.  On (t[i-1], t[i+1]) the chord
+    deficit is a tent: zero at both ends (up to rounding), its peak at t[i].
+    Its superlevel intervals at (1 - delta) of the peak, delta = 1/2, 1/4,
+    ..., 2^-60, are mapped back to heights, and the first one shorter than
+    epsilon is the witness.  One always is: from delta = 2^-54 on, 1 - delta
+    rounds to 1 and the interval is a point.  None when the peak does not
+    exceed both ends, as for a kink at rounding level."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     t, r = e.knots, e.r
     t1, t2 = float(t[i - 1]), float(t[i + 1])
-
-    ta, tb = t1, t2
-    for _ in range(8):
-        if t2 - t1 < epsilon:
-            return t1, t2
-        inner = t[(t > t1) & (t < t2)]
-        mu_knots = np.concatenate([[0.0], (t2 - inner[::-1]) / (t2 - t1), [1.0]])
-        heights = t2 - mu_knots * (t2 - t1)
-        f = (
-            mu_knots * np.interp(t1, t, r)
-            + (1 - mu_knots) * np.interp(t2, t, r)
-            - np.interp(heights, t, r)
-        )
-        k = int(np.argmax(f))
-        fmax = f[k]
-        if fmax <= 0:
-            return None
-        delta = 0.5
-        for _ in range(60):
-            level = (1.0 - delta) * fmax
-            left = mu_knots[k]
-            for j in range(k, 0, -1):
-                if f[j - 1] < level:
-                    frac = (f[j] - level) / (f[j] - f[j - 1])
-                    left = mu_knots[j] + frac * (mu_knots[j - 1] - mu_knots[j])
-                    break
-                left = mu_knots[j - 1]
-            right = mu_knots[k]
-            for j in range(k, len(f) - 1):
-                if f[j + 1] < level:
-                    frac = (f[j] - level) / (f[j] - f[j + 1])
-                    right = mu_knots[j] + frac * (mu_knots[j + 1] - mu_knots[j])
-                    break
-                right = mu_knots[j + 1]
-            ta = t2 - right * (t2 - t1)
-            tb = t2 - left * (t2 - t1)
-            if tb - ta < epsilon:
-                return float(ta), float(tb)
-            delta *= 0.5
-        # Flat maximum: nudge the outer endpoint to break the tie.
-        t2 = t2 - 1e-3 * (t2 - t1)
-    return float(ta), float(tb)
+    if t2 - t1 < epsilon:
+        return t1, t2
+    # Tent abscissae, measured down from t2, and the deficit at them.
+    mu = np.array([0.0, (t2 - t[i]) / (t2 - t1), 1.0])
+    f = (mu * np.interp(t1, t, r) + (1 - mu) * np.interp(t2, t, r)
+         - np.interp(t2 - mu * (t2 - t1), t, r))
+    if not f[1] > max(f[0], f[2]):
+        return None
+    level = (1.0 - np.ldexp(1.0, -np.arange(1, 61))) * f[1]
+    left = mu[1] + (f[1] - level) / (f[1] - f[0]) * (mu[0] - mu[1])
+    right = np.where(f[2] < level,
+                     mu[1] + (f[1] - level) / (f[1] - f[2]) * (mu[2] - mu[1]),
+                     mu[2])
+    ta, tb = t2 - right * (t2 - t1), t2 - left * (t2 - t1)
+    k = int(np.argmax(tb - ta < epsilon))
+    return float(ta[k]), float(tb[k])
 
 
-def repair_profile(e: Profile, tension: SurfaceTension, omega: float,
-                   epsilon: Optional[float] = None) -> Optional[Profile]:
-    """One competitor repair that lowers the energy by more than
-    MIN_ENERGY_DROP, or None when no violation yields one.
+def repair_profile(e: Profile, epsilon: Optional[float] = None) -> Optional[Profile]:
+    """One competitor repair of E that lowers its energy, under E's tension
+    and contact coefficient ``e.omega``, by more than MIN_ENERGY_DROP, or
+    None when no violation yields one.
 
     Violations are tried by decreasing chord deficit.  A repair at rounding
     level is passed over for the next violation while that one's relative
@@ -372,7 +350,7 @@ def repair_profile(e: Profile, tension: SurfaceTension, omega: float,
         if k > 0 and deficits[k] <= MIN_DEFICIT:
             break
         try:
-            repaired = _repair_at(e, int(seeds[k]), tension, omega, epsilon)
+            repaired = _repair_at(e, int(seeds[k]), epsilon)
         except CompetitorFailure:
             if k == 0:
                 raise
@@ -382,15 +360,14 @@ def repair_profile(e: Profile, tension: SurfaceTension, omega: float,
     return None
 
 
-def _repair_at(e: Profile, i: int, tension: SurfaceTension, omega: float,
-               epsilon: float) -> Optional[Profile]:
+def _repair_at(e: Profile, i: int, epsilon: float) -> Optional[Profile]:
     last: Exception | None = None
     for _ in range(MAX_SHRINKS):
         witness = _sweep(e, i, epsilon)
         if witness is None:
             return None
         try:
-            return apply_competitor(e, witness[0], witness[1], tension, omega)
+            return apply_competitor(e, witness[0], witness[1])
         except CompetitorFailure as exc:
             last = exc
             epsilon *= 0.25
@@ -408,8 +385,7 @@ def _check_hyp1(e: Profile, t1: float, t2: float) -> None:
         )
 
 
-def apply_competitor(e: Profile, t1: float, t2: float,
-                     tension: SurfaceTension, omega: float) -> Profile:
+def apply_competitor(e: Profile, t1: float, t2: float) -> Profile:
     """Replace the non-convex section of E by a truncated Wulff cap.
 
     Case 1 (r(t1) <= r(t2)): splice in the upper cap K_+ and translate the
@@ -418,11 +394,12 @@ def apply_competitor(e: Profile, t1: float, t2: float,
     additionally requires the mass above t2 to dominate, hypothesis
     t2 - t1 < |E cap {x_N >= t2}| / sup v_E.
 
-    The returned profile has the volume of E to 1e-8 relative and strictly
-    smaller energy; the achieved margin is stored in ``meta``.
+    The returned profile has E's body and contact coefficient, the volume
+    of E to 1e-8 relative, and strictly smaller energy under ``e.omega``;
+    the achieved margin is stored in ``meta``.
     """
     _check_hyp1(e, t1, t2)
-    nm1 = tension.dim - 1
+    nm1 = e.tension.dim - 1
     r1, r2 = float(e.interp(t1)), float(e.interp(t2))
     side = "+" if r1 <= r2 else "-"
     if side == "-":
@@ -451,8 +428,8 @@ def apply_competitor(e: Profile, t1: float, t2: float,
     new_t, new_r = new_t[order], new_r[order]
     good = np.concatenate([[True], np.diff(new_t) > 1e-13])
     new_t, new_r = new_t[good], new_r[good]
-    result = Profile(knots=new_t, r=np.maximum(new_r, 0.0), tension=tension,
-                     body=e.body, omega=omega)
+    result = Profile(knots=new_t, r=np.maximum(new_r, 0.0), body=e.body,
+                     omega=e.omega)
 
     vol_old = reduced_volume(e)
     vol_new = reduced_volume(result)
@@ -461,9 +438,8 @@ def apply_competitor(e: Profile, t1: float, t2: float,
             f"competitor volume mismatch: {vol_new} vs {vol_old} "
             f"(params {params})"
         )
-    e_old = reduced_energy(e, omega).total
-    e_new = reduced_energy(result, omega).total
+    e_old = reduced_energy(e).total
+    e_new = reduced_energy(result).total
     meta = {"params": params, "energy_drop": e_old - e_new,
             "volume_error": abs(vol_new - vol_old)}
-    return Profile(knots=result.knots, r=result.r, tension=tension,
-                   body=e.body, omega=omega, meta=meta)
+    return replace(result, meta=meta)

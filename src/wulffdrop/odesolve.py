@@ -36,7 +36,7 @@ solved by Brent's method in log2(v0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import mul
 from typing import Optional
 
@@ -399,10 +399,10 @@ def _invert_v(traj: Trajectory,
     return w, r
 
 
-def reconstruct_profile(traj: Trajectory, tension: SurfaceTension,
-                        body: WulffBody, omega: Optional[float] = None,
-                        n_knots: int = 801):
-    """Map the trajectory back to the physical profile r_E(t).
+def reconstruct_profile(traj: Trajectory, body: WulffBody,
+                        omega: Optional[float] = None, n_knots: int = 801):
+    """Map the trajectory back to the physical profile r_E(t), on ``body``
+    (built for the trajectory's tension).
 
     The inverse change of variables is u(rho) = v(r(s*)) - v(rho / Lambda),
     giving R_max = Lambda r(s*), the multiplier lambda = -v(r(s*)), and
@@ -410,13 +410,11 @@ def reconstruct_profile(traj: Trajectory, tension: SurfaceTension,
     Euler-Lagrange equation reproduces the transformed ODE exactly; see the
     contact-slope identity r_E'(0) = -Lambda/s*.)  The graph u is inverted
     onto a t-grid refined near the apex; the base and apex knots are the
-    trajectory's end points.  Returns (Profile, lambda, R_max, T_max).
+    trajectory's end points, so R_max and T_max are the profile's ``r[0]``
+    and ``t_max``.  Returns (Profile, lambda).
     """
     lam = body.lam
     v_end = float(traj.vs[-1])
-    r_end = float(traj.rs[-1])
-    r_max = lam * r_end
-    lam_mult = -v_end
     t_max = v_end - traj.v0
 
     xi = np.linspace(0.0, 1.0, n_knots)
@@ -424,11 +422,10 @@ def reconstruct_profile(traj: Trajectory, tension: SurfaceTension,
     t_grid[0], t_grid[-1] = 0.0, t_max
     # Invert v along the trajectory: r_E(t) = Lambda rho, v(rho) = v_end - t.
     r_prof = np.empty(n_knots)
-    r_prof[0] = r_max
+    r_prof[0] = lam * float(traj.rs[-1])
     r_prof[1:-1] = lam * _invert_v(traj, v_end - t_grid[1:-1])[1]
     r_prof[-1] = 0.0
-    prof = Profile(knots=t_grid, r=r_prof, tension=tension, body=body, omega=omega)
-    return prof, lam_mult, r_max, t_max
+    return Profile(knots=t_grid, r=r_prof, body=body, omega=omega), -v_end
 
 
 # Brent tolerance of the volume match in log2(v0): a relative v0 error of
@@ -461,11 +458,9 @@ def shoot(tension: SurfaceTension, omega: float, m: float,
         if log_v0 not in memo:
             v0 = 2.0**log_v0
             traj = integrate_v(tension, v0, s_stop=s_st)
-            prof, lam_mult, r_max, t_max = reconstruct_profile(
-                traj, tension, body, omega=omega
-            )
+            prof, lam_mult = reconstruct_profile(traj, body, omega=omega)
             vol = reduced_volume(prof)
-            memo[log_v0] = vol, (traj, prof, lam_mult, r_max, t_max)
+            memo[log_v0] = vol, (traj, prof, lam_mult)
             history.append((v0, vol))
         return memo[log_v0][0] - m
 
@@ -488,14 +483,14 @@ def shoot(tension: SurfaceTension, omega: float, m: float,
         raise NoBracket("volume solve failed to converge", table=history)
     v0 = 2.0**log_v0
 
-    traj, prof, lam_mult, r_max, t_max = state
+    traj, prof, lam_mult = state
     contact_slope = -body.lam / s_st
     res = el_residual(prof, lam_mult)
     v_enclosed = V_of(traj, s_st)
     diagnostics = {
         "achieved_volume": vol,
         "young_residual": young_residual(prof, omega, contact_slope=contact_slope),
-        "max_el_residual": res.max_abs(0.9 * t_max),
+        "max_el_residual": res.max_abs(0.9 * prof.t_max),
         "lambda_est": lambda_estimate(prof),
         "contact_slope": contact_slope,
         "bridge_constant": vol / v_enclosed,
@@ -503,10 +498,9 @@ def shoot(tension: SurfaceTension, omega: float, m: float,
         / unit_ball_volume(tension.dim - 1),
         "v0_history": history,
     }
-    prof = Profile(knots=prof.knots, r=prof.r, tension=tension, body=body,
-                   omega=omega, meta={"method": "shoot", "v0": v0,
-                                      "s_star": s_st, "lambda": lam_mult})
+    prof = replace(prof, meta={"method": "shoot", "v0": v0, "s_star": s_st,
+                               "lambda": lam_mult})
     return ShootingSolution(
-        v0=v0, s_star=s_st, trajectory=traj, r_max=r_max, t_max=t_max,
-        lam=lam_mult, profile=prof, diagnostics=diagnostics,
+        v0=v0, s_star=s_st, trajectory=traj, r_max=float(prof.r[0]),
+        t_max=prof.t_max, lam=lam_mult, profile=prof, diagnostics=diagnostics,
     )

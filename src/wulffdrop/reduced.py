@@ -67,12 +67,12 @@ class Profile:
     """Radial description of a symmetric candidate drop.
 
     ``knots`` are strictly increasing heights starting at 0; ``r`` the
-    radii (slice at height t is r(t) K_h, piecewise linear in t).
+    radii (slice at height t is r(t) K_h, piecewise linear in t).  The
+    tension is the one ``body`` was built for.
     """
 
     knots: np.ndarray
     r: np.ndarray
-    tension: SurfaceTension
     body: WulffBody
     omega: Optional[float] = None
     meta: Optional[dict] = None
@@ -90,6 +90,10 @@ class Profile:
             raise ValueError("knots must be strictly increasing")
         if np.any(r < 0):
             raise ValueError("radii must be non-negative")
+
+    @property
+    def tension(self) -> SurfaceTension:
+        return self.body.tension
 
     @property
     def tension_id(self) -> str:
@@ -343,13 +347,13 @@ class _SliceMeasureFunctional:
     nodes is a sum of products of the chain factors q . (dA, dB).
     """
 
-    def __init__(self, tension, body, omega, xi):
-        self.tension = tension
+    def __init__(self, body, omega, xi):
+        self.tension = body.tension
         self.body = body
         self.omega = omega
         self.xi = xi
         self.dxi = np.diff(xi)
-        self.beta = (tension.dim - 2) / (tension.dim - 1)
+        self.beta = (self.tension.dim - 2) / (self.tension.dim - 1)
         self.lam = body.lam
 
     def pieces(self, rho, t_top):
@@ -558,7 +562,7 @@ def minimize_direct(tension: SurfaceTension, omega: float, m: float,
 
     xi = apex_graded(grid_size)
     r0, t_top = _winterbottom_init(tension, body, omega, m, xi)
-    fn = _SliceMeasureFunctional(tension, body, omega, xi)
+    fn = _SliceMeasureFunctional(body, omega, xi)
     n = grid_size - 1
 
     def feasible(rho_try, t_try):
@@ -637,7 +641,7 @@ def minimize_direct(tension: SurfaceTension, omega: float, m: float,
     # The iterate satisfies the constraint exactly in the slice-measure
     # representation; rescale once so the returned radial profile does too.
     r = r * (m / slab_volume(body.area, knots, r, nm1)) ** (1.0 / nm1)
-    final = Profile(knots=knots, r=r, tension=tension, body=body, omega=omega)
+    final = Profile(knots=knots, r=r, body=body, omega=omega)
     meta = {
         "iterations": iterations,
         "converged": converged,

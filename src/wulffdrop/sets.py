@@ -325,7 +325,6 @@ def symmetrize(s: SlicedSet, body: WulffBody,
     return Profile(
         knots=s.knots.copy(),
         r=s.scales * _wulff_ratio(s.base_area, s.d, body),
-        tension=body.tension,
         body=body,
         omega=omega,
     )
@@ -348,9 +347,9 @@ def symmetrized_energy(blk: SetBlock, body: WulffBody, omega) -> EnergyBreakdown
     return EnergyBreakdown(**out)
 
 
-def jensen_gap(s: SlicedSet, slab_index: int, tension: SurfaceTension,
-               body: WulffBody) -> float:
-    """Per-slab surface-energy drop under symmetrization (>= 0).
+def jensen_gap(s: SlicedSet, slab_index: int, body: WulffBody) -> float:
+    """Per-slab surface-energy drop under symmetrization (>= 0), under the
+    tension of ``body``.
 
     Integrates the difference between the per-edge lateral integrand and the
     integrand of the measure-matched Wulff rearrangement.  It vanishes (to
@@ -359,7 +358,7 @@ def jensen_gap(s: SlicedSet, slab_index: int, tension: SurfaceTension,
     """
     if not (0 <= slab_index < len(s.knots) - 1):
         raise IndexOutOfRange(f"slab index {slab_index} out of range")
-    orig = _slab_lateral(set_block([s]), tension)[slab_index]
+    orig = _slab_lateral(set_block([s]), body.tension)[slab_index]
     p, slab = symmetrize(s, body), slice(slab_index, slab_index + 2)
     symm = lateral_slab_energy(body.tension, body.lam, p.knots[slab], p.r[slab])[0]
     return float(orig - body.area * symm)

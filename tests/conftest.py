@@ -48,5 +48,4 @@ def hemisphere_profile(body, n=201, radius=1.0, omega=-0.5):
     xi = np.linspace(0.0, 1.0, n)
     t = radius * np.sin(0.5 * np.pi * xi)
     r = np.sqrt(np.maximum(radius**2 - t**2, 0.0))
-    return reduced.Profile(knots=t, r=r, tension=body.tension, body=body,
-                           omega=omega)
+    return reduced.Profile(knots=t, r=r, body=body, omega=omega)

@@ -143,8 +143,7 @@ def write_dented_quarter_circle(tension, tmp_path):
     r[12:20] *= 0.75
     prof_path = tmp_path / "dent.csv"
     cli.write_profile_csv(str(prof_path), reduced.Profile(
-        knots=t, r=r, tension=tension, body=build_wulff_body(tension, 1024),
-        omega=-0.5))
+        knots=t, r=r, body=build_wulff_body(tension, 1024), omega=-0.5))
     return prof_path
 
 

@@ -19,15 +19,14 @@ def wulff_cap_profile(tension, body, sigma_base, n=513, omega=-0.5):
     xi = np.linspace(0.0, 1.0, n)
     z = sigma_base + (hi - sigma_base) * np.sin(0.5 * math.pi * xi)
     return reduced.Profile(knots=z - sigma_base, r=wulff_alpha(tension, z),
-                           tension=tension, body=body, omega=omega)
+                           body=body, omega=omega)
 
 
 def dented_profile(body, omega=-0.5, lo=12, hi=20, factor=0.75):
     t = np.linspace(0.0, 1.0, 41)
     r = np.sqrt(np.maximum(1.0 - t**2, 0.0))
     r[lo:hi] *= factor
-    return reduced.Profile(knots=t, r=r, tension=body.tension, body=body,
-                           omega=omega)
+    return reduced.Profile(knots=t, r=r, body=body, omega=omega)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +184,7 @@ def test_compare_energy_conical_notch(euclid, euclid_body):
     chordless = np.interp(t, [t1, t2],
                           [math.sqrt(1 - t1**2), math.sqrt(1 - t2**2)])
     r[inside] = np.minimum(r[inside], chordless[inside] * 0.94)
-    prof = reduced.Profile(knots=t, r=r, tension=euclid, body=euclid_body,
-                           omega=-0.5)
+    prof = reduced.Profile(knots=t, r=r, body=euclid_body, omega=-0.5)
     params = comp.solve_params(prof, t1, t2, "-")
     cap_e, orig_e = comp.compare_surface_energy(prof, params)
     assert cap_e < orig_e
@@ -199,7 +197,7 @@ def test_compare_energy_conical_notch(euclid, euclid_body):
 def test_find_nonconvexity_direct_violation(euclid, euclid_body):
     prof = reduced.Profile(knots=np.array([0.0, 0.5, 1.0]),
                            r=np.array([1.0, 0.2, 0.6]),
-                           tension=euclid, body=euclid_body, omega=-0.5)
+                           body=euclid_body, omega=-0.5)
     witness = comp.find_nonconvexity(prof, epsilon=2.0)
     assert witness is not None
     t1, t2 = witness
@@ -211,8 +209,7 @@ def test_find_nonconvexity_concave_none(euclid, euclid_body):
     prof = hemisphere_profile(euclid_body)
     assert comp.find_nonconvexity(prof, epsilon=1.0) is None
     t = np.linspace(0.0, 1.0, 33)
-    conc = reduced.Profile(knots=t, r=1.0 - t**2, tension=euclid,
-                           body=euclid_body, omega=-0.5)
+    conc = reduced.Profile(knots=t, r=1.0 - t**2, body=euclid_body, omega=-0.5)
     assert comp.find_nonconvexity(conc, epsilon=1.0) is None
 
 
@@ -228,6 +225,82 @@ def test_find_nonconvexity_epsilon_shrink(euclid, euclid_body):
     assert prof.interp(mid) < chord
 
 
+def witness_profiles(body):
+    """Four dents of the 41-knot quarter circle, one of a 61-knot one on
+    apex-clustered knots, and a line with a 2e-11 kink on spans of 1e-6,
+    1e-7 and 1e-8, where the chord deficit is at rounding level."""
+    t = np.linspace(0.0, 1.0, 41)
+    for lo, hi, factor in ((12, 20, 0.75), (4, 7, 0.5), (25, 34, 0.9), (30, 38, 0.6)):
+        r = np.sqrt(np.maximum(1.0 - t**2, 0.0))
+        r[lo:hi] *= factor
+        yield reduced.Profile(knots=t, r=r, body=body, omega=-0.5)
+    t = np.sin(0.5 * np.pi * np.linspace(0.0, 1.0, 61))
+    r = np.sqrt(np.maximum(1.0 - t**2, 0.0))
+    r[20:30] *= 0.8
+    yield reduced.Profile(knots=t, r=r, body=body, omega=-0.5)
+    for h in (1e-6, 1e-7, 1e-8):
+        t = np.array([0.0, 1.0, 1.0 + h, 1.0 + 2.0 * h, 2.0])
+        r = 2.0 - 0.5 * t
+        r[3:] += 2e-11 * (t[3:] - t[2])
+        yield reduced.Profile(knots=t, r=r, body=body, omega=-0.5)
+
+
+WITNESS_EPSILONS = (2.0, 0.3, 1e-2, 1e-4, 1e-9)
+
+# find_nonconvexity of each witness profile at each epsilon, as float.hex
+# pairs, taken from the sweep that scanned superlevel sets knot by knot.
+GOLDEN_WITNESSES = [
+    [("0x1.199999999999ap-2", "0x1.4cccccccccccdp-2"),
+     ("0x1.199999999999ap-2", "0x1.4cccccccccccdp-2"),
+     ("0x1.3000000000001p-2", "0x1.3666666666667p-2"),
+     ("0x1.3326666666667p-2", "0x1.3340000000001p-2"),
+     ("0x1.3333332cccccep-2", "0x1.333333399999ap-2")],
+    [("0x1.3333333333334p-4", "0x1.0000000000000p-3"),
+     ("0x1.3333333333334p-4", "0x1.0000000000000p-3"),
+     ("0x1.8cccccccccccdp-4", "0x1.a666666666667p-4"),
+     ("0x1.9966666666667p-4", "0x1.99ccccccccccdp-4"),
+     ("0x1.9999998000000p-4", "0x1.999999b333334p-4")],
+    [("0x1.3333333333334p-1", "0x1.4cccccccccccdp-1"),
+     ("0x1.3333333333334p-1", "0x1.4cccccccccccdp-1"),
+     ("0x1.3e66666666666p-1", "0x1.419999999999ap-1"),
+     ("0x1.3ff999999999ap-1", "0x1.4006666666666p-1"),
+     ("0x1.3ffffffcccccdp-1", "0x1.4000000333333p-1")],
+    [("0x1.7333333333334p-1", "0x1.8cccccccccccdp-1"),
+     ("0x1.7333333333334p-1", "0x1.8cccccccccccdp-1"),
+     ("0x1.7e66666666666p-1", "0x1.819999999999ap-1"),
+     ("0x1.7ff999999999ap-1", "0x1.8006666666666p-1"),
+     ("0x1.7ffffffcccccdp-1", "0x1.8000000333333p-1")],
+    [("0x1.e89c4e59427b1p-2", "0x1.0b84ee8f52e9cp-1"),
+     ("0x1.e89c4e59427b1p-2", "0x1.0b84ee8f52e9cp-1"),
+     ("0x1.fd1389cb284f5p-2", "0x1.01709dd1ea5d3p-1"),
+     ("0x1.fff44e272ca13p-2", "0x1.0005c27747a97p-1"),
+     ("0x1.fffffffa27138p-2", "0x1.00000002e13bap-1")],
+    [("0x1.000010c6f7a0bp+0", "0x1.0000000000000p+1"),
+     ("0x1.00001d5c31594p+0", "0x1.4000192a73711p+0"),
+     ("0x1.0000216c61522p+0", "0x1.0200214ad362ep+0"),
+     ("0x1.0000218dac259p+0", "0x1.0004218d6909cp+0"),
+     ("0x1.0000218def413p+0", "0x1.00002191ef40ep+0")],
+    [("0x1.0000000000000p+0", "0x1.0000035afe535p+0"),
+     ("0x1.0000000000000p+0", "0x1.0000035afe535p+0"),
+     ("0x1.0000000000000p+0", "0x1.0000035afe535p+0"),
+     ("0x1.0000000000000p+0", "0x1.0000035afe535p+0"),
+     ("0x1.000001abd1aa8p+0", "0x1.000001af2ca8ep+0")],
+    [("0x1.0000000000000p+0", "0x1.00000055e63b9p+0"),
+     ("0x1.0000000000000p+0", "0x1.00000055e63b9p+0"),
+     ("0x1.0000000000000p+0", "0x1.00000055e63b9p+0"),
+     ("0x1.0000000000000p+0", "0x1.00000055e63b9p+0"),
+     None],
+]
+
+
+def test_find_nonconvexity_matches_the_golden_witnesses(euclid_body):
+    got = [[None if w is None else (w[0].hex(), w[1].hex())
+            for w in (comp.find_nonconvexity(prof, eps) for eps in WITNESS_EPSILONS)]
+           for prof in witness_profiles(euclid_body)]
+    assert got == [[None if w is None else tuple(w) for w in row]
+                   for row in GOLDEN_WITNESSES]
+
+
 # ---------------------------------------------------------------------------
 # apply_competitor
 # ---------------------------------------------------------------------------
@@ -237,12 +310,11 @@ def test_apply_competitor_case1(euclid, euclid_body):
     t = np.linspace(0.0, 1.4, 57)
     r = np.sqrt(np.maximum(1 - (t - 0.4) ** 2, 0.0))
     r[8:14] *= 0.8
-    prof = reduced.Profile(knots=t, r=r, tension=euclid, body=euclid_body,
-                           omega=0.3)
+    prof = reduced.Profile(knots=t, r=r, body=euclid_body, omega=0.3)
     witness = comp.find_nonconvexity(prof, epsilon=1.0)
     t1, t2 = witness
     assert prof.interp(t1) < prof.interp(t2)
-    out = comp.apply_competitor(prof, t1, t2, euclid, 0.3)
+    out = comp.apply_competitor(prof, t1, t2)
     assert out.meta["params"].side == "+"
     assert out.meta["energy_drop"] > 1e-10
     assert out.meta["volume_error"] <= 1e-8 * (1 + reduced.reduced_volume(prof))
@@ -253,7 +325,7 @@ def test_apply_competitor_case2(euclid, euclid_body):
     witness = comp.find_nonconvexity(prof, epsilon=0.5)
     t1, t2 = witness
     assert prof.interp(t1) > prof.interp(t2)
-    out = comp.apply_competitor(prof, t1, t2, euclid, -0.5)
+    out = comp.apply_competitor(prof, t1, t2)
     assert out.meta["params"].side == "-"
     assert out.meta["energy_drop"] > 1e-10
     assert out.meta["volume_error"] <= 1e-8 * (1 + reduced.reduced_volume(prof))
@@ -262,7 +334,7 @@ def test_apply_competitor_case2(euclid, euclid_body):
 def test_apply_competitor_concave_raises(euclid, euclid_body):
     prof = hemisphere_profile(euclid_body)
     with pytest.raises(HypothesisViolated):
-        comp.apply_competitor(prof, 0.3, 0.6, euclid, -0.5)
+        comp.apply_competitor(prof, 0.3, 0.6)
 
 
 def test_repeated_repair_restores_concavity(euclid, euclid_body):
@@ -274,14 +346,25 @@ def test_repeated_repair_restores_concavity(euclid, euclid_body):
         if witness is None:
             break
         try:
-            current = comp.apply_competitor(current, witness[0], witness[1],
-                                            euclid, -0.5)
+            current = comp.apply_competitor(current, witness[0], witness[1])
         except comp.CompetitorFailure:
             break
     assert current.concavity_defect() <= 1e-7
     assert reduced.reduced_energy(current).total < e0
     assert reduced.reduced_volume(current) == pytest.approx(
         reduced.reduced_volume(prof), rel=1e-7)
+
+
+@pytest.mark.parametrize("omega", [-0.5, 0.3])
+def test_repair_keeps_the_body_and_omega_of_its_profile(pnorm3_body, omega):
+    # The repair takes its tension and omega from the profile, and its
+    # energy drop is measured under that omega.
+    prof = dented_profile(pnorm3_body, omega=omega)
+    out = comp.repair_profile(prof)
+    assert out.body is prof.body and out.omega == omega
+    assert out.tension is pnorm3_body.tension
+    drop = reduced.reduced_energy(prof, omega).total - reduced.reduced_energy(out, omega).total
+    assert out.meta["energy_drop"] == drop > comp.MIN_ENERGY_DROP
 
 
 @pytest.mark.parametrize("family,kw", [("euclid", {}), ("pnorm", {"p": 3.0}),

@@ -143,8 +143,8 @@ def test_end_state_matches_tight_reference(request, family):
 
 def test_reconstruct_boundary_conditions(euclid, euclid_body, euclid_shoot):
     sol = euclid_shoot
-    prof, lam_mult, r_max, t_max = od.reconstruct_profile(
-        sol.trajectory, euclid, euclid_body, omega=-0.5)
+    prof, lam_mult = od.reconstruct_profile(sol.trajectory, euclid_body, omega=-0.5)
+    r_max, t_max = sol.r_max, sol.t_max
     assert t_max > 0
     assert prof.r[0] == pytest.approx(r_max)       # u(R_max) = 0
     assert prof.r[-1] == 0.0                        # apex closes
@@ -209,8 +209,9 @@ def test_el_residual_convergence_appendix_equivalence(euclid, euclid_body,
     # confirming the u-equation and the r_E-equation agree.
     residuals = []
     for n in (101, 201, 401):
-        prof, lam_mult, _, t_max = od.reconstruct_profile(
-            euclid_shoot.trajectory, euclid, euclid_body, omega=-0.5, n_knots=n)
+        prof, lam_mult = od.reconstruct_profile(
+            euclid_shoot.trajectory, euclid_body, omega=-0.5, n_knots=n)
+        t_max = prof.t_max
         residuals.append(reduced.el_residual(prof, lam_mult).max_abs(0.9 * t_max))
     rates = [math.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
     assert all(rate >= 1.8 for rate in rates), (residuals, rates)

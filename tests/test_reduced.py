@@ -14,8 +14,7 @@ from conftest import hemisphere_profile
 def test_reduced_energy_cylinder(euclid, euclid_body):
     rho, height, omega = 0.7, 1.3, -0.5
     p = reduced.Profile(knots=np.array([0.0, height]),
-                        r=np.array([rho, rho]), tension=euclid,
-                        body=euclid_body, omega=omega)
+                        r=np.array([rho, rho]), body=euclid_body, omega=omega)
     area, perim = euclid_body.area, euclid_body.aniso_perimeter
     expected = (area * rho**2 * (omega + 1.0) + rho * perim * height
                 + area * rho**2 * height**2 / 2.0)
@@ -24,7 +23,7 @@ def test_reduced_energy_cylinder(euclid, euclid_body):
 
 def test_reduced_energy_zero_profile(euclid, euclid_body):
     p = reduced.Profile(knots=np.array([0.0, 1.0]), r=np.zeros(2),
-                        tension=euclid, body=euclid_body, omega=-0.5)
+                        body=euclid_body, omega=-0.5)
     assert reduced.reduced_energy(p).total == 0.0
 
 
@@ -35,8 +34,7 @@ def test_reduced_energy_omega_range(euclid, euclid_body):
     with pytest.raises(OmegaOutOfRange):
         reduced.reduced_energy(p, omega=np.array([-0.5, 2.0]))
     with pytest.raises(OmegaOutOfRange):
-        reduced.reduced_energy(reduced.Profile(knots=p.knots, r=p.r,
-                                               tension=p.tension, body=p.body))
+        reduced.reduced_energy(reduced.Profile(knots=p.knots, r=p.r, body=p.body))
 
 
 @pytest.mark.parametrize("tension", checks.builtin_tensions(),
@@ -46,8 +44,7 @@ def test_reduced_energy_omega_array_matches_scalar_calls(tension):
     omegas = np.array(checks.omega_samples(tension))
     for p in (hemisphere_profile(body),
               reduced.Profile(knots=np.array([0.0, 0.4, 1.1]),
-                              r=np.array([1.2, 0.9, 0.5]), tension=tension,
-                              body=body)):
+                              r=np.array([1.2, 0.9, 0.5]), body=body)):
         br = reduced.reduced_energy(p, omegas)
         for j, omega in enumerate(omegas):
             one = reduced.reduced_energy(p, float(omega))
@@ -64,10 +61,10 @@ def test_check_omega_rejects_one_bad_array_entry(euclid):
 
 def test_reduced_volume_examples(euclid, euclid_body):
     p = reduced.Profile(knots=np.array([0.0, 2.0]), r=np.array([1.0, 1.0]),
-                        tension=euclid, body=euclid_body)
+                        body=euclid_body)
     assert reduced.reduced_volume(p) == pytest.approx(2 * euclid_body.area)
     cone = reduced.Profile(knots=np.array([0.0, 3.0]), r=np.array([1.0, 0.0]),
-                           tension=euclid, body=euclid_body)
+                           body=euclid_body)
     assert reduced.reduced_volume(cone) == pytest.approx(euclid_body.area)
 
 
@@ -75,19 +72,18 @@ def test_reduced_volume_refinement_invariant(euclid, euclid_body):
     rng = np.random.default_rng(5)
     knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 0.3, 8))])
     r = rng.uniform(0.1, 1.0, 9)
-    p = reduced.Profile(knots=knots, r=r, tension=euclid, body=euclid_body)
+    p = reduced.Profile(knots=knots, r=r, body=euclid_body)
     v0 = reduced.reduced_volume(p)
     mid_t = 0.5 * (knots[:-1] + knots[1:])
     knots2 = np.sort(np.concatenate([knots, mid_t]))
     p2 = reduced.Profile(knots=knots2, r=np.interp(knots2, knots, r),
-                         tension=euclid, body=euclid_body)
+                         body=euclid_body)
     assert reduced.reduced_volume(p2) == pytest.approx(v0, rel=1e-12)
 
 
 def test_el_residual_cylinder_not_critical(euclid, euclid_body):
     t = np.linspace(0.0, 1.0, 21)
-    p = reduced.Profile(knots=t, r=np.full_like(t, 0.8), tension=euclid,
-                        body=euclid_body, omega=-0.5)
+    p = reduced.Profile(knots=t, r=np.full_like(t, 0.8), body=euclid_body, omega=-0.5)
     res = reduced.el_residual(p, 0.0)
     # The gravity term is unbalanced for a cylinder.
     assert res.max_abs() > 0.5
@@ -96,7 +92,7 @@ def test_el_residual_cylinder_not_critical(euclid, euclid_body):
 def test_el_residual_skips_zero_radius(euclid, euclid_body):
     t = np.linspace(0.0, 1.0, 11)
     r = np.maximum(0.5 - t, 0.0)
-    p = reduced.Profile(knots=t, r=r, tension=euclid, body=euclid_body)
+    p = reduced.Profile(knots=t, r=r, body=euclid_body)
     res = reduced.el_residual(p, 0.0)
     assert len(res.skipped) > 0
     assert np.all(np.interp(res.ts, t, r) > 0)
@@ -109,8 +105,7 @@ def test_young_residual_closed_form(euclid, euclid_body):
     assert s_star == pytest.approx(1.5, rel=1e-12)
     slope = -euclid_body.lam / s_star
     t = np.linspace(0.0, 0.5, 11)
-    p = reduced.Profile(knots=t, r=1.0 + slope * t, tension=euclid,
-                        body=euclid_body, omega=-0.8)
+    p = reduced.Profile(knots=t, r=1.0 + slope * t, body=euclid_body, omega=-0.8)
     assert reduced.young_residual(p) == pytest.approx(0.0, abs=1e-12)
     assert slope == pytest.approx(-4.0 / 3.0, rel=1e-12)
 
@@ -118,7 +113,7 @@ def test_young_residual_closed_form(euclid, euclid_body):
 def test_young_residual_empty_base(euclid, euclid_body):
     t = np.linspace(0.0, 1.0, 5)
     p = reduced.Profile(knots=t, r=np.array([0.0, 0.1, 0.1, 0.05, 0.0]),
-                        tension=euclid, body=euclid_body, omega=-0.5)
+                        body=euclid_body, omega=-0.5)
     with pytest.raises(EmptyBase):
         reduced.young_residual(p)
 
@@ -184,7 +179,7 @@ def _random_slice_state(tension, seed, n_knots=33):
     rng = np.random.default_rng(seed)
     body = build_wulff_body(tension, 256)
     xi = reduced.apex_graded(n_knots)
-    fn = reduced._SliceMeasureFunctional(tension, body, -0.5 * tension.f_eN, xi)
+    fn = reduced._SliceMeasureFunctional(body, -0.5 * tension.f_eN, xi)
     rho = np.append(rng.uniform(0.2, 1.5, n_knots - 1), 0.0)
     return fn, rho, float(rng.uniform(0.5, 1.5)), rng
 
@@ -271,7 +266,7 @@ def test_banded_kkt_step_matches_dense_solve(name, dim, kw, shift):
     omega = -0.5 * tension.f_eN
     xi = 1.0 - (1.0 - np.linspace(0.0, 1.0, 33)) ** 1.5
     r0, t_top = reduced._winterbottom_init(tension, body, omega, 1.0, xi)
-    fn = reduced._SliceMeasureFunctional(tension, body, omega, xi)
+    fn = reduced._SliceMeasureFunctional(body, omega, xi)
     n = len(xi) - 1
     _, g, de_dT, _, gv, dv_dT, (diag, off, col, tt) = fn.grads(r0 ** (dim - 1), t_top)
     grad, a = np.append(g[:-1], de_dT), np.append(gv[:-1], dv_dT)
@@ -376,7 +371,7 @@ def _puddle(body, top, radius=2.0, n=101, eps=1e-3):
     """Vertical side r = radius up to top - eps, then a flat top to r = 0."""
     t = np.append(np.linspace(0.0, top - eps, n), top)
     r = np.append(np.full(n, radius), 0.0)
-    return reduced.Profile(knots=t, r=r, tension=body.tension, body=body)
+    return reduced.Profile(knots=t, r=r, body=body)
 
 
 @pytest.mark.parametrize("delta", [1e-2, 1e-1])

@@ -284,8 +284,7 @@ def test_energy_matches_reduced_parametrization(euclid, euclid_body):
     scales = rng.uniform(0.2, 1.2, 7)
     s = sets.sliced_set(euclid_body.geometry, knots, scales,
                         np.zeros((7, 2)), euclid)
-    prof = reduced.Profile(knots=knots, r=scales, tension=euclid,
-                           body=euclid_body, omega=-0.4)
+    prof = reduced.Profile(knots=knots, r=scales, body=euclid_body, omega=-0.4)
     assert sets.energy(s, euclid, -0.4).total == pytest.approx(
         reduced.reduced_energy(prof).total, rel=1e-12)
 
@@ -338,26 +337,26 @@ def test_symmetrization_inequality_random(euclid, euclid_body):
 def test_jensen_gap_wulff_base_vanishes(euclid, euclid_body):
     s = sets.sliced_set(euclid_body.geometry, [0.0, 1.0], [1.0, 0.7],
                         np.zeros((2, 2)), euclid)
-    assert abs(sets.jensen_gap(s, 0, euclid, euclid_body)) <= 1e-10
+    assert abs(sets.jensen_gap(s, 0, euclid_body)) <= 1e-10
 
 
 def test_jensen_gap_drifting_center_positive(euclid, euclid_body):
     s = sets.sliced_set(euclid_body.geometry, [0.0, 1.0], [1.0, 1.0],
                         [[0.0, 0.0], [0.3, 0.0]], euclid)
-    assert sets.jensen_gap(s, 0, euclid, euclid_body) > 1e-4
+    assert sets.jensen_gap(s, 0, euclid_body) > 1e-4
 
 
 def test_jensen_gap_square_base_positive(euclid, euclid_body):
     square = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
     s = sets.sliced_set(square, [0.0, 1.0], [1.0, 0.7],
                         np.zeros((2, 2)), euclid)
-    assert sets.jensen_gap(s, 0, euclid, euclid_body) > 1e-3
+    assert sets.jensen_gap(s, 0, euclid_body) > 1e-3
 
 
 def test_jensen_gap_index_validation(euclid, euclid_body):
     s = cylinder(euclid_body, euclid, 1.0, 1.0)
     with pytest.raises(IndexOutOfRange):
-        sets.jensen_gap(s, 5, euclid, euclid_body)
+        sets.jensen_gap(s, 5, euclid_body)
 
 
 def test_fubini_consistency(euclid, euclid_body):

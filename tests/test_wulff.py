@@ -298,9 +298,14 @@ def test_alpha_closed_form_properties(family, param, dim, frac):
 
     def g(u):
         return (fa(u) ** q / (tau - u)) ** b if u < tau else q ** b / tau ** b
-    cap = quad(g, max(t, 0.0), tau, weight="alg", wvar=(0.0, b), epsabs=1e-13)[0]
+    # quad stops at the looser of epsabs and epsrel; its default epsrel,
+    # 1.5e-8, left this reference 1.2e-9 off (weighted c = 3.41, N = 2,
+    # t = 1.2e-7 tau), so both tolerances are set.
+    cap = quad(g, max(t, 0.0), tau, weight="alg", wvar=(0.0, b), epsabs=1e-13,
+               epsrel=1e-12)[0]
     if t < 0.0:
-        cap += quad(lambda u: fa(u) ** (dim - 1), t, 0.0, epsabs=1e-13, limit=200)[0]
+        cap += quad(lambda u: fa(u) ** (dim - 1), t, 0.0, epsabs=1e-13, epsrel=1e-12,
+                    limit=200)[0]
     assert fa.above(t) == pytest.approx(cap, abs=1e-9)
     # Batched calls give the scalar answers bit for bit.
     ts = np.array([t, -t, 0.5 * t, tau, -2.0 * tau])
