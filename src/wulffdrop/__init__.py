@@ -37,7 +37,6 @@ from .sets import (
 from .competitor import (
     CompetitorParams,
     apply_competitor,
-    cap_profile,
     compare_surface_energy,
     find_nonconvexity,
     repair_profile,
@@ -57,7 +56,6 @@ from .tension import (
     AdmissibilityReport,
     SurfaceTension,
     check_admissible,
-    eval_f,
     make_tension,
     phi_partials,
     tension_from_config,

@@ -27,6 +27,13 @@ DEFAULT_SEED = 0
 # amortize numpy's per-call cost and keep the pass's arrays at a few MB.
 SYMMETRIZATION_BLOCK = 256
 
+# Random cases of the Jensen, convexity-repair, barycenter and gradient
+# suites.
+JENSEN_CASES = 200
+CONVEXITY_CASES = 100
+BARYCENTER_PERTURBATIONS = 20
+GRADIENT_CASES = 50
+
 
 def builtin_tensions() -> list[SurfaceTension]:
     """The admissible built-in families exercised by the property suites."""
@@ -93,14 +100,14 @@ def suite_symmetrization(seed: int = DEFAULT_SEED, trials: int = 1000) -> dict:
     }
 
 
-def suite_jensen(seed: int = DEFAULT_SEED, cases: int = 200) -> dict:
+def suite_jensen(seed: int = DEFAULT_SEED) -> dict:
     """Per-slab gap vanishes iff the slab is a drifting-free Wulff dilate."""
     rng = np.random.default_rng(seed)
     tension = make_tension("euclid")
     body = build_wulff_body(tension, 1024)
     square = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
     bad = []
-    for k in range(cases):
+    for k in range(JENSEN_CASES):
         scale0 = rng.uniform(0.3, 1.5)
         scale1 = rng.uniform(0.1, 1.5)
         dt = rng.uniform(0.2, 1.0)
@@ -138,7 +145,7 @@ def suite_jensen(seed: int = DEFAULT_SEED, cases: int = 200) -> dict:
     return {
         "name": "jensen",
         "passed": not bad,
-        "details": {"cases": cases, "failures": bad[:10]},
+        "details": {"cases": JENSEN_CASES, "failures": bad[:10]},
     }
 
 
@@ -171,7 +178,7 @@ def suite_el_consistency() -> dict:
     ok = True
     for tension in (make_tension("euclid"), make_tension("pnorm", p=3.0)):
         body = build_wulff_body(tension, 1024)
-        sol = od.shoot(tension, -0.5, 1.0, body=body)
+        sol = od.shoot(body, -0.5, 1.0)
         residuals = []
         for n in (101, 201, 401):
             prof, lam_mult = od.reconstruct_profile(sol.trajectory, body,
@@ -187,12 +194,12 @@ def suite_el_consistency() -> dict:
     }
 
 
-def _direct(tension: SurfaceTension, omega: float, body) -> reduced.Profile:
+def _direct(body, omega: float) -> reduced.Profile:
     """minimize_direct at m = 1, or its last iterate if it does not converge:
     a stalled solve then fails the suite's own tolerances (exit 1), not the
     run."""
     try:
-        return reduced.minimize_direct(tension, omega, 1.0, body=body)
+        return reduced.minimize_direct(body, omega, 1.0)
     except NonConvergence as exc:
         return exc.state
 
@@ -201,10 +208,10 @@ def suite_young() -> dict:
     """Young's law: 1e-8 for shooting, 2x the grid slope error for direct."""
     tension = make_tension("euclid")
     body = build_wulff_body(tension, 1024)
-    sol = od.shoot(tension, -0.5, 1.0, body=body)
+    sol = od.shoot(body, -0.5, 1.0)
     shoot_res = abs(sol.diagnostics["young_residual"])
 
-    p = _direct(tension, -0.5, body)
+    p = _direct(body, -0.5)
     grid_res = abs(reduced.young_residual(p))
     # One-sided slope error estimate |r''(0)| dt / 2 propagated through d2phi.
     s0 = (p.r[1] - p.r[0]) / (p.knots[1] - p.knots[0])
@@ -283,8 +290,8 @@ def suite_cross_solver() -> dict:
             omega = -0.5 * tension.f_eN
         tc0 = time.perf_counter()
         body = build_wulff_body(tension, 1024)
-        sol = od.shoot(tension, omega, 1.0, body=body)
-        prof = _direct(tension, omega, body)
+        sol = od.shoot(body, omega, 1.0)
+        prof = _direct(body, omega)
         linf, hausdorff = cross_difference(sol.profile, prof)
         e_s = reduced.reduced_energy(sol.profile).total
         e_d = reduced.reduced_energy(prof).total
@@ -323,13 +330,15 @@ def suite_monotonicity() -> dict:
     }
 
 
-def suite_convexity(seed: int = DEFAULT_SEED, cases: int = 100) -> dict:
-    """Injected dents are repaired with a strict energy decrease."""
+def suite_convexity(seed: int = DEFAULT_SEED) -> dict:
+    """Injected dents are repaired with a strict energy decrease, and each
+    repair's cap has less lateral energy than the section it replaces (the
+    Wulff-inequality step of the convexity proof)."""
     rng = np.random.default_rng(seed)
     tension = make_tension("euclid")
     body = build_wulff_body(tension, 1024)
     failures = []
-    for k in range(cases):
+    for k in range(CONVEXITY_CASES):
         n = 41
         tt = np.linspace(0.0, 1.0, n)
         base = np.sqrt(np.maximum(1.0 - tt**2, 0.0))
@@ -351,20 +360,23 @@ def suite_convexity(seed: int = DEFAULT_SEED, cases: int = 100) -> dict:
             failures.append((k, "no strict decrease", repaired.meta["energy_drop"]))
         if repaired.meta["volume_error"] > 1e-8 * (1 + 1.0):
             failures.append((k, "volume drift", repaired.meta["volume_error"]))
+        cap, section = comp.compare_surface_energy(prof, repaired.meta["params"])
+        if not cap < section:
+            failures.append((k, "cap energy not lower", cap, section))
     return {
         "name": "convexity-repair",
         "passed": not failures,
-        "details": {"cases": cases, "failures": failures[:10]},
+        "details": {"cases": CONVEXITY_CASES, "failures": failures[:10]},
     }
 
 
-def suite_barycenter(seed: int = DEFAULT_SEED, perturbations: int = 20) -> dict:
+def suite_barycenter(seed: int = DEFAULT_SEED) -> dict:
     """Non-constant center perturbations of a minimizer raise the energy."""
     rng = np.random.default_rng(seed)
     tension = make_tension("euclid")
     body = build_wulff_body(tension, 1024)
     omega = -0.5
-    p = _direct(tension, omega, body)
+    p = _direct(body, omega)
     # Lift to a SlicedSet on the Wulff base with centered slices.
     knots, r = p.knots, p.r
     base = sets.sliced_set(body.geometry, knots, r,
@@ -375,7 +387,7 @@ def suite_barycenter(seed: int = DEFAULT_SEED, perturbations: int = 20) -> dict:
                               np.zeros((int(pos.sum()), 2)), tension)
     _, drift0 = sets.barycenter_path(trimmed, body)
     failures = []
-    for k in range(perturbations):
+    for k in range(BARYCENTER_PERTURBATIONS):
         steps = rng.normal(0.0, 0.05, (len(knots) - 1, 2))
         centers = np.concatenate([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
         pert = sets.sliced_set(body.geometry, knots, r, centers, tension)
@@ -385,12 +397,13 @@ def suite_barycenter(seed: int = DEFAULT_SEED, perturbations: int = 20) -> dict:
     return {
         "name": "barycenter",
         "passed": not failures and drift0 < 1e-12,
-        "details": {"perturbations": perturbations, "unperturbed_drift": drift0,
+        "details": {"perturbations": BARYCENTER_PERTURBATIONS,
+                    "unperturbed_drift": drift0,
                     "failures": failures[:10]},
     }
 
 
-def suite_gradient(seed: int = DEFAULT_SEED, cases: int = 50) -> dict:
+def suite_gradient(seed: int = DEFAULT_SEED) -> dict:
     """The direct solver's analytic gradient vs central differences, < 1e-5.
 
     On random rho over 32 apex-graded knots and a random top height T, the
@@ -407,7 +420,7 @@ def suite_gradient(seed: int = DEFAULT_SEED, cases: int = 50) -> dict:
     for name, kw in (("euclid", {}), ("pnorm", {"p": 3.0})):
         fn, fn2 = (reduced._SliceMeasureFunctional(build_wulff_body(t, 1024), -0.5, xi)
                    for t in (make_tension(name, **kw), make_tension(name, dim=2, **kw)))
-        for _ in range(cases // 2):
+        for _ in range(GRADIENT_CASES // 2):
             rho = np.append(rng.uniform(0.2, 1.5, 31), 0.0)
             t_top = float(rng.uniform(0.5, 1.5))
             _, g, de_dT, *_ = fn.grads(rho, t_top)
@@ -426,7 +439,7 @@ def suite_gradient(seed: int = DEFAULT_SEED, cases: int = 50) -> dict:
     return {
         "name": "gradient",
         "passed": worst < 1e-5 and worst_identity <= 1e-12,
-        "details": {"cases": cases, "worst_rel_error": float(worst),
+        "details": {"cases": GRADIENT_CASES, "worst_rel_error": float(worst),
                     "worst_n2_energy_rel_diff": worst_identity},
     }
 
@@ -445,10 +458,8 @@ def suite_volume_bridge() -> dict:
             prof, _ = od.reconstruct_profile(traj, body, omega=omega)
             ratios.append(reduced.reduced_volume(prof) / od.V_of(traj, s_st))
         spread = (max(ratios) - min(ratios)) / np.mean(ratios)
-        predicted = body.area * body.lam ** (tension.dim - 1) / od.unit_ball_volume(
-            tension.dim - 1)
-        rows.append((tension.tension_id, float(np.mean(ratios)), predicted,
-                     float(spread)))
+        rows.append((tension.tension_id, float(np.mean(ratios)),
+                     od.bridge_prediction(body), float(spread)))
         ok = ok and spread < 1e-3
     return {
         "name": "volume-bridge",

@@ -175,7 +175,7 @@ def cmd_solve(args) -> int:
                 print(f"error: shooting needs omega in the graph regime "
                       f"({lo}, 0); use --method direct", file=sys.stderr)
                 return 2
-            sol = odesolve.shoot(tension, args.omega, args.mass, body=body)
+            sol = odesolve.shoot(body, args.omega, args.mass)
             profiles["shoot"] = sol.profile
             report["shoot"] = {
                 "v0": sol.v0,
@@ -188,9 +188,9 @@ def cmd_solve(args) -> int:
                 "young_residual": sol.diagnostics["young_residual"],
             }
         if args.method in ("direct", "both"):
-            prof = reduced.minimize_direct(tension, args.omega, args.mass,
+            prof = reduced.minimize_direct(body, args.omega, args.mass,
                                            grid_size=args.grid_size,
-                                           max_iter=args.max_iter, body=body)
+                                           max_iter=args.max_iter)
             profiles["direct"] = prof
             report["direct"] = {
                 "iterations": prof.meta["iterations"],
@@ -371,7 +371,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for k, omega in enumerate(omegas):
         try:
-            sol = odesolve.shoot(tension, omega, args.mass, body=body)
+            sol = odesolve.shoot(body, omega, args.mass)
         except SOLVER_FAILURES as exc:
             print(f"error: solver failed at omega={omega}: {exc}", file=sys.stderr)
             return 3

@@ -23,18 +23,14 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import (
-    HypothesisViolated,
-    NoBracket,
-    SigmaOutOfRange,
-)
+from .errors import HypothesisViolated, NoBracket
 from ._quad import slab_volume
 from .reduced import Profile, lateral_slab_energy, reduced_energy, reduced_volume
 from .tension import SurfaceTension
-from .wulff import alpha_table, build_wulff_body, vertical_extent, wulff_alpha
+from .wulff import alpha_table
 
 # Exceptions that make a repair attempt unusable (callers may skip and retry).
-CompetitorFailure = (HypothesisViolated, NoBracket, SigmaOutOfRange)
+CompetitorFailure = (HypothesisViolated, NoBracket)
 
 # Absolute tolerance (brentq xtol) of the sigma root solve.
 BISECT_TOL = 1e-12
@@ -57,17 +53,6 @@ MIN_ENERGY_DROP = 1e-10
 # Chord deficit, relative to max(1, max r), at or below which a concavity
 # violation is at rounding level.
 MIN_DEFICIT = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class CapSegment:
-    """Radial profile of a rescaled, truncated Wulff cap."""
-
-    ts: np.ndarray
-    rs: np.ndarray
-    side: str
-    sigma: float
-    b: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,38 +88,6 @@ def lateral_energy_between(p: Profile, ta: float, tb: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Cap profiles
-# ---------------------------------------------------------------------------
-
-def _check_sigma(tension: SurfaceTension, sigma: float) -> tuple[float, float]:
-    lo, hi = vertical_extent(tension)
-    if not (lo < sigma < hi):
-        raise SigmaOutOfRange(
-            f"sigma={sigma} outside the vertical extent ({lo}, {hi}) of K"
-        )
-    return lo, hi
-
-
-def cap_profile(tension: SurfaceTension, side: str, sigma: float,
-                t_anchor: float, v_anchor: float, body=None) -> CapSegment:
-    """Radial profile of K_+/K_- rescaled so the cut slice has measure v_anchor.
-
-    side "+": the part of K above sigma, dilated by b and anchored so the cut
-    lies at height t_anchor; side "-": the part below sigma, anchored from
-    above.  It is ``_sample_cap``'s cap with the far cut at the pole.
-    """
-    lo, hi = _check_sigma(tension, sigma)
-    if side not in ("+", "-"):
-        raise ValueError("side must be '+' or '-'")
-    if body is None:
-        body = build_wulff_body(tension, 1024)
-    nm1 = tension.dim - 1
-    b = (v_anchor / (body.area * wulff_alpha(tension, sigma) ** nm1)) ** (1.0 / nm1)
-    ts, rs = _sample_cap(tension, b, t_anchor, sigma, hi if side == "+" else lo, side)
-    return CapSegment(ts=ts, rs=rs, side=side, sigma=sigma, b=b)
-
-
-# ---------------------------------------------------------------------------
 # Parameter solves
 # ---------------------------------------------------------------------------
 
@@ -151,9 +104,11 @@ def _scan_bracket(fn, grid: np.ndarray):
 
 def _sample_cap(tension: SurfaceTension, b: float, t_anchor: float,
                 sigma: float, z_cut: float, side: str):
-    """Piecewise-linear sampling of the truncated cap, clustered at the far
-    cut (which may sit at a pole of alpha).  Heights increase along the last
-    axis; arrays b, sigma and z_cut sample one cap per entry."""
+    """Piecewise-linear sampling of the part of K between sigma and z_cut
+    (above sigma for side "+", below for "-"), dilated by b with the cut at
+    sigma anchored at height t_anchor, clustered at the far cut (which may
+    sit at a pole of alpha).  Heights increase along the last axis; arrays
+    b, sigma and z_cut sample one cap per entry."""
     fa = alpha_table(tension)
     b, sigma, z_cut = (np.asarray(v, dtype=float)[..., None] for v in (b, sigma, z_cut))
     if side == "+":
@@ -341,7 +296,8 @@ def repair_profile(e: Profile, epsilon: Optional[float] = None) -> Optional[Prof
     (typically the case-2 mass condition near the apex), the witness gap is
     shrunk geometrically: the sweep guarantees arbitrarily small violating
     intervals, on which the hypotheses eventually hold.  A failure at the
-    worst violation is raised; one further down is passed over.
+    worst violation is raised, unless its deficit is at rounding level; one
+    further down is passed over.
     """
     if epsilon is None:
         epsilon = 0.5 * e.t_max
@@ -352,7 +308,7 @@ def repair_profile(e: Profile, epsilon: Optional[float] = None) -> Optional[Prof
         try:
             repaired = _repair_at(e, int(seeds[k]), epsilon)
         except CompetitorFailure:
-            if k == 0:
+            if k == 0 and deficits[k] > MIN_DEFICIT:
                 raise
             continue
         if repaired is not None and repaired.meta["energy_drop"] > MIN_ENERGY_DROP:

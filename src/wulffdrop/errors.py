@@ -23,7 +23,8 @@ class InvalidTension(WulffDropError, ValueError):
 
 
 class InvalidInput(WulffDropError, ValueError):
-    """Malformed input file (sliced-set document, profile CSV) or size argument."""
+    """Malformed input file (sliced-set document, profile CSV), size
+    argument, or a body built for another tension than the input's."""
 
 
 class OmegaOutOfRange(WulffDropError, ValueError):
@@ -44,10 +45,6 @@ class EmptySlice(WulffDropError, ValueError):
 
 class EmptyBase(WulffDropError, ValueError):
     """Contact radius vanishes; Young's condition is undefined."""
-
-
-class SigmaOutOfRange(WulffDropError, ValueError):
-    """Cut height outside the vertical extent of the Wulff shape."""
 
 
 class NoBracket(WulffDropError, RuntimeError):

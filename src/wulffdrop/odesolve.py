@@ -45,21 +45,16 @@ from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 from .errors import (
+    InvalidInput,
     NoBracket,
     NonConvergence,
     OmegaOutOfGraphRange,
     OutOfRange,
     StalledInversion,
 )
-from .reduced import (
-    Profile,
-    el_residual,
-    lambda_estimate,
-    reduced_volume,
-    young_residual,
-)
+from .reduced import Profile, reduced_volume, young_residual
 from .tension import SurfaceTension
-from .wulff import WulffBody, build_wulff_body
+from .wulff import WulffBody
 
 
 # Tolerances of the DOP853 stepper of integrate_v.  The end state lies within
@@ -74,6 +69,13 @@ _VOLUME_RTOL = 1e-6
 def unit_ball_volume(dim: int) -> float:
     """Lebesgue measure of the unit ball in R^dim."""
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+
+
+def bridge_prediction(body: WulffBody) -> float:
+    """|K_h| Lambda^(N-1) / omega_(N-1): the predicted ratio of a profile's
+    volume to the enclosed volume V_{v0}(s*) of its trajectory."""
+    nm1 = body.tension.dim - 1
+    return body.area * body.lam ** nm1 / unit_ball_volume(nm1)
 
 
 class DenseOutput:
@@ -401,8 +403,10 @@ def _invert_v(traj: Trajectory,
 
 def reconstruct_profile(traj: Trajectory, body: WulffBody,
                         omega: Optional[float] = None, n_knots: int = 801):
-    """Map the trajectory back to the physical profile r_E(t), on ``body``
-    (built for the trajectory's tension).
+    """Map the trajectory back to the physical profile r_E(t), on ``body``.
+
+    ``body`` must be built for the trajectory's tension; one built for
+    another raises InvalidInput.
 
     The inverse change of variables is u(rho) = v(r(s*)) - v(rho / Lambda),
     giving R_max = Lambda r(s*), the multiplier lambda = -v(r(s*)), and
@@ -413,6 +417,9 @@ def reconstruct_profile(traj: Trajectory, body: WulffBody,
     trajectory's end points, so R_max and T_max are the profile's ``r[0]``
     and ``t_max``.  Returns (Profile, lambda).
     """
+    if body.tension != traj.tension:
+        raise InvalidInput(f"body built for {body.tension.tension_id}, trajectory "
+                           f"solved for {traj.tension.tension_id}")
     lam = body.lam
     v_end = float(traj.vs[-1])
     t_max = v_end - traj.v0
@@ -433,9 +440,9 @@ def reconstruct_profile(traj: Trajectory, body: WulffBody,
 _LOG_V0_XTOL = 1e-8
 
 
-def shoot(tension: SurfaceTension, omega: float, m: float,
-          body: Optional[WulffBody] = None) -> ShootingSolution:
-    """Shoot on the apex parameter v0 until the profile volume equals m.
+def shoot(body: WulffBody, omega: float, m: float) -> ShootingSolution:
+    """Shoot on the apex parameter v0 until the profile volume equals m,
+    under the tension ``body`` was built for.
 
     The achieved volume is recomputed from the reconstructed profile by
     exact slab integration; the proportionality between it and the enclosed
@@ -447,9 +454,8 @@ def shoot(tension: SurfaceTension, omega: float, m: float,
     """
     if not 0 < m < math.inf:
         raise ValueError("volume must be positive and finite")
+    tension = body.tension
     s_st = s_star(tension, omega)
-    if body is None:
-        body = build_wulff_body(tension, 1024)
 
     memo: dict = {}
     history = []
@@ -484,18 +490,11 @@ def shoot(tension: SurfaceTension, omega: float, m: float,
     v0 = 2.0**log_v0
 
     traj, prof, lam_mult = state
-    contact_slope = -body.lam / s_st
-    res = el_residual(prof, lam_mult)
-    v_enclosed = V_of(traj, s_st)
     diagnostics = {
         "achieved_volume": vol,
-        "young_residual": young_residual(prof, omega, contact_slope=contact_slope),
-        "max_el_residual": res.max_abs(0.9 * prof.t_max),
-        "lambda_est": lambda_estimate(prof),
-        "contact_slope": contact_slope,
-        "bridge_constant": vol / v_enclosed,
-        "bridge_predicted": body.area * body.lam ** (tension.dim - 1)
-        / unit_ball_volume(tension.dim - 1),
+        "young_residual": young_residual(prof, omega,
+                                         contact_slope=-body.lam / s_st),
+        "bridge_constant": vol / V_of(traj, s_st),
         "v0_history": history,
     }
     prof = replace(prof, meta={"method": "shoot", "v0": v0, "s_star": s_st,

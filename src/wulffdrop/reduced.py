@@ -35,7 +35,7 @@ from .errors import (
 )
 from ._quad import GAUSS_W, GAUSS_X, slab_volume
 from .tension import SurfaceTension
-from .wulff import WulffBody, build_wulff_body, concavity_defect
+from .wulff import WulffBody, concavity_defect
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,8 +308,7 @@ def apex_graded(n: int) -> np.ndarray:
     return 1.0 - (1.0 - np.linspace(0.0, 1.0, n)) ** 1.5
 
 
-def _winterbottom_init(tension: SurfaceTension, body: WulffBody, omega: float,
-                       m: float, xi: np.ndarray):
+def _winterbottom_init(body: WulffBody, omega: float, m: float, xi: np.ndarray):
     """Truncated-Wulff initial guess scaled to volume m.
 
     The zero-gravity minimizer is the Wulff shape truncated at the height
@@ -318,6 +317,7 @@ def _winterbottom_init(tension: SurfaceTension, body: WulffBody, omega: float,
     """
     from .wulff import alpha_table, vertical_extent, wulff_alpha
 
+    tension = body.tension
     lo, hi = vertical_extent(tension)
     sigma0 = min(max(-omega, lo + 0.02 * (hi - lo)), hi - 0.05 * (hi - lo))
     cap = alpha_table(tension).above(sigma0)
@@ -526,10 +526,11 @@ def _kkt_step(diag, off, col, tt, grad, a):
     return np.append(d_rho + e_rho, d_t + e_t)
 
 
-def minimize_direct(tension: SurfaceTension, omega: float, m: float,
-                    grid_size: int = 161, max_iter: int = MAX_NEWTON_STEPS,
-                    body: Optional[WulffBody] = None) -> Profile:
-    """Volume-constrained Newton iteration for the minimizing profile.
+def minimize_direct(body: WulffBody, omega: float, m: float,
+                    grid_size: int = 161,
+                    max_iter: int = MAX_NEWTON_STEPS) -> Profile:
+    """Volume-constrained Newton iteration for the minimizing profile under
+    the tension ``body`` was built for.
 
     The unknowns are the slice measures rho_i = r_i^(N-1) on knots xi * T
     plus the top height T, with rho = 0 at the top knot.  The knots are
@@ -543,12 +544,13 @@ def minimize_direct(tension: SurfaceTension, omega: float, m: float,
     :meth:`_SliceMeasureFunctional.grads` call; its tridiagonal rho-block
     makes each KKT solve O(n) (:func:`_kkt_step`).  Where it is indefinite
     on the constraint tangent, its diagonal is shifted up a fixed ladder
-    until the step descends.  ``body`` defaults to the 1024-normal Wulff
-    body of ``tension``.  The returned profile carries solver diagnostics
-    in ``meta``, with one record per Newton step in ``meta["steps"]``.
+    until the step descends.  The returned profile carries the solve's own
+    record in ``meta``, with one entry per Newton step in ``meta["steps"]``;
+    its energy, volume and residuals are the profile's to evaluate.
     When ``max_iter`` steps do not converge, :class:`NonConvergence` is
     raised with the last iterate, ``meta`` included, as its ``state``.
     """
+    tension = body.tension
     check_omega(tension, omega)
     if not 0 < m < math.inf:
         raise ValueError("volume must be positive and finite")
@@ -556,12 +558,10 @@ def minimize_direct(tension: SurfaceTension, omega: float, m: float,
         raise InvalidInput(f"grid_size must be at least 3, got {grid_size}")
     if max_iter < 1:
         raise InvalidInput(f"max_iter must be at least 1, got {max_iter}")
-    if body is None:
-        body = build_wulff_body(tension, 1024)
     nm1 = tension.dim - 1
 
     xi = apex_graded(grid_size)
-    r0, t_top = _winterbottom_init(tension, body, omega, m, xi)
+    r0, t_top = _winterbottom_init(body, omega, m, xi)
     fn = _SliceMeasureFunctional(body, omega, xi)
     n = grid_size - 1
 
@@ -645,8 +645,6 @@ def minimize_direct(tension: SurfaceTension, omega: float, m: float,
     meta = {
         "iterations": iterations,
         "converged": converged,
-        "energy": reduced_energy(final).total,
-        "volume": reduced_volume(final),
         "projected_grad": proj_norm,
         # One record per Newton step: the energy and the relative projected
         # gradient it started from, the diagonal shift that made the KKT
@@ -656,8 +654,6 @@ def minimize_direct(tension: SurfaceTension, omega: float, m: float,
         # No competitor repair runs inside the Newton iteration; the key
         # stays so that readers of the diagnostics keep one schema.
         "repairs": 0,
-        "lambda_est": lambda_estimate(final),
-        "young_residual": young_residual(final),
     }
     final = replace(final, meta=meta)
     if not converged:

@@ -476,15 +476,6 @@ def random_sliced_set(rng: np.random.Generator, tension: SurfaceTension) -> Slic
 # Serialization
 # ---------------------------------------------------------------------------
 
-def sliced_set_to_dict(s: SlicedSet) -> dict:
-    return {
-        "base_vertices": np.asarray(s.base_vertices).tolist(),
-        "knots": s.knots.tolist(),
-        "scales": s.scales.tolist(),
-        "centers": s.centers.tolist(),
-    }
-
-
 def sliced_set_from_dict(d: dict, tension: SurfaceTension) -> SlicedSet:
     return sliced_set(
         np.asarray(d["base_vertices"], dtype=float),

@@ -291,33 +291,23 @@ def tension_to_config(tension: SurfaceTension) -> dict:
 def make_tension(name: str, dim: int = 3, **kwargs) -> SurfaceTension:
     """Convenience constructor for the built-in combinations.
 
-    ``name`` is one of "euclid", "pnorm", "weighted"; the slice norm defaults
-    to l_2 and can be overridden with h_family/h_p/h_eps keywords.
+    ``name`` is one of "euclid", "pnorm", "weighted", and the remaining
+    keywords are its parameters; the slice norm defaults to l_2 and can be
+    overridden with h_family/h_p/h_eps keywords.  The tension is built from
+    the matching document by :func:`tension_from_config`, so anything it
+    rejects raises :class:`InvalidTension` here too.
     """
-    h_family = kwargs.pop("h_family", "lp")
-    h_kwargs = {}
-    if h_family in ("lp", "euclid"):
-        h_kwargs["p"] = kwargs.pop("h_p", 2.0)
-    elif h_family == "l1reg":
-        h_kwargs["eps"] = kwargs.pop("h_eps", 0.05)
-    phi = _PHI_FAMILIES[name](**kwargs)
-    h = _H_FAMILIES[h_family](**h_kwargs)
-    return SurfaceTension(dim=dim, phi=phi, h=h)
+    h = {"family": kwargs.pop("h_family", "lp")}
+    if h["family"] in ("lp", "euclid"):
+        h["p"] = kwargs.pop("h_p", 2.0)
+    elif h["family"] == "l1reg":
+        h["eps"] = kwargs.pop("h_eps", 0.05)
+    return tension_from_config({"N": dim, "phi": {"family": name, **kwargs}, "h": h})
 
 
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-def eval_f(tension: SurfaceTension, x) -> float:
-    """Evaluate f(x) = phi(h(x'), x_N); total and positively 1-homogeneous."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != tension.dim:
-        raise ValueError(f"expected vectors in R^{tension.dim}, got shape {x.shape}")
-    s = tension.h.value(x[..., :-1])
-    out = tension.phi.value(s, x[..., -1])
-    return float(out) if out.ndim == 0 else out
-
 
 def phi_partials(tension: SurfaceTension, s, t):
     """Return (d1 phi, d2 phi, d11 phi) at (s, t), s >= 0, (s, t) != (0, 0)."""

@@ -34,13 +34,13 @@ def pnorm3_body(pnorm3):
 @pytest.fixture(scope="session")
 def euclid_shoot(euclid, euclid_body):
     """Shooting solution for the workhorse case (euclid, omega=-0.5, m=1)."""
-    return odesolve.shoot(euclid, -0.5, 1.0, body=euclid_body)
+    return odesolve.shoot(euclid_body, -0.5, 1.0)
 
 
 @pytest.fixture(scope="session")
-def euclid_direct(euclid):
+def euclid_direct(euclid_body):
     """Direct minimizer for the workhorse case (shared across tests)."""
-    return reduced.minimize_direct(euclid, -0.5, 1.0)
+    return reduced.minimize_direct(euclid_body, -0.5, 1.0)
 
 
 def hemisphere_profile(body, n=201, radius=1.0, omega=-0.5):

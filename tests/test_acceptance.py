@@ -28,7 +28,7 @@ def test_01_symmetrization_inequality():
 
 
 def test_02_jensen_equality_rigidity():
-    res = checks.suite_jensen(seed=0, cases=200)
+    res = checks.suite_jensen(seed=0)
     assert report(2, "Jensen equality rigidity", res["passed"],
                   f"{res['details']['cases']} cases"), res
 
@@ -85,14 +85,14 @@ def test_09_convexity_of_minimizers(euclid_direct, euclid_shoot):
     for prof in (euclid_direct, euclid_shoot.profile):
         solver_ok = solver_ok and prof.concavity_defect() <= 1e-7 * np.max(prof.r)
         solver_ok = solver_ok and prof.support_is_interval()
-    res = checks.suite_convexity(seed=0, cases=100)
+    res = checks.suite_convexity(seed=0)
     ok = solver_ok and res["passed"]
     assert report(9, "convexity of minimizers", ok,
                   f"repairs on {res['details']['cases']} seeded dents"), res
 
 
 def test_10_barycenter_constancy():
-    res = checks.suite_barycenter(seed=0, perturbations=20)
+    res = checks.suite_barycenter(seed=0)
     d = res["details"]
     assert report(10, "barycenter constancy", res["passed"],
                   f"drift {d['unperturbed_drift']:.2e}, "
@@ -100,7 +100,7 @@ def test_10_barycenter_constancy():
 
 
 def test_11_gradient_check():
-    res = checks.suite_gradient(seed=0, cases=50)
+    res = checks.suite_gradient(seed=0)
     d = res["details"]
     assert report(11, "gradient check", res["passed"],
                   f"worst rel err {d['worst_rel_error']:.2e}, N=2 energy "

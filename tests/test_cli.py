@@ -26,6 +26,13 @@ def run(argv):
     return cli.main(argv)
 
 
+def set_document(s):
+    """The sliced-set document of ``s``, as ``symmetrize --set`` reads it."""
+    return json.dumps({"base_vertices": np.asarray(s.base_vertices).tolist(),
+                       "knots": s.knots.tolist(), "scales": s.scales.tolist(),
+                       "centers": s.centers.tolist()})
+
+
 def test_solve_rejects_omega_out_of_range(tension_file, tmp_path, capsys):
     code = run(["solve", "--tension", tension_file, "--omega", "5.0",
                 "--mass", "1.0", "--out", str(tmp_path / "p.csv")])
@@ -123,7 +130,7 @@ def test_symmetrize_subcommand(tension_file, tmp_path, euclid):
     rng = np.random.default_rng(2)
     s = sets.random_sliced_set(rng, euclid)
     set_path = tmp_path / "set.json"
-    set_path.write_text(json.dumps(sets.sliced_set_to_dict(s)))
+    set_path.write_text(set_document(s))
     out = tmp_path / "sym.csv"
     rep = tmp_path / "sym.json"
     assert run(["symmetrize", "--tension", tension_file, "--omega", "-0.3",
@@ -196,6 +203,23 @@ def test_repair_passes_over_rounding_level_violations(weighted2, tmp_path):
     code, rep = repair_dented_quarter_circle(weighted2, tmp_path)
     assert code == 0
     assert json.loads(rep.read_text())["final_energy"] <= 8.628970219160 + 1e-9
+
+
+def test_repair_logs_no_failure_at_rounding_level(tension_file, tmp_path, euclid):
+    # A line with a kink of 1e-11 on a span of 2e-9: its worst violation has
+    # a relative deficit of 1.1e-16, and no cap fits it.  That is concave to
+    # rounding, so the log stays empty instead of ending in a failure.
+    t = np.array([0.0, 1.0, 1.0 + 1e-9, 1.0 + 2e-9, 2.0])
+    r = 2.0 - t / 2.0
+    r[1:] += 1e-11 * (t[1:] - 1.0)
+    prof_path = tmp_path / "line.csv"
+    cli.write_profile_csv(str(prof_path), reduced.Profile(
+        knots=t, r=r, body=build_wulff_body(euclid, 1024), omega=-0.5))
+    rep = tmp_path / "log.json"
+    assert run(["repair", "--tension", tension_file, "--omega", "-0.5",
+                "--profile", str(prof_path), "--out", str(tmp_path / "out.csv"),
+                "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["repairs"] == []
 
 
 @pytest.mark.filterwarnings("error")
@@ -326,8 +350,8 @@ def test_bad_flags_are_validation_errors(argv, names, tension_file, tmp_path,
                                          capsys):
     if "--set" in argv:
         set_path = tmp_path / "unused.json"
-        set_path.write_text(json.dumps(sets.sliced_set_to_dict(
-            sets.random_sliced_set(np.random.default_rng(0), make_tension("euclid")))))
+        set_path.write_text(set_document(
+            sets.random_sliced_set(np.random.default_rng(0), make_tension("euclid"))))
         argv = [str(set_path) if a == "unused.json" else a for a in argv]
     out = tmp_path / "out"
     code = run(argv[:1] + ["--tension", tension_file] + argv[1:]

@@ -5,7 +5,7 @@ import pytest
 
 from wulffdrop import competitor as comp
 from wulffdrop import reduced
-from wulffdrop.errors import HypothesisViolated, SigmaOutOfRange
+from wulffdrop.errors import HypothesisViolated
 from wulffdrop.tension import make_tension
 from wulffdrop._quad import slab_volume
 from wulffdrop.wulff import alpha_table, build_wulff_body, wulff_alpha
@@ -30,50 +30,42 @@ def dented_profile(body, omega=-0.5, lo=12, hi=20, factor=0.75):
 
 
 # ---------------------------------------------------------------------------
-# cap_profile
+# Cap profiles (``_sample_cap``, the one cap sampler)
 # ---------------------------------------------------------------------------
 
-def test_cap_profile_upper_hemisphere(euclid, euclid_body):
-    seg = comp.cap_profile(euclid, "+", 0.0, 2.0, euclid_body.area,
-                           body=euclid_body)
-    assert seg.b == pytest.approx(1.0, rel=1e-9)
-    assert seg.ts[0] == pytest.approx(2.0)
-    assert seg.ts[-1] == pytest.approx(3.0)  # anchored unit hemisphere
-    mid = np.searchsorted(seg.ts, 2.5)
-    assert seg.rs[mid] == pytest.approx(
-        math.sqrt(1 - (seg.ts[mid] - 2.0) ** 2), abs=1e-9)
+def test_cap_profile_upper_hemisphere(euclid):
+    # The unit ball above sigma = 0, anchored at t = 2, cut at the pole.
+    ts, rs = comp._sample_cap(euclid, 1.0, 2.0, 0.0, alpha_table(euclid).t_top, "+")
+    assert ts[0] == pytest.approx(2.0)
+    assert ts[-1] == pytest.approx(3.0)  # anchored unit hemisphere
+    mid = np.searchsorted(ts, 2.5)
+    assert rs[mid] == pytest.approx(math.sqrt(1 - (ts[mid] - 2.0) ** 2), abs=1e-9)
 
 
-def test_cap_profile_sigma06(euclid, euclid_body):
-    v_anchor = 0.64 * euclid_body.area  # alpha(0.6)^2 |K_h|
-    seg = comp.cap_profile(euclid, "+", 0.6, 0.0, v_anchor, body=euclid_body)
-    assert seg.b == pytest.approx(1.0, rel=1e-9)
-    assert seg.ts[-1] - seg.ts[0] == pytest.approx(0.4, abs=1e-9)
+def test_cap_profile_sigma06(euclid):
+    ts, rs = comp._sample_cap(euclid, 1.0, 0.0, 0.6, alpha_table(euclid).t_top, "+")
+    assert rs[0] == pytest.approx(0.8, rel=1e-9)  # alpha(0.6)
+    assert ts[-1] - ts[0] == pytest.approx(0.4, abs=1e-9)
 
 
 def test_cap_profile_vanishes_at_top(euclid, euclid_body):
-    v = euclid_body.area * wulff_alpha(euclid, 0.999) ** 2
-    seg = comp.cap_profile(euclid, "+", 0.999, 0.0, v, body=euclid_body)
-    vol = slab_volume(euclid_body.area, seg.ts, seg.rs, 2)
-    assert vol < 1e-4
+    ts, rs = comp._sample_cap(euclid, 1.0, 0.0, 0.999, alpha_table(euclid).t_top, "+")
+    assert rs[0] == pytest.approx(wulff_alpha(euclid, 0.999), rel=1e-9)
+    assert slab_volume(euclid_body.area, ts, rs, 2) < 1e-4
 
 
-def test_cap_profile_lower_side(pnorm3, pnorm3_body):
+def test_cap_profile_lower_side(pnorm3):
     sigma, t_anchor = 0.3, 1.5
-    v_anchor = 0.5 * pnorm3_body.area
-    seg = comp.cap_profile(pnorm3, "-", sigma, t_anchor, v_anchor,
-                           body=pnorm3_body)
     fa = alpha_table(pnorm3)
+    b = 0.7 / fa(sigma)  # a cut slice of radius 0.7
+    ts, rs = comp._sample_cap(pnorm3, b, t_anchor, sigma, fa.t_bot, "-")
     # Anchored from above: the heights rise to the cut at t_anchor.
-    assert np.all(np.diff(seg.ts) > 0)
-    assert seg.ts[-1] == pytest.approx(t_anchor, abs=1e-12)
-    assert seg.ts[0] == pytest.approx(t_anchor - seg.b * (sigma - fa.t_bot), abs=1e-12)
-    # The cut slice has measure v_anchor; the cap vanishes at the bottom pole.
-    assert pnorm3_body.area * seg.rs[-1] ** 2 == pytest.approx(v_anchor, rel=1e-12)
-    assert seg.rs[0] == 0.0
-    # The one cap sampler, with the far cut at the pole.
-    ts, rs = comp._sample_cap(pnorm3, seg.b, t_anchor, sigma, fa.t_bot, "-")
-    assert np.array_equal(ts, seg.ts) and np.array_equal(rs, seg.rs)
+    assert np.all(np.diff(ts) > 0)
+    assert ts[-1] == pytest.approx(t_anchor, abs=1e-12)
+    assert ts[0] == pytest.approx(t_anchor - b * (sigma - fa.t_bot), abs=1e-12)
+    # The cut slice has radius 0.7; the cap vanishes at the bottom pole.
+    assert rs[-1] == pytest.approx(0.7, rel=1e-12)
+    assert rs[0] == 0.0
 
 
 @pytest.mark.parametrize("side", ["+", "-"])
@@ -91,11 +83,6 @@ def test_stacked_caps_match_single_caps(pnorm3, side):
         ts1, rs1 = comp._sample_cap(pnorm3, b[k], 0.2, sigma[k], z_cut[k], side)
         assert np.array_equal(ts1, ts[k]) and np.array_equal(rs1, rs[k])
         assert slab_volume(3.0, ts1, rs1, 2) == vols[k]
-
-
-def test_cap_profile_sigma_validation(euclid, euclid_body):
-    with pytest.raises(SigmaOutOfRange):
-        comp.cap_profile(euclid, "+", 1.5, 0.0, 1.0, body=euclid_body)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +340,21 @@ def test_repeated_repair_restores_concavity(euclid, euclid_body):
     assert reduced.reduced_energy(current).total < e0
     assert reduced.reduced_volume(current) == pytest.approx(
         reduced.reduced_volume(prof), rel=1e-7)
+
+
+@pytest.mark.parametrize("h,kink", [(1e-9, 1e-11), (1e-6, 1e-9), (1e-5, 3e-11)])
+def test_repair_passes_over_a_rounding_level_worst_violation(euclid_body, h, kink):
+    # The line r = 2 - t/2 on knots (0, 1, 1 + h, 1 + 2h, 2), its slope
+    # raised by a tiny kink at t = 1.  Rounding leaves violations with
+    # relative deficits of 1e-16 to 6e-16, far below MIN_DEFICIT, and no
+    # cap fits the worst of them: the profile is concave to rounding.
+    t = np.array([0.0, 1.0, 1.0 + h, 1.0 + 2.0 * h, 2.0])
+    r = 2.0 - t / 2.0
+    r[1:] += kink * (t[1:] - 1.0)
+    prof = reduced.Profile(knots=t, r=r, body=euclid_body, omega=-0.5)
+    _, deficits = comp._violations(prof)
+    assert 0 < deficits[0] <= 1e-15
+    assert comp.repair_profile(prof) is None
 
 
 @pytest.mark.parametrize("omega", [-0.5, 0.3])

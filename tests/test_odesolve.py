@@ -6,8 +6,8 @@ from scipy.integrate import solve_ivp
 
 from wulffdrop import odesolve as od
 from wulffdrop import reduced
-from wulffdrop.errors import (NoBracket, NonConvergence, OmegaOutOfGraphRange,
-                              OutOfRange, StalledInversion)
+from wulffdrop.errors import (InvalidInput, NoBracket, NonConvergence,
+                              OmegaOutOfGraphRange, OutOfRange, StalledInversion)
 from wulffdrop.tension import ScaledPNorm, make_tension, phi_partials
 from wulffdrop.wulff import build_wulff_body
 
@@ -155,6 +155,14 @@ def test_reconstruct_boundary_conditions(euclid, euclid_body, euclid_shoot):
     assert slopes[-1] < slopes[len(slopes) // 2] < slopes[0] < 0
 
 
+def test_reconstruct_rejects_a_body_of_another_tension(euclid_shoot, weighted2):
+    # The profile's tension is its body's: a body built for another tension
+    # cannot stand in for the trajectory's.
+    with pytest.raises(InvalidInput, match="body built for"):
+        od.reconstruct_profile(euclid_shoot.trajectory,
+                               build_wulff_body(weighted2, 1024), omega=-0.5)
+
+
 def test_shoot_matches_volume_and_young(euclid_shoot):
     d = euclid_shoot.diagnostics
     assert d["achieved_volume"] == pytest.approx(1.0, rel=1e-6)
@@ -182,8 +190,7 @@ def test_shoot_probes_are_few_and_distinct(euclid_shoot):
 @pytest.mark.parametrize("family", ["euclid", "pnorm3", "weighted2"])
 def test_shoot_volume_and_young_across_families(request, family, m):
     tension = request.getfixturevalue(family)
-    sol = od.shoot(tension, -0.5 * tension.f_eN, m,
-                   body=build_wulff_body(tension, 1024))
+    sol = od.shoot(build_wulff_body(tension, 1024), -0.5 * tension.f_eN, m)
     d = sol.diagnostics
     assert d["achieved_volume"] == pytest.approx(m, rel=1e-6)
     assert abs(d["young_residual"]) < 1e-8
@@ -191,15 +198,15 @@ def test_shoot_volume_and_young_across_families(request, family, m):
 
 
 def test_shoot_bridge_constant(euclid_shoot):
-    d = euclid_shoot.diagnostics
-    assert d["bridge_constant"] == pytest.approx(d["bridge_predicted"], rel=1e-4)
+    assert euclid_shoot.diagnostics["bridge_constant"] == pytest.approx(
+        od.bridge_prediction(euclid_shoot.profile.body), rel=1e-4)
 
 
-def test_shoot_rejects_bad_inputs(euclid):
+def test_shoot_rejects_bad_inputs(euclid_body):
     with pytest.raises(OmegaOutOfGraphRange):
-        od.shoot(euclid, 0.3, 1.0)
+        od.shoot(euclid_body, 0.3, 1.0)
     with pytest.raises(ValueError):
-        od.shoot(euclid, -0.5, 0.0)
+        od.shoot(euclid_body, -0.5, 0.0)
 
 
 def test_el_residual_convergence_appendix_equivalence(euclid, euclid_body,
@@ -218,14 +225,14 @@ def test_el_residual_convergence_appendix_equivalence(euclid, euclid_body,
 
 
 def test_lambda_recovered_consistently(euclid_shoot):
-    assert euclid_shoot.diagnostics["lambda_est"] == pytest.approx(
+    assert reduced.lambda_estimate(euclid_shoot.profile) == pytest.approx(
         euclid_shoot.lam, rel=1e-4)
 
 
 def test_shoot_n2_planar():
     t2 = make_tension("euclid", dim=2)
     b2 = build_wulff_body(t2)
-    sol = od.shoot(t2, -0.5, 1.0, body=b2)
+    sol = od.shoot(b2, -0.5, 1.0)
     assert sol.diagnostics["achieved_volume"] == pytest.approx(1.0, rel=1e-6)
     assert abs(sol.diagnostics["young_residual"]) < 1e-8
     assert sol.profile.concavity_defect() <= 1e-5
@@ -240,8 +247,7 @@ def test_scaling_sanity_zero_gravity_bound(euclid, euclid_body, euclid_shoot):
     lo, hi = vertical_extent(euclid)
     sigma0 = 0.5  # Winterbottom truncation height for omega = -0.5
     cap = alpha_table(euclid).above(sigma0)
-    for m, sol in ((1.0, euclid_shoot), (2.0, od.shoot(euclid, -0.5, 2.0,
-                                                       body=euclid_body))):
+    for m, sol in ((1.0, euclid_shoot), (2.0, od.shoot(euclid_body, -0.5, 2.0))):
         b = (m / (euclid_body.area * cap)) ** (1.0 / 3.0)
         assert sol.t_max <= b * (hi - sigma0) + 1e-9
 
@@ -269,8 +275,7 @@ def test_shoot_near_zero_contact_coefficient(family, params, frac):
     # asymptote phi(1, 0): the trajectory must end exactly at s*, where V_of
     # reads it.
     tension = make_tension(family, **params)
-    sol = od.shoot(tension, -frac * tension.f_eN, 1.0,
-                   body=build_wulff_body(tension, 1024))
+    sol = od.shoot(build_wulff_body(tension, 1024), -frac * tension.f_eN, 1.0)
     d = sol.diagnostics
     assert d["achieved_volume"] == pytest.approx(1.0, rel=1e-6)
     assert abs(d["young_residual"]) < 1e-8
@@ -402,7 +407,8 @@ def test_shoot_pnorm_1000_is_warning_free():
     # The residuals read d2phi alone; the d11 that phi_partials also forms
     # overflows for p = 1000, which the RuntimeWarning filter turns into an
     # error.
-    sol = od.shoot(make_tension("pnorm", p=1000.0), -0.5, 1.0)
+    sol = od.shoot(build_wulff_body(make_tension("pnorm", p=1000.0), 1024),
+                   -0.5, 1.0)
     d = sol.diagnostics
     assert sol.v0 == pytest.approx(0.36155, rel=1e-4)
     assert d["achieved_volume"] == pytest.approx(1.0, rel=1e-6)
@@ -412,7 +418,7 @@ def test_shoot_pnorm_1000_is_warning_free():
 @pytest.mark.xfail(strict=True, raises=NoBracket,
                    reason="pnorm3 probe volumes level off near 27.5 as v0 -> 0")
 def test_pnorm3_shoot_reaches_mass_30(pnorm3, pnorm3_body):
-    od.shoot(pnorm3, -0.5 * pnorm3.f_eN, 30.0, body=pnorm3_body)
+    od.shoot(pnorm3_body, -0.5 * pnorm3.f_eN, 30.0)
 
 
 @pytest.mark.parametrize("family", ["euclid", "pnorm3", "weighted2"])

@@ -425,7 +425,9 @@ def test_barycenter_constant_and_linear(euclid, euclid_body):
 def test_serialization_roundtrip(euclid):
     rng = np.random.default_rng(21)
     s = sets.random_sliced_set(rng, euclid)
-    d = sets.sliced_set_to_dict(s)
+    d = {"base_vertices": np.asarray(s.base_vertices).tolist(),
+         "knots": s.knots.tolist(), "scales": s.scales.tolist(),
+         "centers": s.centers.tolist()}
     s2 = sets.sliced_set_from_dict(d, euclid)
     assert np.allclose(s.base_vertices, s2.base_vertices)
     assert np.allclose(s.knots, s2.knots)

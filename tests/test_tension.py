@@ -8,35 +8,11 @@ from hypothesis import strategies as st
 from wulffdrop.errors import DegeneratePoint, InvalidTension
 from wulffdrop.tension import (
     check_admissible,
-    eval_f,
     make_tension,
     phi_partials,
     tension_from_config,
     tension_to_config,
 )
-
-
-def test_eval_f_euclid_is_norm(euclid):
-    assert eval_f(euclid, [3.0, 4.0, 0.0]) == pytest.approx(5.0, abs=1e-12)
-    assert eval_f(euclid, [0.0, 0.0, 0.0]) == 0.0
-
-
-def test_eval_f_p3_matches_l3_norm():
-    # f = |x|_p requires the slice norm to be the same l_p.
-    t = make_tension("pnorm", p=3.0, h_family="lp", h_p=3.0)
-    assert eval_f(t, [1.0, 1.0, 1.0]) == pytest.approx(3.0 ** (1.0 / 3.0), rel=1e-12)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    lam=st.floats(1e-3, 10.0),
-    x=st.tuples(*[st.floats(-5, 5) for _ in range(3)]),
-)
-def test_eval_f_positive_homogeneity(lam, x):
-    t = make_tension("pnorm", p=3.0)
-    fx = eval_f(t, np.array(x))
-    flx = eval_f(t, lam * np.array(x))
-    assert flx == pytest.approx(lam * fx, rel=1e-10, abs=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -141,8 +117,12 @@ def test_homogeneity_thousand_samples(pnorm3):
     rng = np.random.default_rng(8)
     lam = rng.uniform(1e-6, 10.0, 1000)
     x = rng.normal(size=(1000, 3))
-    fx = eval_f(pnorm3, x)
-    flx = eval_f(pnorm3, lam[:, None] * x)
+
+    def f(y):  # f(y) = phi(h(y'), y_N)
+        return pnorm3.phi.value(pnorm3.h.value(y[:, :-1]), y[:, -1])
+
+    fx = f(x)
+    flx = f(lam[:, None] * x)
     assert np.all(np.abs(flx - lam * fx) <= 1e-10 * np.maximum(np.abs(lam * fx), 1e-30))
 
 
@@ -152,6 +132,9 @@ def test_homogeneity_thousand_samples(pnorm3):
     lambda: make_tension("weighted", c=0.0),
     lambda: make_tension("euclid", h_family="lp", h_p=0.5),
     lambda: make_tension("pnorm", p=float("nan")),
+    lambda: make_tension("nope"),
+    lambda: make_tension("pnorm"),
+    lambda: make_tension("euclid", c=2.0),
 ])
 def test_family_parameters_validated_on_construction(build):
     with pytest.raises(InvalidTension):
