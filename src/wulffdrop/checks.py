@@ -236,21 +236,35 @@ def suite_young() -> dict:
 
 def _polyline_distance(px: np.ndarray, py: np.ndarray, lx: np.ndarray,
                        ly: np.ndarray) -> np.ndarray:
-    """Distance from each point (px, py) to the polyline through (lx, ly):
-    the least point-to-segment distance over its segments.  Points go in
-    blocks of about 4096 point-segment pairs: a full (points x segments)
-    temporary (1 MB for a shoot profile against 161 knots) is mapped and
-    faulted in afresh by the allocator on every call, which took twice as
-    long as the arithmetic."""
+    """Distance from each point (px, py) to the polyline through (lx, ly),
+    with ly ascending: the least point-to-segment distance over its segments.
+
+    A segment whose ly range lies farther than d from py is farther than d
+    from the point.  So with d the distance to the segment whose ly range
+    holds py, only the segments whose ly range meets [py - d, py + d] are
+    evaluated, each point's window padded to the widest one.  d is widened
+    by 1e-12 of itself plus the largest coordinate, so that rounding cannot
+    drop the nearest segment.  Each point-segment distance is the
+    brute-force expression, so the result is the same to the bit.
+    """
     dx, dy = np.diff(lx), np.diff(ly)
     seg2 = np.maximum(dx * dx + dy * dy, np.finfo(float).tiny)
-    out = np.empty(len(px))
-    rows = max(1, 4096 // len(dx))
-    for k in range(0, len(px), rows):
-        rx, ry = px[k:k + rows, None] - lx[:-1], py[k:k + rows, None] - ly[:-1]
-        u = np.clip((rx * dx + ry * dy) / seg2, 0.0, 1.0)
-        out[k:k + rows] = np.min((rx - u * dx) ** 2 + (ry - u * dy) ** 2, axis=1)
-    return np.sqrt(out)
+    last = len(dx) - 1
+
+    def dist2(k):
+        rx, ry = px[:, None] - lx[k], py[:, None] - ly[k]
+        u = np.clip((rx * dx[k] + ry * dy[k]) / seg2[k], 0.0, 1.0)
+        return (rx - u * dx[k]) ** 2 + (ry - u * dy[k]) ** 2
+
+    k0 = np.clip(np.searchsorted(ly, py, side="right") - 1, 0, last)
+    d = np.sqrt(dist2(k0[:, None])[:, 0])
+    scale = max(np.max(np.abs(lx)), np.max(np.abs(ly)),
+                np.max(np.abs(px)), np.max(np.abs(py)))
+    d += 1e-12 * (d + scale)
+    lo = np.minimum(np.searchsorted(ly[1:], py - d, side="left"), k0)
+    hi = np.maximum(np.searchsorted(ly[:-1], py + d, side="right") - 1, k0)
+    k = np.minimum(lo[:, None] + np.arange(np.max(hi - lo) + 1), last)
+    return np.sqrt(np.min(dist2(k), axis=1))
 
 
 def cross_difference(shoot: reduced.Profile,

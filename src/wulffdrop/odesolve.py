@@ -28,9 +28,12 @@ control: s depends on w alone, so each step attempt makes one slope call, a
 writes its interpolant rows into one array, the ``DenseOutput`` that
 evaluates all knots in one expression; the slope inverse takes arrays too,
 so each Newton pass of the inversion of v is a few numpy calls.  The
-enclosed volume V_{v0}(s*) is strictly decreasing in v0, so matching the
-directly integrated volume to the target is a bracketed monotone root,
-solved by Brent's method in log2(v0).
+enclosed volume V_{v0}(s*) is strictly decreasing in v0, and up to the
+discretization the profile's volume is a fixed multiple of it, the bridge
+constant.  Each probe reads V_{v0}(s*) in closed form at its trajectory's
+end, so matching the volume is a monotone root in log2(v0), bracketed by
+secant steps and solved by Brent's method; only the first probe, which
+measures the bridge constant, and the root are reconstructed.
 """
 
 from __future__ import annotations
@@ -439,23 +442,41 @@ def reconstruct_profile(traj: Trajectory, body: WulffBody,
 # about 1e-8, two decades inside the volume tolerance.
 _LOG_V0_XTOL = 1e-8
 
+# The v0 scan covers log2(v0) in [-_LOG_V0_SPAN, _LOG_V0_SPAN].
+_LOG_V0_SPAN = 21.0
+
+# Factor on each secant step of the bracket scan.  Where log V is convex in
+# log2(v0) a plain secant step stops short of the root, and the next ones
+# creep up on it from the same side.
+_SECANT_STRETCH = 1.3
+
 
 def shoot(body: WulffBody, omega: float, m: float) -> ShootingSolution:
     """Shoot on the apex parameter v0 until the profile volume equals m,
     under the tension ``body`` was built for.
 
-    The achieved volume is recomputed from the reconstructed profile by
-    exact slab integration; the proportionality between it and the enclosed
-    volume V_{v0}(s*) is reported in the diagnostics rather than assumed.
-    Volume decreases strictly in v0, so doubling or halving v0 from 1 over
-    2^-21..2^21 brackets any attainable target, and Brent's method on
-    log2(v0) solves the bracketed monotone root.  Every probe is memoized,
-    so ``v0_history`` lists each probed v0 once.
+    Each probe integrates the ODE once and reads the closed-form enclosed
+    volume V_{v0}(s*) (``V_of``) at the trajectory's end.  The first probe,
+    at v0 = 1, also reconstructs its profile: the ratio c of its exactly
+    integrated volume to V_{v0}(s*) is the bridge constant, and every probe
+    solves log(c V_{v0}(s*) / m) = 0.  V_{v0}(s*) decreases strictly in v0,
+    so from log2(v0) = 0 and +-1, secant steps in (log2 v0, log V), each at
+    most twice the last, bracket any target attainable in log2(v0) in
+    [-21, 21], and Brent's method on log2(v0) solves the bracketed root.
+    The profile is reconstructed once more at the root, where its volume
+    must match m to a relative 1e-6.  Every probe is memoized, so
+    ``v0_history`` lists each integrated v0 once, with its scaled
+    closed-form volume.
     """
     if not 0 < m < math.inf:
         raise ValueError("volume must be positive and finite")
     tension = body.tension
     s_st = s_star(tension, omega)
+
+    # The bridge constant c, measured on the first probe, at v0 = 1.
+    traj = integrate_v(tension, 1.0, s_stop=s_st)
+    c = (reduced_volume(reconstruct_profile(traj, body, omega=omega)[0])
+         / V_of(traj, s_st))
 
     memo: dict = {}
     history = []
@@ -463,33 +484,39 @@ def shoot(body: WulffBody, omega: float, m: float) -> ShootingSolution:
     def resid(log_v0: float) -> float:
         if log_v0 not in memo:
             v0 = 2.0**log_v0
-            traj = integrate_v(tension, v0, s_stop=s_st)
-            prof, lam_mult = reconstruct_profile(traj, body, omega=omega)
-            vol = reduced_volume(prof)
-            memo[log_v0] = vol, (traj, prof, lam_mult)
+            tr = traj if log_v0 == 0.0 else integrate_v(tension, v0, s_stop=s_st)
+            vol = c * V_of(tr, s_st)
+            memo[log_v0] = math.log(vol / m), tr
             history.append((v0, vol))
-        return memo[log_v0][0] - m
+        return memo[log_v0][0]
 
-    # Geometric bracket: volume is strictly decreasing in v0.
+    # Bracket from log2(v0) = 0 and +-1 by secant steps in (log2 v0, log V).
+    # f_b / (f_a - f_b) is the secant step over the last one, positive while
+    # |log(V / m)| falls; a step is at least the Brent tolerance and at most
+    # twice the last.
     x_a, f_a = 0.0, resid(0.0)
-    step = 1.0 if f_a > 0.0 else -1.0
-    for _ in range(21):
-        x_b = x_a + step
-        f_b = resid(x_b)
-        if f_a * f_b <= 0.0:
-            break
+    x_b = math.copysign(1.0, f_a)
+    f_b = resid(x_b)
+    while f_a * f_b > 0.0:
+        if abs(x_b) >= _LOG_V0_SPAN:
+            raise NoBracket("volume target outside the v0-scan range",
+                            table=history)
+        ratio = f_b / (f_a - f_b) if abs(f_b) < abs(f_a) else math.inf
+        step = (x_b - x_a) * min(_SECANT_STRETCH * ratio, 2.0)
         x_a, f_a = x_b, f_b
-    else:
-        raise NoBracket("volume target outside the v0-scan range", table=history)
+        x_b = x_a + math.copysign(max(abs(step), _LOG_V0_XTOL), step)
+        x_b = min(max(x_b, -_LOG_V0_SPAN), _LOG_V0_SPAN)
+        f_b = resid(x_b)
 
     log_v0 = brentq(resid, min(x_a, x_b), max(x_a, x_b), xtol=_LOG_V0_XTOL)
     resid(log_v0)
-    vol, state = memo[log_v0]
+    traj = memo[log_v0][1]
+    prof, lam_mult = reconstruct_profile(traj, body, omega=omega)
+    vol = reduced_volume(prof)
     if abs(vol - m) > _VOLUME_RTOL * m:
         raise NoBracket("volume solve failed to converge", table=history)
     v0 = 2.0**log_v0
 
-    traj, prof, lam_mult = state
     diagnostics = {
         "achieved_volume": vol,
         "young_residual": young_residual(prof, omega,

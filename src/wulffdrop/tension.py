@@ -372,11 +372,13 @@ def check_admissible(tension: SurfaceTension, tol: float = 1e-8) -> Admissibilit
             smooth = False
 
     # Curvature d11 = t^2 kappa = kappa of s -> phi(s, +-1), sampled over s > 0.
+    # kappa is homogeneous of degree -3, so a sample beyond s = 1 is taken at
+    # (s, +-1) / s, where |s t|^(p-2) cannot overflow for large p.  A NaN
+    # sample stays NaN in the minimum and fails the verdict.
     s_grid = np.logspace(-2, 1, 40)
-    curv_min = math.inf
-    for b in (1.0, -1.0):
-        curv = phi.kappa(s_grid, b * np.ones_like(s_grid))
-        curv_min = min(curv_min, float(np.min(curv)))
+    scale = np.maximum(s_grid, 1.0)
+    curv_min = float(np.min([phi.kappa(s_grid / scale, b / scale) / scale**3
+                             for b in (1.0, -1.0)]))
 
     admissible = (
         abs(d1_poles[0]) <= tol

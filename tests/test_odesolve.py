@@ -180,21 +180,71 @@ def test_shoot_volume_monotone_in_v0(euclid_shoot):
 
 
 def test_shoot_probes_are_few_and_distinct(euclid_shoot):
-    # Each history entry is one integrate_v + reconstruct_profile probe.
+    # Each history entry is one integrate_v probe.
     v0s = [h[0] for h in euclid_shoot.diagnostics["v0_history"]]
-    assert len(v0s) <= 10
+    assert len(v0s) <= 8
     assert len(set(v0s)) == len(v0s)
 
 
-@pytest.mark.parametrize("m", [0.1, 10.0])
-@pytest.mark.parametrize("family", ["euclid", "pnorm3", "weighted2"])
-def test_shoot_volume_and_young_across_families(request, family, m):
-    tension = request.getfixturevalue(family)
-    sol = od.shoot(build_wulff_body(tension, 1024), -0.5 * tension.f_eN, m)
+def test_shoot_reconstructs_twice(euclid_body, monkeypatch):
+    # Probes read the closed-form volume V_{v0}(s*); only the first probe
+    # (for the bridge constant) and the root are reconstructed.
+    calls = []
+    reconstruct = od.reconstruct_profile
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].v0)
+        return reconstruct(*args, **kwargs)
+
+    monkeypatch.setattr(od, "reconstruct_profile", counted)
+    sol = od.shoot(euclid_body, -0.5, 1.0)
+    assert calls == [1.0, sol.v0]
+    assert len(sol.diagnostics["v0_history"]) > 2
+
+
+_SHOOT_CELLS = [(family, m) for family in ("euclid", "pnorm3", "weighted2")
+                for m in (1e-3, 0.1, 1.0, 10.0, 100.0)]
+
+
+@pytest.fixture(scope="module")
+def cell_shoots(request):
+    """shoot at omega = -0.5 phi(0,1) per (family, m) cell, or its NoBracket."""
+    out = {}
+    for family, m in _SHOOT_CELLS:
+        tension = request.getfixturevalue(family)
+        body = build_wulff_body(tension, 1024)
+        try:
+            out[family, m] = od.shoot(body, -0.5 * tension.f_eN, m)
+        except NoBracket as exc:
+            out[family, m] = exc
+    return out
+
+
+@pytest.mark.parametrize("family, m", _SHOOT_CELLS)
+def test_shoot_volume_and_young_across_families(cell_shoots, family, m):
+    # The probes solve on the scaled closed-form volume; the reconstructed
+    # profile at the root still meets the volume within 1e-6.  pnorm3's
+    # probe volumes level off near 27.5 as v0 -> 0, so m = 100 stays a
+    # NoBracket, as test_pnorm3_shoot_reaches_mass_30 records.
+    sol = cell_shoots[family, m]
+    if (family, m) == ("pnorm3", 100.0):
+        assert isinstance(sol, NoBracket)
+        return
     d = sol.diagnostics
     assert d["achieved_volume"] == pytest.approx(m, rel=1e-6)
     assert abs(d["young_residual"]) < 1e-8
     assert sol.trajectory.ss[-1] == pytest.approx(sol.s_star, abs=1e-11)
+    (vol,) = [vol for v0, vol in d["v0_history"] if v0 == sol.v0]
+    assert vol == pytest.approx(d["achieved_volume"], rel=1e-6)
+
+
+def test_shoot_mean_probe_count(cell_shoots):
+    # 110 probes over the 14 solved cells when measured (7.86 each); unit
+    # steps in log2 v0 on the reconstructed volume took 140.
+    probes = [len(sol.diagnostics["v0_history"])
+              for sol in cell_shoots.values() if not isinstance(sol, NoBracket)]
+    assert len(probes) == len(_SHOOT_CELLS) - 1
+    assert sum(probes) / len(probes) <= 8.0
 
 
 def test_shoot_bridge_constant(euclid_shoot):

@@ -382,3 +382,36 @@ def test_cross_difference_puddle_pair(euclid_body, delta):
     assert linf >= 0.5
     assert 0.0 < hausdorff <= delta / 2.0 * (1.0 + 1e-12)
     assert checks.cross_difference(shoot, shoot) == (0.0, 0.0)
+
+
+def _brute_polyline_distance(px, py, lx, ly):
+    # Every (point, segment) pair, with _polyline_distance's expression.
+    dx, dy = np.diff(lx), np.diff(ly)
+    seg2 = np.maximum(dx * dx + dy * dy, np.finfo(float).tiny)
+    rx, ry = px[:, None] - lx[:-1], py[:, None] - ly[:-1]
+    u = np.clip((rx * dx + ry * dy) / seg2, 0.0, 1.0)
+    return np.sqrt(np.min((rx - u * dx) ** 2 + (ry - u * dy) ** 2, axis=1))
+
+
+def test_polyline_distance_matches_brute_force(euclid_body):
+    # The t-window search evaluates a subset of the segments, which must
+    # always hold the nearest one: the result is bit-identical.
+    rng = np.random.default_rng(5)
+    pairs = []
+    for _ in range(300):
+        n, k = rng.integers(2, 60, size=2)
+        scale = 10.0 ** rng.uniform(-6.0, 3.0)
+        # Ascending t with spacings over eight decades, decreasing r.
+        lt = np.cumsum(rng.exponential(size=n) * 10.0 ** rng.uniform(-8, 0, n))
+        lr = np.cumsum(rng.uniform(0.0, 1.0, n))[::-1]
+        pt = np.sort(rng.uniform(-0.1, 1.1, k)) * lt[-1]
+        pr = rng.uniform(-0.1, 1.1, k) * lr[0]
+        pairs += [(pr * scale, pt * scale, lr * scale, lt * scale),
+                  (lr * scale, lt * scale, lr * scale, lt * scale)]
+    for delta in (1e-2, 1e-1):
+        a, b = _puddle(euclid_body, 0.5), _puddle(euclid_body, 0.5 + delta)
+        pairs += [(a.r, a.knots, b.r, b.knots), (b.r, b.knots, a.r, a.knots),
+                  (a.r, a.knots, a.r, a.knots)]
+    for pair in pairs:
+        assert np.array_equal(checks._polyline_distance(*pair),
+                              _brute_polyline_distance(*pair))

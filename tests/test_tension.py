@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wulffdrop.errors import DegeneratePoint, InvalidTension
 from wulffdrop.tension import (
+    ScaledPNorm,
     check_admissible,
     make_tension,
     phi_partials,
@@ -90,6 +91,45 @@ def test_admissibility_reports_the_pole_ellipticity(family, params, kappa):
     rep = check_admissible(make_tension(family, **params))
     assert rep.pole_kappa == pytest.approx((kappa, kappa), rel=1e-15)
     assert rep.admissible
+
+
+@pytest.mark.parametrize("p, sample", [
+    (1.5, "0x1.8da1f4e846831p-10"),
+    (3.0, "0x1.a2bb76b82530dp-13"),
+    (30.0, "0x1.c7170219f86c3p-182"),
+    (100.0, "0x1.7204806343d6ep-645"),
+])
+def test_admissibility_curvature_samples(p, sample):
+    # Samples beyond s = 1 are taken through the degree -3 homogeneity of
+    # kappa; each hex value is the minimum of the unscaled closed form.
+    rep = check_admissible(make_tension("pnorm", p=p))
+    assert rep.strict_convexity_samples == pytest.approx(float.fromhex(sample),
+                                                         rel=1e-12)
+    assert rep.admissible
+
+
+@pytest.mark.filterwarnings("error")
+def test_admissibility_pnorm_1000_is_warning_free():
+    # Unscaled, the sample kappa(10, +-1) overflows (|s t|^998) for
+    # p = 1000.  kappa(1e-2, +-1) ~ 1e-1993 underflows to 0, so the samples
+    # cannot show strict convexity.
+    rep = check_admissible(make_tension("pnorm", p=1000.0))
+    assert rep.strict_convexity_samples == 0.0
+    assert not rep.admissible
+
+
+def test_admissibility_fails_on_a_nan_curvature_sample(monkeypatch):
+    # A NaN sample must fail the verdict, not drop out of the minimum.
+    kappa = ScaledPNorm.kappa
+
+    def one_nan(self, s, t):
+        out = kappa(self, s, t)
+        return np.where(s == s[5], math.nan, out) if np.ndim(s) else out
+
+    monkeypatch.setattr(ScaledPNorm, "kappa", one_nan)
+    rep = check_admissible(make_tension("euclid"))
+    assert math.isnan(rep.strict_convexity_samples)
+    assert not rep.admissible
 
 
 def test_omega_range_euclid(euclid):
