@@ -1,9 +1,11 @@
 """Seeded property suites behind the ``check`` subcommand.
 
-Each suite returns a dict with at least ``name``, ``passed`` and
-``details``; the CLI aggregates them into a machine-readable summary.  The
-acceptance tests call the same functions, so the release gate and the test
-suite share one implementation.
+Each suite returns ``{"passed": bool, "details": {...}}`` built only from
+str-keyed dicts, lists, tuples, str, int, float, bool and None, so it is
+written to JSON as it is.  A suite's name is its ``SUITES`` key, and
+:func:`run_suites` returns ``{name: result}``, the ``suites`` block of the
+``check`` summary.  The acceptance tests call the same functions, so the
+release gate and the test suite share one implementation.
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ def suite_symmetrization(seed: int = DEFAULT_SEED, trials: int = 1000) -> dict:
         checked += block_checked
         failures += found
     return {
-        "name": "symmetrization",
         "passed": not failures and min_total >= -1e-9,
         "details": {
             "trials": trials,
@@ -143,7 +144,6 @@ def suite_jensen(seed: int = DEFAULT_SEED) -> dict:
         elif not expect_zero and gap <= 1e-10:
             bad.append((k, "should be positive", gap))
     return {
-        "name": "jensen",
         "passed": not bad,
         "details": {"cases": JENSEN_CASES, "failures": bad[:10]},
     }
@@ -162,7 +162,6 @@ def suite_wulff_identity() -> dict:
             rows.append((tension.tension_id, m_normals, body.lam, rel))
             ok = ok and rel <= tol
     return {
-        "name": "wulff-identity",
         "passed": ok,
         "details": {"rows": rows},
     }
@@ -188,7 +187,6 @@ def suite_el_consistency() -> dict:
         rows.append((tension.tension_id, residuals, rates))
         ok = ok and all(rate >= 1.8 for rate in rates)
     return {
-        "name": "el-consistency",
         "passed": ok,
         "details": {"rows": rows},
     }
@@ -218,14 +216,12 @@ def suite_young() -> dict:
     s1 = (p.r[2] - p.r[1]) / (p.knots[2] - p.knots[1])
     curv = abs(s1 - s0) / (0.5 * (p.knots[2] - p.knots[0]))
     dslope = 0.5 * curv * (p.knots[1] - p.knots[0])
-    nm1 = tension.dim - 1
     d2_lo = reduced.young_residual(p, contact_slope=s0 - dslope)
     d2_hi = reduced.young_residual(p, contact_slope=s0 + dslope)
     slope_err = max(abs(d2_lo - grid_res), abs(d2_hi - grid_res), 1e-12)
     ok = shoot_res < 1e-8 and grid_res <= 2.0 * slope_err
     return {
-        "name": "young",
-        "passed": bool(ok),
+        "passed": ok,
         "details": {
             "shoot_residual": shoot_res,
             "direct_grid_residual": grid_res,
@@ -295,13 +291,8 @@ def suite_cross_solver() -> dict:
     """
     rows, case_seconds = [], {}
     ok = True
-    cases = [
-        (make_tension("euclid"), -0.5),
-        (make_tension("pnorm", p=3.0), None),  # -0.5 * phi(0,1)
-    ]
-    for tension, omega in cases:
-        if omega is None:
-            omega = -0.5 * tension.f_eN
+    for tension in (make_tension("euclid"), make_tension("pnorm", p=3.0)):
+        omega = -0.5 * tension.f_eN
         tc0 = time.perf_counter()
         body = build_wulff_body(tension, 1024)
         sol = od.shoot(body, omega, 1.0)
@@ -315,7 +306,6 @@ def suite_cross_solver() -> dict:
         case_seconds[tension.tension_id] = elapsed
         ok = ok and linf <= 0.01 and e_rel <= 0.003 and elapsed <= 30.0
     return {
-        "name": "cross-solver",
         "passed": ok,
         "details": {"rows": rows, "case_seconds": case_seconds},
     }
@@ -334,7 +324,6 @@ def suite_monotonicity() -> dict:
         rows.append((tension.tension_id, vals))
         ok = ok and all(v < 0 for v in vals)
     return {
-        "name": "monotonicity",
         "passed": ok,
         "details": {
             "rows": [(tid, ["%.3e" % v for v in vals]) for tid, vals in rows],
@@ -378,7 +367,6 @@ def suite_convexity(seed: int = DEFAULT_SEED) -> dict:
         if not cap < section:
             failures.append((k, "cap energy not lower", cap, section))
     return {
-        "name": "convexity-repair",
         "passed": not failures,
         "details": {"cases": CONVEXITY_CASES, "failures": failures[:10]},
     }
@@ -409,7 +397,6 @@ def suite_barycenter(seed: int = DEFAULT_SEED) -> dict:
         if not (e1 > e0 + 1e-12):
             failures.append((k, e1 - e0))
     return {
-        "name": "barycenter",
         "passed": not failures and drift0 < 1e-12,
         "details": {"perturbations": BARYCENTER_PERTURBATIONS,
                     "unperturbed_drift": drift0,
@@ -451,7 +438,6 @@ def suite_gradient(seed: int = DEFAULT_SEED) -> dict:
                 knots=xi * t_top, r=rho, body=fn2.body, omega=-0.5)).total
             worst_identity = max(worst_identity, abs(e_slice - e_radial) / abs(e_radial))
     return {
-        "name": "gradient",
         "passed": worst < 1e-5 and worst_identity <= 1e-12,
         "details": {"cases": GRADIENT_CASES, "worst_rel_error": float(worst),
                     "worst_n2_energy_rel_diff": worst_identity},
@@ -471,12 +457,11 @@ def suite_volume_bridge() -> dict:
             traj = od.integrate_v(tension, float(v0), s_stop=s_st)
             prof, _ = od.reconstruct_profile(traj, body, omega=omega)
             ratios.append(reduced.reduced_volume(prof) / od.V_of(traj, s_st))
-        spread = (max(ratios) - min(ratios)) / np.mean(ratios)
+        spread = float((max(ratios) - min(ratios)) / np.mean(ratios))
         rows.append((tension.tension_id, float(np.mean(ratios)),
-                     od.bridge_prediction(body), float(spread)))
+                     od.bridge_prediction(body), spread))
         ok = ok and spread < 1e-3
     return {
-        "name": "volume-bridge",
         "passed": ok,
         "details": {"rows": rows},
     }
@@ -502,10 +487,10 @@ SUITES = {
 SEEDED = ("symmetrization", "jensen", "convexity-repair", "barycenter", "gradient")
 
 
-def run_suites(names=None, seed: int = DEFAULT_SEED, trials=None) -> list[dict]:
-    """Run the named suites (all by default), each timed into its
-    ``details["seconds"]``."""
-    results = []
+def run_suites(names=None, seed: int = DEFAULT_SEED, trials=None) -> dict:
+    """Run the named suites (all by default) into ``{name: result}``, in run
+    order, each timed into its ``details["seconds"]``."""
+    results = {}
     for name in names or SUITES:
         kwargs = {"seed": seed} if name in SEEDED else {}
         if trials is not None and name == "symmetrization":
@@ -513,5 +498,5 @@ def run_suites(names=None, seed: int = DEFAULT_SEED, trials=None) -> list[dict]:
         t0 = time.perf_counter()
         res = SUITES[name](**kwargs)
         res["details"]["seconds"] = time.perf_counter() - t0
-        results.append(res)
+        results[name] = res
     return results

@@ -76,6 +76,21 @@ def read_profile_csv(path: str, body, omega=None) -> reduced.Profile:
     return reduced.Profile(knots=rows[:, 0], r=rows[:, 1], body=body, omega=omega)
 
 
+def _svg(origin_y: int, scale: float, points: str, extra: str = "") -> str:
+    """The 800x600 frame: user units drawn from (400, origin_y) at ``scale``,
+    y up, as one black polyline through ``points`` and an optional extra
+    element."""
+    return (
+        '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="600" '
+        'viewBox="0 0 800 600">\n'
+        f'  <g transform="translate(400 {origin_y}) scale({scale:.12g} {-scale:.12g})">\n'
+        f'    <polyline fill="none" stroke="black" '
+        f'stroke-width="{2.0 / scale:.12g}" points="{points}"/>\n'
+        + (f"    {extra}\n" if extra else "")
+        + "  </g>\n</svg>\n"
+    )
+
+
 def profile_svg(profile: reduced.Profile) -> str:
     """Fixed 800x600 viewport; the polyline holds user-unit coordinates
     (t vertical, |x'| horizontal, even reflection across the axis)."""
@@ -90,17 +105,9 @@ def profile_svg(profile: reduced.Profile) -> str:
     sx = 760.0 / (2.2 * r_max)
     sy = 560.0 / (1.1 * max(t_max, 1e-12))
     scale = min(sx, sy)
-    return (
-        '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="600" '
-        'viewBox="0 0 800 600">\n'
-        f'  <g transform="translate(400 580) scale({scale:.12g} {-scale:.12g})">\n'
-        f'    <polyline fill="none" stroke="black" '
-        f'stroke-width="{2.0 / scale:.12g}" points="{points}"/>\n'
-        f'    <line x1="{-1.05 * r_max:.12g}" y1="0" x2="{1.05 * r_max:.12g}" '
-        f'y2="0" stroke="gray" stroke-width="{1.0 / scale:.12g}"/>\n'
-        "  </g>\n"
-        "</svg>\n"
-    )
+    return _svg(580, scale, points,
+                f'<line x1="{-1.05 * r_max:.12g}" y1="0" x2="{1.05 * r_max:.12g}" '
+                f'y2="0" stroke="gray" stroke-width="{1.0 / scale:.12g}"/>')
 
 
 def profile_report(profile: reduced.Profile, omega: float) -> dict:
@@ -248,15 +255,7 @@ def cmd_wulff(args) -> int:
         r_max = float(np.max(np.abs(verts))) or 1.0
         scale = 280.0 / r_max
         points = " ".join(f"{x:.12g},{y:.12g}" for x, y in closed)
-        svg = (
-            '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="600" '
-            'viewBox="0 0 800 600">\n'
-            f'  <g transform="translate(400 300) scale({scale:.12g} {-scale:.12g})">\n'
-            f'    <polyline fill="none" stroke="black" '
-            f'stroke-width="{2.0 / scale:.12g}" points="{points}"/>\n'
-            "  </g>\n</svg>\n"
-        )
-        _atomic_write(args.svg, svg)
+        _atomic_write(args.svg, _svg(300, scale, points))
     return 0
 
 
@@ -334,19 +333,12 @@ def cmd_check(args) -> int:
         return 2
     names = [args.suite] if args.suite else None
     results = checks.run_suites(names=names, seed=args.seed, trials=args.trials)
-    summary = {"seed": args.seed, "suites": {}}
-    all_passed = True
-    for res in results:
-        summary["suites"][res["name"]] = {
-            "passed": bool(res["passed"]),
-            "details": _jsonable(res["details"]),
-        }
-        all_passed = all_passed and bool(res["passed"])
-        print(f"{'PASS' if res['passed'] else 'FAIL'}  {res['name']}")
+    for name, res in results.items():
+        print(f"{'PASS' if res['passed'] else 'FAIL'}  {name}")
     if args.report:
-        write_json(args.report, summary)
-    if not all_passed:
-        failed = [n for n, s in summary["suites"].items() if not s["passed"]]
+        write_json(args.report, {"seed": args.seed, "suites": results})
+    failed = [name for name, res in results.items() if not res["passed"]]
+    if failed:
         print(f"failed suites: {', '.join(failed)}", file=sys.stderr)
         return 1
     return 0
@@ -386,18 +378,6 @@ def cmd_sweep(args) -> int:
     write_json(_out_path(args, "sweep.json"),
                {"mass": args.mass, "points": rows})
     return 0
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the property suites")
     p.add_argument("--suite", choices=sorted(checks.SUITES), default=None)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=checks.DEFAULT_SEED)
     p.add_argument("--report", default=None)
     p.set_defaults(fn=cmd_check)
 

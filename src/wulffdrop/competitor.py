@@ -17,7 +17,7 @@ contact coefficient from E itself: its Wulff body's tension and ``E.omega``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -57,7 +57,10 @@ MIN_DEFICIT = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class CompetitorParams:
-    """Solved parameters of the K_+/K_- construction for (E, t1, t2)."""
+    """Solved parameters of the K_+/K_- construction for (E, t1, t2), and
+    the cap they give as sampled by the solve: ascending heights ``ts``
+    spanning [t1, tau] for side "+" and [tau, t2] for side "-", and the
+    radii ``rs`` at them."""
 
     side: str
     sigma: float
@@ -68,6 +71,8 @@ class CompetitorParams:
     z_cut: float
     volume_match_error: float
     slice_match_error: float
+    ts: np.ndarray = field(repr=False)
+    rs: np.ndarray = field(repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +211,8 @@ def solve_params(e: Profile, t1: float, t2: float, side: str) -> CompetitorParam
     slice_err = abs(v_far - area * r_far**nm1) / (1.0 + area * r_far**nm1)
     return CompetitorParams(side=side, sigma=float(sigma), tau=float(tau), b=float(b),
                             t1=t1, t2=t2, z_cut=float(z),
-                            volume_match_error=vol_err, slice_match_error=slice_err)
+                            volume_match_error=vol_err, slice_match_error=slice_err,
+                            ts=ts, rs=rs)
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +224,9 @@ def compare_surface_energy(e: Profile, params: CompetitorParams):
 
     Both sides are evaluated with the same piecewise-linear reduced-energy
     quadrature, so the fixed-point case (E itself a cap) compares equal to
-    rounding.  The cap is sampled on the grid of the parameter solve.
+    rounding.  The cap is the one the parameter solve sampled.
     """
-    t_anchor = params.t1 if params.side == "+" else params.t2
-    ts, rs = _sample_cap(e.tension, params.b, t_anchor, params.sigma,
-                         params.z_cut, params.side)
-    cap = lateral_slab_energy(e.tension, e.body.lam, ts, rs)
+    cap = lateral_slab_energy(e.tension, e.body.lam, params.ts, params.rs)
     return float(e.body.area * np.sum(cap)), lateral_energy_between(e, params.t1, params.t2)
 
 
@@ -366,11 +369,7 @@ def apply_competitor(e: Profile, t1: float, t2: float) -> Profile:
                 "case-2 mass hypothesis fails: not enough volume above t2"
             )
     params = solve_params(e, t1, t2, side)
-    tau = params.tau
-    # The cap on exactly the grid of the parameter solve, spanning [t1, tau]
-    # for side "+" and [tau, t2] for side "-".
-    ts_cap, rs_cap = _sample_cap(e.tension, params.b, t1 if side == "+" else t2,
-                                 params.sigma, params.z_cut, side)
+    tau, ts_cap, rs_cap = params.tau, params.ts, params.rs
     low = e.knots < t1 - 1e-13
     high = e.knots > t2 + 1e-13
     if side == "+":

@@ -39,7 +39,7 @@ measures the bridge constant, and the root are reconstructed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import mul
 from typing import Optional
 
@@ -524,8 +524,6 @@ def shoot(body: WulffBody, omega: float, m: float) -> ShootingSolution:
         "bridge_constant": vol / V_of(traj, s_st),
         "v0_history": history,
     }
-    prof = replace(prof, meta={"method": "shoot", "v0": v0, "s_star": s_st,
-                               "lambda": lam_mult})
     return ShootingSolution(
         v0=v0, s_star=s_st, trajectory=traj, r_max=float(prof.r[0]),
         t_max=prof.t_max, lam=lam_mult, profile=prof, diagnostics=diagnostics,

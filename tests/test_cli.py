@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import wulffdrop
-from wulffdrop import cli, competitor, reduced, sets
+from wulffdrop import checks, cli, competitor, reduced, sets
 from wulffdrop.errors import NonConvergence
 from wulffdrop.tension import ScaledPNorm, make_tension, tension_to_config
 from wulffdrop.wulff import build_wulff_body
@@ -248,6 +248,58 @@ def test_check_subcommand(tmp_path):
                 "--report", str(rep)]) == 0
     summary = json.loads(rep.read_text())
     assert summary["suites"]["wulff-identity"]["passed"]
+
+
+# The value types a check result may hold: it is written to JSON as it is.
+PLAIN = (dict, list, tuple, str, int, float, bool, type(None))
+
+
+def _non_plain(obj, path="suites"):
+    """Paths in obj to a value, or a dict key, of a type outside PLAIN."""
+    if type(obj) not in PLAIN:
+        return [f"{path}: {type(obj).__name__}"]
+    if isinstance(obj, dict):
+        return ([f"{path}: key {k!r}" for k in obj if type(k) is not str]
+                + [p for k, v in obj.items() for p in _non_plain(v, f"{path}/{k}")])
+    if isinstance(obj, (list, tuple)):
+        return [p for i, v in enumerate(obj) for p in _non_plain(v, f"{path}[{i}]")]
+    return []
+
+
+@pytest.fixture(scope="module")
+def all_suites():
+    """Every suite run once at the default seed."""
+    return checks.run_suites()
+
+
+def test_check_results_are_plain(all_suites):
+    # Named by their SUITES keys in run order, each {passed, details}.
+    assert list(all_suites) == list(checks.SUITES)
+    for name, res in all_suites.items():
+        assert set(res) == {"passed", "details"}, name
+        assert type(res["passed"]) is bool, name
+        assert type(res["details"]["seconds"]) is float, name
+    assert _non_plain(all_suites) == []
+    json.dumps({"seed": checks.DEFAULT_SEED, "suites": all_suites},
+               sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("failing", [(), ("jensen", "young")])
+def test_check_writes_the_results_it_ran(all_suites, failing, tmp_path,
+                                         monkeypatch, capsys):
+    # The summary's suites block is run_suites' dict, unconverted; stdout
+    # lists each suite in run order and stderr the failed ones.
+    results = {name: {"passed": name not in failing, "details": res["details"]}
+               for name, res in all_suites.items()}
+    monkeypatch.setattr(checks, "run_suites", lambda **kwargs: results)
+    rep = tmp_path / "summary.json"
+    assert run(["check", "--report", str(rep)]) == (1 if failing else 0)
+    assert json.loads(rep.read_text()) == json.loads(json.dumps(
+        {"seed": checks.DEFAULT_SEED, "suites": results}))
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [f"{'FAIL' if name in failing else 'PASS'}  {name}"
+                                for name in checks.SUITES]
+    assert err == (f"failed suites: {', '.join(failing)}\n" if failing else "")
 
 
 def test_sweep_subcommand(tension_file, tmp_path):

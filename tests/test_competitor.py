@@ -318,6 +318,26 @@ def test_apply_competitor_case2(euclid, euclid_body):
     assert out.meta["volume_error"] <= 1e-8 * (1 + reduced.reduced_volume(prof))
 
 
+@pytest.mark.parametrize("family", ["euclid", "pnorm3", "weighted2"])
+def test_repair_splices_the_cap_of_its_params(request, family):
+    # The cap the parameter solve sampled is the one spliced in, bit for bit:
+    # in place for side "+", moved down by tau - t1 for side "-".  The first
+    # five repairs of the dent take both sides, on caps whose knots lie far
+    # more than the 1e-13 merge distance apart.
+    prof = dented_profile(build_wulff_body(request.getfixturevalue(family), 1024))
+    sides = set()
+    for _ in range(5):
+        out = comp.repair_profile(prof)
+        params = out.meta["params"]
+        ts = params.ts if params.side == "+" else params.ts - (params.tau - params.t1)
+        i = int(np.searchsorted(out.knots, ts[0]))
+        assert np.array_equal(out.knots[i:i + len(ts)], ts)
+        assert np.array_equal(out.r[i:i + len(ts)], params.rs)
+        sides.add(params.side)
+        prof = out
+    assert sides == {"+", "-"}
+
+
 def test_apply_competitor_concave_raises(euclid, euclid_body):
     prof = hemisphere_profile(euclid_body)
     with pytest.raises(HypothesisViolated):
