@@ -21,9 +21,9 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import HypothesisViolated, NoBracket
+from ._brent import brentq
 from ._quad import slab_volume
 from .reduced import Profile, lateral_slab_energy, reduced_energy, reduced_volume
 from .tension import SurfaceTension
@@ -32,7 +32,7 @@ from .wulff import alpha_table
 # Exceptions that make a repair attempt unusable (callers may skip and retry).
 CompetitorFailure = (HypothesisViolated, NoBracket)
 
-# Absolute tolerance (brentq xtol) of the sigma root solve.
+# Absolute tolerance (the xtol of _brent.brentq) of the sigma root solve.
 BISECT_TOL = 1e-12
 SCAN_POINTS = 64
 

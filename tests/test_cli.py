@@ -537,17 +537,41 @@ def test_nan_slope_shoot_exits_3(tension_file, tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def run_cli_process(argv, timeout):
-    """The CLI run in a fresh interpreter under a wall-clock bound, so that
-    a hang fails the test (subprocess.TimeoutExpired) instead of stalling
-    the suite."""
+def run_python_process(code, argv, timeout):
+    """``python -c code *argv`` in a fresh interpreter that imports this
+    wulffdrop, under a wall-clock bound, so that a hang fails the test
+    (subprocess.TimeoutExpired) instead of stalling the suite."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(wulffdrop.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", "import sys; from wulffdrop.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", *argv],
-        env=env, capture_output=True, text=True, timeout=timeout)
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def run_cli_process(argv, timeout):
+    """The CLI run in a fresh interpreter under a wall-clock bound."""
+    return run_python_process("import sys; from wulffdrop.cli import main; "
+                              "sys.exit(main(sys.argv[1:]))", argv, timeout)
+
+
+def test_cli_imports_no_scipy_beyond_spatial_special_linalg():
+    # Start-up cost is mostly scipy's import: the CLI loads no scipy module
+    # that scipy.spatial, scipy.special and scipy.linalg do not load
+    # themselves, in particular neither scipy.optimize nor scipy.integrate.
+    code = ("import json, sys; import {}; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
+
+    def loaded(modules):
+        proc = run_python_process(code.format(modules), [], timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return set(json.loads(proc.stdout))
+
+    cli_modules = loaded("wulffdrop.cli")
+    baseline = loaded("scipy.spatial, scipy.special, scipy.linalg")
+    assert "scipy.spatial" in cli_modules
+    assert not cli_modules - baseline
+    assert not any(m.startswith(("scipy.optimize", "scipy.integrate"))
+                   for m in cli_modules)
 
 
 def test_direct_solve_near_the_pole_returns(tmp_path):

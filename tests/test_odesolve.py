@@ -332,17 +332,28 @@ def test_shoot_near_zero_contact_coefficient(family, params, frac):
 
 
 def test_tableau_is_scipys_dop853():
-    # The stepper reads its tableau from scipy's DOP853 class; a change of
-    # its layout there must fail here, not inside a solve.
+    # The stepper's tableau is pinned as literals; each must be scipy's
+    # DOP853 entry bit for bit, zeros included, so that a stage sum is the
+    # same float expression as a row of scipy's matrices.
     from scipy.integrate import DOP853
 
-    assert DOP853.n_stages == 12
-    assert DOP853.A.shape == (12, 12) and DOP853.B.shape == (12,)
-    assert DOP853.A_EXTRA.shape == (3, 16) and DOP853.C_EXTRA.shape == (3,)
-    assert DOP853.D.shape == (4, 16)
-    assert DOP853.E3.shape == DOP853.E5.shape == (13,)
-    assert [len(row) for row in od._A] == list(range(16))
-    assert od._C.shape == (16,)
+    def bits(values):
+        return [float(x).hex() for x in values]
+
+    assert od._END == DOP853.n_stages == 12
+    rows = [*DOP853.A, DOP853.B, *DOP853.A_EXTRA]
+    assert len(od._A) == len(rows) == 16
+    for i, (got, row) in enumerate(zip(od._A, rows)):
+        assert bits(got) == bits(row[:i])
+        # Beyond the first i entries a row of scipy's holds only zeros.
+        assert not np.any(row[i:])
+    assert od._C.dtype == np.float64
+    assert bits(od._C) == bits([*DOP853.C, 1.0, *DOP853.C_EXTRA])
+    assert bits(od._E3) == bits(DOP853.E3)
+    assert bits(od._E5) == bits(DOP853.E5)
+    assert len(od._D) == len(DOP853.D)
+    for got, row in zip(od._D, DOP853.D):
+        assert bits(got) == bits(row)
 
 
 @pytest.mark.parametrize("family", ["euclid", "pnorm3", "weighted2"])
