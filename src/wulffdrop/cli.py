@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -110,8 +109,9 @@ def profile_svg(profile: reduced.Profile) -> str:
                 f'y2="0" stroke="gray" stroke-width="{1.0 / scale:.12g}"/>')
 
 
-def profile_report(profile: reduced.Profile, omega: float) -> dict:
-    breakdown = reduced.reduced_energy(profile, omega)
+def profile_report(profile: reduced.Profile) -> dict:
+    """Energy, volume and residuals of a profile, under its own omega."""
+    breakdown = reduced.reduced_energy(profile)
     lam = reduced.lambda_estimate(profile)
     res = reduced.el_residual(profile, lam)
     return {
@@ -120,7 +120,7 @@ def profile_report(profile: reduced.Profile, omega: float) -> dict:
         "Fp": breakdown.Fp,
         "total": breakdown.total,
         "volume": reduced.reduced_volume(profile),
-        "young_residual": reduced.young_residual(profile, omega),
+        "young_residual": reduced.young_residual(profile),
         "max_el_residual": res.max_abs(0.9 * profile.t_max),
         "lambda_est": lam,
     }
@@ -156,14 +156,7 @@ def _out_path(args, name: str) -> str:
 def cmd_solve(args) -> int:
     t_start = time.perf_counter()
     tension = _load_tension(args.tension)
-    lo, hi = tension.omega_range
-    if not (lo < args.omega < hi):
-        print(f"error: omega={args.omega} outside the admissible interval "
-              f"({lo}, {hi}) = (-f(e_N), f(-e_N))", file=sys.stderr)
-        return 2
-    if not 0 < args.mass < math.inf:
-        print("error: mass must be positive and finite", file=sys.stderr)
-        return 2
+    reduced.check_omega(tension, args.omega)
     body = build_wulff_body(tension, args.m_normals)
 
     report = {
@@ -178,20 +171,16 @@ def cmd_solve(args) -> int:
     profiles = {}
     try:
         if args.method in ("shoot", "both"):
-            if not (lo < args.omega < 0):
-                print(f"error: shooting needs omega in the graph regime "
-                      f"({lo}, 0); use --method direct", file=sys.stderr)
-                return 2
             sol = odesolve.shoot(body, args.omega, args.mass)
             profiles["shoot"] = sol.profile
             report["shoot"] = {
                 "v0": sol.v0,
                 "s_star": sol.s_star,
-                "R_max": sol.r_max,
-                "T_max": sol.t_max,
+                "R_max": float(sol.profile.r[0]),
+                "T_max": sol.profile.t_max,
                 "lambda": sol.lam,
                 "volume_bridge_constant": sol.diagnostics["bridge_constant"],
-                "energy": profile_report(sol.profile, args.omega),
+                "energy": profile_report(sol.profile),
                 "young_residual": sol.diagnostics["young_residual"],
             }
         if args.method in ("direct", "both"):
@@ -203,14 +192,11 @@ def cmd_solve(args) -> int:
                 "iterations": prof.meta["iterations"],
                 "converged": prof.meta["converged"],
                 "T_max": prof.t_max,
-                "energy": profile_report(prof, args.omega),
+                "energy": profile_report(prof),
             }
     except SOLVER_FAILURES as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return 3
-    except WulffDropError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     if args.method == "both":
         linf, hausdorff = checks.cross_difference(profiles["shoot"],
@@ -261,10 +247,7 @@ def cmd_wulff(args) -> int:
 
 def cmd_symmetrize(args) -> int:
     tension = _load_tension(args.tension)
-    lo, hi = tension.omega_range
-    if not (lo < args.omega < hi):
-        print(f"error: omega={args.omega} outside ({lo}, {hi})", file=sys.stderr)
-        return 2
+    reduced.check_omega(tension, args.omega)
 
     def parse_set(path):
         with open(path) as handle:
@@ -320,7 +303,7 @@ def cmd_repair(args) -> int:
     write_profile_csv(args.out or _out_path(args, "repaired.csv"), current)
     write_json(args.report or _out_path(args, "repair.json"), {
         "repairs": log,
-        "final_energy": reduced.reduced_energy(current, args.omega).total,
+        "final_energy": reduced.reduced_energy(current).total,
         "concavity_defect": current.concavity_defect(),
     })
     return 0
@@ -350,15 +333,9 @@ def cmd_sweep(args) -> int:
         omegas = [float(x) for x in args.omegas.split(",")]
     except ValueError as exc:
         raise InvalidInput(f"--omegas must be comma-separated numbers: {exc}") from exc
-    lo = tension.omega_range[0]
-    outside = [omega for omega in omegas if not lo < omega < 0]
-    if outside:
-        print(f"error: omega={outside[0]} outside the graph regime ({lo}, 0)",
-              file=sys.stderr)
-        return 2
-    if not 0 < args.mass < math.inf:
-        print("error: mass must be positive and finite", file=sys.stderr)
-        return 2
+    # Every omega, before the first shoot writes its profile.
+    for omega in omegas:
+        odesolve.check_graph_omega(tension, omega)
     body = build_wulff_body(tension, args.m_normals)
     rows = []
     for k, omega in enumerate(omegas):
@@ -370,8 +347,8 @@ def cmd_sweep(args) -> int:
         name = _out_path(args, f"sweep-{k:03d}.csv")
         write_profile_csv(name, sol.profile)
         rows.append({
-            "omega": omega, "v0": sol.v0, "T_max": sol.t_max,
-            "R_max": sol.r_max, "lambda": sol.lam,
+            "omega": omega, "v0": sol.v0, "T_max": sol.profile.t_max,
+            "R_max": float(sol.profile.r[0]), "lambda": sol.lam,
             "energy": reduced.reduced_energy(sol.profile).total,
             "profile": os.path.basename(name),
         })
@@ -454,10 +431,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except WulffDropError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (WulffDropError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -79,16 +79,20 @@ class CompetitorParams:
 # Profile section helpers
 # ---------------------------------------------------------------------------
 
+def _section(p: Profile, ta: float, tb: float):
+    """Sorted heights ta, tb and the knots between them, and r there."""
+    ts = np.unique(np.concatenate([[ta, tb], p.knots[(p.knots > ta) & (p.knots < tb)]]))
+    return ts, p.interp(ts)
+
+
 def section_volume(p: Profile, ta: float, tb: float) -> float:
     """|E cap {ta < x_N < tb}| for the piecewise-linear profile (exact)."""
-    ts = np.unique(np.concatenate([[ta, tb], p.knots[(p.knots > ta) & (p.knots < tb)]]))
-    return slab_volume(p.body.area, ts, p.interp(ts), p.tension.dim - 1)
+    return slab_volume(p.body.area, *_section(p, ta, tb), p.tension.dim - 1)
 
 
 def lateral_energy_between(p: Profile, ta: float, tb: float) -> float:
     """Lateral surface energy of the profile restricted to [ta, tb]."""
-    ts = np.unique(np.concatenate([[ta, tb], p.knots[(p.knots > ta) & (p.knots < tb)]]))
-    slabs = lateral_slab_energy(p.tension, p.body.lam, ts, p.interp(ts))
+    slabs = lateral_slab_energy(p.tension, p.body.lam, *_section(p, ta, tb))
     return float(p.body.area * np.sum(slabs))
 
 
@@ -97,14 +101,14 @@ def lateral_energy_between(p: Profile, ta: float, tb: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _scan_bracket(fn, grid: np.ndarray):
-    """Root of fn in the last grid cell where it changes sign, or None;
-    returns (root, scanned values).  fn takes the whole grid at once."""
+    """Root of fn in the last grid cell where it changes sign, or None.
+    fn takes the whole grid at once."""
     vals = fn(grid)
     idx = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
     if len(idx) == 0:
-        return None, vals
+        return None
     k = idx[-1]
-    return brentq(fn, grid[k], grid[k + 1], xtol=BISECT_TOL), vals
+    return brentq(fn, grid[k], grid[k + 1], xtol=BISECT_TOL)
 
 
 def _sample_cap(tension: SurfaceTension, b: float, t_anchor: float,
@@ -195,12 +199,11 @@ def solve_params(e: Profile, t1: float, t2: float, side: str) -> CompetitorParam
 
     grid = np.linspace(sig_lo, sig_hi, SCAN_POINTS + 1)
     for sign in signs:
-        sigma, vals = _scan_bracket(lambda sig: residual(sig, sign), grid)
+        sigma = _scan_bracket(lambda sig: residual(sig, sign), grid)
         if sigma is not None:
             break
     else:
-        raise NoBracket(f"cap volume residual (side {side}) never crosses zero",
-                        table=np.stack([grid, vals]))
+        raise NoBracket(f"cap volume residual (side {side}) never crosses zero")
 
     z = far_cut(sigma, sign)
     b = r_anchor / fa(sigma)

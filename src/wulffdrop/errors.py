@@ -24,7 +24,7 @@ class InvalidTension(WulffDropError, ValueError):
 
 class InvalidInput(WulffDropError, ValueError):
     """Malformed input file (sliced-set document, profile CSV), size
-    argument, or a body built for another tension than the input's."""
+    argument, mass, or a body built for another tension than the input's."""
 
 
 class OmegaOutOfRange(WulffDropError, ValueError):
@@ -48,14 +48,7 @@ class EmptyBase(WulffDropError, ValueError):
 
 
 class NoBracket(WulffDropError, RuntimeError):
-    """A scan failed to bracket the target value.
-
-    Carries the scanned table in ``table`` for diagnosis.
-    """
-
-    def __init__(self, message, table=None):
-        super().__init__(message)
-        self.table = table
+    """A scan failed to bracket the target value."""
 
 
 class HypothesisViolated(WulffDropError, ValueError):
@@ -68,10 +61,6 @@ class DegenerateRadius(WulffDropError, ValueError):
 
 class StalledInversion(WulffDropError, RuntimeError):
     """Slope recovery could not bracket the monotone inversion."""
-
-    def __init__(self, message, target=None):
-        super().__init__(message)
-        self.target = target
 
 
 class OutOfRange(WulffDropError, ValueError):

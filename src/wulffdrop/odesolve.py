@@ -26,15 +26,16 @@ the DOP853 pair itself on two Python floats, with its tableau pinned as
 literals (scipy's, bit for bit) and scipy's step control: s depends on w
 alone, so each step attempt makes one slope call, a ``d1_inverse`` array
 call at all 16 stage abscissae.  Each accepted step writes its interpolant
-rows into one array, the ``DenseOutput`` that evaluates all knots in one
-expression; the slope inverse takes arrays too, so each Newton pass of the
-inversion of v is a few numpy calls.  The enclosed volume V_{v0}(s*) is
-strictly decreasing in v0, and up to the discretization the profile's
-volume is a fixed multiple of it, the bridge constant.  Each probe reads
-V_{v0}(s*) in closed form at its trajectory's end, so matching the volume
-is a monotone root in log2(v0), bracketed by secant steps and solved by
-Brent's method (``_brent.brentq``); only the first probe, which measures
-the bridge constant, and the root are reconstructed.
+rows into one array of the ``Trajectory``, which is its own dense output
+and evaluates all knots in one expression; the slope inverse takes arrays
+too, so each Newton pass of the inversion of v is a few numpy calls.  The
+enclosed volume V_{v0}(s*) is strictly decreasing in v0, and up to the
+discretization the profile's volume is a fixed multiple of it, the bridge
+constant.  Each probe reads V_{v0}(s*) in closed form at its trajectory's
+end, so matching the volume is a monotone root in log2(v0), bracketed by
+secant steps and solved by Brent's method (``_brent.brentq``); only the
+first probe, which measures the bridge constant, and the root are
+reconstructed.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .errors import (
     OutOfRange,
     StalledInversion,
 )
-from .reduced import Profile, reduced_volume, young_residual
+from .reduced import Profile, check_mass, reduced_volume, young_residual
 from .tension import SurfaceTension
 from .wulff import WulffBody
 
@@ -81,67 +82,54 @@ def bridge_prediction(body: WulffBody) -> float:
     return body.area * body.lam ** nm1 / unit_ball_volume(nm1)
 
 
-class DenseOutput:
-    """Array-form evaluator of the DOP853 dense output.
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Transformed ODE solved over w in [0, w*], and its dense output.
 
-    Segment k spans [ts[k], ts[k + 1]] and holds the seven interpolant rows
-    of its step in evaluation order: ``coeffs[i, :, k]`` is row 6 - i of
-    Hairer, Norsett & Wanner's degree-7 interpolant, as ``integrate_v``
-    writes it.  All targets are evaluated in one array expression; a target
-    on a node takes the segment to its left, and targets outside [ts[0],
-    ts[-1]] take the end segments.  Called on a scalar it returns shape
-    (n_states,), on an array (n_states, n_points).
+    ``ts`` holds w at the accepted steps and ``ys`` the (r, v) rows there.
+    Segment k spans [ts[k], ts[k + 1]]; ``coeffs[i, :, k]`` is row 6 - i of
+    its step's degree-7 interpolant (Hairer, Norsett & Wanner), as
+    ``integrate_v`` writes it.  Called on w, of any shape, it returns (r, v)
+    stacked on a leading axis of 2 in one array expression; a target on a
+    node takes the segment to its left, and targets outside [ts[0], ts[-1]]
+    take the end segments.
     """
 
-    def __init__(self, ts: np.ndarray, ys: np.ndarray, coeffs: np.ndarray) -> None:
-        self.ts = ts
-        self.t_max = ts[-1]
-        self.t_old = ts[:-1]
-        self.h = np.diff(ts)
-        # Segment index last, so each step below runs along the targets.
-        self.y_old = ys[:, :-1]
-        self.coeffs = coeffs
+    ts: np.ndarray
+    ys: np.ndarray
+    coeffs: np.ndarray
+    v0: float
+    tension: SurfaceTension
+
+    @property
+    def rs(self) -> np.ndarray:
+        return self.ys[0]
+
+    @property
+    def vs(self) -> np.ndarray:
+        return self.ys[1]
 
     def __call__(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=float)
-        k = np.clip(np.searchsorted(self.ts, w, side="left") - 1,
-                    0, len(self.h) - 1)
-        x = (w - self.t_old[k]) / self.h[k]
-        y = np.zeros((len(self.y_old),) + w.shape)
+        ts = self.ts
+        k = np.clip(np.searchsorted(ts, w, side="left") - 1, 0, len(ts) - 2)
+        x = (w - ts[k]) / (ts[k + 1] - ts[k])
+        y = np.zeros((2,) + w.shape)
         for i, f in enumerate(self.coeffs.take(k, axis=2)):
             y += f
             y *= x if i % 2 == 0 else 1 - x
-        y += self.y_old.take(k, axis=1)
+        y += self.ys.take(k, axis=1)
         return y
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Transformed ODE solved over w in [0, w*].
-
-    Nodes (r, v, s = v', W = r^(N-2) w) at the accepted steps, and the dense
-    output of (r, v) as a function of w; ``dense.ts`` holds the node values
-    of w.
-    """
-
-    rs: np.ndarray
-    vs: np.ndarray
-    ss: np.ndarray
-    ws: np.ndarray
-    v0: float
-    tension: SurfaceTension
-    dense: DenseOutput
-
-
-@dataclass(frozen=True, eq=False)
 class ShootingSolution:
-    """Matched shooting solution with the reconstructed physical profile."""
+    """Matched shooting solution with the reconstructed physical profile,
+    whose ``r[0]`` and ``t_max`` are R_max and T_max."""
 
     v0: float
     s_star: float
     trajectory: Trajectory
-    r_max: float
-    t_max: float
     lam: float
     profile: Profile
     diagnostics: dict
@@ -151,6 +139,15 @@ class ShootingSolution:
 # Contact slope
 # ---------------------------------------------------------------------------
 
+def check_graph_omega(tension: SurfaceTension, omega: float) -> None:
+    """Raise OmegaOutOfGraphRange unless omega lies in the graph regime
+    (-phi(0,1), 0), the domain of the ODE route."""
+    if not (-tension.f_eN < omega < 0.0):
+        raise OmegaOutOfGraphRange(
+            f"omega={omega} outside the graph regime (-{tension.f_eN}, 0)"
+        )
+
+
 def s_star(tension: SurfaceTension, omega: float) -> float:
     """Contact slope parameter: the unique s > 0 with -d2phi(s, N-1) = omega.
 
@@ -159,15 +156,12 @@ def s_star(tension: SurfaceTension, omega: float) -> float:
     taken in numpy floats, so that it overflows to inf instead of raising;
     an s* that is not positive and finite raises StalledInversion.
     """
-    if not (-tension.f_eN < omega < 0.0):
-        raise OmegaOutOfGraphRange(
-            f"omega={omega} outside the graph regime (-{tension.f_eN}, 0)"
-        )
+    check_graph_omega(tension, omega)
     with np.errstate(all="ignore"):
         s = float(tension.phi.d2_inverse(np.float64(-omega), float(tension.dim - 1)))
     if not 0.0 < s < math.inf:
         raise StalledInversion(f"contact slope s*={s} of omega={omega} is not "
-                               "a positive finite number", target=-omega)
+                               "a positive finite number")
     return s
 
 
@@ -175,8 +169,7 @@ def s_star(tension: SurfaceTension, omega: float) -> float:
 # Integration of the transformed ODE
 # ---------------------------------------------------------------------------
 
-def integrate_v(tension: SurfaceTension, v0: float,
-                s_stop: Optional[float] = None) -> Trajectory:
+def integrate_v(tension: SurfaceTension, v0: float, s_stop: float) -> Trajectory:
     """Solve the capillary ODE in w from the apex to the stop slope.
 
     One DOP853 solve (``_dop853``) over [0, w*], w* = d1phi(s_stop, N-1),
@@ -189,30 +182,24 @@ def integrate_v(tension: SurfaceTension, v0: float,
     """
     if not 0.0 < v0 < math.inf:
         raise ValueError("v0 must be positive and finite")
-    if s_stop is None or not 0.0 < s_stop < math.inf:
+    if not 0.0 < s_stop < math.inf:
         raise ValueError("need a positive, finite stop slope s_stop")
     nm1 = tension.dim - 1
-    t = float(nm1)
     phi = tension.phi
-    w_end = float(phi.d1(s_stop, t))
+    w_end = float(phi.d1(s_stop, float(nm1)))
     sup = float(phi.value(1.0, 0.0))
     if not 0.0 < w_end < sup * (1.0 - 1e-14):
         raise StalledInversion(
-            f"slope target {w_end} outside (0, {sup}), the open range of d1phi",
-            target=w_end,
+            f"slope target {w_end} outside (0, {sup}), the open range of d1phi"
         )
     try:
         ts, rs, vs, rows = _dop853(phi, nm1, float(v0), w_end)
     except (ZeroDivisionError, OverflowError) as exc:
         raise NonConvergence(f"capillary ODE solve failed: {exc}") from exc
-    ts = np.array(ts)
-    ys = np.array([rs, vs])
-    return Trajectory(
-        rs=ys[0], vs=ys[1], ss=phi.d1_inverse(ts, t),
-        ws=ys[0] ** (nm1 - 1) * ts, v0=v0, tension=tension,
-        # rows[k] lists segment k's interpolant rows 6..0, each as (r, v).
-        dense=DenseOutput(ts, ys, np.array(rows).T.reshape(7, 2, -1)),
-    )
+    # rows[k] lists segment k's interpolant rows 6..0, each as (r, v).
+    return Trajectory(ts=np.array(ts), ys=np.array([rs, vs]),
+                      coeffs=np.array(rows).T.reshape(7, 2, -1),
+                      v0=v0, tension=tension)
 
 
 # The DOP853 tableau (Dormand & Prince 1980; Hairer, Norsett & Wanner,
@@ -414,10 +401,10 @@ def V_of(traj: Trajectory, s: float) -> float:
     """
     nm1 = traj.tension.dim - 1
     w = float(traj.tension.phi.d1(s, float(nm1)))
-    if not 0.0 <= w <= traj.dense.t_max:
-        raise OutOfRange(f"s={s} outside the trajectory range "
-                         f"[{traj.ss[0]}, {traj.ss[-1]}]")
-    r, v = traj.dense(w).tolist()
+    if not 0.0 <= w <= traj.ts[-1]:
+        raise OutOfRange(f"s={s} outside the trajectory range: w={w} not in "
+                         f"[0, {traj.ts[-1]}]")
+    r, v = traj(w).tolist()
     return unit_ball_volume(nm1) * r ** (nm1 - 1) * (r * v - w)
 
 
@@ -451,14 +438,14 @@ def _invert_v(traj: Trajectory,
     """
     nm1 = traj.tension.dim - 1
     phi = traj.tension.phi
-    nodes = traj.dense.ts
+    nodes = traj.ts
     j = np.clip(np.searchsorted(traj.vs, v_targets) - 1, 0, len(nodes) - 2)
     lo, hi = nodes[j], nodes[j + 1]
     w = lo + (v_targets - traj.vs[j]) / (traj.vs[j + 1] - traj.vs[j]) * (hi - lo)
     eps = np.finfo(float).eps
     tol = 4.0 * eps * traj.vs[-1]
     for _ in range(60):
-        r, v = traj.dense(w)
+        r, v = traj(w)
         f = v - v_targets
         lo = np.where(f < 0.0, w, lo)
         hi = np.where(f > 0.0, w, hi)
@@ -538,8 +525,7 @@ def shoot(body: WulffBody, omega: float, m: float) -> ShootingSolution:
     ``v0_history`` lists each integrated v0 once, with its scaled
     closed-form volume.
     """
-    if not 0 < m < math.inf:
-        raise ValueError("volume must be positive and finite")
+    check_mass(m)
     tension = body.tension
     s_st = s_star(tension, omega)
 
@@ -569,8 +555,7 @@ def shoot(body: WulffBody, omega: float, m: float) -> ShootingSolution:
     f_b = resid(x_b)
     while f_a * f_b > 0.0:
         if abs(x_b) >= _LOG_V0_SPAN:
-            raise NoBracket("volume target outside the v0-scan range",
-                            table=history)
+            raise NoBracket("volume target outside the v0-scan range")
         ratio = f_b / (f_a - f_b) if abs(f_b) < abs(f_a) else math.inf
         step = (x_b - x_a) * min(_SECANT_STRETCH * ratio, 2.0)
         x_a, f_a = x_b, f_b
@@ -584,17 +569,14 @@ def shoot(body: WulffBody, omega: float, m: float) -> ShootingSolution:
     prof, lam_mult = reconstruct_profile(traj, body, omega=omega)
     vol = reduced_volume(prof)
     if abs(vol - m) > _VOLUME_RTOL * m:
-        raise NoBracket("volume solve failed to converge", table=history)
+        raise NoBracket("volume solve failed to converge")
     v0 = 2.0**log_v0
 
     diagnostics = {
         "achieved_volume": vol,
-        "young_residual": young_residual(prof, omega,
-                                         contact_slope=-body.lam / s_st),
+        "young_residual": young_residual(prof, contact_slope=-body.lam / s_st),
         "bridge_constant": vol / V_of(traj, s_st),
         "v0_history": history,
     }
-    return ShootingSolution(
-        v0=v0, s_star=s_st, trajectory=traj, r_max=float(prof.r[0]),
-        t_max=prof.t_max, lam=lam_mult, profile=prof, diagnostics=diagnostics,
-    )
+    return ShootingSolution(v0=v0, s_star=s_st, trajectory=traj, lam=lam_mult,
+                            profile=prof, diagnostics=diagnostics)

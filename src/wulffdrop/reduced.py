@@ -127,6 +127,12 @@ def check_omega(tension: SurfaceTension, omega) -> None:
             )
 
 
+def check_mass(m) -> None:
+    """Raise unless the volume m is positive and finite."""
+    if not 0 < m < math.inf:
+        raise InvalidInput("mass must be positive and finite")
+
+
 def _resolve_omega(p: Profile, omega):
     if omega is None:
         omega = p.omega
@@ -259,14 +265,14 @@ def el_residual(p: Profile, lam_mult: float) -> ElResidual:
     return ElResidual(ts=t[i][good], values=res[good], skipped=i[~good])
 
 
-def young_residual(p: Profile, omega: Optional[float] = None,
-                   contact_slope: Optional[float] = None) -> float:
-    """-d2phi(Lambda, -(N-1) r'(0)) - omega with the one-sided grid slope.
+def young_residual(p: Profile, contact_slope: Optional[float] = None) -> float:
+    """-d2phi(Lambda, -(N-1) r'(0)) - omega with the one-sided grid slope,
+    under the profile's omega.
 
     ``contact_slope`` overrides the grid slope (the shooting solver knows the
     exact slope through its contact parameter).
     """
-    om = _resolve_omega(p, omega)
+    om = _resolve_omega(p, None)
     if p.r[0] <= 0:
         raise EmptyBase("contact radius vanishes; Young's condition undefined")
     nm1 = p.tension.dim - 1
@@ -552,8 +558,7 @@ def minimize_direct(body: WulffBody, omega: float, m: float,
     """
     tension = body.tension
     check_omega(tension, omega)
-    if not 0 < m < math.inf:
-        raise ValueError("volume must be positive and finite")
+    check_mass(m)
     if grid_size < 3:
         raise InvalidInput(f"grid_size must be at least 3, got {grid_size}")
     if max_iter < 1:

@@ -226,19 +226,15 @@ class SurfaceTension:
 
     # -- basic evaluations --------------------------------------------------
 
-    # Cached: every energy evaluation checks omega against these two.
+    # Cached: every energy evaluation checks omega against it.
     @cached_property
     def f_eN(self) -> float:
-        """f(e_N) = phi(0, 1); top of the admissible omega interval is f(-e_N)."""
+        """f(e_N) = phi(0, 1), also f(-e_N): every phi family is even in b."""
         return float(self.phi.value(0.0, 1.0))
-
-    @cached_property
-    def f_neg_eN(self) -> float:
-        return float(self.phi.value(0.0, -1.0))
 
     @property
     def omega_range(self) -> tuple[float, float]:
-        return (-self.f_eN, self.f_neg_eN)
+        return (-self.f_eN, self.f_eN)
 
     @property
     def tension_id(self) -> str:

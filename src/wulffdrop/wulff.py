@@ -267,7 +267,7 @@ def build_wulff_body(tension: SurfaceTension, m_normals: int = 1024) -> WulffBod
 
 def vertical_extent(tension: SurfaceTension) -> tuple[float, float]:
     """(inf, sup) of the vertical projection of K: (-phi(0,-1), phi(0,1))."""
-    return (-tension.f_neg_eN, tension.f_eN)
+    return (-tension.f_eN, tension.f_eN)
 
 
 def _one_minus_pow(x, q):

@@ -311,6 +311,31 @@ def test_sweep_subcommand(tension_file, tmp_path):
     assert summary["points"][1]["T_max"] > summary["points"][0]["T_max"]
 
 
+def test_sweep_checks_every_omega_before_the_first_shoot(tension_file, tmp_path,
+                                                        capsys):
+    out = tmp_path / "sw"
+    assert run(["sweep", "--tension", tension_file, "--omegas=-0.5,0.2",
+                "--mass", "1.0", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: omega=0.2 outside the graph regime (-1.0, 0)"]
+    assert not (out / "sweep-000.csv").exists()
+    assert not out.exists()
+
+
+def test_solve_both_outside_the_graph_regime_writes_nothing(tension_file,
+                                                           tmp_path, capsys):
+    # omega = 0.1 is admissible, so only the shoot half of --method both
+    # rejects it, before any output is written.
+    out = tmp_path / "out"
+    assert run(["solve", "--tension", tension_file, "--omega=0.1", "--mass", "1",
+                "--method", "both", "--out-dir", str(out),
+                "--plot", str(out / "p.svg")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "graph regime (-1.0, 0)" in err[0]
+    assert not out.exists()
+
+
 def test_solve_method_both_deterministic_outputs(tension_file, tmp_path):
     outs = []
     for tag in ("a", "b"):

@@ -34,38 +34,59 @@ def test_s_star_bracket_growth_near_zero(euclid):
         od.s_star(euclid, -1.5)
 
 
+def test_check_graph_omega_takes_the_open_interval(weighted2):
+    lo = -weighted2.f_eN
+    for omega in (np.nextafter(lo, 0.0), 0.5 * lo, -1e-300):
+        od.check_graph_omega(weighted2, omega)
+    for omega in (lo, 0.0, math.nan):
+        with pytest.raises(OmegaOutOfGraphRange, match="graph regime"):
+            od.check_graph_omega(weighted2, omega)
+
+
+@pytest.mark.parametrize("m", [0.0, -1.0, math.nan, math.inf])
+def test_shoot_rejects_bad_mass(euclid_body, m):
+    # InvalidInput, which generic code still catches as a ValueError.
+    with pytest.raises(ValueError, match="mass must be positive and finite") as info:
+        od.shoot(euclid_body, -0.5, m)
+    assert isinstance(info.value, InvalidInput)
+
+
 def test_small_r_slope_law(euclid):
     # v'(r) = 2 v0 r + O(r^3) for the isotropic weight in R^3
     # (d11 phi(0, 2) = 1/2), read off the dense output at small w.
     v0 = 1.0
     traj = od.integrate_v(euclid, v0, s_stop=1.5)
     for w in (1e-3, 1e-5, 1e-8):
-        r = traj.dense(w)[0]
+        r = traj(w)[0]
         assert euclid.phi.d1_inverse(w, 2.0) / (2.0 * v0 * r) == pytest.approx(
             1.0, abs=1e-4)
 
 
 def test_trajectory_monotonicity_and_conservation(euclid):
     traj = od.integrate_v(euclid, 1.0, s_stop=1.5)
-    assert traj.dense.t_max == phi_partials(euclid, 1.5, 2.0)[0]
+    assert traj.ts[-1] == phi_partials(euclid, 1.5, 2.0)[0]
+    ss = euclid.phi.d1_inverse(traj.ts, 2.0)  # the slope v' at the nodes
+    ws = traj.rs * traj.ts                    # W = r^(N-2) w
     assert np.all(np.diff(traj.vs) > 0)      # v strictly increasing
-    assert np.all(np.diff(traj.ss) > 0)      # v strictly convex
-    assert traj.ss[-1] == pytest.approx(1.5, abs=1e-11)
-    d1 = np.array([phi_partials(euclid, s, 2.0)[0] for s in traj.ss])
-    residual = np.abs(traj.rs * d1 - traj.ws) / (1.0 + traj.ws)
+    assert np.all(np.diff(ss) > 0)           # v strictly convex
+    assert ss[-1] == pytest.approx(1.5, abs=1e-11)
+    d1 = np.array([phi_partials(euclid, s, 2.0)[0] for s in ss])
+    residual = np.abs(traj.rs * d1 - ws) / (1.0 + ws)
     assert np.max(residual) <= 1e-10
 
 
 def test_delta_positivity(euclid):
     traj = od.integrate_v(euclid, 0.7, s_stop=2.0)
-    d1 = np.array([phi_partials(euclid, s, 2.0)[0] for s in traj.ss])
+    ss = euclid.phi.d1_inverse(traj.ts, 2.0)
+    d1 = np.array([phi_partials(euclid, s, 2.0)[0] for s in ss])
     delta = traj.rs * traj.vs - 0.5 * d1
     assert np.all(delta[traj.rs > 1e-5] > 0)
 
 
 def test_integrate_requires_stop(euclid):
-    with pytest.raises(ValueError):
-        od.integrate_v(euclid, 1.0)
+    for s_stop in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            od.integrate_v(euclid, 1.0, s_stop=s_stop)
     with pytest.raises(ValueError):
         od.integrate_v(euclid, 0.0, s_stop=1.0)
     with pytest.raises(ValueError):
@@ -74,7 +95,7 @@ def test_integrate_requires_stop(euclid):
 
 def test_V_zero_and_monotone(euclid):
     traj = od.integrate_v(euclid, 1.0, s_stop=1.5)
-    v_first = od.V_of(traj, traj.ss[0])
+    v_first = od.V_of(traj, 0.0)  # the apex, w = 0
     assert abs(v_first) < 1e-8
     vals = [od.V_of(traj, s) for s in np.linspace(0.05, 1.5, 20)]
     assert np.all(np.diff(vals) > 0)
@@ -89,7 +110,7 @@ def test_V_matches_direct_quadrature(euclid):
     # Reference: 2 pi int_0^r(s) rho (v(r(s)) - v(rho)) drho by the trapezoid
     # rule on the dense output sampled finely in w.
     w_query = phi_partials(euclid, s_query, 2.0)[0]
-    rr, vv = traj.dense(np.linspace(0.0, w_query, 20001))
+    rr, vv = traj(np.linspace(0.0, w_query, 20001))
     quad = 2.0 * math.pi * np.trapezoid(rr * (vv[-1] - vv), rr)
     assert V == pytest.approx(quad, rel=1e-6)
 
@@ -144,7 +165,7 @@ def test_end_state_matches_tight_reference(request, family):
 def test_reconstruct_boundary_conditions(euclid, euclid_body, euclid_shoot):
     sol = euclid_shoot
     prof, lam_mult = od.reconstruct_profile(sol.trajectory, euclid_body, omega=-0.5)
-    r_max, t_max = sol.r_max, sol.t_max
+    r_max, t_max = float(sol.profile.r[0]), sol.profile.t_max
     assert t_max > 0
     assert prof.r[0] == pytest.approx(r_max)       # u(R_max) = 0
     assert prof.r[-1] == 0.0                        # apex closes
@@ -233,7 +254,9 @@ def test_shoot_volume_and_young_across_families(cell_shoots, family, m):
     d = sol.diagnostics
     assert d["achieved_volume"] == pytest.approx(m, rel=1e-6)
     assert abs(d["young_residual"]) < 1e-8
-    assert sol.trajectory.ss[-1] == pytest.approx(sol.s_star, abs=1e-11)
+    traj = sol.trajectory
+    assert traj.tension.phi.d1_inverse(traj.ts[-1], 2.0) == pytest.approx(
+        sol.s_star, abs=1e-11)
     (vol,) = [vol for v0, vol in d["v0_history"] if v0 == sol.v0]
     assert vol == pytest.approx(d["achieved_volume"], rel=1e-6)
 
@@ -299,7 +322,7 @@ def test_scaling_sanity_zero_gravity_bound(euclid, euclid_body, euclid_shoot):
     cap = alpha_table(euclid).above(sigma0)
     for m, sol in ((1.0, euclid_shoot), (2.0, od.shoot(euclid_body, -0.5, 2.0))):
         b = (m / (euclid_body.area * cap)) ** (1.0 / 3.0)
-        assert sol.t_max <= b * (hi - sigma0) + 1e-9
+        assert sol.profile.t_max <= b * (hi - sigma0) + 1e-9
 
 
 @pytest.mark.parametrize("v0", [1e-6, 1e-4])
@@ -380,15 +403,15 @@ def test_stepper_matches_solve_ivp_dop853(request, family):
             ref = solve_ivp(rhs, (0.0, w_end), (0.0, v0), method="DOP853",
                             rtol=od._RTOL, atol=od._ATOL, dense_output=True)
             assert ref.success
-            assert len(traj.dense.ts) == len(ref.t)
-            assert traj.dense.ts[-1] == ref.t[-1] == w_end
+            assert len(traj.ts) == len(ref.t)
+            assert traj.ts[-1] == ref.t[-1] == w_end
             end = np.array([traj.rs[-1], traj.vs[-1]])
             assert np.all(np.abs(end - ref.y[:, -1]) <= 1e-12 * ref.y[:, -1])
             w = np.linspace(0.0, w_end, 200)
-            got, want = traj.dense(w), ref.sol(w)
+            got, want = traj(w), ref.sol(w)
             assert got.shape == (2, len(w))
             assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
-            assert traj.dense(0.5 * w_end).shape == (2,)
+            assert traj(0.5 * w_end).shape == (2,)
 
 
 _FAMILIES = [("euclid", {}), ("weighted", {"c": 2.0}), ("pnorm", {"p": 3.0}),
@@ -493,7 +516,7 @@ def test_invert_v_meets_its_stopping_rule(request, family):
     targets = v_end - (v_end - traj.v0) * np.sin(
         0.5 * math.pi * np.linspace(0.0, 1.0, 801))[1:-1]
     w, rho = od._invert_v(traj, targets)
-    r, v = traj.dense(w)
+    r, v = traj(w)
     assert np.array_equal(r, rho)
     f = v - targets
     step = f * (2.0 * v - w / r) / tension.phi.d1_inverse(w, 2.0)

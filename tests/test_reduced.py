@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wulffdrop import checks, odesolve, reduced
-from wulffdrop.errors import EmptyBase, NonConvergence, OmegaOutOfRange
+from wulffdrop.errors import EmptyBase, InvalidInput, NonConvergence, OmegaOutOfRange
 from wulffdrop.tension import check_admissible, make_tension
 from wulffdrop.wulff import build_wulff_body
 
@@ -152,6 +152,14 @@ def test_minimize_direct_validations(euclid_body):
         reduced.minimize_direct(euclid_body, 1.5, 1.0)
     with pytest.raises(ValueError):
         reduced.minimize_direct(euclid_body, -0.5, -1.0)
+
+
+@pytest.mark.parametrize("m", [0.0, -1.0, math.nan, math.inf])
+def test_minimize_direct_rejects_bad_mass(euclid_body, m):
+    # InvalidInput, which generic code still catches as a ValueError.
+    with pytest.raises(ValueError, match="mass must be positive and finite") as info:
+        reduced.minimize_direct(euclid_body, -0.5, m)
+    assert isinstance(info.value, InvalidInput)
 
 
 def test_minimize_direct_positive_omega_beats_random_sets(euclid, euclid_body):

@@ -137,6 +137,17 @@ def test_omega_range_euclid(euclid):
     assert rep.omega_range == (-1.0, 1.0)
 
 
+@pytest.mark.parametrize("family,kw", [
+    ("euclid", {}), ("weighted", {"c": 2.0}), ("pnorm", {"p": 1.0}),
+    ("pnorm", {"p": 1.5}), ("pnorm", {"p": 3.0}), ("pnorm", {"p": 30.0})])
+def test_f_neg_eN_is_f_eN(family, kw):
+    # Every phi family is |(a, tau b)|_p, even in b, so f(-e_N) = f(e_N)
+    # bit for bit and the admissible interval is (-f(e_N), f(e_N)).
+    tension = make_tension(family, **kw)
+    assert tension.phi.value(0.0, -1.0) == tension.phi.value(0.0, 1.0)
+    assert tension.omega_range == (-tension.f_eN, tension.f_eN)
+
+
 def test_admissibility_p_above_two():
     rep = check_admissible(make_tension("pnorm", p=3.0))
     assert rep.admissible
