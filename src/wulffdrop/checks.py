@@ -19,7 +19,7 @@ from . import competitor as comp
 from . import odesolve as od
 from . import reduced
 from . import sets
-from .errors import NonConvergence
+from .errors import InvalidInput, NonConvergence
 from .tension import SurfaceTension, make_tension
 from .wulff import build_wulff_body
 
@@ -76,8 +76,15 @@ def _symmetrization_block(rng, first: int, count: int, tensions, bodies):
     return min_total, checked, [f for _, f in sorted(found)]
 
 
+def _check_trials(trials: int) -> None:
+    if not trials >= 1:
+        raise InvalidInput(f"trials must be at least 1, got {trials}")
+
+
 def suite_symmetrization(seed: int = DEFAULT_SEED, trials: int = 1000) -> dict:
-    """F(A*) <= F(A) + 1e-9 (1 + |F(A)|) over seeded random sliced sets."""
+    """F(A*) <= F(A) + 1e-9 (1 + |F(A)|) over seeded random sliced sets;
+    ``trials`` below 1 raises InvalidInput."""
+    _check_trials(trials)
     tensions = builtin_tensions()
     bodies = {t.tension_id: build_wulff_body(t, 1024) for t in tensions}
     rng = np.random.default_rng(seed)
@@ -320,7 +327,7 @@ def suite_monotonicity() -> dict:
         s_st = od.s_star(tension, omega)
         vals = []
         for v0 in np.geomspace(0.1, 10.0, 16):
-            vals.append(od.dV_dv0(tension, float(v0), s_st, h_fd=1e-4 * float(v0)))
+            vals.append(od.dV_dv0(tension, float(v0), s_st))
         rows.append((tension.tension_id, vals))
         ok = ok and all(v < 0 for v in vals)
     return {
@@ -489,7 +496,10 @@ SEEDED = ("symmetrization", "jensen", "convexity-repair", "barycenter", "gradien
 
 def run_suites(names=None, seed: int = DEFAULT_SEED, trials=None) -> dict:
     """Run the named suites (all by default) into ``{name: result}``, in run
-    order, each timed into its ``details["seconds"]``."""
+    order, each timed into its ``details["seconds"]``.  ``trials`` below 1
+    raises InvalidInput before any suite runs."""
+    if trials is not None:
+        _check_trials(trials)
     results = {}
     for name in names or SUITES:
         kwargs = {"seed": seed} if name in SEEDED else {}

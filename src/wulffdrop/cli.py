@@ -271,9 +271,7 @@ def cmd_symmetrize(args) -> int:
 
 
 def cmd_repair(args) -> int:
-    if not args.epsilon > 0:
-        print(f"error: --epsilon must be positive, got {args.epsilon}", file=sys.stderr)
-        return 2
+    competitor.check_epsilon(args.epsilon)
     if args.max_repairs < 0:
         print(f"error: --max-repairs must be at least 0, got {args.max_repairs}",
               file=sys.stderr)
@@ -310,10 +308,6 @@ def cmd_repair(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.trials is not None and args.trials < 1:
-        print(f"error: --trials must be at least 1, got {args.trials}",
-              file=sys.stderr)
-        return 2
     names = [args.suite] if args.suite else None
     results = checks.run_suites(names=names, seed=args.seed, trials=args.trials)
     for name, res in results.items():

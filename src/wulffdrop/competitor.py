@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import HypothesisViolated, NoBracket
+from .errors import HypothesisViolated, InvalidInput, NoBracket
 from ._brent import brentq
 from ._quad import slab_volume
 from .reduced import Profile, lateral_slab_energy, reduced_energy, reduced_volume
@@ -249,12 +249,20 @@ def _violations(e: Profile):
     return ic[order], deficit[order] / scale
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Raise InvalidInput unless the witness gap epsilon is positive."""
+    if not epsilon > 0:
+        raise InvalidInput(f"epsilon must be positive, got {epsilon}")
+
+
 def find_nonconvexity(e: Profile, epsilon: float):
     """Witness (t1', t2') of failed discrete concavity with gap < epsilon.
 
     Returns None when the profile is concave on its support.  Otherwise the
-    worst chord violation seeds the sweep of ``_sweep``.
+    worst chord violation seeds the sweep of ``_sweep``.  An epsilon that
+    is not positive raises InvalidInput.
     """
+    check_epsilon(epsilon)
     seeds, _ = _violations(e)
     return _sweep(e, int(seeds[0]), epsilon) if len(seeds) else None
 
@@ -267,8 +275,6 @@ def _sweep(e: Profile, i: int, epsilon: float):
     epsilon is the witness.  One always is: from delta = 2^-54 on, 1 - delta
     rounds to 1 and the interval is a point.  None when the peak does not
     exceed both ends, as for a kink at rounding level."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
     t, r = e.knots, e.r
     t1, t2 = float(t[i - 1]), float(t[i + 1])
     if t2 - t1 < epsilon:
@@ -303,10 +309,13 @@ def repair_profile(e: Profile, epsilon: Optional[float] = None) -> Optional[Prof
     shrunk geometrically: the sweep guarantees arbitrarily small violating
     intervals, on which the hypotheses eventually hold.  A failure at the
     worst violation is raised, unless its deficit is at rounding level; one
-    further down is passed over.
+    further down is passed over.  An epsilon that is not positive raises
+    InvalidInput; None takes half the profile's height.
     """
     if epsilon is None:
         epsilon = 0.5 * e.t_max
+    else:
+        check_epsilon(epsilon)
     seeds, deficits = _violations(e)
     for k in range(len(seeds)):
         if k > 0 and deficits[k] <= MIN_DEFICIT:

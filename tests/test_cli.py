@@ -451,20 +451,24 @@ def test_bad_flags_are_validation_errors(argv, names, tension_file, tmp_path,
     (["solve", "--omega=-0.5", "--mass", "1", "--method", "direct",
       "--grid-size", "1"], "grid_size must be at least 3"),
     (["check", "--suite", "symmetrization", "--trials", "0"],
-     "--trials must be at least 1"),
+     "trials must be at least 1, got 0"),
     (["check", "--suite", "symmetrization", "--trials", "-1"],
-     "--trials must be at least 1"),
+     "trials must be at least 1, got -1"),
     (["solve", "--omega=-0.5", "--mass", "1", "--method", "direct",
       "--max-iter", "0"], "max_iter must be at least 1"),
-    (["repair", "--omega=-0.5", "--epsilon", "0"], "--epsilon must be positive"),
-    (["repair", "--omega=-0.5", "--epsilon", "-1"], "--epsilon must be positive"),
-    (["repair", "--omega=-0.5", "--epsilon", "nan"], "--epsilon must be positive"),
+    (["repair", "--omega=-0.5", "--epsilon", "0"], "epsilon must be positive"),
+    (["repair", "--omega=-0.5", "--epsilon", "-1"], "epsilon must be positive"),
+    (["repair", "--omega=-0.5", "--epsilon", "nan"], "epsilon must be positive"),
+    # Checked before any repair runs, so also when none would.
+    (["repair", "--omega=-0.5", "--epsilon", "0", "--max-repairs", "0"],
+     "epsilon must be positive"),
     (["repair", "--omega=-0.5", "--max-repairs", "-1"],
      "--max-repairs must be at least 0"),
 ], ids=["solve-direct-infinite-mass", "solve-nan-mass", "sweep-nan-mass",
         "sweep-infinite-mass", "direct-grid-size-0", "direct-grid-size-1",
         "check-zero-trials", "check-negative-trials", "direct-max-iter-0",
         "repair-zero-epsilon", "repair-negative-epsilon", "repair-nan-epsilon",
+        "repair-zero-epsilon-no-repairs",
         "repair-negative-max-repairs"])
 def test_out_of_range_numbers_are_validation_errors(argv, names, tension_file,
                                                     tmp_path, capsys, euclid):

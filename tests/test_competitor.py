@@ -5,7 +5,7 @@ import pytest
 
 from wulffdrop import competitor as comp
 from wulffdrop import reduced
-from wulffdrop.errors import HypothesisViolated
+from wulffdrop.errors import HypothesisViolated, InvalidInput
 from wulffdrop.tension import make_tension
 from wulffdrop._quad import slab_volume
 from wulffdrop.wulff import alpha_table, build_wulff_body, wulff_alpha
@@ -198,6 +198,17 @@ def test_find_nonconvexity_concave_none(euclid, euclid_body):
     t = np.linspace(0.0, 1.0, 33)
     conc = reduced.Profile(knots=t, r=1.0 - t**2, body=euclid_body, omega=-0.5)
     assert comp.find_nonconvexity(conc, epsilon=1.0) is None
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
+def test_epsilon_is_checked_on_entry(euclid_body, epsilon):
+    # A concave profile has no violation to sweep, yet an epsilon that is
+    # not positive is still an input error.
+    prof = hemisphere_profile(euclid_body)
+    with pytest.raises(InvalidInput, match="epsilon must be positive"):
+        comp.find_nonconvexity(prof, epsilon=epsilon)
+    with pytest.raises(InvalidInput, match="epsilon must be positive"):
+        comp.repair_profile(prof, epsilon=epsilon)
 
 
 def test_find_nonconvexity_epsilon_shrink(euclid, euclid_body):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wulffdrop import checks, reduced, sets
-from wulffdrop.errors import EmptySlice, IndexOutOfRange, OmegaOutOfRange
+from wulffdrop.errors import EmptySlice, IndexOutOfRange, InvalidInput, OmegaOutOfRange
 from wulffdrop.tension import make_tension
 from wulffdrop.wulff import build_wulff_body
 
@@ -183,6 +183,16 @@ def test_suite_symmetrization_matches_reference_across_blocks(trials):
     assert details["checked"] == checked == 12 * trials
     assert details["min_energy_seen"] == min_total
     assert details["failures"] == failures
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_trials_below_one_are_input_errors(trials):
+    # No trial would run, and the suite would pass vacuously.  run_suites
+    # checks before any suite runs, whichever suites it is given.
+    with pytest.raises(InvalidInput, match="trials must be at least 1"):
+        checks.suite_symmetrization(trials=trials)
+    with pytest.raises(InvalidInput, match="trials must be at least 1"):
+        checks.run_suites(names=["young"], trials=trials)
 
 
 def test_suite_symmetrization_reports_violations_in_trial_order(monkeypatch):
