@@ -61,11 +61,7 @@ from .tension import (
     tension_from_config,
     tension_to_config,
 )
-from .wulff import (
-    WulffBody,
-    build_wulff_body,
-    wulff_alpha,
-)
+from .wulff import WulffBody, build_wulff_body
 
 __version__ = "0.1.0"
 

@@ -35,7 +35,7 @@ from .errors import (
 )
 from ._quad import GAUSS_W, GAUSS_X, slab_volume
 from .tension import SurfaceTension
-from .wulff import WulffBody, concavity_defect
+from .wulff import WulffBody, alpha_table, concavity_defect
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,19 +319,19 @@ def _winterbottom_init(body: WulffBody, omega: float, m: float, xi: np.ndarray):
 
     The zero-gravity minimizer is the Wulff shape truncated at the height
     where its contact slope satisfies Young's condition; for Lambda = N-1
-    that height is simply -omega (clipped into the vertical extent).
+    that height is simply -omega (clipped into the vertical extent).  The
+    unit-size shape is sampled on the knots xi, then r and T are scaled
+    alike onto volume m as the Newton iteration measures it.
     """
-    from .wulff import alpha_table, vertical_extent, wulff_alpha
-
-    tension = body.tension
-    lo, hi = vertical_extent(tension)
+    fa = alpha_table(body.tension)
+    lo, hi = fa.t_bot, fa.t_top
     sigma0 = min(max(-omega, lo + 0.02 * (hi - lo)), hi - 0.05 * (hi - lo))
-    cap = alpha_table(tension).above(sigma0)
-    bscale = (m / (body.area * cap)) ** (1.0 / tension.dim)
-    t_top = bscale * (hi - sigma0)
-    r = bscale * wulff_alpha(tension, sigma0 + xi * t_top / bscale)
+    r, t_top = fa(sigma0 + xi * (hi - sigma0)), hi - sigma0
     r[-1] = 0.0
-    return np.maximum(r, 0.0), t_top
+    dim = body.tension.dim
+    v1 = _SliceMeasureFunctional(body, omega, xi).volume(r ** (dim - 1), t_top)
+    b = (m / v1) ** (1.0 / dim)
+    return b * r, b * t_top
 
 
 class _SliceMeasureFunctional:

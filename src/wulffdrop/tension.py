@@ -102,9 +102,12 @@ class ScaledPNorm:
         p = self.exponent
         if p == 1.0:
             return np.zeros(np.broadcast(s, t).shape)
+        # Each power of |s| and |t| is taken on its ratio to phi, so no
+        # factor overflows where kappa itself is finite (p = 60 and up).
+        phi = self.value(s, t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return ((p - 1.0) * self.tau_p * np.abs(s * t) ** (p - 2.0)
-                    * self.value(s, t) ** (1.0 - 2.0 * p))
+            return ((p - 1.0) * self.tau_p * (np.abs(s) / phi) ** (p - 2.0)
+                    * (np.abs(t) / phi) ** (p - 2.0) * phi ** -3.0)
 
     def _q(self):
         if self.exponent == 1.0:

@@ -31,8 +31,8 @@ tau are listed in :mod:`wulffdrop.tension`), so K is the unit ball of
     alpha(t) = (1 - |t / tau|^q)^(1/q)  on (-tau, tau),  0 outside,
 
 with tau = phi(0, 1).  The limit p = 1 has q = inf: K is a box, alpha = 1
-on (-tau, tau).  ``alpha_table`` evaluates alpha, its inverse and the
-cap volumes integral alpha^(N-1) from the same formula.
+on (-tau, tau).  ``alpha_table`` evaluates alpha and its inverse from
+the same formula.
 alpha is even with its peak at t = 0, so one signed inverse serves both
 sides: z = tau (1 - a^q)^(1/q) solves alpha(z) = a where alpha falls, and
 -z where it rises.
@@ -46,7 +46,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
-from scipy.special import beta, betainc, betaincc
 
 from .errors import DimensionUnsupported, InvalidInput, InvalidTension
 from .tension import SurfaceTension
@@ -265,11 +264,6 @@ def build_wulff_body(tension: SurfaceTension, m_normals: int = 1024) -> WulffBod
 # Vertical profile alpha(t) of the full Wulff shape
 # ---------------------------------------------------------------------------
 
-def vertical_extent(tension: SurfaceTension) -> tuple[float, float]:
-    """(inf, sup) of the vertical projection of K: (-phi(0,-1), phi(0,1))."""
-    return (-tension.f_eN, tension.f_eN)
-
-
 def _one_minus_pow(x, q):
     """1 - x^q for 0 <= x < 1, accurate where x^q is close to 1; 1 at
     x = 0 and for q = inf."""
@@ -279,23 +273,18 @@ def _one_minus_pow(x, q):
 
 @dataclass(frozen=True)
 class AlphaTable:
-    """alpha(z) = (1 - |z/tau|^q)^(1/q) on (-tau, tau), 0 outside, its
-    inverse, and the cap volume above(z) = |K cap {x_N > z}| / |K_h|.
+    """alpha(z) = (1 - |z/tau|^q)^(1/q) on (-tau, tau), 0 outside, and its
+    inverse.
 
-    tau = t_top = phi(0, 1) and q is the polar exponent of phi.  alpha is
-    even with alpha(0) = 1, so ``inverse`` gives the root z >= 0 where alpha
-    falls and -inverse the root where it rises.  With u = |z/tau|^q the half
-    volume is (tau/q) B(1/q, (N-1)/q + 1); the part above z >= 0 is that
-    times the upper regularized incomplete beta at u, which equals the
-    lower one of the swapped parameters at 1 - u.  For q = inf (a box)
-    alpha is 1 and above(z) = tau - z.
+    tau = t_top = phi(0, 1) = -t_bot and q is the polar exponent of phi.
+    alpha is even with alpha(0) = 1, so ``inverse`` gives the root z >= 0
+    where alpha falls and -inverse the root where it rises.  For q = inf
+    (a box) alpha is 1 on (-tau, tau).
     """
 
     t_bot: float
     t_top: float
-    total: float
     q: float
-    nm1: int
 
     # Scalars are evaluated as one-element arrays: numpy's scalar power
     # rounds differently from its array loop, and a batched call must give
@@ -305,21 +294,6 @@ class AlphaTable:
         x = np.abs(np.atleast_1d(np.asarray(z, dtype=float))) / self.t_top
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(x < 1.0, _one_minus_pow(x, self.q) ** (1.0 / self.q), 0.0)
-        return float(out[0]) if np.ndim(z) == 0 else out
-
-    def above(self, z):
-        q, tau = self.q, self.t_top
-        zs = np.clip(np.atleast_1d(np.asarray(z, dtype=float)), self.t_bot, tau)
-        if math.isinf(q):
-            out = tau - zs
-        else:
-            a, b = 1.0 / q, self.nm1 / q + 1.0
-            x = np.abs(zs) / tau
-            u, w = x ** q, _one_minus_pow(x, q)
-            # Each beta function takes the smaller of u and 1 - u: near 1 it
-            # would form the complement itself, losing the digits of the tail.
-            tail = 0.5 * self.total * np.where(u < w, betaincc(a, b, u), betainc(b, a, w))
-            out = np.where(zs >= 0.0, tail, self.total - tail)
         return float(out[0]) if np.ndim(z) == 0 else out
 
     def inverse(self, target):
@@ -336,20 +310,13 @@ class AlphaTable:
 
 @lru_cache(maxsize=32)
 def alpha_table(tension: SurfaceTension) -> AlphaTable:
-    lo, hi = vertical_extent(tension)
-    q, nm1 = tension.phi.polar_exponent, tension.dim - 1
-    total = 2.0 * hi if math.isinf(q) else 2.0 * hi / q * beta(1.0 / q, nm1 / q + 1.0)
-    return AlphaTable(t_bot=lo, t_top=hi, total=float(total), q=q, nm1=nm1)
+    tau = tension.f_eN
+    return AlphaTable(t_bot=-tau, t_top=tau, q=tension.phi.polar_exponent)
 
 
 # The benchmark harness calls the two tables of earlier versions by these
 # names and reads their cache_info(); both are the one cached builder.
 alpha_spline = alpha_volume_table = alpha_table
-
-
-def wulff_alpha(tension: SurfaceTension, t):
-    """Section scale alpha(t) of the full Wulff shape; 0 outside its extent."""
-    return alpha_table(tension)(t)
 
 
 def concavity_defect(t: np.ndarray, a: np.ndarray) -> float:

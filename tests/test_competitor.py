@@ -8,7 +8,7 @@ from wulffdrop import reduced
 from wulffdrop.errors import HypothesisViolated, InvalidInput
 from wulffdrop.tension import make_tension
 from wulffdrop._quad import slab_volume
-from wulffdrop.wulff import alpha_table, build_wulff_body, wulff_alpha
+from wulffdrop.wulff import alpha_table, build_wulff_body
 
 from conftest import hemisphere_profile
 
@@ -18,7 +18,7 @@ def wulff_cap_profile(tension, body, sigma_base, n=513, omega=-0.5):
     hi = tension.f_eN
     xi = np.linspace(0.0, 1.0, n)
     z = sigma_base + (hi - sigma_base) * np.sin(0.5 * math.pi * xi)
-    return reduced.Profile(knots=z - sigma_base, r=wulff_alpha(tension, z),
+    return reduced.Profile(knots=z - sigma_base, r=alpha_table(tension)(z),
                            body=body, omega=omega)
 
 
@@ -50,7 +50,7 @@ def test_cap_profile_sigma06(euclid):
 
 def test_cap_profile_vanishes_at_top(euclid, euclid_body):
     ts, rs = comp._sample_cap(euclid, 1.0, 0.0, 0.999, alpha_table(euclid).t_top, "+")
-    assert rs[0] == pytest.approx(wulff_alpha(euclid, 0.999), rel=1e-9)
+    assert rs[0] == pytest.approx(alpha_table(euclid)(0.999), rel=1e-9)
     assert slab_volume(euclid_body.area, ts, rs, 2) < 1e-4
 
 

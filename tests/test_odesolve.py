@@ -371,11 +371,12 @@ def test_shoot_n2_planar():
 def test_scaling_sanity_zero_gravity_bound(euclid, euclid_body, euclid_shoot):
     # Doubling the volume cannot raise the drop above the height of the
     # volume-matched zero-gravity (truncated Wulff) shape.  Plumbing test.
-    from wulffdrop.wulff import alpha_table, vertical_extent
+    from wulffdrop.wulff import alpha_table
 
-    lo, hi = vertical_extent(euclid)
+    hi = alpha_table(euclid).t_top
     sigma0 = 0.5  # Winterbottom truncation height for omega = -0.5
-    cap = alpha_table(euclid).above(sigma0)
+    # The unit ball's cap above sigma0: the integral of 1 - t^2 up to hi.
+    cap = (hi - sigma0) - (hi**3 - sigma0**3) / 3.0
     for m, sol in ((1.0, euclid_shoot), (2.0, od.shoot(euclid_body, -0.5, 2.0))):
         b = (m / (euclid_body.area * cap)) ** (1.0 / 3.0)
         assert sol.profile.t_max <= b * (hi - sigma0) + 1e-9

@@ -132,6 +132,18 @@ def test_admissibility_fails_on_a_nan_curvature_sample(monkeypatch):
     assert not rep.admissible
 
 
+@pytest.mark.parametrize("family, params", [("euclid", {}), ("weighted", {"c": 2.0})])
+def test_kappa_p2_is_the_unscaled_closed_form_bit_for_bit(family, params):
+    # For p = 2 both ratio powers are x^0 = 1: kappa is the closed form
+    # (p - 1) tau^p |s t|^(p-2) phi^(1-2p) to the last bit, poles included.
+    phi = make_tension(family, **params).phi
+    rng = np.random.default_rng(0)
+    s = np.append(rng.uniform(0.0, 5.0, 200), [0.0, 0.0, 1.0])
+    t = np.append(rng.uniform(-5.0, 5.0, 200), [1.0, -1.0, 0.0])
+    ref = (phi.exponent - 1.0) * phi.tau_p * np.abs(s * t) ** 0.0 * phi.value(s, t) ** -3.0
+    assert np.array_equal(phi.kappa(s, t), ref)
+
+
 def test_omega_range_euclid(euclid):
     rep = check_admissible(euclid)
     assert rep.omega_range == (-1.0, 1.0)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import gamma
 
@@ -23,8 +22,6 @@ from wulffdrop.wulff import (
     polygon_areas,
     polygon_block,
     polygon_edges,
-    vertical_extent,
-    wulff_alpha,
 )
 
 
@@ -194,12 +191,13 @@ def test_interval_body_n2():
 
 
 def test_alpha_euclid_closed_form(euclid):
-    assert wulff_alpha(euclid, 0.0) == pytest.approx(1.0, abs=1e-9)
-    assert wulff_alpha(euclid, 1.0) == 0.0
-    assert wulff_alpha(euclid, 1.2) == 0.0
-    assert wulff_alpha(euclid, 0.6) == pytest.approx(0.8, abs=1e-9)
+    fa = alpha_table(euclid)
+    assert fa(0.0) == pytest.approx(1.0, abs=1e-9)
+    assert fa(1.0) == 0.0
+    assert fa(1.2) == 0.0
+    assert fa(0.6) == pytest.approx(0.8, abs=1e-9)
     for t in (0.3, 0.9, 0.99, -0.7):
-        assert wulff_alpha(euclid, t) == pytest.approx(
+        assert fa(t) == pytest.approx(
             math.sqrt(1 - t * t), abs=1e-8)
 
 
@@ -211,31 +209,24 @@ def test_alpha_returns_within_one_ulp_of_the_pole():
     d = 2.0**-53
     t = 1.0 - d
     w = 3.0 * d - 3.0 * d * d + d**3
-    assert wulff_alpha(tension, t) == pytest.approx(w ** (1.0 / 3.0), rel=1e-12)
+    assert alpha_table(tension)(t) == pytest.approx(w ** (1.0 / 3.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("name,kw", [
     ("euclid", {}), ("pnorm", {"p": 3.0}), ("weighted", {"c": 2.0}),
 ])
 def test_alpha_concavity_on_support(name, kw):
-    t = make_tension(name, **kw)
-    ts = np.linspace(*vertical_extent(t), 512)
-    assert concavity_defect(ts, wulff_alpha(t, ts)) <= 1e-9
+    fa = alpha_table(make_tension(name, **kw))
+    ts = np.linspace(fa.t_bot, fa.t_top, 512)
+    assert concavity_defect(ts, fa(ts)) <= 1e-9
 
 
 def test_vertical_extent_weighted():
     t = make_tension("weighted", c=2.0)
-    lo, hi = vertical_extent(t)
+    fa = alpha_table(t)
+    lo, hi = fa.t_bot, fa.t_top
     assert hi == pytest.approx(math.sqrt(2.0))
     assert lo == pytest.approx(-math.sqrt(2.0))
-
-
-def test_alpha_volume_table_euclid(euclid):
-    table = alpha_table(euclid)
-    # int_{-1}^{1} (1 - t^2) dt = 4/3 for the unit-ball profile, N = 3.
-    assert table.total == pytest.approx(4.0 / 3.0, rel=1e-10)
-    exact_above = 4.0 / 3.0 - (0.6 - 0.6**3 / 3.0 + 2.0 / 3.0)
-    assert table.above(0.6) == pytest.approx(exact_above, abs=1e-9)
 
 
 def test_one_alpha_table_serves_both_names(euclid):
@@ -289,41 +280,19 @@ def test_alpha_closed_form_properties(family, param, dim, frac):
     assert fa(-z) == pytest.approx(a, abs=1e-12)
     assert fa(z) == pytest.approx(a, abs=1e-12)
     assert fa.inverse(1.0) == 0.0 and fa.inverse(0.0) == tau
-    # Cap volume against adaptive quadrature of alpha^(N-1).  At the pole
-    # alpha^(N-1) = (tau - u)^b g(u) with b = (N-1)/q: the algebraic weight
-    # takes the vertical tangent, which plain quadrature resolves only to
-    # about 1e-9 (pnorm p = 3.22, N = 2, t = -0.795 tau).
-    q = fa.q
-    b = (dim - 1) / q
-
-    def g(u):
-        return (fa(u) ** q / (tau - u)) ** b if u < tau else q ** b / tau ** b
-    # quad stops at the looser of epsabs and epsrel; its default epsrel,
-    # 1.5e-8, left this reference 1.2e-9 off (weighted c = 3.41, N = 2,
-    # t = 1.2e-7 tau), so both tolerances are set.
-    cap = quad(g, max(t, 0.0), tau, weight="alg", wvar=(0.0, b), epsabs=1e-13,
-               epsrel=1e-12)[0]
-    if t < 0.0:
-        cap += quad(lambda u: fa(u) ** (dim - 1), t, 0.0, epsabs=1e-13, epsrel=1e-12,
-                    limit=200)[0]
-    assert fa.above(t) == pytest.approx(cap, abs=1e-9)
     # Batched calls give the scalar answers bit for bit.
     ts = np.array([t, -t, 0.5 * t, tau, -2.0 * tau])
-    for fn in (fa, fa.above):
-        assert np.array_equal(fn(ts), [fn(x) for x in ts])
+    assert np.array_equal(fa(ts), [fa(x) for x in ts])
     targets = np.array([a, 0.5 * a, 2.0, -1.0])
     assert np.array_equal(fa.inverse(targets), [fa.inverse(x) for x in targets])
 
 
 def test_alpha_box_limit_of_pnorm_p1():
     # q = inf: K is the box [-1, 1]^2 in (|x'|, x_N), so alpha = 1 inside,
-    # the cap volume above z is 1 - z, and a width below 1 is reached only
-    # at the edges of the extent.
+    # and a width below 1 is reached only at the edges of the extent.
     fa = alpha_table(make_tension("pnorm", p=1.0))
     z = np.array([-0.999, -0.5, 0.0, 0.7, 0.999])
     assert np.array_equal(fa(z), np.ones(5))
-    assert np.allclose(fa.above(z), 1.0 - z, rtol=0.0, atol=1e-15)
-    assert fa.total == 2.0 and fa.above(-1.0) == 2.0 and fa.above(1.0) == 0.0
     assert -fa.inverse(0.5) == -1.0
     assert fa.inverse(0.5) == 1.0
     assert fa.inverse(1.0) == 0.0 and fa.inverse(0.0) == 1.0
