@@ -16,11 +16,29 @@ def slab_volume(area: float, ts: np.ndarray, rs: np.ndarray, n: int):
 
     Over a slab with end values a, b the mean of ((1-x) a + x b)^n is
     sum_k a^(n-k) b^k / (n + 1).  The knots run along the last axis, so
-    stacked profiles give one volume each; a single profile gives a float.
+    stacked profiles give one volume each (``ts`` broadcasts to the shape
+    of ``rs``); a single profile gives a float.
+
+    The sum is accumulated from 0 in place, in two full-size buffers that
+    also take the slab widths, because large temporaries are mapped and
+    page-faulted on every call.  x^0 = 1 and x^1 = x exactly, so a term
+    a^(n-k) b^k leaves out a factor x^0 and takes x^1 as x, and rounds as
+    the product of the two powers does.
     """
     a, b = rs[..., :-1], rs[..., 1:]
-    acc = np.zeros_like(a)
+    acc, term = np.zeros_like(a), np.empty_like(a)
     for k in range(n + 1):
-        acc += a ** (n - k) * b**k
-    vol = area * np.sum(np.diff(ts, axis=-1) * acc / (n + 1), axis=-1)
+        if k == n:
+            np.power(b, n, out=term)
+        else:
+            np.power(a, n - k, out=term)
+            if k == 1:
+                term *= b
+            elif k > 1:
+                term *= b**k
+        acc += term
+    np.subtract(ts[..., 1:], ts[..., :-1], out=term)  # np.diff(ts), in place
+    acc *= term
+    acc /= n + 1
+    vol = area * np.sum(acc, axis=-1)
     return float(vol) if np.ndim(vol) == 0 else vol

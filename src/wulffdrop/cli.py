@@ -60,10 +60,8 @@ def write_json(path: str, obj) -> None:
 
 
 def profile_to_csv(profile: reduced.Profile) -> str:
-    lines = ["t,r"]
-    for t, r in zip(profile.knots, profile.r):
-        lines.append(f"{t:.17g},{r:.17g}")
-    return "\n".join(lines) + "\n"
+    rows = np.column_stack([profile.knots, profile.r]).ravel().tolist()
+    return "t,r\n" + "%.17g,%.17g\n" * len(profile.knots) % tuple(rows)
 
 
 def write_profile_csv(path: str, profile: reduced.Profile) -> None:
@@ -421,8 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: every main() call parses with the same parser.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except (WulffDropError, OSError) as exc:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (
     DegenerateRadius,
@@ -492,29 +491,91 @@ class _SliceMeasureFunctional:
         return e_total, g, de_dT, vol, gv, dv_dT, (diag, off, col, tt)
 
 
+def _band_factor(sub, diag, sup):
+    """LU factors, with partial pivoting, of the tridiagonal matrix with
+    sub-, main and superdiagonals ``sub``, ``diag``, ``sup`` (lists).
+
+    The operations are LAPACK's ``dgttrf`` (Golub & Van Loan, *Matrix
+    Computations*, 4.3) in its order, on Python floats, so that
+    :func:`_band_solve` gives ``scipy.linalg.solve_banded``'s answer bit
+    for bit.  Raises ``LinAlgError`` on a zero pivot.
+    """
+    n = len(diag)
+    mult, d, u1 = list(sub), list(diag), list(sup)
+    u2, swap = [0.0] * (n - 1), [False] * (n - 1)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(mult[i]):
+            # No interchange: eliminate the subdiagonal entry.
+            if d[i] != 0.0:
+                fact = mult[i] / d[i]
+                mult[i] = fact
+                d[i + 1] = d[i + 1] - fact * u1[i]
+        else:
+            # Interchange rows i and i + 1, then eliminate.
+            fact = d[i] / mult[i]
+            d[i] = mult[i]
+            mult[i] = fact
+            temp = u1[i]
+            u1[i] = d[i + 1]
+            d[i + 1] = temp - fact * d[i + 1]
+            if i < n - 2:
+                u2[i] = u1[i + 1]
+                u1[i + 1] = -fact * u1[i + 1]
+            swap[i] = True
+    if 0.0 in d:
+        raise np.linalg.LinAlgError("singular matrix")
+    return mult, d, u1, u2, swap
+
+
+def _band_solve(factors, b):
+    """The solution, as a list, of the factored system of
+    :func:`_band_factor` for the right-hand side ``b`` (a list); LAPACK's
+    ``dgttrs`` in its order.  Each sweep carries the entries the next row
+    needs.  The back sweep takes x[n] = 0 so that row n - 2, where u2 is 0,
+    shares the formula of the rows above it."""
+    mult, d, u1, u2, swap = factors
+    y, cur = [], b[0]
+    for m, s, nxt in zip(mult, swap, b[1:]):
+        if s:
+            y.append(nxt)
+            cur = cur - m * nxt
+        else:
+            y.append(cur)
+            cur = nxt - m * cur
+    x1, x2 = cur / d[-1], 0.0
+    x = [x1]
+    for yi, u, v, di in zip(reversed(y), reversed(u1), reversed(u2), reversed(d[:-1])):
+        x1, x2 = (yi - u * x1 - v * x2) / di, x1
+        x.append(x1)
+    x.reverse()
+    return x
+
+
 def _kkt_step(diag, off, col, tt, grad, a):
     """Newton direction d of the bordered system [[H, a], [a^T, 0]] (d, mu) = (-grad, 0).
 
     H is the Lagrangian Hessian in (rho_0..rho_{n-1}, T): a tridiagonal
     rho-block (``diag``, ``off``) bordered by the T column ``col`` and the
-    T-T entry ``tt``.  The rho-block is solved against three right-hand
-    sides (-grad, the T column, the volume gradient), then (dT, mu) come
-    from their 2x2 Schur complement.  The rho-block is far worse conditioned
-    than the bordered system (its smooth modes change the volume), so one
-    step of iterative refinement restores the accuracy of a dense solve.
+    T-T entry ``tt``.  The rho-block is factored once (:func:`_band_factor`)
+    and solved against three right-hand sides (-grad, the T column, the
+    volume gradient), then (dT, mu) come from their 2x2 Schur complement.
+    The rho-block is far worse conditioned than the bordered system (its
+    smooth modes change the volume), so one step of iterative refinement,
+    on the same factors, restores the accuracy of a dense solve.
     Raises ``LinAlgError`` when the band or the Schur complement is
     singular or not finite.
     """
     n = len(diag)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off
-    ab[1] = diag
-    ab[2, :-1] = off
     a_rho, a_t = a[:n], a[n]
-    rhs = np.column_stack([-grad[:n], col, a_rho])
-    if not (np.isfinite(ab).all() and np.isfinite(rhs).all() and np.isfinite(tt)):
+    rhs = np.array([-grad[:n], col, a_rho])
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()
+            and np.isfinite(rhs).all() and np.isfinite(tt)):
         raise np.linalg.LinAlgError("non-finite Hessian band")
-    x = solve_banded((1, 1), ab, rhs)
+    sub = off.tolist()
+    factors = _band_factor(sub, diag.tolist(), sub)
+    # Laid out as solve_banded returns it (Fortran order), so that the
+    # products with x below round as they did with it.
+    x = np.array([_band_solve(factors, b) for b in rhs.tolist()]).T
     hx, ax = col @ x[:, 1:], a_rho @ x[:, 1:]
     schur = np.array([[tt - hx[0], a_t - hx[1]], [a_t - ax[0], -ax[1]]])
 
@@ -526,7 +587,7 @@ def _kkt_step(diag, off, col, tt, grad, a):
     res = -grad[:n] - diag * d_rho - col * d_t - mu * a_rho
     res[1:] -= off * d_rho[:-1]
     res[:-1] -= off * d_rho[1:]
-    e_rho, e_t, _ = eliminate(solve_banded((1, 1), ab, res),
+    e_rho, e_t, _ = eliminate(np.array(_band_solve(factors, res.tolist())),
                               -grad[n] - col @ d_rho - tt * d_t - mu * a_t,
                               -(a_rho @ d_rho) - a_t * d_t)
     return np.append(d_rho + e_rho, d_t + e_t)

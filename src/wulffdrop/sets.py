@@ -16,7 +16,7 @@ Energies are evaluated over a :class:`SetBlock`, many sets laid end to end
 in one array pass per tension; :func:`energy` is that pass on a block of
 one, and a set's energy is the same in any block.  Random sets are drawn
 as a block too (:func:`random_set_block`): only the generator calls, the
-polygon rejection test and one qhull call per polygon run set by set, in
+polygon rejection test and one hull scan per polygon run set by set, in
 the order of as many :func:`random_sliced_set` calls, which is the draw of
 a block of one.  The symmetrization suite (``checks.suite_symmetrization``)
 draws and evaluates its sets in blocks.
@@ -392,8 +392,9 @@ def barycenter_path(s: SlicedSet, body: WulffBody):
 def _draw_constraints(rng: np.random.Generator, n_edges: int):
     """Rejection-sample the half planes of a bounded convex polygon: sorted
     random normals with no angular gap of 0.9 pi or more, then random
-    offsets, until qhull finds them bounding a polygon around the origin.
-    Returns the active constraints' normals and offsets in CCW order."""
+    offsets, until the hull scan finds them bounding a polygon around the
+    origin.  Returns the active constraints' normals and offsets in CCW
+    order."""
     for _ in range(256):
         theta = np.sort(rng.uniform(0.0, 2.0 * math.pi, n_edges))
         t = theta.tolist()
@@ -439,7 +440,7 @@ def random_set_block(rng: np.random.Generator, count: int,
     path and a random-walk center path on 4 to 32 knots.
 
     The generator is read set by set, in one loop that also runs each
-    polygon's rejection test and qhull call; the vertices, edges, areas and
+    polygon's rejection test and hull scan; the vertices, edges, areas and
     paths are then computed once for the whole block.
     """
     if tension.dim != 3:

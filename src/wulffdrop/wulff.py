@@ -11,11 +11,13 @@ for the polygon itself (the polygon approximates K_h from outside at rate
 O(1/M^2) for smooth h).
 
 The polygon {x : nu_j.x <= c_j} with all c_j > 0 is the polar of the
-convex hull of the points nu_j / c_j.  One qhull call returns the hull's
-vertices in CCW order, which are the active constraints; consecutive pairs
-meet at the polygon's vertices, found by one batched 2x2 solve, which also
-serves many polygons laid end to end (``polygon_block``).  Each edge's
-support is then its own vertex . normal, so a body costs O(M log M).
+convex hull of the points nu_j / c_j.  The normals come in CCW angular
+order, so one Graham scan of those points in that order returns the
+hull's vertices in CCW order, which are the active constraints;
+consecutive pairs meet at the polygon's vertices, found by one batched
+2x2 solve, which also serves many polygons laid end to end
+(``polygon_block``).  Each edge's support is then its own vertex . normal,
+so a body costs O(M).
 ``build_wulff_body`` is cached on (tension, M), so every caller of one
 tension shares one body, and a body's arrays are read-only.
 
@@ -45,7 +47,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DimensionUnsupported, InvalidInput, InvalidTension
 from .tension import SurfaceTension
@@ -53,6 +54,9 @@ from .tension import SurfaceTension
 # Edges shorter than this are dropped.  The origin must also sit this far
 # inside the polar hull, which bounds the polygon within radius 1e12.
 DEDUP_TOL = 1e-12
+# A point within this multiple of R = max |nu_j / c_j| of a hull chord lies
+# on it: four ulps of R, the rounding of the points themselves.
+_COLLINEAR_RTOL = 4.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -152,21 +156,58 @@ def active_constraints(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     c_j > 0, in CCW order from the lowest index.
 
     The set is the polar of conv{nu_j / c_j}: the hull's vertices, in CCW
-    order, are the active constraints.  Raises ValueError when the
-    constraints do not bound a polygon around the origin.
+    order, are the active constraints.  The normals must come in CCW
+    angular order: their angles, rotated to start at the smallest, do not
+    decrease.  The points nu_j / c_j then do too, and one Graham scan in
+    that order from the farthest point, a hull vertex, finds the hull in
+    O(M).  A point within ``_COLLINEAR_RTOL`` times the farthest point's
+    radius of a hull chord is not a vertex.  Raises ValueError for normals
+    out of order, and when the constraints do not bound a polygon around
+    the origin: fewer than three hull vertices, or a hull edge within
+    ``DEDUP_TOL`` of the origin.
     """
     if not np.all(offsets > 0.0):
         raise ValueError("half-plane offsets must be positive")
-    try:
-        hull = ConvexHull(normals / offsets[:, None])
-    except QhullError as exc:
-        raise ValueError(f"half-plane intersection degenerated: {exc}") from exc
-    # Facet equations read n . p + e <= 0 inside; e < 0 keeps 0 strictly inside.
-    if np.max(hull.equations[:, -1]) >= -DEDUP_TOL:
-        raise ValueError("half-planes do not bound a polygon around the origin")
-    vertices = hull.vertices
-    first = int(np.argmin(vertices))
-    return np.concatenate((vertices[first:], vertices[:first]))
+    x, y = (normals / offsets[:, None]).T.tolist()
+    angle = list(map(math.atan2, y, x))
+    first = angle.index(min(angle))
+    angle = angle[first:] + angle[:first]
+    if angle != sorted(angle):
+        raise ValueError("half-plane normals are not in CCW angular order")
+    radius = list(map(math.hypot, x, y))
+    start = radius.index(max(radius))
+    tol = _COLLINEAR_RTOL * radius[start]
+    # Chords are at most 2 R long, so a cross product above 2 R times a
+    # distance bound clears that bound without computing the chord's length.
+    clear = 2.0 * radius[start] * tol
+    hull = [start]
+    for j in [*range(start + 1, len(x)), *range(start + 1)]:
+        xj, yj = x[j], y[j]
+        # Pop the top while it does not lie beyond tol left of the chord
+        # from the vertex below it to point j.
+        while len(hull) > 1:
+            a, b = hull[-2], hull[-1]
+            dx, dy = xj - x[a], yj - y[a]
+            cross = (x[b] - x[a]) * dy - (y[b] - y[a]) * dx
+            if cross > clear or cross > tol * math.hypot(dx, dy):
+                break
+            hull.pop()
+        hull.append(j)
+    hull.pop()  # the start, appended again to close the scan
+    if len(hull) < 3:
+        raise ValueError("half-planes do not bound a polygon: fewer than three "
+                         "active constraints")
+    # The input runs CCW from index 0, so sorted indices are the hull in CCW
+    # order from the lowest index.
+    hull.sort()
+    clear = 2.0 * radius[start] * DEDUP_TOL
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        # cross / |b - a| is the edge's distance from the origin, positive
+        # when the origin lies to its left.
+        cross = x[a] * y[b] - y[a] * x[b]
+        if cross <= clear and cross <= DEDUP_TOL * math.hypot(x[b] - x[a], y[b] - y[a]):
+            raise ValueError("half-planes do not bound a polygon around the origin")
+    return np.array(hull)
 
 
 def polygon_block(normals: np.ndarray, offsets: np.ndarray, counts):
@@ -177,8 +218,8 @@ def polygon_block(normals: np.ndarray, offsets: np.ndarray, counts):
     all found by one batched 2x2 solve, and vertex j starts the edge on
     constraint j.  Returns the vertices, laid end to end, and each
     polygon's vertex count.  Raises ValueError when a polygon keeps fewer
-    than three vertices; qhull merges nearly collinear hull vertices, so
-    active constraints are not expected to.
+    than three vertices; :func:`active_constraints` drops hull points within
+    rounding of a chord, so its active constraints are not expected to.
     """
     counts = np.asarray(counts)
     first = segment_starts(counts)

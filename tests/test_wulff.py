@@ -94,9 +94,10 @@ def test_lp2_body_is_the_regular_polygon(euclid, m):
 
 
 def test_halfplane_polygon_drops_redundant_and_rejects_unbounded():
-    normals = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0],
-                        [math.sqrt(0.5), math.sqrt(0.5)]])
-    poly = halfplane_polygon(normals, np.array([1.0, 1.0, 1.0, 1.0, 3.0]))
+    # Normals in CCW angular order, as active_constraints requires.
+    normals = np.array([[1.0, 0.0], [math.sqrt(0.5), math.sqrt(0.5)], [0.0, 1.0],
+                        [-1.0, 0.0], [0.0, -1.0]])
+    poly = halfplane_polygon(normals, np.array([1.0, 3.0, 1.0, 1.0, 1.0]))
     assert poly.tolist() == [[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]]
     # Normals confined to a half circle leave the set unbounded.
     theta = np.linspace(0.0, 0.9 * math.pi, 7)
