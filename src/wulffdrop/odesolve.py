@@ -25,10 +25,14 @@ physical profile is reconstructed from its dense output.  The module steps
 the DOP853 pair itself on two Python floats, with its tableau pinned as
 literals (scipy's, bit for bit) and scipy's step control: s depends on w
 alone, so each step attempt makes one slope call, a ``d1_inverse`` array
-call at all 16 stage abscissae.  Each accepted step writes its interpolant
-rows into one array of the ``Trajectory``, which is its own dense output
-and evaluates all knots in one expression; the slope inverse takes arrays
-too, so each Newton pass of the inversion of v is a few numpy calls.
+call at all 16 stage abscissae.  The stage, error and interpolant sums run
+as straight-line float code, generated once at import from the pinned
+tableau with its zero entries left out; each is plain left-to-right float
+addition, so the results do not depend on the Python version's sum().
+Each accepted step writes its interpolant rows into one array of the
+``Trajectory``, which is its own dense output and evaluates all knots in
+one expression; the slope inverse takes arrays too, so each Newton pass of
+the inversion of v is a few numpy calls.
 
 Every solve also carries the exact sensitivity d(r, v)/dv0, seeded (0, 1)
 at the apex, through each stage of each accepted step, with the steps held
@@ -51,7 +55,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -305,44 +308,101 @@ _MAX_FACTOR = 10.0
 _EXPONENT = -1.0 / 8.0
 
 
-def _add_stages(stop: int, nm1: int, r: float, v: float, h: float, ws: list,
-                ss: list, kr: list, kv: list, rk: list) -> tuple[float, float]:
-    """Append the slopes of stages len(kr)..stop-1 of the step h from (r, v)
-    to kr, kv and their r to rk; ws and ss hold the abscissae and their s.
-    Returns the last stage's state."""
-    for i in range(len(kr), stop):
-        a = _A[i]
-        ri = r + sum(map(mul, a, kr)) * h
-        vi = v + sum(map(mul, a, kv)) * h
-        den = nm1 * vi - (nm1 - 1) * ws[i] / ri if ri > 0.0 else vi
-        kr.append(1.0 / den)
-        kv.append(ss[i] / den)
-        rk.append(ri)
-    return ri, vi
+def _dot(coeffs: tuple, prefix: str) -> str:
+    """Source of the sum of coeffs[j] * <prefix>j as plain left-to-right
+    float addition, with exact-zero coefficients left out.  For finite
+    operands it is the float of the same loop over the full row from 0.0,
+    apart from the sign of a zero result, which that loop makes +0.0.  A
+    non-finite operand may take another path: 0.0 * inf is NaN in the full
+    row but is never formed here."""
+    return " + ".join(f"{c!r} * {prefix}{j}" for j, c in enumerate(coeffs)
+                      if c != 0.0)
 
 
-def _carry_sensitivity(nm1: int, gr: float, gv: float, h: float, ws: list,
-                       ss: list, rk: list, kr: list, qr: list, qv: list
-                       ) -> tuple[float, float]:
-    """Carry (gr, gv) = d(r, v)/dv0 through stages 1.._END of an accepted
-    step h, the stage formulas differentiated with the step held fixed.
+def _names(prefix: str, indices) -> str:
+    return ", ".join(f"{prefix}{i}" for i in indices)
 
-    qr, qv hold stage 0's slope derivative and receive those of stages
-    1.._END; rk and kr hold each stage's r and 1 / den.  A stage slope
-    (1, s) / den has the derivative -den' / den^2 (1, s), where den' =
-    (N-1) v' + (N-2) w r' / r^2, or v' on the apex branch r = 0.  Returns
-    stage _END's state derivative, the step's end (row _END of _A is the
-    weights B)."""
-    for i in range(1, _END + 1):
-        a = _A[i]
-        gri = gr + sum(map(mul, a, qr)) * h
-        gvi = gv + sum(map(mul, a, qv)) * h
-        ri = rk[i]
-        dden = nm1 * gvi + (nm1 - 1) * ws[i] * gri / (ri * ri) if ri > 0.0 else gvi
-        q = -dden * kr[i] * kr[i]
-        qr.append(q)
-        qv.append(q * ss[i])
-    return gri, gvi
+
+def _compile_stages():
+    """Generate the stepper's stage arithmetic as straight-line float code,
+    each sum a ``_dot`` of a row of the pinned tableau.  ws and ss hold the
+    16 stage abscissae w_i and slopes s_i of the step h from (r, v), and
+    nm1 = N-1.  Returns three functions:
+
+    ``_attempt(nm1, r, v, h, kr0, kv0, ws, ss)`` runs stages 1.._END of an
+    attempt from stage 0's slope (kr0, kv0).  It returns the end state, the
+    E5 and E3 error sums of r and of v, the slopes kr and kv of stages
+    0.._END and the r of stages 1.._END.
+
+    ``_carry_sensitivity(nm1, gr, gv, h, ws, ss, rk, kr, qr0, qv0)`` carries
+    (gr, gv) = d(r, v)/dv0 through stages 1.._END of an accepted step from
+    stage 0's slope derivative (qr0, qv0), the stage formulas differentiated
+    with the step held fixed: a slope (1, s) / den has the derivative
+    -den' / den^2 (1, s), den' = (N-1) v' + (N-2) w r' / r^2, or v' on the
+    apex branch r = 0.  It returns stage _END's state and slope derivatives.
+
+    ``_interpolant(nm1, r, v, h, ws, ss, kr, kv, dr, dv)`` runs the dense
+    output's stages _END+1..15 of an accepted step that ends at
+    (r + dr, v + dv), and returns the step's interpolant rows 6..0 as one
+    flat tuple of (r, v) pairs.
+    """
+    steps, dense, ends = range(1, _END + 1), range(_END + 1, len(_A)), range(_END + 1)
+
+    def stage(i):
+        return (f"    r{i} = r + ({_dot(_A[i], 'kr')}) * h\n"
+                f"    v{i} = v + ({_dot(_A[i], 'kv')}) * h\n"
+                f"    den = nm1 * v{i} - nm2 * w{i} / r{i} if r{i} > 0.0 else v{i}\n"
+                f"    kr{i} = 1.0 / den\n"
+                f"    kv{i} = s{i} / den\n")
+
+    def sensitivity(i):
+        return (f"    gr{i} = gr + ({_dot(_A[i], 'qr')}) * h\n"
+                f"    gv{i} = gv + ({_dot(_A[i], 'qv')}) * h\n"
+                f"    dden = (nm1 * gv{i} + nm2 * w{i} * gr{i} / (r{i} * r{i})"
+                f" if r{i} > 0.0 else gv{i})\n"
+                f"    qr{i} = -dden * kr{i} * kr{i}\n"
+                f"    qv{i} = qr{i} * s{i}\n")
+
+    rows = "".join(f"h * ({_dot(d, k)}), " for d in reversed(_D) for k in ("kr", "kv"))
+    source = f"""
+def _attempt(nm1, r, v, h, kr0, kv0, ws, ss):
+    nm2 = nm1 - 1
+    _, {_names('w', steps)}, *_ = ws
+    _, {_names('s', steps)}, *_ = ss
+{''.join(map(stage, steps))}
+    return (r{_END}, v{_END}, {_dot(_E5, 'kr')}, {_dot(_E5, 'kv')},
+            {_dot(_E3, 'kr')}, {_dot(_E3, 'kv')},
+            ({_names('kr', ends)}), ({_names('kv', ends)}), ({_names('r', steps)}))
+
+
+def _carry_sensitivity(nm1, gr, gv, h, ws, ss, rk, kr, qr0, qv0):
+    nm2 = nm1 - 1
+    _, {_names('w', steps)}, *_ = ws
+    _, {_names('s', steps)}, *_ = ss
+    {_names('r', steps)} = rk
+    _, {_names('kr', steps)} = kr
+{''.join(map(sensitivity, steps))}
+    return gr{_END}, gv{_END}, qr{_END}, qv{_END}
+
+
+def _interpolant(nm1, r, v, h, ws, ss, kr, kv, dr, dv):
+    nm2 = nm1 - 1
+    *_, {_names('w', dense)} = ws
+    *_, {_names('s', dense)} = ss
+    {_names('kr', ends)} = kr
+    {_names('kv', ends)} = kv
+{''.join(map(stage, dense))}
+    return ({rows}
+            2.0 * dr - h * (kr{_END} + kr0), 2.0 * dv - h * (kv{_END} + kv0),
+            h * kr0 - dr, h * kv0 - dv, dr, dv)
+"""
+    namespace: dict = {}
+    exec(compile(source, "<DOP853 stages>", "exec"), namespace)
+    return (namespace["_attempt"], namespace["_carry_sensitivity"],
+            namespace["_interpolant"])
+
+
+_attempt, _carry_sensitivity, _interpolant = _compile_stages()
 
 
 def _dop853(phi, nm1: int, v0: float, w_end: float):
@@ -356,7 +416,7 @@ def _dop853(phi, nm1: int, v0: float, w_end: float):
     step also carries d(r, v)/dv0, seeded (0, 1) at the apex, through its
     stages (``_carry_sensitivity``); the step control reads (r, v) alone.
     Returns the nodes (ts, rs, vs), per accepted step its interpolant rows
-    6..0 as one flat list of (r, v) pairs, and d(r, v)/dv0 at the last
+    6..0 as one flat tuple of (r, v) pairs, and d(r, v)/dv0 at the last
     node.  Python floats raise ZeroDivisionError where numpy would warn.
     """
     t = float(nm1)
@@ -367,7 +427,7 @@ def _dop853(phi, nm1: int, v0: float, w_end: float):
     # Initial step: the apex slope is v'(0) = 0, so f(0) = (1/v0, 0), and
     # its v0-derivative is (-1/v0^2, 0).
     w, r, v, fr, fv = 0.0, 0.0, v0, 1.0 / v0, 0.0
-    gr, gv, qr, qv = 0.0, 1.0, [-fr * fr], [0.0]
+    gr, gv, qr, qv = 0.0, 1.0, -fr * fr, 0.0
     sr, sv = _ATOL, _ATOL + v0 * _RTOL
     d0, d1 = rms(0.0, v / sv), rms(fr / sr, fv / sv)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, w_end)
@@ -397,12 +457,11 @@ def _dop853(phi, nm1: int, v0: float, w_end: float):
             wk = w + _C * h
             sk = phi.d1_inverse(wk, t).tolist()
             wk = wk.tolist()
-            kr, kv, rk = [fr], [fv], [r]
-            r_new, v_new = _add_stages(_END + 1, nm1, r, v, h, wk, sk, kr, kv, rk)
+            r_new, v_new, e5r, e5v, e3r, e3v, kr, kv, rk = _attempt(
+                nm1, r, v, h, fr, fv, wk, sk)
             sr = _ATOL + max(abs(r), abs(r_new)) * _RTOL
             sv = _ATOL + max(abs(v), abs(v_new)) * _RTOL
-            e5r, e5v = sum(map(mul, _E5, kr)) / sr, sum(map(mul, _E5, kv)) / sv
-            e3r, e3v = sum(map(mul, _E3, kr)) / sr, sum(map(mul, _E3, kv)) / sv
+            e5r, e5v, e3r, e3v = e5r / sr, e5v / sv, e3r / sr, e3v / sv
             e5, e3 = e5r * e5r + e5v * e5v, e3r * e3r + e3v * e3v
             if e5 == 0.0 and e3 == 0.0:
                 err = 0.0
@@ -416,14 +475,8 @@ def _dop853(phi, nm1: int, v0: float, w_end: float):
             h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
             rejected = True
 
-        _add_stages(len(_A), nm1, r, v, h, wk, sk, kr, kv, rk)
-        qr, qv = qr[-1:], qv[-1:]
-        gr, gv = _carry_sensitivity(nm1, gr, gv, h, wk, sk, rk, kr, qr, qv)
-        dr, dv = r_new - r, v_new - v
-        row = [h * sum(map(mul, d, k)) for d in reversed(_D) for k in (kr, kv)]
-        row += (2.0 * dr - h * (kr[_END] + fr), 2.0 * dv - h * (kv[_END] + fv),
-                h * fr - dr, h * fv - dv, dr, dv)
-        rows.append(row)
+        gr, gv, qr, qv = _carry_sensitivity(nm1, gr, gv, h, wk, sk, rk, kr, qr, qv)
+        rows.append(_interpolant(nm1, r, v, h, wk, sk, kr, kv, r_new - r, v_new - v))
         w, r, v, fr, fv = w_new, r_new, v_new, kr[_END], kv[_END]
         ts.append(w)
         rs.append(r)

@@ -159,9 +159,7 @@ def test_sensitivity_leaves_the_trajectory_unchanged(request, monkeypatch, famil
     tension = request.getfixturevalue(family)
 
     def poisoned(nm1, gr, gv, h, ws, ss, rk, kr, qr, qv):
-        qr += [math.nan] * od._END
-        qv += [math.nan] * od._END
-        return math.nan, math.nan
+        return math.nan, math.nan, math.nan, math.nan
 
     cells = [(v0, od.s_star(tension, frac * tension.f_eN))
              for frac in (-0.99, -0.5, -0.05) for v0 in (1e-5, 1.0, 1e3)]
@@ -471,6 +469,153 @@ def test_stepper_matches_solve_ivp_dop853(request, family):
             assert traj(0.5 * w_end).shape == (2,)
 
 
+def _row_sum(a, k):
+    # Plain left-to-right addition over the full row, zeros included.  This
+    # is sum()'s float result up to Python 3.11; from 3.12 on sum() adds
+    # floats with compensation, which the generated code does not.
+    acc = 0.0
+    for x, y in zip(a, k):
+        acc += x * y
+    return acc
+
+
+def _add_stages(stop, nm1, r, v, h, ws, ss, kr, kv, rk):
+    for i in range(len(kr), stop):
+        a = od._A[i]
+        ri = r + _row_sum(a, kr) * h
+        vi = v + _row_sum(a, kv) * h
+        den = nm1 * vi - (nm1 - 1) * ws[i] / ri if ri > 0.0 else vi
+        kr.append(1.0 / den)
+        kv.append(ss[i] / den)
+        rk.append(ri)
+    return ri, vi
+
+
+def _carry_sensitivity(nm1, gr, gv, h, ws, ss, rk, kr, qr, qv):
+    for i in range(1, od._END + 1):
+        a = od._A[i]
+        gri = gr + _row_sum(a, qr) * h
+        gvi = gv + _row_sum(a, qv) * h
+        ri = rk[i]
+        dden = nm1 * gvi + (nm1 - 1) * ws[i] * gri / (ri * ri) if ri > 0.0 else gvi
+        q = -dden * kr[i] * kr[i]
+        qr.append(q)
+        qv.append(q * ss[i])
+    return gri, gvi
+
+
+def _row_loop_dop853(phi, nm1, v0, w_end):
+    """The stepper as it was before its stage arithmetic was generated: each
+    stage, error and interpolant sum a loop over a full row of the tableau,
+    zeros included.  Its step control copies the module's, on the module's
+    constants."""
+    _A, _C, _D, _END = od._A, od._C, od._D, od._END
+    t = float(nm1)
+
+    def rms(a, b):
+        return math.hypot(a, b) / math.sqrt(2.0)
+
+    w, r, v, fr, fv = 0.0, 0.0, v0, 1.0 / v0, 0.0
+    gr, gv, qr, qv = 0.0, 1.0, [-fr * fr], [0.0]
+    sr, sv = od._ATOL, od._ATOL + v0 * od._RTOL
+    d0, d1 = rms(0.0, v / sv), rms(fr / sr, fv / sv)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, w_end)
+    r1, v1 = h0 * fr, v + h0 * fv
+    (s1,) = phi.d1_inverse(np.array([h0]), t).tolist()
+    den = nm1 * v1 - (nm1 - 1) * h0 / r1
+    d2 = rms((1.0 / den - fr) / sr, (s1 / den - fv) / sv) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    h_abs = min(100.0 * h0, h1, w_end)
+
+    ts, rs, vs, rows = [w], [r], [v], []
+    while w < w_end:
+        min_step = 10.0 * (math.nextafter(w, math.inf) - w)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise NonConvergence("capillary ODE solve failed: required "
+                                     "step size is less than spacing between "
+                                     f"numbers at w={w}")
+            w_new = min(w + h_abs, w_end)
+            h = h_abs = w_new - w
+            wk = w + _C * h
+            sk = phi.d1_inverse(wk, t).tolist()
+            wk = wk.tolist()
+            kr, kv, rk = [fr], [fv], [r]
+            r_new, v_new = _add_stages(_END + 1, nm1, r, v, h, wk, sk, kr, kv, rk)
+            sr = od._ATOL + max(abs(r), abs(r_new)) * od._RTOL
+            sv = od._ATOL + max(abs(v), abs(v_new)) * od._RTOL
+            e5r, e5v = _row_sum(od._E5, kr) / sr, _row_sum(od._E5, kv) / sv
+            e3r, e3v = _row_sum(od._E3, kr) / sr, _row_sum(od._E3, kv) / sv
+            e5, e3 = e5r * e5r + e5v * e5v, e3r * e3r + e3v * e3v
+            if e5 == 0.0 and e3 == 0.0:
+                err = 0.0
+            else:
+                err = h * e5 / math.sqrt(2.0 * (e5 + 0.01 * e3))
+            if err < 1.0:
+                factor = (od._MAX_FACTOR if err == 0.0
+                          else min(od._MAX_FACTOR, od._SAFETY * err ** od._EXPONENT))
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(od._MIN_FACTOR, od._SAFETY * err ** od._EXPONENT)
+            rejected = True
+
+        _add_stages(len(_A), nm1, r, v, h, wk, sk, kr, kv, rk)
+        qr, qv = qr[-1:], qv[-1:]
+        gr, gv = _carry_sensitivity(nm1, gr, gv, h, wk, sk, rk, kr, qr, qv)
+        dr, dv = r_new - r, v_new - v
+        row = [h * _row_sum(d, k) for d in reversed(_D) for k in (kr, kv)]
+        row += (2.0 * dr - h * (kr[_END] + fr), 2.0 * dv - h * (kv[_END] + fv),
+                h * fr - dr, h * fv - dv, dr, dv)
+        rows.append(row)
+        w, r, v, fr, fv = w_new, r_new, v_new, kr[_END], kv[_END]
+        ts.append(w)
+        rs.append(r)
+        vs.append(v)
+    return ts, rs, vs, rows, (gr, gv)
+
+
+def _solve_or_raise(tension, v0, s_stop):
+    try:
+        return od.integrate_v(tension, v0, s_stop=s_stop)
+    except NonConvergence as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_generated_stages_match_the_row_loop_stepper(monkeypatch, dim):
+    # The straight-line stage code leaves out the tableau's zero entries but
+    # keeps the row loop's left-to-right order, so each sum is the same
+    # float.  A sum whose terms are all -0.0 would be -0.0 there and +0.0 in
+    # the loop, so the bits are compared, through the same integrate_v on
+    # either stepper.
+    # Both ends of the graph regime and of the v0 scan, for every family;
+    # p = 1.2 at omega = -0.01 phi(0,1) and v0 = 2^-21 raises NonConvergence.
+    families = [("euclid", {}), ("pnorm", {"p": 3.0}), ("pnorm", {"p": 1.5}),
+                ("pnorm", {"p": 1.2}), ("pnorm", {"p": 5.0}), ("weighted", {"c": 2.0})]
+    cases = [(make_tension(name, dim=dim, **params), frac, v0)
+             for name, params in families for frac in (-0.99, -0.01)
+             for v0 in (2.0**-21, 2.0**21)]
+    got = [_solve_or_raise(tension, v0, od.s_star(tension, frac * tension.f_eN))
+           for tension, frac, v0 in cases]
+    monkeypatch.setattr(od, "_dop853", _row_loop_dop853)
+    for (tension, frac, v0), new in zip(cases, got):
+        old = _solve_or_raise(tension, v0, od.s_star(tension, frac * tension.f_eN))
+        if isinstance(old, type):
+            assert new is old
+            continue
+        for name in ("ts", "ys", "coeffs"):
+            a, b = getattr(new, name), getattr(old, name)
+            assert a.shape == b.shape
+            assert list(map(float.hex, a.ravel().tolist())) == \
+                list(map(float.hex, b.ravel().tolist()))
+        assert list(map(float.hex, new.dy_dv0)) == list(map(float.hex, old.dy_dv0))
+
+
 _FAMILIES = [("euclid", {}), ("weighted", {"c": 2.0}), ("pnorm", {"p": 3.0}),
              ("pnorm", {"p": 1.5})]
 
@@ -542,6 +687,24 @@ def test_non_finite_slope_is_a_nonconvergence(euclid, monkeypatch, value):
                         lambda self, w, t: np.full(np.shape(w), value))
     with pytest.raises(NonConvergence, match="capillary ODE solve failed"):
         od.integrate_v(euclid, 1.0, s_stop=1.5)
+
+
+@pytest.mark.parametrize("dim, v0", [(3, 1e200), (2, 5e-324)])
+def test_stage_division_by_zero_is_a_nonconvergence(monkeypatch, dim, v0):
+    # A division by zero inside the generated stage code ends the solve as
+    # NonConvergence, as it did in the row-loop stepper: at v0 = 1e200 stage
+    # 1's r * r underflows to 0 in the sensitivity, and at the subnormal v0
+    # in the plane stage 12's den is 0.
+    tension = make_tension("euclid", dim=dim)
+    with pytest.raises(NonConvergence, match="capillary ODE solve failed: float "
+                       "division by zero") as info:
+        od.integrate_v(tension, v0, s_stop=1.5)
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
+    monkeypatch.setattr(od, "_dop853", _row_loop_dop853)
+    with pytest.raises(NonConvergence) as ref:
+        od.integrate_v(tension, v0, s_stop=1.5)
+    assert str(ref.value) == str(info.value)
+    assert type(ref.value.__cause__) is type(info.value.__cause__)
 
 
 def test_shoot_pnorm_1000_is_warning_free():
