@@ -13,17 +13,20 @@ RTOL = 4.0 * math.ulp(1.0)
 MAXITER = 100
 
 
-def brentq(f, a: float, b: float, xtol: float) -> float:
+def brentq(f, a: float, b: float, xtol: float, ends=None) -> float:
     """Root of f in [a, b], where f(a) and f(b) differ in sign, to within
     about xtol + RTOL |root|.
 
-    Each value of f is taken as a float, as the C code does.  Ends of one
-    sign or a NaN value raise ValueError, and no convergence within MAXITER
-    iterations raises RuntimeError.
+    Each value of f is taken as a float, as the C code does.  ``ends``, when
+    given, is the pair (f(a), f(b)) that the caller has already evaluated:
+    those values are reused, and f is called only at the interior
+    abscissae, the same ones as without it.  Ends of one sign or a NaN
+    value raise ValueError, and no convergence within MAXITER iterations
+    raises RuntimeError.
     """
 
-    def value(x: float) -> float:
-        fx = float(f(x))
+    def value(x: float, fx=None) -> float:
+        fx = float(f(x) if fx is None else fx)
         if math.isnan(fx):
             raise ValueError(f"The function value at x={x} is NaN; "
                              "solver cannot continue.")
@@ -31,8 +34,9 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
 
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
-    fpre = value(xpre)
-    fcur = value(xcur)
+    fa, fb = (None, None) if ends is None else ends
+    fpre = value(xpre, fa)
+    fcur = value(xcur, fb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -59,11 +63,14 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
                 # Interpolate.
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
             else:
-                # Extrapolate.
+                # Extrapolate.  Where the denominator underflows to 0 the
+                # C code's step is inf or NaN, which fails the test below
+                # and bisects; a NaN step does that here too.
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
+                den = dblk * dpre * (fblk - fpre)
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / den
+                        if den != 0.0 else math.nan)
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 # Good short step.
                 spre, scur = scur, stry

@@ -17,6 +17,7 @@ contact coefficient from E itself: its Wulff body's tension and ``E.omega``.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -27,7 +28,7 @@ from ._brent import brentq
 from ._quad import slab_volume
 from .reduced import Profile, lateral_slab_energy, reduced_energy, reduced_volume
 from .tension import SurfaceTension
-from .wulff import alpha_table
+from .wulff import alpha_table, sorted_distinct
 
 # Exceptions that make a repair attempt unusable (callers may skip and retry).
 CompetitorFailure = (HypothesisViolated, NoBracket)
@@ -81,7 +82,7 @@ class CompetitorParams:
 
 def _section(p: Profile, ta: float, tb: float):
     """Sorted heights ta, tb and the knots between them, and r there."""
-    ts = np.unique(np.concatenate([[ta, tb], p.knots[(p.knots > ta) & (p.knots < tb)]]))
+    ts = sorted_distinct(np.concatenate([[ta, tb], p.knots[(p.knots > ta) & (p.knots < tb)]]))
     return ts, p.interp(ts)
 
 
@@ -100,32 +101,67 @@ def lateral_energy_between(p: Profile, ta: float, tb: float) -> float:
 # Parameter solves
 # ---------------------------------------------------------------------------
 
-def _scan_bracket(fn, grid: np.ndarray):
+def _sign_changes(vals: np.ndarray) -> np.ndarray:
+    """Whether each cell between consecutive values holds a root: its ends
+    differ in sign, or one is zero.  The test multiplies nothing, so values
+    whose product underflows keep their signs; a NaN end never counts."""
+    lo, hi = vals[:-1], vals[1:]
+    return (np.minimum(lo, hi) <= 0.0) & (np.maximum(lo, hi) >= 0.0)
+
+
+def _scan_bracket(scan, fn, grid: np.ndarray):
     """Root of fn in the last grid cell where it changes sign, or None.
-    fn takes the whole grid at once."""
-    vals = fn(grid)
-    idx = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
+    scan gives fn's values on the whole grid at once; Brent starts from its
+    values at the cell's ends."""
+    vals = scan(grid)
+    idx = np.flatnonzero(_sign_changes(vals))
     if len(idx) == 0:
         return None
     k = idx[-1]
-    return brentq(fn, grid[k], grid[k + 1], xtol=BISECT_TOL)
+    return brentq(fn, grid[k], grid[k + 1], xtol=BISECT_TOL,
+                  ends=(vals[k], vals[k + 1]))
+
+
+# Each thread's sigma-scan workspace.  A scan's arrays are large enough
+# that the allocator maps them afresh on every call and faults their pages
+# in; kept, they are faulted in once.  A thread runs one scan at a time.
+_workspace = threading.local()
+
+
+def _scan_buffers():
+    """This thread's workspace, made on its first scan: the (heights,
+    radii) pair of ``_sample_cap`` and the pair of ``slab_volume``."""
+    if not hasattr(_workspace, "buffers"):
+        caps, slabs = (SCAN_POINTS + 1, CAP_SAMPLES), (SCAN_POINTS + 1, CAP_SAMPLES - 1)
+        _workspace.buffers = ((np.empty(caps), np.empty(caps)),
+                              (np.empty(slabs), np.empty(slabs)))
+    return _workspace.buffers
 
 
 def _sample_cap(tension: SurfaceTension, b: float, t_anchor: float,
-                sigma: float, z_cut: float, side: str):
+                sigma: float, z_cut: float, side: str, out=None):
     """Piecewise-linear sampling of the part of K between sigma and z_cut
     (above sigma for side "+", below for "-"), dilated by b with the cut at
     sigma anchored at height t_anchor, clustered at the far cut (which may
     sit at a pole of alpha).  Heights increase along the last axis; arrays
-    b, sigma and z_cut sample one cap per entry."""
+    b, sigma and z_cut sample one cap per entry.  ``out`` is a pair of
+    float arrays of the caps' shape that take the heights and the radii in
+    place; by default both are allocated."""
     fa = alpha_table(tension)
     b, sigma, z_cut = (np.asarray(v, dtype=float)[..., None] for v in (b, sigma, z_cut))
+    ts, z = out or (None, None)
     if side == "+":
-        z = sigma + (z_cut - sigma) * _CAP_RISE
+        z = np.multiply(z_cut - sigma, _CAP_RISE, out=z)
+        z += sigma
     else:
-        z = z_cut + (sigma - z_cut) * _CAP_FALL
-    ts = t_anchor + b * (z - sigma)
-    return ts, b * fa(z)
+        z = np.multiply(sigma - z_cut, _CAP_FALL, out=z)
+        z += z_cut
+    ts = np.subtract(z, sigma, out=ts)
+    ts *= b
+    ts += t_anchor
+    rs = fa(z, out=z)
+    rs *= b
+    return ts, rs
 
 
 def solve_params(e: Profile, t1: float, t2: float, side: str) -> CompetitorParams:
@@ -142,7 +178,8 @@ def solve_params(e: Profile, t1: float, t2: float, side: str) -> CompetitorParam
     discretization used for splicing, so the matches hold to the root
     solve's accuracy.  Each sign is scanned on a 65-point sigma grid in one
     array evaluation (the residual runs from the whole rescaled shape down
-    to a vanishing cap, so a bracket exists).
+    to a vanishing cap, so a bracket exists), written into this thread's
+    kept workspace; Brent starts from the scan's values at the bracket ends.
     """
     if not (0.0 < t1 < t2):
         raise ValueError("need 0 < t1 < t2")
@@ -192,14 +229,17 @@ def solve_params(e: Profile, t1: float, t2: float, side: str) -> CompetitorParam
     def far_cut(sig, sign):
         return sign * fa.inverse(fa(sig) * ratio)
 
-    def residual(sig, sign):
+    def residual(sig, sign, cap=None, slabs=None):
         b = r_anchor / fa(sig)
-        ts, rs = _sample_cap(tension, b, t_anchor, sig, far_cut(sig, sign), side)
-        return slab_volume(area, ts, rs, nm1) - v_mid
+        ts, rs = _sample_cap(tension, b, t_anchor, sig, far_cut(sig, sign), side,
+                             out=cap)
+        return slab_volume(area, ts, rs, nm1, out=slabs) - v_mid
 
     grid = np.linspace(sig_lo, sig_hi, SCAN_POINTS + 1)
+    work = _scan_buffers()
     for sign in signs:
-        sigma = _scan_bracket(lambda sig: residual(sig, sign), grid)
+        sigma = _scan_bracket(lambda sig: residual(sig, sign, *work),
+                              lambda sig: residual(sig, sign), grid)
         if sigma is not None:
             break
     else:
@@ -348,7 +388,7 @@ def _repair_at(e: Profile, i: int, epsilon: float) -> Optional[Profile]:
 def _check_hyp1(e: Profile, t1: float, t2: float) -> None:
     r1, r2 = float(e.interp(t1)), float(e.interp(t2))
     inner = e.knots[(e.knots > t1) & (e.knots < t2)]
-    probes = np.unique(np.concatenate([inner, [0.5 * (t1 + t2)]]))
+    probes = sorted_distinct(np.concatenate([inner, [0.5 * (t1 + t2)]]))
     chord = r1 + (probes - t1) / (t2 - t1) * (r2 - r1)
     if not np.all(e.interp(probes) < chord):
         raise HypothesisViolated(
@@ -382,8 +422,10 @@ def apply_competitor(e: Profile, t1: float, t2: float) -> Profile:
             )
     params = solve_params(e, t1, t2, side)
     tau, ts_cap, rs_cap = params.tau, params.ts, params.rs
-    low = e.knots < t1 - 1e-13
-    high = e.knots > t2 + 1e-13
+    # Knots closer together than 1e-13 of the profile's height are one knot.
+    tol = 1e-13 * e.t_max
+    low = e.knots < t1 - tol
+    high = e.knots > t2 + tol
     if side == "+":
         new_t = np.concatenate([e.knots[low], ts_cap, e.knots[high] - (t2 - tau)])
     else:
@@ -393,7 +435,7 @@ def apply_competitor(e: Profile, t1: float, t2: float) -> Profile:
 
     order = np.argsort(new_t, kind="stable")
     new_t, new_r = new_t[order], new_r[order]
-    good = np.concatenate([[True], np.diff(new_t) > 1e-13])
+    good = np.concatenate([[True], np.diff(new_t) > tol])
     new_t, new_r = new_t[good], new_r[good]
     result = Profile(knots=new_t, r=np.maximum(new_r, 0.0), body=e.body,
                      omega=e.omega)

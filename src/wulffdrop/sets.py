@@ -52,6 +52,7 @@ from .wulff import (
     polygon_edges,
     segment_starts,
     slice_centroid,
+    sorted_distinct,
 )
 
 
@@ -194,7 +195,7 @@ class SetBlock:
         """(members, knots, scales) for each knot count, the paths stacked."""
         first = segment_starts(self.n_knots)
         stacks = []
-        for k in np.unique(self.n_knots):
+        for k in sorted_distinct(self.n_knots):
             idx = np.flatnonzero(self.n_knots == k)
             rows = first[idx, None] + np.arange(k)
             stacks.append((idx, self.knots[rows], self.scales[rows]))

@@ -97,6 +97,15 @@ def segment_starts(counts) -> np.ndarray:
     return np.cumsum(counts) - counts
 
 
+def sorted_distinct(values) -> np.ndarray:
+    """The distinct values of a 1-D array, sorted: ``np.unique`` for arrays
+    without NaN, without the ``numpy.ma`` import that np.unique makes."""
+    out = np.sort(values)
+    keep = np.ones(len(out), dtype=bool)
+    keep[1:] = out[1:] != out[:-1]
+    return out[keep]
+
+
 def _successors(poly: np.ndarray, counts) -> np.ndarray:
     """Each vertex's successor in its own polygon, for polygons of
     ``counts`` vertices laid end to end."""
@@ -305,11 +314,15 @@ def build_wulff_body(tension: SurfaceTension, m_normals: int = 1024) -> WulffBod
 # Vertical profile alpha(t) of the full Wulff shape
 # ---------------------------------------------------------------------------
 
-def _one_minus_pow(x, q):
+def _one_minus_pow(x, q, out=None):
     """1 - x^q for 0 <= x < 1, accurate where x^q is close to 1; 1 at
-    x = 0 and for q = inf."""
+    x = 0 and for q = inf.  Written into ``out`` (which may be x) when
+    given."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return -np.expm1(q * np.log(x))
+        y = np.log(x, out=out)
+        y *= q
+        np.expm1(y, out=y)
+        return np.negative(y, out=y)
 
 
 @dataclass(frozen=True)
@@ -320,7 +333,8 @@ class AlphaTable:
     tau = t_top = phi(0, 1) = -t_bot and q is the polar exponent of phi.
     alpha is even with alpha(0) = 1, so ``inverse`` gives the root z >= 0
     where alpha falls and -inverse the root where it rises.  For q = inf
-    (a box) alpha is 1 on (-tau, tau).
+    (a box) alpha is 1 on (-tau, tau).  A call with ``out`` writes alpha
+    into that array in place, bit for bit as a fresh call.
     """
 
     t_bot: float
@@ -331,11 +345,18 @@ class AlphaTable:
     # rounds differently from its array loop, and a batched call must give
     # the scalar answers bit for bit.
 
-    def __call__(self, z):
-        x = np.abs(np.atleast_1d(np.asarray(z, dtype=float))) / self.t_top
+    def __call__(self, z, out=None):
+        """alpha at z.  An array z may come with ``out``, a float array of
+        its shape (z itself, say): every step then writes into it, by the
+        same ufuncs in the same order, and it is returned."""
+        x = np.abs(np.atleast_1d(np.asarray(z, dtype=float)), out=out)
+        x /= self.t_top
+        inside = x < 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(x < 1.0, _one_minus_pow(x, self.q) ** (1.0 / self.q), 0.0)
-        return float(out[0]) if np.ndim(z) == 0 else out
+            y = _one_minus_pow(x, self.q, out=x)
+            y **= 1.0 / self.q
+        np.copyto(y, 0.0, where=~inside)
+        return float(y[0]) if np.ndim(z) == 0 else y
 
     def inverse(self, target):
         """The z >= 0 with alpha(z) = target, for 0 <= target <= 1.

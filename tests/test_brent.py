@@ -44,15 +44,15 @@ def assert_parity(f, a, b, xtol):
 
 
 class Capture:
-    """Stands in for a module's brentq: records (f, a, b, xtol) of each call
-    and solves it with the in-repo solver."""
+    """Stands in for a module's brentq: records (f, a, b, xtol, ends) of
+    each call and solves it with the in-repo solver."""
 
     def __init__(self):
         self.calls = []
 
-    def __call__(self, f, a, b, xtol):
-        self.calls.append((f, a, b, xtol))
-        return _brent.brentq(f, a, b, xtol)
+    def __call__(self, f, a, b, xtol, ends=None):
+        self.calls.append((f, a, b, xtol, ends))
+        return _brent.brentq(f, a, b, xtol, ends=ends)
 
 
 @pytest.mark.parametrize("family, params, mass", [
@@ -100,8 +100,11 @@ def test_brent_matches_scipy_on_the_sigma_residuals(monkeypatch):
         comp.repair_profile(reduced.Profile(knots=tt, r=rr, body=body, omega=-0.5),
                             epsilon=2.0)
     assert len(capture.calls) == 8
-    for f, a, b, xtol in capture.calls:
+    for f, a, b, xtol, ends in capture.calls:
         assert xtol == comp.BISECT_TOL
+        # The scan hands Brent its own values at the bracket ends; they
+        # are the residual's, bit for bit.
+        assert [float(v).hex() for v in ends] == [float(f(a)).hex(), float(f(b)).hex()]
         assert assert_parity(f, a, b, xtol)[0] == "root"
 
 
@@ -114,6 +117,11 @@ def test_brent_matches_scipy_on_the_sigma_residuals(monkeypatch):
     # Values whose products underflow: the sign tests must not multiply.
     (lambda x: 1e-200 * (x - 0.3), 0.0, 1.0),
     (lambda x: np.float64(x) ** 2 - 2.0, 0.0, 2.0),
+    # Values so small that the extrapolation's denominator underflows to 0:
+    # scipy's step is then inf or NaN, and it bisects.
+    *[pytest.param(lambda x, s=s: s * (x**3 - 2.0 * x - 5.0), 2.0, 3.0,
+                   id=f"cubic-times-{s:g}")
+      for s in (1e-110, 1e-160, 1e-200)],
 ])
 def test_brent_matches_scipy_on_smooth_functions(f, a, b, xtol):
     assert assert_parity(f, a, b, xtol)[0] == "root"

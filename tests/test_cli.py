@@ -222,6 +222,26 @@ def test_repair_logs_no_failure_at_rounding_level(tension_file, tmp_path, euclid
     assert json.loads(rep.read_text())["repairs"] == []
 
 
+@pytest.mark.parametrize("scale", [1e-20, 1e-45, 1e-60])
+def test_repair_of_a_tiny_profile_never_tracebacks(scale, tension_file, tmp_path,
+                                                   euclid, capsys):
+    # The dented quarter circle shrunk in t and r alike.  Once this ended in
+    # a traceback, with a different cause at each scale: splice tolerances
+    # absolute in t (1e-20), Brent's extrapolation dividing by an
+    # underflowed 0 (1e-45), and a bracket scan multiplying residuals whose
+    # product underflows (1e-60).
+    t = np.linspace(0.0, 1.0, 41)
+    r = np.sqrt(np.maximum(1 - t**2, 0.0))
+    r[12:20] *= 0.75
+    prof_path = tmp_path / "tiny.csv"
+    cli.write_profile_csv(str(prof_path), reduced.Profile(
+        knots=scale * t, r=scale * r, body=build_wulff_body(euclid, 1024), omega=-0.5))
+    code = run(["repair", "--tension", tension_file, "--omega", "-0.5",
+                "--profile", str(prof_path), "--out-dir", str(tmp_path / "out")])
+    assert code in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("error")
 def test_manhattan_weight_repair_and_direct_solve(tmp_path, capsys):
     # pnorm p = 1 has the box Wulff shape, alpha = 1 on (-1, 1): no cap can
@@ -598,6 +618,17 @@ def test_cli_imports_no_scipy():
             with open(os.path.join(src, name)) as handle:
                 text = handle.read()
             assert not re.search(r"^\s*(import|from)\s+scipy\b", text, re.M), name
+
+
+def test_check_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma, about 7 ms of start-up that nothing here needs:
+    # the release gate runs to the end without it.
+    proc = run_python_process(
+        "import sys; from wulffdrop.cli import main; code = main(sys.argv[1:]); "
+        "print('numpy.ma' in sys.modules); sys.exit(code)",
+        ["check", "--seed", "0"], timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_check_and_solve_run_with_scipy_blocked(tmp_path, tension_file):

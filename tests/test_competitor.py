@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -83,6 +84,47 @@ def test_stacked_caps_match_single_caps(pnorm3, side):
         ts1, rs1 = comp._sample_cap(pnorm3, b[k], 0.2, sigma[k], z_cut[k], side)
         assert np.array_equal(ts1, ts[k]) and np.array_equal(rs1, rs[k])
         assert slab_volume(3.0, ts1, rs1, 2) == vols[k]
+
+    # Two consecutive scans through this thread's workspace, on both sides
+    # and at two far-slice ratios, write the rows that fresh scalar calls
+    # return.  The far cut lies past the peak, as solve_params puts it.
+    cap, slabs = comp._scan_buffers()
+    other = "-" if side == "+" else "+"
+    for scan_side, ratio in ((side, 0.8), (other, 0.35)):
+        sigma = (np.linspace(fa.t_bot + 0.1, -0.05, comp.SCAN_POINTS + 1)
+                 if scan_side == "+" else
+                 np.linspace(0.05, fa.t_top - 0.1, comp.SCAN_POINTS + 1))
+        past = 1.0 if scan_side == "+" else -1.0
+        z_cut = past * fa.inverse(fa(sigma) * ratio)
+        b = 0.7 / fa(sigma)
+        ts, rs = comp._sample_cap(pnorm3, b, 0.2, sigma, z_cut, scan_side, out=cap)
+        vols = slab_volume(3.0, ts, rs, 2, out=slabs)
+        assert ts is cap[0] and rs is cap[1]
+        for k in range(len(sigma)):
+            ts1, rs1 = comp._sample_cap(pnorm3, b[k], 0.2, sigma[k], z_cut[k], scan_side)
+            assert ts1.tobytes() == ts[k].tobytes() and rs1.tobytes() == rs[k].tobytes()
+            assert slab_volume(3.0, ts1, rs1, 2).hex() == float(vols[k]).hex()
+
+
+def test_scan_workspace_is_kept_per_thread():
+    mine = comp._scan_buffers()
+    assert comp._scan_buffers() is mine
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        theirs = pool.submit(comp._scan_buffers).result()
+    mine, theirs = ([a for pair in w for a in pair] for w in (mine, theirs))
+    assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+
+
+def test_sign_changes_match_the_product_test_without_underflow():
+    # Cells whose ends differ in sign or touch zero, as vals[:-1] * vals[1:]
+    # <= 0 selects them; NaN never counts.  Where that product underflows,
+    # only the signs decide.
+    rng = np.random.default_rng(3)
+    vals = rng.choice([-2.0, -0.5, -0.0, 0.0, 0.5, 3.0, np.nan], size=4000)
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(comp._sign_changes(vals), vals[:-1] * vals[1:] <= 0.0)
+    tiny = np.array([1e-200, 2e-200, -1e-200, -3e-200, 0.0, 1e-300])
+    assert comp._sign_changes(tiny).tolist() == [False, True, False, True, True]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from wulffdrop.wulff import (
     polygon_areas,
     polygon_block,
     polygon_edges,
+    sorted_distinct,
 )
 
 
@@ -286,6 +287,31 @@ def test_alpha_closed_form_properties(family, param, dim, frac):
     assert np.array_equal(fa(ts), [fa(x) for x in ts])
     targets = np.array([a, 0.5 * a, 2.0, -1.0])
     assert np.array_equal(fa.inverse(targets), [fa.inverse(x) for x in targets])
+
+
+@pytest.mark.parametrize("name,kw", [
+    ("euclid", {}), ("pnorm", {"p": 3.0}), ("pnorm", {"p": 1.5}),
+    ("weighted", {"c": 2.0}), ("pnorm", {"p": 1.0}),
+])
+def test_alpha_in_place_matches_a_fresh_call(name, kw):
+    # The sigma scan evaluates alpha into a kept buffer; every value, the
+    # poles, the peak, points outside and NaN included, is the fresh
+    # call's, bit for bit, and so is each scalar call.
+    fa = alpha_table(make_tension(name, **kw))
+    z = np.linspace(-1.2 * fa.t_top, 1.2 * fa.t_top, 2 * 257).reshape(2, 257)
+    z[0, :4] = [0.0, fa.t_top, fa.t_bot, np.nan]
+    fresh = fa(z)
+    buf = z.copy()
+    assert fa(buf, out=buf) is buf
+    assert buf.tobytes() == fresh.tobytes()
+    assert buf.ravel().tolist()[4:] == [fa(x) for x in z.ravel().tolist()[4:]]
+
+
+def test_sorted_distinct_is_np_unique():
+    rng = np.random.default_rng(5)
+    for values in (rng.integers(0, 9, 50), rng.choice([0.25, -1.0, 3.0, 0.0], 40),
+                   rng.normal(size=30), np.array([2.0]), np.array([])):
+        assert np.array_equal(sorted_distinct(values), np.unique(values))
 
 
 def test_alpha_box_limit_of_pnorm_p1():
