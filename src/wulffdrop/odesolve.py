@@ -80,6 +80,9 @@ _ATOL = 1e-14
 # Relative volume tolerance of shoot.
 _VOLUME_RTOL = 1e-6
 
+# integrate_v's v0 range: beyond it the sensitivity's r * r or the step underflows.
+_V0_MIN, _V0_MAX = 2.0**-400, 2.0**400
+
 
 def unit_ball_volume(dim: int) -> float:
     """Lebesgue measure of the unit ball in R^dim."""
@@ -187,15 +190,16 @@ def integrate_v(tension: SurfaceTension, v0: float, s_stop: float) -> Trajectory
 
     One DOP853 solve (``_dop853``) over [0, w*], w* = d1phi(s_stop, N-1),
     starting from (r, v) = (0, v0); the last node lies at s = s_stop, and
-    the trajectory's ``dy_dv0`` is d(r, v)/dv0 there.  The slope inverse
+    the trajectory's ``dy_dv0`` is d(r, v)/dv0 there.  A v0 outside
+    [2^-400, 2^400], NaN included, raises InvalidInput.  The slope inverse
     s(w) is only evaluated inside [0, w*], so w* within rounding of the
-    asymptote phi(1, 0) of d1phi raises StalledInversion,
-    and so does a w* that is not positive (d1phi underflowed or is NaN).  A
-    zero denominator, a NaN slope or a step below the minimum raises
+    asymptote phi(1, 0) of d1phi raises StalledInversion, and so does a w*
+    that is not positive (d1phi underflowed or is NaN).  A zero
+    denominator, a NaN slope or a step below the minimum raises
     NonConvergence.
     """
-    if not 0.0 < v0 < math.inf:
-        raise ValueError("v0 must be positive and finite")
+    if not _V0_MIN <= v0 <= _V0_MAX:
+        raise InvalidInput(f"v0 must lie in [2^-400, 2^400], got {v0!r}")
     if not 0.0 < s_stop < math.inf:
         raise ValueError("need a positive, finite stop slope s_stop")
     nm1 = tension.dim - 1
@@ -522,7 +526,8 @@ def dV_dv0(tension: SurfaceTension, v0: float, s_star_val: float) -> float:
     held fixed (internal numerical differentiation), so this differentiates
     the discrete V_{v0}(s*) that ``V_of`` reads along those steps; on the
     48 cases of ``checks.suite_monotonicity`` it agrees with a central
-    difference of ``V_of`` to 3.2e-8 relative.
+    difference of ``V_of`` to 3.2e-8 relative.  A v0 outside
+    [2^-400, 2^400] raises InvalidInput, as in :func:`integrate_v`.
     """
     return _end_dV(integrate_v(tension, v0, s_stop=s_star_val))
 

@@ -13,13 +13,12 @@ still distinguishing every equality/inequality regime of the anisotropic
 symmetrization.
 
 Energies are evaluated over a :class:`SetBlock`, many sets laid end to end
-in one array pass per tension; :func:`energy` is that pass on a block of
-one, and a set's energy is the same in any block.  Random sets are drawn
-as a block too (:func:`random_set_block`): only the generator calls, the
-polygon rejection test and one hull scan per polygon run set by set, in
-the order of as many :func:`random_sliced_set` calls, which is the draw of
-a block of one.  The symmetrization suite (``checks.suite_symmetrization``)
-draws and evaluates its sets in blocks.
+in one array pass per tension, its (slab, edge) terms as one dense
+rectangle per edge count; :func:`energy` is that pass on a block of one,
+and a set's energy is the same in any block.  Random sets are drawn as a
+block too (:func:`random_set_block`), in the order of as many
+:func:`random_sliced_set` calls.  The symmetrization suite
+(``checks.suite_symmetrization``) draws and evaluates its sets in blocks.
 """
 
 from __future__ import annotations
@@ -46,13 +45,13 @@ from .tension import SurfaceTension
 from .wulff import (
     WulffBody,
     active_constraints,
+    count_groups,
     polygon_area,
     polygon_areas,
     polygon_block,
     polygon_edges,
     segment_starts,
     slice_centroid,
-    sorted_distinct,
 )
 
 
@@ -140,12 +139,14 @@ class SetBlock:
 
     The sets' own arrays are concatenated, set by set: ``n_edges`` and
     ``n_knots`` give each set's share.  The slabs of all sets run set by
-    set, and the (slab, edge) pairs slab by slab.  A slab's edges are summed
-    as one ``np.add.reduceat`` segment (``pair_starts``), and a set's slabs
-    by ``np.bincount`` over ``slab_set``, which also gives a one-knot set,
-    with no slabs, its empty sum 0.  Each sum runs over its own terms in
-    their own order, so a set's energy does not depend on the rest of the
-    block.  Nothing here depends on the tension.
+    set; every slab of a set meets the set's edges, so ``rects`` holds one
+    (slabs, E) rectangle per edge count E.  A slab's edges are summed by
+    ``np.add.reduceat`` along the edge axis, in a lone slab's order (``sum``
+    adds pairwise), and a set's slabs by ``np.bincount`` over ``slab_set``,
+    which also gives a one-knot set, with no slabs, its empty sum 0.  Each
+    sum runs over its own terms in their own order, so a set's energy does
+    not depend on the rest of the block.  Nothing here depends on the
+    tension.
     """
 
     d: int
@@ -159,10 +160,7 @@ class SetBlock:
     knots: np.ndarray
     scales: np.ndarray
     centers: np.ndarray  # (knots, d)
-    pair_edge: np.ndarray  # edge of each pair
-    pair_length: np.ndarray  # its edge length ** (d - 1)
-    pair_slope: np.ndarray  # minus its support-plane velocity beta'.n_e + a' sigma_e
-    pair_starts: np.ndarray  # first pair of each slab
+    rects: tuple  # (slabs, edges, edge length ** (d - 1), -(beta'.n_e + a' sigma_e))
     slab_set: np.ndarray  # set of each slab
     dt: np.ndarray  # slab widths
     gauss_scales: np.ndarray  # a ** (d - 1) at each slab's Gauss nodes
@@ -193,13 +191,8 @@ class SetBlock:
     @cached_property
     def profiles(self) -> tuple:
         """(members, knots, scales) for each knot count, the paths stacked."""
-        first = segment_starts(self.n_knots)
-        stacks = []
-        for k in sorted_distinct(self.n_knots):
-            idx = np.flatnonzero(self.n_knots == k)
-            rows = first[idx, None] + np.arange(k)
-            stacks.append((idx, self.knots[rows], self.scales[rows]))
-        return tuple(stacks)
+        return tuple((members, self.knots[rows], self.scales[rows])
+                     for members, rows in count_groups(self.n_knots))
 
 
 def _layout(d, n_edges, base_vertices, edge_lengths, edge_normals,
@@ -208,26 +201,24 @@ def _layout(d, n_edges, base_vertices, edge_lengths, edge_normals,
     if d not in (1, 2):
         raise DimensionUnsupported(f"slice dimension {d} unsupported")
     n_slabs, knot0 = n_knots - 1, segment_starts(n_knots)
-    # A slab runs from each knot but a set's last to the next one.
-    lo = np.delete(np.arange(len(knots)), knot0 + n_slabs)
+    slab_set = np.repeat(np.arange(len(n_knots)), n_slabs)
+    # Slab j starts at knot j + its set's index: each set ends on a knot.
+    lo = np.arange(len(slab_set)) + slab_set
     t0, dt = knots[lo], knots[lo + 1] - knots[lo]
     a, b = scales[lo], scales[lo + 1]
     da = b - a
-    slab_set = np.repeat(np.arange(len(n_knots)), n_slabs)
 
-    # Slab k of set i meets each of set i's edges, edge by edge.
-    slab_edges = n_edges[slab_set]
-    pair_starts = segment_starts(slab_edges)
-    pair_slab = np.repeat(np.arange(len(lo)), slab_edges)
-    pair_edge = ((segment_starts(n_edges)[slab_set] - pair_starts)[pair_slab]
-                 + np.arange(len(pair_slab)))
-    # -w[pair] = -(beta'.n_e + a' sigma_e), in products rather than @, so
-    # that no fused multiply-add depends on the shapes.
+    # -w = -(beta'.n_e + a' sigma_e) of each slab and its set's edges, in products
+    # rather than @, so that no fused multiply-add depends on the shapes.
     dbeta = (centers[lo + 1] - centers[lo]) / dt[:, None]
-    w = dbeta[pair_slab, 0] * edge_normals[pair_edge, 0]
-    for k in range(1, d):
-        w += dbeta[pair_slab, k] * edge_normals[pair_edge, k]
-    w += (da / dt)[pair_slab] * edge_supports[pair_edge]
+    da_dt, lengths = da / dt, edge_lengths ** (d - 1)
+    rects = []
+    for slabs, edges in count_groups(n_edges[slab_set], segment_starts(n_edges)[slab_set]):
+        w = dbeta[slabs, None, 0] * edge_normals[edges, 0]
+        for k in range(1, d):
+            w += dbeta[slabs, None, k] * edge_normals[edges, k]
+        w += da_dt[slabs, None] * edge_supports[edges]
+        rects.append((slabs, edges, lengths[edges], np.negative(w, out=w)))
 
     if d == 1:
         grav = t0 * dt * (a + b) / 2.0 + dt**2 * (a + 2.0 * b) / 6.0
@@ -240,10 +231,7 @@ def _layout(d, n_edges, base_vertices, edge_lengths, edge_normals,
         edge_lengths=edge_lengths, edge_normals=edge_normals,
         edge_supports=edge_supports, area=area, n_knots=n_knots, knots=knots,
         scales=scales, centers=centers,
-        pair_edge=pair_edge,
-        pair_length=(edge_lengths ** (d - 1))[pair_edge],
-        pair_slope=np.negative(w, out=w),
-        pair_starts=pair_starts,
+        rects=tuple(rects),
         slab_set=slab_set,
         dt=dt,
         gauss_scales=(a[:, None] + da[:, None] * GAUSS_X) ** (d - 1),
@@ -273,9 +261,10 @@ def set_block(sets) -> SetBlock:
 
 def _slab_lateral(blk: SetBlock, tension: SurfaceTension) -> np.ndarray:
     """Lateral surface energy of every slab of the block (Gauss rule)."""
-    h = tension.h.value(blk.edge_normals)
-    phi = tension.phi.value(h[blk.pair_edge], blk.pair_slope)
-    coef = np.add.reduceat(blk.pair_length * phi, blk.pair_starts)
+    h, coef = tension.h.value(blk.edge_normals), np.empty(len(blk.dt))
+    for slabs, edges, lengths, slopes in blk.rects:
+        terms = lengths * tension.phi.value(h[edges], slopes)
+        coef[slabs] = np.add.reduceat(terms, [0], axis=1)[:, 0]
     return blk.dt * (coef[:, None] * blk.gauss_scales * GAUSS_W).sum(axis=-1)
 
 
@@ -377,11 +366,9 @@ def barycenter_path(s: SlicedSet, body: WulffBody):
     """
     if np.any(s.scales <= 0):
         raise EmptySlice("barycenter undefined on empty slices")
-    ratio = (s.base_area / body.area) ** (1.0 / s.d)
-    r = s.scales * ratio
-    cs = s.base_centroid
-    ck = body.centroid
-    beta = s.centers + s.scales[:, None] * cs[None, :] - r[:, None] * ck[None, :]
+    r = s.scales * _wulff_ratio(s.base_area, s.d, body)
+    beta = (s.centers + s.scales[:, None] * s.base_centroid[None, :]
+            - r[:, None] * body.centroid[None, :])
     drift = float(np.max(np.linalg.norm(beta - beta[0], axis=1)))
     return beta, drift
 
@@ -479,10 +466,4 @@ def random_sliced_set(rng: np.random.Generator, tension: SurfaceTension) -> Slic
 # ---------------------------------------------------------------------------
 
 def sliced_set_from_dict(d: dict, tension: SurfaceTension) -> SlicedSet:
-    return sliced_set(
-        np.asarray(d["base_vertices"], dtype=float),
-        np.asarray(d["knots"], dtype=float),
-        np.asarray(d["scales"], dtype=float),
-        np.asarray(d["centers"], dtype=float),
-        tension,
-    )
+    return sliced_set(d["base_vertices"], d["knots"], d["scales"], d["centers"], tension)

@@ -97,6 +97,17 @@ def segment_starts(counts) -> np.ndarray:
     return np.cumsum(counts) - counts
 
 
+def count_groups(counts, first=None):
+    """(members, rows) for each distinct count k, ascending: the segments of
+    k elements and their elements' indices as a (members, k) array, segment
+    i starting at ``first[i]`` (by default, segments laid end to end)."""
+    counts = np.asarray(counts)
+    first = segment_starts(counts) if first is None else first
+    for k in sorted(set(counts.tolist())):
+        members = np.flatnonzero(counts == k)
+        yield members, first[members, None] + np.arange(k)
+
+
 def sorted_distinct(values) -> np.ndarray:
     """The distinct values of a 1-D array, sorted: ``np.unique`` for arrays
     without NaN, without the ``numpy.ma`` import that np.unique makes."""
@@ -127,11 +138,9 @@ def polygon_areas(poly: np.ndarray, counts) -> np.ndarray:
     positive for CCW vertices.  The polygons of one vertex count are summed
     as the rows of one array, which ``np.sum`` adds as it adds a lone
     polygon's cross products."""
-    cross, counts = _shoelace(poly, counts)[1], np.asarray(counts)
-    first, area = segment_starts(counts), np.empty(len(counts))
-    for k in set(counts.tolist()):
-        idx = np.flatnonzero(counts == k)
-        area[idx] = np.sum(cross[first[idx, None] + np.arange(k)], axis=1)
+    cross, area = _shoelace(poly, counts)[1], np.empty(len(counts))
+    for members, rows in count_groups(counts):
+        area[members] = np.sum(cross[rows], axis=1)
     return 0.5 * area
 
 

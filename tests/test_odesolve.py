@@ -93,6 +93,26 @@ def test_integrate_requires_stop(euclid):
         od.integrate_v(euclid, -0.5, s_stop=1.0)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_integrate_v0_range_ends_solve(dim):
+    tension = make_tension("euclid", dim=dim)
+    s_st = od.s_star(tension, -0.5)
+    for v0 in (2.0**-400, 2.0**400):
+        traj = od.integrate_v(tension, v0, s_stop=s_st)
+        assert math.isfinite(od.V_of(traj, s_st))
+        assert math.isfinite(od.dV_dv0(tension, v0, s_st))
+
+
+@pytest.mark.parametrize("v0", [2.0**-401, 1e-300, 2.0**401, 1e155, math.inf, math.nan])
+def test_integrate_rejects_v0_outside_its_range(euclid, v0):
+    # Above about 1e155 the sensitivity's r * r underflows, and below about
+    # 1e-265 the steps fall under the spacing of w: rejected up front.
+    s_st = od.s_star(euclid, -0.5)
+    for call in (od.integrate_v, od.dV_dv0):
+        with pytest.raises(InvalidInput, match=r"v0 must lie in \[2\^-400, 2\^400\]"):
+            call(euclid, v0, s_st)
+
+
 def test_V_zero_and_monotone(euclid):
     traj = od.integrate_v(euclid, 1.0, s_stop=1.5)
     v_first = od.V_of(traj, 0.0)  # the apex, w = 0
@@ -694,7 +714,10 @@ def test_stage_division_by_zero_is_a_nonconvergence(monkeypatch, dim, v0):
     # A division by zero inside the generated stage code ends the solve as
     # NonConvergence, as it did in the row-loop stepper: at v0 = 1e200 stage
     # 1's r * r underflows to 0 in the sensitivity, and at the subnormal v0
-    # in the plane stage 12's den is 0.
+    # in the plane stage 12's den is 0.  integrate_v rejects both v0 up
+    # front, so its range is lifted here to reach the stage code.
+    monkeypatch.setattr(od, "_V0_MIN", 0.0)
+    monkeypatch.setattr(od, "_V0_MAX", math.inf)
     tension = make_tension("euclid", dim=dim)
     with pytest.raises(NonConvergence, match="capillary ODE solve failed: float "
                        "division by zero") as info:

@@ -252,6 +252,12 @@ def test_random_set_block_equals_successive_draws(seed, euclid):
     for name, value in vars(blk).items():
         if isinstance(value, np.ndarray):
             assert np.array_equal(value, getattr(again, name)), name
+    # The (slab, edge) rectangles too, array by array.
+    assert len(blk.rects) == len(again.rects) > 1
+    for rect, other in zip(blk.rects, again.rects):
+        assert len(rect) == len(other)
+        for value, expected in zip(rect, other):
+            assert np.array_equal(value, expected)
 
 
 # SHA-256 of the first 1,000 random sets' arrays (SET_FIELDS, then the base
@@ -278,6 +284,34 @@ def test_random_sets_match_the_golden_digest(seed, euclid):
                 digest.update(getattr(s, name).tobytes())
             digest.update(np.float64(s.base_area).tobytes())
     assert (digest.hexdigest(), rng.random()) == DRAW_DIGESTS[seed]
+
+
+# SHA-256 of Fs, Fp and total (euclid, then weighted2, at omega_samples)
+# of the first 512 random sets of seed 0, evaluated as one block, and of
+# one 161-knot dome on the 1024-edge euclid body with drifting centers.
+# sets.energy is block_energy on a block of one, so a change of summation
+# order moves both sides of the block-equals-single-call tests together;
+# it fails here.  Both tensions evaluate phi by products and np.sqrt only,
+# so the bits do not depend on the platform's libm.
+ENERGY_DIGEST = "90f59b1e16a1f2e0c73efa0a6a6d0638a867529eaaf8e1268ae62b578554e15f"
+
+
+def test_set_energies_match_the_golden_digest(euclid, euclid_body, weighted2):
+    blk = sets.random_set_block(np.random.default_rng(0), 512, euclid)
+    rng = np.random.default_rng(23)
+    knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.005, 0.02, 160))])
+    scales = np.sqrt(np.maximum(1.0 - (knots / knots[-1]) ** 2, 0.0))
+    centers = np.concatenate([np.zeros((1, 2)),
+                              np.cumsum(rng.normal(0.0, 0.05, (160, 2)), axis=0)])
+    dome = sets.sliced_set(euclid_body.geometry, knots, scales, centers, euclid)
+    digest = hashlib.sha256()
+    for tension in (euclid, weighted2):
+        omegas = np.array(checks.omega_samples(tension))
+        for e in (sets.block_energy(blk, tension, omegas),
+                  sets.energy(dome, tension, omegas)):
+            for values in (e.Fs, e.Fp, e.total):
+                digest.update(np.ascontiguousarray(values, dtype=float).tobytes())
+    assert digest.hexdigest() == ENERGY_DIGEST
 
 
 def test_suite_symmetrization_golden_values():
