@@ -70,6 +70,8 @@ def write_profile_csv(path: str, profile: reduced.Profile) -> None:
 
 def read_profile_csv(path: str, body, omega=None) -> reduced.Profile:
     rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if not np.isfinite(rows).all():
+        raise ValueError("knots and radii must be finite")
     return reduced.Profile(knots=rows[:, 0], r=rows[:, 1], body=body, omega=omega)
 
 
@@ -222,7 +224,7 @@ def cmd_wulff(args) -> int:
         "d": body.d,
         "vertices": np.asarray(body.geometry).tolist(),
         "edges": [
-            {"length": float(l), "normal": n.tolist() if body.d == 2 else [float(n)],
+            {"length": float(l), "normal": n.tolist(),
              "h": float(h), "support": float(s)}
             for l, n, h, s in zip(body.edge_lengths, body.edge_normals,
                                   body.edge_h, body.edge_supports)

@@ -653,6 +653,10 @@ def shoot(body: WulffBody, omega: float, m: float) -> ShootingSolution:
         v0 = 2.0**x
         V = V_of(traj, s_st)
         history.append((v0, c * V))
+        if not c * V > 0.0:
+            # Within rounding of omega = -phi(0, 1) a probe's closed-form
+            # volume is itself at rounding level, and can come out <= 0.
+            raise NoBracket(f"probe volume {c * V!r} at v0 = {v0!r} is not positive")
         g = math.log(c * V / m)
         if g == 0.0:
             break

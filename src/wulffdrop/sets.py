@@ -95,7 +95,11 @@ def sliced_set(base_vertices, knots, scales, centers,
     """Build a SlicedSet in the tension's slice dimension N - 1."""
     d = tension.dim - 1
     base_vertices = np.asarray(base_vertices, dtype=float)
+    knots = np.asarray(knots, dtype=float)
+    scales = np.asarray(scales, dtype=float)
     centers = np.asarray(centers, dtype=float).reshape(len(knots), d)
+    if not all(np.isfinite(a).all() for a in (base_vertices, knots, scales, centers)):
+        raise ValueError("base vertices, knots, scales and centers must be finite")
     if d == 1:
         lo, hi = float(base_vertices[0]), float(base_vertices[1])
         if hi <= lo:
@@ -118,8 +122,8 @@ def sliced_set(base_vertices, knots, scales, centers,
         edge_normals=normals,
         edge_supports=supports,
         base_area=area,
-        knots=np.asarray(knots, dtype=float),
-        scales=np.asarray(scales, dtype=float),
+        knots=knots,
+        scales=scales,
         centers=centers,
     )
 

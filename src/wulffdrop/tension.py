@@ -249,11 +249,13 @@ class SurfaceTension:
 def tension_from_config(cfg: dict) -> SurfaceTension:
     """Build a tension from its JSON document (see README for the schema).
 
-    Raises :class:`InvalidTension` for a missing key, an unknown family, a
-    parameter outside its family's range, or a derivative mode other than
-    "closed" (the only one; older documents still name it).
+    Raises :class:`InvalidTension` for a missing key, a non-integral N, an
+    unknown family, a parameter outside its family's range, or a derivative
+    mode other than "closed" (the only one; older documents still name it).
     """
     try:
+        if not float(cfg["N"]).is_integer():
+            raise InvalidTension(f"N must be an integer, got {cfg['N']!r}")
         n = int(cfg["N"])
         phi_cfg = dict(cfg["phi"])
         h_cfg = dict(cfg["h"])

@@ -124,6 +124,13 @@ def test_wulff_subcommand(tension_file, tmp_path):
     assert body["lambda"] == pytest.approx(2.0, abs=1e-9)
     assert len(body["edges"]) == body["m_normals"]
     assert svg.exists()
+    # N = 2: each slice is an interval, with the outer normals -1 and +1.
+    for family, params in (("euclid", {}), ("weighted", {"c": 2.0}), ("pnorm", {"p": 3.0})):
+        path = tmp_path / f"{family}2.json"
+        path.write_text(json.dumps(tension_to_config(make_tension(family, dim=2, **params))))
+        assert run(["wulff", "--tension", str(path), "--out", str(out)]) == 0
+        edges = json.loads(out.read_text())["edges"]
+        assert [edge["normal"] for edge in edges] == [[-1.0], [1.0]]
 
 
 def test_symmetrize_subcommand(tension_file, tmp_path, euclid):
@@ -393,9 +400,14 @@ def test_solve_method_both_deterministic_outputs(tension_file, tmp_path):
      '"h": {"family": "lp", "p": 2.0}}', "finite p >= 1"),
     ('{"N": 3, "phi": {"family": "weighted", "c": Infinity}, '
      '"h": {"family": "lp", "p": 2.0}}', "finite c > 0"),
+    ('{"N": 3.7, "phi": {"family": "euclid"}, "h": {"family": "lp", "p": 2.0}}',
+     "N must be an integer, got 3.7"),
+    ('{"N": Infinity, "phi": {"family": "euclid"}, "h": {"family": "lp", "p": 2.0}}',
+     "N must be an integer, got inf"),
 ], ids=["unknown-family", "truncated", "no-N", "weighted-c-negative",
         "pnorm-p-below-1", "central-difference", "l1reg-eps-nan",
-        "l1reg-eps-1e200", "lp-p-1e300", "pnorm-p-inf", "weighted-c-inf"])
+        "l1reg-eps-1e200", "lp-p-1e300", "pnorm-p-inf", "weighted-c-inf",
+        "N-non-integral", "N-inf"])
 def test_malformed_tension_document_is_a_validation_error(doc, names, tmp_path,
                                                           capsys):
     path = tmp_path / "bad.json"
@@ -409,19 +421,27 @@ def test_malformed_tension_document_is_a_validation_error(doc, names, tmp_path,
     assert not (tmp_path / "p.csv").exists()
 
 
-@pytest.mark.parametrize("case", ["truncated-set", "non-numeric-csv",
+@pytest.mark.parametrize("case", ["truncated-set", "nan-knot-set", "non-numeric-csv",
+                                  "nan-radius-csv", "inf-radius-csv",
                                   "tension-is-directory"])
 def test_malformed_input_file_is_a_validation_error(case, tension_file, tmp_path,
                                                     capsys):
     bad = tmp_path / "bad"
+    set_argv = ["symmetrize", "--tension", tension_file, "--omega", "-0.3", "--set", str(bad)]
+    csv_argv = ["repair", "--tension", tension_file, "--omega", "-0.5", "--profile", str(bad)]
     if case == "truncated-set":
         bad.write_text('{"base_vertices": [[0, 0], [1, 0]')
-        argv = ["symmetrize", "--tension", tension_file, "--omega", "-0.3",
-                "--set", str(bad)]
-    elif case == "non-numeric-csv":
-        bad.write_text("t,r\n0.0,1.0\n0.5,oops\n1.0,0.0\n")
-        argv = ["repair", "--tension", tension_file, "--omega", "-0.5",
-                "--profile", str(bad)]
+        argv = set_argv
+    elif case == "nan-knot-set":
+        bad.write_text(json.dumps({"base_vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                                   "knots": [0.0, float("nan")], "scales": [1.0, 0.5],
+                                   "centers": [[0.0, 0.0], [0.0, 0.0]]}))
+        argv = set_argv
+    elif case.endswith("-csv"):
+        radius = {"non-numeric-csv": "oops", "nan-radius-csv": "nan",
+                  "inf-radius-csv": "inf"}[case]
+        bad.write_text(f"t,r\n0.0,1.0\n0.5,{radius}\n1.0,0.0\n")
+        argv = csv_argv
     else:
         bad.mkdir()
         argv = ["solve", "--tension", str(bad), "--omega", "-0.5",
@@ -540,6 +560,29 @@ def test_shoot_failure_exits_3(tension_file, tmp_path, capsys):
     out = tmp_path / "out"
     code = run(["solve", "--tension", tension_file, "--method", "shoot",
                 "--omega=-0.9", "--mass", "1000", "--out-dir", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: solver failed")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family,k", [
+    ("euclid", 49), ("euclid", 51), ("euclid", 52), ("euclid", 53),
+    ("pnorm3", 50), ("pnorm3", 51), ("pnorm3", 52), ("pnorm3", 53),
+    ("pnorm1.5", 51), ("pnorm1.5", 52), ("pnorm1.5", 53),
+    ("weighted2", 52), ("weighted2", 53)])
+def test_shoot_within_rounding_of_minus_phi_e_n_exits_3(family, k, tmp_path, capsys):
+    # At omega = -(1 - 2^-k) phi(0, 1) a probe's volume comes out <= 0: a
+    # solver failure, not a traceback from the log of the volume.
+    name, params = {"euclid": ("euclid", {}), "pnorm3": ("pnorm", {"p": 3.0}),
+                    "pnorm1.5": ("pnorm", {"p": 1.5}),
+                    "weighted2": ("weighted", {"c": 2.0})}[family]
+    tension = make_tension(name, **params)
+    path = tmp_path / "tension.json"
+    path.write_text(json.dumps(tension_to_config(tension)))
+    out = tmp_path / "out"
+    code = run(["solve", "--tension", str(path), f"--omega={-(1 - 2.0**-k) * tension.f_eN!r}",
+                "--mass", "1", "--out-dir", str(out)])
     assert code == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: solver failed")
