@@ -93,8 +93,13 @@ def crash():
     raise ValueError("no such cell")
 
 
-def test_a_probe_runs_on_its_tree_in_a_fresh_interpreter():
+def test_a_probe_runs_on_its_tree_in_a_fresh_interpreter(monkeypatch, tmp_path):
     path = against_base.probe(str(ROOT), wulffdrop_file)
     assert Path(path) == ROOT / "src" / "wulffdrop" / "__init__.py"
+    # A relative tree holds for a run in another directory, as the CLI's are.
+    monkeypatch.chdir(ROOT)
+    proc = against_base.run(".", ["-c", "import wulffdrop; print(wulffdrop.__file__)"],
+                            cwd=tmp_path, capture_output=True)
+    assert Path(proc.stdout.strip()) == ROOT / "src" / "wulffdrop" / "__init__.py"
     with pytest.raises(RuntimeError, match="crash exited 1: ValueError: no such cell"):
         against_base.probe(str(ROOT), crash)

@@ -38,7 +38,7 @@ def cell(text):
 
 def run(tree, args, **kwargs):
     """``python *args`` in a fresh interpreter that imports wulffdrop from tree."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     return subprocess.run([sys.executable, *args], env=env, text=True, **kwargs)
 
 
