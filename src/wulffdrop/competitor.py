@@ -26,7 +26,7 @@ import numpy as np
 from .errors import HypothesisViolated, InvalidInput, NoBracket
 from ._brent import brentq
 from ._quad import slab_volume
-from .reduced import Profile, lateral_slab_energy, reduced_energy, reduced_volume
+from .reduced import Profile, lateral_energy, reduced_energy, reduced_volume
 from .tension import SurfaceTension
 from .wulff import alpha_table, sorted_distinct
 
@@ -93,8 +93,7 @@ def section_volume(p: Profile, ta: float, tb: float) -> float:
 
 def lateral_energy_between(p: Profile, ta: float, tb: float) -> float:
     """Lateral surface energy of the profile restricted to [ta, tb]."""
-    slabs = lateral_slab_energy(p.tension, p.body.lam, *_section(p, ta, tb))
-    return float(p.body.area * np.sum(slabs))
+    return lateral_energy(p.body, *_section(p, ta, tb))
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +268,8 @@ def compare_surface_energy(e: Profile, params: CompetitorParams):
     quadrature, so the fixed-point case (E itself a cap) compares equal to
     rounding.  The cap is the one the parameter solve sampled.
     """
-    cap = lateral_slab_energy(e.tension, e.body.lam, params.ts, params.rs)
-    return float(e.body.area * np.sum(cap)), lateral_energy_between(e, params.t1, params.t2)
+    return (lateral_energy(e.body, params.ts, params.rs),
+            lateral_energy_between(e, params.t1, params.t2))
 
 
 def _violations(e: Profile):

@@ -15,6 +15,10 @@ The module provides the profile type, exact volume and energy,
 Euler-Lagrange and contact-slope (Young) residuals, and a
 volume-constrained Newton minimizer on the slice measure r^(N-1), whose
 energy carries its analytic gradient and Hessian.
+
+Energies are evaluated over profiles laid end to end in one array pass
+(:func:`profile_energies`); :func:`reduced_energy` is that pass on a block
+of one, and a profile's energy is the same in any block.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .errors import (
 )
 from ._quad import GAUSS_W, GAUSS_X, slab_volume
 from .tension import SurfaceTension
-from .wulff import WulffBody, alpha_table, concavity_defect
+from .wulff import WulffBody, alpha_table, concavity_defect, segment_starts
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,8 +47,8 @@ class EnergyBreakdown:
 
     When the energy is evaluated at a 1-D array of contact coefficients,
     ``Fc`` and ``total`` are arrays with one entry per coefficient.  The
-    energies of a stack of profiles or a block of sets hold arrays with one
-    leading entry per member; :meth:`at` picks one member.
+    energies of a block of profiles or of sets hold arrays with one leading
+    entry per member; :meth:`at` picks one member.
     """
 
     Fs: float
@@ -53,7 +57,7 @@ class EnergyBreakdown:
     total: float | np.ndarray
 
     def at(self, index) -> "EnergyBreakdown":
-        """Entry ``index`` of a stacked breakdown, 0-d values as floats."""
+        """Member ``index`` of a block's breakdown, 0-d values as floats."""
         def pick(x):
             x = np.asarray(x)[index]
             return float(x) if x.ndim == 0 else x
@@ -152,64 +156,62 @@ def reduced_volume(p: Profile) -> float:
     return slab_volume(p.body.area, p.knots, p.r, p.tension.dim - 1)
 
 
-def _gauss_radii(knots: np.ndarray, r: np.ndarray):
-    """Slab widths and the radii at each slab's Gauss nodes (knots on the
-    last axis, stacked profiles on any leading axes)."""
-    dt = np.diff(knots, axis=-1)
-    return dt, r[..., :-1, None] + np.diff(r, axis=-1)[..., None] * GAUSS_X
+def _slabs(body: WulffBody, knots: np.ndarray, r: np.ndarray, n_knots: np.ndarray):
+    """The slabs of profiles of ``n_knots`` knots laid end to end: each
+    slab's profile, left knot, width, radii at its Gauss nodes and lateral
+    energy dt * int r^(N-2) phi(Lambda, -(N-1) r') (Gauss rule); times
+    |K_h| the last is the lateral surface energy."""
+    owner = np.repeat(np.arange(len(n_knots)), n_knots - 1)
+    # Slab j starts at knot j + its profile's index: each profile ends on a knot.
+    lo = np.arange(len(owner)) + owner
+    nm1 = body.tension.dim - 1
+    dt, dr = knots[lo + 1] - knots[lo], r[lo + 1] - r[lo]
+    r_g = r[lo, None] + dr[:, None] * GAUSS_X
+    phi = body.tension.phi.value(body.lam, -nm1 * (dr / dt))
+    return owner, lo, dt, r_g, dt * (GAUSS_W * r_g ** (nm1 - 1)).sum(axis=-1) * phi
 
 
-def lateral_slab_energy(tension: SurfaceTension, lam: float,
-                        knots: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Per-slab lateral energy dt * int r^(N-2) phi(Lambda, -(N-1) r') of
-    the piecewise-linear profile r on knots (Gauss rule); times |K_h| it is
-    the lateral surface energy.  It takes the arrays, not a Profile, so
-    that a cap keeps its own knots (shifting them to start at 0 can move a
-    slab width by an ulp), and profiles stacked on leading axes."""
-    nm1 = tension.dim - 1
-    dt, r_g = _gauss_radii(knots, r)
-    phi = tension.phi.value(lam, -nm1 * (np.diff(r, axis=-1) / dt))
-    return dt * (GAUSS_W * r_g ** (nm1 - 1)).sum(axis=-1) * phi
+def lateral_energy(body: WulffBody, knots: np.ndarray, r: np.ndarray) -> float:
+    """Lateral surface energy of the piecewise-linear profile r on knots,
+    its slabs summed in order as :func:`profile_energies` sums them.  It
+    takes the arrays, not a Profile, so that a cap keeps its own knots
+    (shifting them to start at 0 can move a slab width by an ulp)."""
+    owner, *_, lateral = _slabs(body, knots, r, np.array([len(knots)]))
+    return float(body.area * np.bincount(owner, lateral, 1)[0])
 
 
-def _scalar_power(x, n: int) -> np.ndarray:
-    """x ** n entry by entry in scalar (libm pow) arithmetic, as the end
-    radii of a single profile have always been raised; an array ** 2
-    squares instead, which differs in the last bit for about 1 value in
-    1000."""
-    return np.reshape([float(v) ** n for v in np.ravel(x)], np.shape(x))
-
-
-def stacked_energy(tension: SurfaceTension, body: WulffBody, knots: np.ndarray,
-                   r: np.ndarray, omega) -> EnergyBreakdown:
-    """Energies of the profiles r on knots, stacked on the leading axes.
-
-    ``Fs`` and ``Fp`` have the stack's shape; ``Fc`` and ``total`` too for
-    a scalar ``omega``, with one more axis for a 1-D array of them.  Rows
-    reduce alone, so each entry equals :func:`reduced_energy` of its row.
+def profile_energies(body: WulffBody, knots: np.ndarray, r: np.ndarray,
+                     n_knots: np.ndarray, omega) -> EnergyBreakdown:
+    """Energies of profiles r on knots laid end to end, ``n_knots`` knots
+    each, in one array pass over all their slabs, shaped as
+    ``sets.block_energy``'s result.  ``np.bincount`` sums each profile's
+    slabs in its own order, so its energy does not depend on the rest of
+    the block; a one-knot profile, with no slabs, gets the empty sum 0.
     """
-    nm1, area = tension.dim - 1, body.area
-    fs = area * np.sum(lateral_slab_energy(tension, body.lam, knots, r), axis=-1)
-    top = r[..., -1]
-    fs = np.where(top > 0, fs + tension.f_eN * area * _scalar_power(top, nm1), fs)
-    dt, r_g = _gauss_radii(knots, r)
-    t_g = knots[..., :-1, None] + dt[..., None] * GAUSS_X
-    fp = area * np.sum(dt * (GAUSS_W * t_g * r_g**nm1).sum(axis=-1), axis=-1)
+    tension, area = body.tension, body.area
+    nm1, count, first = tension.dim - 1, len(n_knots), segment_starts(n_knots)
+    owner, lo, dt, r_g, lateral = _slabs(body, knots, r, n_knots)
+    bottom, top = r[first], r[first + n_knots - 1]
+    fs = area * np.bincount(owner, lateral, count)
+    fs = np.where(top > 0, fs + tension.f_eN * area * top ** nm1, fs)
+    t_g = knots[lo, None] + dt[:, None] * GAUSS_X
+    fp = area * np.bincount(owner, dt * (GAUSS_W * t_g * r_g**nm1).sum(axis=-1), count)
     # One column per contact coefficient when omega is an array.
-    col = (lambda x: x[..., None]) if np.ndim(omega) else (lambda x: x)
-    fc = omega * area * col(_scalar_power(r[..., 0], nm1))
+    col = (lambda x: x[:, None]) if np.ndim(omega) else (lambda x: x)
+    fc = omega * area * col(bottom ** nm1)
     return EnergyBreakdown(Fs=fs, Fc=fc, Fp=fp, total=col(fs) + fc + col(fp))
 
 
 def reduced_energy(p: Profile, omega: Optional[float] = None) -> EnergyBreakdown:
-    """Energy of the symmetric candidate (absolute, i.e. times |K_h|).
+    """Energy of the symmetric candidate (absolute, i.e. times |K_h|):
+    :func:`profile_energies` on a block of one.
 
     ``omega`` may be a 1-D array: the surface and potential terms are then
     computed once, and ``Fc`` and ``total`` are arrays equal entry for entry
     to the scalar calls.
     """
     om = _resolve_omega(p, omega)
-    return stacked_energy(p.tension, p.body, p.knots, p.r, om).at(())
+    return profile_energies(p.body, p.knots, p.r, np.array([len(p.knots)]), om).at(0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,15 @@ symmetrization.
 Energies are evaluated over a :class:`SetBlock`, many sets laid end to end
 in one array pass per tension, its (slab, edge) terms as one dense
 rectangle per edge count; :func:`energy` is that pass on a block of one,
-and a set's energy is the same in any block.  Random sets are drawn as a
-block too (:func:`random_set_block`), in the order of as many
+and a set's energy is the same in any block.  The block's rearranged
+profiles are evaluated by one ``reduced.profile_energies`` pass over the
+block's own knots and scales (:func:`symmetrized_energy`).  Random sets are
+drawn as a block too (:func:`random_set_block`), in the order of as many
 :func:`random_sliced_set` calls.  The symmetrization suite
 (``checks.suite_symmetrization``) draws and evaluates its sets in blocks.
+
+A set is evaluated only under a tension, or onto a body, of its own slice
+dimension N - 1; any other pairing raises :class:`InvalidInput`.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionUnsupported, EmptySlice, IndexOutOfRange
+from . import reduced
+from .errors import DimensionUnsupported, EmptySlice, IndexOutOfRange, InvalidInput
 from ._quad import slab_volume
 from .reduced import (
     EnergyBreakdown,
@@ -38,8 +44,7 @@ from .reduced import (
     GAUSS_X,
     Profile,
     check_omega,
-    lateral_slab_energy,
-    stacked_energy,
+    lateral_energy,
 )
 from .tension import SurfaceTension
 from .wulff import (
@@ -192,12 +197,6 @@ class SetBlock:
                 split(self.knots, self.n_knots), split(self.scales, self.n_knots),
                 split(self.centers, self.n_knots)))
 
-    @cached_property
-    def profiles(self) -> tuple:
-        """(members, knots, scales) for each knot count, the paths stacked."""
-        return tuple((members, self.knots[rows], self.scales[rows])
-                     for members, rows in count_groups(self.n_knots))
-
 
 def _layout(d, n_edges, base_vertices, edge_lengths, edge_normals,
             edge_supports, area, n_knots, knots, scales, centers) -> SetBlock:
@@ -263,6 +262,13 @@ def set_block(sets) -> SetBlock:
         cat("centers"))
 
 
+def _check_dim(d: int, tension: SurfaceTension) -> None:
+    """Raise InvalidInput unless the tension's slice dimension N - 1 is d."""
+    if d != tension.dim - 1:
+        raise InvalidInput(f"a set of slice dimension {d} under a tension of "
+                           f"slice dimension N - 1 = {tension.dim - 1}")
+
+
 def _slab_lateral(blk: SetBlock, tension: SurfaceTension) -> np.ndarray:
     """Lateral surface energy of every slab of the block (Gauss rule)."""
     h, coef = tension.h.value(blk.edge_normals), np.empty(len(blk.dt))
@@ -278,6 +284,7 @@ def block_energy(blk: SetBlock, tension: SurfaceTension, omega) -> EnergyBreakdo
     ``Fs`` and ``Fp`` hold one entry per set; ``Fc`` and ``total`` too for
     a scalar ``omega``, and one row per set for a 1-D array of them.
     """
+    _check_dim(blk.d, tension)
     check_omega(tension, omega)
     fs = np.bincount(blk.slab_set, _slab_lateral(blk, tension), len(blk))
     fs = np.where(blk.top > 0, fs + tension.f_eN * blk.top ** blk.d * blk.area, fs)
@@ -316,6 +323,7 @@ def symmetrize(s: SlicedSet, body: WulffBody,
     homothetic slice families used here the rearranged profile is again
     piecewise linear, so the volume is preserved exactly.
     """
+    _check_dim(s.d, body.tension)
     return Profile(
         knots=s.knots.copy(),
         r=s.scales * _wulff_ratio(s.base_area, s.d, body),
@@ -326,19 +334,15 @@ def symmetrize(s: SlicedSet, body: WulffBody,
 
 def symmetrized_energy(blk: SetBlock, body: WulffBody, omega) -> EnergyBreakdown:
     """``reduced_energy(symmetrize(s, body), omega)`` for every set of the
-    block, shaped as :func:`block_energy`'s result.  Profiles with equal
-    knot counts are evaluated as one stack."""
+    block, shaped as :func:`block_energy`'s result: one
+    :func:`reduced.profile_energies` pass over the block's rearranged
+    profiles."""
+    _check_dim(blk.d, body.tension)
     check_omega(body.tension, omega)
-    omega = np.asarray(omega, dtype=float)
-    n_sets, cols = len(blk), omega.shape
-    out = {"Fs": np.empty(n_sets), "Fc": np.empty((n_sets,) + cols),
-           "Fp": np.empty(n_sets), "total": np.empty((n_sets,) + cols)}
-    ratio = np.array([_wulff_ratio(a, blk.d, body) for a in blk.area.tolist()])
-    for idx, knots, scales in blk.profiles:
-        e = stacked_energy(body.tension, body, knots, scales * ratio[idx, None], omega)
-        for name, arr in out.items():
-            arr[idx] = getattr(e, name)
-    return EnergyBreakdown(**out)
+    ratio = [_wulff_ratio(a, blk.d, body) for a in blk.area.tolist()]
+    return reduced.profile_energies(body, blk.knots,
+                                    blk.scales * np.repeat(ratio, blk.n_knots),
+                                    blk.n_knots, np.asarray(omega, dtype=float))
 
 
 def jensen_gap(s: SlicedSet, slab_index: int, body: WulffBody) -> float:
@@ -350,12 +354,12 @@ def jensen_gap(s: SlicedSet, slab_index: int, body: WulffBody) -> float:
     rounding) exactly when the slab's slices are homothetic dilates of K_h
     whose effective center does not drift.
     """
+    _check_dim(s.d, body.tension)
     if not (0 <= slab_index < len(s.knots) - 1):
         raise IndexOutOfRange(f"slab index {slab_index} out of range")
     orig = _slab_lateral(set_block([s]), body.tension)[slab_index]
     p, slab = symmetrize(s, body), slice(slab_index, slab_index + 2)
-    symm = lateral_slab_energy(body.tension, body.lam, p.knots[slab], p.r[slab])[0]
-    return float(orig - body.area * symm)
+    return float(orig - lateral_energy(body, p.knots[slab], p.r[slab]))
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +372,7 @@ def barycenter_path(s: SlicedSet, body: WulffBody):
     Returns (centers, drift) where drift = max_t |beta(t) - beta(t_0)|.
     Requires positive slice measure at every knot.
     """
+    _check_dim(s.d, body.tension)
     if np.any(s.scales <= 0):
         raise EmptySlice("barycenter undefined on empty slices")
     r = s.scales * _wulff_ratio(s.base_area, s.d, body)

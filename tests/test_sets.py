@@ -230,6 +230,51 @@ def test_suite_symmetrization_reports_violations_in_trial_order(monkeypatch):
     assert all(e_symm > e_orig for *_, e_orig, e_symm in found)
 
 
+def test_suite_symmetrization_makes_one_profile_pass_per_block_and_tension(monkeypatch):
+    # 300 trials are a block of 256 sets and one of 44; each is evaluated
+    # under three tensions.
+    passes = []
+    one_pass = reduced.profile_energies
+
+    def counted(body, knots, r, n_knots, omega):
+        passes.append(len(n_knots))
+        return one_pass(body, knots, r, n_knots, omega)
+
+    monkeypatch.setattr(reduced, "profile_energies", counted)
+    assert checks.suite_symmetrization(0, trials=300)["passed"]
+    assert sorted(passes) == [44] * 3 + [256] * 3
+
+
+@pytest.mark.parametrize("call", ["symmetrize", "symmetrized_energy", "jensen_gap",
+                                  "barycenter_path", "block_energy", "energy"])
+@pytest.mark.parametrize("set_dim", [1, 2])
+def test_a_set_of_another_slice_dimension_is_an_input_error(call, set_dim):
+    # A set is evaluated under a tension, or onto a body, of N = set_dim + 1
+    # only: the rearrangement onto a body of another dimension would not
+    # keep the set's volume.
+    t2, t3 = make_tension("euclid", dim=2), make_tension("euclid")
+    if set_dim == 1:
+        s = sets.sliced_set([-1.0, 1.0], [0.0, 1.0], [1.0, 0.5], np.zeros((2, 1)), t2)
+        other = t3
+    else:
+        s = sets.sliced_set(build_wulff_body(t3, 1024).geometry, [0.0, 1.0], [1.0, 0.5],
+                            np.zeros((2, 2)), t3)
+        other = t2
+    body = build_wulff_body(other, 1024)
+    calls = {
+        "symmetrize": lambda: sets.symmetrize(s, body),
+        "symmetrized_energy": lambda: sets.symmetrized_energy(sets.set_block([s]), body,
+                                                              -0.3),
+        "jensen_gap": lambda: sets.jensen_gap(s, 0, body),
+        "barycenter_path": lambda: sets.barycenter_path(s, body),
+        "block_energy": lambda: sets.block_energy(sets.set_block([s]), other, -0.3),
+        "energy": lambda: sets.energy(s, other, -0.3),
+    }
+    with pytest.raises(InvalidInput, match=rf"slice dimension {set_dim} .* "
+                                           rf"N - 1 = {other.dim - 1}"):
+        calls[call]()
+
+
 SET_FIELDS = ("base_vertices", "edge_lengths", "edge_normals", "edge_supports",
               "knots", "scales", "centers")
 

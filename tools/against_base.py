@@ -53,14 +53,20 @@ def probe(tree, fn):
     return json.loads(proc.stdout)
 
 
-# omega = -0.5 phi(0, 1) for each family.
-FAMILIES = {"euclid": ({"family": "euclid"}, -0.5),
-            "pnorm3": ({"family": "pnorm", "p": 3.0}, -0.5),
-            "weighted2": ({"family": "weighted", "c": 2.0}, -0.5 * 2.0 ** 0.5)}
+# (N, phi, omega = -0.5 phi(0, 1)) of each family.  The N = 2 family runs
+# the slice-dimension-1 paths: interval bodies, sets and profiles.
+FAMILIES = {"euclid": (3, {"family": "euclid"}, -0.5),
+            "pnorm3": (3, {"family": "pnorm", "p": 3.0}, -0.5),
+            "weighted2": (3, {"family": "weighted", "c": 2.0}, -0.5 * 2.0 ** 0.5),
+            "euclid-N2": (2, {"family": "euclid"}, -0.5)}
+# The sliced-set document symmetrized under an N-dimensional tension.
+SET_DOCS = {3: "sliced-set.json", 2: "interval-set.json"}
+# `wulff --svg` draws polygon bodies only, so an N = 2 family has no body SVG.
 OUTPUTS = ["check.json", "check.stdout", "check-seed1.json", "check-seed1.stdout"] + [
-    fam + ext for fam in FAMILIES
+    fam + ext for fam, (n, *_) in FAMILIES.items()
     for ext in (".json", ".csv", "-direct.csv", ".svg", "-body.json", "-body.svg",
-                "-repair.json", "-repaired.csv", "-symmetrize.json", "-symmetrized.csv")]
+                "-repair.json", "-repaired.csv", "-symmetrize.json", "-symmetrized.csv")
+    if n == 3 or ext != "-body.svg"]
 
 
 def verdict(tmp, name):
@@ -99,23 +105,25 @@ def cli_outputs(trees):
         with open(os.path.join(tmp, "dent.csv"), "w") as handle:
             handle.write("t,r\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(t, r)))
         # A sliced set on a 12-edge elliptic base over 9 knots, with drifting
-        # centers and an empty slice at the fifth knot.
+        # centers and an empty slice at the fifth knot; for N = 2, the same
+        # paths over the base interval (lo, hi).
         theta = 2.0 * np.pi * np.arange(12) / 12.0 + 0.1
-        with open(os.path.join(tmp, "sliced-set.json"), "w") as handle:
-            json.dump({"base_vertices": np.stack([1.3 * np.cos(theta),
-                                                  0.8 * np.sin(theta)], axis=1).tolist(),
-                       "knots": [0.2 * k + 0.01 * k * k for k in range(9)],
-                       "scales": [1.0, 0.95, 0.9, 0.8, 0.0, 0.6, 0.45, 0.3, 0.1],
-                       "centers": [[0.05 * k, 0.01 * k * k - 0.03 * k] for k in range(9)]},
-                      handle)
+        paths = {"knots": [0.2 * k + 0.01 * k * k for k in range(9)],
+                 "scales": [1.0, 0.95, 0.9, 0.8, 0.0, 0.6, 0.45, 0.3, 0.1]}
+        for n, base, centers in (
+                (3, np.stack([1.3 * np.cos(theta), 0.8 * np.sin(theta)], axis=1).tolist(),
+                 [[0.05 * k, 0.01 * k * k - 0.03 * k] for k in range(9)]),
+                (2, [-0.7, 1.1], [[0.05 * k - 0.004 * k * k] for k in range(9)])):
+            with open(os.path.join(tmp, SET_DOCS[n]), "w") as handle:
+                json.dump({"base_vertices": base, **paths, "centers": centers}, handle)
         # Each command runs in <tmp>/<side>, with its stdout in <tag>.stdout;
         # the inputs are in <tmp>.
         commands = {"check": "check --seed 0 --report check.json",
                     "check-seed1": "check --seed 1 --report check-seed1.json"}
         invalid = {}
-        for fam, (phi, omega) in FAMILIES.items():
+        for fam, (n, phi, omega) in FAMILIES.items():
             with open(os.path.join(tmp, fam + ".json"), "w") as handle:
-                json.dump({"N": 3, "phi": phi, "h": {"family": "lp", "p": 2.0}}, handle)
+                json.dump({"N": n, "phi": phi, "h": {"family": "lp", "p": 2.0}}, handle)
             tension = f"--tension ../{fam}.json"
             commands[fam] = (f"solve {tension} --omega={omega!r} --mass 1 --method both "
                              f"--out {fam}.csv --report {fam}.json --plot {fam}.svg")
@@ -123,7 +131,7 @@ def cli_outputs(trees):
             commands[fam + "-repair"] = (f"repair {tension} --omega=-0.5 --profile ../dent.csv "
                                          f"--out {fam}-repaired.csv --report {fam}-repair.json")
             commands[fam + "-symmetrize"] = (
-                f"symmetrize {tension} --omega={omega!r} --set ../sliced-set.json "
+                f"symmetrize {tension} --omega={omega!r} --set ../{SET_DOCS[n]} "
                 f"--out {fam}-symmetrized.csv --report {fam}-symmetrize.json")
             # Invalid inputs: omega = 1.5 phi(0, 1) outside the admissible
             # interval, omega > 0 outside the graph regime of the shoot half of
