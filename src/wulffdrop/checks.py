@@ -496,8 +496,11 @@ SEEDED = ("symmetrization", "jensen", "convexity-repair", "barycenter", "gradien
 
 def run_suites(names=None, seed: int = DEFAULT_SEED, trials=None) -> dict:
     """Run the named suites (all by default) into ``{name: result}``, in run
-    order, each timed into its ``details["seconds"]``.  ``trials`` below 1
-    raises InvalidInput before any suite runs."""
+    order, each timed into its ``details["seconds"]``.  A negative ``seed``,
+    or ``trials`` below 1, raises InvalidInput before any suite runs, also
+    when no suite named would read it."""
+    if seed < 0:
+        raise InvalidInput(f"seed must be at least 0, got {seed}")
     if trials is not None:
         _check_trials(trials)
     results = {}

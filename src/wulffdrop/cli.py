@@ -235,12 +235,14 @@ def cmd_wulff(args) -> int:
         "m_normals": body.m_normals,
     }
     write_json(args.out or _out_path(args, "body.json"), out)
-    if args.svg and body.d == 2:
+    if args.svg:
+        # A polygon is drawn closed, an interval as a segment on the x axis.
         verts = np.asarray(body.geometry)
-        closed = np.vstack([verts, verts[:1]])
+        path = (np.vstack([verts, verts[:1]]) if body.d == 2
+                else np.column_stack([verts, np.zeros(2)]))
         r_max = float(np.max(np.abs(verts))) or 1.0
         scale = 280.0 / r_max
-        points = " ".join(f"{x:.12g},{y:.12g}" for x, y in closed)
+        points = " ".join(f"{x:.12g},{y:.12g}" for x, y in path)
         _atomic_write(args.svg, _svg(300, scale, points))
     return 0
 

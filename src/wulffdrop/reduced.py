@@ -367,10 +367,9 @@ class _SliceMeasureFunctional:
         dt = self.dxi * t_top
         slope = np.diff(rho) / dt
         rho_g = rho[:-1, None] + np.diff(rho)[:, None] * GAUSS_X[None, :]
-        dead = (rho[:-1] == 0.0) & (rho[1:] == 0.0)
         a_g = self.lam * rho_g**self.beta
         b_g = np.broadcast_to((-slope)[:, None], a_g.shape)
-        return dt, slope, rho_g, dead, a_g, b_g
+        return dt, slope, rho_g, a_g, b_g
 
     def _energy(self, rho, t_top, dt, rho_g, phi_g):
         area = self.body.area
@@ -383,10 +382,8 @@ class _SliceMeasureFunctional:
         return fs + fc + fp, fs, fc, fp
 
     def energy(self, rho, t_top):
-        dt, slope, rho_g, dead, a_g, b_g = self.pieces(rho, t_top)
-        phi_g = self.tension.phi.value(a_g, b_g)
-        phi_g[dead] = 0.0
-        return self._energy(rho, t_top, dt, rho_g, phi_g)
+        dt, slope, rho_g, a_g, b_g = self.pieces(rho, t_top)
+        return self._energy(rho, t_top, dt, rho_g, self.tension.phi.value(a_g, b_g))
 
     def volume(self, rho, t_top):
         return float(self.body.area * t_top
@@ -401,32 +398,22 @@ class _SliceMeasureFunctional:
         bilinear in (rho, T), so its only second derivative is
         d2V/drho dT = gv_rho / T.
         """
-        dt, slope, rho_g, dead, a_g, b_g = self.pieces(rho, t_top)
+        dt, slope, rho_g, a_g, b_g = self.pieces(rho, t_top)
         area = self.body.area
         phi = self.tension.phi
-        live = ~dead
 
         phi_g = phi.value(a_g, b_g)
-        d1_g = np.zeros_like(a_g)
-        d2_g = np.zeros_like(a_g)
-        k_g = np.zeros_like(a_g)
-        if live.any():
-            a_live, b_live = a_g[live], b_g[live]
-            d1_g[live] = phi.d1(a_live, b_live)
-            d2_g[live] = phi.d2(a_live, b_live)
-            k_g[live] = phi.kappa(a_live, b_live)
-        phi_g[dead] = 0.0
+        b_c = np.ascontiguousarray(b_g)  # for the ufuncs' contiguous loops
+        d1_g, d2_g, k_g = phi.d1(a_g, b_c), phi.d2(a_g, b_c), phi.kappa(a_g, b_c)
 
         # Value channel dA/drho_g = Lambda beta rho^(beta-1) and its
         # derivative; d1 * dA stays bounded through the apex because d1
-        # vanishes with its first argument, and Gauss nodes of live cells
+        # vanishes with its first argument.  Every cell has a positive end
+        # (the iterate is positive below its top knot), so its Gauss nodes
         # have rho_g > 0 strictly.
         if self.beta > 0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                u_g = self.lam * self.beta * rho_g ** (self.beta - 1.0)
-                du_g = (self.beta - 1.0) * u_g / rho_g
-            u_g[dead] = 0.0
-            du_g[dead] = 0.0
+            u_g = self.lam * self.beta * rho_g ** (self.beta - 1.0)
+            du_g = (self.beta - 1.0) * u_g / rho_g
         else:
             u_g = du_g = np.zeros_like(a_g)
         vchan = d1_g * u_g

@@ -1,10 +1,13 @@
 """Discrete generalized axially-sliced sets and their exact drop energy.
 
-A :class:`SlicedSet` stacks homothetic copies of one convex base polygon S:
-the slice at height t is a(t) S + beta(t) with a piecewise-linear scale path
-a and center path beta over strictly increasing knots starting at 0.  For
-such sets the lateral surface integrand is exact per edge: the support plane
-of edge e moves with normal velocity beta'.n_e + a' sigma_e, so the energy
+A :class:`SlicedSet` stacks homothetic copies of one convex base S, a
+polygon for N = 3 or an interval for N = 2: the slice at height t is
+a(t) S + beta(t) with a piecewise-linear scale path a and center path beta
+over strictly increasing knots starting at 0.  The base enters through its
+faces, from the same ``wulff.slice_faces`` as a Wulff body's: a polygon's
+edges, or an interval's two end points.  For such sets the lateral surface
+integrand is exact per face ("edge"): the support plane of edge e moves
+with normal velocity beta'.n_e + a' sigma_e, so the energy
 
     F = F_s + omega * (wetted area) + int_E x_N
 
@@ -51,21 +54,22 @@ from .wulff import (
     WulffBody,
     active_constraints,
     count_groups,
-    polygon_area,
     polygon_areas,
     polygon_block,
     polygon_edges,
     segment_starts,
     slice_centroid,
+    slice_faces,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class SlicedSet:
-    """Stacked homothetic slices of a convex base polygon.
+    """Stacked homothetic slices of a convex base.
 
     d = 2: ``base_vertices`` is the CCW vertex array of S.
-    d = 1: ``base_vertices`` is the pair (lo, hi) of interval endpoints.
+    d = 1: ``base_vertices`` is the pair (lo, hi) of interval endpoints,
+    whose edges are its two end points.
     The set is pure geometry: an energy takes each edge's h from the
     tension it is evaluated with.
     """
@@ -97,7 +101,8 @@ class SlicedSet:
 
 def sliced_set(base_vertices, knots, scales, centers,
                tension: SurfaceTension) -> SlicedSet:
-    """Build a SlicedSet in the tension's slice dimension N - 1."""
+    """Build a SlicedSet in the tension's slice dimension N - 1; a base of
+    another dimension or of no positive measure raises ValueError."""
     d = tension.dim - 1
     base_vertices = np.asarray(base_vertices, dtype=float)
     knots = np.asarray(knots, dtype=float)
@@ -105,21 +110,10 @@ def sliced_set(base_vertices, knots, scales, centers,
     centers = np.asarray(centers, dtype=float).reshape(len(knots), d)
     if not all(np.isfinite(a).all() for a in (base_vertices, knots, scales, centers)):
         raise ValueError("base vertices, knots, scales and centers must be finite")
-    if d == 1:
-        lo, hi = float(base_vertices[0]), float(base_vertices[1])
-        if hi <= lo:
-            raise ValueError("interval base must have positive length")
-        lengths = np.array([1.0, 1.0])
-        normals = np.array([[-1.0], [1.0]])
-        supports = np.array([-lo, hi])
-        area = hi - lo
-    elif d == 2:
-        lengths, normals, supports = polygon_edges(base_vertices)
-        area = polygon_area(base_vertices)
-        if area <= 0:
-            raise ValueError("base polygon must be CCW with positive area")
-    else:
-        raise DimensionUnsupported(f"slice dimension {d} unsupported")
+    lengths, normals, supports, area = slice_faces(base_vertices)
+    if normals.shape[1] != d or not area > 0:
+        raise ValueError(f"the base must have positive measure in N - 1 = {d} "
+                         "dimensions: an interval lo < hi or a CCW polygon")
     return SlicedSet(
         d=d,
         base_vertices=base_vertices,

@@ -1,14 +1,16 @@
 """Wulff bodies of slice norms and the vertical profile of the full shape.
 
 The slice Wulff body K_h in R^(N-1) is the intersection of the half planes
-{x'.nu < h(nu)} over unit normals nu.  For d = 2 it is realized as a convex
-polygon from M evenly spread normals; every edge then lies on one of its
-support lines, so the triangle fan from the origin gives the exact identity
+{x'.nu < h(nu)} over unit normals nu: the interval [-h(-1), h(1)] for
+d = 1, and for d = 2 a convex polygon realized from M evenly spread
+normals.  Both are read through their faces (``slice_faces``: the
+interval's two end points, the polygon's edges), each on a support plane,
+so one path gives P_h(K_h) and the cone from the origin the exact identity
 
     P_h(K_h) = d * |K_h|,   i.e.   Lambda = d,
 
-for the polygon itself (the polygon approximates K_h from outside at rate
-O(1/M^2) for smooth h).
+for the interval and for the polygon itself (the polygon approximates K_h
+from outside at rate O(1/M^2) for smooth h).
 
 The polygon {x : nu_j.x <= c_j} with all c_j > 0 is the polar of the
 convex hull of the points nu_j / c_j.  The normals come in CCW angular
@@ -61,12 +63,12 @@ _COLLINEAR_RTOL = 4.0 * float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class WulffBody:
-    """Polytopal slice Wulff body with per-edge data.
+    """Polytopal slice Wulff body with per-face ("edge") data.
 
     ``geometry`` is the CCW vertex array of shape (k, 2) for d = 2, or the
-    interval endpoints (lo, hi) for d = 1.  Edge arrays are aligned: edge i
-    runs from vertex i to vertex i+1.  Bodies are cached and shared, so
-    every array is read-only.
+    interval endpoints (lo, hi) for d = 1, whose edges are lo and hi.  Edge
+    arrays are aligned: edge i runs from vertex i to vertex i+1.  Bodies
+    are cached and shared, so every array is read-only.
     """
 
     d: int
@@ -156,6 +158,17 @@ def slice_centroid(geometry: np.ndarray) -> np.ndarray:
         return np.array([0.5 * (geometry[0] + geometry[1])])
     w, cr = _shoelace(geometry, [len(geometry)])
     return (geometry + w).T @ cr / (3.0 * np.sum(cr))
+
+
+def slice_faces(geometry: np.ndarray):
+    """(face measures, unit outward normals, supports, measure) of a slice
+    shape given as to :func:`slice_centroid`: an interval (lo, hi) has its
+    end points as faces, of measure 1; a CCW polygon has its edges and its
+    signed area."""
+    if geometry.ndim == 1:
+        lo, hi = float(geometry[0]), float(geometry[1])
+        return np.ones(2), np.array([[-1.0], [1.0]]), np.array([-lo, hi]), hi - lo
+    return (*polygon_edges(geometry), polygon_area(geometry))
 
 
 def polygon_edges(poly: np.ndarray, counts=None):
@@ -269,44 +282,30 @@ def halfplane_polygon(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def build_wulff_body(tension: SurfaceTension, m_normals: int = 1024) -> WulffBody:
-    """Construct K_h from m_normals evenly spread support planes."""
+    """Construct K_h, read through its faces: the interval [-h(-1), h(1)]
+    for d = 1, the polygon of m_normals evenly spread support planes for d = 2."""
     d = tension.dim - 1
     if d == 1:
-        h_neg = float(tension.h.value(np.array([-1.0])))
-        h_pos = float(tension.h.value(np.array([1.0])))
-        measure = h_pos + h_neg
-        return WulffBody(
-            d=1,
-            geometry=np.array([-h_neg, h_pos]),
-            edge_lengths=np.array([1.0, 1.0]),
-            edge_normals=np.array([[-1.0], [1.0]]),
-            edge_h=np.array([h_neg, h_pos]),
-            edge_supports=np.array([h_neg, h_pos]),
-            area=measure,
-            aniso_perimeter=measure,
-            lam=1.0,
-            m_normals=m_normals,
-            tension=tension,
-        )
-    if d != 2:
+        h_neg, h_pos = tension.h.value(np.array([[-1.0], [1.0]])).tolist()
+        geometry = np.array([-h_neg, h_pos])
+    elif d != 2:
         raise DimensionUnsupported(f"slice dimension {d} unsupported (need 1 or 2)")
-    if m_normals < 8:
+    elif m_normals < 8:
         raise InvalidInput(f"need at least 8 normals for a 2-D body, got {m_normals}")
-    theta = 2.0 * math.pi * np.arange(m_normals) / m_normals
-    normals = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    offsets = tension.h.value(normals)
-    try:
-        poly = halfplane_polygon(normals, offsets)
-    except ValueError as exc:
-        raise InvalidTension(f"slice norm {tension.h} has no Wulff polygon: "
-                             f"{exc}") from exc
-    lengths, edge_normals, supports = polygon_edges(poly)
+    else:
+        theta = 2.0 * math.pi * np.arange(m_normals) / m_normals
+        normals = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        try:
+            geometry = halfplane_polygon(normals, tension.h.value(normals))
+        except ValueError as exc:
+            raise InvalidTension(f"slice norm {tension.h} has no Wulff polygon: "
+                                 f"{exc}") from exc
+    lengths, edge_normals, supports, area = slice_faces(geometry)
     edge_h = tension.h.value(edge_normals)
-    area = polygon_area(poly)
     perim = float(np.sum(lengths * edge_h))
     return WulffBody(
-        d=2,
-        geometry=poly,
+        d=d,
+        geometry=geometry,
         edge_lengths=lengths,
         edge_normals=edge_normals,
         edge_h=edge_h,

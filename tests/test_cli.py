@@ -1,9 +1,12 @@
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -13,6 +16,12 @@ from wulffdrop import checks, cli, competitor, reduced, sets
 from wulffdrop.errors import NonConvergence
 from wulffdrop.tension import ScaledPNorm, make_tension, tension_to_config
 from wulffdrop.wulff import build_wulff_body
+
+# tools/against_base.py, for the timing-field rule of two check summaries.
+_spec = importlib.util.spec_from_file_location(
+    "against_base", Path(__file__).resolve().parents[1] / "tools" / "against_base.py")
+against_base = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(against_base)
 
 
 @pytest.fixture()
@@ -131,6 +140,20 @@ def test_wulff_subcommand(tension_file, tmp_path):
         assert run(["wulff", "--tension", str(path), "--out", str(out)]) == 0
         edges = json.loads(out.read_text())["edges"]
         assert [edge["normal"] for edge in edges] == [[-1.0], [1.0]]
+
+
+@pytest.mark.parametrize("h", [{"family": "lp", "p": 2.0}, {"family": "l1reg", "eps": 0.05}])
+def test_wulff_svg_draws_an_interval_body(h, tmp_path):
+    # N = 2: the body [lo, hi] is drawn as one segment through (lo, 0) and (hi, 0).
+    path = tmp_path / "tension.json"
+    path.write_text(json.dumps({"N": 2, "phi": {"family": "euclid"}, "h": h}))
+    out, svg = tmp_path / "body.json", tmp_path / "body.svg"
+    assert run(["wulff", "--tension", str(path), "--out", str(out), "--svg", str(svg)]) == 0
+    lo, hi = json.loads(out.read_text())["vertices"]
+    lines = ElementTree.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}polyline")
+    (line,) = lines
+    points = [float(x) for p in line.get("points").split() for x in p.split(",")]
+    assert points == pytest.approx([lo, 0.0, hi, 0.0], rel=1e-11)
 
 
 def test_symmetrize_subcommand(tension_file, tmp_path, euclid):
@@ -455,6 +478,26 @@ def test_malformed_input_file_is_a_validation_error(case, tension_file, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n,base", [
+    (2, [1.0, 1.0]), (2, [1.0, -1.0]), (3, [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
+    (2, [[-1.0, -1.0], [1.0, -1.0], [0.0, 1.0]]), (3, [-1.0, 1.0]),
+], ids=["empty-interval", "reversed-interval", "clockwise-triangle",
+        "triangle-under-N2", "interval-under-N3"])
+def test_an_invalid_set_base_is_a_validation_error(n, base, tmp_path, capsys):
+    # The base must be an interval lo < hi for N = 2 and a CCW polygon for N = 3.
+    tension, doc = tmp_path / "tension.json", tmp_path / "set.json"
+    tension.write_text(json.dumps(tension_to_config(make_tension("euclid", dim=n))))
+    doc.write_text(json.dumps({"base_vertices": base, "knots": [0.0, 1.0],
+                               "scales": [1.0, 0.5], "centers": [[0.0] * (n - 1)] * 2}))
+    out = tmp_path / "out"
+    assert run(["symmetrize", "--tension", str(tension), "--omega=-0.3",
+                "--set", str(doc), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"{doc} is not a valid sliced-set document" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,names", [
     (["sweep", "--omegas=-0.5,abc", "--mass", "1.0"], "'abc'"),
     (["sweep", "--omegas=-0.5", "--mass", "-1"], "mass must be positive"),
@@ -494,6 +537,10 @@ def test_bad_flags_are_validation_errors(argv, names, tension_file, tmp_path,
      "trials must be at least 1, got 0"),
     (["check", "--suite", "symmetrization", "--trials", "-1"],
      "trials must be at least 1, got -1"),
+    (["check", "--seed", "-1"], "seed must be at least 0, got -1"),
+    # wulff-identity draws nothing, and the seed is still checked.
+    (["check", "--suite", "wulff-identity", "--seed", "-1"],
+     "seed must be at least 0, got -1"),
     (["solve", "--omega=-0.5", "--mass", "1", "--method", "direct",
       "--max-iter", "0"], "max_iter must be at least 1"),
     (["repair", "--omega=-0.5", "--epsilon", "0"], "epsilon must be positive"),
@@ -506,7 +553,8 @@ def test_bad_flags_are_validation_errors(argv, names, tension_file, tmp_path,
      "--max-repairs must be at least 0"),
 ], ids=["solve-direct-infinite-mass", "solve-nan-mass", "sweep-nan-mass",
         "sweep-infinite-mass", "direct-grid-size-0", "direct-grid-size-1",
-        "check-zero-trials", "check-negative-trials", "direct-max-iter-0",
+        "check-zero-trials", "check-negative-trials", "check-negative-seed",
+        "check-negative-seed-unseeded-suite", "direct-max-iter-0",
         "repair-zero-epsilon", "repair-negative-epsilon", "repair-nan-epsilon",
         "repair-zero-epsilon-no-repairs",
         "repair-negative-max-repairs"])
@@ -629,11 +677,12 @@ def test_nan_slope_shoot_exits_3(tension_file, tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def run_python_process(code, argv, timeout):
+def run_python_process(code, argv, timeout, **env_vars):
     """``python -c code *argv`` in a fresh interpreter that imports this
-    wulffdrop, under a wall-clock bound, so that a hang fails the test
-    (subprocess.TimeoutExpired) instead of stalling the suite."""
-    env = dict(os.environ)
+    wulffdrop, with ``env_vars`` set, under a wall-clock bound, so that a
+    hang fails the test (subprocess.TimeoutExpired) instead of stalling the
+    suite."""
+    env = dict(os.environ, **env_vars)
     src = os.path.dirname(os.path.dirname(wulffdrop.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *argv],
@@ -663,25 +712,35 @@ def test_cli_imports_no_scipy():
             assert not re.search(r"^\s*(import|from)\s+scipy\b", text, re.M), name
 
 
-def test_check_leaves_numpy_ma_unloaded():
-    # np.unique imports numpy.ma, about 7 ms of start-up that nothing here needs:
-    # the release gate runs to the end without it.
-    proc = run_python_process(
-        "import sys; from wulffdrop.cli import main; code = main(sys.argv[1:]); "
-        "print('numpy.ma' in sys.modules); sys.exit(code)",
-        ["check", "--seed", "0"], timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+def test_release_gate_runs_alike_with_and_without_scipy(tmp_path):
+    # The release gate, under warnings-as-errors as CI runs it, in two fresh
+    # interpreters, one with scipy made unimportable.  Both pass without
+    # loading numpy.ma (np.unique imports it, about 7 ms of start-up that
+    # nothing here needs), and their summaries agree apart from timings.
+    code = ("import sys; {block}from wulffdrop.cli import main; "
+            "code = main(sys.argv[1:]); print('numpy.ma' in sys.modules); sys.exit(code)")
+
+    def gate(block, report):
+        return run_python_process(code.format(block=block),
+                                  ["check", "--seed", "0", "--report", str(report)],
+                                  timeout=300, PYTHONWARNINGS="error::RuntimeWarning")
+
+    reports = [tmp_path / "summary.json", tmp_path / "summary-no-scipy.json"]
+    with ThreadPoolExecutor(2) as pool:
+        procs = list(pool.map(gate, ["", "sys.modules['scipy'] = None; "], reports))
+    for proc in procs:
+        assert proc.returncode == 0, proc.stderr
+        assert "FAIL" not in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "False"
+    first, again = (against_base.untimed(json.loads(r.read_text())) for r in reports)
+    assert first == again
 
 
-def test_check_and_solve_run_with_scipy_blocked(tmp_path, tension_file):
-    # With scipy made unimportable, the release gate and a solve by both
-    # routes still run to completion.
+def test_solve_runs_with_scipy_blocked(tmp_path, tension_file):
+    # With scipy made unimportable, a solve by both routes still runs to
+    # completion.
     blocked = ("import sys; sys.modules['scipy'] = None; "
                "from wulffdrop.cli import main; sys.exit(main(sys.argv[1:]))")
-    proc = run_python_process(blocked, ["check", "--seed", "0"], timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert "FAIL" not in proc.stdout
     proc = run_python_process(blocked, [
         "solve", "--tension", tension_file, "--omega=-0.5", "--mass", "1",
         "--method", "both", "--out-dir", str(tmp_path / "out")], timeout=120)

@@ -537,3 +537,29 @@ def test_interval_base_n2():
     prof = sets.symmetrize(s, body, omega=-0.5)
     assert reduced.reduced_volume(prof) == pytest.approx(1.5, rel=1e-12)
     assert reduced.reduced_energy(prof).total <= br.total + 1e-9
+
+
+@pytest.mark.parametrize("dim,base", [(2, [1.0, 1.0]), (2, [1.0, -1.0]),
+                                      (3, [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])],
+                         ids=["empty-interval", "reversed-interval", "clockwise-triangle"])
+def test_a_base_without_positive_measure_is_rejected(dim, base):
+    with pytest.raises(ValueError, match="positive"):
+        sets.sliced_set(base, [0.0, 1.0], [1.0, 0.5], np.zeros((2, dim - 1)),
+                        make_tension("euclid", dim=dim))
+
+
+def test_interval_base_faces_and_barycenter_path():
+    # The base (-0.5, 1.5) has its end points as faces and the measure and
+    # centroid of the body [-1, 1] shifted by 0.5, so r = a and beta is
+    # the centers plus a * 0.5, exactly.
+    t2 = make_tension("euclid", dim=2)
+    s = sets.sliced_set([-0.5, 1.5], [0.0, 1.0, 2.0], [1.0, 0.5, 0.25],
+                        [[0.0], [0.25], [-0.5]], t2)
+    assert np.array_equal(s.edge_lengths, [1.0, 1.0])
+    assert np.array_equal(s.edge_normals, [[-1.0], [1.0]])
+    assert np.array_equal(s.edge_supports, [0.5, 1.5])
+    assert s.base_area == 2.0
+    assert np.array_equal(s.base_centroid, [0.5])
+    beta, drift = sets.barycenter_path(s, build_wulff_body(t2))
+    assert np.array_equal(beta, [[0.5], [0.5], [-0.375]])
+    assert drift == 0.875

@@ -192,6 +192,32 @@ def test_interval_body_n2():
     assert body.lam == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("h_kw", [{}, {"h_family": "lp", "h_p": 3.0},
+                                  {"h_family": "l1reg", "h_eps": 0.05}])
+def test_interval_body_is_pinned_exactly(h_kw):
+    # K_h = [-h(-1), h(1)]: its two end points are its faces, so P_h = |K_h|
+    # and Lambda = 1 hold exactly, not to rounding.
+    t = make_tension("euclid", dim=2, **h_kw)
+    h_neg, h_pos = (float(t.h.value(np.array([x]))) for x in (-1.0, 1.0))
+    body = build_wulff_body(t)
+    assert np.array_equal(body.geometry, [-h_neg, h_pos])
+    assert np.array_equal(body.edge_lengths, [1.0, 1.0])
+    assert np.array_equal(body.edge_normals, [[-1.0], [1.0]])
+    assert np.array_equal(body.edge_h, [h_neg, h_pos])
+    assert np.array_equal(body.edge_supports, [h_neg, h_pos])
+    assert body.area == body.aniso_perimeter == h_pos + h_neg
+    assert body.lam == 1.0
+    assert np.array_equal(body.centroid, [0.5 * (h_pos - h_neg)])
+
+
+def test_linf_body_is_the_unit_diamond():
+    # K_h for h = l_inf is the l_1 ball |x| + |y| <= 1: area 2 and P_h = 4.
+    body = build_wulff_body(make_tension("euclid", h_family="lp", h_p=math.inf), 1024)
+    assert body.area == pytest.approx(2.0, rel=2e-3)
+    assert body.lam == pytest.approx(2.0, rel=2e-3)
+    assert np.abs(body.geometry).sum(axis=1) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_alpha_euclid_closed_form(euclid):
     fa = alpha_table(euclid)
     assert fa(0.0) == pytest.approx(1.0, abs=1e-9)

@@ -61,12 +61,10 @@ FAMILIES = {"euclid": (3, {"family": "euclid"}, -0.5),
             "euclid-N2": (2, {"family": "euclid"}, -0.5)}
 # The sliced-set document symmetrized under an N-dimensional tension.
 SET_DOCS = {3: "sliced-set.json", 2: "interval-set.json"}
-# `wulff --svg` draws polygon bodies only, so an N = 2 family has no body SVG.
 OUTPUTS = ["check.json", "check.stdout", "check-seed1.json", "check-seed1.stdout"] + [
-    fam + ext for fam, (n, *_) in FAMILIES.items()
+    fam + ext for fam in FAMILIES
     for ext in (".json", ".csv", "-direct.csv", ".svg", "-body.json", "-body.svg",
-                "-repair.json", "-repaired.csv", "-symmetrize.json", "-symmetrized.csv")
-    if n == 3 or ext != "-body.svg"]
+                "-repair.json", "-repaired.csv", "-symmetrize.json", "-symmetrized.csv")]
 
 
 def verdict(tmp, name):
