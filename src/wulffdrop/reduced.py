@@ -18,7 +18,9 @@ energy carries its analytic gradient and Hessian.
 
 Energies are evaluated over profiles laid end to end in one array pass
 (:func:`profile_energies`); :func:`reduced_energy` is that pass on a block
-of one, and a profile's energy is the same in any block.
+of one, and a profile's energy is the same in any block.  It is the sets'
+exact slab pass (:func:`_quad.slab_energies`); only the direct solver's
+slice-measure functional uses the Gauss rule.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from .errors import (
     NonConvergence,
     OmegaOutOfRange,
 )
-from ._quad import GAUSS_W, GAUSS_X, slab_volume
+from ._quad import GAUSS_W, GAUSS_X, slab_energies, slab_layout, slab_volume
 from .tension import SurfaceTension
-from .wulff import WulffBody, alpha_table, concavity_defect, segment_starts
+from .wulff import WulffBody, alpha_table, concavity_defect
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,13 +114,6 @@ class Profile:
     def concavity_defect(self) -> float:
         return concavity_defect(self.knots, self.r)
 
-    def support_is_interval(self) -> bool:
-        """True when {r > 0} is a single run of knots starting at 0."""
-        pos = np.nonzero(self.r > 0)[0]
-        if len(pos) == 0:
-            return True
-        return pos[-1] - pos[0] + 1 == len(pos) and pos[0] == 0
-
 
 def check_omega(tension: SurfaceTension, omega) -> None:
     """Raise unless omega (a scalar, or every entry of an array) is admissible."""
@@ -136,15 +131,11 @@ def check_mass(m) -> None:
         raise InvalidInput("mass must be positive and finite")
 
 
-def _resolve_omega(p: Profile, omega):
-    if omega is None:
-        omega = p.omega
-    if omega is None:
+def _resolve_omega(p: Profile) -> float:
+    if p.omega is None:
         raise OmegaOutOfRange("no contact coefficient attached to this profile")
-    check_omega(p.tension, omega)
-    if np.ndim(omega):
-        return np.asarray(omega, dtype=float)
-    return float(omega)
+    check_omega(p.tension, p.omega)
+    return float(p.omega)
 
 
 # ---------------------------------------------------------------------------
@@ -156,61 +147,42 @@ def reduced_volume(p: Profile) -> float:
     return slab_volume(p.body.area, p.knots, p.r, p.tension.dim - 1)
 
 
-def _slabs(body: WulffBody, knots: np.ndarray, r: np.ndarray, n_knots: np.ndarray):
-    """The slabs of profiles of ``n_knots`` knots laid end to end: each
-    slab's profile, left knot, width, radii at its Gauss nodes and lateral
-    energy dt * int r^(N-2) phi(Lambda, -(N-1) r') (Gauss rule); times
-    |K_h| the last is the lateral surface energy."""
-    owner = np.repeat(np.arange(len(n_knots)), n_knots - 1)
-    # Slab j starts at knot j + its profile's index: each profile ends on a knot.
-    lo = np.arange(len(owner)) + owner
-    nm1 = body.tension.dim - 1
-    dt, dr = knots[lo + 1] - knots[lo], r[lo + 1] - r[lo]
-    r_g = r[lo, None] + dr[:, None] * GAUSS_X
-    phi = body.tension.phi.value(body.lam, -nm1 * (dr / dt))
-    return owner, lo, dt, r_g, dt * (GAUSS_W * r_g ** (nm1 - 1)).sum(axis=-1) * phi
+def _lateral(body: WulffBody, knots: np.ndarray, r: np.ndarray, n_knots: np.ndarray):
+    """Each slab's lateral coefficient |K_h| phi(Lambda, -(N-1) r') for
+    profiles of ``n_knots`` knots laid end to end."""
+    _, lo = slab_layout(n_knots)
+    slope = (r[lo + 1] - r[lo]) / (knots[lo + 1] - knots[lo])
+    return body.area * body.tension.phi.value(body.lam, -(body.tension.dim - 1) * slope)
 
 
 def lateral_energy(body: WulffBody, knots: np.ndarray, r: np.ndarray) -> float:
     """Lateral surface energy of the piecewise-linear profile r on knots,
-    its slabs summed in order as :func:`profile_energies` sums them.  It
-    takes the arrays, not a Profile, so that a cap keeps its own knots
-    (shifting them to start at 0 can move a slab width by an ulp)."""
-    owner, *_, lateral = _slabs(body, knots, r, np.array([len(knots)]))
-    return float(body.area * np.bincount(owner, lateral, 1)[0])
+    its slabs summed in order as :func:`profile_energies` sums them (the
+    same pass, with no flat top and no contact term).  It takes the arrays,
+    not a Profile, so that a cap keeps its own knots (shifting them to
+    start at 0 can move a slab width by an ulp)."""
+    n_knots = np.array([len(knots)])
+    fs, *_ = slab_energies(knots, r, n_knots, body.tension.dim - 1,
+                           _lateral(body, knots, r, n_knots), body.area, 0.0, 0.0)
+    return float(fs[0])
 
 
 def profile_energies(body: WulffBody, knots: np.ndarray, r: np.ndarray,
                      n_knots: np.ndarray, omega) -> EnergyBreakdown:
     """Energies of profiles r on knots laid end to end, ``n_knots`` knots
-    each, in one array pass over all their slabs, shaped as
-    ``sets.block_energy``'s result.  ``np.bincount`` sums each profile's
-    slabs in its own order, so its energy does not depend on the rest of
-    the block; a one-knot profile, with no slabs, gets the empty sum 0.
+    each, in one exact slab pass (:func:`_quad.slab_energies`), shaped as
+    ``sets.block_energy``'s result.  A profile's energy does not depend on
+    the rest of the block.
     """
-    tension, area = body.tension, body.area
-    nm1, count, first = tension.dim - 1, len(n_knots), segment_starts(n_knots)
-    owner, lo, dt, r_g, lateral = _slabs(body, knots, r, n_knots)
-    bottom, top = r[first], r[first + n_knots - 1]
-    fs = area * np.bincount(owner, lateral, count)
-    fs = np.where(top > 0, fs + tension.f_eN * area * top ** nm1, fs)
-    t_g = knots[lo, None] + dt[:, None] * GAUSS_X
-    fp = area * np.bincount(owner, dt * (GAUSS_W * t_g * r_g**nm1).sum(axis=-1), count)
-    # One column per contact coefficient when omega is an array.
-    col = (lambda x: x[:, None]) if np.ndim(omega) else (lambda x: x)
-    fc = omega * area * col(bottom ** nm1)
-    return EnergyBreakdown(Fs=fs, Fc=fc, Fp=fp, total=col(fs) + fc + col(fp))
+    return EnergyBreakdown(*slab_energies(
+        knots, r, n_knots, body.tension.dim - 1, _lateral(body, knots, r, n_knots),
+        body.area, body.tension.f_eN, omega))
 
 
-def reduced_energy(p: Profile, omega: Optional[float] = None) -> EnergyBreakdown:
-    """Energy of the symmetric candidate (absolute, i.e. times |K_h|):
-    :func:`profile_energies` on a block of one.
-
-    ``omega`` may be a 1-D array: the surface and potential terms are then
-    computed once, and ``Fc`` and ``total`` are arrays equal entry for entry
-    to the scalar calls.
-    """
-    om = _resolve_omega(p, omega)
+def reduced_energy(p: Profile) -> EnergyBreakdown:
+    """Energy of the symmetric candidate under its own omega (absolute,
+    i.e. times |K_h|): :func:`profile_energies` on a block of one."""
+    om = _resolve_omega(p)
     return profile_energies(p.body, p.knots, p.r, np.array([len(p.knots)]), om).at(0)
 
 
@@ -273,7 +245,7 @@ def young_residual(p: Profile, contact_slope: Optional[float] = None) -> float:
     ``contact_slope`` overrides the grid slope (the shooting solver knows the
     exact slope through its contact parameter).
     """
-    om = _resolve_omega(p, None)
+    om = _resolve_omega(p)
     if p.r[0] <= 0:
         raise EmptyBase("contact radius vanishes; Young's condition undefined")
     nm1 = p.tension.dim - 1
@@ -582,6 +554,10 @@ def _kkt_step(diag, off, col, tt, grad, a):
     return np.append(d_rho + e_rho, d_t + e_t)
 
 
+# Overflow (|t|^p of a steep p-norm, or a huge mass) is no warning: a
+# non-finite trial energy fails the line search, and a non-finite iterate
+# has no finite KKT step, so the solve raises NonConvergence.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def minimize_direct(body: WulffBody, omega: float, m: float,
                     grid_size: int = 161,
                     max_iter: int = MAX_NEWTON_STEPS) -> Profile:

@@ -11,9 +11,10 @@ with normal velocity beta'.n_e + a' sigma_e, so the energy
 
     F = F_s + omega * (wetted area) + int_E x_N
 
-is computed by per-slab quadrature without any polyhedral machinery, while
-still distinguishing every equality/inequality regime of the anisotropic
-symmetrization.
+is computed by the profiles' exact slab pass (``_quad.slab_energies``, a
+slab's faces summed into one lateral coefficient) without any polyhedral
+machinery, while still distinguishing every equality/inequality regime of
+the anisotropic symmetrization.
 
 Energies are evaluated over a :class:`SetBlock`, many sets laid end to end
 in one array pass per tension, its (slab, edge) terms as one dense
@@ -40,15 +41,8 @@ import numpy as np
 
 from . import reduced
 from .errors import DimensionUnsupported, EmptySlice, IndexOutOfRange, InvalidInput
-from ._quad import slab_volume
-from .reduced import (
-    EnergyBreakdown,
-    GAUSS_W,
-    GAUSS_X,
-    Profile,
-    check_omega,
-    lateral_energy,
-)
+from ._quad import slab_energies, slab_layout, slab_volume
+from .reduced import EnergyBreakdown, Profile, check_omega, lateral_energy
 from .tension import SurfaceTension
 from .wulff import (
     WulffBody,
@@ -142,14 +136,13 @@ class SetBlock:
 
     The sets' own arrays are concatenated, set by set: ``n_edges`` and
     ``n_knots`` give each set's share.  The slabs of all sets run set by
-    set; every slab of a set meets the set's edges, so ``rects`` holds one
-    (slabs, E) rectangle per edge count E.  A slab's edges are summed by
-    ``np.add.reduceat`` along the edge axis, in a lone slab's order (``sum``
-    adds pairwise), and a set's slabs by ``np.bincount`` over ``slab_set``,
-    which also gives a one-knot set, with no slabs, its empty sum 0.  Each
-    sum runs over its own terms in their own order, so a set's energy does
-    not depend on the rest of the block.  Nothing here depends on the
-    tension.
+    set (``_quad.slab_layout``); every slab of a set meets the set's edges,
+    so ``rects`` holds one (slabs, E) rectangle per edge count E.  A slab's
+    edges are summed by ``np.add.reduceat`` along the edge axis, in a lone
+    slab's order (``sum`` adds pairwise), and a set's slabs by
+    ``_quad.slab_energies``.  Each sum runs over its own terms in their own
+    order, so a set's energy does not depend on the rest of the block.
+    Nothing here depends on the tension.
     """
 
     d: int
@@ -164,12 +157,6 @@ class SetBlock:
     scales: np.ndarray
     centers: np.ndarray  # (knots, d)
     rects: tuple  # (slabs, edges, edge length ** (d - 1), -(beta'.n_e + a' sigma_e))
-    slab_set: np.ndarray  # set of each slab
-    dt: np.ndarray  # slab widths
-    gauss_scales: np.ndarray  # a ** (d - 1) at each slab's Gauss nodes
-    bottom: np.ndarray  # a(0) ** d of each set
-    top: np.ndarray  # a(T) of each set
-    Fp: np.ndarray  # potential energy of each set
 
     def __len__(self) -> int:
         return len(self.area)
@@ -197,18 +184,13 @@ def _layout(d, n_edges, base_vertices, edge_lengths, edge_normals,
     """Lay out sets given as concatenated arrays for :func:`block_energy`."""
     if d not in (1, 2):
         raise DimensionUnsupported(f"slice dimension {d} unsupported")
-    n_slabs, knot0 = n_knots - 1, segment_starts(n_knots)
-    slab_set = np.repeat(np.arange(len(n_knots)), n_slabs)
-    # Slab j starts at knot j + its set's index: each set ends on a knot.
-    lo = np.arange(len(slab_set)) + slab_set
-    t0, dt = knots[lo], knots[lo + 1] - knots[lo]
-    a, b = scales[lo], scales[lo + 1]
-    da = b - a
+    slab_set, lo = slab_layout(n_knots)
+    dt = knots[lo + 1] - knots[lo]
 
     # -w = -(beta'.n_e + a' sigma_e) of each slab and its set's edges, in products
     # rather than @, so that no fused multiply-add depends on the shapes.
     dbeta = (centers[lo + 1] - centers[lo]) / dt[:, None]
-    da_dt, lengths = da / dt, edge_lengths ** (d - 1)
+    da_dt, lengths = (scales[lo + 1] - scales[lo]) / dt, edge_lengths ** (d - 1)
     rects = []
     for slabs, edges in count_groups(n_edges[slab_set], segment_starts(n_edges)[slab_set]):
         w = dbeta[slabs, None, 0] * edge_normals[edges, 0]
@@ -216,26 +198,11 @@ def _layout(d, n_edges, base_vertices, edge_lengths, edge_normals,
             w += dbeta[slabs, None, k] * edge_normals[edges, k]
         w += da_dt[slabs, None] * edge_supports[edges]
         rects.append((slabs, edges, lengths[edges], np.negative(w, out=w)))
-
-    if d == 1:
-        grav = t0 * dt * (a + b) / 2.0 + dt**2 * (a + 2.0 * b) / 6.0
-    else:
-        q = (a * a + a * b + b * b) / 3.0
-        g2 = a * a / 2.0 + 2.0 * a * (b - a) / 3.0 + (b - a) ** 2 / 4.0
-        grav = t0 * dt * q + dt**2 * g2
     return SetBlock(
         d=d, n_edges=n_edges, base_vertices=base_vertices,
         edge_lengths=edge_lengths, edge_normals=edge_normals,
         edge_supports=edge_supports, area=area, n_knots=n_knots, knots=knots,
-        scales=scales, centers=centers,
-        rects=tuple(rects),
-        slab_set=slab_set,
-        dt=dt,
-        gauss_scales=(a[:, None] + da[:, None] * GAUSS_X) ** (d - 1),
-        bottom=scales[knot0] ** d,
-        top=scales[knot0 + n_slabs],
-        Fp=area * np.bincount(slab_set, grav, len(n_knots)),
-    )
+        scales=scales, centers=centers, rects=tuple(rects))
 
 
 def set_block(sets) -> SetBlock:
@@ -263,30 +230,26 @@ def _check_dim(d: int, tension: SurfaceTension) -> None:
                            f"slice dimension N - 1 = {tension.dim - 1}")
 
 
-def _slab_lateral(blk: SetBlock, tension: SurfaceTension) -> np.ndarray:
-    """Lateral surface energy of every slab of the block (Gauss rule)."""
-    h, coef = tension.h.value(blk.edge_normals), np.empty(len(blk.dt))
+def _lateral(blk: SetBlock, tension: SurfaceTension) -> np.ndarray:
+    """Each slab's lateral coefficient sum_e len_e^(d-1) phi(h_e, -w_e)."""
+    h, coef = tension.h.value(blk.edge_normals), np.empty(len(blk.knots) - len(blk))
     for slabs, edges, lengths, slopes in blk.rects:
         terms = lengths * tension.phi.value(h[edges], slopes)
         coef[slabs] = np.add.reduceat(terms, [0], axis=1)[:, 0]
-    return blk.dt * (coef[:, None] * blk.gauss_scales * GAUSS_W).sum(axis=-1)
+    return coef
 
 
 def block_energy(blk: SetBlock, tension: SurfaceTension, omega) -> EnergyBreakdown:
-    """Exact energy F_s + F_c + F_p of every set of the block.
+    """Exact energy F_s + F_c + F_p of every set of the block (one pass).
 
     ``Fs`` and ``Fp`` hold one entry per set; ``Fc`` and ``total`` too for
     a scalar ``omega``, and one row per set for a 1-D array of them.
     """
     _check_dim(blk.d, tension)
     check_omega(tension, omega)
-    fs = np.bincount(blk.slab_set, _slab_lateral(blk, tension), len(blk))
-    fs = np.where(blk.top > 0, fs + tension.f_eN * blk.top ** blk.d * blk.area, fs)
-    omega = np.asarray(omega, dtype=float)
-    col = (lambda x: x[:, None]) if omega.ndim else (lambda x: x)
-    fc = omega * col(blk.bottom) * col(blk.area)
-    return EnergyBreakdown(Fs=fs, Fc=fc, Fp=blk.Fp,
-                           total=col(fs) + fc + col(blk.Fp))
+    return EnergyBreakdown(*slab_energies(blk.knots, blk.scales, blk.n_knots, blk.d,
+                                          _lateral(blk, tension), blk.area,
+                                          tension.f_eN, omega))
 
 
 def energy(s: SlicedSet, tension: SurfaceTension, omega) -> EnergyBreakdown:
@@ -327,7 +290,7 @@ def symmetrize(s: SlicedSet, body: WulffBody,
 
 
 def symmetrized_energy(blk: SetBlock, body: WulffBody, omega) -> EnergyBreakdown:
-    """``reduced_energy(symmetrize(s, body), omega)`` for every set of the
+    """``reduced_energy(symmetrize(s, body, omega))`` for every set of the
     block, shaped as :func:`block_energy`'s result: one
     :func:`reduced.profile_energies` pass over the block's rearranged
     profiles."""
@@ -351,9 +314,13 @@ def jensen_gap(s: SlicedSet, slab_index: int, body: WulffBody) -> float:
     _check_dim(s.d, body.tension)
     if not (0 <= slab_index < len(s.knots) - 1):
         raise IndexOutOfRange(f"slab index {slab_index} out of range")
-    orig = _slab_lateral(set_block([s]), body.tension)[slab_index]
-    p, slab = symmetrize(s, body), slice(slab_index, slab_index + 2)
-    return float(orig - lateral_energy(body, p.knots[slab], p.r[slab]))
+    # The slab alone, with no flat top or contact term, as lateral_energy.
+    coef = _lateral(set_block([s]), body.tension)[slab_index:slab_index + 1]
+    slab = slice(slab_index, slab_index + 2)
+    orig, *_ = slab_energies(s.knots[slab], s.scales[slab], np.array([2]), s.d,
+                             coef, s.base_area, 0.0, 0.0)
+    p = symmetrize(s, body)
+    return float(orig[0] - lateral_energy(body, p.knots[slab], p.r[slab]))
 
 
 # ---------------------------------------------------------------------------

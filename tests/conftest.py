@@ -43,6 +43,12 @@ def euclid_direct(euclid_body):
     return reduced.minimize_direct(euclid_body, -0.5, 1.0)
 
 
+def support_is_interval(profile):
+    """True when {r > 0} is a single run of knots starting at 0 (test helper)."""
+    pos = np.nonzero(profile.r > 0)[0]
+    return len(pos) == 0 or (pos[0] == 0 and pos[-1] + 1 == len(pos))
+
+
 def hemisphere_profile(body, n=201, radius=1.0, omega=-0.5):
     """Spherical-cap profile sampled with apex clustering (test helper)."""
     xi = np.linspace(0.0, 1.0, n)

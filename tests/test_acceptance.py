@@ -9,6 +9,8 @@ import pytest
 
 from wulffdrop import checks, reduced
 
+from conftest import support_is_interval
+
 
 def report(num, name, passed, detail=""):
     line = f"ACCEPTANCE {num:02d} {name}: {'PASS' if passed else 'FAIL'}"
@@ -84,7 +86,7 @@ def test_09_convexity_of_minimizers(euclid_direct, euclid_shoot):
     solver_ok = True
     for prof in (euclid_direct, euclid_shoot.profile):
         solver_ok = solver_ok and prof.concavity_defect() <= 1e-7 * np.max(prof.r)
-        solver_ok = solver_ok and prof.support_is_interval()
+        solver_ok = solver_ok and support_is_interval(prof)
     res = checks.suite_convexity(seed=0)
     ok = solver_ok and res["passed"]
     assert report(9, "convexity of minimizers", ok,

@@ -46,7 +46,42 @@ def test_json_that_differs_only_in_timing_fields_is_identical(tmp_path):
     assert against_base.verdict(str(tmp_path), "r.json") == "identical"
     moved["suites"]["young"]["details"]["rows"][0]["v"] = 2
     write_pair(tmp_path, "r.json", json.dumps(report), json.dumps(moved))
+    assert against_base.verdict(str(tmp_path), "r.json") == (
+        "**differs** (max \\|Δx\\| / \\|x\\| over numbers = 1.00e+00)")
+    moved["suites"]["young"]["details"]["rows"][0]["w"] = 1
+    write_pair(tmp_path, "r.json", json.dumps(report), json.dumps(moved))
     assert against_base.verdict(str(tmp_path), "r.json") == "**differs**"
+
+
+@pytest.mark.parametrize("base,head,expected", [
+    ({"a": [1.0, 2.0], "b": "x"}, {"a": [1.0, 2.0], "b": "x"}, 0.0),
+    ({"a": [1.0, 4.0], "b": 8}, {"a": [1.0, 5.0], "b": 7}, 0.25),
+    ([1e-300, 3.0], [1e-300, 3.0 + 3e-15], 1e-15),
+    ([0.0], [1e-300], float("inf")),
+    ([float("nan"), 1.0], [float("nan"), 1.0], 0.0),
+    ([1.0], [float("nan")], float("inf")),
+    ({"a": 1.0}, {"b": 1.0}, None),
+    ([1.0], [1.0, 2.0], None),
+    ({"a": "x"}, {"a": "y"}, None),
+])
+def test_json_gap_is_the_largest_relative_difference_of_the_numbers(base, head,
+                                                                    expected):
+    gap = against_base.json_gap(base, head)
+    assert gap == pytest.approx(expected) if expected is not None else gap is None
+
+
+def test_repairs_table_reports_geometry_and_energy_drops_apart(monkeypatch):
+    runs = {"base": [3, "abc", [0.5, None, 0.25], 1.0],
+            "head": [3, "abc", [0.5, None, 0.25 + 2.0 ** -52], 2.0]}
+    monkeypatch.setattr(against_base, "probe", lambda tree, fn: runs[tree])
+    rows = list(against_base.competitor_repairs([("base", "base"), ("head", "head")]))
+    assert rows[2:] == ["| base | 3 | `abc` |  | 1.000 |",
+                        "| head | 3 | `abc` | **differs** (1 of 3 moved, "
+                        "max \\|Δ\\| = 2.2e-16) | 2.000 |"]
+    assert against_base.drops_against([0.5, None], [0.5, None]) == "identical"
+    assert against_base.drops_against([0.5, 0.1], [0.5, None]) == (
+        "**differs** (other repairs made)")
+    assert against_base.drops_against([0.5], None) == "no base commit"
 
 
 def test_untimed_drops_every_timing_field():

@@ -648,6 +648,25 @@ def test_direct_step_budget_exhausted_exits_3(tension_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tension,mass", [(make_tension("pnorm", p=60.0), "1"),
+                                          (make_tension("euclid"), "1e300")],
+                         ids=["pnorm60", "euclid-mass-1e300"])
+def test_direct_overflow_exits_3_without_a_warning(tension, mass, tmp_path, capsys):
+    # |t|^60 at a line-search trial point, or the potential of a huge drop,
+    # overflows: a solver failure with one error line, not a RuntimeWarning
+    # (a traceback under warnings-as-errors).
+    path = tmp_path / "tension.json"
+    path.write_text(json.dumps(tension_to_config(tension)))
+    out = tmp_path / "out"
+    code = run(["solve", "--tension", str(path), "--method", "direct",
+                "--omega=-0.9", "--mass", mass, "--out-dir", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: solver failed")
+    assert not out.exists()
+
+
 def test_check_young_passes_on_a_stalled_solve_with_a_good_iterate(
         monkeypatch, capsys, euclid_direct):
     # The suite judges the iterate a NonConvergence carries, so a stalled

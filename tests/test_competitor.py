@@ -438,7 +438,7 @@ def test_repair_keeps_the_body_and_omega_of_its_profile(pnorm3_body, omega):
     out = comp.repair_profile(prof)
     assert out.body is prof.body and out.omega == omega
     assert out.tension is pnorm3_body.tension
-    drop = reduced.reduced_energy(prof, omega).total - reduced.reduced_energy(out, omega).total
+    drop = reduced.reduced_energy(prof).total - reduced.reduced_energy(out).total
     assert out.meta["energy_drop"] == drop > comp.MIN_ENERGY_DROP
 
 

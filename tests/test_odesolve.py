@@ -11,6 +11,8 @@ from wulffdrop.errors import (InvalidInput, NoBracket, NonConvergence,
 from wulffdrop.tension import ScaledPNorm, make_tension, phi_partials
 from wulffdrop.wulff import build_wulff_body
 
+from conftest import support_is_interval
+
 
 def test_s_star_closed_forms(euclid):
     assert od.s_star(euclid, -0.8) == pytest.approx(1.5, rel=1e-12)
@@ -261,7 +263,7 @@ def test_shoot_matches_volume_and_young(euclid_shoot):
     assert d["achieved_volume"] == pytest.approx(1.0, rel=1e-6)
     assert abs(d["young_residual"]) < 1e-8
     assert euclid_shoot.profile.concavity_defect() <= 1e-7
-    assert euclid_shoot.profile.support_is_interval()
+    assert support_is_interval(euclid_shoot.profile)
 
 
 def test_shoot_volume_monotone_in_v0(euclid_shoot):
@@ -383,7 +385,7 @@ def test_shoot_n2_planar():
     assert sol.diagnostics["achieved_volume"] == pytest.approx(1.0, rel=1e-6)
     assert abs(sol.diagnostics["young_residual"]) < 1e-8
     assert sol.profile.concavity_defect() <= 1e-5
-    assert sol.profile.support_is_interval()
+    assert support_is_interval(sol.profile)
 
 
 def test_scaling_sanity_zero_gravity_bound(euclid, euclid_body, euclid_shoot):

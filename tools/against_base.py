@@ -8,6 +8,7 @@ status is 1 once all have printed.
 
 import inspect
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -67,8 +68,26 @@ OUTPUTS = ["check.json", "check.stdout", "check-seed1.json", "check-seed1.stdout
                 "-repair.json", "-repaired.csv", "-symmetrize.json", "-symmetrized.csv")]
 
 
+def json_gap(a, b):
+    """The largest |b - a| / |a| over the numeric leaves of two JSON values,
+    or None where their keys, lengths or other leaves differ.  A leaf that
+    moves off 0 or to or from NaN counts as inf."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        gaps = [json_gap(a[k], b[k]) for k in a] if a.keys() == b.keys() else [None]
+    elif isinstance(a, list) and isinstance(b, list):
+        gaps = [json_gap(x, y) for x, y in zip(a, b)] if len(a) == len(b) else [None]
+    elif all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return 0.0
+        return abs(b - a) / abs(a) if a and not math.isnan(b - a) else math.inf
+    else:
+        return 0.0 if a == b else None
+    return None if None in gaps else max(gaps, default=0.0)
+
+
 def verdict(tmp, name):
-    """tmp/head/name against tmp/base/name; a profile CSV by max |dr| / max r."""
+    """tmp/head/name against tmp/base/name; a profile CSV by max |dr| / max r,
+    a JSON document by the largest relative difference of its numbers."""
     paths = [os.path.join(tmp, side, name) for side in ("base", "head")]
     if not all(os.path.exists(p) for p in paths):
         return "missing"
@@ -78,6 +97,10 @@ def verdict(tmp, name):
         a, b = (open(p, "rb").read() for p in paths)
     if a == b:
         return "identical"
+    if name.endswith(".json"):
+        gap = json_gap(a, b)
+        return "**differs**" if gap is None else cell(
+            f"**differs** (max |Δx| / |x| over numbers = {gap:.2e})")
     if not name.endswith(".csv"):
         return "**differs**"
     a, b = (np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)[:, 1] for p in paths)
@@ -210,13 +233,16 @@ def repair_set():
     """The dents of suite_convexity, 100 for each of three seeds and three
     families: the 41-knot quarter circle with r[i0:i0 + width] *= depth,
     drawn as the suite draws them, at omega = -0.5 phi(0, 1).  Returns
-    their count, the SHA-256 of every repaired profile's knots and radii
-    and its energy drop (or of the failure's name), and their seconds."""
+    their count, the SHA-256 of the repaired geometry (every repaired
+    profile's knots and radii, or the failure's name), the energy drops
+    (None where no repair was made) and their seconds.  The drops are kept
+    apart from the digest, so that a drop moved by rounding does not hide
+    whether the geometry moved."""
     import hashlib
     import time
     import numpy as np
     import wulffdrop as wd
-    digest, count = hashlib.sha256(), 0
+    digest, count, drops = hashlib.sha256(), 0, []
     start = time.perf_counter()
     t = np.linspace(0.0, 1.0, 41)
     quarter = np.sqrt(np.maximum(1.0 - t**2, 0.0))
@@ -237,14 +263,16 @@ def repair_set():
                     out = wd.repair_profile(prof, epsilon=2.0)
                 except wd.competitor.CompetitorFailure as exc:
                     digest.update(type(exc).__name__.encode())
+                    drops.append(None)
                     continue
                 if out is None:
                     digest.update(b"none")
+                    drops.append(None)
                     continue
                 digest.update(out.knots.tobytes())
                 digest.update(out.r.tobytes())
-                digest.update(float(out.meta["energy_drop"]).hex().encode())
-    return [count, digest.hexdigest(), time.perf_counter() - start]
+                drops.append(float(out.meta["energy_drop"]))
+    return [count, digest.hexdigest(), drops, time.perf_counter() - start]
 
 
 def start_up(trees):
@@ -277,12 +305,30 @@ def shoot_convergence(trees):
                f"{max(probes)} | {worst:.1e} | {no_bracket} | {seconds:.3f} | {same} |")
 
 
+def drops_against(drops, base_drops):
+    """How the energy drops moved against the base tree's, repair by repair."""
+    if base_drops is None:
+        return "no base commit"
+    if [d is None for d in drops] != [d is None for d in base_drops]:
+        return "**differs** (other repairs made)"
+    moved = [abs(d - b) for d, b in zip(drops, base_drops) if d is not None and d != b]
+    if not moved:
+        return "identical"
+    return f"**differs** ({len(moved)} of {len(drops)} moved, max \\|Δ\\| = {max(moved):.1e})"
+
+
 def competitor_repairs(trees):
-    yield "| commit | repairs | SHA-256 of the repairs | seconds |"
-    yield "|---|---:|---|---:|"
+    yield ("| commit | repairs | SHA-256 of the repaired geometry "
+           "| energy drops against base | seconds |")
+    yield "|---|---:|---|---|---:|"
+    base_drops = None
     for side, tree in trees:
-        count, digest, seconds = probe(tree, repair_set)
-        yield f"| {side} | {count} | `{digest}` | {seconds:.3f} |"
+        count, digest, drops, seconds = probe(tree, repair_set)
+        if side == "base":
+            base_drops, moved = drops, ""
+        else:
+            moved = drops_against(drops, base_drops)
+        yield f"| {side} | {count} | `{digest}` | {moved} | {seconds:.3f} |"
 
 
 def main(head, base=None):
