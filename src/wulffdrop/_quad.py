@@ -31,33 +31,16 @@ def _bernstein_terms(a, b, n, term):
         yield k
 
 
-def slab_volume(area: float, ts: np.ndarray, rs: np.ndarray, n: int, out=None):
-    """area * int r(t)^n dt for r piecewise linear on the knots ts (exact).
-
-    The knots run along the last axis, so stacked profiles give one volume
-    each (``ts`` broadcasts to the shape of ``rs``); a single profile gives
-    a float.
-
-    The sum is accumulated from 0 in place, in two full-size buffers that
-    also take the slab widths, because large temporaries are mapped and
-    page-faulted on every call.  ``out`` is a pair of float arrays of the
-    slabs' shape (one entry fewer than ``rs`` along the last axis) to use
-    as those two buffers; their contents are overwritten.  By default
-    they are allocated.
-    """
-    a, b = rs[..., :-1], rs[..., 1:]
-    if out is None:
-        acc, term = np.zeros_like(a), np.empty_like(a)
-    else:
-        acc, term = out
-        acc.fill(0.0)
+def slab_volume(area: float, ts: np.ndarray, rs: np.ndarray, n: int) -> float:
+    """area * int r(t)^n dt for r piecewise linear on the knots ts (exact),
+    its Bernstein terms accumulated from 0 in place."""
+    a, b = rs[:-1], rs[1:]
+    acc, term = np.zeros_like(a), np.empty_like(a)
     for _ in _bernstein_terms(a, b, n, term):
         acc += term
-    np.subtract(ts[..., 1:], ts[..., :-1], out=term)  # np.diff(ts), in place
-    acc *= term
+    acc *= np.diff(ts)
     acc /= n + 1
-    vol = area * np.sum(acc, axis=-1)
-    return float(vol) if np.ndim(vol) == 0 else vol
+    return float(area * np.sum(acc))
 
 
 def slab_moments(a: np.ndarray, b: np.ndarray, n: int):
@@ -77,6 +60,27 @@ def slab_layout(n_knots: np.ndarray):
     return member, np.arange(len(member)) + member
 
 
+def _slabs(knots, r, n_knots):
+    """(member, end radii a and b, bottom height t0, width dt) of each slab
+    of members of ``n_knots`` knots laid end to end."""
+    member, lo = slab_layout(n_knots)
+    t0 = knots[lo]
+    return member, r[lo], r[lo + 1], t0, knots[lo + 1] - t0
+
+
+def _lateral_sum(member, a, b, dt, count, n, lateral):
+    """Fs without its flat top, from the slabs of ``_slabs``."""
+    return np.bincount(member, lateral * dt * slab_moments(a, b, n - 1)[0], count)
+
+
+def slab_lateral(knots, r, n_knots, n, lateral):
+    """sum_j lateral_j int_slab r^(n-1) dt of each member r on knots laid end
+    to end, ``n_knots`` knots each: ``slab_energies``' Fs without the flat
+    top, summed in the same order."""
+    member, a, b, _, dt = _slabs(knots, r, n_knots)
+    return _lateral_sum(member, a, b, dt, len(n_knots), n, lateral)
+
+
 def slab_energies(knots, r, n_knots, n, lateral, area, f_top, omega):
     """(Fs, Fc, Fp, total) of members r on knots laid end to end, ``n_knots``
     knots each, whose slice at height t has measure area * r(t)^n:
@@ -90,12 +94,10 @@ def slab_energies(knots, r, n_knots, n, lateral, area, f_top, omega):
     energy does not depend on the rest of the block.  ``Fc`` and ``total``
     have one column per entry of a 1-D array ``omega``.
     """
-    member, lo = slab_layout(n_knots)
+    member, a, b, t0, dt = _slabs(knots, r, n_knots)
     count, last = len(n_knots), np.cumsum(n_knots) - 1
-    a, b, t0 = r[lo], r[lo + 1], knots[lo]
-    dt = knots[lo + 1] - t0
     mean, moment = slab_moments(a, b, n)
-    fs = np.bincount(member, lateral * dt * slab_moments(a, b, n - 1)[0], count)
+    fs = _lateral_sum(member, a, b, dt, count, n, lateral)
     top = r[last] ** n
     fs = np.where(top > 0, fs + f_top * area * top, fs)
     fp = area * np.bincount(member, dt * (t0 * mean + dt * moment), count)

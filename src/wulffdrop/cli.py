@@ -275,9 +275,7 @@ def cmd_symmetrize(args) -> int:
 def cmd_repair(args) -> int:
     competitor.check_epsilon(args.epsilon)
     if args.max_repairs < 0:
-        print(f"error: --max-repairs must be at least 0, got {args.max_repairs}",
-              file=sys.stderr)
-        return 2
+        raise InvalidInput(f"--max-repairs must be at least 0, got {args.max_repairs}")
     tension = _load_tension(args.tension)
     body = build_wulff_body(tension, args.m_normals)
     profile = _parse_input(

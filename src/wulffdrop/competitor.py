@@ -17,7 +17,6 @@ contact coefficient from E itself: its Wulff body's tension and ``E.omega``.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -35,7 +34,6 @@ CompetitorFailure = (HypothesisViolated, NoBracket)
 
 # Absolute tolerance (the xtol of _brent.brentq) of the sigma root solve.
 BISECT_TOL = 1e-12
-SCAN_POINTS = 64
 
 # Sampling density of cap profile segments, and the cap's fixed grid: its
 # parameter xi and the weights clustering the samples at the far cut.
@@ -100,67 +98,24 @@ def lateral_energy_between(p: Profile, ta: float, tb: float) -> float:
 # Parameter solves
 # ---------------------------------------------------------------------------
 
-def _sign_changes(vals: np.ndarray) -> np.ndarray:
-    """Whether each cell between consecutive values holds a root: its ends
-    differ in sign, or one is zero.  The test multiplies nothing, so values
-    whose product underflows keep their signs; a NaN end never counts."""
-    lo, hi = vals[:-1], vals[1:]
-    return (np.minimum(lo, hi) <= 0.0) & (np.maximum(lo, hi) >= 0.0)
-
-
-def _scan_bracket(scan, fn, grid: np.ndarray):
-    """Root of fn in the last grid cell where it changes sign, or None.
-    scan gives fn's values on the whole grid at once; Brent starts from its
-    values at the cell's ends."""
-    vals = scan(grid)
-    idx = np.flatnonzero(_sign_changes(vals))
-    if len(idx) == 0:
-        return None
-    k = idx[-1]
-    return brentq(fn, grid[k], grid[k + 1], xtol=BISECT_TOL,
-                  ends=(vals[k], vals[k + 1]))
-
-
-# Each thread's sigma-scan workspace.  A scan's arrays are large enough
-# that the allocator maps them afresh on every call and faults their pages
-# in; kept, they are faulted in once.  A thread runs one scan at a time.
-_workspace = threading.local()
-
-
-def _scan_buffers():
-    """This thread's workspace, made on its first scan: the (heights,
-    radii) pair of ``_sample_cap`` and the pair of ``slab_volume``."""
-    if not hasattr(_workspace, "buffers"):
-        caps, slabs = (SCAN_POINTS + 1, CAP_SAMPLES), (SCAN_POINTS + 1, CAP_SAMPLES - 1)
-        _workspace.buffers = ((np.empty(caps), np.empty(caps)),
-                              (np.empty(slabs), np.empty(slabs)))
-    return _workspace.buffers
+def _brackets(f_lo: float, f_hi: float) -> bool:
+    """Whether ends with these residuals bracket a root: they differ in
+    sign, or one is zero.  The test multiplies nothing, so values whose
+    product underflows keep their signs; a NaN end never brackets."""
+    return f_lo <= 0.0 <= f_hi or f_hi <= 0.0 <= f_lo
 
 
 def _sample_cap(tension: SurfaceTension, b: float, t_anchor: float,
-                sigma: float, z_cut: float, side: str, out=None):
+                sigma: float, z_cut: float, side: str):
     """Piecewise-linear sampling of the part of K between sigma and z_cut
     (above sigma for side "+", below for "-"), dilated by b with the cut at
     sigma anchored at height t_anchor, clustered at the far cut (which may
-    sit at a pole of alpha).  Heights increase along the last axis; arrays
-    b, sigma and z_cut sample one cap per entry.  ``out`` is a pair of
-    float arrays of the caps' shape that take the heights and the radii in
-    place; by default both are allocated."""
-    fa = alpha_table(tension)
-    b, sigma, z_cut = (np.asarray(v, dtype=float)[..., None] for v in (b, sigma, z_cut))
-    ts, z = out or (None, None)
+    sit at a pole of alpha): ascending heights and the radii at them."""
     if side == "+":
-        z = np.multiply(z_cut - sigma, _CAP_RISE, out=z)
-        z += sigma
+        z = (z_cut - sigma) * _CAP_RISE + sigma
     else:
-        z = np.multiply(sigma - z_cut, _CAP_FALL, out=z)
-        z += z_cut
-    ts = np.subtract(z, sigma, out=ts)
-    ts *= b
-    ts += t_anchor
-    rs = fa(z, out=z)
-    rs *= b
-    return ts, rs
+        z = (sigma - z_cut) * _CAP_FALL + z_cut
+    return (z - sigma) * b + t_anchor, alpha_table(tension)(z) * b
 
 
 def solve_params(e: Profile, t1: float, t2: float, side: str) -> CompetitorParams:
@@ -175,10 +130,11 @@ def solve_params(e: Profile, t1: float, t2: float, side: str) -> CompetitorParam
     enclosed cap volume to the middle volume of E.  Both the middle volume
     and the cap volume are evaluated on the same piecewise-linear
     discretization used for splicing, so the matches hold to the root
-    solve's accuracy.  Each sign is scanned on a 65-point sigma grid in one
-    array evaluation (the residual runs from the whole rescaled shape down
-    to a vanishing cap, so a bracket exists), written into this thread's
-    kept workspace; Brent starts from the scan's values at the bracket ends.
+    solve's accuracy.  Each sign's residual runs from the whole rescaled
+    shape down to a vanishing cap across the admissible sigma interval, so
+    its ends bracket the root: Brent solves on the whole interval, from the
+    residual at its ends.  A sign whose ends have one sign (or a NaN)
+    brackets nothing and the next is tried; none left raises NoBracket.
     """
     if not (0.0 < t1 < t2):
         raise ValueError("need 0 < t1 < t2")
@@ -228,18 +184,16 @@ def solve_params(e: Profile, t1: float, t2: float, side: str) -> CompetitorParam
     def far_cut(sig, sign):
         return sign * fa.inverse(fa(sig) * ratio)
 
-    def residual(sig, sign, cap=None, slabs=None):
+    def residual(sig, sign):
         b = r_anchor / fa(sig)
-        ts, rs = _sample_cap(tension, b, t_anchor, sig, far_cut(sig, sign), side,
-                             out=cap)
-        return slab_volume(area, ts, rs, nm1, out=slabs) - v_mid
+        ts, rs = _sample_cap(tension, b, t_anchor, sig, far_cut(sig, sign), side)
+        return slab_volume(area, ts, rs, nm1) - v_mid
 
-    grid = np.linspace(sig_lo, sig_hi, SCAN_POINTS + 1)
-    work = _scan_buffers()
     for sign in signs:
-        sigma = _scan_bracket(lambda sig: residual(sig, sign, *work),
-                              lambda sig: residual(sig, sign), grid)
-        if sigma is not None:
+        ends = (residual(sig_lo, sign), residual(sig_hi, sign))
+        if _brackets(*ends):
+            sigma = brentq(lambda sig: residual(sig, sign), sig_lo, sig_hi,
+                           xtol=BISECT_TOL, ends=ends)
             break
     else:
         raise NoBracket(f"cap volume residual (side {side}) never crosses zero")

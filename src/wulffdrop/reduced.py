@@ -38,7 +38,7 @@ from .errors import (
     NonConvergence,
     OmegaOutOfRange,
 )
-from ._quad import GAUSS_W, GAUSS_X, slab_energies, slab_layout, slab_volume
+from ._quad import GAUSS_W, GAUSS_X, slab_energies, slab_lateral, slab_layout, slab_volume
 from .tension import SurfaceTension
 from .wulff import WulffBody, alpha_table, concavity_defect
 
@@ -157,13 +157,13 @@ def _lateral(body: WulffBody, knots: np.ndarray, r: np.ndarray, n_knots: np.ndar
 
 def lateral_energy(body: WulffBody, knots: np.ndarray, r: np.ndarray) -> float:
     """Lateral surface energy of the piecewise-linear profile r on knots,
-    its slabs summed in order as :func:`profile_energies` sums them (the
-    same pass, with no flat top and no contact term).  It takes the arrays,
-    not a Profile, so that a cap keeps its own knots (shifting them to
-    start at 0 can move a slab width by an ulp)."""
+    its slabs summed in order as :func:`profile_energies` sums them, with
+    no flat top (:func:`_quad.slab_lateral`).  It takes the arrays, not a
+    Profile, so that a cap keeps its own knots (shifting them to start at 0
+    can move a slab width by an ulp)."""
     n_knots = np.array([len(knots)])
-    fs, *_ = slab_energies(knots, r, n_knots, body.tension.dim - 1,
-                           _lateral(body, knots, r, n_knots), body.area, 0.0, 0.0)
+    fs = slab_lateral(knots, r, n_knots, body.tension.dim - 1,
+                      _lateral(body, knots, r, n_knots))
     return float(fs[0])
 
 

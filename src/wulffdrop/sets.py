@@ -41,7 +41,7 @@ import numpy as np
 
 from . import reduced
 from .errors import DimensionUnsupported, EmptySlice, IndexOutOfRange, InvalidInput
-from ._quad import slab_energies, slab_layout, slab_volume
+from ._quad import slab_energies, slab_lateral, slab_layout, slab_volume
 from .reduced import EnergyBreakdown, Profile, check_omega, lateral_energy
 from .tension import SurfaceTension
 from .wulff import (
@@ -314,11 +314,10 @@ def jensen_gap(s: SlicedSet, slab_index: int, body: WulffBody) -> float:
     _check_dim(s.d, body.tension)
     if not (0 <= slab_index < len(s.knots) - 1):
         raise IndexOutOfRange(f"slab index {slab_index} out of range")
-    # The slab alone, with no flat top or contact term, as lateral_energy.
+    # The slab alone, with no flat top, as lateral_energy.
     coef = _lateral(set_block([s]), body.tension)[slab_index:slab_index + 1]
     slab = slice(slab_index, slab_index + 2)
-    orig, *_ = slab_energies(s.knots[slab], s.scales[slab], np.array([2]), s.d,
-                             coef, s.base_area, 0.0, 0.0)
+    orig = slab_lateral(s.knots[slab], s.scales[slab], np.array([2]), s.d, coef)
     p = symmetrize(s, body)
     return float(orig[0] - lateral_energy(body, p.knots[slab], p.r[slab]))
 

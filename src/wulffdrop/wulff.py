@@ -322,15 +322,11 @@ def build_wulff_body(tension: SurfaceTension, m_normals: int = 1024) -> WulffBod
 # Vertical profile alpha(t) of the full Wulff shape
 # ---------------------------------------------------------------------------
 
-def _one_minus_pow(x, q, out=None):
+def _one_minus_pow(x, q):
     """1 - x^q for 0 <= x < 1, accurate where x^q is close to 1; 1 at
-    x = 0 and for q = inf.  Written into ``out`` (which may be x) when
-    given."""
+    x = 0 and for q = inf."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.log(x, out=out)
-        y *= q
-        np.expm1(y, out=y)
-        return np.negative(y, out=y)
+        return -np.expm1(np.log(x) * q)
 
 
 @dataclass(frozen=True)
@@ -341,29 +337,20 @@ class AlphaTable:
     tau = t_top = phi(0, 1) = -t_bot and q is the polar exponent of phi.
     alpha is even with alpha(0) = 1, so ``inverse`` gives the root z >= 0
     where alpha falls and -inverse the root where it rises.  For q = inf
-    (a box) alpha is 1 on (-tau, tau).  A call with ``out`` writes alpha
-    into that array in place, bit for bit as a fresh call.
+    (a box) alpha is 1 on (-tau, tau).
     """
 
     t_bot: float
     t_top: float
     q: float
 
-    # Scalars are evaluated as one-element arrays: numpy's scalar power
-    # rounds differently from its array loop, and a batched call must give
-    # the scalar answers bit for bit.
-
-    def __call__(self, z, out=None):
-        """alpha at z.  An array z may come with ``out``, a float array of
-        its shape (z itself, say): every step then writes into it, by the
-        same ufuncs in the same order, and it is returned."""
-        x = np.abs(np.atleast_1d(np.asarray(z, dtype=float)), out=out)
-        x /= self.t_top
-        inside = x < 1.0
+    def __call__(self, z):
+        """alpha at z.  A scalar is evaluated as a one-element array: numpy's
+        scalar power rounds differently from its array loop, and a scalar
+        call must give an array call's answer bit for bit."""
+        x = np.abs(np.atleast_1d(np.asarray(z, dtype=float))) / self.t_top
         with np.errstate(divide="ignore", invalid="ignore"):
-            y = _one_minus_pow(x, self.q, out=x)
-            y **= 1.0 / self.q
-        np.copyto(y, 0.0, where=~inside)
+            y = np.where(x < 1.0, _one_minus_pow(x, self.q) ** (1.0 / self.q), 0.0)
         return float(y[0]) if np.ndim(z) == 0 else y
 
     def inverse(self, target):

@@ -1,12 +1,11 @@
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from wulffdrop import competitor as comp
 from wulffdrop import reduced
-from wulffdrop.errors import HypothesisViolated, InvalidInput
+from wulffdrop.errors import HypothesisViolated, InvalidInput, NoBracket
 from wulffdrop.tension import make_tension
 from wulffdrop._quad import slab_volume
 from wulffdrop.wulff import alpha_table, build_wulff_body
@@ -69,64 +68,6 @@ def test_cap_profile_lower_side(pnorm3):
     assert rs[0] == 0.0
 
 
-@pytest.mark.parametrize("side", ["+", "-"])
-def test_stacked_caps_match_single_caps(pnorm3, side):
-    # The sigma scan samples every cap of its grid in one array; each row
-    # must be the cap and the volume that the root solve sees for it.
-    fa = alpha_table(pnorm3)
-    sigma = np.linspace(fa.t_bot + 0.1, 0.0, 9)
-    z_cut = np.full(9, fa.t_top - 0.05 if side == "+" else fa.t_bot + 0.01)
-    b = 0.7 / fa(sigma)
-    ts, rs = comp._sample_cap(pnorm3, b, 0.2, sigma, z_cut, side)
-    vols = slab_volume(3.0, ts, rs, 2)
-    assert ts.shape == rs.shape == (9, comp.CAP_SAMPLES)
-    for k in range(9):
-        ts1, rs1 = comp._sample_cap(pnorm3, b[k], 0.2, sigma[k], z_cut[k], side)
-        assert np.array_equal(ts1, ts[k]) and np.array_equal(rs1, rs[k])
-        assert slab_volume(3.0, ts1, rs1, 2) == vols[k]
-
-    # Two consecutive scans through this thread's workspace, on both sides
-    # and at two far-slice ratios, write the rows that fresh scalar calls
-    # return.  The far cut lies past the peak, as solve_params puts it.
-    cap, slabs = comp._scan_buffers()
-    other = "-" if side == "+" else "+"
-    for scan_side, ratio in ((side, 0.8), (other, 0.35)):
-        sigma = (np.linspace(fa.t_bot + 0.1, -0.05, comp.SCAN_POINTS + 1)
-                 if scan_side == "+" else
-                 np.linspace(0.05, fa.t_top - 0.1, comp.SCAN_POINTS + 1))
-        past = 1.0 if scan_side == "+" else -1.0
-        z_cut = past * fa.inverse(fa(sigma) * ratio)
-        b = 0.7 / fa(sigma)
-        ts, rs = comp._sample_cap(pnorm3, b, 0.2, sigma, z_cut, scan_side, out=cap)
-        vols = slab_volume(3.0, ts, rs, 2, out=slabs)
-        assert ts is cap[0] and rs is cap[1]
-        for k in range(len(sigma)):
-            ts1, rs1 = comp._sample_cap(pnorm3, b[k], 0.2, sigma[k], z_cut[k], scan_side)
-            assert ts1.tobytes() == ts[k].tobytes() and rs1.tobytes() == rs[k].tobytes()
-            assert slab_volume(3.0, ts1, rs1, 2).hex() == float(vols[k]).hex()
-
-
-def test_scan_workspace_is_kept_per_thread():
-    mine = comp._scan_buffers()
-    assert comp._scan_buffers() is mine
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        theirs = pool.submit(comp._scan_buffers).result()
-    mine, theirs = ([a for pair in w for a in pair] for w in (mine, theirs))
-    assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
-
-
-def test_sign_changes_match_the_product_test_without_underflow():
-    # Cells whose ends differ in sign or touch zero, as vals[:-1] * vals[1:]
-    # <= 0 selects them; NaN never counts.  Where that product underflows,
-    # only the signs decide.
-    rng = np.random.default_rng(3)
-    vals = rng.choice([-2.0, -0.5, -0.0, 0.0, 0.5, 3.0, np.nan], size=4000)
-    with np.errstate(invalid="ignore"):
-        assert np.array_equal(comp._sign_changes(vals), vals[:-1] * vals[1:] <= 0.0)
-    tiny = np.array([1e-200, 2e-200, -1e-200, -3e-200, 0.0, 1e-300])
-    assert comp._sign_changes(tiny).tolist() == [False, True, False, True, True]
-
-
 # ---------------------------------------------------------------------------
 # solve_params
 # ---------------------------------------------------------------------------
@@ -174,6 +115,135 @@ def test_solve_params_volume_match_random_dents(euclid, euclid_body):
         params = comp.solve_params(prof, t1, t2, side)
         assert params.volume_match_error <= 1e-8
         assert params.slice_match_error <= 1e-8
+
+
+def test_ends_bracket_by_their_signs_without_underflow():
+    # Ends bracket where they differ in sign or one is zero, as f_lo * f_hi
+    # <= 0 selects them; NaN never brackets.  Where that product
+    # underflows, only the signs decide.
+    rng = np.random.default_rng(3)
+    ends = rng.choice([-2.0, -0.5, -0.0, 0.0, 0.5, 3.0, np.nan], size=(2000, 2))
+    with np.errstate(invalid="ignore"):
+        product = (ends[:, 0] * ends[:, 1] <= 0.0).tolist()
+    assert [comp._brackets(a, b) for a, b in ends.tolist()] == product
+    tiny = [1e-200, 2e-200, -1e-200, -3e-200, 0.0, 1e-300]
+    assert [comp._brackets(a, b) for a, b in zip(tiny, tiny[1:])] == [
+        False, True, False, True, True]
+
+
+def cap_residual_scan(e, t1, t2, side, points=65):
+    """solve_params' cap volume residual on ``points`` sigmas spanning its
+    admissible interval: the grid, and the values for each far-cut sign in
+    the order solve_params tries them."""
+    fa = alpha_table(e.tension)
+    eps = 1e-9 * (fa.t_top - fa.t_bot)
+    r1, r2 = float(e.interp(t1)), float(e.interp(t2))
+    t_anchor, r_anchor, r_far = (t1, r1, r2) if side == "+" else (t2, r2, r1)
+    ratio, past = r_far / r_anchor, 1.0 if side == "+" else -1.0
+    if ratio <= 1.0:
+        grid, signs = np.linspace(fa.t_bot + eps, fa.t_top - eps, points), (past,)
+    else:
+        bound = fa.inverse(1.0 / ratio)
+        grid = (np.linspace(fa.t_bot + eps, -bound - eps, points) if side == "+"
+                else np.linspace(bound + eps, fa.t_top - eps, points))
+        signs = (-past, past)
+    v_mid = comp.section_volume(e, t1, t2)
+
+    def residual(sig, sign):
+        b = r_anchor / fa(sig)
+        ts, rs = comp._sample_cap(e.tension, b, t_anchor, sig,
+                                  sign * fa.inverse(fa(sig) * ratio), side)
+        return slab_volume(e.body.area, ts, rs, e.tension.dim - 1) - v_mid
+
+    return grid, [(sign, np.array([residual(s, sign) for s in grid.tolist()]))
+                  for sign in signs]
+
+
+def crossings(vals):
+    """Cells of a residual scan whose ends differ in sign or touch zero."""
+    return np.flatnonzero((np.minimum(vals[:-1], vals[1:]) <= 0.0)
+                          & (np.maximum(vals[:-1], vals[1:]) >= 0.0))
+
+
+@pytest.mark.parametrize("family,kw,dim", [
+    ("euclid", {}, 3), ("pnorm", {"p": 3.0}, 3), ("weighted", {"c": 2.0}, 3),
+    ("euclid", {}, 2)])
+def test_each_cap_residual_crosses_zero_once_across_its_interval(monkeypatch, family,
+                                                                 kw, dim):
+    # The dents of suite_convexity: on every solve their repairs make, a
+    # 65-point scan of the residual finds one crossing, in the first sign
+    # that has one, and Brent's sigma on the whole interval lies in that
+    # cell.  A sign tried before it has ends of one sign.
+    tension = make_tension(family, dim=dim, **kw)
+    body = build_wulff_body(tension, 1024)
+    solves = []
+
+    def spy(e, t1, t2, side):
+        solves.append(((e, t1, t2, side), solve_params(e, t1, t2, side)))
+        return solves[-1][1]
+
+    solve_params = comp.solve_params
+    monkeypatch.setattr(comp, "solve_params", spy)
+    t = np.linspace(0.0, 1.0, 41)
+    quarter = np.sqrt(np.maximum(1.0 - t**2, 0.0))
+    rng = np.random.default_rng(0)
+    for _ in range(12):
+        i0, width = int(rng.integers(4, 28)), int(rng.integers(3, 10))
+        r = quarter.copy()
+        r[i0:i0 + width] *= float(rng.uniform(0.5, 0.92))
+        comp.repair_profile(reduced.Profile(knots=t, r=r, body=body,
+                                            omega=-0.5 * tension.f_eN), epsilon=2.0)
+    assert len(solves) >= 12
+    for args, params in solves:
+        grid, scans = cap_residual_scan(*args)
+        counts = [len(crossings(vals)) for _, vals in scans]
+        k = next(i for i, n in enumerate(counts) if n)
+        assert counts[k] == 1
+        assert all(not comp._brackets(vals[0], vals[-1]) for _, vals in scans[:k])
+        sign, vals = scans[k]
+        cell = crossings(vals)[0]
+        assert grid[cell] <= params.sigma <= grid[cell + 1]
+        assert math.copysign(1.0, params.z_cut) == sign
+
+
+def test_a_far_slice_wider_than_the_cut_solves_past_the_peak(pnorm3_body):
+    # Below the dent the profile narrows (ratio > 1 on side "-"): with the
+    # far cut on sigma's side of the peak the residual keeps one sign
+    # across the interval, and the cut past the peak solves.
+    prof = dented_profile(pnorm3_body)
+    t1, t2 = float(prof.knots[1]), float(prof.knots[3])
+    grid, [(first, near), (second, far)] = cap_residual_scan(prof, t1, t2, "-")
+    assert first == 1.0 and len(crossings(near)) == 0
+    assert not comp._brackets(near[0], near[-1])
+    params = comp.solve_params(prof, t1, t2, "-")
+    cell = crossings(far)[0]
+    assert grid[cell] <= params.sigma <= grid[cell + 1]
+    assert params.z_cut < 0.0
+    assert params.volume_match_error <= 1e-12
+    assert params.slice_match_error <= 1e-12
+
+
+@pytest.mark.parametrize("nan_signs", [(1.0,), (1.0, -1.0)])
+def test_a_nan_end_brackets_nothing(monkeypatch, pnorm3_body, nan_signs):
+    # Caps whose far cut lies on the NaN signs' side give NaN radii, so the
+    # residual is NaN at both ends of those signs' intervals: solve_params
+    # passes to the next sign, or raises NoBracket, never brentq's
+    # ValueError.
+    prof = dented_profile(pnorm3_body)
+    t1, t2 = float(prof.knots[1]), float(prof.knots[3])
+    sample_cap = comp._sample_cap
+
+    def nan_cap(tension, b, t_anchor, sigma, z_cut, side):
+        ts, rs = sample_cap(tension, b, t_anchor, sigma, z_cut, side)
+        return ts, rs * math.nan if math.copysign(1.0, z_cut) in nan_signs else rs
+
+    expected = comp.solve_params(prof, t1, t2, "-")
+    monkeypatch.setattr(comp, "_sample_cap", nan_cap)
+    if len(nan_signs) == 1:
+        assert comp.solve_params(prof, t1, t2, "-").sigma == expected.sigma
+    else:
+        with pytest.raises(NoBracket, match="never crosses zero"):
+            comp.solve_params(prof, t1, t2, "-")
 
 
 # ---------------------------------------------------------------------------

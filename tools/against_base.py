@@ -68,21 +68,26 @@ OUTPUTS = ["check.json", "check.stdout", "check-seed1.json", "check-seed1.stdout
                 "-repair.json", "-repaired.csv", "-symmetrize.json", "-symmetrized.csv")]
 
 
-def json_gap(a, b):
-    """The largest |b - a| / |a| over the numeric leaves of two JSON values,
-    or None where their keys, lengths or other leaves differ.  A leaf that
+def json_gap(a, b, path=""):
+    """(gap, path): the largest |b - a| / |a| over the numeric leaves of two
+    JSON values and the key path of that leaf (``repairs[3].sigma``), or
+    None where their keys, lengths or other leaves differ.  A leaf that
     moves off 0 or to or from NaN counts as inf."""
     if isinstance(a, dict) and isinstance(b, dict):
-        gaps = [json_gap(a[k], b[k]) for k in a] if a.keys() == b.keys() else [None]
+        if a.keys() != b.keys():
+            return None
+        gaps = [json_gap(a[k], b[k], f"{path}.{k}" if path else str(k)) for k in a]
     elif isinstance(a, list) and isinstance(b, list):
-        gaps = [json_gap(x, y) for x, y in zip(a, b)] if len(a) == len(b) else [None]
+        if len(a) != len(b):
+            return None
+        gaps = [json_gap(x, y, f"{path}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
     elif all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
         if a == b or (math.isnan(a) and math.isnan(b)):
-            return 0.0
-        return abs(b - a) / abs(a) if a and not math.isnan(b - a) else math.inf
+            return 0.0, path
+        return (abs(b - a) / abs(a) if a and not math.isnan(b - a) else math.inf), path
     else:
-        return 0.0 if a == b else None
-    return None if None in gaps else max(gaps, default=0.0)
+        return (0.0, path) if a == b else None
+    return None if None in gaps else max(gaps, key=lambda g: g[0], default=(0.0, path))
 
 
 def verdict(tmp, name):
@@ -100,7 +105,7 @@ def verdict(tmp, name):
     if name.endswith(".json"):
         gap = json_gap(a, b)
         return "**differs**" if gap is None else cell(
-            f"**differs** (max |Δx| / |x| over numbers = {gap:.2e})")
+            f"**differs** (max |Δx| / |x| over numbers = {gap[0]:.2e} at {gap[1]})")
     if not name.endswith(".csv"):
         return "**differs**"
     a, b = (np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)[:, 1] for p in paths)
@@ -235,14 +240,16 @@ def repair_set():
     drawn as the suite draws them, at omega = -0.5 phi(0, 1).  Returns
     their count, the SHA-256 of the repaired geometry (every repaired
     profile's knots and radii, or the failure's name), the energy drops
-    (None where no repair was made) and their seconds.  The drops are kept
-    apart from the digest, so that a drop moved by rounding does not hide
-    whether the geometry moved."""
+    and the repairs' [sigma, tau] (None where no repair was made) and their
+    seconds.  The drops and parameters are kept apart from the digest, so
+    that a number moved by rounding does not hide whether the geometry
+    moved, and a move of the geometry is sized by how far sigma and tau
+    moved."""
     import hashlib
     import time
     import numpy as np
     import wulffdrop as wd
-    digest, count, drops = hashlib.sha256(), 0, []
+    digest, count, drops, caps = hashlib.sha256(), 0, [], []
     start = time.perf_counter()
     t = np.linspace(0.0, 1.0, 41)
     quarter = np.sqrt(np.maximum(1.0 - t**2, 0.0))
@@ -264,15 +271,18 @@ def repair_set():
                 except wd.competitor.CompetitorFailure as exc:
                     digest.update(type(exc).__name__.encode())
                     drops.append(None)
+                    caps.append(None)
                     continue
                 if out is None:
                     digest.update(b"none")
                     drops.append(None)
+                    caps.append(None)
                     continue
                 digest.update(out.knots.tobytes())
                 digest.update(out.r.tobytes())
                 drops.append(float(out.meta["energy_drop"]))
-    return [count, digest.hexdigest(), drops, time.perf_counter() - start]
+                caps.append([out.meta["params"].sigma, out.meta["params"].tau])
+    return [count, digest.hexdigest(), drops, caps, time.perf_counter() - start]
 
 
 def start_up(trees):
@@ -317,18 +327,31 @@ def drops_against(drops, base_drops):
     return f"**differs** ({len(moved)} of {len(drops)} moved, max \\|Δ\\| = {max(moved):.1e})"
 
 
+def params_against(params, base_params):
+    """The largest |Δsigma| and |Δtau| against the base tree's, over the
+    repairs both trees made."""
+    if base_params is None:
+        return "no base commit"
+    moves = [(abs(p[0] - b[0]), abs(p[1] - b[1]))
+             for p, b in zip(params, base_params) if p is not None and b is not None]
+    if not moves:
+        return "no common repairs"
+    return "{:.1e}, {:.1e}".format(*np.max(moves, axis=0))
+
+
 def competitor_repairs(trees):
     yield ("| commit | repairs | SHA-256 of the repaired geometry "
-           "| energy drops against base | seconds |")
-    yield "|---|---:|---|---|---:|"
-    base_drops = None
+           "| max \\|Δσ\\|, \\|Δτ\\| against base | energy drops against base | seconds |")
+    yield "|---|---:|---|---|---|---:|"
+    base_drops = base_params = None
     for side, tree in trees:
-        count, digest, drops, seconds = probe(tree, repair_set)
+        count, digest, drops, params, seconds = probe(tree, repair_set)
         if side == "base":
-            base_drops, moved = drops, ""
+            base_drops, base_params, moved, sized = drops, params, "", ""
         else:
             moved = drops_against(drops, base_drops)
-        yield f"| {side} | {count} | `{digest}` | {moved} | {seconds:.3f} |"
+            sized = params_against(params, base_params)
+        yield f"| {side} | {count} | `{digest}` | {sized} | {moved} | {seconds:.3f} |"
 
 
 def main(head, base=None):
