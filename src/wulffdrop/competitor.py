@@ -26,7 +26,6 @@ from .errors import HypothesisViolated, InvalidInput, NoBracket
 from ._brent import brentq
 from ._quad import slab_volume
 from .reduced import Profile, lateral_energy, reduced_energy, reduced_volume
-from .tension import SurfaceTension
 from .wulff import alpha_table, sorted_distinct
 
 # Exceptions that make a repair attempt unusable (callers may skip and retry).
@@ -40,7 +39,6 @@ BISECT_TOL = 1e-12
 CAP_SAMPLES = 513
 _CAP_XI = np.linspace(0.0, 1.0, CAP_SAMPLES)
 _CAP_RISE = np.sin(0.5 * math.pi * _CAP_XI)
-_CAP_FALL = 1.0 - np.cos(0.5 * math.pi * _CAP_XI)
 
 # Witness-gap shrinks (by 1/4 each) that a repair tries before giving up.
 MAX_SHRINKS = 12
@@ -105,89 +103,71 @@ def _brackets(f_lo: float, f_hi: float) -> bool:
     return f_lo <= 0.0 <= f_hi or f_hi <= 0.0 <= f_lo
 
 
-def _sample_cap(tension: SurfaceTension, b: float, t_anchor: float,
-                sigma: float, z_cut: float, side: str):
-    """Piecewise-linear sampling of the part of K between sigma and z_cut
-    (above sigma for side "+", below for "-"), dilated by b with the cut at
-    sigma anchored at height t_anchor, clustered at the far cut (which may
-    sit at a pole of alpha): ascending heights and the radii at them."""
-    if side == "+":
-        z = (z_cut - sigma) * _CAP_RISE + sigma
-    else:
-        z = (sigma - z_cut) * _CAP_FALL + z_cut
-    return (z - sigma) * b + t_anchor, alpha_table(tension)(z) * b
+def _unit_cap(fa, sigma: float, z_cut: float):
+    """Piecewise-linear sampling of the part of K between sigma and z_cut >
+    sigma, undilated with its cut at height 0, clustered at the far cut
+    (which may sit at a pole of alpha): heights z - sigma and radii
+    alpha(z) on the cap grid."""
+    z = (z_cut - sigma) * _CAP_RISE + sigma
+    return z - sigma, fa(z)
 
 
 def solve_params(e: Profile, t1: float, t2: float, side: str) -> CompetitorParams:
     """Solve the cut height sigma and truncation height tau of the cap.
 
     The cap is anchored at t1 (side "+") or t2 (side "-") with its cut slice
-    matching E there.  The far slice match alpha(z_cut) = alpha(sigma) *
-    ratio, ratio = r_far / r_anchor, is enforced exactly by the signed
-    inverse z_cut = +-inverse(alpha(sigma) * ratio): the sign puts z_cut
-    past the peak (+ for side "+", - for side "-"), or, when ratio > 1, first
-    on sigma's own side.  A single Brent root solve in sigma then drives the
-    enclosed cap volume to the middle volume of E.  Both the middle volume
-    and the cap volume are evaluated on the same piecewise-linear
-    discretization used for splicing, so the matches hold to the root
-    solve's accuracy.  Each sign's residual runs from the whole rescaled
-    shape down to a vanishing cap across the admissible sigma interval, so
-    its ends bracket the root: Brent solves on the whole interval, from the
-    residual at its ends.  A sign whose ends have one sign (or a NaN)
-    brackets nothing and the next is tried; none left raises NoBracket.
+    matching E there.  K is even in x_N, so side "-" is solved as side "+"
+    of the section reflected in height, and its sigma, z_cut and heights
+    are mirrored back.  z_cut = +-inverse(alpha(sigma) * ratio), ratio =
+    r_far / r_anchor, matches the far slice exactly: + past the peak, or,
+    when ratio > 1, first - on sigma's own side.  One Brent solve in sigma
+    then matches the cap volume, b^N times the unit cap's (b = r_anchor /
+    alpha(sigma)), to E's middle volume, both on the piecewise-linear
+    discretization used for splicing.  Each sign's residual runs from the
+    whole rescaled shape down to a vanishing cap across the admissible
+    sigma interval, so Brent starts from the residual at its ends; a sign
+    whose ends have one sign (or a NaN) brackets nothing and the next is
+    tried; none left raises NoBracket.
     """
     if not (0.0 < t1 < t2):
         raise ValueError("need 0 < t1 < t2")
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
-    tension = e.tension
-    nm1 = tension.dim - 1
-    fa = alpha_table(tension)
+    nm1 = e.tension.dim - 1
+    fa = alpha_table(e.tension)
     lo, hi = fa.t_bot, fa.t_top
-    span = hi - lo
-    eps = 1e-9 * span
+    eps = 1e-9 * (hi - lo)
     area = e.body.area
     v_mid = section_volume(e, t1, t2)
     if v_mid <= 0:
         raise HypothesisViolated("middle section of E has no volume")
 
-    r1 = float(e.interp(t1))
-    r2 = float(e.interp(t2))
-    if side == "+":
-        t_anchor, r_anchor, r_far = t1, r1, r2
-    else:
-        t_anchor, r_anchor, r_far = t2, r2, r1
+    r1, r2 = float(e.interp(t1)), float(e.interp(t2))
+    # Side "-" reflected: heights run down from t2, and r1 is the far slice.
+    t_anchor, r_anchor, r_far, up = (t1, r1, r2, 1.0) if side == "+" else (t2, r2, r1, -1.0)
     if r_anchor <= 0:
         raise HypothesisViolated(f"empty anchor slice at t={t_anchor}")
     ratio = r_far / r_anchor
-    past = 1.0 if side == "+" else -1.0
     if ratio <= 1.0:
         # Far slice no wider than the cut: z lies past the peak, for every
         # admissible sigma.
-        signs = (past,)
+        signs = (1.0,)
         sig_lo, sig_hi = lo + eps, hi - eps
     else:
         # Far slice wider than the cut: alpha(sigma) * ratio must stay below
-        # the peak width, which keeps sigma beyond inverse(1 / ratio) on its
-        # own side, and z may sit on sigma's side of the peak or past it.
-        bound = fa.inverse(1.0 / ratio)
-        if side == "+":
-            sig_lo, sig_hi = lo + eps, -bound - eps
-        else:
-            sig_lo, sig_hi = bound + eps, hi - eps
-        signs = (-past, past)
+        # the peak width, which keeps sigma below -inverse(1 / ratio), and z
+        # may sit on sigma's side of the peak or past it.
+        signs = (-1.0, 1.0)
+        sig_lo, sig_hi = lo + eps, -fa.inverse(1.0 / ratio) - eps
         if not sig_lo < sig_hi:
             # alpha(sigma) * ratio exceeds the peak width for every sigma,
             # as for the box-shaped K of pnorm p = 1 (alpha = 1).
             raise NoBracket(f"no sigma fits the far slice (side {side})")
 
-    def far_cut(sig, sign):
-        return sign * fa.inverse(fa(sig) * ratio)
-
     def residual(sig, sign):
-        b = r_anchor / fa(sig)
-        ts, rs = _sample_cap(tension, b, t_anchor, sig, far_cut(sig, sign), side)
-        return slab_volume(area, ts, rs, nm1) - v_mid
+        a = fa(sig)
+        zs, rs = _unit_cap(fa, sig, sign * fa.inverse(a * ratio))
+        return (r_anchor / a) ** (nm1 + 1) * slab_volume(area, zs, rs, nm1) - v_mid
 
     for sign in signs:
         ends = (residual(sig_lo, sign), residual(sig_hi, sign))
@@ -198,10 +178,15 @@ def solve_params(e: Profile, t1: float, t2: float, side: str) -> CompetitorParam
     else:
         raise NoBracket(f"cap volume residual (side {side}) never crosses zero")
 
-    z = far_cut(sigma, sign)
-    b = r_anchor / fa(sigma)
-    tau = t_anchor + b * (z - sigma)
-    ts, rs = _sample_cap(tension, b, t_anchor, sigma, z, side)
+    a = fa(sigma)
+    z = sign * fa.inverse(a * ratio)
+    b = r_anchor / a
+    zs, rs = _unit_cap(fa, sigma, z)
+    ts, rs = t_anchor + up * b * zs, b * rs
+    tau = t_anchor + up * b * (z - sigma)
+    if side == "-":
+        # Mirror the reflected cap back: ascending heights, negated cuts.
+        ts, rs, sigma, z = ts[::-1], rs[::-1], -sigma, -z
     v_far = area * (b * fa(z)) ** nm1
     vol_err = abs(slab_volume(area, ts, rs, nm1) - v_mid) / (1.0 + v_mid)
     slice_err = abs(v_far - area * r_far**nm1) / (1.0 + area * r_far**nm1)

@@ -40,7 +40,7 @@ from .errors import (
 )
 from ._quad import GAUSS_W, GAUSS_X, slab_energies, slab_lateral, slab_layout, slab_volume
 from .tension import SurfaceTension
-from .wulff import WulffBody, alpha_table, concavity_defect
+from .wulff import MAX_SIZE, WulffBody, alpha_table, concavity_defect
 
 
 @dataclass(frozen=True, eq=False)
@@ -587,6 +587,8 @@ def minimize_direct(body: WulffBody, omega: float, m: float,
     check_mass(m)
     if grid_size < 3:
         raise InvalidInput(f"grid_size must be at least 3, got {grid_size}")
+    if grid_size > MAX_SIZE:
+        raise InvalidInput(f"grid_size must be at most {MAX_SIZE}, got {grid_size}")
     if max_iter < 1:
         raise InvalidInput(f"max_iter must be at least 1, got {max_iter}")
     nm1 = tension.dim - 1

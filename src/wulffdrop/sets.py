@@ -314,9 +314,13 @@ def jensen_gap(s: SlicedSet, slab_index: int, body: WulffBody) -> float:
     _check_dim(s.d, body.tension)
     if not (0 <= slab_index < len(s.knots) - 1):
         raise IndexOutOfRange(f"slab index {slab_index} out of range")
-    # The slab alone, with no flat top, as lateral_energy.
-    coef = _lateral(set_block([s]), body.tension)[slab_index:slab_index + 1]
+    # The slab alone, laid out as a set of two knots, with no flat top, as
+    # lateral_energy.
     slab = slice(slab_index, slab_index + 2)
+    coef = _lateral(_layout(s.d, np.array([len(s.edge_lengths)]), s.base_vertices,
+                            s.edge_lengths, s.edge_normals, s.edge_supports,
+                            np.array([s.base_area]), np.array([2]), s.knots[slab],
+                            s.scales[slab], s.centers[slab]), body.tension)
     orig = slab_lateral(s.knots[slab], s.scales[slab], np.array([2]), s.d, coef)
     p = symmetrize(s, body)
     return float(orig[0] - lateral_energy(body, p.knots[slab], p.r[slab]))

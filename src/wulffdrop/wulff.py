@@ -59,6 +59,9 @@ DEDUP_TOL = 1e-12
 # A point within this multiple of R = max |nu_j / c_j| of a hull chord lies
 # on it: four ulps of R, the rounding of the points themselves.
 _COLLINEAR_RTOL = 4.0 * float(np.finfo(float).eps)
+# Largest normal count of a body and knot count of a direct solve; a larger
+# one is refused before any array is made.
+MAX_SIZE = 2**20
 
 
 @dataclass(frozen=True)
@@ -283,8 +286,11 @@ def halfplane_polygon(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=32)
 def build_wulff_body(tension: SurfaceTension, m_normals: int = 1024) -> WulffBody:
     """Construct K_h, read through its faces: the interval [-h(-1), h(1)]
-    for d = 1, the polygon of m_normals evenly spread support planes for d = 2."""
+    for d = 1, the polygon of m_normals evenly spread support planes for d = 2.
+    m_normals above MAX_SIZE raises InvalidInput in either dimension."""
     d = tension.dim - 1
+    if m_normals > MAX_SIZE:
+        raise InvalidInput(f"m_normals must be at most {MAX_SIZE}, got {m_normals}")
     if d == 1:
         h_neg, h_pos = tension.h.value(np.array([[-1.0], [1.0]])).tolist()
         geometry = np.array([-h_neg, h_pos])
@@ -322,13 +328,6 @@ def build_wulff_body(tension: SurfaceTension, m_normals: int = 1024) -> WulffBod
 # Vertical profile alpha(t) of the full Wulff shape
 # ---------------------------------------------------------------------------
 
-def _one_minus_pow(x, q):
-    """1 - x^q for 0 <= x < 1, accurate where x^q is close to 1; 1 at
-    x = 0 and for q = inf."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return -np.expm1(np.log(x) * q)
-
-
 @dataclass(frozen=True)
 class AlphaTable:
     """alpha(z) = (1 - |z/tau|^q)^(1/q) on (-tau, tau), 0 outside, and its
@@ -337,20 +336,27 @@ class AlphaTable:
     tau = t_top = phi(0, 1) = -t_bot and q is the polar exponent of phi.
     alpha is even with alpha(0) = 1, so ``inverse`` gives the root z >= 0
     where alpha falls and -inverse the root where it rises.  For q = inf
-    (a box) alpha is 1 on (-tau, tau).
+    (a box) alpha is 1 on (-tau, tau).  Both share one closed form.
     """
 
     t_bot: float
     t_top: float
     q: float
 
+    def _root(self, x):
+        """(1 - x^q)^(1/q) for 0 <= x < 1, accurate where x^q is close to 1
+        (1 at x = 0 and for q = inf), and 0 from 1 on, of an array x >= 0;
+        what the closed form gives from 1 on (NaN, or an overflow of x^q for
+        large q) is discarded without a warning.
+        Scalars come as one-element arrays: numpy's scalar power rounds
+        differently from its array loop, and a scalar call must give an
+        array call's answer bit for bit."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.where(x < 1.0, (-np.expm1(np.log(x) * self.q)) ** (1.0 / self.q), 0.0)
+
     def __call__(self, z):
-        """alpha at z.  A scalar is evaluated as a one-element array: numpy's
-        scalar power rounds differently from its array loop, and a scalar
-        call must give an array call's answer bit for bit."""
-        x = np.abs(np.atleast_1d(np.asarray(z, dtype=float))) / self.t_top
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y = np.where(x < 1.0, _one_minus_pow(x, self.q) ** (1.0 / self.q), 0.0)
+        """alpha at z."""
+        y = self._root(np.abs(np.atleast_1d(np.asarray(z, dtype=float))) / self.t_top)
         return float(y[0]) if np.ndim(z) == 0 else y
 
     def inverse(self, target):
@@ -361,7 +367,7 @@ class AlphaTable:
         [0, 1].  -inverse(target) is the root where alpha rises.
         """
         a = np.clip(np.atleast_1d(np.asarray(target, dtype=float)), 0.0, 1.0)
-        z = np.where(a < 1.0, self.t_top * _one_minus_pow(a, self.q) ** (1.0 / self.q), 0.0)
+        z = self.t_top * self._root(a)
         return float(z[0]) if np.ndim(target) == 0 else z
 
 

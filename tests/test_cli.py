@@ -551,13 +551,21 @@ def test_bad_flags_are_validation_errors(argv, names, tension_file, tmp_path,
      "epsilon must be positive"),
     (["repair", "--omega=-0.5", "--max-repairs", "-1"],
      "--max-repairs must be at least 0"),
+    # Sizes past the bound are refused before any array is made.
+    (["wulff", "--m-normals", "10000000000000000000"], "m_normals must be at most"),
+    (["wulff", "--m-normals", str(2**21)], "m_normals must be at most 1048576"),
+    (["solve", "--omega=-0.5", "--mass", "1", "--method", "direct",
+      "--grid-size", "10000000000000000000"], "grid_size must be at most"),
+    (["solve", "--omega=-0.5", "--mass", "1", "--method", "direct",
+      "--grid-size", str(2**21)], "grid_size must be at most 1048576"),
 ], ids=["solve-direct-infinite-mass", "solve-nan-mass", "sweep-nan-mass",
         "sweep-infinite-mass", "direct-grid-size-0", "direct-grid-size-1",
         "check-zero-trials", "check-negative-trials", "check-negative-seed",
         "check-negative-seed-unseeded-suite", "direct-max-iter-0",
         "repair-zero-epsilon", "repair-negative-epsilon", "repair-nan-epsilon",
         "repair-zero-epsilon-no-repairs",
-        "repair-negative-max-repairs"])
+        "repair-negative-max-repairs", "wulff-m-normals-1e19", "wulff-m-normals-2-pow-21",
+        "direct-grid-size-1e19", "direct-grid-size-2-pow-21"])
 def test_out_of_range_numbers_are_validation_errors(argv, names, tension_file,
                                                     tmp_path, capsys, euclid):
     out = tmp_path / "out"

@@ -30,42 +30,51 @@ def dented_profile(body, omega=-0.5, lo=12, hi=20, factor=0.75):
 
 
 # ---------------------------------------------------------------------------
-# Cap profiles (``_sample_cap``, the one cap sampler)
+# Cap profiles (``_unit_cap``, the one cap sampler)
 # ---------------------------------------------------------------------------
 
 def test_cap_profile_upper_hemisphere(euclid):
-    # The unit ball above sigma = 0, anchored at t = 2, cut at the pole.
-    ts, rs = comp._sample_cap(euclid, 1.0, 2.0, 0.0, alpha_table(euclid).t_top, "+")
-    assert ts[0] == pytest.approx(2.0)
-    assert ts[-1] == pytest.approx(3.0)  # anchored unit hemisphere
-    mid = np.searchsorted(ts, 2.5)
-    assert rs[mid] == pytest.approx(math.sqrt(1 - (ts[mid] - 2.0) ** 2), abs=1e-9)
+    # The unit ball above sigma = 0, cut at the pole: a unit hemisphere.
+    fa = alpha_table(euclid)
+    zs, rs = comp._unit_cap(fa, 0.0, fa.t_top)
+    assert zs[0] == 0.0
+    assert zs[-1] == pytest.approx(1.0)
+    mid = np.searchsorted(zs, 0.5)
+    assert rs[mid] == pytest.approx(math.sqrt(1 - zs[mid] ** 2), abs=1e-9)
 
 
 def test_cap_profile_sigma06(euclid):
-    ts, rs = comp._sample_cap(euclid, 1.0, 0.0, 0.6, alpha_table(euclid).t_top, "+")
+    fa = alpha_table(euclid)
+    zs, rs = comp._unit_cap(fa, 0.6, fa.t_top)
     assert rs[0] == pytest.approx(0.8, rel=1e-9)  # alpha(0.6)
-    assert ts[-1] - ts[0] == pytest.approx(0.4, abs=1e-9)
+    assert zs[-1] - zs[0] == pytest.approx(0.4, abs=1e-9)
 
 
 def test_cap_profile_vanishes_at_top(euclid, euclid_body):
-    ts, rs = comp._sample_cap(euclid, 1.0, 0.0, 0.999, alpha_table(euclid).t_top, "+")
-    assert rs[0] == pytest.approx(alpha_table(euclid)(0.999), rel=1e-9)
-    assert slab_volume(euclid_body.area, ts, rs, 2) < 1e-4
+    fa = alpha_table(euclid)
+    zs, rs = comp._unit_cap(fa, 0.999, fa.t_top)
+    assert rs[0] == pytest.approx(fa(0.999), rel=1e-9)
+    assert slab_volume(euclid_body.area, zs, rs, 2) < 1e-4
 
 
 def test_cap_profile_lower_side(pnorm3):
+    # The lower cap below sigma = 0.3 is the upper cap above -0.3 reflected:
+    # dilated, hung from t_anchor and mirrored as solve_params mirrors it.
     sigma, t_anchor = 0.3, 1.5
     fa = alpha_table(pnorm3)
     b = 0.7 / fa(sigma)  # a cut slice of radius 0.7
-    ts, rs = comp._sample_cap(pnorm3, b, t_anchor, sigma, fa.t_bot, "-")
+    zs, rs = comp._unit_cap(fa, -sigma, fa.t_top)
+    ts, rs = (t_anchor - b * zs)[::-1], (b * rs)[::-1]
     # Anchored from above: the heights rise to the cut at t_anchor.
     assert np.all(np.diff(ts) > 0)
-    assert ts[-1] == pytest.approx(t_anchor, abs=1e-12)
+    assert ts[-1] == t_anchor
     assert ts[0] == pytest.approx(t_anchor - b * (sigma - fa.t_bot), abs=1e-12)
-    # The cut slice has radius 0.7; the cap vanishes at the bottom pole.
+    # The cut slice has radius 0.7; the cap vanishes at the bottom pole, and
+    # each radius is K's at the reflected height.
     assert rs[-1] == pytest.approx(0.7, rel=1e-12)
     assert rs[0] == 0.0
+    np.testing.assert_allclose(rs, b * fa(sigma - (t_anchor - ts) / b),
+                               rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -133,27 +142,25 @@ def test_ends_bracket_by_their_signs_without_underflow():
 
 def cap_residual_scan(e, t1, t2, side, points=65):
     """solve_params' cap volume residual on ``points`` sigmas spanning its
-    admissible interval: the grid, and the values for each far-cut sign in
-    the order solve_params tries them."""
+    admissible interval, in its one frame (side "-" reflected in height, so
+    its sigma and z_cut are negated there): the grid, and the values for
+    each far-cut sign in the order solve_params tries them."""
     fa = alpha_table(e.tension)
     eps = 1e-9 * (fa.t_top - fa.t_bot)
     r1, r2 = float(e.interp(t1)), float(e.interp(t2))
-    t_anchor, r_anchor, r_far = (t1, r1, r2) if side == "+" else (t2, r2, r1)
-    ratio, past = r_far / r_anchor, 1.0 if side == "+" else -1.0
+    r_anchor, r_far = (r1, r2) if side == "+" else (r2, r1)
+    ratio, nm1 = r_far / r_anchor, e.tension.dim - 1
     if ratio <= 1.0:
-        grid, signs = np.linspace(fa.t_bot + eps, fa.t_top - eps, points), (past,)
+        grid, signs = np.linspace(fa.t_bot + eps, fa.t_top - eps, points), (1.0,)
     else:
-        bound = fa.inverse(1.0 / ratio)
-        grid = (np.linspace(fa.t_bot + eps, -bound - eps, points) if side == "+"
-                else np.linspace(bound + eps, fa.t_top - eps, points))
-        signs = (-past, past)
+        grid = np.linspace(fa.t_bot + eps, -fa.inverse(1.0 / ratio) - eps, points)
+        signs = (-1.0, 1.0)
     v_mid = comp.section_volume(e, t1, t2)
 
     def residual(sig, sign):
-        b = r_anchor / fa(sig)
-        ts, rs = comp._sample_cap(e.tension, b, t_anchor, sig,
-                                  sign * fa.inverse(fa(sig) * ratio), side)
-        return slab_volume(e.body.area, ts, rs, e.tension.dim - 1) - v_mid
+        zs, rs = comp._unit_cap(fa, sig, sign * fa.inverse(fa(sig) * ratio))
+        return ((r_anchor / fa(sig)) ** (nm1 + 1)
+                * slab_volume(e.body.area, zs, rs, nm1) - v_mid)
 
     return grid, [(sign, np.array([residual(s, sign) for s in grid.tolist()]))
                   for sign in signs]
@@ -196,54 +203,80 @@ def test_each_cap_residual_crosses_zero_once_across_its_interval(monkeypatch, fa
     assert len(solves) >= 12
     for args, params in solves:
         grid, scans = cap_residual_scan(*args)
+        up = 1.0 if params.side == "+" else -1.0
         counts = [len(crossings(vals)) for _, vals in scans]
         k = next(i for i, n in enumerate(counts) if n)
         assert counts[k] == 1
         assert all(not comp._brackets(vals[0], vals[-1]) for _, vals in scans[:k])
         sign, vals = scans[k]
         cell = crossings(vals)[0]
-        assert grid[cell] <= params.sigma <= grid[cell + 1]
-        assert math.copysign(1.0, params.z_cut) == sign
+        assert grid[cell] <= up * params.sigma <= grid[cell + 1]
+        assert math.copysign(1.0, up * params.z_cut) == sign
 
 
 def test_a_far_slice_wider_than_the_cut_solves_past_the_peak(pnorm3_body):
     # Below the dent the profile narrows (ratio > 1 on side "-"): with the
     # far cut on sigma's side of the peak the residual keeps one sign
-    # across the interval, and the cut past the peak solves.
+    # across the interval, and the cut past the peak solves.  The scan runs
+    # in the reflected frame, where sigma's side is -.
     prof = dented_profile(pnorm3_body)
     t1, t2 = float(prof.knots[1]), float(prof.knots[3])
     grid, [(first, near), (second, far)] = cap_residual_scan(prof, t1, t2, "-")
-    assert first == 1.0 and len(crossings(near)) == 0
+    assert first == -1.0 and len(crossings(near)) == 0
     assert not comp._brackets(near[0], near[-1])
     params = comp.solve_params(prof, t1, t2, "-")
     cell = crossings(far)[0]
-    assert grid[cell] <= params.sigma <= grid[cell + 1]
+    assert grid[cell] <= -params.sigma <= grid[cell + 1]
     assert params.z_cut < 0.0
     assert params.volume_match_error <= 1e-12
     assert params.slice_match_error <= 1e-12
 
 
-@pytest.mark.parametrize("nan_signs", [(1.0,), (1.0, -1.0)])
+@pytest.mark.parametrize("nan_signs", [(-1.0,), (-1.0, 1.0)])
 def test_a_nan_end_brackets_nothing(monkeypatch, pnorm3_body, nan_signs):
-    # Caps whose far cut lies on the NaN signs' side give NaN radii, so the
+    # Caps whose far cut lies on the NaN signs' side (in the reflected
+    # frame of side "-", whose first sign is -) give NaN radii, so the
     # residual is NaN at both ends of those signs' intervals: solve_params
     # passes to the next sign, or raises NoBracket, never brentq's
     # ValueError.
     prof = dented_profile(pnorm3_body)
     t1, t2 = float(prof.knots[1]), float(prof.knots[3])
-    sample_cap = comp._sample_cap
+    unit_cap = comp._unit_cap
 
-    def nan_cap(tension, b, t_anchor, sigma, z_cut, side):
-        ts, rs = sample_cap(tension, b, t_anchor, sigma, z_cut, side)
-        return ts, rs * math.nan if math.copysign(1.0, z_cut) in nan_signs else rs
+    def nan_cap(fa, sigma, z_cut):
+        zs, rs = unit_cap(fa, sigma, z_cut)
+        return zs, rs * math.nan if math.copysign(1.0, z_cut) in nan_signs else rs
 
     expected = comp.solve_params(prof, t1, t2, "-")
-    monkeypatch.setattr(comp, "_sample_cap", nan_cap)
+    monkeypatch.setattr(comp, "_unit_cap", nan_cap)
     if len(nan_signs) == 1:
         assert comp.solve_params(prof, t1, t2, "-").sigma == expected.sigma
     else:
         with pytest.raises(NoBracket, match="never crosses zero"):
             comp.solve_params(prof, t1, t2, "-")
+
+
+@pytest.mark.parametrize("family,kw", [
+    ("euclid", {}), ("pnorm", {"p": 3.0}), ("weighted", {"c": 2.0})])
+def test_equal_end_slices_give_mirrored_caps(family, kw):
+    # A dented cylinder, r(t1) == r(t2): K is even in x_N, so the lower cap
+    # is the upper cap reflected, bit for bit.
+    tension = make_tension(family, **kw)
+    t = np.linspace(0.0, 1.0, 41)
+    r = np.ones_like(t)
+    r[12:20] *= 0.8
+    prof = reduced.Profile(knots=t, r=r, body=build_wulff_body(tension, 1024),
+                           omega=-0.5 * tension.f_eN)
+    t1, t2 = float(t[11]), float(t[20])
+    up = comp.solve_params(prof, t1, t2, "+")
+    down = comp.solve_params(prof, t1, t2, "-")
+    assert down.sigma == -up.sigma
+    assert down.z_cut == -up.z_cut
+    assert down.b == up.b
+    assert np.array_equal(down.rs[::-1], up.rs)
+    assert np.all(np.diff(down.ts) > 0) and down.ts[-1] == t2
+    np.testing.assert_allclose(t2 - down.ts[::-1], up.ts - t1, rtol=0, atol=1e-15)
+    assert t2 - down.tau == pytest.approx(up.tau - t1, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -317,14 +317,15 @@ def test_alpha_closed_form_properties(family, param, dim, frac):
 
 @pytest.mark.parametrize("name,kw", [
     ("euclid", {}), ("pnorm", {"p": 3.0}), ("pnorm", {"p": 1.5}),
-    ("weighted", {"c": 2.0}), ("pnorm", {"p": 1.0}),
+    ("weighted", {"c": 2.0}), ("pnorm", {"p": 1.0}), ("pnorm", {"p": 1.001}),
 ])
 def test_alpha_array_matches_scalar_calls(name, kw):
     # Every value of an array call, the poles, the peak, points outside and
-    # NaN included, is the scalar call's, bit for bit.
+    # NaN included, is the scalar call's, bit for bit.  Far outside, |z/tau|^q
+    # overflows for p = 1.001 (q = 1001), which is no warning.
     fa = alpha_table(make_tension(name, **kw))
     z = np.linspace(-1.2 * fa.t_top, 1.2 * fa.t_top, 2 * 257).reshape(2, 257)
-    z[0, :4] = [0.0, fa.t_top, fa.t_bot, np.nan]
+    z[0, :5] = [0.0, fa.t_top, fa.t_bot, np.nan, -3.0 * fa.t_top]
     values = fa(z)
     assert values.shape == z.shape
     assert np.array([fa(x) for x in z.ravel().tolist()]).tobytes() == values.tobytes()

@@ -161,8 +161,9 @@ def cli_outputs(trees):
                 f"--out {fam}-symmetrized.csv --report {fam}-symmetrize.json")
             # Invalid inputs: omega = 1.5 phi(0, 1) outside the admissible
             # interval, omega > 0 outside the graph regime of the shoot half of
-            # --method both, a NaN mass, and a sweep whose second omega is
-            # outside the graph regime.
+            # --method both, a NaN mass, a sweep whose second omega is outside
+            # the graph regime, and a normal count above the size bound, too
+            # large for numpy even to size, so no tree allocates it.
             invalid[fam + "-omega-outside"] = f"solve {tension} --omega={-3.0 * omega!r} --mass 1"
             invalid[fam + "-both-positive-omega"] = (f"solve {tension} --omega=0.1 --mass 1 "
                                                      "--method both")
@@ -170,6 +171,7 @@ def cli_outputs(trees):
                                                  "--mass nan --method direct")
             invalid[fam + "-sweep-second-omega"] = (f"sweep {tension} --omegas={omega!r},0.2 "
                                                     "--mass 1")
+            invalid[fam + "-huge-m-normals"] = f"wulff {tension} --m-normals 10000000000000000000"
         for tag, argv in invalid.items():
             commands[tag] = f"{argv} --out-dir {tag}-out"
         codes = {}
