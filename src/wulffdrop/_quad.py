@@ -3,52 +3,56 @@
 On a slab r = (1 - x) a + x b is linear and the tension's integrand is
 constant, so every volume and energy integral is an exact Bernstein sum:
 int_0^1 r^n dx = sum_k a^(n-k) b^k / (n + 1) and int_0^1 x r^n dx =
-sum_k (k + 1) a^(n-k) b^k / ((n + 1) (n + 2)).  The 8-point Gauss-Legendre
+sum_k (k + 1) a^(n-k) b^k / ((n + 1) (n + 2)).  Slice dimensions 1 and 2
+need n <= 2 only, so the sums are written out, their terms added from
+k = 0 on; a larger n raises DimensionUnsupported.  The 8-point Gauss-Legendre
 rule on [0, 1] is kept for the direct solver's slice-measure functional,
 whose integrand rho^beta is not a polynomial.
 """
 
 import numpy as np
 
+from .errors import DimensionUnsupported
+
 _gx, _gw = np.polynomial.legendre.leggauss(8)
 GAUSS_X = 0.5 * (_gx + 1.0)
 GAUSS_W = 0.5 * _gw
 
 
-def _bernstein_terms(a, b, n, term):
-    """Fill ``term`` with a^(n-k) b^k for k = 0, ..., n in turn, yielding k.
-    A term leaves out a factor x^0 = 1 and takes x^1 as x, and so rounds as
-    the product of the two powers does."""
-    for k in range(n + 1):
-        if k == n:
-            np.power(b, n, out=term)
-        else:
-            np.power(a, n - k, out=term)
-            if k == 1:
-                term *= b
-            elif k > 1:
-                term *= b**k
-        yield k
+def _check_power(n: int) -> None:
+    """Raise DimensionUnsupported unless the slice power n is 0, 1 or 2, the
+    powers of slice dimensions 1 and 2 and of their lateral integrands."""
+    if n not in (0, 1, 2):
+        raise DimensionUnsupported(f"slab power {n} unsupported (need 0, 1 or 2)")
 
 
 def slab_volume(area: float, ts: np.ndarray, rs: np.ndarray, n: int) -> float:
     """area * int r(t)^n dt for r piecewise linear on the knots ts (exact),
-    its Bernstein terms accumulated from 0 in place."""
+    n in {0, 1, 2}."""
+    _check_power(n)
     a, b = rs[:-1], rs[1:]
-    acc, term = np.zeros_like(a), np.empty_like(a)
-    for _ in _bernstein_terms(a, b, n, term):
-        acc += term
+    if n == 2:
+        acc = a * a + a * b + b * b
+    elif n == 1:
+        acc = a + b
+    else:
+        acc = np.ones_like(a)
     acc *= np.diff(ts)
     acc /= n + 1
     return float(area * np.sum(acc))
 
 
 def slab_moments(a: np.ndarray, b: np.ndarray, n: int):
-    """(int_0^1 r^n dx, int_0^1 x r^n dx) for r = (1 - x) a + x b."""
-    term, mean, moment = np.empty_like(a), np.zeros_like(a), np.zeros_like(a)
-    for k in _bernstein_terms(a, b, n, term):
-        mean += term
-        moment += (k + 1) * term
+    """(int_0^1 r^n dx, int_0^1 x r^n dx) for r = (1 - x) a + x b, n in
+    {0, 1, 2}."""
+    _check_power(n)
+    if n == 2:
+        aa, ab, bb = a * a, a * b, b * b
+        mean, moment = aa + ab + bb, aa + 2 * ab + 3 * bb
+    elif n == 1:
+        mean, moment = a + b, a + 2 * b
+    else:
+        mean, moment = np.ones_like(a), np.ones_like(a)
     return mean / (n + 1), moment / ((n + 1) * (n + 2))
 
 

@@ -109,44 +109,43 @@ def suite_symmetrization(seed: int = DEFAULT_SEED, trials: int = 1000) -> dict:
 
 
 def suite_jensen(seed: int = DEFAULT_SEED) -> dict:
-    """Per-slab gap vanishes iff the slab is a drifting-free Wulff dilate."""
+    """Per-slab gap vanishes iff the slab is a drifting-free Wulff dilate.
+
+    The cases are drawn first, in case order; the random bases are then
+    hulled in one pass (``sets.convex_polygons``)."""
     rng = np.random.default_rng(seed)
     tension = make_tension("euclid")
     body = build_wulff_body(tension, 1024)
     square = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-    bad = []
+    cases, drawn = [], []
     for k in range(JENSEN_CASES):
-        scale0 = rng.uniform(0.3, 1.5)
-        scale1 = rng.uniform(0.1, 1.5)
-        dt = rng.uniform(0.2, 1.0)
+        scales, dt = [rng.uniform(0.3, 1.5), rng.uniform(0.1, 1.5)], rng.uniform(0.2, 1.0)
         kind = k % 4
         if kind == 0:
             # Homothetic Wulff slab, constant center: gap must vanish.
-            c = rng.uniform(0.5, 2.0)
-            s = sets.sliced_set(c * body.geometry, [0.0, dt], [scale0, scale1],
-                                np.zeros((2, 2)), tension)
-            expect_zero = True
+            base, centers = rng.uniform(0.5, 2.0) * body.geometry, np.zeros((2, 2))
         elif kind == 1:
             # Wulff base but drifting center.
-            s = sets.sliced_set(body.geometry, [0.0, dt], [scale0, scale1],
-                                [[0.0, 0.0], list(rng.uniform(0.1, 0.5, 2))],
-                                tension)
-            expect_zero = False
+            base, centers = body.geometry, [[0.0, 0.0], list(rng.uniform(0.1, 0.5, 2))]
         elif kind == 2:
             # Non-Wulff base (square under the Euclidean slice norm).
-            s = sets.sliced_set(square, [0.0, dt], [scale0, scale1],
-                                np.zeros((2, 2)), tension)
-            expect_zero = False
+            base, centers = square, np.zeros((2, 2))
         else:
-            # Random convex base.
-            poly = sets.random_convex_polygon(rng, int(rng.integers(3, 9)))
-            s = sets.sliced_set(poly, [0.0, dt], [scale0, scale1],
-                                np.zeros((2, 2)), tension)
-            expect_zero = False
+            # Random convex base, hulled below.
+            drawn.append(sets.draw_constraints(rng, int(rng.integers(3, 9))))
+            base, centers = None, np.zeros((2, 2))
+        cases.append((k, base, scales, dt, centers))
+    poly, n_vertices = sets.convex_polygons(drawn)
+    random_bases = iter(np.split(poly, np.cumsum(n_vertices)[:-1]))
+    bad = []
+    for k, base, scales, dt, centers in cases:
+        s = sets.sliced_set(next(random_bases) if base is None else base, [0.0, dt],
+                            scales, centers, tension)
+        expect_zero = k % 4 == 0
         gap = sets.jensen_gap(s, 0, body)
         if gap < -1e-10:
             bad.append((k, "negative", gap))
-        elif expect_zero and abs(gap) > 1e-10 * (1 + scale0):
+        elif expect_zero and abs(gap) > 1e-10 * (1 + scales[0]):
             bad.append((k, "should vanish", gap))
         elif not expect_zero and gap <= 1e-10:
             bad.append((k, "should be positive", gap))
@@ -432,13 +431,18 @@ def suite_gradient(seed: int = DEFAULT_SEED) -> dict:
             rho = np.append(rng.uniform(0.2, 1.5, 31), 0.0)
             t_top = float(rng.uniform(0.5, 1.5))
             _, g, de_dT, *_ = fn.grads(rho, t_top)
-            for i in rng.integers(0, 31, 4):
-                rp, rm = rho.copy(), rho.copy()
-                rp[i] += h
-                rm[i] -= h
-                fd = (fn.energy(rp, t_top)[0] - fn.energy(rm, t_top)[0]) / (2 * h)
+            # Rows 2k and 2k + 1 move knot k's rho up and down by h; the last
+            # two move T.  Their 10 energies come from one call.
+            knots = rng.integers(0, 31, 4)
+            rows = np.repeat(rho[None], 10, axis=0)
+            rows[2 * np.arange(4), knots] += h
+            rows[2 * np.arange(4) + 1, knots] -= h
+            tops = np.array([t_top] * 8 + [t_top + h, t_top - h])
+            e = fn.energy(rows, tops)[0].tolist()
+            for k, i in enumerate(knots):
+                fd = (e[2 * k] - e[2 * k + 1]) / (2 * h)
                 worst = max(worst, abs(g[i] - fd) / (1.0 + abs(fd)))
-            fd = (fn.energy(rho, t_top + h)[0] - fn.energy(rho, t_top - h)[0]) / (2 * h)
+            fd = (e[8] - e[9]) / (2 * h)
             worst = max(worst, abs(de_dT - fd) / (1.0 + abs(fd)))
             e_slice = fn2.energy(rho, t_top)[0]
             e_radial = reduced.reduced_energy(reduced.Profile(

@@ -157,6 +157,9 @@ def cmd_solve(args) -> int:
     t_start = time.perf_counter()
     tension = _load_tension(args.tension)
     reduced.check_omega(tension, args.omega)
+    # The direct solve's options are checked before any solve, whatever the
+    # method; shoot and minimize_direct check the mass first thing.
+    reduced.check_direct_options(args.grid_size, args.max_iter)
     body = build_wulff_body(tension, args.m_normals)
 
     report = {

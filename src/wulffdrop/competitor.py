@@ -25,7 +25,13 @@ import numpy as np
 from .errors import HypothesisViolated, InvalidInput, NoBracket
 from ._brent import brentq
 from ._quad import slab_volume
-from .reduced import Profile, lateral_energy, reduced_energy, reduced_volume
+from .reduced import (
+    Profile,
+    _resolve_omega,
+    lateral_energy,
+    profile_energies,
+    reduced_volume,
+)
 from .wulff import alpha_table, sorted_distinct
 
 # Exceptions that make a repair attempt unusable (callers may skip and retry).
@@ -385,8 +391,13 @@ def apply_competitor(e: Profile, t1: float, t2: float) -> Profile:
             f"competitor volume mismatch: {vol_new} vs {vol_old} "
             f"(params {params})"
         )
-    e_old = reduced_energy(e).total
-    e_new = reduced_energy(result).total
+    # Both energies from one two-profile pass; a profile's energy does not
+    # depend on the rest of its block.
+    both = profile_energies(e.body, np.concatenate([e.knots, result.knots]),
+                            np.concatenate([e.r, result.r]),
+                            np.array([len(e.knots), len(result.knots)]),
+                            _resolve_omega(e)).total
+    e_old, e_new = both.tolist()
     meta = {"params": params, "energy_drop": e_old - e_new,
             "volume_error": abs(vol_new - vol_old)}
     return replace(result, meta=meta)

@@ -29,10 +29,12 @@ call at all 16 stage abscissae.  The stage, error and interpolant sums run
 as straight-line float code, generated once at import from the pinned
 tableau with its zero entries left out; each is plain left-to-right float
 addition, so the results do not depend on the Python version's sum().
-Each accepted step writes its interpolant rows into one array of the
-``Trajectory``, which is its own dense output and evaluates all knots in
-one expression; the slope inverse takes arrays too, so each Newton pass of
-the inversion of v is a few numpy calls.
+Each accepted step keeps its stage values in the ``Trajectory``, which
+builds every step's interpolant rows into one array when its dense output
+is first read (a solve read only at its end, as ``dV_dv0``, never builds
+them); it evaluates all knots in one expression, and the slope inverse
+takes arrays too, so each Newton pass of the inversion of v is a few numpy
+calls.
 
 Every solve also carries the exact sensitivity d(r, v)/dv0, seeded (0, 1)
 at the apex, through each stage of each accepted step, with the steps held
@@ -54,7 +56,8 @@ reconstructed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -102,20 +105,33 @@ class Trajectory:
 
     ``ts`` holds w at the accepted steps and ``ys`` the (r, v) rows there.
     Segment k spans [ts[k], ts[k + 1]]; ``coeffs[i, :, k]`` is row 6 - i of
-    its step's degree-7 interpolant (Hairer, Norsett & Wanner), as
-    ``integrate_v`` writes it.  Called on w, of any shape, it returns (r, v)
-    stacked on a leading axis of 2 in one array expression; a target on a
-    node takes the segment to its left, and targets outside [ts[0], ts[-1]]
-    take the end segments.  ``dy_dv0`` is d(r, v)/dv0 at the last node, the
-    derivative of the discrete solve along its fixed steps.
+    its step's degree-7 interpolant (Hairer, Norsett & Wanner), built from
+    the step's stage values in ``steps`` when first read.  Called on w, of
+    any shape, it returns (r, v) stacked on a leading axis of 2 in one array
+    expression; a target on a node takes the segment to its left, and
+    targets outside [ts[0], ts[-1]] take the end segments.  ``dy_dv0`` is
+    d(r, v)/dv0 at the last node, the derivative of the discrete solve
+    along its fixed steps.
     """
 
     ts: np.ndarray
     ys: np.ndarray
-    coeffs: np.ndarray
+    steps: list = field(repr=False)
     dy_dv0: tuple[float, float]
     v0: float
     tension: SurfaceTension
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """The interpolant rows of every step (``_interpolant``), as one
+        (7, 2, steps) array.  A division by zero or an overflow in the dense
+        output's stages raises NonConvergence, as it does in the solve."""
+        nm1 = self.tension.dim - 1
+        try:
+            rows = [_interpolant(nm1, *step) for step in self.steps]
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise NonConvergence(f"capillary ODE solve failed: {exc}") from exc
+        return np.array(rows).T.reshape(7, 2, -1)
 
     @property
     def rs(self) -> np.ndarray:
@@ -211,12 +227,10 @@ def integrate_v(tension: SurfaceTension, v0: float, s_stop: float) -> Trajectory
             f"slope target {w_end} outside (0, {sup}), the open range of d1phi"
         )
     try:
-        ts, rs, vs, rows, dy_dv0 = _dop853(phi, nm1, float(v0), w_end)
+        ts, rs, vs, steps, dy_dv0 = _dop853(phi, nm1, float(v0), w_end)
     except (ZeroDivisionError, OverflowError) as exc:
         raise NonConvergence(f"capillary ODE solve failed: {exc}") from exc
-    # rows[k] lists segment k's interpolant rows 6..0, each as (r, v).
-    return Trajectory(ts=np.array(ts), ys=np.array([rs, vs]),
-                      coeffs=np.array(rows).T.reshape(7, 2, -1),
+    return Trajectory(ts=np.array(ts), ys=np.array([rs, vs]), steps=steps,
                       dy_dv0=dy_dv0, v0=v0, tension=tension)
 
 
@@ -419,9 +433,10 @@ def _dop853(phi, nm1: int, v0: float, w_end: float):
     at all 16 abscissae in one ``d1_inverse`` array call.  Each accepted
     step also carries d(r, v)/dv0, seeded (0, 1) at the apex, through its
     stages (``_carry_sensitivity``); the step control reads (r, v) alone.
-    Returns the nodes (ts, rs, vs), per accepted step its interpolant rows
-    6..0 as one flat tuple of (r, v) pairs, and d(r, v)/dv0 at the last
-    node.  Python floats raise ZeroDivisionError where numpy would warn.
+    Returns the nodes (ts, rs, vs), per accepted step the arguments of its
+    ``_interpolant`` call after nm1 (the step's start, size, stage values
+    and change of state), and d(r, v)/dv0 at the last node.  Python floats
+    raise ZeroDivisionError where numpy would warn.
     """
     t = float(nm1)
 
@@ -445,7 +460,7 @@ def _dop853(phi, nm1: int, v0: float, w_end: float):
         h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
     h_abs = min(100.0 * h0, h1, w_end)
 
-    ts, rs, vs, rows = [w], [r], [v], []
+    ts, rs, vs, steps = [w], [r], [v], []
     while w < w_end:
         min_step = 10.0 * (math.nextafter(w, math.inf) - w)
         h_abs = max(h_abs, min_step)
@@ -480,12 +495,12 @@ def _dop853(phi, nm1: int, v0: float, w_end: float):
             rejected = True
 
         gr, gv, qr, qv = _carry_sensitivity(nm1, gr, gv, h, wk, sk, rk, kr, qr, qv)
-        rows.append(_interpolant(nm1, r, v, h, wk, sk, kr, kv, r_new - r, v_new - v))
+        steps.append((r, v, h, wk, sk, kr, kv, r_new - r, v_new - v))
         w, r, v, fr, fv = w_new, r_new, v_new, kr[_END], kv[_END]
         ts.append(w)
         rs.append(r)
         vs.append(v)
-    return ts, rs, vs, rows, (gr, gv)
+    return ts, rs, vs, steps, (gr, gv)
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,17 @@ TOL_GRAD = 1e-10
 MAX_NEWTON_STEPS = 100
 
 
+def check_direct_options(grid_size: int, max_iter: int) -> None:
+    """Raise InvalidInput unless minimize_direct's knot count lies in
+    [3, MAX_SIZE] and its step budget is at least 1."""
+    if grid_size < 3:
+        raise InvalidInput(f"grid_size must be at least 3, got {grid_size}")
+    if grid_size > MAX_SIZE:
+        raise InvalidInput(f"grid_size must be at most {MAX_SIZE}, got {grid_size}")
+    if max_iter < 1:
+        raise InvalidInput(f"max_iter must be at least 1, got {max_iter}")
+
+
 def apex_graded(n: int) -> np.ndarray:
     """n knots on [0, 1] graded toward the apex: 1 - (1 - u)^1.5, u uniform."""
     return 1.0 - (1.0 - np.linspace(0.0, 1.0, n)) ** 1.5
@@ -336,24 +347,33 @@ class _SliceMeasureFunctional:
         self.lam = body.lam
 
     def pieces(self, rho, t_top):
-        dt = self.dxi * t_top
-        slope = np.diff(rho) / dt
-        rho_g = rho[:-1, None] + np.diff(rho)[:, None] * GAUSS_X[None, :]
+        """(dt, slope, rho_g, a_g, b_g) of rho, whose last axis runs over the
+        knots, and of the top heights ``t_top``, one per row of rho."""
+        dt = self.dxi * np.asarray(t_top, dtype=float)[..., None]
+        drho = np.diff(rho)
+        slope = drho / dt
+        rho_g = rho[..., :-1, None] + drho[..., None] * GAUSS_X
         a_g = self.lam * rho_g**self.beta
-        b_g = np.broadcast_to((-slope)[:, None], a_g.shape)
+        b_g = np.broadcast_to((-slope)[..., None], a_g.shape)
         return dt, slope, rho_g, a_g, b_g
 
     def _energy(self, rho, t_top, dt, rho_g, phi_g):
+        """(total, Fs, Fc, Fp) of each row of rho: floats for a 1-D rho,
+        arrays over its leading axes otherwise.  Each row is summed alone,
+        along its last axis, so a row gives a 1-D call's bits."""
         area = self.body.area
-        fs = float(area * np.sum(dt * (GAUSS_W[None, :] * phi_g).sum(axis=1)))
+        fs = area * np.sum(dt * (GAUSS_W * phi_g).sum(axis=-1), axis=-1)
         # Flat-top term, linear in rho (vanishes with the top slice).
-        fs += self.tension.f_eN * area * float(rho[-1])
-        fc = self.omega * area * float(rho[0])
-        t_g = self.xi[:-1, None] * t_top + dt[:, None] * GAUSS_X[None, :]
-        fp = float(area * np.sum(dt * (GAUSS_W[None, :] * t_g * rho_g).sum(axis=1)))
-        return fs + fc + fp, fs, fc, fp
+        fs = fs + self.tension.f_eN * area * rho[..., -1]
+        fc = self.omega * area * rho[..., 0]
+        t_g = (self.xi[:-1, None] * np.asarray(t_top, dtype=float)[..., None, None]
+               + dt[..., None] * GAUSS_X)
+        fp = area * np.sum(dt * (GAUSS_W * t_g * rho_g).sum(axis=-1), axis=-1)
+        parts = (fs + fc + fp, fs, fc, fp)
+        return parts if rho.ndim > 1 else tuple(map(float, parts))
 
     def energy(self, rho, t_top):
+        """:meth:`_energy` of rho, one row per top height of ``t_top``."""
         dt, slope, rho_g, a_g, b_g = self.pieces(rho, t_top)
         return self._energy(rho, t_top, dt, rho_g, self.tension.phi.value(a_g, b_g))
 
@@ -585,12 +605,7 @@ def minimize_direct(body: WulffBody, omega: float, m: float,
     tension = body.tension
     check_omega(tension, omega)
     check_mass(m)
-    if grid_size < 3:
-        raise InvalidInput(f"grid_size must be at least 3, got {grid_size}")
-    if grid_size > MAX_SIZE:
-        raise InvalidInput(f"grid_size must be at most {MAX_SIZE}, got {grid_size}")
-    if max_iter < 1:
-        raise InvalidInput(f"max_iter must be at least 1, got {max_iter}")
+    check_direct_options(grid_size, max_iter)
     nm1 = tension.dim - 1
 
     xi = apex_graded(grid_size)

@@ -46,7 +46,7 @@ from .reduced import EnergyBreakdown, Profile, check_omega, lateral_energy
 from .tension import SurfaceTension
 from .wulff import (
     WulffBody,
-    active_constraints,
+    active_block,
     count_groups,
     polygon_areas,
     polygon_block,
@@ -322,8 +322,9 @@ def jensen_gap(s: SlicedSet, slab_index: int, body: WulffBody) -> float:
                             np.array([s.base_area]), np.array([2]), s.knots[slab],
                             s.scales[slab], s.centers[slab]), body.tension)
     orig = slab_lateral(s.knots[slab], s.scales[slab], np.array([2]), s.d, coef)
-    p = symmetrize(s, body)
-    return float(orig[0] - lateral_energy(body, p.knots[slab], p.r[slab]))
+    # The symmetrized slab's radii, as symmetrize gives them.
+    radii = s.scales[slab] * _wulff_ratio(s.base_area, s.d, body)
+    return float(orig[0] - lateral_energy(body, s.knots[slab], radii))
 
 
 # ---------------------------------------------------------------------------
@@ -350,32 +351,46 @@ def barycenter_path(s: SlicedSet, body: WulffBody):
 # Seeded random sets (property-test driver)
 # ---------------------------------------------------------------------------
 
-def _draw_constraints(rng: np.random.Generator, n_edges: int):
-    """Rejection-sample the half planes of a bounded convex polygon: sorted
-    random normals with no angular gap of 0.9 pi or more, then random
-    offsets, until the hull scan finds them bounding a polygon around the
-    origin.  Returns the active constraints' normals and offsets in CCW
-    order."""
+def draw_constraints(rng: np.random.Generator, n_edges: int):
+    """Sample the half planes of a bounded convex polygon: sorted random
+    normals, redrawn while they leave an angular gap of 0.9 pi or more,
+    then random offsets in [0.5, 1.5].  Returns the normals, in CCW order,
+    and the offsets; :func:`convex_polygons` finds the active ones.
+
+    Every such draw bounds a polygon around the origin.  Each direction
+    has a normal within 0.45 pi of it, so the polygon lies within radius
+    1.5 / cos(0.45 pi); by polarity each hull edge of the points
+    nu_j / c_j lies at least (2/3) cos(0.45 pi) > 0.1 from the origin, far
+    beyond ``wulff.DEDUP_TOL``, and the origin inside the hull leaves at
+    least three vertices.
+    """
     for _ in range(256):
         theta = np.sort(rng.uniform(0.0, 2.0 * math.pi, n_edges))
         t = theta.tolist()
         gap = max([t[0] + 2.0 * math.pi - t[-1]] + [b - a for a, b in zip(t, t[1:])])
-        if gap >= 0.9 * math.pi:
-            continue
-        normals = np.array((np.cos(theta), np.sin(theta))).T
-        offsets = rng.uniform(0.5, 1.5, n_edges)
-        try:
-            active = active_constraints(normals, offsets)
-        except ValueError:
-            continue
-        return normals[active], offsets[active]
+        if gap < 0.9 * math.pi:
+            return np.array((np.cos(theta), np.sin(theta))).T, rng.uniform(0.5, 1.5, n_edges)
     raise RuntimeError("polygon sampling failed to converge")
 
 
+def convex_polygons(drawn):
+    """CCW vertices, laid end to end, and vertex counts of the polygons of
+    ``drawn`` (normals, offsets) pairs of :func:`draw_constraints`: one hull
+    pass (``wulff.active_block``) and one vertex solve for all of them.
+    Such draws always bound a polygon; one that does not raises
+    RuntimeError."""
+    normals = np.concatenate([nu for nu, _ in drawn])
+    offsets = np.concatenate([c for _, c in drawn])
+    try:
+        active, kept = active_block(normals, offsets, [len(c) for _, c in drawn])
+    except ValueError as exc:
+        raise RuntimeError(f"drawn half-planes bound no polygon: {exc}") from exc
+    return polygon_block(normals[active], offsets[active], kept)
+
+
 def random_convex_polygon(rng: np.random.Generator, n_edges: int) -> np.ndarray:
-    """Rejection-sample a bounded convex polygon from sorted random normals."""
-    normals, offsets = _draw_constraints(rng, n_edges)
-    return polygon_block(normals, offsets, [len(offsets)])[0]
+    """A random bounded convex polygon from sorted random normals."""
+    return convex_polygons([draw_constraints(rng, n_edges)])[0]
 
 
 def _walks(steps: list, n_knots: np.ndarray, start=None) -> np.ndarray:
@@ -401,26 +416,21 @@ def random_set_block(rng: np.random.Generator, count: int,
     path and a random-walk center path on 4 to 32 knots.
 
     The generator is read set by set, in one loop that also runs each
-    polygon's rejection test and hull scan; the vertices, edges, areas and
-    paths are then computed once for the whole block.
+    polygon's rejection test; the hulls, vertices, edges, areas and paths
+    are then computed once for the whole block.
     """
     if tension.dim != 3:
         raise DimensionUnsupported("random sets are generated for N = 3 only")
-    normals, offsets, n_edges, n_knots = [], [], [], []
-    dts, a0, steps, moves = [], [], [], []
+    drawn, n_knots, dts, a0, steps, moves = [], [], [], [], [], []
     for _ in range(count):
-        nu, c = _draw_constraints(rng, int(rng.integers(3, 13)))
-        normals.append(nu)
-        offsets.append(c)
-        n_edges.append(len(c))
+        drawn.append(draw_constraints(rng, int(rng.integers(3, 13))))
         n = int(rng.integers(4, 33))
         n_knots.append(n)
         dts.append(rng.uniform(0.05, 0.5, n - 1))
         a0.append(rng.uniform(0.3, 1.2))
         steps.append(rng.normal(0.0, 0.25, n - 1))
         moves.append(rng.normal(0.0, 0.15, (n - 1, 2)))
-    poly, n_edges = polygon_block(np.concatenate(normals), np.concatenate(offsets),
-                                  n_edges)
+    poly, n_edges = convex_polygons(drawn)
     n_knots = np.array(n_knots)
     # a0 >= 0.3, so the clamp leaves the first slice nonempty.
     scales = np.maximum(_walks(steps, n_knots, np.array(a0)), 0.0)

@@ -14,12 +14,12 @@ from outside at rate O(1/M^2) for smooth h).
 
 The polygon {x : nu_j.x <= c_j} with all c_j > 0 is the polar of the
 convex hull of the points nu_j / c_j.  The normals come in CCW angular
-order, so one Graham scan of those points in that order returns the
-hull's vertices in CCW order, which are the active constraints;
+order, so the points do too, and array rounds that drop every point
+within rounding of the chord between its live neighbours leave the hull's
+vertices in CCW order, which are the active constraints (``active_block``);
 consecutive pairs meet at the polygon's vertices, found by one batched
-2x2 solve, which also serves many polygons laid end to end
-(``polygon_block``).  Each edge's support is then its own vertex . normal,
-so a body costs O(M).
+2x2 solve.  Both passes serve many polygons laid end to end as one
+(``polygon_block``).  Each edge's support is then its own vertex . normal.
 ``build_wulff_body`` is cached on (tension, M), so every caller of one
 tension shares one body, and a body's arrays are read-only.
 
@@ -185,63 +185,92 @@ def polygon_edges(poly: np.ndarray, counts=None):
     return lengths, normals, supports
 
 
-def active_constraints(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Indices of the constraints active on {x : nu_j . x <= c_j}, offsets
-    c_j > 0, in CCW order from the lowest index.
+def _neighbours(counts):
+    """(previous, next) position of each element in its own segment, read
+    cyclically, for segments of ``counts`` >= 1 elements laid end to end."""
+    ends = np.cumsum(counts)
+    first = ends - counts
+    prev, nxt = np.arange(-1, ends[-1] - 1), np.arange(1, ends[-1] + 1)
+    prev[first] = ends - 1
+    nxt[ends - 1] = first
+    return prev, nxt
 
-    The set is the polar of conv{nu_j / c_j}: the hull's vertices, in CCW
-    order, are the active constraints.  The normals must come in CCW
-    angular order: their angles, rotated to start at the smallest, do not
-    decrease.  The points nu_j / c_j then do too, and one Graham scan in
-    that order from the farthest point, a hull vertex, finds the hull in
-    O(M).  A point within ``_COLLINEAR_RTOL`` times the farthest point's
-    radius of a hull chord is not a vertex.  Raises ValueError for normals
-    out of order, and when the constraints do not bound a polygon around
-    the origin: fewer than three hull vertices, or a hull edge within
-    ``DEDUP_TOL`` of the origin.
+
+def _first_extreme(values, reduce, first, polygon):
+    """Index of the first of each polygon's extreme values, ``reduce`` being
+    ``np.minimum.reduceat`` or ``np.maximum.reduceat``."""
+    index = np.where(values == reduce(values, first)[polygon],
+                     np.arange(len(values)), len(values))
+    return np.minimum.reduceat(index, first)
+
+
+def active_block(normals: np.ndarray, offsets: np.ndarray, counts):
+    """The constraints active on polygons {x : nu_j . x <= c_j}, offsets
+    c_j > 0, laid end to end: polygon i's are the next ``counts[i]`` rows.
+    Returns a mask of the active rows and each polygon's count of them.
+
+    A polygon is the polar of conv{nu_j / c_j}: the hull's vertices are
+    its active constraints.  Its normals must come in CCW angular order:
+    their angles, rotated to start at the smallest, do not decrease.  The
+    points nu_j / c_j then do too, and the hull is found by rounds over all
+    polygons at once: each round drops every point that does not lie beyond
+    ``_COLLINEAR_RTOL`` times its polygon's largest radius R outside the
+    chord between its live neighbours, and stops when it drops none.  The
+    farthest point of each polygon, a hull vertex, is always kept.  Raises
+    ValueError for normals out of order, and when the constraints do not
+    bound a polygon around the origin: fewer than three hull vertices, or
+    a hull edge within ``DEDUP_TOL`` of the origin.
     """
     if not np.all(offsets > 0.0):
         raise ValueError("half-plane offsets must be positive")
-    x, y = (normals / offsets[:, None]).T.tolist()
-    angle = list(map(math.atan2, y, x))
-    first = angle.index(min(angle))
-    angle = angle[first:] + angle[:first]
-    if angle != sorted(angle):
-        raise ValueError("half-plane normals are not in CCW angular order")
-    radius = list(map(math.hypot, x, y))
-    start = radius.index(max(radius))
-    tol = _COLLINEAR_RTOL * radius[start]
-    # Chords are at most 2 R long, so a cross product above 2 R times a
-    # distance bound clears that bound without computing the chord's length.
-    clear = 2.0 * radius[start] * tol
-    hull = [start]
-    for j in [*range(start + 1, len(x)), *range(start + 1)]:
-        xj, yj = x[j], y[j]
-        # Pop the top while it does not lie beyond tol left of the chord
-        # from the vertex below it to point j.
-        while len(hull) > 1:
-            a, b = hull[-2], hull[-1]
-            dx, dy = xj - x[a], yj - y[a]
-            cross = (x[b] - x[a]) * dy - (y[b] - y[a]) * dx
-            if cross > clear or cross > tol * math.hypot(dx, dy):
-                break
-            hull.pop()
-        hull.append(j)
-    hull.pop()  # the start, appended again to close the scan
-    if len(hull) < 3:
+    counts = np.asarray(counts)
+    if np.any(counts < 3):
         raise ValueError("half-planes do not bound a polygon: fewer than three "
                          "active constraints")
-    # The input runs CCW from index 0, so sorted indices are the hull in CCW
-    # order from the lowest index.
-    hull.sort()
-    clear = 2.0 * radius[start] * DEDUP_TOL
-    for a, b in zip(hull, hull[1:] + hull[:1]):
-        # cross / |b - a| is the edge's distance from the origin, positive
-        # when the origin lies to its left.
-        cross = x[a] * y[b] - y[a] * x[b]
-        if cross <= clear and cross <= DEDUP_TOL * math.hypot(x[b] - x[a], y[b] - y[a]):
-            raise ValueError("half-planes do not bound a polygon around the origin")
-    return np.array(hull)
+    first = segment_starts(counts)
+    polygon = np.repeat(np.arange(len(counts)), counts)
+    x, y = (normals / offsets[:, None]).T
+    prev, nxt = _neighbours(counts)
+    angle = np.arctan2(y, x)
+    lowest = _first_extreme(angle, np.minimum.reduceat, first, polygon)
+    # Every cyclic pair but the one that wraps round onto the lowest angle;
+    # a NaN angle is out of order.
+    if np.any(~(angle[nxt] >= angle) & (nxt != lowest[polygon])):
+        raise ValueError("half-plane normals are not in CCW angular order")
+    radius = np.hypot(x, y)
+    far = _first_extreme(radius, np.maximum.reduceat, first, polygon)
+    tol = _COLLINEAR_RTOL * radius[far]
+    live, owner = np.arange(len(x)), polygon
+    while True:
+        # cross / |chord| is the point's distance outside the chord.
+        a, j = live[prev], live[nxt]
+        dx, dy = x[j] - x[a], y[j] - y[a]
+        cross = (x[live] - x[a]) * dy - (y[live] - y[a]) * dx
+        keep = (cross > tol[owner] * np.hypot(dx, dy)) | (live == far[owner])
+        if keep.all():
+            break
+        live, owner = live[keep], owner[keep]
+        prev, nxt = _neighbours(np.bincount(owner, minlength=len(counts)))
+    kept = np.bincount(owner, minlength=len(counts))
+    if np.any(kept < 3):
+        raise ValueError("half-planes do not bound a polygon: fewer than three "
+                         "active constraints")
+    # cross / |b - a| is the edge's distance from the origin, positive when
+    # the origin lies to its left.
+    a, b = live, live[nxt]
+    cross = x[a] * y[b] - y[a] * x[b]
+    if np.any(cross <= DEDUP_TOL * np.hypot(x[b] - x[a], y[b] - y[a])):
+        raise ValueError("half-planes do not bound a polygon around the origin")
+    active = np.zeros(len(x), dtype=bool)
+    active[live] = True
+    return active, kept
+
+
+def active_constraints(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Indices of the constraints active on {x : nu_j . x <= c_j}, offsets
+    c_j > 0, in CCW order from the lowest index: :func:`active_block` on
+    one polygon, with its ValueErrors."""
+    return np.flatnonzero(active_block(normals, offsets, [len(offsets)])[0])
 
 
 def polygon_block(normals: np.ndarray, offsets: np.ndarray, counts):
@@ -256,9 +285,7 @@ def polygon_block(normals: np.ndarray, offsets: np.ndarray, counts):
     rounding of a chord, so its active constraints are not expected to.
     """
     counts = np.asarray(counts)
-    first = segment_starts(counts)
-    prev = np.arange(-1, len(offsets) - 1)
-    prev[first] = first + counts - 1
+    prev = _neighbours(counts)[0]
     lhs = np.stack([normals[prev], normals], axis=1)
     rhs = np.stack([offsets[prev], offsets], axis=1)
     poly = np.linalg.solve(lhs, rhs[..., None])[..., 0]
@@ -347,15 +374,26 @@ class AlphaTable:
         """(1 - x^q)^(1/q) for 0 <= x < 1, accurate where x^q is close to 1
         (1 at x = 0 and for q = inf), and 0 from 1 on, of an array x >= 0;
         what the closed form gives from 1 on (NaN, or an overflow of x^q for
-        large q) is discarded without a warning.
-        Scalars come as one-element arrays: numpy's scalar power rounds
-        differently from its array loop, and a scalar call must give an
-        array call's answer bit for bit."""
+        large q) is discarded without a warning."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return np.where(x < 1.0, (-np.expm1(np.log(x) * self.q)) ** (1.0 / self.q), 0.0)
 
+    def _root_of(self, x: float) -> float:
+        """``_root`` of one float, with its ends (0 from 1 on, NaN included,
+        and 1 at 0) taken in Python.  In between it runs the array ops on a
+        one-element array: numpy's scalar power rounds differently from its
+        array loop, and a scalar call must give an array call's answer bit
+        for bit."""
+        if not x < 1.0:
+            return 0.0
+        if x == 0.0:
+            return 1.0
+        return ((-np.expm1(np.log(np.array([x])) * self.q)) ** (1.0 / self.q)).item()
+
     def __call__(self, z):
         """alpha at z."""
+        if isinstance(z, (int, float)):
+            return self._root_of(abs(z) / self.t_top)
         y = self._root(np.abs(np.atleast_1d(np.asarray(z, dtype=float))) / self.t_top)
         return float(y[0]) if np.ndim(z) == 0 else y
 
@@ -366,6 +404,8 @@ class AlphaTable:
         where every target below 1 gives tau.  Targets are clipped to
         [0, 1].  -inverse(target) is the root where alpha rises.
         """
+        if isinstance(target, (int, float)):
+            return self.t_top * self._root_of(min(max(target, 0.0), 1.0))
         a = np.clip(np.atleast_1d(np.asarray(target, dtype=float)), 0.0, 1.0)
         z = self.t_top * self._root(a)
         return float(z[0]) if np.ndim(target) == 0 else z

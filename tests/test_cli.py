@@ -558,6 +558,14 @@ def test_bad_flags_are_validation_errors(argv, names, tension_file, tmp_path,
       "--grid-size", "10000000000000000000"], "grid_size must be at most"),
     (["solve", "--omega=-0.5", "--mass", "1", "--method", "direct",
       "--grid-size", str(2**21)], "grid_size must be at most 1048576"),
+    # The direct solve's options are checked before any solve, also when
+    # only the shoot runs, or runs first.
+    (["solve", "--omega=-0.5", "--mass", "1", "--method", "shoot",
+      "--max-iter", "0"], "max_iter must be at least 1"),
+    (["solve", "--omega=-0.9", "--mass", "1000", "--method", "both",
+      "--grid-size", str(2**21)], "grid_size must be at most 1048576"),
+    (["solve", "--omega=-0.5", "--mass", "1", "--method", "both",
+      "--grid-size", "2"], "grid_size must be at least 3"),
 ], ids=["solve-direct-infinite-mass", "solve-nan-mass", "sweep-nan-mass",
         "sweep-infinite-mass", "direct-grid-size-0", "direct-grid-size-1",
         "check-zero-trials", "check-negative-trials", "check-negative-seed",
@@ -565,9 +573,18 @@ def test_bad_flags_are_validation_errors(argv, names, tension_file, tmp_path,
         "repair-zero-epsilon", "repair-negative-epsilon", "repair-nan-epsilon",
         "repair-zero-epsilon-no-repairs",
         "repair-negative-max-repairs", "wulff-m-normals-1e19", "wulff-m-normals-2-pow-21",
-        "direct-grid-size-1e19", "direct-grid-size-2-pow-21"])
+        "direct-grid-size-1e19", "direct-grid-size-2-pow-21", "shoot-max-iter-0",
+        "both-grid-size-2-pow-21", "both-grid-size-2"])
 def test_out_of_range_numbers_are_validation_errors(argv, names, tension_file,
-                                                    tmp_path, capsys, euclid):
+                                                    tmp_path, capsys, euclid,
+                                                    monkeypatch):
+    def no_shoot(*args):
+        raise AssertionError("shoot ran before the arguments were checked")
+
+    # The direct solve's options are refused before any shoot; the mass is
+    # the shoot's own first check.
+    if "--grid-size" in argv or "--max-iter" in argv:
+        monkeypatch.setattr(wulffdrop.odesolve, "shoot", no_shoot)
     out = tmp_path / "out"
     if argv[0] == "repair":
         # A dented profile that a valid repair would change.

@@ -1,4 +1,4 @@
-"""The in-repo hull scan of ``wulff.active_constraints`` against qhull
+"""The in-repo hull pass of ``wulff.active_constraints`` against qhull
 (scipy.spatial.ConvexHull): the same active constraints, or a ValueError
 on both sides."""
 
@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
 from wulffdrop import checks
@@ -46,7 +48,7 @@ def at_angles(theta):
 
 
 def test_scan_matches_qhull_on_random_draws():
-    # The draws of sets._draw_constraints, before its gap test: sorted
+    # The draws of sets.draw_constraints, before its gap test: sorted
     # angles and random offsets, so some constraints are inactive and some
     # draws leave the origin outside the polar hull.
     rng = np.random.default_rng(7)
@@ -73,19 +75,44 @@ def test_scan_matches_qhull_on_unbounded_draws():
 
 
 # The slice norms of the built-in tensions and of the check suites' bodies,
-# and l_1, whose polar points lie on a square's sides: most of them are
-# collinear to rounding, and neither side keeps them.
+# and l_inf and l_1, whose polar points lie on a square's sides: most of
+# them are collinear to rounding, and neither side keeps them.
 SLICE_NORMS = ([t.h for t in checks.builtin_tensions()]
-               + [LpSliceNorm(3.0), L1RegSliceNorm(0.05), LpSliceNorm(1.0)])
+               + [LpSliceNorm(3.0), L1RegSliceNorm(0.05), LpSliceNorm(math.inf),
+                  LpSliceNorm(1.0)])
 
 
 @pytest.mark.parametrize("m", [8, 64, 1024, 4096])
 def test_scan_matches_qhull_on_the_builtin_bodies(m):
     normals = at_angles(2.0 * math.pi * np.arange(m) / m)
     for h in SLICE_NORMS:
-        active = assert_parity(normals, h.value(normals))
-        assert active != "ValueError"
-    assert active == [0, m // 4, m // 2, 3 * m // 4]
+        assert assert_parity(normals, h.value(normals)) != "ValueError"
+    # The l_inf body is the diamond, the l_1 body the square.
+    for p, corners in ((math.inf, [m // 8, 3 * m // 8, 5 * m // 8, 7 * m // 8]),
+                       (1.0, [0, m // 4, m // 2, 3 * m // 4])):
+        assert active_constraints(normals, LpSliceNorm(p).value(normals)).tolist() == corners
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=12),
+       start=st.floats(0.0, 2.0 * math.pi), data=st.data())
+def test_gap_test_leaves_a_margin_around_the_origin(weights, start, data):
+    # sets.draw_constraints keeps normals with every angular gap below
+    # 0.9 pi and draws offsets in [0.5, 1.5]; every such draw bounds a
+    # polygon whose hull edges lie at least (2/3) cos(0.45 pi) > 0.1 from
+    # the origin, so its hull never raises.
+    gaps = 2.0 * math.pi * np.array(weights) / sum(weights)
+    assume(gaps.max() < 0.9 * math.pi)
+    theta = np.sort(np.mod(start + np.cumsum(gaps), 2.0 * math.pi))
+    offsets = np.array(data.draw(st.lists(st.floats(0.5, 1.5), min_size=len(theta),
+                                          max_size=len(theta))))
+    normals = at_angles(theta)
+    active = active_constraints(normals, offsets)
+    assert len(active) >= 3
+    p = normals[active] / offsets[active, None]
+    q = np.roll(p, -1, axis=0)
+    distance = (p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]) / np.linalg.norm(q - p, axis=1)
+    assert distance.min() >= 0.1
 
 
 def test_scan_rejects_normals_out_of_angular_order():

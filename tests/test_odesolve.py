@@ -601,20 +601,33 @@ def _row_loop_dop853(phi, nm1, v0, w_end):
     return ts, rs, vs, rows, (gr, gv)
 
 
-def _solve_or_raise(tension, v0, s_stop):
+def _row_loop_solve(tension, v0, s_stop):
+    """integrate_v's (ts, ys, coeffs, dy_dv0) on the row-loop stepper, its
+    failures raised as integrate_v raises them."""
+    nm1 = tension.dim - 1
+    w_end = float(tension.phi.d1(s_stop, float(nm1)))
     try:
-        return od.integrate_v(tension, v0, s_stop=s_stop)
+        ts, rs, vs, rows, dy_dv0 = _row_loop_dop853(tension.phi, nm1, float(v0), w_end)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise NonConvergence(f"capillary ODE solve failed: {exc}") from exc
+    return np.array(ts), np.array([rs, vs]), np.array(rows).T.reshape(7, 2, -1), dy_dv0
+
+
+def _solve_or_raise(solve, tension, v0, s_stop):
+    try:
+        return solve(tension, v0, s_stop)
     except NonConvergence as exc:
         return type(exc)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_generated_stages_match_the_row_loop_stepper(monkeypatch, dim):
+def test_generated_stages_match_the_row_loop_stepper(dim):
     # The straight-line stage code leaves out the tableau's zero entries but
     # keeps the row loop's left-to-right order, so each sum is the same
     # float.  A sum whose terms are all -0.0 would be -0.0 there and +0.0 in
-    # the loop, so the bits are compared, through the same integrate_v on
-    # either stepper.
+    # the loop, so the bits are compared: integrate_v's nodes, its
+    # interpolant rows, built from the stage values it keeps, and its
+    # sensitivity against the row loop's.
     # Both ends of the graph regime and of the v0 scan, for every family;
     # p = 1.2 at omega = -0.01 phi(0,1) and v0 = 2^-21 raises NonConvergence.
     families = [("euclid", {}), ("pnorm", {"p": 3.0}), ("pnorm", {"p": 1.5}),
@@ -622,20 +635,41 @@ def test_generated_stages_match_the_row_loop_stepper(monkeypatch, dim):
     cases = [(make_tension(name, dim=dim, **params), frac, v0)
              for name, params in families for frac in (-0.99, -0.01)
              for v0 in (2.0**-21, 2.0**21)]
-    got = [_solve_or_raise(tension, v0, od.s_star(tension, frac * tension.f_eN))
-           for tension, frac, v0 in cases]
-    monkeypatch.setattr(od, "_dop853", _row_loop_dop853)
-    for (tension, frac, v0), new in zip(cases, got):
-        old = _solve_or_raise(tension, v0, od.s_star(tension, frac * tension.f_eN))
+    for tension, frac, v0 in cases:
+        s_stop = od.s_star(tension, frac * tension.f_eN)
+        new = _solve_or_raise(od.integrate_v, tension, v0, s_stop)
+        old = _solve_or_raise(_row_loop_solve, tension, v0, s_stop)
         if isinstance(old, type):
             assert new is old
             continue
-        for name in ("ts", "ys", "coeffs"):
-            a, b = getattr(new, name), getattr(old, name)
+        for a, b in zip((new.ts, new.ys, new.coeffs), old[:3]):
             assert a.shape == b.shape
             assert list(map(float.hex, a.ravel().tolist())) == \
                 list(map(float.hex, b.ravel().tolist()))
-        assert list(map(float.hex, new.dy_dv0)) == list(map(float.hex, old.dy_dv0))
+        assert list(map(float.hex, new.dy_dv0)) == list(map(float.hex, old[3]))
+
+
+# dV_dv0 at v0 = 1.3, omega = -0.5 phi(0, 1), as the solve that built every
+# step's interpolant rows gave it.
+DV_DV0 = {"euclid": "-0x1.0ca8fcfe346a2p-1", "pnorm3": "-0x1.24b2efea20586p-2"}
+
+
+@pytest.mark.parametrize("name", sorted(DV_DV0))
+def test_dV_dv0_builds_no_interpolant_rows(request, monkeypatch, name):
+    # The rows are built when the dense output is first read: dV_dv0 reads
+    # the end state and its sensitivity alone, the reconstruction reads the
+    # dense output.
+    tension = request.getfixturevalue(name)
+    s_stop = od.s_star(tension, -0.5 * tension.f_eN)
+
+    def no_rows(*args):
+        raise AssertionError("interpolant rows built")
+
+    monkeypatch.setattr(od, "_interpolant", no_rows)
+    assert od.dV_dv0(tension, 1.3, s_stop).hex() == DV_DV0[name]
+    traj = od.integrate_v(tension, 1.3, s_stop)
+    with pytest.raises(AssertionError, match="interpolant rows built"):
+        od.reconstruct_profile(traj, build_wulff_body(tension, 1024))
 
 
 _FAMILIES = [("euclid", {}), ("weighted", {"c": 2.0}), ("pnorm", {"p": 3.0}),
@@ -725,9 +759,8 @@ def test_stage_division_by_zero_is_a_nonconvergence(monkeypatch, dim, v0):
                        "division by zero") as info:
         od.integrate_v(tension, v0, s_stop=1.5)
     assert isinstance(info.value.__cause__, ZeroDivisionError)
-    monkeypatch.setattr(od, "_dop853", _row_loop_dop853)
     with pytest.raises(NonConvergence) as ref:
-        od.integrate_v(tension, v0, s_stop=1.5)
+        _row_loop_solve(tension, v0, 1.5)
     assert str(ref.value) == str(info.value)
     assert type(ref.value.__cause__) is type(info.value.__cause__)
 

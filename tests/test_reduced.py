@@ -484,3 +484,23 @@ def test_polyline_distance_matches_brute_force(euclid_body):
     for pair in pairs:
         assert np.array_equal(checks._polyline_distance(*pair),
                               _brute_polyline_distance(*pair))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("name, params", [("euclid", {}), ("pnorm", {"p": 3.0})])
+def test_slice_measure_energy_of_stacked_rows_is_per_row(name, params, dim):
+    # Rows of rho stacked on leading axes, each with its own top height,
+    # give each row's own call, bit for bit: every sum runs along one row.
+    tension = make_tension(name, dim=dim, **params)
+    xi = reduced.apex_graded(32)
+    fn = reduced._SliceMeasureFunctional(build_wulff_body(tension, 1024),
+                                         -0.5 * tension.f_eN, xi)
+    rng = np.random.default_rng(31)
+    rho = np.append(rng.uniform(0.2, 1.5, (2, 3, 31)), np.zeros((2, 3, 1)), axis=-1)
+    tops = rng.uniform(0.5, 1.5, (2, 3))
+    stacked = fn.energy(rho, tops)
+    assert all(part.shape == (2, 3) for part in stacked)
+    for i, j in np.ndindex(2, 3):
+        alone = fn.energy(rho[i, j], float(tops[i, j]))
+        assert all(type(part) is float for part in alone)
+        assert [float(part[i, j]).hex() for part in stacked] == [x.hex() for x in alone]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wulffdrop import _quad, checks, reduced, sets
-from wulffdrop.errors import EmptySlice, IndexOutOfRange, InvalidInput, OmegaOutOfRange
+from wulffdrop.errors import DimensionUnsupported, EmptySlice, IndexOutOfRange, InvalidInput, OmegaOutOfRange
 from wulffdrop.tension import make_tension
 from wulffdrop.wulff import build_wulff_body
 
@@ -481,10 +481,17 @@ def test_fubini_consistency(euclid, euclid_body):
 def test_slab_moments_match_exact_rational_integrals(n):
     # int_0^1 r^n dx and int_0^1 x r^n dx for r = (1 - x) a + x b, against
     # the monomial expansion r^n = sum_j C(n, j) a^(n-j) (b - a)^j x^j
-    # integrated in exact rationals; ends at 0 included.
+    # integrated in exact rationals; ends at 0 included.  Slice dimensions
+    # 1 and 2 need n <= 2; n = 3 is refused.
     rng = np.random.default_rng(29)
     a = np.concatenate([[0.0, 1.0, 0.0, 0.3, 2.5], rng.uniform(0.0, 3.0, 200)])
     b = np.concatenate([[1.0, 0.0, 0.0, 1.7, 0.0], rng.uniform(0.0, 3.0, 200)])
+    if n == 3:
+        with pytest.raises(DimensionUnsupported, match="slab power 3"):
+            _quad.slab_moments(a, b, n)
+        with pytest.raises(DimensionUnsupported, match="slab power 3"):
+            _quad.slab_volume(1.0, np.arange(len(a) + 1.0), np.append(a, 0.0), n)
+        return
     mean, moment = _quad.slab_moments(a, b, n)
     eps = Fraction(np.finfo(float).eps)
     for i, (fa, fb) in enumerate(zip(map(Fraction, a.tolist()), map(Fraction, b.tolist()))):
