@@ -388,11 +388,6 @@ def convex_polygons(drawn):
     return polygon_block(normals[active], offsets[active], kept)
 
 
-def random_convex_polygon(rng: np.random.Generator, n_edges: int) -> np.ndarray:
-    """A random bounded convex polygon from sorted random normals."""
-    return convex_polygons([draw_constraints(rng, n_edges)])[0]
-
-
 def _walks(steps: list, n_knots: np.ndarray, start=None) -> np.ndarray:
     """Random walks of ``n_knots`` points from ``start`` (0 by default) with
     the given steps, concatenated.  The steps are padded into rows and

@@ -14,12 +14,14 @@ from outside at rate O(1/M^2) for smooth h).
 
 The polygon {x : nu_j.x <= c_j} with all c_j > 0 is the polar of the
 convex hull of the points nu_j / c_j.  The normals come in CCW angular
-order, so the points do too, and array rounds that drop every point
-within rounding of the chord between its live neighbours leave the hull's
-vertices in CCW order, which are the active constraints (``active_block``);
-consecutive pairs meet at the polygon's vertices, found by one batched
-2x2 solve.  Both passes serve many polygons laid end to end as one
-(``polygon_block``).  Each edge's support is then its own vertex . normal.
+order, so one Graham scan of those points in that order returns the
+hull's vertices in CCW order, which are the active constraints
+(``active_constraints``); consecutive pairs meet at the polygon's
+vertices, found by one batched 2x2 solve, which also serves many polygons
+laid end to end (``polygon_block``).  Each edge's support is then its own
+vertex . normal, so a body costs O(M).  Many small polygons at once, as
+random sets draw them, take array rounds over all their points instead
+(``active_block``).
 ``build_wulff_body`` is cached on (tension, M), so every caller of one
 tension shares one body, and a body's arrays are read-only.
 
@@ -209,17 +211,19 @@ def active_block(normals: np.ndarray, offsets: np.ndarray, counts):
     c_j > 0, laid end to end: polygon i's are the next ``counts[i]`` rows.
     Returns a mask of the active rows and each polygon's count of them.
 
-    A polygon is the polar of conv{nu_j / c_j}: the hull's vertices are
-    its active constraints.  Its normals must come in CCW angular order:
-    their angles, rotated to start at the smallest, do not decrease.  The
-    points nu_j / c_j then do too, and the hull is found by rounds over all
-    polygons at once: each round drops every point that does not lie beyond
+    The normals, tolerance and ValueErrors are those of
+    :func:`active_constraints`, but the hull is found by rounds over all
+    polygons at once.  A point is flagged when it does not lie beyond
     ``_COLLINEAR_RTOL`` times its polygon's largest radius R outside the
-    chord between its live neighbours, and stops when it drops none.  The
-    farthest point of each polygon, a hull vertex, is always kept.  Raises
-    ValueError for normals out of order, and when the constraints do not
-    bound a polygon around the origin: fewer than three hull vertices, or
-    a hull edge within ``DEDUP_TOL`` of the origin.
+    chord between its live neighbours; the farthest point of each polygon,
+    a hull vertex, never is.  Each round drops every other point of each
+    run of flagged neighbours, so every point dropped lies within that
+    tolerance of the chord its neighbours still span, and the pass stops
+    when no point is flagged.  Where no long run of points lies within
+    rounding of one line, as on randomly drawn polygons, it keeps the
+    scan's vertices; on such runs (l_p bodies with p >= 5 and many
+    normals) the two keep different points within rounding of the hull,
+    so Wulff bodies take the scan.
     """
     if not np.all(offsets > 0.0):
         raise ValueError("half-plane offsets must be positive")
@@ -240,15 +244,26 @@ def active_block(normals: np.ndarray, offsets: np.ndarray, counts):
     radius = np.hypot(x, y)
     far = _first_extreme(radius, np.maximum.reduceat, first, polygon)
     tol = _COLLINEAR_RTOL * radius[far]
-    live, owner = np.arange(len(x)), polygon
+    # Each polygon's points rotated to start at its farthest, which is never
+    # dropped, so no run of flagged points wraps round a polygon's end.
+    shift = (far - first)[polygon]
+    live = first[polygon] + (np.arange(len(x)) - first[polygon] + shift) % counts[polygon]
+    owner = polygon
     while True:
         # cross / |chord| is the point's distance outside the chord.
         a, j = live[prev], live[nxt]
         dx, dy = x[j] - x[a], y[j] - y[a]
         cross = (x[live] - x[a]) * dy - (y[live] - y[a]) * dx
-        keep = (cross > tol[owner] * np.hypot(dx, dy)) | (live == far[owner])
-        if keep.all():
+        flag = ~(cross > tol[owner] * np.hypot(dx, dy)) & (live != far[owner])
+        if not flag.any():
             break
+        # Drop the first, third, ... point of each run of flagged neighbours:
+        # no two neighbours go in one round, so each point dropped was judged
+        # against the chord that its neighbours still span.
+        index = np.arange(len(live))
+        start = flag & ~np.concatenate(([False], flag[:-1]))
+        rank = index - np.maximum.accumulate(np.where(start, index, 0))
+        keep = ~flag | (rank % 2 == 1)
         live, owner = live[keep], owner[keep]
         prev, nxt = _neighbours(np.bincount(owner, minlength=len(counts)))
     kept = np.bincount(owner, minlength=len(counts))
@@ -268,9 +283,61 @@ def active_block(normals: np.ndarray, offsets: np.ndarray, counts):
 
 def active_constraints(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Indices of the constraints active on {x : nu_j . x <= c_j}, offsets
-    c_j > 0, in CCW order from the lowest index: :func:`active_block` on
-    one polygon, with its ValueErrors."""
-    return np.flatnonzero(active_block(normals, offsets, [len(offsets)])[0])
+    c_j > 0, in CCW order from the lowest index.
+
+    The set is the polar of conv{nu_j / c_j}: the hull's vertices, in CCW
+    order, are the active constraints.  The normals must come in CCW
+    angular order: their angles, rotated to start at the smallest, do not
+    decrease.  The points nu_j / c_j then do too, and one Graham scan in
+    that order from the farthest point, a hull vertex, finds the hull in
+    O(M).  A point within ``_COLLINEAR_RTOL`` times the farthest point's
+    radius of a hull chord is not a vertex.  Raises ValueError for normals
+    out of order, and when the constraints do not bound a polygon around
+    the origin: fewer than three hull vertices, or a hull edge within
+    ``DEDUP_TOL`` of the origin.
+    """
+    if not np.all(offsets > 0.0):
+        raise ValueError("half-plane offsets must be positive")
+    x, y = (normals / offsets[:, None]).T.tolist()
+    angle = list(map(math.atan2, y, x))
+    first = angle.index(min(angle))
+    angle = angle[first:] + angle[:first]
+    if angle != sorted(angle):
+        raise ValueError("half-plane normals are not in CCW angular order")
+    radius = list(map(math.hypot, x, y))
+    start = radius.index(max(radius))
+    tol = _COLLINEAR_RTOL * radius[start]
+    # Chords are at most 2 R long, so a cross product above 2 R times a
+    # distance bound clears that bound without computing the chord's length.
+    clear = 2.0 * radius[start] * tol
+    hull = [start]
+    for j in [*range(start + 1, len(x)), *range(start + 1)]:
+        xj, yj = x[j], y[j]
+        # Pop the top while it does not lie beyond tol left of the chord
+        # from the vertex below it to point j.
+        while len(hull) > 1:
+            a, b = hull[-2], hull[-1]
+            dx, dy = xj - x[a], yj - y[a]
+            cross = (x[b] - x[a]) * dy - (y[b] - y[a]) * dx
+            if cross > clear or cross > tol * math.hypot(dx, dy):
+                break
+            hull.pop()
+        hull.append(j)
+    hull.pop()  # the start, appended again to close the scan
+    if len(hull) < 3:
+        raise ValueError("half-planes do not bound a polygon: fewer than three "
+                         "active constraints")
+    # The input runs CCW from index 0, so sorted indices are the hull in CCW
+    # order from the lowest index.
+    hull.sort()
+    clear = 2.0 * radius[start] * DEDUP_TOL
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        # cross / |b - a| is the edge's distance from the origin, positive
+        # when the origin lies to its left.
+        cross = x[a] * y[b] - y[a] * x[b]
+        if cross <= clear and cross <= DEDUP_TOL * math.hypot(x[b] - x[a], y[b] - y[a]):
+            raise ValueError("half-planes do not bound a polygon around the origin")
+    return np.array(hull)
 
 
 def polygon_block(normals: np.ndarray, offsets: np.ndarray, counts):
@@ -376,19 +443,23 @@ class AlphaTable:
         what the closed form gives from 1 on (NaN, or an overflow of x^q for
         large q) is discarded without a warning."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.where(x < 1.0, (-np.expm1(np.log(x) * self.q)) ** (1.0 / self.q), 0.0)
+            return np.where(x < 1.0, self._closed_form(x), 0.0)
 
     def _root_of(self, x: float) -> float:
         """``_root`` of one float, with its ends (0 from 1 on, NaN included,
-        and 1 at 0) taken in Python.  In between it runs the array ops on a
-        one-element array: numpy's scalar power rounds differently from its
-        array loop, and a scalar call must give an array call's answer bit
-        for bit."""
+        and 1 at 0) taken in Python.  In between it runs the closed form on
+        a one-element array: numpy's scalar power rounds differently from
+        its array loop, and a scalar call must give an array call's answer
+        bit for bit."""
         if not x < 1.0:
             return 0.0
         if x == 0.0:
             return 1.0
-        return ((-np.expm1(np.log(np.array([x])) * self.q)) ** (1.0 / self.q)).item()
+        return self._closed_form(np.array([x])).item()
+
+    def _closed_form(self, x):
+        """(1 - x^q)^(1/q) of an array x, by way of expm1 and log."""
+        return (-np.expm1(np.log(x) * self.q)) ** (1.0 / self.q)
 
     def __call__(self, z):
         """alpha at z."""
