@@ -178,10 +178,21 @@ class LpSliceNorm:
             raise InvalidTension(f"lp slice norm needs p >= 1, got p={self.p}")
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
+        a = np.abs(np.asarray(x, dtype=float))
         if math.isinf(self.p):
-            return np.max(np.abs(x), axis=-1)
-        return (np.abs(x) ** self.p).sum(axis=-1) ** (1.0 / self.p)
+            return np.max(a, axis=-1)
+        with np.errstate(over="ignore"):
+            out = (a ** self.p).sum(axis=-1) ** (1.0 / self.p)
+        bad = (out == 0.0) | (out == math.inf)
+        if np.any(bad):
+            # For large p, |x|^p under- or overflows: such rows are max |x|
+            # times the p-norm of x / max |x|, whose entries are at most 1.
+            big = np.max(a, axis=-1)
+            bad &= (big > 0.0) & (big < math.inf)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                scaled = big * ((a / big[..., None]) ** self.p).sum(axis=-1) ** (1.0 / self.p)
+            out = np.where(bad, scaled, out)
+        return out
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
-"""The in-repo hull passes against qhull (scipy.spatial.ConvexHull): the
-Graham scan of ``wulff.active_constraints`` and, on one polygon or many
-laid end to end, the array rounds of ``wulff.active_block`` find the same
-active constraints, or a ValueError on both sides."""
+"""The in-repo hull pass against qhull (scipy.spatial.ConvexHull): on one
+polygon or many laid end to end, the array rounds of
+``wulff.active_block`` find qhull's active constraints, or a ValueError on
+both sides."""
 
 import math
 
@@ -11,20 +11,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
-from wulffdrop import checks
+from wulffdrop import checks, wulff
 from wulffdrop.tension import L1RegSliceNorm, LpSliceNorm, make_tension
 from wulffdrop.wulff import (
     _COLLINEAR_RTOL,
     DEDUP_TOL,
     active_block,
-    active_constraints,
     build_wulff_body,
+    polygon_block,
 )
 
 
 def qhull_constraints(normals, offsets):
-    """The active constraints as qhull found them before the scan replaced
-    it: hull vertices of nu_j / c_j in CCW order from the lowest index."""
+    """The active constraints as qhull finds them: hull vertices of
+    nu_j / c_j in CCW order from the lowest index."""
     if not np.all(offsets > 0.0):
         raise ValueError("half-plane offsets must be positive")
     try:
@@ -49,9 +49,8 @@ def block_constraints(normals, offsets):
 
 
 def assert_parity(normals, offsets):
-    ours = outcome(active_constraints, normals, offsets)
+    ours = outcome(block_constraints, normals, offsets)
     assert ours == outcome(qhull_constraints, normals, offsets)
-    assert ours == outcome(block_constraints, normals, offsets)
     return ours
 
 
@@ -119,25 +118,33 @@ def test_scan_matches_qhull_on_the_builtin_bodies(m):
     # The l_inf body is the diamond, the l_1 body the square.
     for p, corners in ((math.inf, [m // 8, 3 * m // 8, 5 * m // 8, 7 * m // 8]),
                        (1.0, [0, m // 4, m // 2, 3 * m // 4])):
-        assert active_constraints(normals, LpSliceNorm(p).value(normals)).tolist() == corners
+        assert block_constraints(normals, LpSliceNorm(p).value(normals)).tolist() == corners
 
 
 # l_p bodies with p >= 5 and many normals: long runs of their polar points
-# lie within rounding of one line.  Neither the scan nor the array rounds
-# keep qhull's points there; the rounds drop every other point of a run of
+# lie within rounding of one line, where hull passes that honour the same
+# tolerance can keep different points (qhull does).  The rounds drop every other point of a run of
 # flagged neighbours, and each point they drop lies within 2 tol (1.81 tol
-# at most over l_1 to l_inf at 8 to 8192 normals) outside the final hull;
-# dropping whole runs at once would leave points up to 586 tol outside.
-@pytest.mark.parametrize("m", [1024, 4096])
-def test_block_rounds_drop_points_within_rounding_of_the_hull(m):
+# at most over l_1 to l_inf at 8 to 8192 normals) outside the hull they
+# keep; dropping whole runs at once would leave points up to 586 tol
+# outside.  The bound is read on the constraints build_wulff_body itself
+# keeps.
+@pytest.mark.parametrize("m", [1024, 4096, 8192])
+def test_block_rounds_drop_points_within_rounding_of_the_hull(m, monkeypatch):
     normals = at_angles(2.0 * math.pi * np.arange(m) / m)
-    drawn = [(normals, LpSliceNorm(p).value(normals)) for p in (8.0, 16.0, 50.0)]
-    assert_block_is_each_alone(drawn)
-    for nu, c in drawn:
-        points = nu / c[:, None]
+    tensions = [make_tension("euclid", h_family="lp", h_p=p) for p in (8.0, 16.0, 50.0)]
+    assert_block_is_each_alone([(normals, t.h.value(normals)) for t in tensions])
+    # Read by a spy on the vertex solve of an uncached build.
+    solved = []
+    monkeypatch.setattr(wulff, "polygon_block",
+                        lambda nu, c, counts: solved.append(nu) or polygon_block(nu, c, counts))
+    index = {tuple(nu): j for j, nu in enumerate(normals.tolist())}
+    for tension in tensions:
+        build_wulff_body.__wrapped__(tension, m)
+        active = np.array([index[tuple(nu)] for nu in solved.pop().tolist()])
+        points = normals / tension.h.value(normals)[:, None]
         tol = _COLLINEAR_RTOL * np.hypot(*points.T).max()
         # Each point's distance outside the hull edge whose ends bracket it.
-        active = block_constraints(nu, c)
         after = np.searchsorted(active, np.arange(m), side="right")
         a, b = points[active[after - 1]], points[active[after % len(active)]]
         (ex, ey), (px, py) = (b - a).T, (points - a).T
@@ -159,7 +166,7 @@ def test_gap_test_leaves_a_margin_around_the_origin(weights, start, data):
     offsets = np.array(data.draw(st.lists(st.floats(0.5, 1.5), min_size=len(theta),
                                           max_size=len(theta))))
     normals = at_angles(theta)
-    active = active_constraints(normals, offsets)
+    active = block_constraints(normals, offsets)
     assert len(active) >= 3
     p = normals[active] / offsets[active, None]
     q = np.roll(p, -1, axis=0)
@@ -170,22 +177,22 @@ def test_gap_test_leaves_a_margin_around_the_origin(weights, start, data):
 def test_scan_rejects_normals_out_of_angular_order():
     normals = at_angles(np.array([0.0, math.pi, 0.5 * math.pi, 1.5 * math.pi]))
     with pytest.raises(ValueError, match="CCW angular order"):
-        active_constraints(normals, np.ones(4))
+        block_constraints(normals, np.ones(4))
     # A rotation of CCW order is CCW order.
     theta = 2.0 * math.pi * np.arange(8) / 8
-    assert active_constraints(at_angles(np.roll(theta, 3)), np.ones(8)).tolist() == list(range(8))
+    assert block_constraints(at_angles(np.roll(theta, 3)), np.ones(8)).tolist() == list(range(8))
 
 
 def test_scan_rejects_what_qhull_rejected():
     square = at_angles(0.5 * math.pi * np.arange(4))
     with pytest.raises(ValueError, match="positive"):
-        active_constraints(square, np.array([1.0, 1.0, 0.0, 1.0]))
+        block_constraints(square, np.array([1.0, 1.0, 0.0, 1.0]))
     # Two opposite normals bound a strip, not a polygon.
     with pytest.raises(ValueError, match="fewer than three"):
-        active_constraints(square[[0, 2]], np.ones(2))
+        block_constraints(square[[0, 2]], np.ones(2))
     # The origin lies on the polar hull's edge from (-1, 0) to (1, 0).
     with pytest.raises(ValueError, match="around the origin"):
-        active_constraints(square[:3], np.ones(3))
+        block_constraints(square[:3], np.ones(3))
 
 
 def test_l1_body_keeps_the_four_sides():

@@ -801,3 +801,22 @@ def test_invert_v_meets_its_stopping_rule(request, family):
     eps = np.finfo(float).eps
     assert np.all((np.abs(f) <= 4.0 * eps * v_end)
                   | (np.abs((w - step) - w) <= 4.0 * eps * w))
+
+
+def test_n2_first_integral_holds_at_every_node():
+    # At N = 2 the denominator is v, so v dv = s(w) dw, and by Euler's
+    # identity the integral of s(w) from 0 is phi(0, 1) - d2phi(s(w), 1):
+    # v(w)^2 = v0^2 + 2 (phi(0, 1) - d2phi(s(w), 1)) holds exactly.
+    worst = 0.0
+    for name, kw in (("euclid", {}), ("pnorm", {"p": 3.0}), ("pnorm", {"p": 1.5}),
+                     ("weighted", {"c": 2.0}), ("weighted", {"c": 0.5})):
+        tension = make_tension(name, dim=2, **kw)
+        tau = tension.f_eN
+        for frac in (-0.5, -0.05):
+            s_stop = od.s_star(tension, frac * tau)
+            for v0 in (0.1, 1.0, 10.0):
+                traj = od.integrate_v(tension, v0, s_stop=s_stop)
+                s = tension.phi.d1_inverse(traj.ts, 1.0)
+                exact = v0 * v0 + 2.0 * (tau - tension.phi.d2(s, 1.0))
+                worst = max(worst, np.max(np.abs(traj.ys[1] ** 2 / exact - 1.0)))
+    assert worst <= 1e-10

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wulffdrop.errors import DegeneratePoint, InvalidTension
 from wulffdrop.tension import (
+    LpSliceNorm,
     ScaledPNorm,
     check_admissible,
     make_tension,
@@ -187,6 +188,28 @@ def test_homogeneity_thousand_samples(pnorm3):
     fx = f(x)
     flx = f(lam[:, None] * x)
     assert np.all(np.abs(flx - lam * fx) <= 1e-10 * np.maximum(np.abs(lam * fx), 1e-30))
+
+
+def test_lp_value_rescales_only_where_the_power_under_or_overflows():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(200, 2))
+    for p in (1.0, 1.5, 3.0, 50.0, 2000.0):
+        # Rows whose |x|^p sums to a positive finite value keep the plain
+        # sum; the rest, where it under- or overflows, are rescaled.
+        with np.errstate(over="ignore"):
+            plain = (np.abs(x) ** p).sum(axis=-1) ** (1.0 / p)
+        kept = (plain > 0.0) & (plain < math.inf)
+        value = LpSliceNorm(p).value(x)
+        assert kept.any() and np.array_equal(value[kept], plain[kept])
+        assert np.all((value > 0.0) & (value < math.inf))
+    # The diagonal's |x|^p underflows for p = 3000; |x|^2 overflows at 1e200.
+    diagonal = np.array([[math.sqrt(0.5), math.sqrt(0.5)], [0.0, 0.0]])
+    assert LpSliceNorm(3000.0).value(diagonal).tolist() == pytest.approx(
+        [math.sqrt(0.5) * 2.0 ** (1.0 / 3000.0), 0.0], rel=1e-15)
+    assert LpSliceNorm(2.0).value(np.array([[3e200, 4e200]])) == pytest.approx(5e200,
+                                                                              rel=1e-15)
+    # An infinite entry stays infinite.
+    assert LpSliceNorm(3000.0).value(np.array([[math.inf, 1.0]])).tolist() == [math.inf]
 
 
 @pytest.mark.parametrize("build", [

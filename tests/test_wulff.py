@@ -13,11 +13,10 @@ from wulffdrop.errors import DimensionUnsupported
 from wulffdrop.sets import convex_polygons, draw_constraints
 from wulffdrop.tension import make_tension
 from wulffdrop.wulff import (
-    active_constraints,
+    active_block,
     alpha_table,
     build_wulff_body,
     concavity_defect,
-    halfplane_polygon,
     polygon_area,
     polygon_areas,
     polygon_block,
@@ -94,17 +93,24 @@ def test_lp2_body_is_the_regular_polygon(euclid, m):
     assert np.max(np.abs(body.edge_normals[0] - [1.0, 0.0])) <= 1e-12
 
 
-def test_halfplane_polygon_drops_redundant_and_rejects_unbounded():
-    # Normals in CCW angular order, as active_constraints requires.
+def one_polygon(normals, offsets):
+    """CCW vertices of {x : nu_j . x <= c_j}, found as build_wulff_body finds
+    a body's: one hull pass, then the vertex solve on its active rows."""
+    active, kept = active_block(normals, offsets, [len(offsets)])
+    return polygon_block(normals[active], offsets[active], kept)[0]
+
+
+def test_one_polygon_drops_redundant_and_rejects_unbounded():
+    # Normals in CCW angular order, as active_block requires.
     normals = np.array([[1.0, 0.0], [math.sqrt(0.5), math.sqrt(0.5)], [0.0, 1.0],
                         [-1.0, 0.0], [0.0, -1.0]])
-    poly = halfplane_polygon(normals, np.array([1.0, 3.0, 1.0, 1.0, 1.0]))
+    poly = one_polygon(normals, np.array([1.0, 3.0, 1.0, 1.0, 1.0]))
     assert poly.tolist() == [[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]]
     # Normals confined to a half circle leave the set unbounded.
     theta = np.linspace(0.0, 0.9 * math.pi, 7)
     normals = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     with pytest.raises(ValueError):
-        halfplane_polygon(normals, np.ones(7))
+        one_polygon(normals, np.ones(7))
 
 
 # SHA-256 of the three built-in tensions' bodies (vertices, edge lengths,
@@ -116,13 +122,15 @@ BODY_DIGESTS = {
 }
 
 
-# The same digest of the l_8, l_16 and l_50 bodies.  Long runs of their
-# polar points lie within rounding of one line, where any hull pass that
-# keeps other points than the Graham scan of active_constraints changes
-# the bodies.
+# The same digest of the l_8, l_16 and l_50 bodies, taken from the array
+# rounds of active_block.  Long runs of their polar points lie within
+# rounding of one line, where hull passes that honour the same tolerance
+# still keep different points, so any change to the rounds' order of drops
+# changes these bodies (test_hull bounds how far outside the kept hull the
+# dropped points lie).
 STEEP_LP_BODY_DIGESTS = {
-    1024: "da6197d49605f726031bcef13c7651a2b92a4c8506206cdd5c0ed2fd1d8d32b1",
-    4096: "50758b5d678097e33927e6b24dd710d2245e1dd6ca022fef788c9996ca418479",
+    1024: "b09b402feb87213266d669988878da5e83bf4f6007df634aa714ef450b09d7d9",
+    4096: "3e05caaae23e611827f60855421d04291ba219dbe4163cd3afb09407db5dfeac",
 }
 
 
@@ -148,6 +156,21 @@ def test_steep_lp_bodies_are_bit_identical_to_the_golden_digest(m):
     assert body_digest(tensions, m) == STEEP_LP_BODY_DIGESTS[m]
 
 
+def test_lp_bodies_of_large_p_build():
+    # |x|^p of a unit normal's components underflows to 0 from p ~ 2150;
+    # the slice norm then rescales by max |x|, so l_p bodies build up to
+    # p = inf, and at p = 1e300 the body is the l_inf body.
+    flat = build_wulff_body(make_tension("euclid", h_family="lp", h_p=math.inf), 1024)
+    steep = build_wulff_body(make_tension("euclid", h_family="lp", h_p=1e300), 1024)
+    for field in ("geometry", "edge_lengths", "edge_normals", "edge_h", "edge_supports",
+                  "area", "aniso_perimeter", "lam"):
+        assert np.array_equal(getattr(steep, field), getattr(flat, field))
+    for p in (3000.0, 1e6):
+        body = build_wulff_body(make_tension("euclid", h_family="lp", h_p=p), 1024)
+        assert 2.0 < body.area < 2.001
+        assert abs(body.lam - 2.0) <= 1e-12
+
+
 def test_polygon_block_solves_each_polygon_as_alone():
     rng = np.random.default_rng(23)
     normals, offsets, counts, alone = [], [], [], []
@@ -158,11 +181,11 @@ def test_polygon_block_solves_each_polygon_as_alone():
         theta = 2.0 * math.pi * (np.arange(n) + rng.uniform(0.0, 0.5, n)) / n
         nu = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         c = rng.uniform(0.5, 1.5, len(theta))
-        active = active_constraints(nu, c)
+        active = active_block(nu, c, [len(c)])[0]
         normals.append(nu[active])
         offsets.append(c[active])
-        counts.append(len(active))
-        alone.append(halfplane_polygon(nu, c))
+        counts.append(np.count_nonzero(active))
+        alone.append(one_polygon(nu, c))
     poly, n_vertices = polygon_block(np.concatenate(normals), np.concatenate(offsets),
                                      counts)
     assert n_vertices.tolist() == [len(a) for a in alone]

@@ -60,12 +60,18 @@ FAMILIES = {"euclid": (3, {"family": "euclid"}, -0.5),
             "pnorm3": (3, {"family": "pnorm", "p": 3.0}, -0.5),
             "weighted2": (3, {"family": "weighted", "c": 2.0}, -0.5 * 2.0 ** 0.5),
             "euclid-N2": (2, {"family": "euclid"}, -0.5)}
+# Steep l_p slice norms under euclid phi at N = 3, with their normal
+# counts: long runs of the l_16 body's polar points lie within rounding of
+# one line, where the hull's order of drops decides its vertices, and
+# |x|^p of the l_3000 norm's unit normals underflows.
+STEEP = {"lp16": (16.0, 4096), "lp3000": (3000.0, 1024)}
 # The sliced-set document symmetrized under an N-dimensional tension.
 SET_DOCS = {3: "sliced-set.json", 2: "interval-set.json"}
 OUTPUTS = ["check.json", "check.stdout", "check-seed1.json", "check-seed1.stdout"] + [
     fam + ext for fam in FAMILIES
     for ext in (".json", ".csv", "-direct.csv", ".svg", "-body.json", "-body.svg",
-                "-repair.json", "-repaired.csv", "-symmetrize.json", "-symmetrized.csv")]
+                "-repair.json", "-repaired.csv", "-symmetrize.json", "-symmetrized.csv")] + [
+    name + ext for name in STEEP for ext in ("-body.json", "-body.svg")]
 
 
 def json_gap(a, b, path=""):
@@ -175,6 +181,12 @@ def cli_outputs(trees):
             invalid[fam + "-huge-m-normals"] = f"wulff {tension} --m-normals 10000000000000000000"
             invalid[fam + "-shoot-max-iter-0"] = (f"solve {tension} --omega={omega!r} "
                                                   "--mass 1 --method shoot --max-iter 0")
+        for name, (p, m) in STEEP.items():
+            with open(os.path.join(tmp, name + ".json"), "w") as handle:
+                json.dump({"N": 3, "phi": {"family": "euclid"},
+                           "h": {"family": "lp", "p": p}}, handle)
+            commands[name + "-wulff"] = (f"wulff --tension ../{name}.json --m-normals {m} "
+                                         f"--out {name}-body.json --svg {name}-body.svg")
         for tag, argv in invalid.items():
             commands[tag] = f"{argv} --out-dir {tag}-out"
         codes = {}
