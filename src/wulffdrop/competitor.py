@@ -32,7 +32,7 @@ from .reduced import (
     profile_energies,
     reduced_volume,
 )
-from .wulff import alpha_table, sorted_distinct
+from .wulff import alpha_table, chord_deficits, sorted_distinct
 
 # Exceptions that make a repair attempt unusable (callers may skip and retry).
 CompetitorFailure = (HypothesisViolated, NoBracket)
@@ -218,17 +218,13 @@ def compare_surface_energy(e: Profile, params: CompetitorParams):
 
 
 def _violations(e: Profile):
-    """Knots where discrete concavity fails, by decreasing chord deficit,
-    and those deficits relative to max(1, max r)."""
+    """Knots of ``chord_deficits`` with a kink above rounding, by decreasing
+    chord deficit, and those deficits relative to max(1, max r)."""
     t, r = e.knots, e.r
-    slopes = np.diff(r) / np.diff(t)
-    kink = np.diff(slopes)
+    ic, deficit = chord_deficits(t, r)
     scale = max(1.0, float(np.max(r)))
-    ic = np.nonzero(kink > 1e-11 * scale)[0] + 1
-    support = r > 0
-    ic = ic[support[ic - 1] | support[ic] | support[ic + 1]]
-    w = (t[ic + 1] - t[ic]) / (t[ic + 1] - t[ic - 1])
-    deficit = w * r[ic - 1] + (1 - w) * r[ic + 1] - r[ic]
+    kinked = np.diff(np.diff(r) / np.diff(t))[ic - 1] > 1e-11 * scale
+    ic, deficit = ic[kinked], deficit[kinked]
     order = np.argsort(-deficit, kind="stable")
     return ic[order], deficit[order] / scale
 

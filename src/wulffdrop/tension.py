@@ -182,11 +182,12 @@ class LpSliceNorm:
         if math.isinf(self.p):
             return np.max(a, axis=-1)
         with np.errstate(over="ignore"):
-            out = (a ** self.p).sum(axis=-1) ** (1.0 / self.p)
-        bad = (out == 0.0) | (out == math.inf)
+            total = (a ** self.p).sum(axis=-1)
+        out = total ** (1.0 / self.p)
+        bad = (total < np.finfo(float).tiny) | (total == math.inf)
         if np.any(bad):
-            # For large p, |x|^p under- or overflows: such rows are max |x|
-            # times the p-norm of x / max |x|, whose entries are at most 1.
+            # For large p, sum |x|^p is 0, subnormal or inf: such rows are max
+            # |x| times the p-norm of x / max |x|, whose entries are at most 1.
             big = np.max(a, axis=-1)
             bad &= (big > 0.0) & (big < math.inf)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

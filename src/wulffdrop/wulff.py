@@ -426,16 +426,18 @@ def alpha_table(tension: SurfaceTension) -> AlphaTable:
 alpha_spline = alpha_volume_table = alpha_table
 
 
+def chord_deficits(t: np.ndarray, a: np.ndarray):
+    """Knots i inside the hull of the non-empty slabs, from the first to the
+    last positive a (an end knot never), and at each the chord deficit
+    w a[i-1] + (1 - w) a[i+1] - a[i], w = (t[i+1] - t[i]) / (t[i+1] - t[i-1])."""
+    pos = np.flatnonzero(a > 0)
+    i = np.arange(max(pos[0], 1), min(pos[-1] + 1, len(a) - 1)) if pos.size else pos
+    w = (t[i + 1] - t[i]) / (t[i + 1] - t[i - 1])
+    return i, w * a[i - 1] + (1 - w) * a[i + 1] - a[i]
+
+
 def concavity_defect(t: np.ndarray, a: np.ndarray) -> float:
-    """Largest dip of the samples a(t) below a local chord on their support;
-    concavity means the value is <= 0 (up to rounding)."""
-    if len(t) < 3:
-        return 0.0
-    pos = a > 0
-    w = (t[2:] - t[1:-1]) / (t[2:] - t[:-2])
-    chord = w * a[:-2] + (1 - w) * a[2:]
-    # Knots in the support, plus zero knots pinched between positive ones.
-    interior = pos[1:-1] | (pos[:-2] & pos[2:])
-    if not interior.any():
-        return 0.0
-    return float(np.max((chord - a[1:-1])[interior]))
+    """Largest chord deficit of a(t) at the knots from the first to the last
+    positive a (0.0 if none); the set is convex when it is <= 0, to rounding."""
+    deficit = chord_deficits(t, a)[1]
+    return float(np.max(deficit)) if deficit.size else 0.0

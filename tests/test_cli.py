@@ -252,6 +252,36 @@ def test_repair_logs_no_failure_at_rounding_level(tension_file, tmp_path, euclid
     assert json.loads(rep.read_text())["repairs"] == []
 
 
+def repair_cut_quarter_circle(tension_file, euclid, tmp_path, cut):
+    """Run ``repair`` on the 41-knot quarter circle with r = 0 where cut(t);
+    returns the report."""
+    t = np.linspace(0.0, 1.0, 41)
+    r = np.where(cut(t), 0.0, np.sqrt(np.maximum(1 - t**2, 0.0)))
+    prof_path = tmp_path / "cut.csv"
+    cli.write_profile_csv(str(prof_path), reduced.Profile(
+        knots=t, r=r, body=build_wulff_body(euclid, 1024), omega=-0.5))
+    rep = tmp_path / "log.json"
+    assert run(["repair", "--tension", tension_file, "--omega", "-0.5",
+                "--profile", str(prof_path), "--out", str(tmp_path / "out.csv"),
+                "--report", str(rep)]) == 0
+    return json.loads(rep.read_text())
+
+
+def test_repair_leaves_a_zero_tail_alone(tension_file, euclid, tmp_path):
+    # Cut off above t = 0.8, the circle is concave on its support: no repair
+    # and no failure is logged.
+    log = repair_cut_quarter_circle(tension_file, euclid, tmp_path, lambda t: t > 0.8)
+    assert log["repairs"] == []
+    assert log["concavity_defect"] < 0
+
+
+def test_repair_reports_an_interior_gap_as_not_concave(tension_file, euclid, tmp_path):
+    # Knots 12-14 zeroed: two stacked pieces, whatever the repair makes of them.
+    log = repair_cut_quarter_circle(tension_file, euclid, tmp_path,
+                                    lambda t: (t > 0.29) & (t < 0.36))
+    assert log["concavity_defect"] > 0
+
+
 @pytest.mark.parametrize("scale", [1e-20, 1e-45, 1e-60])
 def test_repair_of_a_tiny_profile_never_tracebacks(scale, tension_file, tmp_path,
                                                    euclid, capsys):

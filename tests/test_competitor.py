@@ -8,7 +8,7 @@ from wulffdrop import reduced
 from wulffdrop.errors import HypothesisViolated, InvalidInput, NoBracket
 from wulffdrop.tension import make_tension
 from wulffdrop._quad import slab_volume
-from wulffdrop.wulff import alpha_table, build_wulff_body
+from wulffdrop.wulff import alpha_table, build_wulff_body, chord_deficits, concavity_defect
 
 from conftest import hemisphere_profile
 
@@ -27,6 +27,77 @@ def dented_profile(body, omega=-0.5, lo=12, hi=20, factor=0.75):
     r = np.sqrt(np.maximum(1.0 - t**2, 0.0))
     r[lo:hi] *= factor
     return reduced.Profile(knots=t, r=r, body=body, omega=omega)
+
+
+def quarter_circle(body, cut, omega=-0.5):
+    """The 41-knot quarter circle with r set to 0 where cut(t, index)."""
+    t = np.linspace(0.0, 1.0, 41)
+    r = np.sqrt(np.maximum(1.0 - t**2, 0.0))
+    r[cut(t, np.arange(41))] = 0.0
+    return reduced.Profile(knots=t, r=r, body=body, omega=omega)
+
+
+# ---------------------------------------------------------------------------
+# The concavity rule (``chord_deficits``), read by the report and the seeds
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("r,knots", [
+    ([1.0, 0.8, 0.0, 0.0, 0.5, 0.0], [1, 2, 3, 4]),  # an interior gap
+    ([0.0, 0.0, 0.5, 0.8, 0.9, 0.0], [2, 3, 4]),  # leading zeros
+    ([0.0, 0.1, 1.0, 1.0, 0.0], [1, 2, 3]),  # a cone tip below the support
+    ([1.0, 0.9, 0.0, 0.8, 0.0], [1, 2, 3]),  # a pinched zero
+    ([1.0, 0.6, 0.0, 0.0, 0.0], [1]),  # a zero tail
+    ([0.0] * 5, []),
+    ([1.0, 0.0], []),
+    ([1.0], []),
+], ids=["gap", "leading-zeros", "cone-tip", "pinched-zero", "zero-tail", "all-zeros",
+        "two-knots", "one-knot"])
+def test_one_rule_checks_the_knots_from_the_first_to_the_last_positive_radius(
+        euclid_body, r, knots):
+    # The knots inside the hull of the non-empty slabs; the report is their
+    # largest deficit, and the seeds are those of them past a kink.
+    r = np.array(r)
+    t = np.linspace(0.0, 1.0, len(r))
+    ic, deficit = chord_deficits(t, r)
+    assert ic.tolist() == knots
+    assert concavity_defect(t, r) == (max(deficit) if knots else 0.0)
+    seeds, relative = comp._violations(
+        reduced.Profile(knots=t, r=r, body=euclid_body, omega=-0.5))
+    assert set(seeds.tolist()) <= set(knots)
+    assert relative.tolist() == sorted(
+        (d / max(1.0, r.max()) for i, d in zip(ic, deficit) if i in seeds), reverse=True)
+
+
+def test_an_interior_gap_is_not_concave(euclid_body):
+    # Two stacked pieces: the report and the seeds both see the empty knots.
+    t = np.linspace(0.0, 1.0, 6)
+    r = np.array([1.0, 0.8, 0.0, 0.0, 0.5, 0.0])
+    assert concavity_defect(t, r) == pytest.approx(0.4, rel=1e-12)
+    prof = quarter_circle(euclid_body, lambda t, i: (i >= 12) & (i <= 14))
+    seeds, deficits = comp._violations(prof)
+    assert seeds.tolist() == [12, 14]
+    assert prof.concavity_defect() == deficits[0] == pytest.approx(0.4807221130757, rel=1e-12)
+
+
+def test_a_zero_tail_is_concave_on_its_support(euclid_body):
+    # Cut off above t = 0.8: the first zero knot ends the support's hull, so
+    # it seeds no repair, and the report reads the circle's own chords.
+    prof = quarter_circle(euclid_body, lambda t, i: t > 0.8)
+    assert comp._violations(prof)[0].size == 0
+    assert comp.find_nonconvexity(prof, 2.0) is None
+    assert comp.repair_profile(prof, epsilon=2.0) is None
+    assert prof.concavity_defect() == pytest.approx(-3.1284227066e-4, rel=1e-9)
+
+
+def test_leading_zeros_seed_no_repair(euclid_body):
+    # The knot before the first positive radius, where r kinks up from 0,
+    # lies outside the support's hull.
+    t = np.linspace(0.0, 1.0, 6)
+    prof = reduced.Profile(knots=t, r=np.array([0.0, 0.0, 0.5, 0.8, 0.9, 0.0]),
+                           body=euclid_body, omega=-0.5)
+    assert comp._violations(prof)[0].size == 0
+    assert comp.find_nonconvexity(prof, 2.0) is None
+    assert prof.concavity_defect() == pytest.approx(-0.1, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -194,11 +194,12 @@ def test_lp_value_rescales_only_where_the_power_under_or_overflows():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(200, 2))
     for p in (1.0, 1.5, 3.0, 50.0, 2000.0):
-        # Rows whose |x|^p sums to a positive finite value keep the plain
-        # sum; the rest, where it under- or overflows, are rescaled.
+        # Rows whose |x|^p sums to a normal finite value keep the plain sum;
+        # the rest, where it under- or overflows, are rescaled.
         with np.errstate(over="ignore"):
-            plain = (np.abs(x) ** p).sum(axis=-1) ** (1.0 / p)
-        kept = (plain > 0.0) & (plain < math.inf)
+            total = (np.abs(x) ** p).sum(axis=-1)
+        plain = total ** (1.0 / p)
+        kept = (total >= np.finfo(float).tiny) & (total < math.inf)
         value = LpSliceNorm(p).value(x)
         assert kept.any() and np.array_equal(value[kept], plain[kept])
         assert np.all((value > 0.0) & (value < math.inf))
@@ -210,6 +211,15 @@ def test_lp_value_rescales_only_where_the_power_under_or_overflows():
                                                                               rel=1e-15)
     # An infinite entry stays infinite.
     assert LpSliceNorm(3000.0).value(np.array([[math.inf, 1.0]])).tolist() == [math.inf]
+
+
+@pytest.mark.parametrize("p", [2100.0, 2149.0, 2150.0, 3000.0])
+def test_lp_value_of_the_diagonal_is_exact_where_the_power_sum_is_subnormal(p):
+    # |x|^p of the unit diagonal sums to a subnormal (2100 to 2150) or to 0
+    # (3000); a subnormal sum carries too few bits for the 1/p-th root.
+    x = math.sqrt(0.5)
+    value = LpSliceNorm(p).value(np.array([[x, x], [-x, x]]))
+    assert value.tolist() == pytest.approx([x * 2.0 ** (1.0 / p)] * 2, rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("build", [

@@ -71,7 +71,8 @@ OUTPUTS = ["check.json", "check.stdout", "check-seed1.json", "check-seed1.stdout
     fam + ext for fam in FAMILIES
     for ext in (".json", ".csv", "-direct.csv", ".svg", "-body.json", "-body.svg",
                 "-repair.json", "-repaired.csv", "-symmetrize.json", "-symmetrized.csv")] + [
-    name + ext for name in STEEP for ext in ("-body.json", "-body.svg")]
+    name + ext for name in STEEP for ext in ("-body.json", "-body.svg")] + [
+    f"euclid-{name}{ext}" for name in ("tail", "gap") for ext in ("-repair.json", "-repaired.csv")]
 
 
 def json_gap(a, b, path=""):
@@ -130,12 +131,18 @@ def cli_outputs(trees):
     yield "| output (JSON apart from timing fields) | against the base commit |"
     yield "|---|---|"
     with tempfile.TemporaryDirectory() as tmp:
-        # The 41-knot quarter circle with r[12:20] *= 0.75, as repair reads it.
+        # The 41-knot quarter circle as repair reads it: with r[12:20] *= 0.75
+        # (the dent), cut off above t = 0.8 (the tail, concave on its
+        # support) and with r[12:15] = 0 (the gap, two stacked pieces).
         t = np.linspace(0.0, 1.0, 41)
-        r = np.sqrt(np.maximum(1.0 - t**2, 0.0))
-        r[12:20] *= 0.75
-        with open(os.path.join(tmp, "dent.csv"), "w") as handle:
-            handle.write("t,r\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(t, r)))
+        quarter = np.sqrt(np.maximum(1.0 - t**2, 0.0))
+        profiles = {name: quarter.copy() for name in ("dent", "tail", "gap")}
+        profiles["dent"][12:20] *= 0.75
+        profiles["tail"][t > 0.8] = 0.0
+        profiles["gap"][12:15] = 0.0
+        for name, r in profiles.items():
+            with open(os.path.join(tmp, name + ".csv"), "w") as handle:
+                handle.write("t,r\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(t, r)))
         # A sliced set on a 12-edge elliptic base over 9 knots, with drifting
         # centers and an empty slice at the fifth knot; for N = 2, the same
         # paths over the base interval (lo, hi).
@@ -181,6 +188,10 @@ def cli_outputs(trees):
             invalid[fam + "-huge-m-normals"] = f"wulff {tension} --m-normals 10000000000000000000"
             invalid[fam + "-shoot-max-iter-0"] = (f"solve {tension} --omega={omega!r} "
                                                   "--mass 1 --method shoot --max-iter 0")
+        for name in ("tail", "gap"):
+            commands[f"euclid-{name}-repair"] = (
+                f"repair --tension ../euclid.json --omega=-0.5 --profile ../{name}.csv "
+                f"--out euclid-{name}-repaired.csv --report euclid-{name}-repair.json")
         for name, (p, m) in STEEP.items():
             with open(os.path.join(tmp, name + ".json"), "w") as handle:
                 json.dump({"N": 3, "phi": {"family": "euclid"},
