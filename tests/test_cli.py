@@ -172,12 +172,12 @@ def test_symmetrize_subcommand(tension_file, tmp_path, euclid):
     assert rows.shape[0] == len(s.knots)
 
 
-def write_dented_quarter_circle(tension, tmp_path):
-    """The 41-knot quarter circle with r[12:20] *= 0.75 as a profile CSV;
+def write_dented_quarter_circle(tension, tmp_path, lo=12, hi=20, factor=0.75):
+    """The 41-knot quarter circle with r[lo:hi] *= factor as a profile CSV;
     returns its path."""
     t = np.linspace(0.0, 1.0, 41)
     r = np.sqrt(np.maximum(1 - t**2, 0.0))
-    r[12:20] *= 0.75
+    r[lo:hi] *= factor
     prof_path = tmp_path / "dent.csv"
     cli.write_profile_csv(str(prof_path), reduced.Profile(
         knots=t, r=r, body=build_wulff_body(tension, 1024), omega=-0.5))
@@ -252,14 +252,10 @@ def test_repair_logs_no_failure_at_rounding_level(tension_file, tmp_path, euclid
     assert json.loads(rep.read_text())["repairs"] == []
 
 
-def repair_cut_quarter_circle(tension_file, euclid, tmp_path, cut):
-    """Run ``repair`` on the 41-knot quarter circle with r = 0 where cut(t);
+def repair_cut_quarter_circle(tension_file, euclid, tmp_path, lo, hi):
+    """Run ``repair`` on the 41-knot quarter circle with r[lo:hi] = 0;
     returns the report."""
-    t = np.linspace(0.0, 1.0, 41)
-    r = np.where(cut(t), 0.0, np.sqrt(np.maximum(1 - t**2, 0.0)))
-    prof_path = tmp_path / "cut.csv"
-    cli.write_profile_csv(str(prof_path), reduced.Profile(
-        knots=t, r=r, body=build_wulff_body(euclid, 1024), omega=-0.5))
+    prof_path = write_dented_quarter_circle(euclid, tmp_path, lo, hi, factor=0.0)
     rep = tmp_path / "log.json"
     assert run(["repair", "--tension", tension_file, "--omega", "-0.5",
                 "--profile", str(prof_path), "--out", str(tmp_path / "out.csv"),
@@ -270,15 +266,14 @@ def repair_cut_quarter_circle(tension_file, euclid, tmp_path, cut):
 def test_repair_leaves_a_zero_tail_alone(tension_file, euclid, tmp_path):
     # Cut off above t = 0.8, the circle is concave on its support: no repair
     # and no failure is logged.
-    log = repair_cut_quarter_circle(tension_file, euclid, tmp_path, lambda t: t > 0.8)
+    log = repair_cut_quarter_circle(tension_file, euclid, tmp_path, 33, 41)
     assert log["repairs"] == []
     assert log["concavity_defect"] < 0
 
 
 def test_repair_reports_an_interior_gap_as_not_concave(tension_file, euclid, tmp_path):
     # Knots 12-14 zeroed: two stacked pieces, whatever the repair makes of them.
-    log = repair_cut_quarter_circle(tension_file, euclid, tmp_path,
-                                    lambda t: (t > 0.29) & (t < 0.36))
+    log = repair_cut_quarter_circle(tension_file, euclid, tmp_path, 12, 15)
     assert log["concavity_defect"] > 0
 
 

@@ -29,14 +29,6 @@ def dented_profile(body, omega=-0.5, lo=12, hi=20, factor=0.75):
     return reduced.Profile(knots=t, r=r, body=body, omega=omega)
 
 
-def quarter_circle(body, cut, omega=-0.5):
-    """The 41-knot quarter circle with r set to 0 where cut(t, index)."""
-    t = np.linspace(0.0, 1.0, 41)
-    r = np.sqrt(np.maximum(1.0 - t**2, 0.0))
-    r[cut(t, np.arange(41))] = 0.0
-    return reduced.Profile(knots=t, r=r, body=body, omega=omega)
-
-
 # ---------------------------------------------------------------------------
 # The concavity rule (``chord_deficits``), read by the report and the seeds
 # ---------------------------------------------------------------------------
@@ -73,7 +65,7 @@ def test_an_interior_gap_is_not_concave(euclid_body):
     t = np.linspace(0.0, 1.0, 6)
     r = np.array([1.0, 0.8, 0.0, 0.0, 0.5, 0.0])
     assert concavity_defect(t, r) == pytest.approx(0.4, rel=1e-12)
-    prof = quarter_circle(euclid_body, lambda t, i: (i >= 12) & (i <= 14))
+    prof = dented_profile(euclid_body, lo=12, hi=15, factor=0.0)
     seeds, deficits = comp._violations(prof)
     assert seeds.tolist() == [12, 14]
     assert prof.concavity_defect() == deficits[0] == pytest.approx(0.4807221130757, rel=1e-12)
@@ -82,7 +74,7 @@ def test_an_interior_gap_is_not_concave(euclid_body):
 def test_a_zero_tail_is_concave_on_its_support(euclid_body):
     # Cut off above t = 0.8: the first zero knot ends the support's hull, so
     # it seeds no repair, and the report reads the circle's own chords.
-    prof = quarter_circle(euclid_body, lambda t, i: t > 0.8)
+    prof = dented_profile(euclid_body, lo=33, hi=41, factor=0.0)
     assert comp._violations(prof)[0].size == 0
     assert comp.find_nonconvexity(prof, 2.0) is None
     assert comp.repair_profile(prof, epsilon=2.0) is None
