@@ -326,7 +326,7 @@ def suite_monotonicity() -> dict:
         s_st = od.s_star(tension, omega)
         vals = []
         for v0 in np.geomspace(0.1, 10.0, 16):
-            vals.append(od.dV_dv0(tension, float(v0), s_st))
+            vals.append(od.dV_dv0(od.integrate_v(tension, float(v0), s_stop=s_st)))
         rows.append((tension.tension_id, vals))
         ok = ok and all(v < 0 for v in vals)
     return {
@@ -467,7 +467,7 @@ def suite_volume_bridge() -> dict:
         for v0 in np.geomspace(0.3, 3.0, 6):
             traj = od.integrate_v(tension, float(v0), s_stop=s_st)
             prof, _ = od.reconstruct_profile(traj, body, omega=omega)
-            ratios.append(reduced.reduced_volume(prof) / od.V_of(traj, s_st))
+            ratios.append(reduced.reduced_volume(prof) / od.V_of(traj))
         spread = float((max(ratios) - min(ratios)) / np.mean(ratios))
         rows.append((tension.tension_id, float(np.mean(ratios)),
                      od.bridge_prediction(body), spread))

@@ -26,7 +26,6 @@ from .errors import (
     InvalidTension,
     NoBracket,
     NonConvergence,
-    OutOfRange,
     StalledInversion,
     WulffDropError,
 )
@@ -34,7 +33,7 @@ from .tension import SurfaceTension, tension_from_config, tension_to_config
 from .wulff import build_wulff_body
 
 # Raised by a solver on validated inputs: exit 3, not a validation error.
-SOLVER_FAILURES = (NonConvergence, NoBracket, StalledInversion, OutOfRange)
+SOLVER_FAILURES = (NonConvergence, NoBracket, StalledInversion)
 
 
 # ---------------------------------------------------------------------------

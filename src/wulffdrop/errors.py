@@ -63,10 +63,6 @@ class StalledInversion(WulffDropError, RuntimeError):
     """Slope recovery could not bracket the monotone inversion."""
 
 
-class OutOfRange(WulffDropError, ValueError):
-    """Queried coordinate outside the trajectory range."""
-
-
 class NonConvergence(WulffDropError, RuntimeError):
     """Iteration budget exhausted before the tolerances were met.
 

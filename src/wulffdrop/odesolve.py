@@ -31,10 +31,11 @@ tableau with its zero entries left out; each is plain left-to-right float
 addition, so the results do not depend on the Python version's sum().
 Each accepted step keeps its stage values in the ``Trajectory``, which
 builds every step's interpolant rows into one array when its dense output
-is first read (a solve read only at its end, as ``dV_dv0``, never builds
-them); it evaluates all knots in one expression, and the slope inverse
-takes arrays too, so each Newton pass of the inversion of v is a few numpy
-calls.
+is first read.  Only ``reconstruct_profile`` reads it: ``V_of`` and
+``dV_dv0`` read the last node, so a trajectory that is not reconstructed
+never builds the rows.  The dense output evaluates all knots in one
+expression, and the slope inverse takes arrays too, so each Newton pass of
+the inversion of v is a few numpy calls.
 
 Every solve also carries the exact sensitivity d(r, v)/dv0, seeded (0, 1)
 at the apex, through each stage of each accepted step, with the steps held
@@ -45,7 +46,7 @@ enclosed volume V_{v0}(s*) is strictly decreasing in v0, and its exact
 derivative (``dV_dv0``) comes from the same one integration.  Up to the
 discretization the profile's volume is a fixed multiple of V_{v0}(s*), the
 bridge constant.  Each probe reads V_{v0}(s*) and dV/dv0 in closed form at
-its trajectory's end, so matching the volume is a monotone root in
+its trajectory's last node, so matching the volume is a monotone root in
 log2(v0), solved by Newton steps kept inside a bracket, with bisection
 where a step leaves it.  On 56 shoots (four families, three contact
 values, five masses) that takes 5.0 probes on average and at most 7.  Only
@@ -67,7 +68,6 @@ from .errors import (
     NoBracket,
     NonConvergence,
     OmegaOutOfGraphRange,
-    OutOfRange,
     StalledInversion,
 )
 from .reduced import Profile, check_mass, reduced_volume, young_residual
@@ -507,44 +507,33 @@ def _dop853(phi, nm1: int, v0: float, w_end: float):
 # Enclosed volume and its v0-derivative
 # ---------------------------------------------------------------------------
 
-def V_of(traj: Trajectory, s: float) -> float:
-    """Enclosed volume between the graph of v and the level v(r(s)).
-
-    Closed form omega_{N-1} r^(N-2) (r v - w) at w = d1phi(s, N-1), with
-    (r, v) read from the dense output.
-    """
-    nm1 = traj.tension.dim - 1
-    w = float(traj.tension.phi.d1(s, float(nm1)))
-    if not 0.0 <= w <= traj.ts[-1]:
-        raise OutOfRange(f"s={s} outside the trajectory range: w={w} not in "
-                         f"[0, {traj.ts[-1]}]")
-    r, v = traj(w).tolist()
-    return unit_ball_volume(nm1) * r ** (nm1 - 1) * (r * v - w)
-
-
-def _end_dV(traj: Trajectory) -> float:
-    """dV/dv0 at the trajectory's end: the v0-derivative of the closed form
-    omega_{N-1} r^(N-2) (r v - w*) along ``traj.dy_dv0``."""
+def V_of(traj: Trajectory) -> float:
+    """Enclosed volume V_{v0}(s*) between the graph of v and the level of v
+    at the trajectory's end: the closed form omega_{N-1} r^(N-2) (r v - w*)
+    at w* = ``ts[-1]`` and (r, v) = ``ys[:, -1]``, the last node."""
     nm1 = traj.tension.dim - 1
     w = float(traj.ts[-1])
     r, v = traj.ys[:, -1].tolist()
-    dr, dv = traj.dy_dv0
-    return (unit_ball_volume(nm1) * r ** (nm1 - 2)
-            * ((nm1 - 1) * dr * (r * v - w) + r * (dr * v + r * dv)))
+    return unit_ball_volume(nm1) * r ** (nm1 - 1) * (r * v - w)
 
 
-def dV_dv0(tension: SurfaceTension, v0: float, s_star_val: float) -> float:
-    """Exact derivative of v0 -> V_{v0}(s*), from one integration; negative
+def dV_dv0(traj: Trajectory) -> float:
+    """Exact derivative of v0 -> V_{v0}(s*) at the trajectory's end: the
+    v0-derivative of ``V_of``'s closed form along ``traj.dy_dv0``; negative
     for admissible tensions (the uniqueness mechanism).
 
     The solve carries d(r, v)/dv0 through each DOP853 stage with its steps
     held fixed (internal numerical differentiation), so this differentiates
     the discrete V_{v0}(s*) that ``V_of`` reads along those steps; on the
     48 cases of ``checks.suite_monotonicity`` it agrees with a central
-    difference of ``V_of`` to 3.2e-8 relative.  A v0 outside
-    [2^-400, 2^400] raises InvalidInput, as in :func:`integrate_v`.
+    difference of ``V_of`` to 3.2e-8 relative.
     """
-    return _end_dV(integrate_v(tension, v0, s_stop=s_star_val))
+    nm1 = traj.tension.dim - 1
+    w = float(traj.ts[-1])
+    r, v = traj.ys[:, -1].tolist()
+    dr, dv = traj.dy_dv0
+    return (unit_ball_volume(nm1) * r ** (nm1 - 2)
+            * ((nm1 - 1) * dr * (r * v - w) + r * (dr * v + r * dv)))
 
 
 # ---------------------------------------------------------------------------
@@ -634,20 +623,22 @@ def shoot(body: WulffBody, omega: float, m: float) -> ShootingSolution:
     under the tension ``body`` was built for.
 
     Each probe integrates the ODE once and reads the closed-form enclosed
-    volume V_{v0}(s*) (``V_of``) and its exact v0-derivative (``_end_dV``)
-    at the trajectory's end.  The first probe, at v0 = 1, also reconstructs
-    its profile: the ratio c of its exactly integrated volume to
-    V_{v0}(s*) is the bridge constant, and every probe solves
-    g = log(c V_{v0}(s*) / m) = 0 in x = log2(v0), where
+    volume V_{v0}(s*) (``V_of``) and its exact v0-derivative (``dV_dv0``)
+    at the trajectory's last node, so a probe builds no dense output.  The
+    first probe, at v0 = 1, also reconstructs its profile: the ratio c of
+    its exactly integrated volume to V_{v0}(s*) is the bridge constant, and
+    every probe solves g = log(c V_{v0}(s*) / m) = 0 in x = log2(v0), where
     g' = ln 2 v0 (dV/dv0) / V.  V_{v0}(s*) decreases strictly in v0, so the
     sign of g says on which side of a probe the root lies.  Newton steps
     from x = 0 are kept inside the bracket of the probes on either side:
     until the root's side has a probe, a step that would leave the scan
     range [-21, 21] (or is not a step towards the root) goes to its end,
-    where a probe of the same sign raises NoBracket; after that, a step
-    that leaves the bracket bisects it.  The solve stops at the probe whose
+    where a probe of the same sign raises NoBracket naming the scan range,
+    the target and that probe's scaled volume; after that, a step that
+    leaves the bracket bisects it.  The solve stops at the probe whose
     next step is at most 1e-8, and reconstructs the profile once more
-    there, where its volume must match m to a relative 1e-6.
+    there, where its volume must match m to a relative 1e-6.  Only these
+    reconstructed trajectories build interpolant rows.
     ``v0_history`` lists each integrated v0 once, with its scaled
     closed-form volume.
     """
@@ -657,8 +648,7 @@ def shoot(body: WulffBody, omega: float, m: float) -> ShootingSolution:
 
     # The bridge constant c, measured on the first probe, at v0 = 1.
     traj = integrate_v(tension, 1.0, s_stop=s_st)
-    c = (reduced_volume(reconstruct_profile(traj, body, omega=omega)[0])
-         / V_of(traj, s_st))
+    c = reduced_volume(reconstruct_profile(traj, body, omega=omega)[0]) / V_of(traj)
 
     history = []
     # g decreases in x: the root lies above a probe with g > 0.  lo and hi
@@ -666,7 +656,7 @@ def shoot(body: WulffBody, omega: float, m: float) -> ShootingSolution:
     x, lo, hi = 0.0, None, None
     while True:
         v0 = 2.0**x
-        V = V_of(traj, s_st)
+        V = V_of(traj)
         history.append((v0, c * V))
         if not c * V > 0.0:
             # Within rounding of omega = -phi(0, 1) a probe's closed-form
@@ -685,8 +675,11 @@ def shoot(body: WulffBody, omega: float, m: float) -> ShootingSolution:
         if not bracketed:
             far = math.copysign(_LOG_V0_SPAN, g)
             if x == far:
-                raise NoBracket("volume target outside the v0-scan range")
-        dg = math.log(2.0) * v0 * _end_dV(traj) / V
+                raise NoBracket(
+                    f"volume target {m!r} outside the v0-scan range "
+                    f"[2^-{_LOG_V0_SPAN:g}, 2^{_LOG_V0_SPAN:g}]: the probe at "
+                    f"v0 = 2^{x:g} holds {c * V!r}")
+        dg = math.log(2.0) * v0 * dV_dv0(traj) / V
         x_new = x - g / dg if dg < 0.0 else math.nan
         if not min(x, far) < x_new < max(x, far):
             x_new = 0.5 * (x + far) if bracketed else far
@@ -703,7 +696,7 @@ def shoot(body: WulffBody, omega: float, m: float) -> ShootingSolution:
     diagnostics = {
         "achieved_volume": vol,
         "young_residual": young_residual(prof, contact_slope=-body.lam / s_st),
-        "bridge_constant": vol / V_of(traj, s_st),
+        "bridge_constant": vol / V_of(traj),
         "v0_history": history,
     }
     return ShootingSolution(v0=v0, s_star=s_st, trajectory=traj, lam=lam_mult,

@@ -97,6 +97,20 @@ def test_repairs_table_reports_geometry_and_energy_drops_apart(monkeypatch):
     assert against_base.drops_against([0.5], None) == "no base commit"
 
 
+def test_shoot_table_reports_ode_solves_and_interpolant_rows(monkeypatch):
+    # Exact work counts sit beside the seconds, which cannot resolve them.
+    history = [["0x1.0p+0", "0x1.8p+0"]]
+    runs = {"base": [[5, 6], 2e-8, 1, 0.5, [history, history], 11, 157],
+            "head": [[5, 6], 2e-8, 1, 0.4, [history, history], 11, 64]}
+    monkeypatch.setattr(against_base, "probe", lambda tree, fn: runs[tree])
+    rows = list(against_base.shoot_convergence([("base", "base"), ("head", "head")]))
+    assert "| ODE solves | interpolant rows |" in rows[0]
+    columns = {row.count("|") - row.count("\\|") for row in rows}
+    assert columns == {11}
+    assert rows[2:] == ["| base | 2 | 5.50 | 6 | 2.0e-08 | 1 | 11 | 157 | 0.500 |  |",
+                        "| head | 2 | 5.50 | 6 | 2.0e-08 | 1 | 11 | 64 | 0.400 | identical |"]
+
+
 def test_untimed_drops_every_timing_field():
     assert against_base.TIMED == ("wall_time_s", "seconds", "case_seconds")
     assert against_base.untimed({"seconds": 1, "a": [{"wall_time_s": 2, "b": 3}],

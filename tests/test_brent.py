@@ -69,11 +69,10 @@ def test_brent_matches_scipy_on_the_shoot_residual(family, params, mass):
     s_st = sol.s_star
     traj = od.integrate_v(tension, 1.0, s_stop=s_st)
     c = (reduced.reduced_volume(od.reconstruct_profile(traj, body, omega=omega)[0])
-         / od.V_of(traj, s_st))
+         / od.V_of(traj))
 
     def resid(x):
-        return math.log(c * od.V_of(od.integrate_v(tension, 2.0**x, s_stop=s_st),
-                                    s_st) / mass)
+        return math.log(c * od.V_of(od.integrate_v(tension, 2.0**x, s_stop=s_st)) / mass)
 
     x = math.log2(sol.v0)
     outcome = assert_parity(resid, x - 0.5, x + 0.5, od._LOG_V0_XTOL)

@@ -660,7 +660,11 @@ def test_shoot_failure_exits_3(tension_file, tmp_path, capsys):
                 "--omega=-0.9", "--mass", "1000", "--out-dir", str(out)])
     assert code == 3
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: solver failed")
+    # It names the target, the scan range and the scaled volume at its end.
+    assert len(err) == 1
+    assert err[0].startswith("error: solver failed: volume target 1000.0 outside the "
+                             "v0-scan range [2^-21, 2^21]: the probe at v0 = 2^-21 "
+                             "holds 329.36")
     assert not out.exists()
 
 

@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 from wulffdrop import odesolve as od
 from wulffdrop import reduced
 from wulffdrop.errors import (InvalidInput, NoBracket, NonConvergence,
-                              OmegaOutOfGraphRange, OutOfRange, StalledInversion)
+                              OmegaOutOfGraphRange, StalledInversion)
 from wulffdrop.tension import ScaledPNorm, make_tension, phi_partials
 from wulffdrop.wulff import build_wulff_body
 
@@ -101,8 +101,8 @@ def test_integrate_v0_range_ends_solve(dim):
     s_st = od.s_star(tension, -0.5)
     for v0 in (2.0**-400, 2.0**400):
         traj = od.integrate_v(tension, v0, s_stop=s_st)
-        assert math.isfinite(od.V_of(traj, s_st))
-        assert math.isfinite(od.dV_dv0(tension, v0, s_st))
+        assert math.isfinite(od.V_of(traj))
+        assert math.isfinite(od.dV_dv0(traj))
 
 
 @pytest.mark.parametrize("v0", [2.0**-401, 1e-300, 2.0**401, 1e155, math.inf, math.nan])
@@ -110,28 +110,29 @@ def test_integrate_rejects_v0_outside_its_range(euclid, v0):
     # Above about 1e155 the sensitivity's r * r underflows, and below about
     # 1e-265 the steps fall under the spacing of w: rejected up front.
     s_st = od.s_star(euclid, -0.5)
-    for call in (od.integrate_v, od.dV_dv0):
-        with pytest.raises(InvalidInput, match=r"v0 must lie in \[2\^-400, 2\^400\]"):
-            call(euclid, v0, s_st)
+    with pytest.raises(InvalidInput, match=r"v0 must lie in \[2\^-400, 2\^400\]"):
+        od.integrate_v(euclid, v0, s_st)
 
 
 def test_V_zero_and_monotone(euclid):
-    traj = od.integrate_v(euclid, 1.0, s_stop=1.5)
-    v_first = od.V_of(traj, 0.0)  # the apex, w = 0
-    assert abs(v_first) < 1e-8
-    vals = [od.V_of(traj, s) for s in np.linspace(0.05, 1.5, 20)]
+    # V of trajectories stopped at each s: it vanishes towards the apex and
+    # grows with s.
+    def V(s):
+        return od.V_of(od.integrate_v(euclid, 1.0, s_stop=s))
+
+    assert 0.0 < V(1e-3) < 1e-8
+    vals = [V(s) for s in np.linspace(0.05, 1.5, 20)]
     assert np.all(np.diff(vals) > 0)
-    with pytest.raises(OutOfRange):
-        od.V_of(traj, 2.0)
 
 
 def test_V_matches_direct_quadrature(euclid):
-    traj = od.integrate_v(euclid, 1.0, s_stop=1.5)
     s_query = 1.2
-    V = od.V_of(traj, s_query)
+    traj = od.integrate_v(euclid, 1.0, s_stop=s_query)
+    V = od.V_of(traj)
     # Reference: 2 pi int_0^r(s) rho (v(r(s)) - v(rho)) drho by the trapezoid
     # rule on the dense output sampled finely in w.
     w_query = phi_partials(euclid, s_query, 2.0)[0]
+    assert w_query == traj.ts[-1]
     rr, vv = traj(np.linspace(0.0, w_query, 20001))
     quad = 2.0 * math.pi * np.trapezoid(rr * (vv[-1] - vv), rr)
     assert V == pytest.approx(quad, rel=1e-6)
@@ -145,9 +146,9 @@ def test_dV_dv0_negative_and_stable():
     for dim in (2, 3):
         tension = make_tension("euclid", dim=dim)
         s_star = od.s_star(tension, -0.5)
-        d = od.dV_dv0(tension, 1.0, s_star)
+        d = od.dV_dv0(od.integrate_v(tension, 1.0, s_stop=s_star))
         assert d < 0
-        assert od.dV_dv0(tension, 1.0, s_star) == d
+        assert od.dV_dv0(od.integrate_v(tension, 1.0, s_stop=s_star)) == d
         h = 1e-4
         ends = [od.integrate_v(tension, v0, s_stop=s_star).ys[:, -1]
                 for v0 in (1.0 + h, 1.0 - h)]
@@ -166,9 +167,10 @@ def test_dV_dv0_matches_central_differences_on_the_monotonicity_cases():
         s_st = od.s_star(tension, -0.5 * tension.f_eN)
         for v0 in np.geomspace(0.1, 10.0, 16).tolist():
             h = 1e-4 * v0
-            fd = (od.V_of(od.integrate_v(tension, v0 + h, s_stop=s_st), s_st)
-                  - od.V_of(od.integrate_v(tension, v0 - h, s_stop=s_st), s_st)) / (2 * h)
-            assert od.dV_dv0(tension, v0, s_st) == pytest.approx(fd, rel=1e-6)
+            fd = (od.V_of(od.integrate_v(tension, v0 + h, s_stop=s_st))
+                  - od.V_of(od.integrate_v(tension, v0 - h, s_stop=s_st))) / (2 * h)
+            d = od.dV_dv0(od.integrate_v(tension, v0, s_stop=s_st))
+            assert d == pytest.approx(fd, rel=1e-6)
             cases += 1
     assert cases == 48
 
@@ -412,7 +414,7 @@ def test_V_small_v0_matches_tight_reference(euclid, v0):
     r, v = _reference_end(euclid, v0, s_stop)
     w_end = phi_partials(euclid, s_stop, 2.0)[0]
     reference = od.unit_ball_volume(2) * r * (r * v - w_end)
-    assert od.V_of(traj, s_stop) == pytest.approx(reference, rel=1e-9)
+    assert od.V_of(traj) == pytest.approx(reference, rel=1e-9)
 
 
 @pytest.mark.parametrize("family, params, frac", [
@@ -666,10 +668,44 @@ def test_dV_dv0_builds_no_interpolant_rows(request, monkeypatch, name):
         raise AssertionError("interpolant rows built")
 
     monkeypatch.setattr(od, "_interpolant", no_rows)
-    assert od.dV_dv0(tension, 1.3, s_stop).hex() == DV_DV0[name]
+    assert od.dV_dv0(od.integrate_v(tension, 1.3, s_stop)).hex() == DV_DV0[name]
     traj = od.integrate_v(tension, 1.3, s_stop)
     with pytest.raises(AssertionError, match="interpolant rows built"):
         od.reconstruct_profile(traj, build_wulff_body(tension, 1024))
+
+
+@pytest.mark.parametrize("name", ["euclid", "pnorm3"])
+def test_shoot_builds_interpolant_rows_only_for_reconstructed_trajectories(
+        request, monkeypatch, name):
+    # Each probe reads V and dV/dv0 at its last node; only the trajectories
+    # handed to reconstruct_profile, at v0 = 1 and at the root, build their
+    # rows, one _interpolant call per step.
+    tension = request.getfixturevalue(name)
+    body = request.getfixturevalue(name + "_body")
+    integrate, reconstruct, interpolant = (od.integrate_v, od.reconstruct_profile,
+                                           od._interpolant)
+    solves, reconstructed, rows = [], [], []
+
+    def counted_integrate(*args, **kwargs):
+        solves.append(integrate(*args, **kwargs))
+        return solves[-1]
+
+    def counted_reconstruct(traj, *args, **kwargs):
+        reconstructed.append(traj)
+        return reconstruct(traj, *args, **kwargs)
+
+    def counted_rows(*args):
+        rows.append(args)
+        return interpolant(*args)
+
+    monkeypatch.setattr(od, "integrate_v", counted_integrate)
+    monkeypatch.setattr(od, "reconstruct_profile", counted_reconstruct)
+    monkeypatch.setattr(od, "_interpolant", counted_rows)
+    sol = od.shoot(body, -0.5 * tension.f_eN, 1.0)
+    assert len(solves) == len(sol.diagnostics["v0_history"]) > 2
+    built = [traj for traj in solves if "coeffs" in vars(traj)]
+    assert built == reconstructed == [solves[0], sol.trajectory]
+    assert len(rows) == sum(len(traj.steps) for traj in built)
 
 
 _FAMILIES = [("euclid", {}), ("weighted", {"c": 2.0}), ("pnorm", {"p": 3.0}),

@@ -238,9 +238,25 @@ def shoot_set():
     """Four families x omega in {-0.9, -0.5, -0.05} phi(0,1) x five masses;
     the pnorm3 cells whose target lies beyond the v0 scan raise NoBracket
     and are counted apart.  Each converged shoot is timed alone, and its
-    v0_history is returned with float.hex."""
+    v0_history is returned with float.hex.  The ODE solves and interpolant
+    rows built over the whole set are counted, calls of
+    ``odesolve.integrate_v`` and ``odesolve._interpolant``: exact numbers,
+    where the seconds are not."""
     import time
     import wulffdrop as wd
+    from wulffdrop import odesolve
+    counts = {"integrate_v": 0, "_interpolant": 0}
+
+    def counted(name):
+        fn = getattr(odesolve, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        setattr(odesolve, name, call)
+
+    for name in counts:
+        counted(name)
     probes, worst, no_bracket, seconds, histories = [], 0.0, 0, 0.0, []
     for family, params in (("euclid", {}), ("pnorm", {"p": 3.0}),
                            ("pnorm", {"p": 1.5}), ("weighted", {"c": 2.0})):
@@ -259,7 +275,8 @@ def shoot_set():
                 probes.append(len(history))
                 histories.append([[float(x).hex() for x in entry] for entry in history])
                 worst = max(worst, abs(sol.diagnostics["achieved_volume"] / m - 1.0))
-    return [probes, worst, no_bracket, seconds, histories]
+    return [probes, worst, no_bracket, seconds, histories,
+            counts["integrate_v"], counts["_interpolant"]]
 
 
 def repair_set():
@@ -324,11 +341,12 @@ def start_up(trees):
 
 def shoot_convergence(trees):
     yield ("| commit | shoots | mean probes | max probes | worst \\|vol/m - 1\\| | NoBracket "
-           "| seconds of the shoots | every v0_history bit for bit as on base |")
-    yield "|---|---:|---:|---:|---:|---:|---:|---|"
+           "| ODE solves | interpolant rows | seconds of the shoots "
+           "| every v0_history bit for bit as on base |")
+    yield "|---|---:|---:|---:|---:|---:|---:|---:|---:|---|"
     base_histories = None
     for side, tree in trees:
-        probes, worst, no_bracket, seconds, histories = probe(tree, shoot_set)
+        probes, worst, no_bracket, seconds, histories, solves, rows = probe(tree, shoot_set)
         if side == "base":
             base_histories, same = histories, ""
         elif base_histories is None:
@@ -340,7 +358,8 @@ def shoot_convergence(trees):
             moved += abs(len(histories) - len(base_histories))
             same = f"**differs** ({moved} of {len(histories)} shoots)"
         yield (f"| {side} | {len(probes)} | {sum(probes) / len(probes):.2f} | "
-               f"{max(probes)} | {worst:.1e} | {no_bracket} | {seconds:.3f} | {same} |")
+               f"{max(probes)} | {worst:.1e} | {no_bracket} | {solves} | {rows} | "
+               f"{seconds:.3f} | {same} |")
 
 
 def drops_against(drops, base_drops):
